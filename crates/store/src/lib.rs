@@ -408,7 +408,8 @@ impl LedgerStore {
 
     /// Seals the active segment and starts the next one once it has
     /// outgrown [`StoreConfig::segment_bytes`]. Called after every append
-    /// so a segment exceeds the threshold by at most one record.
+    /// so a segment exceeds the threshold by at most one append call's
+    /// records.
     fn roll_if_full(&mut self) -> Result<(), StoreError> {
         let wal = self.wal.as_ref().ok_or(StoreError::ReadOnly)?;
         if wal.metadata()?.len() < self.config.segment_bytes {
@@ -427,21 +428,39 @@ impl LedgerStore {
         Ok(())
     }
 
-    /// Appends a freshly attached transaction to the WAL.
+    /// Appends a freshly attached transaction to the WAL: a one-record
+    /// [`append_batch`](Self::append_batch).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures; on error the record may be torn,
-    /// which recovery tolerates (the torn tail is dropped).
+    /// As [`append_batch`](Self::append_batch).
     pub fn append(&mut self, tx: &Transaction, attach_ms: u64) -> Result<(), StoreError> {
-        let body = encode_tx(tx);
-        let mut record = Vec::with_capacity(body.len() + 13);
-        if self.wal_version >= 2 {
-            record.push(WAL_TAG_TX);
+        self.append_batch(&[(tx.clone(), attach_ms)])
+    }
+
+    /// Appends freshly attached `(transaction, attach_ms)` records to the
+    /// WAL in order, as one group commit: one write, one sync, one segment
+    /// roll check.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures; on error the batch may be torn
+    /// anywhere, and recovery keeps the record-aligned prefix that reached
+    /// the disk (the torn tail is dropped).
+    pub fn append_batch(&mut self, batch: &[(Transaction, u64)]) -> Result<(), StoreError> {
+        if batch.is_empty() {
+            return Ok(());
         }
-        write_varint(&mut record, attach_ms);
-        write_varint(&mut record, body.len() as u64);
-        record.extend_from_slice(&body);
+        let mut record = Vec::new();
+        for (tx, attach_ms) in batch {
+            let body = encode_tx(tx);
+            if self.wal_version >= 2 {
+                record.push(WAL_TAG_TX);
+            }
+            write_varint(&mut record, *attach_ms);
+            write_varint(&mut record, body.len() as u64);
+            record.extend_from_slice(&body);
+        }
         let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
         wal.write_all(&record)?;
         wal.sync_data()?;
@@ -1099,6 +1118,31 @@ mod tests {
         let recovered = store.recover().unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         assert_eq!(recovered.tips(), tangle.tips());
+    }
+
+    #[test]
+    fn batch_append_writes_the_same_records_as_single_appends() {
+        let (one, batched) = (TempDir::new(), TempDir::new());
+        let mut tangle = Tangle::new();
+        tangle.attach_genesis(NodeId([0; 32]), 0);
+        let mut store = LedgerStore::open(&one.0).unwrap();
+        grow(&mut tangle, &mut store, 6, 10);
+        let rows: Vec<(Transaction, u64)> = tangle.attach_order()[1..]
+            .iter()
+            .map(|id| {
+                (
+                    tangle.get(id).unwrap().clone(),
+                    tangle.attach_time_ms(id).unwrap(),
+                )
+            })
+            .collect();
+        let mut store = LedgerStore::open(&batched.0).unwrap();
+        store.append_batch(&rows).unwrap();
+        store.append_batch(&[]).unwrap();
+        assert_eq!(
+            fs::read(segment_path(&one.0, 0)).unwrap(),
+            fs::read(segment_path(&batched.0, 0)).unwrap()
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based durability tests: any interleaving of appends and
-//! checkpoints must recover to exactly the live ledger.
+//! checkpoints must recover to exactly the live ledger, and a torn WAL
+//! recovers to a record-aligned prefix of it — with records appended one
+//! at a time or in group-committed batches of random size.
 
 use biot_store::{CheckpointPolicy, LedgerStore, StoreConfig};
 use biot_tangle::graph::Tangle;
-use biot_tangle::tx::{NodeId, Payload, TransactionBuilder};
+use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,6 +38,29 @@ impl Drop for TempDir {
 enum Op {
     Attach(usize, usize, u8),
     Checkpoint,
+}
+
+/// Group-commits `batch` once it holds `sizes[*next % sizes.len()]`
+/// records (or whenever `force` is set), then moves on to the next size.
+fn flush_batch(
+    store: &mut LedgerStore,
+    batch: &mut Vec<(Transaction, u64)>,
+    sizes: &[usize],
+    next: &mut usize,
+    force: bool,
+) {
+    if batch.is_empty() || (!force && batch.len() < sizes[*next % sizes.len()]) {
+        return;
+    }
+    store.append_batch(batch).unwrap();
+    batch.clear();
+    *next += 1;
+}
+
+/// Batch sizes the WAL appends cycle through: single records and batches
+/// well past the smallest segment size.
+fn batch_sizes_strategy() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(1usize..12, 1..6)
 }
 
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -107,10 +132,13 @@ proptest! {
         ops in ops_strategy(),
         segment_bytes in 64u64..512,
         compact_every in 1usize..6,
+        batch_sizes in batch_sizes_strategy(),
     ) {
         // Same interleaving property as above, but with tiny segments so
         // the log rolls constantly, plus incremental compaction and
-        // policy-driven checkpoints sprinkled through the run.
+        // policy-driven checkpoints sprinkled through the run. Attaches
+        // are group-committed in batches of random size, most of them
+        // larger than a segment.
         let dir = TempDir::new();
         let mut store =
             LedgerStore::open_with_config(&dir.0, StoreConfig { segment_bytes }).unwrap();
@@ -123,6 +151,8 @@ proptest! {
         let genesis_tx = tangle.get(&genesis).unwrap().clone();
         store.append(&genesis_tx, 0).unwrap();
         let mut attached = vec![genesis];
+        let mut batch = Vec::new();
+        let mut next_size = 0;
 
         for (i, op) in ops.iter().enumerate() {
             match op {
@@ -136,19 +166,22 @@ proptest! {
                         .build();
                     let at = i as u64 + 1;
                     if let Ok(id) = tangle.attach(tx.clone(), at) {
-                        store.append(&tx, at).unwrap();
+                        batch.push((tx, at));
                         attached.push(id);
                     }
+                    flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, false);
                     if i % compact_every == 0 {
                         store.compact_step().unwrap();
                     }
                 }
                 Op::Checkpoint => {
+                    flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, true);
                     tangle.confirm_with_threshold(2);
                     store.maybe_checkpoint(&tangle, &policy).unwrap();
                 }
             }
         }
+        flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, true);
 
         let recovered = LedgerStore::open(&dir.0)
             .unwrap()
@@ -170,7 +203,8 @@ proptest! {
     #[test]
     fn truncated_wal_never_panics_and_keeps_prefix(
         n_txs in 1usize..15,
-        cut in 1usize..200,
+        cut in 1usize..4000,
+        batch_sizes in batch_sizes_strategy(),
     ) {
         let dir = TempDir::new();
         let mut store = LedgerStore::open(&dir.0).unwrap();
@@ -179,6 +213,8 @@ proptest! {
         let genesis_tx = tangle.get(&genesis).unwrap().clone();
         store.append(&genesis_tx, 0).unwrap();
         let mut attached = vec![genesis];
+        let mut batch = Vec::new();
+        let mut next_size = 0;
         for i in 0..n_txs {
             let tx = TransactionBuilder::new(NodeId([1; 32]))
                 .parents(*attached.last().unwrap(), attached[0])
@@ -187,9 +223,11 @@ proptest! {
                 .build();
             let at = i as u64 + 1;
             tangle.attach(tx.clone(), at).unwrap();
-            store.append(&tx, at).unwrap();
+            batch.push((tx, at));
+            flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, false);
             attached.push(tangle.tips()[0]);
         }
+        flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, true);
         drop(store);
         // Truncate the WAL at an arbitrary point ≥ the magic header.
         let wal = dir.0.join("wal.biot");
@@ -198,12 +236,13 @@ proptest! {
         std::fs::write(&wal, &data[..keep]).unwrap();
 
         // Recovery must not panic; whatever it returns is a prefix of the
-        // original ledger.
+        // original ledger in append order, however the cut split a batch.
         if let Ok(Some(recovered)) = LedgerStore::open(&dir.0).unwrap().recover() {
             prop_assert!(recovered.len() <= tangle.len());
-            for tx in recovered.iter() {
-                prop_assert!(tangle.contains(&tx.id()));
-            }
+            prop_assert_eq!(
+                recovered.attach_order(),
+                &tangle.attach_order()[..recovered.len()]
+            );
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The tangle itself: a DAG of transactions with tip tracking, weights,
 //! confirmation, conflict (double-spend) detection, and snapshotting.
 
+use crate::slots::{SlotIndex, NO_SLOT};
 use crate::tx::{Payload, Transaction, TxId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -70,11 +71,15 @@ pub(crate) struct Entry {
     /// Monotone attach sequence number (true arrival order).
     pub(crate) seq: u64,
     pub(crate) status: TxStatus,
-    /// Maintained cumulative weight: 1 (own) + distinct stored transactions
-    /// that directly or indirectly approve this one. Updated on attach by
-    /// walking the new transaction's ancestor cone; only ever grows while
-    /// the entry is stored.
+    /// The entry's slot in the tangle's [`SlotIndex`].
+    pub(crate) slot: u32,
+    /// Cumulative weight as of the last move out of the frontier: 1 (own)
+    /// plus the distinct stored transactions that directly or indirectly
+    /// approve this one.
     ///
+    /// A live frontier entry's weight is kept in its slot (the attach walk
+    /// bumps it there) and this field is stale; a
+    /// [`crate::view::TangleView`] writes the slot's value in at capture.
     /// For sealed entries this is only the *base*: the effective weight is
     /// `weight + (seal_pass - pass_base)` — see [`SealedEpoch`].
     pub(crate) weight: u64,
@@ -102,7 +107,7 @@ pub(crate) struct Entry {
 /// reader generation.
 #[derive(Clone, Debug)]
 pub(crate) struct SealedEpoch {
-    pub(crate) entries: HashMap<TxId, Entry>,
+    pub(crate) entries: HashMap<TxId, Box<Entry>>,
     pub(crate) anchor: TxId,
 }
 
@@ -184,8 +189,10 @@ pub struct SealStats {
 #[derive(Clone, Debug, Default)]
 pub struct Tangle {
     /// Mutable unsealed entries (the frontier). Hot path: every attach
-    /// inserts here and bumps weights here only.
-    pub(crate) frontier: HashMap<TxId, Entry>,
+    /// inserts here. Entries are boxed in both maps: an inline `Entry` is
+    /// hundreds of bytes, and a hash table keeps up to half its buckets
+    /// empty.
+    pub(crate) frontier: HashMap<TxId, Box<Entry>>,
     /// The sealed confirmed cone, shared copy-on-write with read views.
     pub(crate) sealed: Option<std::sync::Arc<SealedEpoch>>,
     /// Pass-through counter: how many attaches approved the current anchor
@@ -214,6 +221,8 @@ pub struct Tangle {
     seals_total: u64,
     passes_total: u64,
     strays_total: u64,
+    /// Parent links and frontier weights of every stored entry, by slot.
+    pub(crate) slots: SlotIndex,
 }
 
 impl Tangle {
@@ -235,17 +244,19 @@ impl Tangle {
             .payload(Payload::Data(b"genesis".to_vec()))
             .build();
         let id = tx.id();
+        let slot = self.slots.alloc(id, [NO_SLOT; 2], 1);
         self.frontier.insert(
             id,
-            Entry {
+            Box::new(Entry {
                 tx,
                 approvers: Vec::new(),
                 attach_time_ms: now_ms,
                 seq: self.total_attached,
                 status: TxStatus::Confirmed,
+                slot,
                 weight: 1,
                 pass_base: 0,
-            },
+            }),
         );
         self.tips.insert(id);
         self.genesis = Some(id);
@@ -259,6 +270,7 @@ impl Tangle {
         self.frontier
             .get(id)
             .or_else(|| self.sealed.as_ref().and_then(|ep| ep.entries.get(id)))
+            .map(|e| &**e)
     }
 
     fn is_sealed_id(&self, id: &TxId) -> bool {
@@ -312,34 +324,41 @@ impl Tangle {
             self.spends.insert(*token, id);
         }
         let parents = tx.parents();
+        // Stored parents' slots; pruned parents (and a repeated parent,
+        // which counts once) stay NO_SLOT.
+        let mut parent_slots = [NO_SLOT; 2];
         for (i, parent) in parents.iter().enumerate() {
             if i == 1 && parents[1] == parents[0] {
                 continue; // same parent twice counts once
             }
             if let Some(entry) = self.frontier.get_mut(parent) {
                 entry.approvers.push(id);
+                parent_slots[i] = entry.slot;
             } else if self.is_sealed_id(parent) {
                 let ep = Arc::make_mut(self.sealed.as_mut().expect("sealed id implies epoch"));
                 if let Some(entry) = ep.entries.get_mut(parent) {
                     entry.approvers.push(id);
+                    parent_slots[i] = entry.slot;
                 }
             }
             self.tips.remove(parent);
         }
+        let slot = self.slots.alloc(id, parent_slots, 1);
         self.frontier.insert(
             id,
-            Entry {
+            Box::new(Entry {
                 tx,
                 approvers: Vec::new(),
                 attach_time_ms: now_ms,
                 seq: self.total_attached,
                 status: TxStatus::Pending,
+                slot,
                 weight: 1,
                 pass_base: 0,
-            },
+            }),
         );
         self.pending.insert(id);
-        self.bump_ancestor_weights(&parents);
+        self.bump_ancestor_weights(parent_slots);
         self.tips.insert(id);
         self.total_attached += 1;
         self.recency.push(id);
@@ -347,85 +366,46 @@ impl Tangle {
     }
 
     /// Adds the just-attached transaction to the weight of every distinct
-    /// stored ancestor, walking parent links once with a seen-set (distinct
-    /// approver semantics: a diamond-shaped cone still counts the new
-    /// approver exactly once per ancestor). Pruned parents terminate the
-    /// walk — all stored ancestors of a pruned transaction are pruned in the
-    /// same [`Tangle::snapshot`] call, so nothing stored hides behind them.
+    /// stored ancestor (distinct approver semantics: a diamond-shaped cone
+    /// still counts the new approver exactly once per ancestor). The walk
+    /// runs over the [`SlotIndex`] from the new transaction's parent slots.
+    /// Pruned parents terminate it — all stored ancestors of a pruned
+    /// transaction are pruned in the same [`Tangle::snapshot`] call, so
+    /// nothing stored hides behind them.
     ///
-    /// The walk now also terminates at the **sealed boundary**: sealed
-    /// parents are collected instead of queued. If the anchor itself is on
-    /// the boundary, the new transaction approves the anchor and therefore
-    /// the anchor's *entire* cone — exactly the sealed set — so a single
+    /// The walk also terminates at the **sealed boundary**: sealed parents
+    /// are collected instead of followed. If the anchor itself is on the
+    /// boundary, the new transaction approves the anchor and therefore the
+    /// anchor's *entire* cone — exactly the sealed set — so a single
     /// `seal_pass` increment absorbs the bump for every sealed entry and the
     /// walk stays O(frontier cone). Otherwise ("stray") an exact fallback
     /// walk bumps the reachable sealed entries individually.
-    fn bump_ancestor_weights(&mut self, parents: &[TxId]) {
-        let mut seen: HashSet<TxId> = HashSet::new();
-        let mut queue: VecDeque<TxId> = VecDeque::new();
-        let mut boundary: Vec<TxId> = Vec::new();
-        for &p in parents {
-            if p != TxId::GENESIS_PARENT && seen.insert(p) {
-                if self.frontier.contains_key(&p) {
-                    queue.push_back(p);
-                } else if self.is_sealed_id(&p) {
-                    boundary.push(p);
-                }
-            }
-        }
-        while let Some(cur) = queue.pop_front() {
-            let parents = {
-                let entry = self.frontier.get_mut(&cur).expect("queued ids are frontier");
-                entry.weight += 1;
-                entry.tx.parents()
-            };
-            for p in parents {
-                if p != TxId::GENESIS_PARENT && seen.insert(p) {
-                    if self.frontier.contains_key(&p) {
-                        queue.push_back(p);
-                    } else if self.is_sealed_id(&p) {
-                        boundary.push(p);
-                    }
-                }
-            }
-        }
+    fn bump_ancestor_weights(&mut self, parents: [u32; 2]) {
+        let boundary = self.slots.bump_frontier_cone(parents);
         if boundary.is_empty() {
             return;
         }
-        let anchor = self
+        let ep = self
             .sealed
             .as_ref()
-            .map(|ep| ep.anchor)
             .expect("non-empty boundary implies a sealed epoch");
-        if boundary.contains(&anchor) {
+        let anchor_slot = ep.entries[&ep.anchor].slot;
+        if boundary.contains(&anchor_slot) {
             // Pass-through: the new tx approves the anchor, hence every
             // sealed entry. One counter bump covers the whole cone.
             self.seal_pass += 1;
             self.passes_total += 1;
         } else {
             // Stray: bump exactly the sealed ancestors reachable from the
-            // boundary. Parents of sealed entries are sealed or pruned, so
-            // this walk never re-enters the frontier.
+            // boundary.
             self.strays_total += 1;
             let ep = Arc::make_mut(self.sealed.as_mut().expect("checked above"));
-            let mut q: VecDeque<TxId> = boundary.into();
-            while let Some(cur) = q.pop_front() {
-                let parents = match ep.entries.get_mut(&cur) {
-                    Some(entry) => {
-                        entry.weight += 1;
-                        entry.tx.parents()
-                    }
-                    None => continue,
-                };
-                for p in parents {
-                    if p != TxId::GENESIS_PARENT
-                        && seen.insert(p)
-                        && ep.entries.contains_key(&p)
-                    {
-                        q.push_back(p);
-                    }
-                }
-            }
+            self.slots.for_each_sealed_ancestor(|id| {
+                ep.entries
+                    .get_mut(id)
+                    .expect("sealed slots hold sealed entries")
+                    .weight += 1;
+            });
         }
     }
 
@@ -554,7 +534,7 @@ impl Tangle {
     /// Returns 0 for unknown ids.
     pub fn cumulative_weight(&self, id: &TxId) -> u64 {
         if let Some(e) = self.frontier.get(id) {
-            return e.weight;
+            return self.slots.weight(e.slot);
         }
         if let Some(e) = self.sealed.as_ref().and_then(|ep| ep.entries.get(id)) {
             return e.weight + (self.seal_pass - e.pass_base);
@@ -601,7 +581,7 @@ impl Tangle {
         // `pending` is a sorted set, so the output stays id-ordered.
         for id in &self.pending {
             if let Some(entry) = self.frontier.get(id) {
-                if entry.weight >= threshold {
+                if self.slots.weight(entry.slot) >= threshold {
                     confirmed.push(*id);
                 }
             }
@@ -695,6 +675,8 @@ impl Tangle {
         let victim_set: HashSet<TxId> = victims.iter().copied().collect();
         let mut anchor_pruned = false;
         let mut parent_fixups: Vec<TxId> = Vec::with_capacity(victims.len() * 2);
+        // (surviving child, freed parent slot) links to clear.
+        let mut child_fixups: Vec<(TxId, u32)> = Vec::new();
         {
             let pruned = Arc::make_mut(&mut self.pruned);
             for id in &victims {
@@ -709,7 +691,21 @@ impl Tangle {
                 };
                 pruned.insert(*id);
                 parent_fixups.extend(entry.tx.parents());
+                child_fixups.extend(
+                    entry
+                        .approvers
+                        .iter()
+                        .filter(|a| !victim_set.contains(a))
+                        .map(|a| (*a, entry.slot)),
+                );
+                self.slots.release(entry.slot);
             }
+        }
+        // A freed slot is reused by the next attach, so surviving children
+        // must stop linking to it: the pruned parent ends their walks.
+        for (child, parent_slot) in child_fixups {
+            let child_slot = self.entry(&child).expect("surviving child is stored").slot;
+            self.slots.unlink_parent(child_slot, parent_slot);
         }
         // Drop approver references held by surviving entries. Only the
         // victims' direct parents can hold such references, so this is
@@ -847,9 +843,10 @@ impl Tangle {
         // Commit: move the cone into the epoch, stamping the current pass
         // counter so effective weights are continuous across the seal.
         let pass_base = self.seal_pass;
-        let mut moved: Vec<(TxId, Entry)> = Vec::with_capacity(cone.len());
+        let mut moved: Vec<(TxId, Box<Entry>)> = Vec::with_capacity(cone.len());
         for id in cone {
             let mut e = self.frontier.remove(&id).expect("cone ids are frontier");
+            e.weight = self.slots.seal(e.slot);
             e.pass_base = pass_base;
             moved.push((id, e));
         }
@@ -917,7 +914,8 @@ impl Tangle {
         if let Some(arc) = self.sealed.take() {
             let ep = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
             for (id, mut e) in ep.entries {
-                e.weight += self.seal_pass - e.pass_base;
+                self.slots
+                    .unseal(e.slot, e.weight + (self.seal_pass - e.pass_base));
                 e.pass_base = 0;
                 self.frontier.insert(id, e);
             }
@@ -943,6 +941,14 @@ impl Tangle {
     /// Returns true if `id` is inside the sealed epoch.
     pub fn is_sealed(&self, id: &TxId) -> bool {
         self.is_sealed_id(id)
+    }
+
+    /// Number of slots the weight walk's index holds, free ones included.
+    /// Bounded by the peak number of stored entries: slots of pruned
+    /// entries are reused. Exposed for tests.
+    #[doc(hidden)]
+    pub fn weight_index_slots(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// Monotone counters describing the sealed index's behaviour.

@@ -47,6 +47,7 @@
 pub mod codec;
 pub mod conflict;
 pub mod proof;
+mod slots;
 pub mod snapshot;
 pub mod stats;
 pub mod graph;

@@ -1,0 +1,204 @@
+//! The dense slot index behind the per-attach weight walk.
+//!
+//! Every stored entry owns a `u32` slot. The slot records the entry's two
+//! parent slots (resolved once, at attach), its frontier weight, a
+//! frontier/sealed/free state byte and a generation-stamped visit mark.
+//! The ancestor walk of [`crate::graph::Tangle::attach`] is then a
+//! depth-first search over plain arrays: no hashing of 32-byte ids, no
+//! seen-set (a slot is visited when its mark equals the walk's
+//! generation), and a stack reused across attaches.
+//!
+//! Slots of entries pruned by [`crate::graph::Tangle::snapshot`] go on a
+//! free list and are handed out again, so the index is sized by the peak
+//! number of stored entries, never by everything ever attached.
+
+use crate::tx::TxId;
+
+/// Parent link meaning "no stored parent": the parent is pruned, or it is
+/// the second link of a transaction that names the same parent twice.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SlotState {
+    /// On the free list (its entry was pruned).
+    Free,
+    /// A frontier entry: the slot's `weight` is its live weight.
+    Frontier,
+    /// A sealed entry: its weight lives in the sealed epoch.
+    Sealed,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    parents: [u32; 2],
+    weight: u64,
+    mark: u32,
+    state: SlotState,
+}
+
+/// Slot-indexed parent links and frontier weights of one tangle.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SlotIndex {
+    slots: Vec<Slot>,
+    /// Id of the entry in each slot (only the sealed continuation of a
+    /// walk needs it, so it is kept out of the hot `slots` array).
+    ids: Vec<TxId>,
+    free: Vec<u32>,
+    /// Mark of the current (or last) walk.
+    generation: u32,
+    stack: Vec<u32>,
+    /// Sealed slots where the last frontier walk stopped.
+    boundary: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// Gives `id` a frontier slot with the given parent links and weight.
+    pub(crate) fn alloc(&mut self, id: TxId, parents: [u32; 2], weight: u64) -> u32 {
+        let slot = Slot {
+            parents,
+            weight,
+            mark: 0,
+            state: SlotState::Frontier,
+        };
+        if let Some(s) = self.free.pop() {
+            self.slots[s as usize] = slot;
+            self.ids[s as usize] = id;
+            return s;
+        }
+        let s = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&s| s != NO_SLOT)
+            .expect("fewer than u32::MAX entries stored at once");
+        self.slots.push(slot);
+        self.ids.push(id);
+        s
+    }
+
+    /// Returns a pruned entry's slot to the free list. Its children's links
+    /// to it must be cleared with [`SlotIndex::unlink_parent`] before the
+    /// next [`SlotIndex::alloc`].
+    pub(crate) fn release(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.state = SlotState::Free;
+        s.parents = [NO_SLOT; 2];
+        self.free.push(slot);
+    }
+
+    /// Clears `child`'s links to `parent` (the parent was pruned).
+    pub(crate) fn unlink_parent(&mut self, child: u32, parent: u32) {
+        for p in &mut self.slots[child as usize].parents {
+            if *p == parent {
+                *p = NO_SLOT;
+            }
+        }
+    }
+
+    /// Live weight of a frontier slot.
+    pub(crate) fn weight(&self, slot: u32) -> u64 {
+        self.slots[slot as usize].weight
+    }
+
+    /// Moves a frontier slot into the sealed region, returning its weight
+    /// (the sealed entry's base weight from now on).
+    pub(crate) fn seal(&mut self, slot: u32) -> u64 {
+        let s = &mut self.slots[slot as usize];
+        s.state = SlotState::Sealed;
+        s.weight
+    }
+
+    /// Moves a sealed slot back into the frontier with its effective weight.
+    pub(crate) fn unseal(&mut self, slot: u32, weight: u64) {
+        let s = &mut self.slots[slot as usize];
+        s.state = SlotState::Frontier;
+        s.weight = weight;
+    }
+
+    /// Slots allocated, free ones included: the index's size.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn next_generation(&mut self) -> u32 {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: clear every old mark so none can equal a new one.
+            for s in &mut self.slots {
+                s.mark = 0;
+            }
+            self.generation = 1;
+        }
+        self.generation
+    }
+
+    /// Adds one to the weight of every distinct frontier entry reachable
+    /// from `parents` through frontier entries, and returns the distinct
+    /// sealed slots where the walk stopped. Free (pruned) links end it.
+    pub(crate) fn bump_frontier_cone(&mut self, parents: [u32; 2]) -> &[u32] {
+        let mark = self.next_generation();
+        let Self {
+            slots,
+            stack,
+            boundary,
+            ..
+        } = self;
+        stack.clear();
+        boundary.clear();
+        let mut visit = |p: u32, stack: &mut Vec<u32>, slots: &mut [Slot]| {
+            if p == NO_SLOT {
+                return;
+            }
+            let s = &mut slots[p as usize];
+            if s.mark == mark {
+                return;
+            }
+            s.mark = mark;
+            match s.state {
+                SlotState::Frontier => stack.push(p),
+                SlotState::Sealed => boundary.push(p),
+                SlotState::Free => {}
+            }
+        };
+        for p in parents {
+            visit(p, stack, slots);
+        }
+        while let Some(cur) = stack.pop() {
+            let s = &mut slots[cur as usize];
+            s.weight += 1;
+            let parents = s.parents;
+            for p in parents {
+                visit(p, stack, slots);
+            }
+        }
+        &self.boundary
+    }
+
+    /// Continues the last [`SlotIndex::bump_frontier_cone`] walk into the
+    /// sealed region: calls `bump` once with the id of every distinct
+    /// sealed entry reachable from its boundary. Parents of sealed entries
+    /// are sealed or pruned, so this never re-enters the frontier.
+    pub(crate) fn for_each_sealed_ancestor(&mut self, mut bump: impl FnMut(&TxId)) {
+        let mark = self.generation;
+        let Self {
+            slots,
+            ids,
+            stack,
+            boundary,
+            ..
+        } = self;
+        stack.clear();
+        stack.extend_from_slice(boundary);
+        while let Some(cur) = stack.pop() {
+            bump(&ids[cur as usize]);
+            for p in slots[cur as usize].parents {
+                if p == NO_SLOT {
+                    continue;
+                }
+                let s = &mut slots[p as usize];
+                if s.mark != mark && s.state == SlotState::Sealed {
+                    s.mark = mark;
+                    stack.push(p);
+                }
+            }
+        }
+    }
+}

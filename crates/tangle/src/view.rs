@@ -95,7 +95,7 @@ impl TangleRead for Tangle {
 /// live tangle's answer at capture time.
 #[derive(Clone, Debug)]
 pub struct TangleView {
-    frontier: HashMap<TxId, Entry>,
+    frontier: HashMap<TxId, Box<Entry>>,
     sealed: Option<Arc<SealedEpoch>>,
     seal_pass: u64,
     tips: BTreeSet<TxId>,
@@ -131,6 +131,7 @@ impl TangleView {
         self.frontier
             .get(id)
             .or_else(|| self.sealed.as_ref().and_then(|ep| ep.entries.get(id)))
+            .map(|e| &**e)
     }
 
     /// Status of `id` as of capture time.
@@ -203,8 +204,12 @@ impl Tangle {
     /// the cost is O(frontier + tail).
     pub fn view(&self, recency_tail: usize) -> TangleView {
         let tail_start = self.recency.len().saturating_sub(recency_tail);
+        let mut frontier = self.frontier.clone();
+        for e in frontier.values_mut() {
+            e.weight = self.slots.weight(e.slot);
+        }
         TangleView {
-            frontier: self.frontier.clone(),
+            frontier,
             sealed: self.sealed.clone(),
             seal_pass: self.seal_pass,
             tips: self.tips.clone(),

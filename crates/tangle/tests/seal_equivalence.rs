@@ -8,7 +8,9 @@
 //!    leave them bit-for-bit identical on every observable — cumulative
 //!    weights (checked against the `cumulative_weight_recount` oracle),
 //!    tips, statuses, lengths — no matter where seals land in the
-//!    interleaving.
+//!    interleaving. A view captured after every step reads the same as
+//!    the live tangle, and the slot index behind the weight walk stays
+//!    sized by the peak number of stored entries.
 //! 2. **Views are the tangle.** Tip selections on a [`TangleView`]
 //!    snapshot must equal selections on the tangle it was taken from,
 //!    with identical RNG consumption, at every thread count — so reads
@@ -23,6 +25,7 @@ use biot_tangle::{TangleRead, TangleSnapshot};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::collections::BTreeSet;
 
 /// One step of the randomized life cycle.
 #[derive(Clone, Debug)]
@@ -30,6 +33,11 @@ enum Op {
     /// Attach a transaction whose parents are drawn (by index) from
     /// everything attached so far.
     Attach(usize, usize, u8),
+    /// Attach a transaction whose parents are drawn (by index) from the
+    /// wide pool of recent transactions with fewer than two approvers —
+    /// the shape honest light clients produce, whose ancestor cones stay
+    /// wide and mostly unsealed.
+    AttachWide(usize, usize, u8),
     /// Confirm everything at or above the weight threshold.
     Confirm(u64),
     /// Seal the confirmed cone behind a recency lag (sealed tangle only —
@@ -40,19 +48,39 @@ enum Op {
     /// Round-trip the sealed tangle through capture/restore (which
     /// deliberately drops seal state — restore replays attaches).
     Restore,
+    /// Fold the sealed tangle's epoch back into its frontier.
+    Unseal,
+}
+
+/// How many recent transactions the wide pool draws from.
+const POOL_WIDTH: usize = 64;
+
+/// The newest `POOL_WIDTH` stored transactions with fewer than two
+/// approvers, newest first.
+fn wide_pool(t: &Tangle) -> Vec<TxId> {
+    t.attach_order()
+        .iter()
+        .rev()
+        .filter(|id| t.approvers(id).len() < 2)
+        .take(POOL_WIDTH)
+        .copied()
+        .collect()
 }
 
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            8 => (0usize..200, 0usize..200, any::<u8>())
+            4 => (0usize..200, 0usize..200, any::<u8>())
                 .prop_map(|(a, b, p)| Op::Attach(a, b, p)),
+            6 => (0usize..POOL_WIDTH, 0usize..POOL_WIDTH, any::<u8>())
+                .prop_map(|(a, b, p)| Op::AttachWide(a, b, p)),
             2 => (2u64..6).prop_map(Op::Confirm),
             3 => (0usize..24).prop_map(Op::Seal),
             1 => (1u64..120).prop_map(Op::Prune),
             1 => Just(Op::Restore),
+            1 => Just(Op::Unseal),
         ],
-        1..70,
+        1..90,
     )
 }
 
@@ -78,6 +106,42 @@ fn assert_equivalent(sealed: &Tangle, plain: &Tangle, at: &str) {
     }
 }
 
+/// A view captured now answers every read exactly as `t` does.
+fn assert_view_matches(t: &Tangle, at: &str) {
+    let view = t.view_full();
+    assert_eq!(view.len(), t.len(), "{at}: view len");
+    assert_eq!(view.tips_set(), t.tips_set(), "{at}: view tips");
+    assert_eq!(
+        view.heaviest_id(),
+        TangleRead::heaviest_id(t),
+        "{at}: view heaviest id"
+    );
+    for window in [1, 4, POOL_WIDTH] {
+        assert_eq!(
+            view.recent_non_tips(window),
+            t.recent_non_tips(window),
+            "{at}: view recent_non_tips({window})"
+        );
+    }
+    for tx in t.iter() {
+        let id = tx.id();
+        assert!(view.contains(&id), "{at}: view lost {id:?}");
+        assert_eq!(
+            view.cumulative_weight(&id),
+            t.cumulative_weight(&id),
+            "{at}: view weight of {id:?}"
+        );
+        assert_eq!(
+            view.status(&id),
+            t.status(&id),
+            "{at}: view status of {id:?}"
+        );
+        let in_view: BTreeSet<TxId> = view.approvers(&id).iter().copied().collect();
+        let live: BTreeSet<TxId> = t.approvers(&id).iter().copied().collect();
+        assert_eq!(in_view, live, "{at}: view approvers of {id:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -88,13 +152,21 @@ proptest! {
         let genesis = sealed.attach_genesis(NodeId([0; 32]), 0);
         plain.attach_genesis(NodeId([0; 32]), 0);
         let mut attached = vec![genesis];
+        // Peak stored count of each tangle since its index was built: freed
+        // slots are reused, so the index never holds more slots than this.
+        let mut sealed_peak = sealed.len();
+        let mut plain_peak = plain.len();
 
         for (i, op) in ops.iter().enumerate() {
             let clock = i as u64 + 1;
             match op {
-                Op::Attach(a, b, payload) => {
-                    let trunk = attached[a % attached.len()];
-                    let branch = attached[b % attached.len()];
+                Op::Attach(a, b, payload) | Op::AttachWide(a, b, payload) => {
+                    let (trunk, branch) = if matches!(op, Op::AttachWide(..)) {
+                        let pool = wide_pool(&plain);
+                        (pool[a % pool.len()], pool[b % pool.len()])
+                    } else {
+                        (attached[a % attached.len()], attached[b % attached.len()])
+                    };
                     let tx = TransactionBuilder::new(NodeId([(i % 13) as u8 + 1; 32]))
                         .parents(trunk, branch)
                         .payload(Payload::Data(vec![*payload, i as u8]))
@@ -130,9 +202,17 @@ proptest! {
                         .restore()
                         .expect("captured state restores");
                     sealed = restored;
+                    sealed_peak = sealed.len();
                 }
+                Op::Unseal => sealed.unseal_all(),
             }
-            assert_equivalent(&sealed, &plain, &format!("after op {i} ({op:?})"));
+            let at = format!("after op {i} ({op:?})");
+            assert_equivalent(&sealed, &plain, &at);
+            assert_view_matches(&sealed, &at);
+            sealed_peak = sealed_peak.max(sealed.len());
+            plain_peak = plain_peak.max(plain.len());
+            prop_assert_eq!(sealed.weight_index_slots(), sealed_peak, "{}: sealed slots", at);
+            prop_assert_eq!(plain.weight_index_slots(), plain_peak, "{}: plain slots", at);
         }
         // Ending with a full seal of whatever is confirmed, then a final
         // audit, catches drift that only a trailing seal would expose.
@@ -206,4 +286,56 @@ proptest! {
             prop_assert_eq!(view.cumulative_weight(id), tangle.cumulative_weight(id));
         }
     }
+}
+
+/// Many attach/confirm/seal/prune cycles on the wide-pool shape: the slot
+/// index is reused, so its size tracks the entries stored at once and not
+/// everything ever attached, and the weights stay exact throughout.
+#[test]
+fn slot_index_does_not_grow_across_prune_cycles() {
+    let mut rng = StdRng::seed_from_u64(0x5107);
+    let mut t = Tangle::new();
+    t.attach_genesis(NodeId([0; 32]), 0);
+    let mut clock = 0u64;
+    let mut peak = t.len();
+    for cycle in 0..40 {
+        for _ in 0..50 {
+            clock += 1;
+            // The oldest tip as trunk keeps stranded tips from piling up;
+            // the branch comes from the wide pool.
+            let trunk = *t
+                .attach_order()
+                .iter()
+                .find(|id| t.tips_set().contains(id))
+                .expect("a tangle always has a tip");
+            let pool = wide_pool(&t);
+            let branch = pool[rng.gen_range(0..pool.len())];
+            let tx = TransactionBuilder::new(NodeId([(clock % 31) as u8 + 1; 32]))
+                .parents(trunk, branch)
+                .payload(Payload::Data(clock.to_be_bytes().to_vec()))
+                .timestamp_ms(clock)
+                .build();
+            t.attach(tx, clock).expect("parents stored");
+            peak = peak.max(t.len());
+        }
+        t.confirm_with_threshold(3);
+        t.seal_frontier(8);
+        t.snapshot(clock.saturating_sub(20));
+        assert_eq!(
+            t.weight_index_slots(),
+            peak,
+            "cycle {cycle}: slots track the peak"
+        );
+        if cycle % 8 == 7 {
+            for tx in t.iter() {
+                let id = tx.id();
+                assert_eq!(t.cumulative_weight(&id), t.cumulative_weight_recount(&id));
+            }
+        }
+    }
+    assert!(
+        (peak as u64) * 4 < t.total_attached(),
+        "index of {peak} slots is not bounded by what is stored ({} attached)",
+        t.total_attached()
+    );
 }
