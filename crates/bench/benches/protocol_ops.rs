@@ -1,11 +1,11 @@
 //! Protocol-level benchmarks: the Fig 4 handshake, gateway submission
 //! pipeline, and credit computation.
 
-use biot_core::credit::{CreditParams, CreditRegistry, Misbehavior};
 use biot_core::difficulty::InverseProportionalPolicy;
 use biot_core::identity::Account;
 use biot_core::keydist::{DeviceSession, KeyDistConfig, ManagerSession};
 use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager};
+use biot_credit::{CreditLedger, CreditParams, Misbehavior};
 use biot_net::time::SimTime;
 use biot_tangle::tx::NodeId;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -77,7 +77,7 @@ fn bench_gateway_submit(c: &mut Criterion) {
 }
 
 fn bench_credit_computation(c: &mut Criterion) {
-    let mut reg = CreditRegistry::new(CreditParams::default());
+    let mut reg = CreditLedger::new(CreditParams::default());
     let node = NodeId([1; 32]);
     for i in 0..1000u64 {
         reg.record_transaction(node, 1.0, SimTime::from_millis(i * 100));

@@ -27,7 +27,7 @@
 use biot_core::node::{Gateway, GatewayConfig, Manager};
 use biot_core::{Account, Difficulty, FixedPolicy};
 use biot_credit::CreditEvent;
-use biot_gossip::node::{GossipConfig, RelayMode};
+use biot_gossip::node::GossipConfig;
 use biot_gossip::tcp::{TcpAcceptor, TcpConnector};
 use biot_net::time::SimTime;
 use biot_node::role::{ArchivalNode, BootSource, LightClient, Role, RoleConfig, ValidationNode};
@@ -59,7 +59,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
 fn gossip_cfg(node_id: u64) -> GossipConfig {
     GossipConfig {
         node_id,
-        relay_mode: RelayMode::Digest,
         digest_ms: 5,
         anti_entropy_ms: 200,
         ..GossipConfig::default()

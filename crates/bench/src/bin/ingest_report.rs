@@ -25,7 +25,7 @@
 //! (`BIOT_INGEST_CONNS`, `BIOT_INGEST_FRAMES`, `BIOT_INGEST_BATCH`,
 //! `BIOT_INGEST_INTERVAL_MS`, `BIOT_INGEST_DEADLINE_S`).
 
-use biot_ingest::reactor::PollerKind;
+use biot_reactor::PollerKind;
 use biot_ingest::server::IngestConfig;
 use biot_sim::loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 use std::fs;

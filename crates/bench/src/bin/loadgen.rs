@@ -18,7 +18,7 @@
 //! Exits nonzero if any transaction went unacked — the loadgen doubles
 //! as a smoke test of the full socket → reactor → gateway → ack path.
 
-use biot_ingest::reactor::PollerKind;
+use biot_reactor::PollerKind;
 use biot_ingest::server::IngestConfig;
 use biot_sim::loadgen::{run_loadgen, LoadgenConfig};
 use std::time::Duration;

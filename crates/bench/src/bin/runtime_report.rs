@@ -46,7 +46,8 @@ fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
 }
 
 /// A fresh archival node with HTTP bound on an ephemeral port and the
-/// stock Announce-mode gossip timers — the shape an idle fleet node has.
+/// stock gossip timers (digest relay, flush armed only on demand) — the
+/// shape an idle fleet node has.
 fn archival(node_id: u64) -> ArchivalNode {
     ArchivalNode::new(RoleConfig {
         role: Role::Archival,

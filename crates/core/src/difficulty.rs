@@ -41,7 +41,7 @@ impl Default for InverseProportionalPolicy {
     /// The calibration used throughout the experiments: `base = 11`,
     /// range 1–14, reward gain 1.0, punish gain 0.65.
     ///
-    /// With the default [`crate::credit::CreditParams`], an honest node
+    /// With the default [`biot_credit::CreditParams`], an honest node
     /// issuing ~3 weighted transactions per ΔT holds `Cr ≈ 0.2–0.5` and
     /// mines at difficulty 7–9 (vs 11), while a fresh double-spend drives
     /// `Cr` to ≈ −150 and the difficulty to the clamp at 14 — matching the

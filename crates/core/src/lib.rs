@@ -9,8 +9,8 @@
 //!
 //! * [`pow`] — hash-prefix PoW (Eqn 6): solve, verify, virtual-time trial
 //!   sampling.
-//! * [`credit`] — the credit model (Eqns 2–5): positive activity credit,
-//!   hyperbolically decaying punishment.
+//! * The credit model (Eqns 2–5: positive activity credit,
+//!   hyperbolically decaying punishment) lives in [`biot_credit`].
 //! * [`difficulty`] — `Cr ∝ 1/D` policies mapping credit to difficulty.
 //! * [`identity`] — RSA-backed node accounts.
 //! * [`authz`] — manager-signed authorization lists (Eqn 1).
@@ -65,7 +65,6 @@
 
 pub mod access;
 pub mod authz;
-pub mod credit;
 pub mod difficulty;
 pub mod identity;
 pub mod keydist;
@@ -74,7 +73,6 @@ pub mod pow;
 pub mod ratelimit;
 pub mod tokens;
 
-pub use credit::{CreditEvent, CreditLedger, CreditParams, CreditRegistry, Misbehavior};
 pub use difficulty::{DifficultyPolicy, FixedPolicy, InverseProportionalPolicy, LinearPolicy};
 pub use identity::Account;
 pub use node::{Gateway, GatewayConfig, LightNode, Manager, PreparedTx, SubmitError, VerifyConfig};

@@ -12,7 +12,7 @@
 
 use crate::access::DataProtector;
 use crate::authz::{build_auth_list, AuthRegistry};
-use crate::credit::{CreditBreakdown, CreditEvent, CreditLedger, CreditParams, Misbehavior};
+use biot_credit::{CreditBreakdown, CreditEvent, CreditLedger, CreditParams, Misbehavior};
 use crate::difficulty::DifficultyPolicy;
 use crate::identity::Account;
 use crate::keydist::{KeyDistConfig, ManagerSession, Message1, Message2, Message3};

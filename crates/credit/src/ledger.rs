@@ -10,7 +10,7 @@
 //! (batch admissions all query the same `now`, so the misbehaviour scan
 //! runs once per (node, now) epoch). [`CreditLedger::credit_of_recount`]
 //! recomputes the same quantities with the naive full-history scan of the
-//! original `CreditRegistry` and is the bit-for-bit oracle, mirroring the
+//! original mutable credit registry and is the bit-for-bit oracle, mirroring the
 //! tangle's `cumulative_weight`/`cumulative_weight_recount` pattern.
 //!
 //! Exactness note: the prefix-sum difference is bit-identical to the
@@ -298,7 +298,7 @@ impl CreditLedger {
 
     /// The naive Eqn 2–5 recompute: scans the node's full stored history
     /// with no prefix sums and no cache, exactly like the pre-refactor
-    /// `CreditRegistry`. This is the test oracle — `credit_of` must match
+    /// mutable registry. This is the test oracle — `credit_of` must match
     /// it bit for bit.
     pub fn credit_of_recount(&self, node: NodeId, now: SimTime) -> CreditBreakdown {
         let positive = match self.nodes.get(&node) {

@@ -7,18 +7,18 @@
 //! replica's DAG converged with its peers.
 //!
 //! The paper's architecture (§III) has gateways maintain a common tangle;
-//! this crate supplies the missing distribution layer: announce/pull
+//! this crate supplies the missing distribution layer: digest/pull
 //! broadcast of new transactions, a solidification queue for out-of-order
 //! arrival, periodic anti-entropy tip exchange, cold-start bootstrap (a
 //! peer's genesis + pruned-snapshot baseline), and reconnect with capped,
 //! jittered exponential backoff.
 //!
-//! Beyond the original peer-pair protocol, [`node::GossipNode`] now runs
-//! N-node meshes: identified peers (`node_id` + advertised listen
-//! address), peer-exchange discovery from a single seed, bounded-fanout
-//! relay with a fixed-memory duplicate-suppression cache, and
-//! digest-batched announces ([`node::RelayMode::Digest`]) that coalesce
-//! per-transaction frames into periodic id digests pulled on demand.
+//! [`node::GossipNode`] runs N-node meshes: identified peers (a
+//! `node_id` and an advertised listen address), peer-exchange discovery
+//! from a single seed, bounded-fanout relay with a fixed-memory
+//! duplicate-suppression cache, and digest-batched announces
+//! ([`node::RelayMode::Digest`], the default) that coalesce
+//! per-transaction frames into id digests pulled on demand.
 //!
 //! ## Layering
 //!

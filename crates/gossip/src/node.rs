@@ -4,8 +4,9 @@
 //! gateway thread and the gossip loop can both touch it) and keeps the
 //! replica converged with its peers:
 //!
-//! * **Broadcast** — locally attached transactions are announced to every
-//!   ready peer; peers pull the payload with `GetTx`.
+//! * **Broadcast** — locally attached transactions are pushed to one
+//!   ready peer and digested to the rest; peers pull what they lack
+//!   with `GetTxs` (see [`RelayMode`]).
 //! * **Solidification** — transactions arriving before their parents wait
 //!   in a bounded queue while the missing ancestors are requested; once a
 //!   parent lands, every waiting descendant attaches in cascade. The
@@ -48,10 +49,6 @@ pub type SharedTangle = Arc<Mutex<Tangle>>;
 /// How freshly learned transactions are pushed onward to peers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RelayMode {
-    /// Legacy pair protocol: one `Announce` frame per transaction per
-    /// peer, receivers pull with `GetTx`. No duplicate suppression.
-    #[default]
-    Announce,
     /// Naive mesh flood: push the full `TxPayload` to every ready peer
     /// except the one it came from. The measured baseline a digest mesh
     /// is compared against — simple, fast, and wildly redundant.
@@ -61,6 +58,7 @@ pub enum RelayMode {
     /// [`GossipConfig::fanout`] peers per transaction, skipping peers the
     /// seen-cache already knows hold it; receivers pull only what they
     /// lack with one [`Message::GetTxs`].
+    #[default]
     Digest,
 }
 
@@ -85,20 +83,17 @@ pub struct GossipConfig {
     /// Consecutive failures after which an outbound peer is demoted to
     /// dead (no further dials).
     pub max_connect_failures: u32,
-    /// Re-announce transactions learned from one peer to the others
-    /// (epidemic relay; disable for star topologies). Only consulted in
-    /// [`RelayMode::Announce`].
-    pub relay: bool,
     /// Frame-processing budget per peer per poll.
     pub max_frames_per_poll: u32,
-    /// This node's identity on the mesh. `0` = anonymous (the legacy
-    /// pair protocol); nonzero ids enable self-connection and
-    /// duplicate-link detection plus peer exchange.
+    /// This node's identity on the mesh. `0` = anonymous (no
+    /// self-connection or duplicate-link detection, and the node is
+    /// never listed in peer exchange); nonzero ids enable all three.
     pub node_id: u64,
     /// Address this node accepts inbound connections at, gossiped to the
     /// fleet via handshakes and [`Message::PeerExchange`].
     pub listen_addr: Option<String>,
-    /// How new transactions are relayed; see [`RelayMode`].
+    /// How new transactions are relayed; see [`RelayMode`]. Defaults
+    /// to [`RelayMode::Digest`].
     pub relay_mode: RelayMode,
     /// Max peers each transaction is digest-announced to (`0` = all
     /// eligible). Only used in [`RelayMode::Digest`].
@@ -106,7 +101,8 @@ pub struct GossipConfig {
     /// Entries in the fixed-memory recently-seen cache (tx ids +
     /// credit-event checksums, with per-peer holder sets).
     pub seen_cache: usize,
-    /// How often buffered digest ids are flushed to peers, ms.
+    /// How long buffered digest ids and credit keys wait before the
+    /// flush, ms (counted from the first enqueue into empty buffers).
     pub digest_ms: u64,
     /// How often the known-peer list is gossiped to every ready peer, ms
     /// (`0` disables peer exchange entirely).
@@ -130,8 +126,7 @@ pub struct GossipConfig {
     /// Seed for the node's deterministic RNG (jitter, fanout rotation).
     pub seed: u64,
     /// Credit events kept for replay to peers that handshake later
-    /// (partition heal); oldest dropped past the cap. Only used outside
-    /// [`RelayMode::Announce`].
+    /// (partition heal); oldest dropped past the cap.
     pub credit_replay: usize,
 }
 
@@ -145,11 +140,10 @@ impl Default for GossipConfig {
             backoff_base_ms: 100,
             backoff_max_ms: 10_000,
             max_connect_failures: 10,
-            relay: true,
             max_frames_per_poll: 1_024,
             node_id: 0,
             listen_addr: None,
-            relay_mode: RelayMode::Announce,
+            relay_mode: RelayMode::Digest,
             fanout: 8,
             seen_cache: 65_536,
             digest_ms: 150,
@@ -182,8 +176,6 @@ pub struct GossipStats {
     pub evicted: u64,
     /// `GetTx` requests sent.
     pub requests_sent: u64,
-    /// `Announce` frames sent.
-    pub announces_sent: u64,
     /// Transaction payloads served to peers.
     pub tx_sent: u64,
     /// Handshakes completed.
@@ -200,7 +192,7 @@ pub struct GossipStats {
     pub credit_events_received: u64,
     /// Credit events dropped because the inbox was full.
     pub credit_events_dropped: u64,
-    /// Credit events discarded as already seen (mesh modes only).
+    /// Credit events discarded as already seen.
     pub credit_events_deduped: u64,
     /// `Digest` frames sent.
     pub digests_sent: u64,
@@ -276,19 +268,15 @@ struct PeerSlot {
     /// Peer's node id (`0` until its Hello lands; pre-set for discovered
     /// peers).
     node_id: u64,
-    /// Digest ids queued for this peer, flushed every
-    /// [`GossipConfig::digest_ms`].
+    /// Digest ids queued for this peer, flushed
+    /// [`GossipConfig::digest_ms`] after the first enqueue.
     digest_buf: Vec<TxId>,
-    /// Credit events queued for this peer (digest relay mode), flushed
-    /// on the same tick as [`Self::digest_buf`]. Holding them briefly
-    /// lets the flush drop keys for events the peer turned out to hold
-    /// already — the credit analogue of digest crossing suppression.
+    /// Credit-event keys queued for this peer (digest relay mode),
+    /// flushed on the same tick as [`Self::digest_buf`]. Holding them
+    /// briefly lets the flush drop keys for events the peer turned out
+    /// to hold already — the credit analogue of digest crossing
+    /// suppression.
     credit_buf: Vec<[u8; 32]>,
-    /// Announce mode only: credit events broadcast while this peer's
-    /// handshake was still in flight (or its connection between dials).
-    /// Announce has no replay store, so without this buffer such events
-    /// were silently lost — delivered once the peer's Hello completes.
-    prehello_credit: Vec<CreditEvent>,
     failures: u32,
     backoff_ms: u64,
     next_retry_ms: u64,
@@ -362,8 +350,10 @@ enum GossipTimer {
     /// Liveness heartbeats to every ready peer
     /// ([`GossipConfig::heartbeat_ms`]; unscheduled when 0).
     Heartbeat,
-    /// Digest-mode flush of buffered tx ids and credit keys
-    /// ([`GossipConfig::digest_ms`]; only scheduled in digest mode).
+    /// Digest-mode flush of buffered tx ids and credit keys. Armed
+    /// [`GossipConfig::digest_ms`] out by the first enqueue into empty
+    /// buffers and left unscheduled once it fires, so an idle node
+    /// never wakes for it.
     DigestFlush,
     /// Peer-exchange gossip of the address book
     /// ([`GossipConfig::peer_exchange_ms`]; unscheduled when 0).
@@ -393,9 +383,6 @@ const MAX_PREHELLO: usize = 256;
 /// Credit events per `CreditEvents` frame (≤ ~50 B each, stays well
 /// under the frame limit).
 const CREDIT_EVENTS_PER_FRAME: usize = 512;
-/// Cap on credit events buffered per peer awaiting its handshake
-/// (Announce mode); the oldest are dropped past it.
-const MAX_PREHELLO_CREDIT: usize = 8_192;
 /// Cap on credit events waiting in the inbox for the owner to drain;
 /// a hostile peer cannot balloon memory past this.
 const MAX_CREDIT_INBOX: usize = 65_536;
@@ -422,8 +409,8 @@ pub struct GossipNode {
     /// Eviction order for the bounded credit-event store below.
     credit_replay: VecDeque<[u8; 32]>,
     /// Credit events this node holds, keyed by checksum: the source for
-    /// handshake replay and for serving `GetCreditEvents` pulls (mesh
-    /// modes only). Holding a key here means "processed, can serve".
+    /// handshake replay and for serving `GetCreditEvents` pulls.
+    /// Holding a key here means "processed, can serve".
     credit_events_held: HashMap<[u8; 32], CreditEvent>,
     /// Outstanding `GetCreditEvents` pulls: key → last request time, so
     /// a lost answer is retried (from a different holder) after
@@ -462,9 +449,6 @@ impl GossipNode {
         timers.schedule(GossipTimer::AntiEntropy, 0);
         if cfg.heartbeat_ms > 0 {
             timers.schedule(GossipTimer::Heartbeat, 0);
-        }
-        if cfg.relay_mode == RelayMode::Digest {
-            timers.schedule(GossipTimer::DigestFlush, 0);
         }
         if cfg.peer_exchange_ms > 0 {
             timers.schedule(GossipTimer::PeerExchange, 0);
@@ -538,7 +522,6 @@ impl GossipNode {
             node_id: 0,
             digest_buf: Vec::new(),
             credit_buf: Vec::new(),
-            prehello_credit: Vec::new(),
             failures: 0,
             backoff_ms: 0,
             next_retry_ms: 0,
@@ -565,7 +548,6 @@ impl GossipNode {
             node_id: 0,
             digest_buf: Vec::new(),
             credit_buf: Vec::new(),
-            prehello_credit: Vec::new(),
             failures: 0,
             backoff_ms: 0,
             next_retry_ms: 0,
@@ -606,8 +588,8 @@ impl GossipNode {
             .count()
     }
 
-    /// Attaches a locally produced transaction and announces it to every
-    /// ready peer. Genesis transactions bootstrap the ledger.
+    /// Attaches a locally produced transaction and relays it to the
+    /// ready peers. Genesis transactions bootstrap the ledger.
     ///
     /// # Errors
     ///
@@ -640,52 +622,17 @@ impl GossipNode {
         self.ingest(None, tx, attach_ms, now_ms);
     }
 
-    /// Broadcasts locally observed credit events to every ready peer,
-    /// chunked to stay under the frame limit. Events are evidence, not
-    /// state: receivers fold them into their own [`biot_credit::CreditLedger`]
-    /// and are never asked to relay them onward (one-hop broadcast, like
-    /// announcements in a star topology).
+    /// Broadcasts locally observed credit events to the mesh. Events are
+    /// evidence, not state: receivers fold them into their own
+    /// [`biot_credit::CreditLedger`]. Each event is deduped by checksum
+    /// and kept in the replay store, so a peer whose handshake is still
+    /// in flight gets it from the handshake replay instead.
     pub fn broadcast_credit_events(&mut self, events: &[CreditEvent], now_ms: u64) {
         if events.is_empty() {
             return;
         }
-        if self.cfg.relay_mode == RelayMode::Announce {
-            // Snapshot readiness first: a peer whose send fails mid-call
-            // goes unready, and buffering the same events for it would
-            // double-deliver the chunks that did land (Announce has no
-            // dedup — the receiving ledger would double-count).
-            let unready: Vec<usize> =
-                (0..self.peers.len()).filter(|&i| !self.peer_ready(i)).collect();
-            for chunk in events.chunks(CREDIT_EVENTS_PER_FRAME) {
-                let msg = Message::CreditEvents(chunk.to_vec());
-                for i in 0..self.peers.len() {
-                    if self.peer_ready(i) && self.send_to(i, &msg, now_ms) {
-                        self.stats.credit_events_sent += chunk.len() as u64;
-                    }
-                }
-            }
-            // Peers mid-handshake or between dials would silently miss
-            // these (fire-and-forget has no replay store): hold the
-            // events per-peer and deliver them when the Hello completes.
-            for i in unready {
-                let slot = &mut self.peers[i];
-                let reachable = slot.conn.is_some()
-                    || slot.connector.is_some()
-                    || slot.addr.is_some();
-                if slot.dead || !reachable {
-                    continue;
-                }
-                slot.prehello_credit.extend_from_slice(events);
-                if slot.prehello_credit.len() > MAX_PREHELLO_CREDIT {
-                    let excess = slot.prehello_credit.len() - MAX_PREHELLO_CREDIT;
-                    slot.prehello_credit.drain(..excess);
-                    self.stats.credit_events_dropped += excess as u64;
-                }
-            }
-            return;
-        }
-        // Mesh modes: dedup by checksum, remember for replay, and skip
-        // peers already known to hold an event.
+        // Dedup by checksum, remember for replay, and skip peers already
+        // known to hold an event.
         let mut fresh: Vec<(CreditEvent, [u8; 32])> = Vec::new();
         for ev in events {
             let key = credit_key(ev);
@@ -711,12 +658,12 @@ impl GossipNode {
         except: Option<usize>,
         now_ms: u64,
     ) {
-        if self.cfg.relay_mode != RelayMode::Digest {
+        if self.cfg.relay_mode == RelayMode::Flood {
             self.send_credit_to_nonholders(fresh, except, now_ms);
             return;
         }
         for (_, key) in fresh {
-            self.credit_enqueue(*key, except);
+            self.credit_enqueue(*key, except, now_ms);
         }
     }
 
@@ -728,7 +675,7 @@ impl GossipNode {
     /// stranded forever — and at 32 bytes a key, full-degree spread
     /// costs a few B/node/tx while the ~90-byte payloads still cross
     /// each link at most once via the pull.
-    fn credit_enqueue(&mut self, key: [u8; 32], except: Option<usize>) {
+    fn credit_enqueue(&mut self, key: [u8; 32], except: Option<usize>, now_ms: u64) {
         for i in 0..self.peers.len() {
             if Some(i) == except || !self.peer_ready(i) {
                 continue;
@@ -738,6 +685,17 @@ impl GossipNode {
                 continue;
             }
             self.peers[i].credit_buf.push(key);
+            self.arm_flush(now_ms);
+        }
+    }
+
+    /// Schedules the digest flush [`GossipConfig::digest_ms`] out unless
+    /// it is already pending: the first enqueue into empty buffers
+    /// starts the window, later ones ride it.
+    fn arm_flush(&mut self, now_ms: u64) {
+        if self.timers.deadline_of(&GossipTimer::DigestFlush).is_none() {
+            self.timers
+                .schedule(GossipTimer::DigestFlush, now_ms + self.cfg.digest_ms.max(1));
         }
     }
 
@@ -838,8 +796,9 @@ impl GossipNode {
 
     /// Fires every due timer, in [`GossipTimer`] declaration order —
     /// the same sequence the old per-field checks ran in — then
-    /// reschedules each one interval out from *now* (not from its old
-    /// deadline: a node woken late does not try to catch up).
+    /// reschedules each periodic one interval out from *now* (not from
+    /// its old deadline: a node woken late does not try to catch up).
+    /// The digest flush is one-shot; the next enqueue re-arms it.
     fn run_due_timers(&mut self, now_ms: u64) {
         let due =
             |timers: &DeadlineQueue<GossipTimer>, t| timers.deadline_of(&t).is_some_and(|d| now_ms >= d);
@@ -856,7 +815,7 @@ impl GossipNode {
             }
         }
         if due(&self.timers, GossipTimer::DigestFlush) {
-            self.timers.schedule(GossipTimer::DigestFlush, now_ms + self.cfg.digest_ms.max(1));
+            self.timers.cancel(&GossipTimer::DigestFlush);
             self.flush_digests(now_ms);
         }
         if due(&self.timers, GossipTimer::PeerExchange) {
@@ -994,7 +953,6 @@ impl GossipNode {
         }
         self.peers[i].dead = true;
         self.peers[i].incompatible = true;
-        self.peers[i].prehello_credit.clear();
         self.stats.incompatible += 1;
     }
 
@@ -1098,27 +1056,11 @@ impl GossipNode {
         }
     }
 
-    fn announce_to_ready(&mut self, id: TxId, except: Option<usize>, now_ms: u64) {
-        for i in 0..self.peers.len() {
-            if Some(i) == except || !self.peer_ready(i) {
-                continue;
-            }
-            if self.send_to(i, &Message::Announce(id), now_ms) {
-                self.stats.announces_sent += 1;
-            }
-        }
-    }
-
     /// Pushes a freshly attached transaction onward, per the configured
     /// relay mode. `local` marks transactions this node originated
-    /// (attach_local), which the legacy mode always announces.
+    /// (attach_local), which digest mode eager-pushes.
     fn relay_tx(&mut self, id: TxId, from: Option<usize>, local: bool, now_ms: u64) {
         match self.cfg.relay_mode {
-            RelayMode::Announce => {
-                if local || self.cfg.relay {
-                    self.announce_to_ready(id, from, now_ms);
-                }
-            }
             RelayMode::Flood => self.flood_payload(id, from, now_ms),
             RelayMode::Digest => {
                 // Eager/lazy split: the ORIGIN pushes the full payload
@@ -1131,7 +1073,7 @@ impl GossipNode {
                 if local {
                     self.eager_push_one(id, from, now_ms);
                 }
-                self.digest_enqueue(id, from);
+                self.digest_enqueue(id, from, now_ms);
             }
         }
     }
@@ -1185,7 +1127,7 @@ impl GossipNode {
     /// Queues `id` for the next digest flush, to at most
     /// [`GossipConfig::fanout`] eligible peers — ready, not the source,
     /// and not already known to hold it.
-    fn digest_enqueue(&mut self, id: TxId, except: Option<usize>) {
+    fn digest_enqueue(&mut self, id: TxId, except: Option<usize>, now_ms: u64) {
         let mut eligible: Vec<usize> = Vec::new();
         for i in 0..self.peers.len() {
             if Some(i) == except || !self.peer_ready(i) {
@@ -1211,6 +1153,7 @@ impl GossipNode {
             let i = eligible[(start + k) % eligible.len()];
             self.peers[i].digest_buf.push(id);
         }
+        self.arm_flush(now_ms);
     }
 
     /// Sends every peer's buffered digest ids, chunked under the frame
@@ -1297,10 +1240,6 @@ impl GossipNode {
             Message::Hello { version, node_id, genesis, baseline: _, listen_addr } => {
                 self.handle_hello(i, version, node_id, genesis, listen_addr, now_ms);
             }
-            Message::Announce(id) => {
-                self.seen.note(id.0, Some(i));
-                self.request_if_unknown(i, id, now_ms);
-            }
             Message::GetTx(id) => {
                 let found = {
                     let t = self.tangle.lock().unwrap();
@@ -1351,16 +1290,7 @@ impl GossipNode {
             }
             Message::CreditEvents(events) => {
                 self.stats.credit_events_received += events.len() as u64;
-                if self.cfg.relay_mode == RelayMode::Announce {
-                    // Legacy one-hop broadcast: no dedup, the owner's
-                    // ledger is the arbiter.
-                    let room = MAX_CREDIT_INBOX.saturating_sub(self.credit_inbox.len());
-                    let taken = events.len().min(room);
-                    self.stats.credit_events_dropped += (events.len() - taken) as u64;
-                    self.credit_inbox.extend(events.into_iter().take(taken));
-                    return;
-                }
-                // Mesh modes: exactly-once per node. The credit ledger
+                // Exactly-once per node. The credit ledger
                 // merges same-instant weights by accumulation, so a
                 // duplicate delivery would corrupt credit — dedup by
                 // checksum is load-bearing, not an optimization.
@@ -1448,9 +1378,6 @@ impl GossipNode {
     /// batched request — the credit analogue of
     /// [`handle_digest`](Self::handle_digest).
     fn handle_credit_keys(&mut self, i: usize, keys: Vec<[u8; 32]>, now_ms: u64) {
-        if self.cfg.relay_mode == RelayMode::Announce {
-            return; // star topologies never speak the mesh credit frames
-        }
         let mut want: Vec<[u8; 32]> = Vec::new();
         for key in keys {
             self.seen.note(key, Some(i));
@@ -1564,7 +1491,6 @@ impl GossipNode {
                 node_id: e.node_id,
                 digest_buf: Vec::new(),
             credit_buf: Vec::new(),
-            prehello_credit: Vec::new(),
                 failures: 0,
                 backoff_ms: 0,
                 next_retry_ms: now_ms,
@@ -1705,20 +1631,7 @@ impl GossipNode {
         if self.cfg.peer_exchange_ms > 0 {
             self.send_peer_exchange_to(i, now_ms);
         }
-        if self.cfg.relay_mode == RelayMode::Announce {
-            // Deliver the credit events broadcast while this peer's
-            // handshake was still in flight (the Announce analogue of
-            // the mesh replay below).
-            let held = std::mem::take(&mut self.peers[i].prehello_credit);
-            for chunk in held.chunks(CREDIT_EVENTS_PER_FRAME) {
-                if self.send_to(i, &Message::CreditEvents(chunk.to_vec()), now_ms) {
-                    self.stats.credit_events_sent += chunk.len() as u64;
-                } else {
-                    break;
-                }
-            }
-        }
-        if self.cfg.relay_mode != RelayMode::Announce && !self.credit_replay.is_empty() {
+        if !self.credit_replay.is_empty() {
             // Partition heal: a freshly handshaken peer may have missed
             // credit events; replay what we hold (dedup on its side is
             // free — we skip events it's already a known holder of).
@@ -2153,25 +2066,6 @@ mod tests {
     }
 
     #[test]
-    fn handshake_then_local_attach_announces() {
-        let (mut node, g) = node_with_genesis();
-        let mut peer = wire_fake_peer(&mut node);
-        node.poll(0);
-        let msgs = peer.drain();
-        assert!(
-            matches!(msgs[0], Message::Hello { version: PROTOCOL_VERSION, .. }),
-            "first frame must be the handshake, got {msgs:?}"
-        );
-        peer.send(&FakePeer::hello(Some(g)));
-        node.poll(10);
-        assert_eq!(node.ready_peers(), 1);
-
-        let id = node.attach_local(data_tx(1, g, g, 20), 20).unwrap();
-        let msgs = peer.drain();
-        assert!(msgs.contains(&Message::Announce(id)), "got {msgs:?}");
-    }
-
-    #[test]
     fn version_mismatch_demotes_peer() {
         let (mut node, g) = node_with_genesis();
         let mut peer = wire_fake_peer(&mut node);
@@ -2275,26 +2169,45 @@ mod tests {
     fn frames_before_hello_are_buffered_not_lost() {
         let (mut node, g) = node_with_genesis();
         let mut peer = wire_fake_peer(&mut node);
-        // Announce arrives before the handshake (a reordering transport
-        // can do this); it must be processed after Hello lands.
+        // A digest, a payload and a tips frame arrive before the handshake
+        // (a reordering transport can do this); all are processed once
+        // Hello lands.
         let child = data_tx(1, g, g, 10);
+        let (digested, tipped) = (TxId([0xD1; 32]), TxId([0xD2; 32]));
+        peer.send(&Message::Digest(vec![digested]));
         peer.send(&Message::TxPayload { attach_ms: 10, tx: child.clone() });
+        peer.send(&Message::Tips(vec![tipped]));
         peer.send(&FakePeer::hello(Some(g)));
         node.poll(0);
         assert!(node.tangle().lock().unwrap().contains(&child.id()));
+        let msgs = peer.drain();
+        assert!(msgs.contains(&Message::GetTxs(vec![digested])), "got {msgs:?}");
+        assert!(msgs.contains(&Message::GetTx(tipped)), "got {msgs:?}");
     }
 
+    /// Undecodable frames drop the connection — including tag 1, the
+    /// per-tx `Announce` frame retired in protocol v3.
     #[test]
     fn garbage_frame_drops_connection() {
-        let (mut node, _g) = node_with_genesis();
-        let mut peer = wire_fake_peer(&mut node);
         use crate::transport::Transport;
-        peer.transport.send(&[0xDE, 0xAD, 0xBE, 0xEF]).unwrap();
-        node.poll(0);
-        assert_eq!(node.stats().invalid_frames, 1);
-        assert!(node.peers[0].conn.is_none());
+        let mut retired_announce = vec![1u8];
+        retired_announce.extend_from_slice(&[0xAB; 32]);
+        for frame in [vec![0xDE, 0xAD, 0xBE, 0xEF], retired_announce] {
+            let (mut node, g) = node_with_genesis();
+            let mut peer = wire_fake_peer(&mut node);
+            peer.send(&FakePeer::hello(Some(g)));
+            node.poll(0);
+            assert_eq!(node.ready_peers(), 1);
+            peer.transport.send(&frame).unwrap();
+            node.poll(10);
+            assert_eq!(node.stats().invalid_frames, 1, "{frame:?}");
+            assert!(node.peers[0].conn.is_none(), "{frame:?}");
+        }
     }
 
+    /// A local broadcast reaches ready peers as a key advert at the next
+    /// flush, served on pull; a peer still awaiting its handshake gets
+    /// nothing on the wire (the handshake replay covers it).
     #[test]
     fn credit_events_broadcast_to_ready_peers_only() {
         use biot_credit::Misbehavior;
@@ -2311,84 +2224,19 @@ mod tests {
             CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_secs(1)),
             CreditEvent::misbehaved(NodeId([2; 32]), Misbehavior::DoubleSpend, SimTime::from_secs(2)),
         ];
+        let keys: Vec<[u8; 32]> = events.iter().map(credit_key).collect();
         node.broadcast_credit_events(&events, 10);
-        assert_eq!(node.stats().credit_events_sent, 2);
+        node.poll(10 + GossipConfig::default().digest_ms);
         let msgs = ready.drain();
         assert!(
-            msgs.contains(&Message::CreditEvents(events)),
-            "ready peer gets the events, got {msgs:?}"
+            msgs.contains(&Message::CreditKeys(keys.clone())),
+            "ready peer gets the keys, got {msgs:?}"
         );
-        assert!(silent.drain().is_empty(), "unhandshaken peer gets nothing");
-    }
-
-    #[test]
-    fn credit_events_before_handshake_are_buffered_and_flushed_on_hello() {
-        use biot_credit::Misbehavior;
-        use biot_net::time::SimTime;
-        let (mut node, g) = node_with_genesis();
-        let mut late = wire_fake_peer(&mut node);
-        node.poll(0);
-
-        // Regression: these used to vanish — the slot existed but the
-        // handshake had not completed, so Announce relay skipped it and
-        // fire-and-forget had nothing to replay.
-        let events = vec![
-            CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_secs(1)),
-            CreditEvent::misbehaved(NodeId([2; 32]), Misbehavior::DoubleSpend, SimTime::from_secs(2)),
-        ];
-        node.broadcast_credit_events(&events, 5);
-        assert_eq!(node.stats().credit_events_sent, 0, "nothing on the wire yet");
-        assert!(
-            late.drain().iter().all(|m| !matches!(m, Message::CreditEvents(_))),
-            "no credit frames before the handshake completes"
-        );
-
-        late.send(&FakePeer::hello(Some(g)));
-        node.poll(10);
-        let delivered: Vec<CreditEvent> = late
-            .drain()
-            .into_iter()
-            .filter_map(|m| match m {
-                Message::CreditEvents(evs) => Some(evs),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        assert_eq!(delivered, events, "held events arrive once the peer is ready");
+        ready.send(&Message::GetCreditEvents(keys));
+        node.poll(200);
+        assert!(ready.drain().contains(&Message::CreditEvents(events)), "pull is served");
         assert_eq!(node.stats().credit_events_sent, 2);
-
-        // The buffer is drained: a later broadcast is not doubled.
-        let more = vec![CreditEvent::validated(NodeId([3; 32]), 2.0, SimTime::from_secs(3))];
-        node.broadcast_credit_events(&more, 20);
-        let next: Vec<CreditEvent> = late
-            .drain()
-            .into_iter()
-            .filter_map(|m| match m {
-                Message::CreditEvents(evs) => Some(evs),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        assert_eq!(next, more, "no replayed duplicates after the flush");
-    }
-
-    #[test]
-    fn prehello_credit_buffer_is_bounded_dropping_oldest() {
-        use biot_net::time::SimTime;
-        let (mut node, _g) = node_with_genesis();
-        let _late = wire_fake_peer(&mut node);
-        node.poll(0);
-
-        let burst: Vec<CreditEvent> = (0..1_000u64)
-            .map(|i| CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_millis(i)))
-            .collect();
-        for _ in 0..((MAX_PREHELLO_CREDIT / burst.len()) + 2) {
-            node.broadcast_credit_events(&burst, 5);
-        }
-        assert_eq!(node.peers[0].prehello_credit.len(), MAX_PREHELLO_CREDIT);
-        assert!(node.stats().credit_events_dropped > 0, "overflow accounted");
-        let newest = node.peers[0].prehello_credit.last().unwrap();
-        assert_eq!(newest.at(), SimTime::from_millis(999), "oldest dropped first");
+        assert!(silent.drain().is_empty(), "unhandshaken peer gets nothing");
     }
 
     #[test]
@@ -2413,41 +2261,47 @@ mod tests {
     #[test]
     fn large_credit_batches_are_chunked_and_the_inbox_is_capped() {
         use biot_net::time::SimTime;
+        let credit_frames = |msgs: Vec<Message>| -> Vec<usize> {
+            msgs.into_iter()
+                .filter_map(|m| match m {
+                    Message::CreditEvents(evs) => Some(evs.len()),
+                    _ => None,
+                })
+                .collect()
+        };
         let (mut a, g) = node_with_genesis();
-        let mut peer = wire_fake_peer(&mut a);
-        peer.send(&FakePeer::hello(Some(g)));
-        a.poll(0);
-        peer.drain();
-
         let events: Vec<CreditEvent> = (0..1_500u64)
             .map(|i| CreditEvent::validated(NodeId([(i % 7) as u8; 32]), 1.0, SimTime::from_millis(i)))
             .collect();
-        a.broadcast_credit_events(&events, 10);
-        let frames = peer.drain();
-        let chunks: Vec<usize> = frames
-            .iter()
-            .filter_map(|m| match m {
-                Message::CreditEvents(evs) => Some(evs.len()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(chunks, vec![512, 512, 476], "chunked under the frame cap");
+        a.broadcast_credit_events(&events, 0);
+        let keys: Vec<[u8; 32]> = events.iter().map(credit_key).collect();
 
-        // Feed far more than the inbox cap: overflow is counted, not kept.
+        // Handshake replay and a served pull both chunk under the frame cap.
+        let mut peer = wire_fake_peer(&mut a);
+        peer.send(&FakePeer::hello(Some(g)));
+        a.poll(10);
+        assert_eq!(credit_frames(peer.drain()), vec![512, 512, 476], "replay chunked");
+        peer.send(&Message::GetCreditEvents(keys));
+        a.poll(20);
+        assert_eq!(credit_frames(peer.drain()), vec![512, 512, 476], "pull chunked");
+
+        // A peer pushing far more novel events than the inbox cap: the
+        // overflow is counted, not kept.
         let (mut b, g2) = node_with_genesis();
         let mut flooder = wire_fake_peer(&mut b);
         flooder.send(&FakePeer::hello(Some(g2)));
         b.poll(0);
         flooder.drain();
-        let burst: Vec<CreditEvent> = (0..600u64)
+        let total = MAX_CREDIT_INBOX as u64 + 1_000;
+        let flood: Vec<CreditEvent> = (0..total)
             .map(|i| CreditEvent::validated(NodeId([3; 32]), 1.0, SimTime::from_millis(i)))
             .collect();
-        for _ in 0..((MAX_CREDIT_INBOX / burst.len()) + 2) {
-            flooder.send(&Message::CreditEvents(burst.clone()));
+        for burst in flood.chunks(CREDIT_EVENTS_PER_FRAME) {
+            flooder.send(&Message::CreditEvents(burst.to_vec()));
         }
         b.poll(10);
         assert_eq!(b.credit_inbox_len(), MAX_CREDIT_INBOX, "inbox bounded");
-        assert!(b.stats().credit_events_dropped > 0, "overflow accounted");
+        assert_eq!(b.stats().credit_events_dropped, 1_000, "overflow accounted");
     }
 
     #[test]
@@ -2581,12 +2435,10 @@ mod tests {
 
     /// Digest relay is eager/lazy: each attach pushes the payload to
     /// exactly one fresh peer, the other peers get a batched id digest
-    /// at the flush tick, and pulls are served in batches. No per-tx
-    /// Announce frames anywhere.
+    /// at the flush tick, and pulls are served in batches.
     #[test]
     fn digest_mode_pushes_one_copy_and_digests_the_rest() {
         let cfg = GossipConfig {
-            relay_mode: RelayMode::Digest,
             digest_ms: 100,
             heartbeat_ms: 0,
             anti_entropy_ms: 1_000_000, // keep tips exchange out of frame
@@ -2624,10 +2476,6 @@ mod tests {
 !(payload_in(&m0) && digest_in(&m0) || payload_in(&m1) && digest_in(&m1)),
             "no peer gets both copies"
         );
-        assert!(
-            !m0.iter().chain(m1.iter()).any(|m| matches!(m, Message::Announce(_))),
-            "digest mode retires per-tx announces"
-        );
         assert_eq!(node.stats().eager_pushes, 1);
 
         // Batched pulls are served in order.
@@ -2651,7 +2499,6 @@ mod tests {
     #[test]
     fn digest_receiver_pulls_only_unknown_ids() {
         let cfg = GossipConfig {
-            relay_mode: RelayMode::Digest,
             heartbeat_ms: 0,
             anti_entropy_ms: 1_000_000,
             peer_exchange_ms: 0,
@@ -2681,7 +2528,6 @@ mod tests {
     #[test]
     fn digest_relay_never_echoes_to_a_known_holder() {
         let cfg = GossipConfig {
-            relay_mode: RelayMode::Digest,
             digest_ms: 100,
             heartbeat_ms: 0,
             anti_entropy_ms: 1_000_000,
@@ -2742,7 +2588,6 @@ mod tests {
         let cfg = GossipConfig {
             node_id: 1,
             listen_addr: Some("sim:1".into()),
-            relay_mode: RelayMode::Digest,
             peer_exchange_ms: 500,
             heartbeat_ms: 0,
             ..GossipConfig::default()
@@ -2837,7 +2682,6 @@ mod tests {
     fn mesh_credit_spreads_by_key_and_pull() {
         use biot_net::time::SimTime;
         let cfg = GossipConfig {
-            relay_mode: RelayMode::Digest,
             digest_ms: 25,
             heartbeat_ms: 0,
             anti_entropy_ms: 1_000_000,
@@ -2904,12 +2748,26 @@ mod tests {
         assert!(!msgs.iter().any(|m| matches!(m, Message::CreditEvents(evs) if evs.len() != 1)));
     }
 
-    /// Mesh handshake replays held credit events to a late joiner.
+    /// Credit events a peer receives, flattened across frames.
+    fn credit_events_in(msgs: Vec<Message>) -> Vec<CreditEvent> {
+        msgs.into_iter()
+            .filter_map(|m| match m {
+                Message::CreditEvents(evs) => Some(evs),
+                _ => None,
+            })
+            .flatten()
+            .collect()
+    }
+
+    /// The handshake replays held credit events to late joiners exactly
+    /// once: to a peer with no slot at broadcast time, and to one whose
+    /// transport was attached but whose Hello had not landed — neither
+    /// gets a second copy at the next flush.
     #[test]
     fn credit_replay_covers_late_handshakes() {
         use biot_net::time::SimTime;
         let cfg = GossipConfig {
-            relay_mode: RelayMode::Digest,
+            digest_ms: 50,
             heartbeat_ms: 0,
             peer_exchange_ms: 0,
             ..GossipConfig::default()
@@ -2927,6 +2785,83 @@ mod tests {
             msgs.contains(&Message::CreditEvents(vec![ev])),
             "late joiner gets the replay, got {msgs:?}"
         );
+
+        // Attached but not yet handshaken when the next event goes out.
+        let mut midway = wire_fake_peer(&mut node);
+        node.poll(20);
+        let ev2 = CreditEvent::validated(NodeId([6; 32]), 2.5, SimTime::from_secs(5));
+        node.broadcast_credit_events(&[ev2], 20);
+        assert!(credit_events_in(midway.drain()).is_empty(), "nothing before Hello");
+        midway.send(&FakePeer::hello(Some(g)));
+        node.poll(30);
+        assert_eq!(credit_events_in(midway.drain()), vec![ev, ev2], "replayed after Hello");
+        node.poll(200); // past the flush armed by the broadcast
+        let after = midway.drain();
+        assert!(credit_events_in(after.clone()).is_empty(), "no second copy, got {after:?}");
+        assert!(
+            !after.iter().any(|m| matches!(m, Message::CreditKeys(_))),
+            "no key advert for events it holds, got {after:?}"
+        );
+    }
+
+    /// The replay store keeps the newest `credit_replay` events: past the
+    /// cap the oldest go first.
+    #[test]
+    fn credit_replay_cap_evicts_oldest_first() {
+        use biot_net::time::SimTime;
+        let cfg = GossipConfig { credit_replay: 3, ..GossipConfig::default() };
+        let mut node = GossipNode::with_empty_tangle(cfg);
+        let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
+        let events: Vec<CreditEvent> = (0..5u64)
+            .map(|i| CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_millis(i)))
+            .collect();
+        for ev in &events {
+            node.broadcast_credit_events(&[*ev], 0);
+        }
+        let mut late = wire_fake_peer(&mut node);
+        late.send(&FakePeer::hello(Some(g)));
+        node.poll(10);
+        assert_eq!(credit_events_in(late.drain()), events[2..].to_vec());
+    }
+
+    /// The digest flush timer runs only while a buffer holds work: an
+    /// idle node with ready peers has no flush deadline, a local attach
+    /// arms one `digest_ms` out, and the flush disarms it.
+    #[test]
+    fn digest_flush_is_armed_only_while_buffers_hold_work() {
+        let cfg = GossipConfig {
+            digest_ms: 100,
+            heartbeat_ms: 0,
+            anti_entropy_ms: 1_000_000,
+            peer_exchange_ms: 0,
+            ..GossipConfig::default()
+        };
+        let mut node = GossipNode::with_empty_tangle(cfg);
+        let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
+        let mut p0 = wire_fake_peer(&mut node);
+        let mut p1 = wire_fake_peer(&mut node);
+        p0.send(&FakePeer::hello(Some(g)));
+        p1.send(&FakePeer::hello(Some(g)));
+        node.poll(0);
+        node.poll(5);
+        assert_eq!(node.ready_peers(), 2);
+        let flush = |n: &GossipNode| n.timers.deadline_of(&GossipTimer::DigestFlush);
+        assert_eq!(flush(&node), None, "idle: no flush armed");
+        assert_eq!(node.next_deadline(), Some(1_000_000), "only anti-entropy is due");
+
+        node.attach_local(data_tx(1, g, g, 10), 10).unwrap();
+        assert_eq!(flush(&node), Some(110), "first enqueue arms the flush");
+        node.attach_local(data_tx(2, g, g, 40), 40).unwrap();
+        assert_eq!(flush(&node), Some(110), "later enqueues ride the same window");
+        assert_eq!(node.next_deadline(), Some(110));
+
+        node.poll(110);
+        assert!(
+            p0.drain().iter().chain(p1.drain().iter()).any(|m| matches!(m, Message::Digest(_))),
+            "the flush sent the digests"
+        );
+        assert_eq!(flush(&node), None, "the flush disarms itself");
+        assert_eq!(node.next_deadline(), Some(1_000_000));
     }
 
     /// A node dialing itself (its own address echoed back through peer

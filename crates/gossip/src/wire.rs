@@ -11,7 +11,7 @@
 //!                   u8 has-genesis flag, [32-byte genesis id],
 //!                   32-byte baseline hash, u8 has-addr flag,
 //!                   [varint len, UTF-8 listen address]
-//! tag 1  Announce   32-byte tx id
+//! tag 1  (retired: v1/v2 per-tx Announce; now an unknown tag)
 //! tag 2  GetTx      32-byte tx id
 //! tag 3  TxPayload  varint attach_ms, varint len, codec-encoded tx
 //! tag 4  GetTips    (empty)
@@ -50,8 +50,10 @@ use std::fmt;
 
 /// Version negotiated in [`Message::Hello`]; peers speaking a different
 /// version are refused. v2 added node identity + listen address to the
-/// handshake and the mesh frames (tags 10–14).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// handshake and the mesh frames (tags 10–14); v3 retired the per-tx
+/// `Announce` frame (tag 1), so a v2 peer is refused at the handshake
+/// rather than dropped mid-stream on its first announce.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard cap on one frame. Anything larger is a protocol violation — the
 /// TCP transport refuses to even buffer it.
@@ -147,8 +149,6 @@ pub enum Message {
         /// fleet discovers it.
         listen_addr: Option<String>,
     },
-    /// "I hold this transaction" — sent after a local attach or relay.
-    Announce(TxId),
     /// "Send me this transaction."
     GetTx(TxId),
     /// A full transaction plus the sender's attach time.
@@ -190,10 +190,10 @@ pub enum Message {
     /// A node joining with one seed address discovers the fleet through
     /// these.
     PeerExchange(Vec<PeerEntry>),
-    /// Digest-batched announce: "I hold these transactions". Replaces a
-    /// burst of per-tx [`Message::Announce`] frames with one periodic
-    /// frame per peer; the receiver answers with [`Message::GetTxs`] for
-    /// only the ids it lacks. Checksummed so a flipped bit cannot turn
+    /// Digest-batched announce: "I hold these transactions", one
+    /// periodic frame per peer instead of a frame per transaction; the
+    /// receiver answers with [`Message::GetTxs`] for only the ids it
+    /// lacks. Checksummed so a flipped bit cannot turn
     /// into a request for a phantom transaction.
     Digest(Vec<TxId>),
     /// Batch fetch: "send me these transactions" (the pull half of the
@@ -369,10 +369,6 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
                 None => out.push(0),
             }
         }
-        Message::Announce(id) => {
-            out.push(1);
-            out.extend_from_slice(&id.0);
-        }
         Message::GetTx(id) => {
             out.push(2);
             out.extend_from_slice(&id.0);
@@ -493,7 +489,6 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             };
             Message::Hello { version, node_id, genesis, baseline, listen_addr }
         }
-        1 => Message::Announce(r.id()?),
         2 => Message::GetTx(r.id()?),
         3 => {
             let attach_ms = r.varint()?;
@@ -657,7 +652,6 @@ mod tests {
                 baseline: baseline_hash(Some(TxId([0xAA; 32])), &[TxId([1; 32])]),
                 listen_addr: Some("127.0.0.1:9000".to_string()),
             },
-            Message::Announce(TxId([5; 32])),
             Message::GetTx(TxId([6; 32])),
             Message::TxPayload { attach_ms: 12_345, tx: sample_tx(b"reading".to_vec()) },
             Message::GetTips,
@@ -729,6 +723,8 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert_eq!(decode_msg(&[200]), Err(WireError::BadTag(200)));
+        // Tag 1 (the retired per-tx Announce) is unknown, id or not.
+        assert_eq!(decode_msg(&[1; 33]), Err(WireError::BadTag(1)));
         assert_eq!(decode_msg(&[]), Err(WireError::UnexpectedEnd));
     }
 

@@ -16,15 +16,12 @@
 //!
 //! ## Layering
 //!
-//! * [`sys`] — raw Linux `epoll` syscalls (x86-64 / aarch64, no libc
-//!   dependency); absent on other targets. Since PR 9 these live in the
-//!   shared [`biot_reactor`] crate and are re-exported here.
-//! * [`reactor`] — the [`reactor::Poller`] abstraction:
-//!   [`reactor::EpollPoller`] (readiness from the kernel, O(ready) per
-//!   tick) with a portable level-triggered [`reactor::ScanPoller`]
-//!   fallback (O(connections) per tick) that doubles as the naive
-//!   baseline in `results/BENCH_ingest.json`. Also re-exported from
-//!   [`biot_reactor`], which `biot-node`'s HTTP query endpoint shares.
+//! * [`biot_reactor`] (a dependency, shared with `biot-node`'s HTTP
+//!   query endpoint) — the [`biot_reactor::Poller`] abstraction:
+//!   [`biot_reactor::EpollPoller`] (readiness from the kernel, O(ready)
+//!   per tick) with a portable level-triggered
+//!   [`biot_reactor::ScanPoller`] fallback (O(connections) per tick)
+//!   that doubles as the naive baseline in `results/BENCH_ingest.json`.
 //! * [`protocol`] — the minimal length-prefixed client protocol:
 //!   `SubmitTx` / `SubmitBatch` in, `Ack` with per-transaction result
 //!   codes out.
@@ -46,12 +43,8 @@
 
 pub mod clock;
 pub mod protocol;
-pub mod reactor;
 pub mod server;
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-pub mod sys;
 
 pub use clock::MonotonicClock;
 pub use protocol::{AckCode, ClientMsg, ProtocolError, ServerMsg};
-pub use reactor::{build_poller, Event, Interest, Poller, PollerKind};
 pub use server::{IngestConfig, IngestServer, IngestStats, PollProgress};

@@ -48,7 +48,7 @@
 use crate::protocol::{
     decode_client, encode_server, AckCode, AckResult, ClientMsg, ServerMsg,
 };
-use crate::reactor::{build_poller, Event, Interest, Poller, PollerKind};
+use biot_reactor::{build_poller, Event, Interest, Poller, PollerKind};
 use biot_core::node::{Gateway, SubmitError};
 use biot_core::ratelimit::{RateLimitConfig, RateLimiter};
 use biot_gossip::tcp::{TcpAcceptor, TcpTransport};
@@ -250,7 +250,7 @@ impl IngestServer {
         // 128 overflows under a fleet-sized dial burst, and every dropped
         // SYN costs that client a ~1 s retransmission stall.
         #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        crate::sys::listen(
+        biot_reactor::sys::listen(
             acceptor.raw_fd(),
             i32::try_from(config.max_connections).unwrap_or(i32::MAX),
         )?;

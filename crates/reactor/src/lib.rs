@@ -19,8 +19,7 @@
 //!
 //! Extracted from `biot-ingest` (PR 9) so the ingestion front end and the
 //! archival node's HTTP query endpoint (`biot-node`) drive their sockets
-//! through one readiness loop; `biot_ingest::reactor` re-exports
-//! everything here, so existing callers are unaffected.
+//! through one readiness loop.
 
 #![warn(missing_docs)]
 

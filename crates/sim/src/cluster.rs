@@ -8,7 +8,7 @@
 //! resilience experiments: messages can be lost, delayed, or blocked, and
 //! replicas must still converge.
 
-use biot_core::credit::Misbehavior;
+use biot_credit::Misbehavior;
 use biot_core::difficulty::InverseProportionalPolicy;
 use biot_core::identity::Account;
 use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager, SubmitError};

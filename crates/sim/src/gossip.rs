@@ -127,7 +127,7 @@ impl GossipMirror {
     }
 
     /// Mirrors freshly accepted gateway transactions onto the primary
-    /// (announcing them to the replica), relays the gateway's credit
+    /// (relaying them to the replica), relays the gateway's credit
     /// events the same way, and advances both nodes to `now_ms`.
     pub fn step(&mut self, broadcasts: Vec<Transaction>, credit_events: &[CreditEvent], now_ms: u64) {
         self.clock.set(now_ms);

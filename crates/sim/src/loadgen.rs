@@ -22,7 +22,7 @@ use biot_gossip::transport::Transport;
 use biot_ingest::protocol::{
     decode_server, encode_client, AckCode, ClientMsg, ServerMsg,
 };
-use biot_ingest::reactor::PollerKind;
+use biot_reactor::PollerKind;
 use biot_ingest::server::{IngestConfig, IngestServer, IngestStats};
 use biot_ingest::MonotonicClock;
 use biot_net::time::SimTime;

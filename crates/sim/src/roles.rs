@@ -31,7 +31,7 @@ use biot_core::identity::node_id_of;
 use biot_core::node::{Gateway, GatewayConfig, Manager};
 use biot_core::{Account, Difficulty, FixedPolicy};
 use biot_credit::{CreditEvent, CreditLedger, CreditParams, Misbehavior};
-use biot_gossip::node::{GossipConfig, GossipNode, RelayMode};
+use biot_gossip::node::{GossipConfig, GossipNode};
 use biot_gossip::transport::{
     ByteCounter, CountingTransport, FnConnector, JitterTransport, MemTransport, Transport,
     VirtualClock,
@@ -242,7 +242,6 @@ fn gossip_config(cfg: &RolesConfig, index: usize) -> GossipConfig {
     GossipConfig {
         node_id: index as u64 + 1,
         listen_addr: Some(format!("roles:{}", index + 1)),
-        relay_mode: RelayMode::Digest,
         fanout: 6,
         digest_ms: cfg.digest_ms,
         anti_entropy_ms: cfg.anti_entropy_ms,

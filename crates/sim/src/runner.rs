@@ -9,7 +9,7 @@
 
 use crate::gossip::{GossipMirror, GossipSimConfig, GossipSummary};
 use crate::pi::PiCalibration;
-use biot_core::credit::{CreditEvent, CreditLedger};
+use biot_credit::{CreditEvent, CreditLedger};
 use biot_core::difficulty::{DifficultyPolicy, FixedPolicy, InverseProportionalPolicy, LinearPolicy};
 use biot_core::identity::Account;
 use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager, SubmitError, VerifyConfig};
@@ -578,7 +578,7 @@ mod tests {
 
     #[test]
     fn credit_trace_is_a_pure_replay_of_the_event_log() {
-        use biot_core::credit::CreditParams;
+        use biot_credit::CreditParams;
         let result = run_single_node(&NodeRunConfig {
             attack_times: vec![SimTime::from_secs(30)],
             ..quick_config()

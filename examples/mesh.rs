@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release --example mesh`
 
 use biot::credit::event::CreditEvent;
-use biot::gossip::node::{GossipConfig, GossipNode, RelayMode};
+use biot::gossip::node::{GossipConfig, GossipNode};
 use biot::gossip::tcp::{TcpAcceptor, TcpConnector, TcpDialer};
 use biot::net::time::SimTime;
 use biot::node::{EventLoop, MemberId};
@@ -33,7 +33,6 @@ fn mesh_config(node_id: u64, listen: String) -> GossipConfig {
     GossipConfig {
         node_id,
         listen_addr: Some(listen),
-        relay_mode: RelayMode::Digest,
         digest_ms: 25,
         peer_exchange_ms: 250,
         anti_entropy_ms: 500,

@@ -22,7 +22,7 @@ use biot::core::node::{Gateway, GatewayConfig, Manager};
 use biot::core::{Account, Difficulty, FixedPolicy};
 use biot::credit::{CreditLedger, CreditParams};
 use biot::crypto::sha256::to_hex;
-use biot::gossip::node::{GossipConfig, RelayMode};
+use biot::gossip::node::GossipConfig;
 use biot::gossip::tcp::{TcpAcceptor, TcpConnector};
 use biot::net::time::SimTime;
 use biot::node::role::{ArchivalNode, LightClient, Role, RoleConfig, ValidationNode};
@@ -38,15 +38,12 @@ const TXS_EACH: usize = 5;
 // the compared credit values are live, not decayed-to-zero.
 const PROBE_MS: u64 = 10_000;
 
-// Digest relay mode: payloads spread digest-and-pull and the mesh keeps
-// a credit replay store for late joiners. (Plain Announce works here too
-// now that credit events broadcast before a peer's handshake completes
-// are buffered per peer and flushed on Hello instead of silently
-// dropped.)
+// Default digest relay: payloads spread digest-and-pull and the mesh
+// keeps a credit replay store, so a role whose handshake lands after a
+// credit event still gets it.
 fn gossip_cfg(node_id: u64) -> GossipConfig {
     GossipConfig {
         node_id,
-        relay_mode: RelayMode::Digest,
         digest_ms: 5,
         anti_entropy_ms: 200,
         ..GossipConfig::default()
