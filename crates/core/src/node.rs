@@ -692,12 +692,6 @@ impl Gateway {
         confirmed
     }
 
-    /// Records an externally detected misbehaviour (e.g. a peer gateway
-    /// reported a double-spend attempt it rejected).
-    pub fn report_misbehavior(&mut self, node: NodeId, kind: Misbehavior, now: SimTime) {
-        self.apply_credit_event(CreditEvent::misbehaved(node, kind, now));
-    }
-
     /// Adopts a recovered ledger (e.g. from `biot-store` after a restart)
     /// and rebuilds admission state by replaying every authorization-list
     /// payload in attach order — the list *is* on the ledger (Eqn 1), so
@@ -1234,6 +1228,60 @@ mod tests {
         assert_eq!(
             w.gateway.difficulty_for(w.device.id(), t(3)),
             Difficulty::MAX
+        );
+    }
+
+    /// Misbehaviour evidence follows the attacker across gateways: a
+    /// double-spend rejected at g0 reaches g1 as g0's credit events, g1
+    /// punishes exactly as g0 does, and g1 does not re-queue the evidence.
+    #[test]
+    fn punishment_propagates_across_gateways() {
+        let mut w = world(12);
+        let recording = |w: &World| {
+            Gateway::new(
+                w.manager.public_key().clone(),
+                Box::new(InverseProportionalPolicy::default()),
+                GatewayConfig {
+                    record_credit_events: true,
+                    ..GatewayConfig::default()
+                },
+            )
+        };
+        w.gateway = recording(&w);
+        let mut g1 = recording(&w);
+        boot(&mut w);
+        let dev_id = w.device.id();
+
+        // Double-spend at g0.
+        let token = [7u8; 32];
+        let now = t(1);
+        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
+        let d = w.gateway.difficulty_for(dev_id, now);
+        let spend = w.device.prepare_spend(token, w.manager.id(), tips, now, d);
+        w.gateway.submit(spend.tx, now).unwrap();
+        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
+        let respend = w.device.prepare_spend(token, dev_id, tips, now, d);
+        assert!(w.gateway.submit(respend.tx, now).is_err());
+
+        // Without the evidence, g1 still serves the attacker cheaply.
+        let later = t(2);
+        assert!(g1.difficulty_for(dev_id, later) <= Difficulty::INITIAL);
+
+        // The evidence lands; g1 punishes too, identically.
+        let evidence = w.gateway.take_credit_events();
+        assert!(evidence
+            .iter()
+            .any(|e| matches!(e, CreditEvent::Misbehaved { node, .. } if *node == dev_id)));
+        g1.absorb_credit_events(&evidence);
+        assert_eq!(g1.difficulty_for(dev_id, later), Difficulty::MAX);
+        assert_eq!(
+            g1.difficulty_for(dev_id, later),
+            w.gateway.difficulty_for(dev_id, later)
+        );
+        assert_eq!(g1.credit_of(dev_id, later), w.gateway.credit_of(dev_id, later));
+        assert!(
+            g1.take_credit_events().is_empty(),
+            "absorbed evidence must not be re-broadcast"
         );
     }
 

@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Samples a one-way message latency in milliseconds.
 ///
-/// Models are objects so a [`crate::network::Network`] can be configured at
+/// Models are objects so a transport can be configured with one at
 /// runtime.
 pub trait LatencyModel: fmt::Debug {
     /// Draws a latency for one message.
@@ -53,25 +53,6 @@ impl LatencyModel for UniformLatency {
     }
 }
 
-/// A heavy-tailed model approximating wireless-sensor links: a base
-/// latency plus an exponential tail (occasional retransmission delays).
-#[derive(Debug, Clone, Copy)]
-pub struct WirelessLatency {
-    /// Typical one-hop latency.
-    pub base_ms: u64,
-    /// Mean of the exponential extra delay.
-    pub tail_mean_ms: f64,
-}
-
-impl LatencyModel for WirelessLatency {
-    fn sample_ms(&self, rng: &mut dyn RngCore) -> u64 {
-        // Inverse-CDF sampling of Exp(1/mean).
-        let u = (rng.next_u64() as f64 + 1.0) / (u64::MAX as f64 + 2.0);
-        let tail = -self.tail_mean_ms * u.ln();
-        self.base_ms + tail.round() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,24 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn wireless_at_least_base_with_tail_mean_near_target() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = WirelessLatency {
-            base_ms: 5,
-            tail_mean_ms: 20.0,
-        };
-        let samples: Vec<u64> = (0..5000).map(|_| m.sample_ms(&mut rng)).collect();
-        assert!(samples.iter().all(|&v| v >= 5));
-        let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        assert!((mean - 25.0).abs() < 2.0, "mean {mean} far from 25");
-    }
-
-    #[test]
     fn models_are_object_safe() {
         let models: Vec<Box<dyn LatencyModel>> = vec![
             Box::new(FixedLatency(1)),
             Box::new(UniformLatency::new(1, 2)),
-            Box::new(WirelessLatency { base_ms: 1, tail_mean_ms: 1.0 }),
         ];
         let mut rng = StdRng::seed_from_u64(4);
         for m in &models {

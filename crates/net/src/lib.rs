@@ -1,32 +1,28 @@
 //! # biot-net
 //!
-//! A deterministic discrete-event network simulator: the substrate on
-//! which B-IoT's end-to-end scenarios and throughput experiments run.
-//! The paper evaluated on a live IOTA network plus a Raspberry Pi; we
-//! replace the live network with a virtual-time simulation so experiments
-//! are reproducible and independent of host speed.
+//! Virtual time for the B-IoT reproduction. The paper evaluated on a live
+//! IOTA network plus a Raspberry Pi; the experiments here run on a virtual
+//! clock instead, so they are reproducible and independent of host speed.
+//! Message loss and partitions are not modelled here: they live on the real
+//! gossip transports (`biot-gossip`), where a cut is a severed link.
 //!
 //! ## Modules
 //!
 //! * [`time`] — [`time::SimTime`], virtual milliseconds.
 //! * [`queue`] — [`queue::EventQueue`], the deterministic event heap.
-//! * [`latency`] — pluggable link latency models.
-//! * [`network`] — lossy, partitionable message passing and broadcast.
-//! * [`topology`] — explicit link graphs with multi-hop Dijkstra routing.
+//! * [`latency`] — pluggable link latency models (sampled by
+//!   `biot-gossip`'s jittered transport).
 //!
-//! ## Example: a two-node ping over a lossy link
+//! ## Example: two events delivered in virtual-time order
 //!
 //! ```
-//! use biot_net::network::{Network, NodeAddr};
 //! use biot_net::queue::EventQueue;
 //!
-//! let mut rng = rand::thread_rng();
-//! let mut net: Network<&str> = Network::new();
 //! let mut queue = EventQueue::new();
-//! net.set_loss(0.0);
-//! net.send(&mut queue, NodeAddr(0), NodeAddr(1), "hello", &mut rng);
-//! while let Some((time, envelope)) = queue.pop() {
-//!     println!("{time}: {} -> {}: {}", envelope.from, envelope.to, envelope.msg);
+//! queue.schedule_in(20, "pong");
+//! queue.schedule_in(10, "ping");
+//! while let Some((time, msg)) = queue.pop() {
+//!     println!("{time}: {msg}");
 //! }
 //! ```
 
@@ -34,12 +30,8 @@
 #![warn(missing_docs)]
 
 pub mod latency;
-pub mod network;
 pub mod queue;
-pub mod topology;
 pub mod time;
 
-pub use network::{Envelope, NetStats, Network, NodeAddr};
 pub use queue::EventQueue;
-pub use topology::{Route, RoutedNetwork, Topology};
 pub use time::SimTime;

@@ -14,8 +14,6 @@
 //!   per-transaction PoW cost).
 //! * [`attack`] — measured Sybil / lazy-tips / double-spend / failover /
 //!   parasite-chain experiments (§VI-C).
-//! * [`cluster`] — networked multi-gateway replication with gossip and
-//!   anti-entropy.
 //! * [`loadgen`] — concurrent light-node load generation against the
 //!   `biot-ingest` reactor over real sockets.
 //! * [`mesh`] — N-node gossip fleet runner: seeded topology, oracle
@@ -23,7 +21,6 @@
 //! * [`roles`] — mixed-role fleet (archival / validation / light):
 //!   bit-for-bit convergence plus HTTP-vs-oracle byte equality.
 //! * [`fleet`] — many honest nodes + attackers on one gateway (isolation).
-//! * [`wireless`] — multi-hop sensor topologies with relay failures.
 //! * [`throughput`] — tangle vs chain effective-TPS comparison (§II).
 //!
 //! ## Example: reproduce the headline Fig 9 contrast in one call
@@ -44,17 +41,14 @@
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod cluster;
 pub mod factory;
 pub mod fleet;
-pub mod gossip;
 pub mod loadgen;
 pub mod mesh;
 pub mod pi;
 pub mod roles;
 pub mod runner;
 pub mod throughput;
-pub mod wireless;
 
 pub use pi::{AesTiming, PiCalibration};
 pub use runner::{run_single_node, NodeRunConfig, PolicyChoice, RunResult};

@@ -1,7 +1,6 @@
 //! N-node gossip mesh fleet runner.
 //!
-//! Where [`crate::gossip`] mirrors one primary/replica pair, this module
-//! stands up a whole fleet of [`GossipNode`]s on seeded in-memory links
+//! Stands up a whole fleet of [`GossipNode`]s on seeded in-memory links
 //! (jittered, byte-counted), wires them into a random bounded-degree
 //! topology, injects a pre-generated oracle workload — a DAG of
 //! transactions plus a credit-event schedule, each item surfacing at a

@@ -11,21 +11,21 @@
 //! A store directory holds:
 //!
 //! * `snapshot.biot` — the last checkpoint (all rows of a
-//!   [`TangleSnapshot`] in the wire codec, custom-framed). The current
-//!   (`BIOTSNP2`) format additionally records a *fold watermark* (the
+//!   [`TangleSnapshot`] in the wire codec, custom-framed). The
+//!   `BIOTSNP2` format additionally records a *fold watermark* (the
 //!   first WAL segment not yet folded in) and any credit events carried
-//!   out of folded segments; legacy `BIOTSNP1` snapshots are still read.
+//!   out of folded segments.
 //! * `wal.biot`, `wal-000001.biot`, `wal-000002.biot`, … — the
 //!   write-ahead log, split into numbered segments (`wal.biot` is
 //!   segment 0). Appends go to the newest segment; once it exceeds
 //!   [`StoreConfig::segment_bytes`] it is *sealed* and a fresh segment is
-//!   started. Each segment carries its own magic. The current
-//!   (`BIOTWAL2`) format tags every record: tag 0 is a transaction
+//!   started. Each segment carries its own magic. The `BIOTWAL2` format
+//!   tags every record: tag 0 is a transaction
 //!   (`[0][varint attach_ms][varint len][codec bytes]`), tag 1 is a
 //!   credit event (`[1][varint len][biot_credit codec bytes]`) so
 //!   behaviour evidence — including misbehaviour whose transactions never
-//!   reached the tangle — survives a crash. Legacy untagged `BIOTWAL1`
-//!   logs are still read (as segment 0).
+//!   reached the tangle — survives a crash. A file with any other magic
+//!   fails recovery with [`StoreError::CorruptSnapshot`].
 //!
 //! Recovery = restore the snapshot, then re-attach the records of every
 //! segment at or past the watermark, in segment order. A torn final
@@ -149,19 +149,15 @@ impl From<TangleError> for StoreError {
     }
 }
 
-/// Legacy snapshot: rows + pruned ids only.
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"BIOTSNP1";
-/// Current snapshot: fold watermark + rows + pruned ids + carried credit
+/// Snapshot: fold watermark + rows + pruned ids + carried credit
 /// events (see the module docs on incremental compaction).
 const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP2";
-/// Legacy WAL: untagged transaction records only.
-const WAL_MAGIC_V1: &[u8; 8] = b"BIOTWAL1";
-/// Current WAL: tagged records (transactions + credit events).
+/// WAL: tagged records (transactions + credit events).
 const WAL_MAGIC: &[u8; 8] = b"BIOTWAL2";
 
-/// Tag prefixing a transaction record in a v2 WAL.
+/// Tag prefixing a transaction record in the WAL.
 const WAL_TAG_TX: u8 = 0;
-/// Tag prefixing a credit-event record in a v2 WAL.
+/// Tag prefixing a credit-event record in the WAL.
 const WAL_TAG_CREDIT: u8 = 1;
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -274,10 +270,6 @@ pub struct LedgerStore {
     /// with [`LedgerStore::open_read_only`], which never touches the
     /// write path.
     wal: Option<File>,
-    /// WAL format version in force: 2 for fresh stores, 1 when an old
-    /// untagged log was found on open (appends then stay untagged so the
-    /// file remains self-consistent until the segment is sealed).
-    wal_version: u8,
     /// Number of the segment `wal` appends to (always the newest).
     active: u64,
     config: StoreConfig,
@@ -300,7 +292,7 @@ struct SnapshotFile {
 pub struct RecoveredState {
     /// The tangle, when any transaction state was on disk.
     pub tangle: Option<Tangle>,
-    /// Credit events in append order (empty for legacy v1 logs).
+    /// Credit events in append order.
     pub credit_events: Vec<CreditEvent>,
 }
 
@@ -343,23 +335,14 @@ impl LedgerStore {
             .append(true)
             .read(true)
             .open(&wal_path)?;
-        let wal_version = if fresh {
+        // An existing segment's magic is checked by recovery, not here.
+        if fresh {
             wal.write_all(WAL_MAGIC)?;
             wal.sync_data()?;
-            2
-        } else {
-            let mut magic = [0u8; 8];
-            let mut f = File::open(&wal_path)?;
-            match f.read_exact(&mut magic) {
-                Ok(()) if &magic == WAL_MAGIC_V1 => 1,
-                // Unknown/short magics fail later, in recovery.
-                _ => 2,
-            }
-        };
+        }
         Ok(Self {
             dir,
             wal: Some(wal),
-            wal_version,
             active,
             config,
         })
@@ -394,7 +377,6 @@ impl LedgerStore {
         Ok(Self {
             dir,
             wal: None,
-            wal_version: 2,
             active: 0,
             config: StoreConfig::default(),
         })
@@ -421,9 +403,6 @@ impl LedgerStore {
         f.write_all(WAL_MAGIC)?;
         f.sync_data()?;
         self.wal = Some(OpenOptions::new().append(true).read(true).open(&path)?);
-        // Fresh segments are always current-format, even when segment 0
-        // was a legacy v1 log.
-        self.wal_version = 2;
         self.active = next;
         Ok(())
     }
@@ -454,9 +433,7 @@ impl LedgerStore {
         let mut record = Vec::new();
         for (tx, attach_ms) in batch {
             let body = encode_tx(tx);
-            if self.wal_version >= 2 {
-                record.push(WAL_TAG_TX);
-            }
+            record.push(WAL_TAG_TX);
             write_varint(&mut record, *attach_ms);
             write_varint(&mut record, body.len() as u64);
             record.extend_from_slice(&body);
@@ -473,15 +450,8 @@ impl LedgerStore {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures. Rejected on a legacy v1 WAL, whose
-    /// untagged record format cannot carry credit events — checkpoint
-    /// first to upgrade.
+    /// Propagates filesystem failures.
     pub fn append_credit_events(&mut self, events: &[CreditEvent]) -> Result<(), StoreError> {
-        if self.wal_version < 2 {
-            return Err(StoreError::CorruptSnapshot(
-                "legacy v1 wal cannot hold credit events",
-            ));
-        }
         if events.is_empty() {
             return Ok(());
         }
@@ -520,10 +490,9 @@ impl LedgerStore {
             return Ok(());
         }
         self.write_snapshot_file(Some(tangle), &[], 0)?;
-        // Drop every WAL segment and start a fresh segment 0 (always
-        // current-format, upgrading v1 stores). A crash before the
-        // deletions finish merely leaves segments whose records replay as
-        // duplicates, which recovery tolerates.
+        // Drop every WAL segment and start a fresh segment 0. A crash
+        // before the deletions finish merely leaves segments whose records
+        // replay as duplicates, which recovery tolerates.
         for (_, path) in list_segments(&self.dir)? {
             fs::remove_file(&path)?;
         }
@@ -532,7 +501,6 @@ impl LedgerStore {
         wal.write_all(WAL_MAGIC)?;
         wal.sync_data()?;
         self.wal = Some(OpenOptions::new().append(true).read(true).open(&wal_path)?);
-        self.wal_version = 2;
         self.active = 0;
         Ok(())
     }
@@ -787,19 +755,13 @@ impl LedgerStore {
         // Magic plus a maximal varint; the snapshot is always longer.
         let mut head = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 10);
         file.take(head.capacity() as u64).read_to_end(&mut head)?;
-        if head.len() < SNAPSHOT_MAGIC.len() {
+        if !head.starts_with(SNAPSHOT_MAGIC) {
             return Err(StoreError::CorruptSnapshot("magic"));
         }
-        match &head[..SNAPSHOT_MAGIC.len()] {
-            m if m == SNAPSHOT_MAGIC => {
-                let mut pos = SNAPSHOT_MAGIC.len();
-                read_varint(&head, &mut pos)
-                    .map(Some)
-                    .ok_or(StoreError::CorruptSnapshot("watermark"))
-            }
-            m if m == SNAPSHOT_MAGIC_V1 => Ok(Some(0)),
-            _ => Err(StoreError::CorruptSnapshot("magic")),
-        }
+        let mut pos = SNAPSHOT_MAGIC.len();
+        read_varint(&head, &mut pos)
+            .map(Some)
+            .ok_or(StoreError::CorruptSnapshot("watermark"))
     }
 
     fn recover_body(&self) -> Result<RecoveredState, StoreError> {
@@ -838,20 +800,12 @@ impl LedgerStore {
     fn read_snapshot_file(&self, path: &Path) -> Result<SnapshotFile, StoreError> {
         let mut data = Vec::new();
         File::open(path)?.read_to_end(&mut data)?;
-        if data.len() < SNAPSHOT_MAGIC.len() {
+        if !data.starts_with(SNAPSHOT_MAGIC) {
             return Err(StoreError::CorruptSnapshot("magic"));
         }
-        let v2 = match &data[..SNAPSHOT_MAGIC.len()] {
-            m if m == SNAPSHOT_MAGIC => true,
-            m if m == SNAPSHOT_MAGIC_V1 => false,
-            _ => return Err(StoreError::CorruptSnapshot("magic")),
-        };
         let mut pos = SNAPSHOT_MAGIC.len();
-        let next_segment = if v2 {
-            read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("watermark"))?
-        } else {
-            0
-        };
+        let next_segment =
+            read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("watermark"))?;
         let n = read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("row count"))?;
         let mut rows = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -884,22 +838,20 @@ impl LedgerStore {
             pruned.push(TxId(id));
             pos = end;
         }
+        let n_carried =
+            read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("carried count"))?;
         let mut carried = Vec::new();
-        if v2 {
-            let n_carried = read_varint(&data, &mut pos)
-                .ok_or(StoreError::CorruptSnapshot("carried count"))?;
-            for _ in 0..n_carried {
-                let len = read_varint(&data, &mut pos)
-                    .ok_or(StoreError::CorruptSnapshot("carried length"))?;
-                let end = pos
-                    .checked_add(len as usize)
-                    .ok_or(StoreError::CorruptSnapshot("carried length"))?;
-                if end > data.len() {
-                    return Err(StoreError::CorruptSnapshot("carried body"));
-                }
-                carried.push(decode_event(&data[pos..end])?);
-                pos = end;
+        for _ in 0..n_carried {
+            let len = read_varint(&data, &mut pos)
+                .ok_or(StoreError::CorruptSnapshot("carried length"))?;
+            let end = pos
+                .checked_add(len as usize)
+                .ok_or(StoreError::CorruptSnapshot("carried length"))?;
+            if end > data.len() {
+                return Err(StoreError::CorruptSnapshot("carried body"));
             }
+            carried.push(decode_event(&data[pos..end])?);
+            pos = end;
         }
         let snap = TangleSnapshot::from_rows(rows, pruned);
         Ok(SnapshotFile {
@@ -964,11 +916,9 @@ fn replay_segment(
     tangle: &mut Option<Tangle>,
     credit_events: &mut Vec<CreditEvent>,
 ) -> Result<(), StoreError> {
-    let tagged = match &data[..WAL_MAGIC.len()] {
-        m if m == WAL_MAGIC => true,
-        m if m == WAL_MAGIC_V1 => false,
-        _ => return Err(StoreError::CorruptSnapshot("wal magic")),
-    };
+    if !data.starts_with(WAL_MAGIC) {
+        return Err(StoreError::CorruptSnapshot("wal magic"));
+    }
     let mut pos = WAL_MAGIC.len();
     macro_rules! torn {
         () => {{
@@ -979,13 +929,8 @@ fn replay_segment(
         }};
     }
     while pos < data.len() {
-        let tag = if tagged {
-            let t = data[pos];
-            pos += 1;
-            t
-        } else {
-            WAL_TAG_TX
-        };
+        let tag = data[pos];
+        pos += 1;
         match tag {
             WAL_TAG_TX => {
                 let Some(attach_ms) = read_varint(data, &mut pos) else {
@@ -1365,31 +1310,41 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_wal_still_recovers() {
-        // Hand-write a v1 (untagged) WAL and check both that it recovers
-        // and that post-open appends keep the legacy framing.
-        let dir = TempDir::new();
-        let mut tangle = Tangle::new();
-        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
-        let genesis_tx = tangle.get(&genesis).unwrap().clone();
-        let mut data = WAL_MAGIC_V1.to_vec();
-        let body = encode_tx(&genesis_tx);
-        write_varint(&mut data, 0);
-        write_varint(&mut data, body.len() as u64);
-        data.extend_from_slice(&body);
-        fs::write(dir.0.join("wal.biot"), &data).unwrap();
+    fn retired_v1_magics_are_typed_errors() {
+        // No deployment ever wrote the v1 formats (the current magics with
+        // version digit 1); a file carrying either magic is refused like
+        // any other unknown magic — a typed error, never a panic or a
+        // partial replay.
+        let v1 = |current: &[u8; 8]| {
+            let mut magic = *current;
+            magic[7] = b'1';
+            magic
+        };
+        for (file, magic) in [("wal.biot", v1(WAL_MAGIC)), ("snapshot.biot", v1(SNAPSHOT_MAGIC))] {
+            let dir = TempDir::new();
+            let mut store = LedgerStore::open(&dir.0).unwrap();
+            let mut tangle = Tangle::new();
+            tangle.attach_genesis(NodeId([0; 32]), 0);
+            grow(&mut tangle, &mut store, 3, 10);
+            store.checkpoint(&tangle).unwrap();
+            grow(&mut tangle, &mut store, 2, 10);
 
-        let mut store = LedgerStore::open(&dir.0).unwrap();
-        grow(&mut tangle, &mut store, 3, 10);
-        let recovered = store.recover_full().unwrap();
-        assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
-        assert!(recovered.credit_events.is_empty());
-        // Credit events need the tagged format; a checkpoint upgrades.
-        assert!(store.append_credit_events(&[mis(1, 5)]).is_err());
-        store.checkpoint(&tangle).unwrap();
-        store.append_credit_events(&[mis(1, 5)]).unwrap();
-        let recovered = store.recover_full().unwrap();
-        assert_eq!(recovered.credit_events, vec![mis(1, 5)]);
+            let path = dir.0.join(file);
+            let mut data = fs::read(&path).unwrap();
+            data[..magic.len()].copy_from_slice(&magic);
+            fs::write(&path, &data).unwrap();
+            for reopened in [
+                LedgerStore::open(&dir.0).unwrap(),
+                LedgerStore::open_read_only(&dir.0).unwrap(),
+            ] {
+                let result = reopened.recover_full();
+                assert!(
+                    matches!(result, Err(StoreError::CorruptSnapshot(_))),
+                    "{file} with {}: {result:?}",
+                    String::from_utf8_lossy(&magic)
+                );
+            }
+        }
     }
 
     #[test]
@@ -1748,33 +1703,6 @@ mod tests {
         // Restored, everything recovers again.
         fs::write(&sealed, &pristine).unwrap();
         assert!(LedgerStore::open(&dir.0).unwrap().recover_full().is_ok());
-    }
-
-    #[test]
-    fn legacy_v1_segment_seals_and_rolls_to_v2() {
-        // A legacy untagged wal.biot keeps accepting untagged appends
-        // until it fills; the next segment is current-format, so credit
-        // events become appendable without a checkpoint.
-        let dir = TempDir::new();
-        let mut tangle = Tangle::new();
-        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
-        let genesis_tx = tangle.get(&genesis).unwrap().clone();
-        let mut data = WAL_MAGIC_V1.to_vec();
-        let body = encode_tx(&genesis_tx);
-        write_varint(&mut data, 0);
-        write_varint(&mut data, body.len() as u64);
-        data.extend_from_slice(&body);
-        fs::write(dir.0.join("wal.biot"), &data).unwrap();
-
-        let mut store = LedgerStore::open_with_config(&dir.0, tiny_segments(1)).unwrap();
-        assert!(store.append_credit_events(&[mis(1, 5)]).is_err(), "still v1");
-        grow(&mut tangle, &mut store, 3, 10); // every append rolls
-        assert!(store.segment_count().unwrap() > 1);
-        store.append_credit_events(&[mis(1, 5)]).unwrap();
-
-        let recovered = store.recover_full().unwrap();
-        assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
-        assert_eq!(recovered.credit_events, vec![mis(1, 5)]);
     }
 
     #[test]

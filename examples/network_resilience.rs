@@ -1,50 +1,72 @@
-//! Network resilience: a replicated gateway mesh under message loss and a
-//! mid-run gateway failure, over the discrete-event network.
+//! Network resilience on the real gossip stack: a healthy gateway mesh, the
+//! same mesh cut in half and healed, and a replicated gateway pair that
+//! loses its primary mid-run.
 //!
-//! Shows the §VI-C availability story at the *network* level: lost gossip
-//! is recovered by periodic anti-entropy, and devices fail over when their
-//! home gateway dies.
+//! Shows the §VI-C availability story at the *network* level. The mesh runs
+//! `biot-gossip` nodes over jittered links on a virtual clock; a partition
+//! severs every link crossing a half/half cut, and after the heal reconnect
+//! backoff plus anti-entropy bring every node back to the oracle
+//! bit-for-bit (tips, weights, credit). Devices whose home gateway dies
+//! fail over to its replica.
+//!
+//! Exits non-zero unless all three scenarios succeed.
 //!
 //! Run with: `cargo run --release --example network_resilience`
 
-use biot::net::time::SimTime;
-use biot::sim::cluster::{run_cluster, ClusterConfig};
+use biot::sim::attack::failover_experiment;
+use biot::sim::mesh::{run_mesh, MeshConfig, MeshOutcome, Partition};
+use std::process::ExitCode;
 
-fn main() {
-    println!("== Healthy cluster (3 gateways, 4 devices, lossless) ==");
-    let healthy = run_cluster(&ClusterConfig::default());
+fn main() -> ExitCode {
+    let healthy_cfg = MeshConfig::default();
+    println!(
+        "== Healthy mesh ({} gateways, degree {}, {} txs, {} credit events) ==",
+        healthy_cfg.nodes, healthy_cfg.degree, healthy_cfg.txs, healthy_cfg.credit_events
+    );
+    let healthy = run_mesh(&healthy_cfg);
     report(&healthy);
 
-    println!("\n== Lossy network (10% of all messages dropped) ==");
-    let lossy = run_cluster(&ClusterConfig {
-        loss: 0.10,
-        ..ClusterConfig::default()
-    });
-    report(&lossy);
-
-    println!("\n== Gateway 0 killed at t=20s ==");
-    let failover = run_cluster(&ClusterConfig {
-        kill_gateway_at: Some((0, SimTime::from_secs(20))),
-        ..ClusterConfig::default()
-    });
-    report(&failover);
+    let cut = Partition { start_ms: 1_000, heal_ms: 4_000 };
     println!(
-        "  devices homed on gateway 0 failed over; survivors accepted {} txs",
-        failover.accepted_per_gateway[1..].iter().sum::<u64>()
+        "\n== Partitioned mesh (half/half cut from {} ms, healed at {} ms) ==",
+        cut.start_ms, cut.heal_ms
     );
+    let partitioned = run_mesh(&MeshConfig {
+        partition: Some(cut),
+        ..healthy_cfg
+    });
+    report(&partitioned);
+
+    println!("\n== Primary gateway killed mid-run ==");
+    let failover = failover_experiment(4);
+    println!(
+        "  accepted before failure: {}  after failover: {}  survivor ledger: {} txs",
+        failover.before_failure, failover.after_failure, failover.survivor_ledger_len
+    );
+
+    let failover_ok = failover.before_failure > 0 && failover.after_failure == failover.before_failure;
+    if healthy.converged && partitioned.converged && failover_ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "resilience check failed: healthy converged {}, partitioned converged {}, failover ok {}",
+            healthy.converged, partitioned.converged, failover_ok
+        );
+        ExitCode::FAILURE
+    }
 }
 
-fn report(r: &biot::sim::cluster::ClusterResult) {
+fn report(r: &MeshOutcome) {
+    if r.converged {
+        println!(
+            "  converged bit-for-bit at {} ms ({} poll rounds)",
+            r.converged_ms, r.rounds
+        );
+    } else {
+        println!("  DID NOT converge within the run ({} poll rounds)", r.rounds);
+    }
     println!(
-        "  accepted per gateway: {:?}  (failed submissions: {})",
-        r.accepted_per_gateway, r.failed_submissions
-    );
-    println!(
-        "  ledger lengths: {:?}  gossip delivered: {}",
-        r.ledger_len_per_gateway, r.gossip_delivered
-    );
-    println!(
-        "  replica convergence: {:.1}% of transactions present on all live gateways",
-        r.convergence * 100.0
+        "  handshakes: {}  wire: {} B/node  redundant deliveries: {}",
+        r.handshakes, r.bytes_per_node, r.redundant_deliveries
     );
 }

@@ -10,7 +10,8 @@
 //!   scratch.
 //! * [`tangle`] (`biot-tangle`) — the DAG-structured ledger.
 //! * [`chain`] (`biot-chain`) — the satoshi-style baseline.
-//! * [`net`] (`biot-net`) — the discrete-event network simulator.
+//! * [`net`] (`biot-net`) — virtual time: clock, event queue, latency
+//!   models.
 //! * [`gossip`] (`biot-gossip`) — peer-to-peer tangle synchronization
 //!   over in-memory or real TCP transports.
 //! * [`credit`] (`biot-credit`) — the event-sourced credit ledger

@@ -1,11 +1,9 @@
-//! The Fig 4 key-distribution handshake driven over the simulated
-//! network: three messages, three one-way latencies, replay protection
-//! under delay.
+//! The Fig 4 key-distribution handshake driven over a virtual-time link:
+//! three messages, three one-way latencies, replay protection under
+//! delay.
 
 use biot::core::identity::Account;
 use biot::core::keydist::{DeviceSession, KeyDistConfig, ManagerSession, Message1, Message2, Message3};
-use biot::net::latency::FixedLatency;
-use biot::net::network::{Envelope, Network, NodeAddr};
 use biot::net::queue::EventQueue;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,8 +15,8 @@ enum Msg {
     M3(Message3),
 }
 
-const MANAGER: NodeAddr = NodeAddr(0);
-const DEVICE: NodeAddr = NodeAddr(1);
+/// One-way link latency between manager and device, ms.
+const LINK_MS: u64 = 20;
 
 #[test]
 fn handshake_over_network_takes_three_hops() {
@@ -26,18 +24,16 @@ fn handshake_over_network_takes_three_hops() {
     let manager = Account::generate(&mut rng);
     let device = Account::generate(&mut rng);
     let cfg = KeyDistConfig::default();
-    let mut net: Network<Msg> = Network::new();
-    net.set_latency(Box::new(FixedLatency(20)));
-    let mut queue: EventQueue<Envelope<Msg>> = EventQueue::new();
+    let mut queue: EventQueue<Msg> = EventQueue::new();
 
     // Manager initiates at t=0.
     let (mut ms, m1) = ManagerSession::initiate(&manager, device.public_key(), 0, &mut rng);
-    net.send(&mut queue, MANAGER, DEVICE, Msg::M1(m1), &mut rng);
+    queue.schedule_in(LINK_MS, Msg::M1(m1));
 
     let mut ds: Option<DeviceSession> = None;
     let mut completed_at = None;
-    while let Some((now, env)) = queue.pop() {
-        match env.msg {
+    while let Some((now, msg)) = queue.pop() {
+        match msg {
             Msg::M1(m1) => {
                 let (session, m2) = DeviceSession::handle_m1(
                     &device,
@@ -49,7 +45,7 @@ fn handshake_over_network_takes_three_hops() {
                 )
                 .expect("M1 verifies within the freshness window");
                 ds = Some(session);
-                net.send(&mut queue, DEVICE, MANAGER, Msg::M2(m2), &mut rng);
+                queue.schedule_in(LINK_MS, Msg::M2(m2));
             }
             Msg::M2(m2) => {
                 let m3 = ms
@@ -62,7 +58,7 @@ fn handshake_over_network_takes_three_hops() {
                         &mut rng,
                     )
                     .expect("M2 verifies");
-                net.send(&mut queue, MANAGER, DEVICE, Msg::M3(m3), &mut rng);
+                queue.schedule_in(LINK_MS, Msg::M3(m3));
             }
             Msg::M3(m3) => {
                 ds.as_mut()
@@ -87,15 +83,12 @@ fn excessive_network_delay_triggers_replay_protection() {
     let manager = Account::generate(&mut rng);
     let device = Account::generate(&mut rng);
     let cfg = KeyDistConfig::default(); // 5 s freshness window
-    let mut net: Network<Msg> = Network::new();
-    // A pathological 10-second delivery delay (e.g. a replayed capture).
-    net.set_latency(Box::new(FixedLatency(10_000)));
-    let mut queue: EventQueue<Envelope<Msg>> = EventQueue::new();
+    let mut queue: EventQueue<Msg> = EventQueue::new();
 
     let (_ms, m1) = ManagerSession::initiate(&manager, device.public_key(), 0, &mut rng);
-    net.send(&mut queue, MANAGER, DEVICE, Msg::M1(m1), &mut rng);
-    let (now, env) = queue.pop().unwrap();
-    let Msg::M1(m1) = env.msg else { panic!() };
+    // A pathological 10-second delivery delay (e.g. a replayed capture).
+    queue.schedule_in(10_000, Msg::M1(m1));
+    let (now, Msg::M1(m1)) = queue.pop().unwrap() else { panic!() };
     let err = DeviceSession::handle_m1(
         &device,
         manager.public_key(),
