@@ -28,7 +28,7 @@ use biot_core::node::{Gateway, GatewayConfig, Manager};
 use biot_core::{Account, Difficulty, FixedPolicy};
 use biot_credit::CreditEvent;
 use biot_gossip::node::GossipConfig;
-use biot_gossip::tcp::{TcpAcceptor, TcpConnector};
+use biot_gossip::tcp::{TcpAcceptor, TcpConnector, TcpTransport};
 use biot_net::time::SimTime;
 use biot_node::role::{ArchivalNode, BootSource, LightClient, Role, RoleConfig, ValidationNode};
 use biot_tangle::conflict::LazyTipPolicy;
@@ -172,7 +172,7 @@ fn run_query_load(conns: usize, secs: u64, load: usize) -> LoadReport {
         RoleConfig { role: Role::Validation, gossip: gossip_cfg(1), ..RoleConfig::default() },
     )
     .expect("validation boots");
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("gossip bind");
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("gossip bind");
     let gossip_addr = acceptor.local_addr().expect("gossip addr");
     let mut archival = ArchivalNode::new(RoleConfig {
         role: Role::Archival,
@@ -219,8 +219,8 @@ fn run_query_load(conns: usize, secs: u64, load: usize) -> LoadReport {
     let warm_deadline = start + Duration::from_secs(30);
     loop {
         let now = start.elapsed().as_millis() as u64;
-        for t in acceptor.try_accept_all(16).expect("accept") {
-            validation.gossip_mut().add_transport(Box::new(t), now);
+        for stream in acceptor.accept_burst(now, 16, usize::MAX) {
+            validation.gossip_mut().add_transport(Box::new(TcpTransport::accepted(stream)), now);
         }
         validation.poll(now).expect("validation poll");
         archival.poll(now).expect("archival poll");

@@ -12,14 +12,11 @@
 //! | `BIOT_INGEST_FRAMES`     | 4       | frames each connection sends             |
 //! | `BIOT_INGEST_BATCH`      | 8       | transactions per frame                   |
 //! | `BIOT_INGEST_INTERVAL_MS`| 5       | per-connection gap between frames        |
-//! | `BIOT_INGEST_POLLER`     | epoll   | `epoll` or `scan` (the naive baseline)   |
 //! | `BIOT_INGEST_DEADLINE_S` | 120     | abort threshold                          |
 //!
 //! Exits nonzero if any transaction went unacked — the loadgen doubles
 //! as a smoke test of the full socket → reactor → gateway → ack path.
 
-use biot_reactor::PollerKind;
-use biot_ingest::server::IngestConfig;
 use biot_sim::loadgen::{run_loadgen, LoadgenConfig};
 use std::time::Duration;
 
@@ -38,10 +35,6 @@ fn env_u64(name: &str, default: u64) -> u64 {
 }
 
 fn main() {
-    let poller = match std::env::var("BIOT_INGEST_POLLER").as_deref() {
-        Ok("scan") => PollerKind::Scan,
-        _ => PollerKind::Epoll,
-    };
     let config = LoadgenConfig {
         connections: env_usize("BIOT_INGEST_CONNS", 256),
         idle_connections: env_usize("BIOT_INGEST_IDLE", 0),
@@ -49,21 +42,16 @@ fn main() {
         batch_size: env_usize("BIOT_INGEST_BATCH", 8),
         arrival_interval: Duration::from_millis(env_u64("BIOT_INGEST_INTERVAL_MS", 5)),
         deadline: Duration::from_secs(env_u64("BIOT_INGEST_DEADLINE_S", 120)),
-        ingest: IngestConfig {
-            poller,
-            ..IngestConfig::default()
-        },
         ..LoadgenConfig::default()
     };
 
     println!(
-        "loadgen: {} conns (+{} idle) x {} frames x {} txs, {:?} interval, {:?} poller",
+        "loadgen: {} conns (+{} idle) x {} frames x {} txs, {:?} interval",
         config.connections,
         config.idle_connections,
         config.frames_per_conn,
         config.batch_size,
         config.arrival_interval,
-        poller,
     );
     let report = run_loadgen(&config);
     println!(
@@ -85,11 +73,7 @@ fn main() {
         "  ack RTT         : p50 {:.2} ms, p99 {:.2} ms",
         report.p50_ms, report.p99_ms
     );
-    println!(
-        "  server          : {:?} poller, {:?}",
-        report.poller,
-        report.server
-    );
+    println!("  server          : {:?}", report.server);
 
     if report.acked.total() != report.sent_txs {
         eprintln!(

@@ -222,11 +222,6 @@ impl Blockchain {
         self.blocks.get(id).map(|s| &s.block)
     }
 
-    /// Height of a specific block.
-    pub fn height_of(&self, id: &BlockId) -> Option<u64> {
-        self.blocks.get(id).map(|s| s.height)
-    }
-
     /// Number of stored blocks, including fork losers.
     pub fn len(&self) -> usize {
         self.blocks.len()

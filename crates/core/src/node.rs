@@ -26,7 +26,6 @@ use biot_tangle::conflict::{LazyTipPolicy, LazyVerdict};
 use biot_tangle::graph::{Tangle, TangleError};
 use biot_tangle::tips::{SelectorConfig, TipSelector};
 use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
-use biot_tangle::view::TangleView;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -294,13 +293,6 @@ impl Gateway {
         self.verify
     }
 
-    /// Swaps the tip-selection strategy served by
-    /// [`random_tips`](Self::random_tips).
-    pub fn set_tip_selector(&mut self, selector: SelectorConfig) {
-        self.config.tip_selector = selector;
-        self.selector = selector.build();
-    }
-
     /// The configured tip-selection strategy.
     pub fn tip_selector(&self) -> SelectorConfig {
         self.config.tip_selector
@@ -373,16 +365,6 @@ impl Gateway {
     /// The ledger replica.
     pub fn tangle(&self) -> &Tangle {
         &self.tangle
-    }
-
-    /// A point-in-time, read-lock-free snapshot of the ledger for
-    /// concurrent tip selection and weight queries (see
-    /// [`biot_tangle::view`]). The sealed epoch is shared by `Arc`, so
-    /// the cost is proportional to the unconfirmed frontier, not ledger
-    /// depth. `recency_tail` bounds how much of the recency window the
-    /// view carries for lazy-tip checks.
-    pub fn tangle_view(&self, recency_tail: usize) -> TangleView {
-        self.tangle.view(recency_tail)
     }
 
     /// The credit ledger (read access for experiments).
@@ -772,11 +754,6 @@ impl LightNode {
     /// Sets how PoW nonce searches run (thread count).
     pub fn set_mining_config(&mut self, mining: MiningConfig) {
         self.mining = mining;
-    }
-
-    /// The current mining configuration.
-    pub fn mining_config(&self) -> MiningConfig {
-        self.mining
     }
 
     /// The node identity.

@@ -177,11 +177,6 @@ impl BigUint {
         self.limbs[limb] |= 1 << (i % 64);
     }
 
-    /// Returns the low 64 bits.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Borrows the little-endian limbs.
     pub(crate) fn limbs(&self) -> &[u64] {
         &self.limbs

@@ -10,6 +10,7 @@
 
 use crate::transport::{Connector, Dialer, Transport, TransportError};
 use crate::wire::MAX_FRAME_BYTES;
+use biot_reactor::Interest;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -79,11 +80,17 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
+        Ok(Self::accepted(stream))
+    }
+
+    /// Wraps a stream from [`TcpAcceptor::accept_burst`], which already
+    /// set it non-blocking and no-delay.
+    pub fn accepted(stream: TcpStream) -> Self {
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "tcp:?".to_string());
-        Ok(Self {
+        Self {
             stream,
             rx: Vec::new(),
             rx_pos: 0,
@@ -91,7 +98,7 @@ impl TcpTransport {
             tx: Vec::new(),
             open: true,
             peer,
-        })
+        }
     }
 
     /// Unflushed outbound bytes currently queued (diagnostics and
@@ -293,10 +300,101 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Accepts inbound gossip connections without blocking.
+/// How long an acceptor stays parked after a listener-wide accept
+/// failure (fd exhaustion and kin). Level-triggered readiness would
+/// otherwise re-fire the doomed accept every wake; parking trades a
+/// short admission delay for not hot-spinning while the failure lasts.
+pub const ACCEPT_BACKOFF_MS: u64 = 50;
+
+/// What an acceptor dropped or deferred, cumulative since bind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AcceptStats {
+    /// Connections lost during accept: aborted or reset in the backlog,
+    /// an interrupted `accept(2)`, or a socket option that would not set.
+    pub conn_errors: u64,
+    /// Listener-wide failures (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`,
+    /// …); each parked the acceptor for [`ACCEPT_BACKOFF_MS`].
+    pub listener_errors: u64,
+    /// Connections closed at once because the owner had no room.
+    pub refused: u64,
+}
+
+/// The accept policy, apart from the socket so tests can script it.
+#[derive(Debug, Default)]
+struct AcceptGate {
+    /// When a parked acceptor retries (absolute ms); `None` while
+    /// accepting.
+    resume_at: Option<u64>,
+    stats: AcceptStats,
+}
+
+impl AcceptGate {
+    /// Pulls up to `burst` results from `accept` and keeps at most
+    /// `room` connections that `setup` accepts. Never fails: see
+    /// [`TcpAcceptor::accept_burst`].
+    fn burst<S>(
+        &mut self,
+        now_ms: u64,
+        burst: usize,
+        room: usize,
+        mut accept: impl FnMut() -> io::Result<S>,
+        mut setup: impl FnMut(&S) -> io::Result<()>,
+    ) -> Vec<S> {
+        if self.resume_at.is_some_and(|at| now_ms < at) {
+            return Vec::new();
+        }
+        self.resume_at = None;
+        let mut kept = Vec::new();
+        for _ in 0..burst {
+            let conn = match accept() {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                // The connection at the head of the backlog died before
+                // we got to it — its failure, not the listener's.
+                Err(e) if is_per_connection(&e) => {
+                    self.stats.conn_errors += 1;
+                    continue;
+                }
+                // Resource exhaustion: the pending connection stays in
+                // the backlog and the next accept would fail the same
+                // way. Keep what this burst got and park.
+                Err(_) => {
+                    self.stats.listener_errors += 1;
+                    self.resume_at = Some(now_ms.saturating_add(ACCEPT_BACKOFF_MS));
+                    break;
+                }
+            };
+            if kept.len() >= room {
+                self.stats.refused += 1; // dropping it closes it
+            } else if setup(&conn).is_err() {
+                self.stats.conn_errors += 1;
+            } else {
+                kept.push(conn);
+            }
+        }
+        kept
+    }
+}
+
+/// Whether an accept failure concerns only the connection being accepted
+/// (skip it, keep accepting) rather than the listener or the process
+/// (park: fd or memory exhaustion persists across retries).
+fn is_per_connection(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::Interrupted
+    )
+}
+
+/// Accepts inbound connections without blocking — the one place in the
+/// workspace that calls `accept(2)`, shared by the gossip acceptors, the
+/// ingest front end and the HTTP query endpoint.
 #[derive(Debug)]
 pub struct TcpAcceptor {
     listener: TcpListener,
+    gate: AcceptGate,
 }
 
 impl TcpAcceptor {
@@ -308,7 +406,7 @@ impl TcpAcceptor {
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        Ok(Self { listener })
+        Ok(Self { listener, gate: AcceptGate::default() })
     }
 
     /// The bound address (for handing to peers in tests).
@@ -320,38 +418,56 @@ impl TcpAcceptor {
         self.listener.local_addr()
     }
 
-    /// Accepts one pending connection, if any. Never blocks.
+    /// Accepts up to `burst` pending connections and returns at most
+    /// `room` of them as non-blocking, no-delay streams, so a dial burst
+    /// drains in one wake. Never blocks and never fails:
     ///
-    /// # Errors
+    /// * a failure that belongs to one connection (aborted or reset in
+    ///   the backlog, an interrupted accept, a socket option that would
+    ///   not set) is skipped and counted;
+    /// * any other failure (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`, …)
+    ///   is counted and parks the acceptor until `now_ms +`
+    ///   [`ACCEPT_BACKOFF_MS`]; streams accepted earlier in the burst
+    ///   are still returned;
+    /// * connections beyond `room` are closed and counted.
     ///
-    /// Propagates accept failures other than "nothing pending".
-    pub fn try_accept(&self) -> io::Result<Option<TcpTransport>> {
-        match self.listener.accept() {
-            Ok((stream, _)) => Ok(Some(TcpTransport::from_stream(stream)?)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+    /// While parked this returns nothing without touching the socket.
+    /// The owner registers a parked acceptor's fd with
+    /// [`Interest::NONE`] (see [`TcpAcceptor::interest`]) and wakes at
+    /// [`TcpAcceptor::resume_at`].
+    pub fn accept_burst(&mut self, now_ms: u64, burst: usize, room: usize) -> Vec<TcpStream> {
+        let listener = &self.listener;
+        self.gate.burst(
+            now_ms,
+            burst,
+            room,
+            || listener.accept().map(|(stream, _)| stream),
+            |stream| {
+                stream.set_nonblocking(true)?;
+                stream.set_nodelay(true)
+            },
+        )
+    }
+
+    /// When a parked acceptor retries (absolute ms); `None` while
+    /// accepting.
+    pub fn resume_at(&self) -> Option<u64> {
+        self.gate.resume_at
+    }
+
+    /// The readiness interest the listener fd should be registered with:
+    /// read while accepting, none while parked.
+    pub fn interest(&self) -> Interest {
+        if self.gate.resume_at.is_some() {
+            Interest::NONE
+        } else {
+            Interest::READ
         }
     }
 
-    /// Accepts every pending connection, up to `max` per call, so a burst
-    /// of N dials drains in one tick instead of N. Never blocks; `max`
-    /// bounds the time one tick can spend accepting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept failures other than "nothing pending";
-    /// connections accepted before the failure are returned by the next
-    /// call (they stay in the kernel backlog only until accepted, so an
-    /// error mid-burst drops nothing already returned).
-    pub fn try_accept_all(&self, max: usize) -> io::Result<Vec<TcpTransport>> {
-        let mut accepted = Vec::new();
-        while accepted.len() < max {
-            match self.try_accept()? {
-                Some(t) => accepted.push(t),
-                None => break,
-            }
-        }
-        Ok(accepted)
+    /// Cumulative accept-path drops.
+    pub fn stats(&self) -> AcceptStats {
+        self.gate.stats
     }
 
     /// The raw listener fd, for readiness registration with an event loop
@@ -415,12 +531,17 @@ mod tests {
         }
     }
 
+    /// Waits for one inbound connection on `acceptor`.
+    fn accept_one(acceptor: &mut TcpAcceptor) -> TcpTransport {
+        poll_until(|| acceptor.accept_burst(0, 1, 1).pop().map(TcpTransport::accepted))
+    }
+
     #[test]
     fn loopback_roundtrip_and_partial_frames() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let mut client = TcpTransport::connect(addr).unwrap();
-        let mut server = poll_until(|| acceptor.try_accept().unwrap());
+        let mut server = accept_one(&mut acceptor);
 
         // A frame big enough to straddle several reads.
         let big = vec![0xABu8; 100_000];
@@ -438,10 +559,10 @@ mod tests {
 
     #[test]
     fn peer_shutdown_surfaces_as_closed() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let mut client = TcpTransport::connect(addr).unwrap();
-        let mut server = poll_until(|| acceptor.try_accept().unwrap());
+        let mut server = accept_one(&mut acceptor);
         client.send(b"bye").unwrap();
         client.close();
         let got = poll_until(|| server.try_recv().unwrap());
@@ -457,12 +578,12 @@ mod tests {
 
     #[test]
     fn slow_reader_hits_backpressure_not_unbounded_buffering() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let mut client = TcpTransport::connect(addr).unwrap();
         // Accept the peer but never read from it: the OS socket buffers
         // fill, then the client's tx queue, then send must refuse.
-        let _server = poll_until(|| acceptor.try_accept().unwrap());
+        let _server = accept_one(&mut acceptor);
 
         let frame = vec![0x5Au8; 256 * 1024];
         let mut refused = None;
@@ -489,10 +610,10 @@ mod tests {
 
     #[test]
     fn many_small_frames_compact_amortized_not_quadratic() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let mut client = TcpTransport::connect(addr).unwrap();
-        let mut server = poll_until(|| acceptor.try_accept().unwrap());
+        let mut server = accept_one(&mut acceptor);
 
         // 50k 16-byte frames = 1 MB of traffic. The old drain-per-frame
         // scheme memmoved the whole residual buffer per frame — O(n²),
@@ -529,10 +650,10 @@ mod tests {
 
     #[test]
     fn buffered_frame_detection_tracks_rx_state() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let _client = TcpTransport::connect(addr).unwrap();
-        let mut server = poll_until(|| acceptor.try_accept().unwrap());
+        let mut server = accept_one(&mut acceptor);
 
         // Stuff the rx buffer directly (same module, so internals are
         // reachable) — the socket never has to cooperate, which keeps
@@ -570,23 +691,22 @@ mod tests {
 
     #[test]
     fn accept_burst_drains_in_one_call() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         // Blocking connects complete against the kernel backlog before a
         // single accept runs, so all 32 are pending at once.
         let clients: Vec<TcpStream> =
             (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        let mut accepted = poll_until(|| {
-            let batch = acceptor.try_accept_all(64).unwrap();
-            if batch.is_empty() { None } else { Some(batch) }
-        });
+        let burst = |acceptor: &mut TcpAcceptor, max: usize| {
+            poll_until(|| {
+                let batch = acceptor.accept_burst(0, max, usize::MAX);
+                if batch.is_empty() { None } else { Some(batch) }
+            })
+        };
+        let mut accepted = burst(&mut acceptor, 64);
         // One call (plus a grace poll for straggling handshakes) gets all.
         while accepted.len() < clients.len() {
-            let more = poll_until(|| {
-                let batch = acceptor.try_accept_all(64).unwrap();
-                if batch.is_empty() { None } else { Some(batch) }
-            });
-            accepted.extend(more);
+            accepted.extend(burst(&mut acceptor, 64));
         }
         assert_eq!(accepted.len(), clients.len());
         assert!(
@@ -599,19 +719,119 @@ mod tests {
             let _ = TcpStream::connect(addr).unwrap();
             let _ = c;
         }
-        let capped = poll_until(|| {
-            let batch = acceptor.try_accept_all(3).unwrap();
-            if batch.is_empty() { None } else { Some(batch) }
-        });
+        let capped = burst(&mut acceptor, 3);
         assert!(capped.len() <= 3);
     }
 
     #[test]
+    fn accept_error_classification() {
+        for kind in [
+            io::ErrorKind::ConnectionAborted,
+            io::ErrorKind::ConnectionReset,
+            io::ErrorKind::Interrupted,
+        ] {
+            assert!(is_per_connection(&io::Error::from(kind)), "{kind:?}");
+        }
+        // EMFILE (24 on Linux) and friends surface as uncategorized or
+        // resource errors — anything unrecognized must take the backoff
+        // path, never the silent-retry path.
+        let emfile = io::Error::from_raw_os_error(24);
+        assert!(!is_per_connection(&emfile));
+        assert!(!is_per_connection(&io::Error::from(io::ErrorKind::OutOfMemory)));
+        // An empty backlog ends the burst: nothing counted, nothing parked.
+        let mut gate = AcceptGate::default();
+        let would_block = || -> io::Result<u32> { Err(io::ErrorKind::WouldBlock.into()) };
+        assert!(gate.burst(0, 64, usize::MAX, would_block, |_| Ok(())).is_empty());
+        assert_eq!((gate.stats, gate.resume_at), (AcceptStats::default(), None));
+    }
+
+    /// Runs one burst over scripted accept results (then an empty
+    /// backlog) with a socket setup that always succeeds.
+    fn scripted(
+        gate: &mut AcceptGate,
+        now_ms: u64,
+        burst: usize,
+        room: usize,
+        results: Vec<io::Result<u32>>,
+    ) -> Vec<u32> {
+        let mut results = std::collections::VecDeque::from(results);
+        let accept = || results.pop_front().unwrap_or(Err(io::ErrorKind::WouldBlock.into()));
+        gate.burst(now_ms, burst, room, accept, |_| Ok(()))
+    }
+
+    fn emfile() -> io::Result<u32> {
+        Err(io::Error::from_raw_os_error(24))
+    }
+
+    #[test]
+    fn burst_skips_a_dead_connection_and_keeps_what_it_got_before_exhaustion() {
+        let mut gate = AcceptGate::default();
+        let aborted = Err(io::ErrorKind::ConnectionAborted.into());
+        let script = vec![Ok(1), aborted, Ok(2), emfile(), Ok(3)];
+        let kept = scripted(&mut gate, 1_000, 64, usize::MAX, script);
+        assert_eq!(kept, vec![1, 2], "both streams before EMFILE survive it");
+        assert_eq!(
+            gate.stats,
+            AcceptStats { conn_errors: 1, listener_errors: 1, refused: 0 }
+        );
+        assert_eq!(gate.resume_at, Some(1_000 + ACCEPT_BACKOFF_MS));
+    }
+
+    #[test]
+    fn burst_closes_and_counts_past_the_room_and_failed_setup() {
+        let mut gate = AcceptGate::default();
+        let kept = scripted(&mut gate, 0, 64, 2, vec![Ok(1), Ok(2), Ok(3), Ok(4)]);
+        assert_eq!(kept, vec![1, 2]);
+        assert_eq!(gate.stats.refused, 2);
+        assert_eq!(gate.resume_at, None, "a full house is not a listener failure");
+
+        let kept = scripted(&mut gate, 0, 2, usize::MAX, vec![Ok(7), Ok(8), Ok(9)]);
+        assert_eq!(kept, vec![7, 8], "the burst bounds accept calls");
+
+        let mut script = vec![Ok(5), Ok(6)].into_iter();
+        let accept = || script.next().unwrap_or(Err(io::ErrorKind::WouldBlock.into()));
+        let setup = |&c: &u32| match c {
+            5 => Err(io::ErrorKind::InvalidInput.into()),
+            _ => Ok(()),
+        };
+        let kept = gate.burst(0, 64, 8, accept, setup);
+        assert_eq!(kept, vec![6], "a socket option that will not set costs one connection");
+        assert_eq!(gate.stats.conn_errors, 1);
+    }
+
+    #[test]
+    fn parked_gate_resumes_after_the_backoff() {
+        let mut gate = AcceptGate::default();
+        assert!(scripted(&mut gate, 100, 64, usize::MAX, vec![emfile()]).is_empty());
+        let resume = 100 + ACCEPT_BACKOFF_MS;
+        assert_eq!(gate.resume_at, Some(resume));
+
+        // Still parked: the socket is not even asked.
+        let untouched = || -> io::Result<u32> { panic!("a parked gate must not accept") };
+        assert!(gate.burst(resume - 1, 64, usize::MAX, untouched, |_| Ok(())).is_empty());
+
+        assert_eq!(scripted(&mut gate, resume, 64, usize::MAX, vec![Ok(1)]), vec![1]);
+        assert_eq!(gate.resume_at, None);
+        assert_eq!(gate.stats.listener_errors, 1);
+    }
+
+    #[test]
+    fn parked_acceptor_drops_read_interest() {
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        assert_eq!(acceptor.interest(), Interest::READ);
+        acceptor.gate.resume_at = Some(10);
+        assert_eq!(acceptor.interest(), Interest::NONE);
+        assert!(acceptor.accept_burst(9, 64, usize::MAX).is_empty());
+        assert_eq!(acceptor.accept_burst(10, 64, usize::MAX).len(), 0);
+        assert_eq!(acceptor.interest(), Interest::READ, "re-armed once due");
+    }
+
+    #[test]
     fn oversized_length_prefix_is_fatal() {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
         let raw = TcpStream::connect(addr).unwrap();
-        let mut server = poll_until(|| acceptor.try_accept().unwrap());
+        let mut server = accept_one(&mut acceptor);
         // Hand-write a frame header declaring 2 GiB.
         let mut raw = raw;
         raw.write_all(&(u32::MAX).to_be_bytes()).unwrap();

@@ -6,13 +6,13 @@
 mod common;
 
 use biot_gossip::node::{GossipConfig, GossipNode};
-use biot_gossip::tcp::{TcpAcceptor, TcpConnector};
+use biot_gossip::tcp::{TcpAcceptor, TcpConnector, TcpTransport};
 use std::time::{Duration, Instant};
 
 #[test]
 fn tcp_cold_start_converges_on_loopback() {
     let established = common::build_established_tangle(5, 260);
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
 
     let mut a = GossipNode::new(std::sync::Arc::clone(&established), GossipConfig::default());
@@ -24,8 +24,8 @@ fn tcp_cold_start_converges_on_loopback() {
     let deadline = start + Duration::from_secs(60);
     loop {
         let now = start.elapsed().as_millis() as u64;
-        if let Some(t) = acceptor.try_accept().unwrap() {
-            a.add_transport(Box::new(t), now);
+        for stream in acceptor.accept_burst(now, 1, 1) {
+            a.add_transport(Box::new(TcpTransport::accepted(stream)), now);
         }
         a.poll(now);
         b.poll(now);

@@ -19,16 +19,18 @@
 //! * [`biot_reactor`] (a dependency, shared with `biot-node`'s HTTP
 //!   query endpoint) — the [`biot_reactor::Poller`] abstraction:
 //!   [`biot_reactor::EpollPoller`] (readiness from the kernel, O(ready)
-//!   per tick) with a portable level-triggered
-//!   [`biot_reactor::ScanPoller`] fallback (O(connections) per tick)
-//!   that doubles as the naive baseline in `results/BENCH_ingest.json`.
-//! * [`protocol`] — the minimal length-prefixed client protocol:
-//!   `SubmitTx` / `SubmitBatch` in, `Ack` with per-transaction result
-//!   codes out.
-//! * [`clock`] — a monotonic wall-clock adapter producing the virtual
+//!   per tick), with a level-triggered [`biot_reactor::ScanPoller`]
+//!   compiled in only where epoll is not; and its wall
+//!   [`biot_reactor::WallClock`], whose milliseconds become the virtual
 //!   [`biot_net::time::SimTime`] instants the rate limiter and credit
 //!   ledger run on, so production sockets and deterministic tests share
 //!   every code path.
+//! * [`biot_gossip::tcp::TcpAcceptor`] — the accept path (bounded
+//!   bursts, per-connection failures skipped, fd exhaustion parks the
+//!   listener), shared with the gossip acceptors and the HTTP endpoint.
+//! * [`protocol`] — the minimal length-prefixed client protocol:
+//!   `SubmitTx` / `SubmitBatch` in, `Ack` with per-transaction result
+//!   codes out.
 //! * [`server`] — the [`server::IngestServer`]: accept bursts, bounded
 //!   per-connection and global inflight queues, per-connection token
 //!   buckets ([`biot_core::ratelimit`]), explicit `Busy` backpressure
@@ -41,10 +43,8 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod protocol;
 pub mod server;
 
-pub use clock::MonotonicClock;
 pub use protocol::{AckCode, ClientMsg, ProtocolError, ServerMsg};
 pub use server::{IngestConfig, IngestServer, IngestStats, PollProgress};

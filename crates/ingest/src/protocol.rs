@@ -162,16 +162,6 @@ pub enum ClientMsg {
     SubmitBatch(Vec<Transaction>),
 }
 
-impl ClientMsg {
-    /// How many transactions this submission carries.
-    pub fn tx_count(&self) -> usize {
-        match self {
-            ClientMsg::SubmitTx(_) => 1,
-            ClientMsg::SubmitBatch(txs) => txs.len(),
-        }
-    }
-}
-
 /// A server → client message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerMsg {

@@ -51,7 +51,7 @@ use crate::protocol::{
 use biot_reactor::{build_poller, Event, Interest, Poller, PollerKind};
 use biot_core::node::{Gateway, SubmitError};
 use biot_core::ratelimit::{RateLimitConfig, RateLimiter};
-use biot_gossip::tcp::{TcpAcceptor, TcpTransport};
+use biot_gossip::tcp::{TcpAcceptor, TcpTransport, ACCEPT_BACKOFF_MS};
 use biot_gossip::transport::Transport;
 use biot_net::time::SimTime;
 use biot_tangle::tx::{NodeId, Transaction, TxId};
@@ -62,21 +62,18 @@ use std::net::{SocketAddr, ToSocketAddrs};
 /// Token under which the listening socket is registered.
 const ACCEPTOR_TOKEN: usize = usize::MAX;
 
-/// How long the listener stays parked after a non-transient accept
-/// failure (fd exhaustion and kin). Level-triggered readiness would
-/// otherwise re-fire the doomed accept every tick; parking trades a
-/// short admission delay for not hot-spinning while the failure lasts.
-const ACCEPT_BACKOFF_MS: u64 = 50;
+/// Connection cap; accepts past it are immediately closed. Also the
+/// `listen(2)` backlog.
+const MAX_CONNECTIONS: usize = 4096;
+
+/// Most connections accepted per tick (one listener readiness event
+/// drains a whole dial burst, but boundedly).
+const ACCEPT_BURST: usize = 256;
 
 /// Tuning knobs for the ingest front end. Defaults serve thousands of
 /// connections on one core; every knob exists to keep some buffer finite.
 #[derive(Clone, Copy, Debug)]
 pub struct IngestConfig {
-    /// Connection cap; accepts past it are immediately closed.
-    pub max_connections: usize,
-    /// Most connections accepted per tick (one listener readiness event
-    /// drains a whole dial burst, but boundedly).
-    pub accept_burst: usize,
     /// Decoded-transaction cap per connection; past it the connection is
     /// acked `Busy` and its read interest deferred.
     pub per_conn_inflight: usize,
@@ -92,8 +89,6 @@ pub struct IngestConfig {
     pub rate_limit: Option<RateLimitConfig>,
     /// Drop connections silent for this long (ms); `0` disables.
     pub idle_timeout_ms: u64,
-    /// Which readiness implementation to run.
-    pub poller: PollerKind,
     /// Record every (transaction, instant, outcome) fed to the gateway —
     /// for the bit-identical equivalence test; off in production.
     pub record_admissions: bool,
@@ -102,15 +97,12 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         Self {
-            max_connections: 4096,
-            accept_burst: 256,
             per_conn_inflight: 256,
             global_inflight: 8192,
             frames_per_tick: 64,
             batch_max: 512,
             rate_limit: None,
             idle_timeout_ms: 30_000,
-            poller: PollerKind::Epoll,
             record_admissions: false,
         }
     }
@@ -121,7 +113,7 @@ impl Default for IngestConfig {
 pub struct IngestStats {
     /// Connections accepted and registered.
     pub conns_accepted: u64,
-    /// Connections refused because [`IngestConfig::max_connections`] was
+    /// Connections refused because the connection cap (4096) was
     /// reached.
     pub conns_refused_capacity: u64,
     /// Connections dropped: peer closed, I/O failure, protocol
@@ -132,6 +124,9 @@ pub struct IngestStats {
     /// Non-transient accept failures (fd exhaustion and kin); each also
     /// parks the listener for a short backoff.
     pub accept_errors: u64,
+    /// Connections lost during accept: aborted or reset in the backlog,
+    /// an interrupted accept, or a socket option that would not set.
+    pub accept_conn_errors: u64,
     /// Well-formed frames decoded.
     pub frames_in: u64,
     /// Malformed frames (each also drops its connection).
@@ -221,9 +216,6 @@ pub struct IngestServer {
     /// even without a fresh readiness event: unpaused this tick, or
     /// still holding complete frames after the per-tick budget.
     resume: Vec<usize>,
-    /// When a parked listener re-arms (set on non-transient accept
-    /// failure; `None` while accepting normally).
-    accept_resume_at: Option<SimTime>,
     last_sweep: SimTime,
     admission_log: Vec<AdmissionRecord>,
 }
@@ -233,7 +225,6 @@ impl std::fmt::Debug for IngestServer {
         f.debug_struct("IngestServer")
             .field("conns", &self.conns.len())
             .field("inflight", &self.inflight)
-            .field("poller", &self.poller.kind())
             .finish()
     }
 }
@@ -252,9 +243,9 @@ impl IngestServer {
         #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
         biot_reactor::sys::listen(
             acceptor.raw_fd(),
-            i32::try_from(config.max_connections).unwrap_or(i32::MAX),
+            i32::try_from(MAX_CONNECTIONS).unwrap_or(i32::MAX),
         )?;
-        let mut poller = build_poller(config.poller)?;
+        let mut poller = build_poller(PollerKind::Epoll)?;
         poller.register(acceptor.raw_fd(), ACCEPTOR_TOKEN, Interest::READ)?;
         Ok(Self {
             acceptor,
@@ -268,7 +259,6 @@ impl IngestServer {
             stats: IngestStats::default(),
             events: Vec::new(),
             resume: Vec::new(),
-            accept_resume_at: None,
             last_sweep: SimTime::ZERO,
             admission_log: Vec::new(),
         })
@@ -281,12 +271,6 @@ impl IngestServer {
     /// Propagates socket failures.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.acceptor.local_addr()
-    }
-
-    /// Which poller actually runs (epoll requests fall back to scan on
-    /// unsupported platforms).
-    pub fn poller_kind(&self) -> PollerKind {
-        self.poller.kind()
     }
 
     /// The poller's own pollable descriptor, when it has one (epoll).
@@ -308,7 +292,7 @@ impl IngestServer {
         if !self.resume.is_empty() {
             return Some(now.as_millis());
         }
-        let mut next = self.accept_resume_at.map(SimTime::as_millis);
+        let mut next = self.acceptor.resume_at();
         let timeout = self.config.idle_timeout_ms;
         if !self.conns.is_empty() || timeout != 0 {
             let horizon = if timeout == 0 { 60_000 } else { timeout };
@@ -320,7 +304,13 @@ impl IngestServer {
 
     /// Lifecycle and admission counters.
     pub fn stats(&self) -> IngestStats {
-        self.stats
+        let accept = self.acceptor.stats();
+        IngestStats {
+            conns_refused_capacity: accept.refused,
+            accept_errors: accept.listener_errors,
+            accept_conn_errors: accept.conn_errors,
+            ..self.stats
+        }
     }
 
     /// Live connection count.
@@ -367,7 +357,7 @@ impl IngestServer {
         let backoff = i32::try_from(ACCEPT_BACKOFF_MS).expect("small constant");
         let timeout_ms = if !self.resume.is_empty() {
             0
-        } else if self.accept_resume_at.is_some() && !(0..=backoff).contains(&timeout_ms) {
+        } else if self.acceptor.resume_at().is_some() && !(0..=backoff).contains(&timeout_ms) {
             // Negative means "block forever" — still wake for the re-arm.
             backoff
         } else {
@@ -377,18 +367,10 @@ impl IngestServer {
         self.poller.poll(&mut events, timeout_ms)?;
         progress.events = events.len();
 
-        if let Some(at) = self.accept_resume_at {
-            if now >= at {
-                self.accept_resume_at = None;
-                let _ = self.poller.reregister(
-                    self.acceptor.raw_fd(),
-                    ACCEPTOR_TOKEN,
-                    Interest::READ,
-                );
-                // The parked listener produced no event this tick; drain
-                // whatever queued in the backlog during the backoff.
-                self.accept_burst(now)?;
-            }
+        // A parked listener produces no event; once its backoff is over,
+        // drain whatever queued in the backlog meanwhile.
+        if self.acceptor.resume_at().is_some_and(|at| now.as_millis() >= at) {
+            self.accept(now);
         }
 
         // Connections with frames already buffered in userspace (unpaused
@@ -400,7 +382,7 @@ impl IngestServer {
 
         for ev in &events {
             if ev.token == ACCEPTOR_TOKEN {
-                self.accept_burst(now)?;
+                self.accept(now);
                 continue;
             }
             // EPOLLHUP/EPOLLERR ignore the interest mask, so a dead
@@ -428,35 +410,21 @@ impl IngestServer {
 
     // --- Accept -----------------------------------------------------------
 
-    fn accept_burst(&mut self, now: SimTime) -> io::Result<()> {
-        let batch = match self.acceptor.try_accept_all(self.config.accept_burst) {
-            Ok(batch) => batch,
-            // The connection at the head of the backlog died before we
-            // got to it — its failure, not the listener's.
-            Err(ref e) if is_transient_accept_error(e) => return Ok(()),
-            // Resource exhaustion (EMFILE/ENFILE/ENOMEM): the pending
-            // connection stays in the backlog, so level-triggered
-            // readiness would re-fire the doomed accept every tick.
-            // Account for it and park the listener briefly instead.
-            Err(_) => {
-                self.stats.accept_errors += 1;
-                self.accept_resume_at = Some(SimTime::from_millis(
-                    now.as_millis().saturating_add(ACCEPT_BACKOFF_MS),
-                ));
-                let _ = self.poller.reregister(
-                    self.acceptor.raw_fd(),
-                    ACCEPTOR_TOKEN,
-                    Interest::NONE,
-                );
-                return Ok(());
-            }
-        };
-        for mut transport in batch {
-            if self.conns.len() >= self.config.max_connections {
-                transport.close();
-                self.stats.conns_refused_capacity += 1;
-                continue;
-            }
+    fn accept(&mut self, now: SimTime) {
+        let listening = self.acceptor.interest();
+        let room = MAX_CONNECTIONS.saturating_sub(self.conns.len());
+        let streams = self.acceptor.accept_burst(now.as_millis(), ACCEPT_BURST, room);
+        if self.acceptor.interest() != listening {
+            // Parked (drop read interest so the doomed accept stops
+            // re-firing) or re-armed after the backoff.
+            let _ = self.poller.reregister(
+                self.acceptor.raw_fd(),
+                ACCEPTOR_TOKEN,
+                self.acceptor.interest(),
+            );
+        }
+        for stream in streams {
+            let mut transport = TcpTransport::accepted(stream);
             let token = self.next_token;
             self.next_token += 1;
             let fd = transport.raw_fd();
@@ -478,7 +446,6 @@ impl IngestServer {
             );
             self.stats.conns_accepted += 1;
         }
-        Ok(())
     }
 
     // --- Per-connection I/O ----------------------------------------------
@@ -776,42 +743,4 @@ fn conn_limiter_key(token: usize) -> NodeId {
     let mut id = [0xC0u8; 32];
     id[..8].copy_from_slice(&(token as u64).to_be_bytes());
     NodeId(id)
-}
-
-/// Whether an accept failure concerns only the connection being accepted
-/// (keep accepting) rather than the listener or the process (park and
-/// back off: fd or memory exhaustion persists across retries).
-fn is_transient_accept_error(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::Interrupted
-            | io::ErrorKind::WouldBlock
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accept_error_classification() {
-        for kind in [
-            io::ErrorKind::ConnectionAborted,
-            io::ErrorKind::ConnectionReset,
-            io::ErrorKind::Interrupted,
-            io::ErrorKind::WouldBlock,
-        ] {
-            assert!(is_transient_accept_error(&io::Error::from(kind)), "{kind:?}");
-        }
-        // EMFILE (24 on Linux) and friends surface as uncategorized or
-        // resource errors — anything unrecognized must take the backoff
-        // path, never the silent-retry path.
-        let emfile = io::Error::from_raw_os_error(24);
-        assert!(!is_transient_accept_error(&emfile));
-        assert!(!is_transient_accept_error(&io::Error::from(
-            io::ErrorKind::OutOfMemory
-        )));
-    }
 }

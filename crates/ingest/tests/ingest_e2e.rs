@@ -9,18 +9,18 @@
 //! 2. **Bounded backpressure** — a client that floods and never reads
 //!    its acks cannot grow any server buffer past its cap, and healthy
 //!    clients keep admitting while it misbehaves.
-//! 3. **Clock agreement** — the virtual-time and monotonic-wall-clock
-//!    paths into the rate limiter make identical decisions.
+//! 3. **Clock agreement** — the virtual-time and wall-clock paths into
+//!    the rate limiter make identical decisions.
 
 use biot_core::node::Gateway;
 use biot_core::ratelimit::{RateLimitConfig, RateLimiter};
 use biot_gossip::tcp::MAX_TX_BUFFER_BYTES;
-use biot_ingest::clock::simtime_of_elapsed;
 use biot_ingest::protocol::{
     decode_server, encode_client, AckCode, AckResult, ClientMsg, ServerMsg,
 };
-use biot_ingest::{IngestConfig, IngestServer, MonotonicClock};
+use biot_ingest::{IngestConfig, IngestServer};
 use biot_net::time::SimTime;
+use biot_reactor::{Clock, WallClock};
 use biot_sim::loadgen::build_world;
 use biot_tangle::tx::{NodeId, Transaction};
 use std::io::{Read, Write};
@@ -75,13 +75,13 @@ fn serve_until_done(
     done: &AtomicUsize,
     clients: usize,
 ) {
-    let clock = MonotonicClock::new();
+    let clock = WallClock::new();
     while done.load(Ordering::Acquire) < clients {
         server
-            .poll(gateway, clock.now(), 1)
+            .poll(gateway, SimTime::from_millis(clock.now_ms()), 1)
             .expect("server poll");
         assert!(
-            clock.now() < SimTime::from_secs(60),
+            clock.now_ms() < 60_000,
             "e2e run wedged: {:?}",
             server.stats()
         );
@@ -377,15 +377,15 @@ fn stalled_client_keeps_backpressure_bounded_while_others_admit() {
 
     // Let the server finish consuming whatever the stalled client queued
     // (its frames are all written; drain until quiescent).
-    let clock = MonotonicClock::new();
+    let clock = WallClock::new();
     loop {
         let progress = server
-            .poll(&mut gateway, clock.now(), 1)
+            .poll(&mut gateway, SimTime::from_millis(clock.now_ms()), 1)
             .expect("server poll");
         if progress.frames == 0 && progress.submitted == 0 && server.inflight() == 0 {
             break;
         }
-        assert!(clock.now() < SimTime::from_secs(30), "drain wedged");
+        assert!(clock.now_ms() < 30_000, "drain wedged");
     }
     release.store(true, Ordering::Release);
     stalled.join().expect("stalled client");
@@ -439,17 +439,17 @@ fn virtual_and_monotonic_clock_paths_agree() {
     for &ms in &schedule_ms {
         let v = virtual_path.allow(node, SimTime::from_millis(ms));
         // The wall-clock path sees the same elapsed time plus sub-ms
-        // jitter a real clock would add; the adapter's truncation to
+        // jitter a real clock would add; `WallClock`'s truncation to
         // whole milliseconds must erase it.
         let wall = Duration::from_millis(ms) + Duration::from_micros(499);
-        let m = monotonic_path.allow(node, simtime_of_elapsed(wall));
+        let m = monotonic_path.allow(node, SimTime::from_millis(WallClock::millis_of(wall)));
         assert_eq!(v, m, "decisions diverged at {ms} ms");
     }
 
     // And the live clock is sane: strictly non-decreasing, starting at 0.
-    let clock = MonotonicClock::new();
-    let first = clock.now();
-    assert!(first <= SimTime::from_secs(1));
+    let clock = WallClock::new();
+    let first = clock.now_ms();
+    assert!(first <= 1_000);
     std::thread::sleep(Duration::from_millis(5));
-    assert!(clock.now() >= first);
+    assert!(clock.now_ms() >= first);
 }

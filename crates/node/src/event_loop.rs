@@ -29,7 +29,7 @@
 use crate::role::{ArchivalBootError, ArchivalNode, ValidationNode};
 use biot_credit::{CreditLedger, CreditParams};
 use biot_gossip::node::GossipNode;
-use biot_gossip::tcp::TcpAcceptor;
+use biot_gossip::tcp::{TcpAcceptor, TcpTransport};
 use biot_reactor::{build_poller, Clock, Event, Interest, Poller, PollerKind, WallClock};
 use std::collections::HashMap;
 use std::io;
@@ -64,7 +64,7 @@ enum Member {
 /// Why the loop stopped.
 #[derive(Debug)]
 pub enum EventLoopError {
-    /// Poller or acceptor failure.
+    /// Poller failure.
     Io(io::Error),
     /// An archival member's store or HTTP layer failed.
     Archival(ArchivalBootError),
@@ -139,7 +139,7 @@ impl EventLoop {
     /// Poller creation failures.
     pub fn with_clock(clock: Box<dyn Clock>) -> io::Result<Self> {
         Ok(Self {
-            poller: build_poller(PollerKind::default())?,
+            poller: build_poller(PollerKind::Epoll)?,
             clock,
             members: Vec::new(),
             acceptors: Vec::new(),
@@ -176,6 +176,12 @@ impl EventLoop {
     /// layer as TCP transports.
     pub fn add_acceptor(&mut self, acceptor: TcpAcceptor, member: MemberId) {
         self.acceptors.push((acceptor, member));
+    }
+
+    /// The gossip acceptors and the members they feed — read an
+    /// acceptor's [`stats`](TcpAcceptor::stats) for its accept failures.
+    pub fn acceptors(&self) -> impl Iterator<Item = (&TcpAcceptor, MemberId)> {
+        self.acceptors.iter().map(|(a, m)| (a, *m))
     }
 
     /// The loop's notion of now, in ms.
@@ -259,8 +265,8 @@ impl EventLoop {
     }
 
     /// Earliest absolute instant (ms) of timed work across every member
-    /// and the loop itself. `None` when only socket readiness (or an
-    /// external injection) can create work.
+    /// and the loop itself (a parked acceptor's re-arm). `None` when only
+    /// socket readiness (or an external injection) can create work.
     pub fn next_deadline(&self) -> Option<u64> {
         let now_ms = self.clock.now_ms();
         let mut next: Option<u64> = None;
@@ -269,6 +275,9 @@ impl EventLoop {
                 next = Some(next.map_or(d, |n| n.min(d)));
             }
         };
+        for (acceptor, _) in &self.acceptors {
+            fold(acceptor.resume_at());
+        }
         for m in &self.members {
             match m {
                 Member::Archival(n) => fold(n.next_deadline()),
@@ -355,13 +364,14 @@ impl EventLoop {
 
     /// Diff-syncs kernel registrations against the members' live fd
     /// sets: gossip TCP transports (write interest only while they hold
-    /// unflushed bytes), nested subsystem pollers, acceptors.
+    /// unflushed bytes), nested subsystem pollers, acceptors (no interest
+    /// while parked).
     /// Registration failures are tolerated — an fd that cannot be
     /// watched is still serviced on the next timer wake.
     fn sync_registrations(&mut self) {
         let mut desired: HashMap<RawFd, Interest> = HashMap::new();
         for (acceptor, _) in &self.acceptors {
-            desired.insert(acceptor.raw_fd(), Interest::READ);
+            desired.insert(acceptor.raw_fd(), acceptor.interest());
         }
         for m in &self.members {
             let gossip = match m {
@@ -417,16 +427,16 @@ impl EventLoop {
     fn dispatch(&mut self, now_ms: u64) -> Result<(), EventLoopError> {
         // Accept first so a brand-new transport is serviced this wake.
         let mut accepted = Vec::new();
-        for (acceptor, member) in &self.acceptors {
-            let fresh = acceptor.try_accept_all(ACCEPTS_PER_WAKE)?;
+        for (acceptor, member) in &mut self.acceptors {
+            let fresh = acceptor.accept_burst(now_ms, ACCEPTS_PER_WAKE, usize::MAX);
             if !fresh.is_empty() {
                 accepted.push((*member, fresh));
             }
         }
-        for (member, transports) in accepted {
+        for (member, streams) in accepted {
             if let Some(gossip) = self.gossip_mut(member) {
-                for t in transports {
-                    gossip.add_transport(Box::new(t), now_ms);
+                for stream in streams {
+                    gossip.add_transport(Box::new(TcpTransport::accepted(stream)), now_ms);
                 }
             }
         }

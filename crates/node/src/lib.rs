@@ -34,8 +34,8 @@ pub mod role;
 pub use api::{ApiState, HealthInfo};
 pub use event_loop::{EventLoop, EventLoopError, MemberId};
 pub use http::{HttpError, Request, RequestParser};
-pub use query::{QueryConfig, QueryServer, QueryStats};
+pub use query::{QueryServer, QueryStats};
 pub use role::{
-    ArchivalBootError, ArchivalNode, BootSource, LightClient, NodeRuntime, ReplayDivergence,
-    Role, RoleConfig, ValidationNode,
+    ArchivalBootError, ArchivalNode, BootSource, LightClient, ReplayDivergence, Role, RoleConfig,
+    ValidationNode,
 };

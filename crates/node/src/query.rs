@@ -1,4 +1,4 @@
-//! The live HTTP query endpoint: a nonblocking `TcpListener` plus a
+//! The live HTTP query endpoint: a [`TcpAcceptor`] plus a
 //! [`biot_reactor::Poller`] driving per-connection [`RequestParser`]s.
 //!
 //! Same event-loop discipline as `biot-ingest`'s admission front end —
@@ -10,55 +10,46 @@
 //!
 //! Connection lifecycle:
 //!
+//! * accept → up to `MAX_CONNECTIONS` open, the rest closed at once;
+//!   fd exhaustion parks the listener (see [`TcpAcceptor::accept_burst`]);
 //! * parse error → one `400`/`431` response, then close (no resync);
 //! * `Connection: close` (or HTTP/1.0 without keep-alive) → respond,
 //!   flush, close;
 //! * pipelined requests → answered in order within one tick;
-//! * response backlog over [`QueryConfig::max_buffered`] → the client
-//!   stops being read until its backlog drains (write backpressure);
-//! * idle longer than [`QueryConfig::idle_timeout_ms`] → reaped.
+//! * response backlog over `MAX_BUFFERED` bytes → the client stops
+//!   being read until its backlog drains (write backpressure);
+//! * idle longer than `IDLE_TIMEOUT_MS` → reaped by a sweep every
+//!   `SWEEP_EVERY_MS`.
 
 use crate::api::{render_http, ApiState};
 use crate::http::{write_response, HttpError, RequestParser};
+use biot_gossip::tcp::TcpAcceptor;
 use biot_reactor::{build_poller, Event, Interest, Poller, PollerKind};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 
 const LISTENER_TOKEN: usize = usize::MAX;
 
-/// Tuning knobs for the query endpoint.
-#[derive(Clone, Copy, Debug)]
-pub struct QueryConfig {
-    /// Which poller to build ([`PollerKind::default`] picks epoll where
-    /// available).
-    pub poller: PollerKind,
-    /// Connection cap; accepts beyond it are closed immediately.
-    pub max_connections: usize,
-    /// Accepts drained per readiness event.
-    pub accept_burst: usize,
-    /// Read size per `read(2)` call.
-    pub read_chunk: usize,
-    /// Pending response bytes above which a connection stops being read
-    /// until the backlog flushes.
-    pub max_buffered: usize,
-    /// Connections silent for this long are closed (`0` disables).
-    pub idle_timeout_ms: u64,
-}
+/// Connection cap; accepts beyond it are closed immediately.
+const MAX_CONNECTIONS: usize = 1_024;
 
-impl Default for QueryConfig {
-    fn default() -> Self {
-        Self {
-            poller: PollerKind::default(),
-            max_connections: 1_024,
-            accept_burst: 64,
-            read_chunk: 4 * 1_024,
-            max_buffered: 256 * 1_024,
-            idle_timeout_ms: 30_000,
-        }
-    }
-}
+/// Accepts drained per readiness event.
+const ACCEPT_BURST: usize = 64;
+
+/// Read size per `read(2)` call.
+const READ_CHUNK: usize = 4 * 1_024;
+
+/// Pending response bytes above which a connection stops being read
+/// until the backlog flushes.
+const MAX_BUFFERED: usize = 256 * 1_024;
+
+/// Connections silent for this long are closed.
+const IDLE_TIMEOUT_MS: u64 = 30_000;
+
+/// How often the idle sweep runs.
+const SWEEP_EVERY_MS: u64 = 1_000;
 
 /// Lifecycle counters, cumulative since bind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,6 +66,13 @@ pub struct QueryStats {
     pub errors: u64,
     /// Connections reaped by the idle timeout.
     pub idle_reaped: u64,
+    /// Non-transient accept failures (fd exhaustion and kin); each also
+    /// parks the listener for a short backoff.
+    pub accept_errors: u64,
+    /// Connections lost during accept: aborted or reset in the backlog,
+    /// an interrupted accept, a socket option that would not set, or a
+    /// failed poller registration.
+    pub accept_conn_errors: u64,
 }
 
 /// What one poll tick did.
@@ -103,11 +101,10 @@ struct Conn {
 /// The HTTP query server. Drive it with [`QueryServer::poll`] from the
 /// owning runtime's event loop.
 pub struct QueryServer {
-    listener: TcpListener,
+    acceptor: TcpAcceptor,
     poller: Box<dyn Poller>,
     conns: HashMap<usize, Conn>,
     next_token: usize,
-    config: QueryConfig,
     stats: QueryStats,
     events: Vec<Event>,
     last_sweep_ms: u64,
@@ -117,7 +114,6 @@ impl std::fmt::Debug for QueryServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryServer")
             .field("conns", &self.conns.len())
-            .field("poller", &self.poller.kind())
             .finish()
     }
 }
@@ -129,17 +125,15 @@ impl QueryServer {
     /// # Errors
     ///
     /// Socket or poller-creation failures.
-    pub fn bind(addr: impl ToSocketAddrs, config: QueryConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let mut poller = build_poller(config.poller)?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let acceptor = TcpAcceptor::bind(addr)?;
+        let mut poller = build_poller(PollerKind::Epoll)?;
+        poller.register(acceptor.raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         Ok(Self {
-            listener,
+            acceptor,
             poller,
             conns: HashMap::new(),
             next_token: 0,
-            config,
             stats: QueryStats::default(),
             events: Vec::new(),
             last_sweep_ms: 0,
@@ -152,12 +146,7 @@ impl QueryServer {
     ///
     /// Propagates socket failures.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Which poller actually runs.
-    pub fn poller_kind(&self) -> PollerKind {
-        self.poller.kind()
+        self.acceptor.local_addr()
     }
 
     /// The poller's own pollable descriptor, when it has one (epoll).
@@ -167,19 +156,26 @@ impl QueryServer {
         self.poller.raw_fd()
     }
 
-    /// Earliest instant (absolute ms) of internal timed work: the next
-    /// idle-connection sweep. `None` while no connections are open or
-    /// idle reaping is disabled — then only socket readiness matters.
+    /// Earliest instant (absolute ms) of internal timed work: a parked
+    /// listener's re-arm, or the next idle-connection sweep while
+    /// connections are open. `None` when only socket readiness matters.
     pub fn next_deadline(&self) -> Option<u64> {
-        if self.config.idle_timeout_ms == 0 || self.conns.is_empty() {
-            return None;
+        let sweep = (!self.conns.is_empty()).then_some(self.last_sweep_ms + SWEEP_EVERY_MS);
+        match (self.acceptor.resume_at(), sweep) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
-        Some(self.last_sweep_ms + 1_000)
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> QueryStats {
-        self.stats
+        let accept = self.acceptor.stats();
+        QueryStats {
+            refused: accept.refused,
+            accept_errors: accept.listener_errors,
+            accept_conn_errors: self.stats.accept_conn_errors + accept.conn_errors,
+            ..self.stats
+        }
     }
 
     /// Live connection count.
@@ -205,9 +201,14 @@ impl QueryServer {
         self.poller.poll(&mut events, timeout_ms)?;
         progress.events = events.len();
 
+        // A parked listener produces no event; once its backoff is over,
+        // drain whatever queued in the backlog meanwhile.
+        if self.acceptor.resume_at().is_some_and(|at| now_ms >= at) {
+            self.accept(now_ms);
+        }
         for ev in &events {
             if ev.token == LISTENER_TOKEN {
-                self.accept_burst(now_ms)?;
+                self.accept(now_ms);
                 continue;
             }
             if ev.hangup && self.conns.get(&ev.token).is_some_and(|c| c.paused) {
@@ -228,56 +229,40 @@ impl QueryServer {
         Ok(progress)
     }
 
-    fn accept_burst(&mut self, now_ms: u64) -> io::Result<()> {
-        for _ in 0..self.config.accept_burst {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.conns.len() >= self.config.max_connections {
-                        self.stats.refused += 1;
-                        drop(stream);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.stats.accepted += 1;
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            parser: RequestParser::new(),
-                            out: Vec::new(),
-                            close_after_flush: false,
-                            paused: false,
-                            interest: Interest::READ,
-                            last_activity_ms: now_ms,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // The head-of-backlog connection died before accept — its
-                // failure, not the listener's.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionAborted | io::ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
+    fn accept(&mut self, now_ms: u64) {
+        let listening = self.acceptor.interest();
+        let room = MAX_CONNECTIONS.saturating_sub(self.conns.len());
+        let streams = self.acceptor.accept_burst(now_ms, ACCEPT_BURST, room);
+        if self.acceptor.interest() != listening {
+            // Parked (drop read interest so the doomed accept stops
+            // re-firing) or re-armed after the backoff.
+            let _ = self.poller.reregister(
+                self.acceptor.raw_fd(),
+                LISTENER_TOKEN,
+                self.acceptor.interest(),
+            );
         }
-        Ok(())
+        for stream in streams {
+            let token = self.next_token;
+            self.next_token += 1;
+            if self.poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
+                self.stats.accept_conn_errors += 1;
+                continue;
+            }
+            self.stats.accepted += 1;
+            self.conns.insert(
+                token,
+                Conn {
+                    stream,
+                    parser: RequestParser::new(),
+                    out: Vec::new(),
+                    close_after_flush: false,
+                    paused: false,
+                    interest: Interest::READ,
+                    last_activity_ms: now_ms,
+                },
+            );
+        }
     }
 
     fn read_conn(
@@ -296,7 +281,7 @@ impl QueryServer {
                 return;
             }
             conn.last_activity_ms = now_ms;
-            let mut chunk = vec![0u8; self.config.read_chunk];
+            let mut chunk = vec![0u8; READ_CHUNK];
             loop {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
@@ -348,7 +333,7 @@ impl QueryServer {
                     }
                 }
             }
-            if conn.out.len() > self.config.max_buffered {
+            if conn.out.len() > MAX_BUFFERED {
                 conn.paused = true;
             }
         }
@@ -449,11 +434,11 @@ impl QueryServer {
     }
 
     fn sweep_idle(&mut self, now_ms: u64) {
-        if self.config.idle_timeout_ms == 0 || now_ms < self.last_sweep_ms + 1_000 {
+        if now_ms < self.last_sweep_ms + SWEEP_EVERY_MS {
             return;
         }
         self.last_sweep_ms = now_ms;
-        let cutoff = now_ms.saturating_sub(self.config.idle_timeout_ms);
+        let cutoff = now_ms.saturating_sub(IDLE_TIMEOUT_MS);
         let stale: Vec<usize> = self
             .conns
             .iter()
@@ -539,7 +524,7 @@ mod tests {
     fn serves_request_over_real_socket() {
         let (tangle, credits, health) = world();
         let state = ApiState { tangle: &tangle, credits: &credits, health: &health };
-        let mut server = QueryServer::bind("127.0.0.1:0", QueryConfig::default()).unwrap();
+        let mut server = QueryServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
 
         let handle = std::thread::spawn(move || {
@@ -562,7 +547,7 @@ mod tests {
     fn pipelined_keep_alive_requests_all_answered() {
         let (tangle, credits, health) = world();
         let state = ApiState { tangle: &tangle, credits: &credits, health: &health };
-        let mut server = QueryServer::bind("127.0.0.1:0", QueryConfig::default()).unwrap();
+        let mut server = QueryServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
 
         let handle = std::thread::spawn(move || {
@@ -588,7 +573,7 @@ mod tests {
     fn garbage_gets_one_error_then_close() {
         let (tangle, credits, health) = world();
         let state = ApiState { tangle: &tangle, credits: &credits, health: &health };
-        let mut server = QueryServer::bind("127.0.0.1:0", QueryConfig::default()).unwrap();
+        let mut server = QueryServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
 
         let handle = std::thread::spawn(move || {
@@ -612,14 +597,7 @@ mod tests {
     fn idle_connections_are_reaped() {
         let (tangle, credits, health) = world();
         let state = ApiState { tangle: &tangle, credits: &credits, health: &health };
-        let mut server = QueryServer::bind(
-            "127.0.0.1:0",
-            QueryConfig {
-                idle_timeout_ms: 50,
-                ..QueryConfig::default()
-            },
-        )
-        .unwrap();
+        let mut server = QueryServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
         let c = TcpStream::connect(addr).unwrap();
 
@@ -627,7 +605,7 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while server.stats().idle_reaped == 0 {
             assert!(std::time::Instant::now() < deadline);
-            now_ms += 1_100; // stride past the sweep interval
+            now_ms += IDLE_TIMEOUT_MS + SWEEP_EVERY_MS; // stride past the timeout
             server.poll(&state, now_ms, 1).unwrap();
         }
         assert_eq!(server.connections(), 0);

@@ -26,7 +26,7 @@
 //! ingest protocol; it never holds the DAG.
 
 use crate::api::{ApiState, HealthInfo};
-use crate::query::{QueryConfig, QueryServer};
+use crate::query::{QueryServer, QueryStats};
 use biot_core::identity::Account;
 use biot_core::node::{Gateway, LightNode, PreparedTx};
 use biot_core::pow::Difficulty;
@@ -85,10 +85,9 @@ pub struct RoleConfig {
     /// HTTP bind address, e.g. `"127.0.0.1:0"` (archival; `None`
     /// disables the endpoint).
     pub http_addr: Option<String>,
-    /// HTTP endpoint knobs (used when `http_addr` is set).
-    pub http: QueryConfig,
     /// Ingest-protocol bind address (validation; `None` disables TCP
-    /// admission — [`ValidationNode::admit_frame`] still works).
+    /// admission — submissions still reach the gateway through
+    /// [`ValidationNode::gateway_mut`]).
     pub ingest_addr: Option<String>,
     /// Ingest front-end knobs (used when `ingest_addr` is set).
     pub ingest: IngestConfig,
@@ -101,35 +100,9 @@ impl Default for RoleConfig {
             gossip: GossipConfig::default(),
             store_dir: None,
             http_addr: None,
-            http: QueryConfig::default(),
             ingest_addr: None,
             ingest: IngestConfig::default(),
         }
-    }
-}
-
-/// A running node of whichever role the config asked for.
-#[derive(Debug)]
-pub enum NodeRuntime {
-    /// See [`ArchivalNode`].
-    Archival(Box<ArchivalNode>),
-    /// See [`ValidationNode`] — built via [`ValidationNode::new`]
-    /// because it additionally needs a prepared [`Gateway`].
-    Validation(Box<ValidationNode>),
-}
-
-impl NodeRuntime {
-    /// Builds an archival runtime from `cfg`.
-    ///
-    /// Validation runtimes need a prepared [`Gateway`] (keys registered,
-    /// genesis attached) and are built with [`ValidationNode::new`];
-    /// light clients carry no runtime state beyond [`LightClient`].
-    ///
-    /// # Errors
-    ///
-    /// Store recovery or socket failures.
-    pub fn build_archival(cfg: RoleConfig) -> Result<ArchivalNode, ArchivalBootError> {
-        ArchivalNode::new(cfg)
     }
 }
 
@@ -226,7 +199,7 @@ impl ArchivalNode {
         let persisted = gossip.tangle().lock().unwrap().attach_order().len();
         let http = match cfg.http_addr {
             Some(addr) => {
-                Some(QueryServer::bind(addr.as_str(), cfg.http).map_err(ArchivalBootError::Http)?)
+                Some(QueryServer::bind(addr.as_str()).map_err(ArchivalBootError::Http)?)
             }
             None => None,
         };
@@ -261,6 +234,11 @@ impl ArchivalNode {
     /// Propagates socket failures.
     pub fn http_addr(&self) -> io::Result<Option<std::net::SocketAddr>> {
         self.http.as_ref().map(|h| h.local_addr()).transpose()
+    }
+
+    /// The HTTP endpoint's counters, when one is serving.
+    pub fn http_stats(&self) -> Option<QueryStats> {
+        self.http.as_ref().map(QueryServer::stats)
     }
 
     /// One runtime tick: gossip, fold credit events, persist new
@@ -366,8 +344,8 @@ impl ArchivalNode {
     }
 
     /// The HTTP endpoint's own pollable descriptor (its epoll fd), for
-    /// an outer event loop to nest. `None` without an endpoint or under
-    /// the scan poller.
+    /// an outer event loop to nest. `None` without an endpoint or where
+    /// the platform has no epoll (scan-poller fallback).
     pub fn http_poller_fd(&self) -> Option<std::os::fd::RawFd> {
         self.http.as_ref().and_then(QueryServer::poller_fd)
     }
@@ -595,8 +573,8 @@ impl ValidationNode {
     }
 
     /// The ingest listener's own pollable descriptor (its epoll fd), for
-    /// an outer event loop to nest. `None` without a listener or under
-    /// the scan poller.
+    /// an outer event loop to nest. `None` without a listener or where
+    /// the platform has no epoll (scan-poller fallback).
     pub fn ingest_poller_fd(&self) -> Option<std::os::fd::RawFd> {
         self.ingest.as_ref().and_then(IngestServer::poller_fd)
     }

@@ -4,15 +4,18 @@
 //!
 //! A [`Poller`] owns the mapping from raw socket fds to caller tokens
 //! and answers one question per tick: which registered sockets are ready
-//! for the interest we declared. Two implementations:
+//! for the interest we declared. One implementation per platform, picked
+//! at compile time by [`build_poller`]:
 //!
 //! * [`EpollPoller`] — the kernel's answer via `epoll` ([`sys`]),
-//!   O(ready) per tick. One syscall replaces N speculative reads.
+//!   O(ready) per tick. One syscall replaces N speculative reads. Linux
+//!   on x86-64 and aarch64.
 //! * [`ScanPoller`] — no kernel help: every registered fd is reported
 //!   ready every tick and the caller's non-blocking reads discover the
-//!   truth. This is exactly the per-connection poll loop the gossip layer
-//!   uses (PR 4), kept both as the portable fallback and as the measured
-//!   **naive baseline** in `results/BENCH_ingest.json`.
+//!   truth. The fallback wherever the epoll syscalls are not compiled
+//!   in (other targets, or Linux on other architectures such as a
+//!   32-bit Raspberry Pi). Its scan rows in `results/BENCH_ingest.json`
+//!   record why epoll is the production choice.
 //!
 //! Both are level-triggered: unconsumed readiness is reported again next
 //! tick, so a bounded per-tick read budget never loses data.
@@ -72,16 +75,14 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// Which poller implementation to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// The argument [`build_poller`] takes. The platform, not the caller,
+/// decides which poller runs; this single-variant enum stays only because
+/// the pipeline benchmark (`perfbench`) calls
+/// `build_poller(PollerKind::Epoll)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PollerKind {
-    /// Kernel readiness via `epoll` — O(ready) dispatch. Falls back to
-    /// [`PollerKind::Scan`] where the syscalls are unavailable.
-    #[default]
+    /// Kernel readiness via `epoll` where compiled in, else [`ScanPoller`].
     Epoll,
-    /// Level-triggered scan over every registered fd — O(n) dispatch,
-    /// the naive per-connection-poll baseline.
-    Scan,
 }
 
 /// Polls readiness for a set of registered fds.
@@ -116,9 +117,6 @@ pub trait Poller: Send {
     /// Kernel failures (epoll) — never fails for the scan poller.
     fn poll(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()>;
 
-    /// Which implementation this is (for reports).
-    fn kind(&self) -> PollerKind;
-
     /// The poller's own pollable fd, when it has one. An epoll instance
     /// is itself a file: it reads as ready whenever its interest list has
     /// pending events, so an outer loop can nest a whole subsystem's
@@ -131,32 +129,29 @@ pub trait Poller: Send {
     }
 }
 
-/// Builds the requested poller, falling back to [`ScanPoller`] when the
-/// platform has no epoll support compiled in.
+/// Builds the platform's poller: [`EpollPoller`] where the epoll
+/// syscalls are compiled in, else [`ScanPoller`].
+///
+/// # Errors
+///
+/// Kernel failures creating the epoll instance (fd exhaustion).
 pub fn build_poller(kind: PollerKind) -> io::Result<Box<dyn Poller>> {
-    match kind {
-        PollerKind::Scan => Ok(Box::new(ScanPoller::new())),
-        PollerKind::Epoll => {
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                Ok(Box::new(EpollPoller::new()?))
-            }
-            #[cfg(not(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            )))]
-            {
-                Ok(Box::new(ScanPoller::new()))
-            }
-        }
+    let PollerKind::Epoll = kind;
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        Ok(Box::new(EpollPoller::new()?))
+    }
+    #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    {
+        Ok(Box::new(ScanPoller::new()))
     }
 }
 
-// --- Scan fallback / naive baseline ------------------------------------------
+// --- Scan fallback -------------------------------------------------------------
 
 /// Reports every registered fd as ready for its declared interest, every
 /// tick — the caller's non-blocking I/O then discovers which were lying.
-/// O(connections) per tick; the measured baseline the reactor beats.
+/// O(connections) per tick; the fallback where epoll is unavailable.
 #[derive(Debug, Default)]
 pub struct ScanPoller {
     regs: BTreeMap<RawFd, (usize, Interest)>,
@@ -200,10 +195,6 @@ impl Poller for ScanPoller {
         }));
         Ok(())
     }
-
-    fn kind(&self) -> PollerKind {
-        PollerKind::Scan
-    }
 }
 
 // --- Epoll reactor ------------------------------------------------------------
@@ -213,7 +204,7 @@ pub use epoll_impl::EpollPoller;
 
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod epoll_impl {
-    use super::{Event, Interest, Poller, PollerKind};
+    use super::{Event, Interest, Poller};
     use crate::sys;
     use std::io;
     use std::os::fd::RawFd;
@@ -297,10 +288,6 @@ mod epoll_impl {
             Ok(())
         }
 
-        fn kind(&self) -> PollerKind {
-            PollerKind::Epoll
-        }
-
         fn raw_fd(&self) -> Option<RawFd> {
             Some(self.epfd)
         }
@@ -313,6 +300,10 @@ mod tests {
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+
+    /// Whether [`build_poller`] hands out the epoll reactor here.
+    const EPOLL: bool =
+        cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")));
 
     fn poll_collect(p: &mut dyn Poller, timeout_ms: i32) -> Vec<Event> {
         let mut events = Vec::new();
@@ -336,7 +327,7 @@ mod tests {
     fn default_poller_dispatches_only_ready_sockets() {
         // With epoll available this proves O(ready) dispatch; on scan
         // fallback platforms it degenerates to "reports registered".
-        let mut p = build_poller(PollerKind::default()).unwrap();
+        let mut p = build_poller(PollerKind::Epoll).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -349,13 +340,13 @@ mod tests {
             p.register(s.as_raw_fd(), i, Interest::READ).unwrap();
             quiet.push((c, s));
         }
-        if p.kind() == PollerKind::Epoll {
+        if EPOLL {
             assert!(poll_collect(p.as_mut(), 0).is_empty(), "nobody spoke yet");
         }
         quiet[3].0.write_all(b"hi").unwrap();
         quiet[6].0.write_all(b"hi").unwrap();
         let evs = poll_collect(p.as_mut(), 5_000);
-        if p.kind() == PollerKind::Epoll {
+        if EPOLL {
             let mut tokens: Vec<usize> = evs.iter().map(|e| e.token).collect();
             tokens.sort_unstable();
             assert_eq!(tokens, vec![3, 6], "exactly the ready sockets");
@@ -366,10 +357,10 @@ mod tests {
 
     #[test]
     fn epoll_interest_mod_defers_reads() {
-        let mut p = build_poller(PollerKind::Epoll).unwrap();
-        if p.kind() != PollerKind::Epoll {
+        if !EPOLL {
             return; // platform fallback — nothing to assert here
         }
+        let mut p = build_poller(PollerKind::Epoll).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();

@@ -3,7 +3,8 @@
 //! explicit timers.
 //!
 //! Before this module the codebase threaded three time sources around:
-//! `biot-ingest`'s `MonotonicClock` (an `Instant` anchor), the gossip
+//! `biot-ingest`'s `MonotonicClock` (an `Instant` anchor, since folded
+//! into [`WallClock`]), the gossip
 //! tests' `VirtualClock` (a shared atomic the test advances by hand), and
 //! raw `now_ms: u64` arguments plumbed through every `poll` signature.
 //! They never meet: runtime code written against one cannot run under
@@ -20,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A monotone millisecond clock an event loop can run against.
 ///
@@ -56,6 +57,13 @@ impl WallClock {
     pub fn new() -> Self {
         Self { origin: Instant::now() }
     }
+
+    /// Whole milliseconds in `elapsed`, truncated: what
+    /// [`Clock::now_ms`] reports once `elapsed` has passed since
+    /// construction. Sub-millisecond jitter never reaches a caller.
+    pub fn millis_of(elapsed: Duration) -> u64 {
+        elapsed.as_millis() as u64
+    }
 }
 
 impl Default for WallClock {
@@ -66,7 +74,7 @@ impl Default for WallClock {
 
 impl Clock for WallClock {
     fn now_ms(&self) -> u64 {
-        self.origin.elapsed().as_millis() as u64
+        Self::millis_of(self.origin.elapsed())
     }
 }
 

@@ -4,8 +4,10 @@
 //! light-node connections **over real sockets**, and reports sustained
 //! admission throughput plus ack round-trip latency percentiles. One
 //! process, two threads: the server thread runs the reactor against a
-//! live [`Gateway`], the driver thread multiplexes every client
-//! connection (non-blocking, same framing the devices would use).
+//! live [`Gateway`] at the instants a [`WallClock`] reports (its
+//! milliseconds are the `SimTime` the rate limiter and credit ledger
+//! see), the driver thread multiplexes every client connection
+//! (non-blocking, same framing the devices would use).
 //!
 //! PoW is real but pre-mined: the world builder mines and signs every
 //! transaction up front at [`Difficulty::MIN`] under a
@@ -22,10 +24,9 @@ use biot_gossip::transport::Transport;
 use biot_ingest::protocol::{
     decode_server, encode_client, AckCode, ClientMsg, ServerMsg,
 };
-use biot_reactor::PollerKind;
 use biot_ingest::server::{IngestConfig, IngestServer, IngestStats};
-use biot_ingest::MonotonicClock;
 use biot_net::time::SimTime;
+use biot_reactor::{Clock, WallClock};
 use biot_tangle::conflict::LazyTipPolicy;
 use biot_tangle::tx::{Payload, Transaction, TxId};
 use rand::rngs::StdRng;
@@ -111,10 +112,8 @@ pub struct LoadgenConfig {
     /// Concurrent client connections that actually send transactions.
     pub connections: usize,
     /// Additional connections that register with the reactor but never
-    /// send a byte — the mostly-idle device fleet. This is the knob that
-    /// separates a readiness reactor from a naive per-connection scan:
-    /// idle sockets cost the scan baseline a syscall per tick each, and
-    /// cost epoll nothing.
+    /// send a byte — the mostly-idle device fleet, which costs epoll
+    /// nothing per tick.
     pub idle_connections: usize,
     /// Distinct device accounts shared by the connections (RSA keygen is
     /// the expensive part of setup; a handful is plenty).
@@ -128,7 +127,7 @@ pub struct LoadgenConfig {
     pub arrival_interval: Duration,
     /// Abort the run after this long even if acks are missing.
     pub deadline: Duration,
-    /// Server-side configuration (poller kind lives here).
+    /// Server-side configuration.
     pub ingest: IngestConfig,
 }
 
@@ -167,8 +166,6 @@ pub struct LoadgenReport {
     pub p99_ms: f64,
     /// Server-side counters at shutdown.
     pub server: IngestStats,
-    /// The poller that actually ran (epoll may fall back to scan).
-    pub poller: PollerKind,
 }
 
 /// Transaction counts by ack outcome.
@@ -233,15 +230,14 @@ pub fn run_loadgen(config: &LoadgenConfig) -> LoadgenReport {
     let mut server =
         IngestServer::bind("127.0.0.1:0", config.ingest).expect("bind ingest server");
     let addr = server.local_addr().expect("server addr");
-    let poller = server.poller_kind();
 
     let stop = Arc::new(AtomicBool::new(false));
     let server_stop = Arc::clone(&stop);
     let server_thread = std::thread::spawn(move || {
-        let clock = MonotonicClock::new();
+        let clock = WallClock::new();
         while !server_stop.load(Ordering::Relaxed) {
             server
-                .poll(&mut gateway, clock.now(), 10)
+                .poll(&mut gateway, SimTime::from_millis(clock.now_ms()), 10)
                 .expect("server poll");
         }
         server.stats()
@@ -253,7 +249,6 @@ pub fn run_loadgen(config: &LoadgenConfig) -> LoadgenReport {
 
     LoadgenReport {
         server: server_stats,
-        poller,
         ..report
     }
 }
@@ -378,7 +373,6 @@ fn drive_clients(config: &LoadgenConfig, addr: SocketAddr, pool: &[Transaction])
         p50_ms: pct(0.50),
         p99_ms: pct(0.99),
         server: IngestStats::default(), // filled by run_loadgen
-        poller: PollerKind::Scan,       // filled by run_loadgen
     }
 }
 

@@ -40,7 +40,7 @@ use biot_net::latency::UniformLatency;
 use biot_net::time::SimTime;
 use biot_node::http::Request;
 use biot_node::role::{ArchivalNode, LightClient, Role, RoleConfig, ValidationNode};
-use biot_node::{EventLoop, MemberId, QueryConfig};
+use biot_node::{EventLoop, MemberId};
 use biot_tangle::conflict::LazyTipPolicy;
 use biot_tangle::graph::Tangle;
 use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
@@ -563,7 +563,6 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
         gossip: gossip_config(cfg, 0),
         store_dir: cfg.store_dir.clone(),
         http_addr: Some("127.0.0.1:0".into()),
-        http: QueryConfig::default(),
         ..RoleConfig::default()
     })
     .expect("archival node boots");

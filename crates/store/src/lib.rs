@@ -587,27 +587,6 @@ impl LedgerStore {
         Ok(true)
     }
 
-    /// [`maybe_checkpoint`](Self::maybe_checkpoint) that re-seeds credit
-    /// events into the fresh WAL when it does checkpoint — the policy-
-    /// driven analogue of
-    /// [`checkpoint_with_credit`](Self::checkpoint_with_credit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn maybe_checkpoint_with_credit(
-        &mut self,
-        tangle: &Tangle,
-        credit_events: &[CreditEvent],
-        policy: &CheckpointPolicy,
-    ) -> Result<bool, StoreError> {
-        if !self.checkpoint_due(policy)? {
-            return Ok(false);
-        }
-        self.checkpoint_with_credit(tangle, credit_events)?;
-        Ok(true)
-    }
-
     fn checkpoint_due(&self, policy: &CheckpointPolicy) -> Result<bool, StoreError> {
         Ok(self.wal_size()? >= policy.max_wal_bytes
             || self.segment_count()? > policy.max_segments)

@@ -219,8 +219,10 @@ impl WeightedMcmcSelector {
         Self { alpha }
     }
 
-    /// Where this selector's walkers start (see [`genesis_walk_start`]):
-    /// exposed so tests can pin the post-snapshot tie-break.
+    /// Where this selector's walkers start: the genesis if it survives,
+    /// otherwise the heaviest remaining transaction, ties broken toward
+    /// the smallest [`TxId`]. Exposed so tests can pin the post-snapshot
+    /// tie-break.
     pub fn walk_start(&self, tangle: &dyn TangleRead) -> Option<TxId> {
         genesis_walk_start(tangle)
     }

@@ -1,7 +1,7 @@
 //! Read-lock-free views of the tangle for concurrent tip selection.
 //!
 //! The tangle splits into an immutable **sealed epoch** (an `Arc`-shared
-//! map of the confirmed cone, see [`crate::graph::SealedEpoch`]) and a
+//! map of the confirmed cone, `SealedEpoch` in [`crate::graph`]) and a
 //! small mutable **frontier**. A [`TangleView`] captures both at one
 //! instant: the epoch is shared by reference (O(1)), only the frontier,
 //! tip set and a recency tail are copied (O(frontier)). Readers — tip

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example gossip_sync`
 
 use biot::gossip::node::{GossipConfig, GossipNode};
-use biot::gossip::tcp::{TcpAcceptor, TcpConnector};
+use biot::gossip::tcp::{TcpAcceptor, TcpConnector, TcpTransport};
 use biot::tangle::graph::Tangle;
 use biot::tangle::tx::{NodeId, Payload, TransactionBuilder};
 use rand::rngs::StdRng;
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Wire the two nodes together over TCP loopback. ---------------
-    let acceptor = TcpAcceptor::bind("127.0.0.1:0")?;
+    let mut acceptor = TcpAcceptor::bind("127.0.0.1:0")?;
     let addr = acceptor.local_addr()?;
     println!("node A: listening on {addr}");
 
@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deadline = start + Duration::from_secs(60);
     loop {
         let now = start.elapsed().as_millis() as u64;
-        if let Some(t) = acceptor.try_accept()? {
-            a.add_transport(Box::new(t), now);
+        for stream in acceptor.accept_burst(now, 1, 1) {
+            a.add_transport(Box::new(TcpTransport::accepted(stream)), now);
         }
         a.poll(now);
         b.poll(now);
