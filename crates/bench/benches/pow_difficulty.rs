@@ -3,12 +3,10 @@
 //! Expect roughly 2× time per added bit — the exponential shape of the
 //! paper's Fig 7 with our zero-bits difficulty unit.
 
-use biot_core::pow::{solve, verify, Difficulty, MiningConfig};
+use biot_core::pow::{solve, verify, Difficulty};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_solve(c: &mut Criterion) {
-    // Single-threaded deterministic miner; pow_parallel.rs sweeps threads.
-    let mining = MiningConfig::default();
     let mut group = c.benchmark_group("pow_solve");
     group.sample_size(10);
     for bits in [4u32, 6, 8, 10, 12] {
@@ -19,7 +17,7 @@ fn bench_solve(c: &mut Criterion) {
                 // average-case search, not one lucky nonce.
                 i += 1;
                 let preimage = i.to_be_bytes();
-                mining.solve(&preimage, Difficulty::new(bits))
+                solve(&preimage, Difficulty::new(bits), 0)
             });
         });
     }

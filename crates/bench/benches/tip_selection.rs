@@ -1,11 +1,9 @@
 //! Microbench: indexed O(walk)-cost tip selection vs the legacy
-//! per-selection rebuild (`select_tips_recount`), plus the many-walker
-//! selector at 1 and 4 threads.
+//! per-selection rebuild (`select_tips_recount`).
 
 use biot_tangle::graph::Tangle;
 use biot_tangle::tips::{
-    DepthConstrainedSelector, ParallelWalkSelector, TipSelector, UniformRandomSelector,
-    WeightedMcmcSelector,
+    DepthConstrainedSelector, TipSelector, UniformRandomSelector, WeightedMcmcSelector,
 };
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -54,17 +52,6 @@ fn bench_tip_selection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("weighted_recount", n), &n, |b, _| {
             b.iter(|| black_box(weighted.select_tips_recount(&tangle, &mut rng)))
         });
-        for threads in [1usize, 4] {
-            let pw = ParallelWalkSelector::new(0.3, 8)
-                .with_window(64)
-                .with_threads(threads);
-            let mut rng = StdRng::seed_from_u64(7);
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_walk_t{threads}"), n),
-                &n,
-                |b, _| b.iter(|| black_box(pw.select_tips(&tangle, &mut rng))),
-            );
-        }
     }
     group.finish();
 }

@@ -1,10 +1,10 @@
-//! Emits `results/BENCH_pow.json`: measured serial vs parallel PoW timings
-//! and the weight-index speedup, in a machine-readable form for tracking
-//! across commits.
+//! Emits `results/BENCH_pow.json`: measured PoW solve timings and the
+//! weight-index speedup, in a machine-readable form for tracking across
+//! commits.
 //!
 //! Run with: `cargo run -p biot-bench --release --bin pow_report`
 
-use biot_core::pow::{solve, solve_parallel, Difficulty};
+use biot_core::pow::{solve, Difficulty};
 use biot_tangle::graph::Tangle;
 use biot_tangle::tips::{TipSelector, UniformRandomSelector};
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder};
@@ -15,18 +15,14 @@ use std::io::Write;
 use std::time::Instant;
 
 /// Mean seconds per solve over `reps` distinct preimages. The preimage set
-/// depends only on `(difficulty, i)` so serial and parallel runs search the
-/// same problems — trial counts are geometric, so an unshared set would
-/// drown the comparison in variance.
-fn time_solver(difficulty: Difficulty, threads: usize, reps: u32) -> f64 {
+/// depends only on `(difficulty, i)`, so every run searches the same
+/// problems — trial counts are geometric, so an unshared set would drown
+/// a comparison across commits in variance.
+fn time_solver(difficulty: Difficulty, reps: u32) -> f64 {
     let start = Instant::now();
     for i in 0..reps {
         let preimage = [difficulty.bits() as u8, i as u8, 0xB1];
-        if threads <= 1 {
-            solve(&preimage, difficulty, 0);
-        } else {
-            solve_parallel(&preimage, difficulty, threads);
-        }
+        solve(&preimage, difficulty, 0);
     }
     start.elapsed().as_secs_f64() / reps as f64
 }
@@ -53,18 +49,15 @@ fn main() -> std::io::Result<()> {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("host cores: {cores} (parallel speedup needs > 1)");
+    println!("host cores: {cores}");
     let mut rows = Vec::new();
     for bits in [10u32, 12, 14] {
         let difficulty = Difficulty::new(bits);
         let reps = if bits >= 14 { 8 } else { 32 };
-        let serial = time_solver(difficulty, 1, reps);
-        let t4 = time_solver(difficulty, 4, reps);
-        let speedup = serial / t4.max(1e-12);
-        println!("D={bits:>2}  serial={serial:.4}s  4-thread={t4:.4}s  speedup={speedup:.2}x");
+        let serial = time_solver(difficulty, reps);
+        println!("D={bits:>2}  serial={serial:.4}s");
         rows.push(format!(
-            "    {{\"difficulty\": {bits}, \"serial_secs\": {serial:.6}, \
-             \"parallel4_secs\": {t4:.6}, \"speedup\": {speedup:.3}}}"
+            "    {{\"difficulty\": {bits}, \"serial_secs\": {serial:.6}}}"
         ));
     }
 

@@ -75,7 +75,7 @@ pub mod tokens;
 
 pub use difficulty::{DifficultyPolicy, FixedPolicy, InverseProportionalPolicy, LinearPolicy};
 pub use identity::Account;
-pub use node::{Gateway, GatewayConfig, LightNode, Manager, PreparedTx, SubmitError, VerifyConfig};
+pub use node::{Gateway, GatewayConfig, LightNode, Manager, PreparedTx, SubmitError};
 pub use pow::Difficulty;
 pub use ratelimit::{RateLimitConfig, RateLimiter};
 pub use tokens::{TokenError, TokenLedger};

@@ -16,11 +16,10 @@ use biot_credit::{CreditBreakdown, CreditEvent, CreditLedger, CreditParams, Misb
 use crate::difficulty::DifficultyPolicy;
 use crate::identity::Account;
 use crate::keydist::{KeyDistConfig, ManagerSession, Message1, Message2, Message3};
-use crate::pow::{pow_hash, verify, Difficulty, MiningConfig};
+use crate::pow::{solve, verify, Difficulty};
 use crate::ratelimit::{RateLimitConfig, RateLimiter};
 use crate::tokens::{TokenError, TokenLedger};
 use biot_crypto::rsa::RsaPublicKey;
-use biot_crypto::sha256::leading_zero_bits;
 use biot_net::time::SimTime;
 use biot_tangle::conflict::{LazyTipPolicy, LazyVerdict};
 use biot_tangle::graph::{Tangle, TangleError};
@@ -149,48 +148,6 @@ pub struct GatewayStats {
     pub gossip_received: u64,
 }
 
-/// How many threads [`Gateway::submit_batch`] uses for the pure admission
-/// checks (signature + PoW), mirroring [`MiningConfig`] for mining.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct VerifyConfig {
-    /// Worker threads for batch signature/PoW verification. `0` or `1`
-    /// checks serially on the calling thread.
-    pub threads: usize,
-}
-
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        // Deterministic by default, like MiningConfig: simulations opt
-        // into parallelism explicitly.
-        Self { threads: 1 }
-    }
-}
-
-impl VerifyConfig {
-    /// A config using every available CPU (as reported by the OS).
-    pub fn all_cores() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self { threads }
-    }
-}
-
-/// The pure (state-independent) part of admission, computed per
-/// transaction — off-thread for batches. Stateful gates (authorization,
-/// rate limit, difficulty, tokens, attach) stay serial.
-#[derive(Clone, Copy, Debug)]
-struct AdmissionCheck {
-    /// Signature verdict: `None` when verification is disabled or the
-    /// issuer's key is unknown (both pass, as in sequential submit).
-    sig_ok: Option<bool>,
-    /// Leading zero bits of the PoW digest. The *required* difficulty is
-    /// re-read serially at attach time (credit evolves mid-batch), so
-    /// storing the achieved zeros keeps batch admission bit-identical to
-    /// sequential submits.
-    pow_zeros: u32,
-}
-
 /// A full node: tangle replica, admission control, credit bookkeeping.
 pub struct Gateway {
     tangle: Tangle,
@@ -206,7 +163,6 @@ pub struct Gateway {
     limiter: Option<RateLimiter>,
     /// Optional token-ownership enforcement (off unless enabled).
     tokens: Option<TokenLedger>,
-    verify: VerifyConfig,
     /// Strategy behind [`Gateway::random_tips`], built from
     /// [`GatewayConfig::tip_selector`].
     selector: Box<dyn TipSelector + Send + Sync>,
@@ -250,7 +206,6 @@ impl Gateway {
             manager_keys: HashMap::from([(manager_id, manager_pk)]),
             limiter,
             tokens: None,
-            verify: VerifyConfig::default(),
             selector,
             stats: GatewayStats::default(),
             outbox: Vec::new(),
@@ -281,16 +236,6 @@ impl Gateway {
             }
             self.credit_outbox.push(ev);
         }
-    }
-
-    /// Sets how batch admission checks run (thread count).
-    pub fn set_verify_config(&mut self, verify: VerifyConfig) {
-        self.verify = verify;
-    }
-
-    /// The current batch-verification configuration.
-    pub fn verify_config(&self) -> VerifyConfig {
-        self.verify
     }
 
     /// The configured tip-selection strategy.
@@ -448,81 +393,6 @@ impl Gateway {
     ///
     /// See [`SubmitError`].
     pub fn submit(&mut self, tx: Transaction, now: SimTime) -> Result<TxId, SubmitError> {
-        self.submit_inner(tx, now, None)
-    }
-
-    /// Processes a batch of submissions, running the pure admission checks
-    /// (signature + PoW hashing) across [`VerifyConfig`] worker threads
-    /// before attaching serially in order.
-    ///
-    /// Outcomes are **bit-identical** to calling [`submit`](Self::submit)
-    /// on each transaction in sequence, whatever the thread count: the
-    /// parallel phase only computes order-independent facts (signature
-    /// verdict, achieved PoW zero bits), while every stateful gate —
-    /// authorization, rate limiting, the credit-driven difficulty bar,
-    /// token ownership, attach, credit bookkeeping — replays serially.
-    pub fn submit_batch(
-        &mut self,
-        txs: Vec<Transaction>,
-        now: SimTime,
-    ) -> Vec<Result<TxId, SubmitError>> {
-        let threads = self.verify.threads.max(1).min(txs.len().max(1));
-        let checks: Vec<AdmissionCheck> = if threads <= 1 {
-            txs.iter().map(|tx| self.admission_check(tx)).collect()
-        } else {
-            let this: &Gateway = &*self;
-            let mut slots: Vec<Option<AdmissionCheck>> = vec![None; txs.len()];
-            let chunk = txs.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (tx_chunk, slot_chunk) in txs.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (tx, slot) in tx_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            *slot = Some(this.admission_check(tx));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|c| c.expect("every chunk worker fills its slots"))
-                .collect()
-        };
-        txs.into_iter()
-            .zip(checks)
-            .map(|(tx, check)| self.submit_inner(tx, now, Some(check)))
-            .collect()
-    }
-
-    /// The issuer's registered key, if any (managers and devices live in
-    /// separate maps so a device cannot shadow a manager id).
-    fn key_of(&self, issuer: &NodeId, is_manager: bool) -> Option<&RsaPublicKey> {
-        if is_manager {
-            self.manager_keys.get(issuer)
-        } else {
-            self.directory.get(issuer)
-        }
-    }
-
-    /// Computes the pure admission facts for one transaction. Safe to run
-    /// concurrently with other reads: touches only immutable gateway state.
-    fn admission_check(&self, tx: &Transaction) -> AdmissionCheck {
-        let is_manager = self.manager_keys.contains_key(&tx.issuer);
-        let sig_ok = if self.config.verify_signatures {
-            self.key_of(&tx.issuer, is_manager)
-                .map(|pk| pk.verify(&tx.signing_bytes(), &tx.signature))
-        } else {
-            None
-        };
-        let pow_zeros = leading_zero_bits(&pow_hash(&tx.pow_preimage(), tx.nonce));
-        AdmissionCheck { sig_ok, pow_zeros }
-    }
-
-    fn submit_inner(
-        &mut self,
-        tx: Transaction,
-        now: SimTime,
-        precheck: Option<AdmissionCheck>,
-    ) -> Result<TxId, SubmitError> {
         let issuer = tx.issuer;
         let is_manager = self.manager_keys.contains_key(&issuer);
         // 1. Admission: managers are implicitly trusted; devices must be on
@@ -541,22 +411,25 @@ impl Gateway {
                 }
             }
         }
-        // Reuse the batch precheck when present; otherwise compute it now
-        // — after the cheap gates, so rate-limited floods never cost a
-        // signature verification.
-        let check = match precheck {
-            Some(c) => c,
-            None => self.admission_check(&tx),
-        };
-        // 2. Signature, when the issuer's key is known.
-        if check.sig_ok == Some(false) {
-            self.stats.rejected_bad_signature += 1;
-            return Err(SubmitError::BadSignature(issuer));
+        // 2. Signature, when verification is on and the issuer's key is
+        //    known — after the cheap gates, so rate-limited floods never
+        //    cost a signature verification. Managers and devices live in
+        //    separate maps, so a device cannot shadow a manager id.
+        if self.config.verify_signatures {
+            let key = if is_manager {
+                self.manager_keys.get(&issuer)
+            } else {
+                self.directory.get(&issuer)
+            };
+            if key.is_some_and(|pk| !pk.verify(&tx.signing_bytes(), &tx.signature)) {
+                self.stats.rejected_bad_signature += 1;
+                return Err(SubmitError::BadSignature(issuer));
+            }
         }
         // 3. Credit-based PoW check, against the difficulty the issuer's
         //    credit demands *right now*.
         let required = self.difficulty_for(issuer, now);
-        if check.pow_zeros < required.bits() {
+        if !verify(&tx.pow_preimage(), tx.nonce, required) {
             self.stats.rejected_insufficient_pow += 1;
             return Err(SubmitError::InsufficientPow { required });
         }
@@ -612,6 +485,17 @@ impl Gateway {
                 Err(e.into())
             }
         }
+    }
+
+    /// Processes a batch of submissions: [`submit`](Self::submit) on each
+    /// transaction in order, so every gate runs cheapest first and the
+    /// outcomes are those of the sequential calls.
+    pub fn submit_batch(
+        &mut self,
+        txs: Vec<Transaction>,
+        now: SimTime,
+    ) -> Vec<Result<TxId, SubmitError>> {
+        txs.into_iter().map(|tx| self.submit(tx, now)).collect()
     }
 
     /// Applies an authorization-list transaction: verifies it came from
@@ -724,7 +608,6 @@ pub struct PreparedTx {
 pub struct LightNode {
     account: Account,
     protector: DataProtector,
-    mining: MiningConfig,
 }
 
 impl fmt::Debug for LightNode {
@@ -732,28 +615,17 @@ impl fmt::Debug for LightNode {
         f.debug_struct("LightNode")
             .field("id", &self.account.id())
             .field("protector", &self.protector)
-            .field("mining", &self.mining)
             .finish()
     }
 }
 
 impl LightNode {
     /// Creates a light node from an account, posting public data.
-    ///
-    /// Mining defaults to the deterministic single-threaded solver; call
-    /// [`set_mining_config`](Self::set_mining_config) to shard the nonce
-    /// search across threads.
     pub fn new(account: Account) -> Self {
         Self {
             account,
             protector: DataProtector::public(),
-            mining: MiningConfig::default(),
         }
-    }
-
-    /// Sets how PoW nonce searches run (thread count).
-    pub fn set_mining_config(&mut self, mining: MiningConfig) {
-        self.mining = mining;
     }
 
     /// The node identity.
@@ -841,7 +713,7 @@ impl LightNode {
             .payload(payload)
             .timestamp_ms(now.as_millis())
             .build();
-        let solution = self.mining.solve(&draft.pow_preimage(), difficulty);
+        let solution = solve(&draft.pow_preimage(), difficulty, 0);
         let mut tx = draft;
         tx.nonce = solution.nonce;
         tx.signature = self.account.sign(&tx.signing_bytes());
@@ -861,7 +733,6 @@ pub struct Manager {
     sessions: HashMap<NodeId, ManagerSession>,
     directory: HashMap<NodeId, RsaPublicKey>,
     keydist_config: KeyDistConfig,
-    mining: MiningConfig,
 }
 
 impl fmt::Debug for Manager {
@@ -882,13 +753,7 @@ impl Manager {
             sessions: HashMap::new(),
             directory: HashMap::new(),
             keydist_config: KeyDistConfig::default(),
-            mining: MiningConfig::default(),
         }
-    }
-
-    /// Sets how PoW nonce searches run (thread count).
-    pub fn set_mining_config(&mut self, mining: MiningConfig) {
-        self.mining = mining;
     }
 
     /// The manager's identity.
@@ -941,7 +806,7 @@ impl Manager {
             .payload(payload)
             .timestamp_ms(now.as_millis())
             .build();
-        let solution = self.mining.solve(&draft.pow_preimage(), difficulty);
+        let solution = solve(&draft.pow_preimage(), difficulty, 0);
         let mut tx = draft;
         tx.nonce = solution.nonce;
         tx.signature = self.account.sign(&tx.signing_bytes());
@@ -1032,13 +897,17 @@ mod tests {
     }
 
     fn world(seed: u64) -> World {
+        world_with(seed, GatewayConfig::default())
+    }
+
+    fn world_with(seed: u64, config: GatewayConfig) -> World {
         let mut rng = StdRng::seed_from_u64(seed);
         let manager = Manager::new(Account::generate(&mut rng));
         let device = LightNode::new(Account::generate(&mut rng));
         let gateway = Gateway::new(
             manager.public_key().clone(),
             Box::new(InverseProportionalPolicy::default()),
-            GatewayConfig::default(),
+            config,
         );
         World {
             manager,
@@ -1503,12 +1372,49 @@ mod tests {
         assert_eq!(stats.rejected_unauthorized, 1);
     }
 
-    /// Builds one world and a mixed batch of transactions against its
-    /// post-boot ledger: honest readings, a forged signature, an
-    /// unauthorized stranger, and a valid signature over insufficient PoW.
-    /// Worlds built from the same seed are bit-identical (seeded rng), so
-    /// the batch is valid against any same-seed world.
-    fn mixed_batch(w: &mut World, now: SimTime) -> Vec<Transaction> {
+    /// Per-device token bucket for the batch-equivalence worlds: six
+    /// submissions per instant, so the device's seventh and eighth
+    /// readings in [`mixed_batch`] are rate limited.
+    const BATCH_BURST: f64 = 6.0;
+
+    /// A booted world with rate limiting on, plus a second device that
+    /// the first auth list admits and a later list revokes. The revoked
+    /// device's key stays in the gateway's directory. Worlds built from
+    /// the same seed are bit-identical (seeded rng).
+    fn policed_world(seed: u64) -> (World, LightNode) {
+        let mut w = world_with(
+            seed,
+            GatewayConfig {
+                rate_limit: Some(crate::ratelimit::RateLimitConfig {
+                    burst: BATCH_BURST,
+                    per_second: 1.0,
+                }),
+                ..GatewayConfig::default()
+            },
+        );
+        boot(&mut w);
+        let revoked = LightNode::new(Account::generate(&mut w.rng));
+        let revoked_id = w.manager.register_device(revoked.public_key().clone());
+        w.gateway.register_pubkey(revoked.public_key().clone());
+        w.manager.authorize(revoked_id);
+        for publish in 0..2 {
+            if publish == 1 {
+                w.manager.deauthorize(revoked_id);
+            }
+            let tips = w.gateway.random_tips(&mut w.rng).unwrap();
+            let d = w.gateway.difficulty_for(w.manager.id(), SimTime::ZERO);
+            let list = w.manager.prepare_auth_list(tips, SimTime::ZERO, d);
+            w.gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+        }
+        assert!(!w.gateway.authz().is_authorized(&revoked_id));
+        (w, revoked)
+    }
+
+    /// A mixed batch against the post-boot ledger of a [`policed_world`]:
+    /// honest readings, a forged signature, an unauthorized stranger, a
+    /// valid signature over insufficient PoW, a reading from the revoked
+    /// device, and two honest readings past the device's rate limit.
+    fn mixed_batch(w: &mut World, revoked: &LightNode, now: SimTime) -> Vec<Transaction> {
         let mut txs = Vec::new();
         for i in 0..4 {
             let tips = w.gateway.random_tips(&mut w.rng).unwrap();
@@ -1538,23 +1444,29 @@ mod tests {
         weak.nonce = weak.nonce.wrapping_add(1);
         weak.signature = w.device.account().sign(&weak.signing_bytes());
         txs.push(weak);
+        // Revoked device: valid signature and work, key still registered.
+        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
+        let d = w.gateway.difficulty_for(revoked.id(), now);
+        txs.push(revoked.prepare_reading(b"revoked", tips, now, d, &mut w.rng).tx);
+        // Honest readings seven and eight from the device at the same
+        // instant: over its burst of six.
+        for i in 0..2 {
+            let tips = w.gateway.random_tips(&mut w.rng).unwrap();
+            let d = w.gateway.difficulty_for(w.device.id(), now);
+            let p = w
+                .device
+                .prepare_reading(format!("flood{i}").as_bytes(), tips, now, d, &mut w.rng);
+            txs.push(p.tx);
+        }
         txs
     }
 
     #[test]
     fn batch_submit_matches_sequential_exactly() {
-        let build = || {
-            let mut w = world(40);
-            boot(&mut w);
-            w
-        };
-        let mut seq_world = build();
-        let mut batch_world = build();
-        batch_world
-            .gateway
-            .set_verify_config(VerifyConfig { threads: 4 });
+        let (mut seq_world, revoked) = policed_world(40);
+        let (mut batch_world, _) = policed_world(40);
         let now = t(1);
-        let txs = mixed_batch(&mut seq_world, now);
+        let txs = mixed_batch(&mut seq_world, &revoked, now);
 
         let sequential: Vec<_> = txs
             .iter()
@@ -1571,36 +1483,14 @@ mod tests {
         );
         // The mixed batch exercised every admission outcome. (Credit can
         // evolve mid-batch — e.g. a lazy-tip punishment raising the bar
-        // for a later reading — which is exactly what the serial attach
-        // phase must reproduce, so only lower bounds are asserted for the
+        // for a later reading — so only lower bounds are asserted for the
         // credit-dependent outcomes.)
         let stats = batch_world.gateway.stats();
-        assert!(stats.accepted >= 3, "auth list + readings: {stats:?}");
+        assert!(stats.accepted >= 3, "auth lists + readings: {stats:?}");
         assert_eq!(stats.rejected_bad_signature, 1);
-        assert_eq!(stats.rejected_unauthorized, 1);
+        assert_eq!(stats.rejected_unauthorized, 2, "stranger + revoked: {stats:?}");
+        assert_eq!(stats.rejected_rate_limited, 2, "{stats:?}");
         assert!(stats.rejected_insufficient_pow >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn batch_submit_single_thread_matches_too() {
-        let build = || {
-            let mut w = world(41);
-            boot(&mut w);
-            w
-        };
-        let mut seq_world = build();
-        let mut batch_world = build();
-        assert_eq!(batch_world.gateway.verify_config(), VerifyConfig::default());
-        let now = t(2);
-        let txs = mixed_batch(&mut seq_world, now);
-        let sequential: Vec<_> = txs
-            .iter()
-            .cloned()
-            .map(|tx| seq_world.gateway.submit(tx, now))
-            .collect();
-        let batched = batch_world.gateway.submit_batch(txs, now);
-        assert_eq!(sequential, batched);
-        assert_eq!(seq_world.gateway.stats(), batch_world.gateway.stats());
     }
 
     #[test]

@@ -5,16 +5,15 @@
 //! `SHA-256(preimage || nonce)` has at least `D` leading zero bits, where
 //! `D` is the node's current difficulty from the credit-based mechanism.
 //!
-//! Three execution modes exist:
+//! Two execution modes exist:
 //!
 //! * [`solve`] — a deterministic single-threaded nonce search on the
-//!   host CPU, used by the shape-validation benches (Fig 7).
-//! * [`solve_parallel`] — the same search sharded across OS threads
-//!   with an early-exit flag; the hot path for real mining.
+//!   host CPU, used by light nodes and managers to mine and by the
+//!   shape-validation benches (Fig 7).
 //! * [`sample_trials`] — draws how many hash attempts a search *would*
 //!   take from the geometric distribution, for virtual-time experiments.
 //!
-//! Both real searches hash through a SHA-256 **midstate**: the fixed
+//! The real search hashes through a SHA-256 **midstate**: the fixed
 //! bundle preimage is compressed once, and each trial only absorbs the
 //! 8-byte nonce plus padding (one or two compressions instead of
 //! `⌈(len+8)/64⌉+1`).
@@ -23,7 +22,6 @@ use biot_crypto::sha256::{leading_zero_bits, Midstate, Sha256};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A proof-of-work difficulty: required number of leading zero bits.
 ///
@@ -112,84 +110,6 @@ pub fn solve(preimage: &[u8], difficulty: Difficulty, start_nonce: u64) -> PowSo
     }
 }
 
-/// How often a parallel worker polls the shared stop flag, in trials.
-///
-/// A power of two so the check compiles to a mask; 64 trials at
-/// difficulty 14 is ~0.4 % of the expected search, so the wasted work
-/// after another worker wins is negligible.
-const STOP_POLL_INTERVAL: u64 = 64;
-
-/// Searches for a nonce satisfying `difficulty` with `threads` workers
-/// sharding the nonce space.
-///
-/// Worker `i` scans the arithmetic progression
-/// `start_nonce + i, start_nonce + i + threads, …`, so the union of all
-/// workers covers exactly the nonces [`solve`] would visit. The first
-/// worker to find a solution raises an [`AtomicBool`] and the rest stop
-/// at their next poll; `trials` aggregates the hash evaluations of
-/// **all** workers, keeping the credit-calibration semantics of
-/// [`PowSolution::trials`].
-///
-/// `threads == 0` or `1` falls back to the deterministic single-threaded
-/// [`solve`]. With more threads the returned nonce may differ from
-/// `solve`'s (a later shard can win the race), but it always verifies.
-///
-/// # Examples
-///
-/// ```
-/// use biot_core::pow::{solve_parallel, verify, Difficulty};
-///
-/// let d = Difficulty::new(8);
-/// let solution = solve_parallel(b"tx-bundle", d, 4);
-/// assert!(verify(b"tx-bundle", solution.nonce, d));
-/// ```
-pub fn solve_parallel(preimage: &[u8], difficulty: Difficulty, threads: usize) -> PowSolution {
-    if threads <= 1 {
-        return solve(preimage, difficulty, 0);
-    }
-    let hasher = PowHasher::new(preimage);
-    let found = AtomicBool::new(false);
-    let total_trials = AtomicU64::new(0);
-    let solution = std::sync::Mutex::new(None::<PowSolution>);
-    std::thread::scope(|scope| {
-        for worker in 0..threads as u64 {
-            let hasher = &hasher;
-            let found = &found;
-            let total_trials = &total_trials;
-            let solution = &solution;
-            scope.spawn(move || {
-                let mut nonce = worker;
-                let mut trials = 0u64;
-                loop {
-                    if trials.is_multiple_of(STOP_POLL_INTERVAL) && found.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let hash = hasher.hash(nonce);
-                    trials += 1;
-                    if leading_zero_bits(&hash) >= difficulty.bits() {
-                        found.store(true, Ordering::Relaxed);
-                        let mut slot = solution.lock().expect("solution lock");
-                        // Keep the lowest winning nonce for reproducibility
-                        // when two workers finish in the same window.
-                        if slot.as_ref().is_none_or(|s| nonce < s.nonce) {
-                            *slot = Some(PowSolution { nonce, hash, trials: 0 });
-                        }
-                        break;
-                    }
-                    nonce = nonce.wrapping_add(threads as u64);
-                }
-                total_trials.fetch_add(trials, Ordering::Relaxed);
-            });
-        }
-    });
-    let mut sol = solution
-        .into_inner()
-        .expect("solution lock")
-        .expect("some worker must find a solution");
-    sol.trials = total_trials.into_inner();
-    sol
-}
-
 /// Verifies that `nonce` satisfies `difficulty` for `preimage`.
 pub fn verify(preimage: &[u8], nonce: u64, difficulty: Difficulty) -> bool {
     leading_zero_bits(&pow_hash(preimage, nonce)) >= difficulty.bits()
@@ -229,42 +149,6 @@ pub fn pow_hash(preimage: &[u8], nonce: u64) -> [u8; 32] {
     h.update(preimage);
     h.update(&nonce.to_be_bytes());
     h.finalize()
-}
-
-/// How many threads mining should use (the knob behind
-/// [`solve_parallel`] at the node layer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MiningConfig {
-    /// Worker threads for nonce searches. `0` or `1` selects the
-    /// deterministic single-threaded solver.
-    pub threads: usize,
-}
-
-impl Default for MiningConfig {
-    fn default() -> Self {
-        // Deterministic by default: simulations and tests rely on
-        // reproducible nonce choices unless a caller opts into threads.
-        Self { threads: 1 }
-    }
-}
-
-impl MiningConfig {
-    /// A config using every available CPU (as reported by the OS).
-    pub fn all_cores() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self { threads }
-    }
-
-    /// Runs a nonce search according to this config.
-    pub fn solve(&self, preimage: &[u8], difficulty: Difficulty) -> PowSolution {
-        if self.threads <= 1 {
-            solve(preimage, difficulty, 0)
-        } else {
-            solve_parallel(preimage, difficulty, self.threads)
-        }
-    }
 }
 
 /// Samples how many hash attempts a search at `difficulty` would take —
@@ -397,69 +281,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn solve_parallel_finds_verifiable_nonce() {
-        for threads in [2usize, 3, 4] {
-            let diff = Difficulty::new(10);
-            let sol = solve_parallel(b"parallel preimage", diff, threads);
-            assert!(
-                verify(b"parallel preimage", sol.nonce, diff),
-                "threads {threads}"
-            );
-            assert!(sol.trials >= 1);
-            assert_eq!(sol.hash, pow_hash(b"parallel preimage", sol.nonce));
-        }
-    }
-
-    #[test]
-    fn solve_parallel_single_thread_is_deterministic_fallback() {
-        let diff = Difficulty::new(8);
-        let serial = solve(b"fallback", diff, 0);
-        let parallel = solve_parallel(b"fallback", diff, 1);
-        assert_eq!(serial.nonce, parallel.nonce);
-        assert_eq!(serial.hash, parallel.hash);
-        assert_eq!(serial.trials, parallel.trials);
-    }
-
-    #[test]
-    fn solve_and_solve_parallel_verify_under_same_difficulty() {
-        let diff = Difficulty::new(12);
-        let serial = solve(b"same difficulty", diff, 0);
-        let parallel = solve_parallel(b"same difficulty", diff, 4);
-        assert!(verify(b"same difficulty", serial.nonce, diff));
-        assert!(verify(b"same difficulty", parallel.nonce, diff));
-    }
-
-    #[test]
-    fn mining_config_routes_by_thread_count() {
-        let diff = Difficulty::new(8);
-        let single = MiningConfig::default();
-        assert_eq!(single.threads, 1);
-        let sol = single.solve(b"knob", diff);
-        assert_eq!(sol.nonce, solve(b"knob", diff, 0).nonce);
-        let multi = MiningConfig { threads: 4 };
-        assert!(verify(b"knob", multi.solve(b"knob", diff).nonce, diff));
-        assert!(MiningConfig::all_cores().threads >= 1);
-    }
-
-    #[test]
-    fn parallel_trials_aggregate_all_workers() {
-        // Average over preimages: total trials across workers should be
-        // in the same regime as the serial search (2^D expected), not a
-        // fraction of it — proving all workers' counts are summed.
-        let mut serial_total = 0u64;
-        let mut parallel_total = 0u64;
-        for i in 0..20u32 {
-            let pre = i.to_be_bytes();
-            serial_total += solve(&pre, Difficulty::new(8), 0).trials;
-            parallel_total += solve_parallel(&pre, Difficulty::new(8), 4).trials;
-        }
-        // Parallel overshoots serial (workers past the winner do a few
-        // extra trials) but must be within a small factor, and at least
-        // a meaningful fraction of the serial count.
-        assert!(parallel_total >= serial_total / 4, "parallel {parallel_total} vs serial {serial_total}");
-        assert!(parallel_total <= serial_total * 8, "parallel {parallel_total} vs serial {serial_total}");
     }
 }

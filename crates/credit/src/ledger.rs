@@ -33,45 +33,31 @@ use crate::params::{CreditBreakdown, CreditParams, Misbehavior};
 use biot_net::time::SimTime;
 use biot_tangle::tx::NodeId;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// Per-node projection state.
 ///
 /// `tx_at`/`tx_weight` are parallel arrays sorted by time; `tx_prefix`
 /// holds `tx_prefix[i] = Σ tx_weight[..i]` (length `len + 1`).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct NodeState {
     tx_at: Vec<u64>,
     tx_weight: Vec<f64>,
     tx_prefix: Vec<f64>,
     mis: Vec<(u64, Misbehavior)>,
-    /// `(now_ms, mis.len(), value)` — valid while both match. A `Mutex`
-    /// (never contended: queries behind `&Gateway` touch it serially)
-    /// rather than a `Cell` so the ledger stays `Sync` for the gateway's
-    /// scoped-thread batch admission.
-    crn_cache: Mutex<Option<(u64, usize, f64)>>,
-}
-
-impl Clone for NodeState {
-    fn clone(&self) -> Self {
-        Self {
-            tx_at: self.tx_at.clone(),
-            tx_weight: self.tx_weight.clone(),
-            tx_prefix: self.tx_prefix.clone(),
-            mis: self.mis.clone(),
-            crn_cache: Mutex::new(*self.crn_cache.lock().unwrap()),
-        }
-    }
+    /// `(now_ms, mis.len(), value)` — valid while both match.
+    crn_cache: Cell<Option<(u64, usize, f64)>>,
 }
 
 impl Default for NodeState {
+    /// Not derived: `tx_prefix` starts with its `0.0` sentinel.
     fn default() -> Self {
         Self {
             tx_at: Vec::new(),
             tx_weight: Vec::new(),
             tx_prefix: vec![0.0],
             mis: Vec::new(),
-            crn_cache: Mutex::new(None),
+            crn_cache: Cell::new(None),
         }
     }
 }
@@ -124,7 +110,7 @@ impl NodeState {
             }
             _ => self.mis.push((at_ms, kind)),
         }
-        *self.crn_cache.lock().unwrap() = None;
+        self.crn_cache.set(None);
     }
 }
 
@@ -258,13 +244,13 @@ impl CreditLedger {
             return 0.0;
         };
         let now_ms = now.as_millis();
-        if let Some((cached_now, cached_len, value)) = *state.crn_cache.lock().unwrap() {
+        if let Some((cached_now, cached_len, value)) = state.crn_cache.get() {
             if cached_now == now_ms && cached_len == state.mis.len() {
                 return value;
             }
         }
         let value = self.negative_credit_scan(state, now);
-        *state.crn_cache.lock().unwrap() = Some((now_ms, state.mis.len(), value));
+        state.crn_cache.set(Some((now_ms, state.mis.len(), value)));
         value
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The admission front end of a B-IoT gateway: a single-threaded
 //! readiness reactor serving thousands of concurrent light-node
-//! connections over real TCP sockets, feeding the gateway's parallel
-//! `submit_batch` verify pipeline.
+//! connections over real TCP sockets, feeding the gateway's
+//! `submit_batch`.
 //!
 //! The paper's gateway is the chokepoint every IoT device goes through
 //! (authorization list of Eqn 1, signature check, credit-scaled PoW).

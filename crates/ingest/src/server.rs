@@ -8,8 +8,8 @@
 //! 2. drain the accept backlog in bounded bursts;
 //! 3. read and decode frames from ready connections, under a per-tick
 //!    budget, a per-connection token bucket, and two inflight caps;
-//! 4. feed everything admitted into [`Gateway::submit_batch`] — the
-//!    already-parallel signature/PoW verify fan-out — in arrival order;
+//! 4. feed everything admitted into [`Gateway::submit_batch`] in arrival
+//!    order;
 //! 5. ack every submission with per-transaction result codes.
 //!
 //! ## Backpressure policy (provably bounded memory)
@@ -563,8 +563,8 @@ impl IngestServer {
 
     // --- Admission --------------------------------------------------------
 
-    /// Feeds queued submissions into the gateway's batch verify fan-out,
-    /// in arrival order, and acks each submission.
+    /// Feeds queued submissions into the gateway's batch admission, in
+    /// arrival order, and acks each submission.
     fn drain(&mut self, gateway: &mut Gateway, now: SimTime, progress: &mut PollProgress) {
         while !self.pending.is_empty() {
             // Merge whole submissions up to batch_max transactions.

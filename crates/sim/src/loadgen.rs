@@ -17,7 +17,7 @@
 
 use biot_core::difficulty::FixedPolicy;
 use biot_core::identity::Account;
-use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager, VerifyConfig};
+use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager};
 use biot_core::pow::Difficulty;
 use biot_gossip::tcp::TcpTransport;
 use biot_gossip::transport::Transport;
@@ -225,7 +225,6 @@ pub fn run_loadgen(config: &LoadgenConfig) -> LoadgenReport {
         config.connections * config.frames_per_conn * config.batch_size,
     );
     let mut gateway = world.gateway;
-    gateway.set_verify_config(VerifyConfig::default());
 
     let mut server =
         IngestServer::bind("127.0.0.1:0", config.ingest).expect("bind ingest server");

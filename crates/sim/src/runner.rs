@@ -11,7 +11,7 @@ use crate::pi::PiCalibration;
 use biot_credit::{CreditEvent, CreditLedger};
 use biot_core::difficulty::{DifficultyPolicy, FixedPolicy, InverseProportionalPolicy, LinearPolicy};
 use biot_core::identity::Account;
-use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager, SubmitError, VerifyConfig};
+use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager, SubmitError};
 use biot_tangle::tips::SelectorConfig;
 use biot_core::pow::Difficulty;
 use biot_net::time::SimTime;
@@ -68,9 +68,6 @@ pub struct NodeRunConfig {
     pub calibration: PiCalibration,
     /// How often the miner re-evaluates its difficulty while mining, ms.
     pub reassess_ms: u64,
-    /// Thread count for the gateway's batch admission checks (default
-    /// 1 = deterministic serial verification).
-    pub verify: VerifyConfig,
     /// Tip-selection strategy the gateway serves (default uniform — the
     /// historical behaviour, keeping seeded traces stable).
     pub selector: SelectorConfig,
@@ -91,7 +88,6 @@ impl Default for NodeRunConfig {
             policy: PolicyChoice::credit_based(),
             calibration: PiCalibration::fig9(),
             reassess_ms: 250,
-            verify: VerifyConfig::default(),
             selector: SelectorConfig::default(),
             seal_lag: None,
             seed: 42,
@@ -204,7 +200,6 @@ pub fn run_single_node(config: &NodeRunConfig) -> RunResult {
         },
     );
     let mut event_log: Vec<CreditEvent> = Vec::new();
-    gateway.set_verify_config(config.verify);
     let genesis = gateway.init_genesis(SimTime::ZERO);
     let device = LightNode::new(Account::generate(&mut rng));
     let dev_id = manager.register_device(device.public_key().clone());

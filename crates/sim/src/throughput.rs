@@ -1,5 +1,4 @@
-//! DAG vs chain throughput comparison (DESIGN.md experiment A1), plus a
-//! wall-clock gateway admission benchmark.
+//! DAG vs chain throughput comparison (DESIGN.md experiment A1).
 //!
 //! The paper's §II claims DAG-structured blockchains beat chain-structured
 //! ones on throughput for IoT workloads because consensus is asynchronous:
@@ -7,17 +6,8 @@
 //! the next block. This module drives the *same* Poisson workload through
 //! `biot_tangle::Tangle` and `biot_chain::Blockchain` on the discrete-event
 //! kernel and measures effective committed transactions per second.
-//!
-//! [`run_gateway_admission`] complements the virtual-time comparison with
-//! real CPU work: it boots a full gateway, pre-mines a signed batch, and
-//! times [`Gateway::submit_batch`] under a [`VerifyConfig`] thread count —
-//! the Fig 7/8 experiments' admission path, RSA and SHA-256 included.
 
 use biot_chain::{Block, BlockId, Blockchain, ChainTransaction};
-use biot_core::difficulty::InverseProportionalPolicy;
-use biot_core::identity::Account;
-use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager, VerifyConfig};
-use biot_core::pow::Difficulty;
 use biot_net::queue::EventQueue;
 use biot_net::time::SimTime;
 use biot_tangle::graph::Tangle;
@@ -308,111 +298,6 @@ pub fn sweep(offered: &[f64], base: &ThroughputConfig) -> Vec<ComparisonRow> {
         .collect()
 }
 
-/// Parameters for the wall-clock gateway admission benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdmissionConfig {
-    /// Number of authorized devices issuing transactions.
-    pub devices: usize,
-    /// Total transactions in the batch (spread round-robin over devices).
-    pub txs: usize,
-    /// Thread count for the gateway's batch admission checks.
-    pub verify: VerifyConfig,
-    /// RNG seed for keys, tips, and payload padding.
-    pub seed: u64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self {
-            devices: 8,
-            txs: 64,
-            verify: VerifyConfig::default(),
-            seed: 11,
-        }
-    }
-}
-
-/// Measured result of one admission run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct AdmissionResult {
-    /// Transactions submitted in the batch.
-    pub submitted: u64,
-    /// Transactions accepted onto the ledger.
-    pub accepted: u64,
-    /// Wall-clock seconds spent inside `submit_batch`.
-    pub wall_secs: f64,
-    /// Accepted transactions per wall-clock second.
-    pub admission_tps: f64,
-}
-
-/// Boots a manager + gateway + device fleet, pre-mines and signs a batch
-/// of readings, then times [`Gateway::submit_batch`] — wall clock, real
-/// signatures, real PoW digests.
-///
-/// Every transaction is mined at [`Difficulty::MAX`]: mid-batch credit
-/// evolution (e.g. lazy-tip punishment) can only *raise* a device's bar,
-/// and MAX clears any bar, so the accepted count is identical across
-/// [`VerifyConfig`] thread counts and the knob isolates verification cost.
-pub fn run_gateway_admission(cfg: &AdmissionConfig) -> AdmissionResult {
-    assert!(cfg.devices > 0, "need at least one device");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    gateway.set_verify_config(cfg.verify);
-    let t0 = SimTime::ZERO;
-    let genesis = gateway.init_genesis(t0);
-    let devices: Vec<LightNode> = (0..cfg.devices)
-        .map(|_| LightNode::new(Account::generate(&mut rng)))
-        .collect();
-    for dev in &devices {
-        let id = manager.register_device(dev.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(dev.public_key().clone());
-    }
-    let d = gateway.difficulty_for(manager.id(), t0);
-    let list = manager.prepare_auth_list((genesis, genesis), t0, d);
-    gateway
-        .apply_auth_list(list.tx, t0)
-        .expect("manager list must be accepted");
-
-    // Pre-mine and sign the whole batch against the post-boot ledger, so
-    // the timed section below is admission only.
-    let now = SimTime::from_secs(1);
-    let mut txs = Vec::with_capacity(cfg.txs);
-    for i in 0..cfg.txs {
-        let dev = &devices[i % devices.len()];
-        let tips = gateway.random_tips(&mut rng).expect("tips present");
-        let p = dev.prepare_reading(
-            format!("reading {i}").as_bytes(),
-            tips,
-            now,
-            Difficulty::MAX,
-            &mut rng,
-        );
-        txs.push(p.tx);
-    }
-
-    let submitted = txs.len() as u64;
-    let start = std::time::Instant::now();
-    let results = gateway.submit_batch(txs, now);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let accepted = results.iter().filter(|r| r.is_ok()).count() as u64;
-    AdmissionResult {
-        submitted,
-        accepted,
-        wall_secs,
-        admission_tps: if wall_secs > 0.0 {
-            accepted as f64 / wall_secs
-        } else {
-            0.0
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,26 +377,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].offered_tps, 1.0);
         assert!(rows[1].tangle.offered > rows[0].tangle.offered);
-    }
-
-    #[test]
-    fn gateway_admission_accepts_batch_on_any_thread_count() {
-        let base = AdmissionConfig {
-            devices: 4,
-            txs: 12,
-            seed: 5,
-            ..AdmissionConfig::default()
-        };
-        let serial = run_gateway_admission(&base);
-        let parallel = run_gateway_admission(&AdmissionConfig {
-            verify: VerifyConfig { threads: 4 },
-            ..base
-        });
-        assert_eq!(serial.submitted, 12);
-        assert_eq!(serial.accepted, 12, "MAX-difficulty batch fully admits");
-        assert_eq!(parallel.accepted, serial.accepted);
-        assert_eq!(parallel.submitted, serial.submitted);
-        assert!(serial.wall_secs > 0.0);
-        assert!(serial.admission_tps > 0.0);
     }
 }

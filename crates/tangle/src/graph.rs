@@ -78,8 +78,7 @@ pub(crate) struct Entry {
     /// approve this one.
     ///
     /// A live frontier entry's weight is kept in its slot (the attach walk
-    /// bumps it there) and this field is stale; a
-    /// [`crate::view::TangleView`] writes the slot's value in at capture.
+    /// bumps it there) and this field is stale until the entry is sealed.
     /// For sealed entries this is only the *base*: the effective weight is
     /// `weight + (seal_pass - pass_base)` — see [`SealedEpoch`].
     pub(crate) weight: u64,
@@ -100,11 +99,10 @@ pub(crate) struct Entry {
 /// the anchor ("strays") fall back to an exact per-entry walk inside the
 /// sealed region.
 ///
-/// The epoch lives behind an `Arc` so read-only views
-/// ([`crate::view::TangleView`]) share it without copying; the writer
-/// mutates it copy-on-write via [`std::sync::Arc::make_mut`] (approver
-/// pushes, stray bumps, pruning), cloning at most once per outstanding
-/// reader generation.
+/// The epoch lives behind an `Arc` so a cloned [`Tangle`] shares it
+/// without copying; each copy mutates it copy-on-write via
+/// [`std::sync::Arc::make_mut`] (approver pushes, stray bumps, pruning),
+/// so the first write after a clone pays for the copy, once.
 #[derive(Clone, Debug)]
 pub(crate) struct SealedEpoch {
     pub(crate) entries: HashMap<TxId, Box<Entry>>,
@@ -193,7 +191,7 @@ pub struct Tangle {
     /// hundreds of bytes, and a hash table keeps up to half its buckets
     /// empty.
     pub(crate) frontier: HashMap<TxId, Box<Entry>>,
-    /// The sealed confirmed cone, shared copy-on-write with read views.
+    /// The sealed confirmed cone, shared copy-on-write with clones.
     pub(crate) sealed: Option<std::sync::Arc<SealedEpoch>>,
     /// Pass-through counter: how many attaches approved the current anchor
     /// since its cone was sealed. Effective sealed weight =
@@ -204,7 +202,7 @@ pub struct Tangle {
     /// First-seen valid spend per token.
     spends: HashMap<[u8; 32], TxId>,
     /// Ids removed by snapshotting; treated as known-confirmed ancestors.
-    /// Behind an `Arc` so read views share it without copying.
+    /// Behind an `Arc` so clones share it without copying.
     pub(crate) pruned: std::sync::Arc<HashSet<TxId>>,
     pub(crate) genesis: Option<TxId>,
     /// Monotone count of everything ever attached (survives pruning).

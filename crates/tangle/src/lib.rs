@@ -11,11 +11,9 @@
 //! * [`tx`] — transactions, ids, payloads, builder.
 //! * [`graph`] — the [`graph::Tangle`] store: attach, tips, cumulative
 //!   weight, confirmation, double-spend rejection, snapshots.
-//! * [`tips`] — tip-selection strategies (uniform, weighted MCMC, and the
-//!   malicious fixed-pair selector).
+//! * [`tips`] — tip-selection strategies (uniform, weighted MCMC,
+//!   depth-constrained MCMC, and the malicious fixed-pair selector).
 //! * [`conflict`] — lazy-tip detection policy.
-//! * [`view`] — read-lock-free point-in-time views ([`view::TangleView`])
-//!   for tip selection concurrent with attachment.
 //!
 //! ## Example
 //!
@@ -52,11 +50,9 @@ pub mod snapshot;
 pub mod stats;
 pub mod graph;
 pub mod tips;
-pub mod view;
 pub mod viz;
 pub mod tx;
 
 pub use graph::{SealError, SealStats, Tangle, TangleError, TxStatus};
 pub use snapshot::TangleSnapshot;
 pub use tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
-pub use view::{SharedView, TangleRead, TangleView};

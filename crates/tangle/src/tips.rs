@@ -21,24 +21,20 @@
 
 use crate::graph::Tangle;
 use crate::tx::TxId;
-use crate::view::TangleRead;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Selects two parents for the next transaction.
 ///
 /// Implementations are objects so nodes can be configured with a boxed
-/// strategy at runtime. Selection reads through [`TangleRead`], so the
-/// same strategy runs against the live [`Tangle`] (a `&Tangle` coerces)
-/// or a concurrent [`crate::view::TangleView`] snapshot.
+/// strategy at runtime.
 pub trait TipSelector: std::fmt::Debug {
     /// Returns a (trunk, branch) pair, or `None` when the tangle has no
     /// selectable tips (e.g. before genesis).
     ///
     /// The two tips may coincide when only one tip exists.
-    fn select_tips(&self, tangle: &dyn TangleRead, rng: &mut dyn RngCore) -> Option<(TxId, TxId)>;
+    fn select_tips(&self, tangle: &Tangle, rng: &mut dyn RngCore) -> Option<(TxId, TxId)>;
 }
 
 /// Draws a uniform index in `0..n` by rejection sampling — unlike
@@ -81,7 +77,7 @@ fn uniform_index(rng: &mut dyn RngCore, n: usize) -> usize {
 pub struct UniformRandomSelector;
 
 impl TipSelector for UniformRandomSelector {
-    fn select_tips(&self, tangle: &dyn TangleRead, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
+    fn select_tips(&self, tangle: &Tangle, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
         // Borrow the ordered tip set — no per-selection Vec clone. The
         // RNG draws are identical to the old index-a-cloned-Vec path, so
         // seeded traces are unchanged.
@@ -126,7 +122,7 @@ impl TipSelector for UniformRandomSelector {
 /// `scratch` is reused across steps and walks: one selection performs no
 /// per-step allocation.
 fn weighted_walk(
-    tangle: &dyn TangleRead,
+    tangle: &Tangle,
     weight_of: &dyn Fn(&TxId) -> u64,
     alpha: f64,
     start: TxId,
@@ -169,13 +165,16 @@ fn weighted_walk(
 /// otherwise the heaviest remaining transaction, ties broken toward the
 /// smallest [`TxId`] so post-snapshot starts never depend on hash-map
 /// iteration order.
-fn genesis_walk_start(tangle: &dyn TangleRead) -> Option<TxId> {
+fn genesis_walk_start(tangle: &Tangle) -> Option<TxId> {
     if let Some(g) = tangle.genesis() {
         if tangle.contains(&g) {
             return Some(g);
         }
     }
-    tangle.heaviest_id()
+    tangle
+        .iter()
+        .map(|tx| tx.id())
+        .max_by_key(|id| (tangle.cumulative_weight(id), std::cmp::Reverse(*id)))
 }
 
 /// Materializes the full weight map — the legacy per-selection O(n)
@@ -223,7 +222,7 @@ impl WeightedMcmcSelector {
     /// otherwise the heaviest remaining transaction, ties broken toward
     /// the smallest [`TxId`]. Exposed so tests can pin the post-snapshot
     /// tie-break.
-    pub fn walk_start(&self, tangle: &dyn TangleRead) -> Option<TxId> {
+    pub fn walk_start(&self, tangle: &Tangle) -> Option<TxId> {
         genesis_walk_start(tangle)
     }
 
@@ -249,7 +248,7 @@ impl WeightedMcmcSelector {
 }
 
 impl TipSelector for WeightedMcmcSelector {
-    fn select_tips(&self, tangle: &dyn TangleRead, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
+    fn select_tips(&self, tangle: &Tangle, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
         let start = genesis_walk_start(tangle)?;
         let weight_of = |id: &TxId| tangle.cumulative_weight(id);
         let mut scratch = Vec::new();
@@ -327,7 +326,7 @@ impl DepthConstrainedSelector {
 }
 
 impl TipSelector for DepthConstrainedSelector {
-    fn select_tips(&self, tangle: &dyn TangleRead, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
+    fn select_tips(&self, tangle: &Tangle, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
         let recent = tangle.recent_non_tips(self.window);
         if recent.is_empty() {
             // Degenerate tangle (only tips): fall back to uniform.
@@ -342,158 +341,8 @@ impl TipSelector for DepthConstrainedSelector {
     }
 }
 
-/// Runs `k` independent weighted walkers — optionally across threads —
-/// and returns the two tips with the most walker endorsements.
-///
-/// This is the many-walker variant of IOTA's selection: each walker is an
-/// independent MCMC walk from the same start, and the tips walkers
-/// converge on most often are the best-attested ones. The knob mirrors
-/// [`MiningConfig`](https://docs.rs/) / `VerifyConfig`: `threads ≤ 1`
-/// runs the walkers serially on the calling thread.
-///
-/// **Determinism.** Walker `i` gets its own [`StdRng`] seeded from the
-/// caller's RNG *before* any walking begins, so every walker's path is a
-/// pure function of the caller's stream and the tangle — results are
-/// bit-for-bit identical for any `threads` value. The vote reduction
-/// (most endorsements, ties toward the smallest [`TxId`]) is likewise
-/// order-free.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelWalkSelector {
-    /// Walk greediness (see [`WeightedMcmcSelector::alpha`]).
-    pub alpha: f64,
-    /// `Some(w)`: start like [`DepthConstrainedSelector`] with window `w`;
-    /// `None`: start at the genesis like [`WeightedMcmcSelector`].
-    pub window: Option<usize>,
-    /// Number of independent walkers (clamped to ≥ 2: a trunk/branch pair
-    /// needs at least two endorsements).
-    pub walkers: usize,
-    /// Worker threads; `0`/`1` runs the walkers serially.
-    pub threads: usize,
-}
-
-impl ParallelWalkSelector {
-    /// Creates a selector with `walkers` genesis-anchored walkers running
-    /// serially; use [`with_window`](Self::with_window) /
-    /// [`with_threads`](Self::with_threads) to adjust.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is negative or not finite.
-    pub fn new(alpha: f64, walkers: usize) -> Self {
-        assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be ≥ 0");
-        Self {
-            alpha,
-            window: None,
-            walkers,
-            threads: 1,
-        }
-    }
-
-    /// Depth-constrains the walk starts (see [`DepthConstrainedSelector`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        self.window = Some(window);
-        self
-    }
-
-    /// Sets the worker thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Picks the shared walk start, consuming the caller's RNG exactly as
-    /// the sequential selectors do.
-    fn pick_start(&self, tangle: &dyn TangleRead, rng: &mut dyn RngCore) -> Option<Result<TxId, ()>> {
-        match self.window {
-            None => genesis_walk_start(tangle).map(Ok),
-            Some(w) => {
-                let recent = tangle.recent_non_tips(w);
-                if recent.is_empty() {
-                    // Degenerate tangle (only tips): signal uniform fallback.
-                    Some(Err(()))
-                } else {
-                    Some(Ok(recent[uniform_index(rng, recent.len())]))
-                }
-            }
-        }
-    }
-
-    /// Reduces walker endorsements to a (trunk, branch) pair: the two most
-    /// endorsed tips, ties toward the smallest id. With a single distinct
-    /// tip the pair coincides.
-    fn reduce(tips: &[TxId]) -> (TxId, TxId) {
-        let mut votes: HashMap<TxId, usize> = HashMap::new();
-        for t in tips {
-            *votes.entry(*t).or_insert(0) += 1;
-        }
-        let best = |exclude: Option<TxId>| -> Option<TxId> {
-            votes
-                .iter()
-                .filter(|(id, _)| Some(**id) != exclude)
-                .max_by_key(|(id, n)| (**n, std::cmp::Reverse(**id)))
-                .map(|(id, _)| *id)
-        };
-        let trunk = best(None).expect("at least one walker ran");
-        let branch = best(Some(trunk)).unwrap_or(trunk);
-        (trunk, branch)
-    }
-}
-
-impl TipSelector for ParallelWalkSelector {
-    fn select_tips(&self, tangle: &dyn TangleRead, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
-        let start = match self.pick_start(tangle, rng)? {
-            Ok(s) => s,
-            Err(()) => return UniformRandomSelector.select_tips(tangle, rng),
-        };
-        let k = self.walkers.max(2);
-        // Seed every walker from the caller's stream up front: the walks
-        // are then independent of scheduling, so threads can race freely.
-        let seeds: Vec<u64> = (0..k).map(|_| rng.next_u64()).collect();
-        let alpha = self.alpha;
-        let run_walker = |seed: u64| {
-            let mut walker_rng = StdRng::seed_from_u64(seed);
-            let mut scratch = Vec::new();
-            weighted_walk(
-                tangle,
-                &|id: &TxId| tangle.cumulative_weight(id),
-                alpha,
-                start,
-                &mut walker_rng,
-                &mut scratch,
-            )
-        };
-        let threads = self.threads.max(1).min(k);
-        let tips: Vec<TxId> = if threads <= 1 {
-            seeds.iter().map(|&s| run_walker(s)).collect()
-        } else {
-            let mut slots: Vec<Option<TxId>> = vec![None; k];
-            let chunk = k.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (seed_chunk, slot_chunk) in seeds.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                    scope.spawn(|| {
-                        for (seed, slot) in seed_chunk.iter().zip(slot_chunk.iter_mut()) {
-                            *slot = Some(run_walker(*seed));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|t| t.expect("every chunk worker fills its slots"))
-                .collect()
-        };
-        Some(Self::reduce(&tips))
-    }
-}
-
 /// Cloneable, serializable description of a tip-selection strategy — the
-/// configuration knob gateways and simulations carry (the tip-selection
-/// analogue of `MiningConfig` / `VerifyConfig`).
+/// configuration knob gateways and simulations carry.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum SelectorConfig {
     /// [`UniformRandomSelector`].
@@ -509,17 +358,6 @@ pub enum SelectorConfig {
         alpha: f64,
         /// Recent-transaction window for walk starts.
         window: usize,
-    },
-    /// [`ParallelWalkSelector`].
-    ParallelWalk {
-        /// Walk greediness.
-        alpha: f64,
-        /// `Some(w)` depth-constrains starts; `None` anchors at genesis.
-        window: Option<usize>,
-        /// Independent walkers per selection.
-        walkers: usize,
-        /// Worker threads (`0`/`1` = serial).
-        threads: usize,
     },
 }
 
@@ -540,18 +378,6 @@ impl SelectorConfig {
             SelectorConfig::DepthConstrained { alpha, window } => {
                 Box::new(DepthConstrainedSelector::new(alpha, window))
             }
-            SelectorConfig::ParallelWalk {
-                alpha,
-                window,
-                walkers,
-                threads,
-            } => {
-                let mut s = ParallelWalkSelector::new(alpha, walkers).with_threads(threads);
-                if let Some(w) = window {
-                    s = s.with_window(w);
-                }
-                Box::new(s)
-            }
         }
     }
 }
@@ -566,7 +392,7 @@ pub struct FixedPairSelector {
 }
 
 impl TipSelector for FixedPairSelector {
-    fn select_tips(&self, tangle: &dyn TangleRead, _rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
+    fn select_tips(&self, tangle: &Tangle, _rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
         // Only return the pair while it is still attached (or pruned-known).
         if tangle.contains(&self.pair.0) || tangle.is_pruned(&self.pair.0) {
             Some(self.pair)
@@ -857,37 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_walk_reaches_tips_and_is_thread_invariant() {
-        let mut tangle = Tangle::new();
-        let g = tangle.attach_genesis(NodeId([0; 32]), 0);
-        grow_chain(&mut tangle, g, 25, 1);
-        grow_chain(&mut tangle, g, 10, 2);
-        let serial = ParallelWalkSelector::new(0.3, 6);
-        let threaded = serial.with_threads(4);
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        for _ in 0..10 {
-            let a = serial.select_tips(&tangle, &mut rng_a).unwrap();
-            let b = threaded.select_tips(&tangle, &mut rng_b).unwrap();
-            assert_eq!(a, b, "thread count must not change the selection");
-            assert!(tangle.tips().contains(&a.0));
-            assert!(tangle.tips().contains(&a.1));
-        }
-    }
-
-    #[test]
-    fn parallel_walk_windowed_falls_back_on_tiny_tangle() {
-        let mut tangle = Tangle::new();
-        let g = tangle.attach_genesis(NodeId([0; 32]), 0);
-        let sel = ParallelWalkSelector::new(0.3, 4).with_window(8);
-        let mut rng = StdRng::seed_from_u64(22);
-        assert_eq!(sel.select_tips(&tangle, &mut rng), Some((g, g)));
-        assert!(sel
-            .select_tips(&Tangle::new(), &mut rng)
-            .is_none());
-    }
-
-    #[test]
     fn selector_config_builds_every_strategy() {
         let mut tangle = Tangle::new();
         tangle.attach_genesis(NodeId([0; 32]), 0);
@@ -896,18 +691,6 @@ mod tests {
             SelectorConfig::Uniform,
             SelectorConfig::Weighted { alpha: 0.2 },
             SelectorConfig::DepthConstrained { alpha: 0.2, window: 4 },
-            SelectorConfig::ParallelWalk {
-                alpha: 0.2,
-                window: Some(4),
-                walkers: 3,
-                threads: 2,
-            },
-            SelectorConfig::ParallelWalk {
-                alpha: 0.2,
-                window: None,
-                walkers: 2,
-                threads: 1,
-            },
         ] {
             let sel = cfg.build();
             assert!(sel.select_tips(&tangle, &mut rng).is_some(), "{cfg:?}");
@@ -921,7 +704,6 @@ mod tests {
             Box::new(UniformRandomSelector),
             Box::new(WeightedMcmcSelector::new(0.1)),
             Box::new(DepthConstrainedSelector::new(0.1, 4)),
-            Box::new(ParallelWalkSelector::new(0.1, 3)),
         ];
         let mut tangle = Tangle::new();
         tangle.attach_genesis(NodeId([0; 32]), 0);

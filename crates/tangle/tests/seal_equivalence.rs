@@ -1,31 +1,19 @@
-//! Property suite for the sealed-cone weight index and the concurrent
-//! read path.
+//! Property suite for the sealed-cone weight index.
 //!
-//! Two families of guarantees:
-//!
-//! 1. **Sealing is invisible.** Driving a sealed tangle and a never-sealed
-//!    mirror through identical attach/confirm/prune/restore cycles must
-//!    leave them bit-for-bit identical on every observable — cumulative
-//!    weights (checked against the `cumulative_weight_recount` oracle),
-//!    tips, statuses, lengths — no matter where seals land in the
-//!    interleaving. A view captured after every step reads the same as
-//!    the live tangle, and the slot index behind the weight walk stays
-//!    sized by the peak number of stored entries.
-//! 2. **Views are the tangle.** Tip selections on a [`TangleView`]
-//!    snapshot must equal selections on the tangle it was taken from,
-//!    with identical RNG consumption, at every thread count — so reads
-//!    running concurrently with attaches (see `view.rs` for the live
-//!    multi-threaded schedule test) are provably equivalent to the
-//!    serialized schedule.
+//! **Sealing is invisible.** Driving a sealed tangle and a never-sealed
+//! mirror through identical attach/confirm/prune/restore cycles must
+//! leave them bit-for-bit identical on every observable — cumulative
+//! weights (checked against the `cumulative_weight_recount` oracle),
+//! tips, statuses, lengths — no matter where seals land in the
+//! interleaving. The slot index behind the weight walk stays sized by
+//! the peak number of stored entries.
 
 use biot_tangle::graph::Tangle;
-use biot_tangle::tips::{ParallelWalkSelector, TipSelector, UniformRandomSelector};
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder, TxId};
-use biot_tangle::{TangleRead, TangleSnapshot};
+use biot_tangle::TangleSnapshot;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::collections::BTreeSet;
+use rand::{Rng, SeedableRng};
 
 /// One step of the randomized life cycle.
 #[derive(Clone, Debug)]
@@ -106,42 +94,6 @@ fn assert_equivalent(sealed: &Tangle, plain: &Tangle, at: &str) {
     }
 }
 
-/// A view captured now answers every read exactly as `t` does.
-fn assert_view_matches(t: &Tangle, at: &str) {
-    let view = t.view_full();
-    assert_eq!(view.len(), t.len(), "{at}: view len");
-    assert_eq!(view.tips_set(), t.tips_set(), "{at}: view tips");
-    assert_eq!(
-        view.heaviest_id(),
-        TangleRead::heaviest_id(t),
-        "{at}: view heaviest id"
-    );
-    for window in [1, 4, POOL_WIDTH] {
-        assert_eq!(
-            view.recent_non_tips(window),
-            t.recent_non_tips(window),
-            "{at}: view recent_non_tips({window})"
-        );
-    }
-    for tx in t.iter() {
-        let id = tx.id();
-        assert!(view.contains(&id), "{at}: view lost {id:?}");
-        assert_eq!(
-            view.cumulative_weight(&id),
-            t.cumulative_weight(&id),
-            "{at}: view weight of {id:?}"
-        );
-        assert_eq!(
-            view.status(&id),
-            t.status(&id),
-            "{at}: view status of {id:?}"
-        );
-        let in_view: BTreeSet<TxId> = view.approvers(&id).iter().copied().collect();
-        let live: BTreeSet<TxId> = t.approvers(&id).iter().copied().collect();
-        assert_eq!(in_view, live, "{at}: view approvers of {id:?}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -208,7 +160,6 @@ proptest! {
             }
             let at = format!("after op {i} ({op:?})");
             assert_equivalent(&sealed, &plain, &at);
-            assert_view_matches(&sealed, &at);
             sealed_peak = sealed_peak.max(sealed.len());
             plain_peak = plain_peak.max(plain.len());
             prop_assert_eq!(sealed.weight_index_slots(), sealed_peak, "{}: sealed slots", at);
@@ -218,73 +169,6 @@ proptest! {
         // audit, catches drift that only a trailing seal would expose.
         sealed.seal_frontier(0);
         assert_equivalent(&sealed, &plain, "after trailing seal");
-    }
-
-    #[test]
-    fn view_selections_equal_serialized_schedule_at_any_thread_count(
-        seed in 0u64..5000,
-        n in 10usize..50,
-        confirm_threshold in 2u64..5,
-        lag in 0usize..16,
-    ) {
-        // Build a random, partially sealed tangle.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut tangle = Tangle::new();
-        tangle.attach_genesis(NodeId([0; 32]), 0);
-        let mut attached: Vec<TxId> = tangle.tips();
-        for i in 0..n {
-            let a = attached[rng.gen_range(0..attached.len())];
-            let b = attached[rng.gen_range(0..attached.len())];
-            let ts = i as u64 + 1;
-            let tx = TransactionBuilder::new(NodeId([(i % 7) as u8 + 1; 32]))
-                .parents(a, b)
-                .payload(Payload::Data(vec![i as u8]))
-                .timestamp_ms(ts)
-                .build();
-            let id = tangle.attach(tx, ts).expect("parents stored");
-            attached.push(id);
-        }
-        tangle.confirm_with_threshold(confirm_threshold);
-        tangle.seal_frontier(lag);
-
-        // The view is a point-in-time snapshot: selections on it must be
-        // bit-identical (same pairs, same RNG consumption) to selections
-        // on the tangle itself — the serialized schedule — for every
-        // selector and thread count.
-        let view = tangle.view_full();
-        prop_assert_eq!(view.tips_set(), tangle.tips_set());
-
-        let mut rng_t = StdRng::seed_from_u64(seed ^ 0xD1CE);
-        let mut rng_v = StdRng::seed_from_u64(seed ^ 0xD1CE);
-        for draw in 0..4 {
-            let on_tangle = UniformRandomSelector.select_tips(&tangle, &mut rng_t);
-            let on_view = UniformRandomSelector.select_tips(&view, &mut rng_v);
-            prop_assert_eq!(on_tangle, on_view, "uniform draw {}", draw);
-            prop_assert_eq!(rng_t.next_u64(), rng_v.next_u64());
-        }
-
-        let serial = ParallelWalkSelector::new(0.4, 5);
-        for threads in [1usize, 2, 4] {
-            let wide = serial.with_threads(threads);
-            let mut rng_t = StdRng::seed_from_u64(seed ^ 0xBEEF);
-            let mut rng_v = StdRng::seed_from_u64(seed ^ 0xBEEF);
-            for draw in 0..3 {
-                let on_tangle = serial.select_tips(&tangle, &mut rng_t);
-                let on_view = wide.select_tips(&view, &mut rng_v);
-                prop_assert_eq!(
-                    on_tangle, on_view,
-                    "walk draw {} at {} threads diverged from serialized schedule",
-                    draw, threads
-                );
-                prop_assert_eq!(rng_t.next_u64(), rng_v.next_u64());
-            }
-        }
-
-        // Weight queries through the view match the tangle's (and hence,
-        // by the mirror property above, the recount oracle).
-        for id in &attached {
-            prop_assert_eq!(view.cumulative_weight(id), tangle.cumulative_weight(id));
-        }
     }
 }
 

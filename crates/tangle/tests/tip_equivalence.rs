@@ -10,9 +10,7 @@
 //! ground truth.
 
 use biot_tangle::graph::Tangle;
-use biot_tangle::tips::{
-    DepthConstrainedSelector, ParallelWalkSelector, TipSelector, WeightedMcmcSelector,
-};
+use biot_tangle::tips::{DepthConstrainedSelector, TipSelector, WeightedMcmcSelector};
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder, TxId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -99,35 +97,6 @@ fn depth_constrained_indexed_path_matches_recount_oracle() {
                         "depth-constrained divergence: tag {tag}, window {window}, draw {draw}"
                     );
                     assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
-                }
-            }
-        });
-    }
-}
-
-#[test]
-fn parallel_walk_is_invariant_to_thread_count() {
-    // threads: 1 is the sequential spec; any thread count must reproduce
-    // it exactly (walker seeds are drawn before any walking happens).
-    for seed in 0..4u64 {
-        with_lifecycle_checkpoints(seed, |tangle, tag| {
-            for window in [None, Some(16usize)] {
-                let mut serial = ParallelWalkSelector::new(0.4, 7);
-                let mut wide = serial.with_threads(4);
-                if let Some(w) = window {
-                    serial = serial.with_window(w);
-                    wide = wide.with_window(w);
-                }
-                let mut rng_a = StdRng::seed_from_u64(tag ^ 0xF00D);
-                let mut rng_b = StdRng::seed_from_u64(tag ^ 0xF00D);
-                for draw in 0..3 {
-                    let a = serial.select_tips(tangle, &mut rng_a);
-                    let b = wide.select_tips(tangle, &mut rng_b);
-                    assert_eq!(
-                        a, b,
-                        "thread-count divergence: tag {tag}, window {window:?}, draw {draw}"
-                    );
-                    assert_eq!(rng_a.next_u64(), rng_b.next_u64());
                 }
             }
         });
