@@ -82,9 +82,6 @@ pub struct GatewayConfig {
     pub lazy_policy: LazyTipPolicy,
     /// Cumulative weight at which a transaction counts as confirmed.
     pub confirmation_threshold: u64,
-    /// Whether to require a valid issuer signature on every submission
-    /// (on by default; benches may disable it to isolate PoW cost).
-    pub verify_signatures: bool,
     /// Optional per-device token-bucket rate limit (off by default).
     pub rate_limit: Option<RateLimitConfig>,
     /// Strategy served by [`Gateway::random_tips`] (step 4 of the Fig 6
@@ -117,7 +114,6 @@ impl Default for GatewayConfig {
             credit_params: CreditParams::default(),
             lazy_policy: LazyTipPolicy::default(),
             confirmation_threshold: 3,
-            verify_signatures: true,
             rate_limit: None,
             tip_selector: SelectorConfig::default(),
             record_broadcasts: false,
@@ -411,20 +407,18 @@ impl Gateway {
                 }
             }
         }
-        // 2. Signature, when verification is on and the issuer's key is
-        //    known — after the cheap gates, so rate-limited floods never
-        //    cost a signature verification. Managers and devices live in
-        //    separate maps, so a device cannot shadow a manager id.
-        if self.config.verify_signatures {
-            let key = if is_manager {
-                self.manager_keys.get(&issuer)
-            } else {
-                self.directory.get(&issuer)
-            };
-            if key.is_some_and(|pk| !pk.verify(&tx.signing_bytes(), &tx.signature)) {
-                self.stats.rejected_bad_signature += 1;
-                return Err(SubmitError::BadSignature(issuer));
-            }
+        // 2. Signature, when the issuer's key is known — after the cheap
+        //    gates, so rate-limited floods never cost a signature
+        //    verification. Managers and devices live in separate maps, so
+        //    a device cannot shadow a manager id.
+        let key = if is_manager {
+            self.manager_keys.get(&issuer)
+        } else {
+            self.directory.get(&issuer)
+        };
+        if key.is_some_and(|pk| !pk.verify(&tx.signing_bytes(), &tx.signature)) {
+            self.stats.rejected_bad_signature += 1;
+            return Err(SubmitError::BadSignature(issuer));
         }
         // 3. Credit-based PoW check, against the difficulty the issuer's
         //    credit demands *right now*.

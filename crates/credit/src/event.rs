@@ -26,6 +26,7 @@
 
 use crate::params::Misbehavior;
 use biot_net::time::SimTime;
+use biot_tangle::codec::{read_varint, write_varint, VarintError};
 use biot_tangle::tx::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -126,6 +127,15 @@ impl fmt::Display for CreditCodecError {
 
 impl std::error::Error for CreditCodecError {}
 
+impl From<VarintError> for CreditCodecError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::UnexpectedEnd => Self::UnexpectedEnd,
+            VarintError::Overlong => Self::BadVarint,
+        }
+    }
+}
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -133,38 +143,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CreditCodecError> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(CreditCodecError::UnexpectedEnd)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return Err(CreditCodecError::BadVarint);
-        }
-        value |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(CreditCodecError::BadVarint);
-        }
-    }
 }
 
 /// Encodes an event in the canonical versioned format.
@@ -175,13 +153,13 @@ pub fn encode_event(ev: &CreditEvent) -> Vec<u8> {
         CreditEvent::Validated { node, weight, at } => {
             out.push(0);
             out.extend_from_slice(&node.0);
-            put_varint(&mut out, at.as_millis());
+            write_varint(&mut out, at.as_millis());
             out.extend_from_slice(&weight.to_bits().to_be_bytes());
         }
         CreditEvent::Misbehaved { node, kind, at } => {
             out.push(1);
             out.extend_from_slice(&node.0);
-            put_varint(&mut out, at.as_millis());
+            write_varint(&mut out, at.as_millis());
             out.push(match kind {
                 Misbehavior::LazyTips => 0,
                 Misbehavior::DoubleSpend => 1,
@@ -311,6 +289,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn overlong_varint_is_rejected() {
+        // An `at_ms` of `[0xFF; 9] ++ [0x7F]` (six bits past u64) behind
+        // a valid checksum.
+        let mut buf = vec![CODEC_VERSION, 1];
+        buf.extend_from_slice(&[3; 32]);
+        buf.extend_from_slice(&[0xFF; 9]);
+        buf.push(0x7F);
+        buf.push(0);
+        let sum = (fnv1a64(&buf) as u32).to_be_bytes();
+        buf.extend_from_slice(&sum);
+        assert_eq!(decode_event(&buf), Err(CreditCodecError::BadVarint));
     }
 
     #[test]

@@ -44,7 +44,9 @@
 
 use biot_credit::event::{decode_event, encode_event, CreditCodecError, CreditEvent};
 use biot_crypto::sha256::sha256;
-use biot_tangle::codec::{decode_tx, encode_tx, CodecError};
+use biot_tangle::codec::{
+    decode_tx, encode_tx, read_varint, write_varint, CodecError, VarintError,
+};
 use biot_tangle::tx::{Transaction, TxId};
 use std::fmt;
 
@@ -80,7 +82,7 @@ pub enum WireError {
     UnexpectedEnd,
     /// Unknown message tag.
     BadTag(u8),
-    /// A varint ran past 10 bytes.
+    /// A varint encodes more than 64 bits.
     BadVarint,
     /// A declared count/length exceeds the frame or the protocol cap.
     BadLength(u64),
@@ -261,18 +263,6 @@ pub fn baseline_hash(genesis: Option<TxId>, pruned_sorted: &[TxId]) -> [u8; 32] 
     sha256(&buf)
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
@@ -299,15 +289,10 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, WireError> {
-        let mut value = 0u64;
-        for i in 0..10 {
-            let byte = self.u8()?;
-            value |= ((byte & 0x7F) as u64) << (7 * i);
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(WireError::BadVarint)
+        read_varint(self.input, &mut self.pos).map_err(|e| match e {
+            VarintError::UnexpectedEnd => WireError::UnexpectedEnd,
+            VarintError::Overlong => WireError::BadVarint,
+        })
     }
 
     fn remaining(&self) -> usize {
@@ -340,7 +325,7 @@ impl<'a> Reader<'a> {
 
 fn put_tx(out: &mut Vec<u8>, tx: &Transaction) {
     let body = encode_tx(tx);
-    put_varint(out, body.len() as u64);
+    write_varint(out, body.len() as u64);
     out.extend_from_slice(&body);
 }
 
@@ -363,7 +348,7 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
             match listen_addr {
                 Some(addr) => {
                     out.push(1);
-                    put_varint(&mut out, addr.len() as u64);
+                    write_varint(&mut out, addr.len() as u64);
                     out.extend_from_slice(addr.as_bytes());
                 }
                 None => out.push(0),
@@ -375,20 +360,20 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
         }
         Message::TxPayload { attach_ms, tx } => {
             out.push(3);
-            put_varint(&mut out, *attach_ms);
+            write_varint(&mut out, *attach_ms);
             put_tx(&mut out, tx);
         }
         Message::GetTips => out.push(4),
         Message::Tips(ids) => {
             out.push(5);
-            put_varint(&mut out, ids.len() as u64);
+            write_varint(&mut out, ids.len() as u64);
             for id in ids {
                 out.extend_from_slice(&id.0);
             }
         }
         Message::Heartbeat(now_ms) => {
             out.push(6);
-            put_varint(&mut out, *now_ms);
+            write_varint(&mut out, *now_ms);
         }
         Message::GetBaseline => out.push(7),
         Message::Baseline { genesis, pruned } => {
@@ -396,38 +381,38 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
             match genesis {
                 Some((attach_ms, tx)) => {
                     out.push(1);
-                    put_varint(&mut out, *attach_ms);
+                    write_varint(&mut out, *attach_ms);
                     put_tx(&mut out, tx);
                 }
                 None => out.push(0),
             }
-            put_varint(&mut out, pruned.len() as u64);
+            write_varint(&mut out, pruned.len() as u64);
             for id in pruned {
                 out.extend_from_slice(&id.0);
             }
         }
         Message::CreditEvents(events) => {
             out.push(9);
-            put_varint(&mut out, events.len() as u64);
+            write_varint(&mut out, events.len() as u64);
             for ev in events {
                 let body = encode_event(ev);
-                put_varint(&mut out, body.len() as u64);
+                write_varint(&mut out, body.len() as u64);
                 out.extend_from_slice(&body);
             }
         }
         Message::PeerExchange(entries) => {
             out.push(10);
-            put_varint(&mut out, entries.len() as u64);
+            write_varint(&mut out, entries.len() as u64);
             for e in entries {
                 out.extend_from_slice(&e.node_id.to_be_bytes());
-                put_varint(&mut out, e.addr.len() as u64);
+                write_varint(&mut out, e.addr.len() as u64);
                 out.extend_from_slice(e.addr.as_bytes());
                 out.extend_from_slice(&peer_entry_checksum(e.node_id, e.addr.as_bytes()));
             }
         }
         Message::Digest(ids) => {
             out.push(11);
-            put_varint(&mut out, ids.len() as u64);
+            write_varint(&mut out, ids.len() as u64);
             for id in ids {
                 out.extend_from_slice(&id.0);
             }
@@ -435,14 +420,14 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
         }
         Message::GetTxs(ids) => {
             out.push(12);
-            put_varint(&mut out, ids.len() as u64);
+            write_varint(&mut out, ids.len() as u64);
             for id in ids {
                 out.extend_from_slice(&id.0);
             }
         }
         Message::CreditKeys(keys) => {
             out.push(13);
-            put_varint(&mut out, keys.len() as u64);
+            write_varint(&mut out, keys.len() as u64);
             for key in keys {
                 out.extend_from_slice(key);
             }
@@ -450,7 +435,7 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
         }
         Message::GetCreditEvents(keys) => {
             out.push(14);
-            put_varint(&mut out, keys.len() as u64);
+            write_varint(&mut out, keys.len() as u64);
             for key in keys {
                 out.extend_from_slice(key);
             }
@@ -729,12 +714,23 @@ mod tests {
     }
 
     #[test]
+    fn overlong_varint_is_rejected() {
+        // A Heartbeat clock of `[0xFF; 9] ++ [0x7F]`: six bits past u64.
+        let mut frame = vec![6u8];
+        frame.extend_from_slice(&[0xFF; 9]);
+        frame.push(0x7F);
+        assert_eq!(decode_msg(&frame), Err(WireError::BadVarint));
+        frame[10] = 0x01;
+        assert_eq!(decode_msg(&frame), Ok(Message::Heartbeat(u64::MAX)));
+    }
+
+    #[test]
     fn forged_tip_count_is_capped() {
         // Tips frame declaring u64::MAX ids with an empty body: the count
         // check must fire before any allocation.
         let mut frame = vec![5u8];
         frame.extend_from_slice(&[0xFF; 9]);
-        frame.push(0x7F);
+        frame.push(0x01);
         assert!(matches!(decode_msg(&frame), Err(WireError::BadLength(_))));
     }
 
@@ -744,7 +740,7 @@ mod tests {
         // body: rejected before any allocation, same as forged tip counts.
         let mut frame = vec![9u8];
         frame.extend_from_slice(&[0xFF; 9]);
-        frame.push(0x7F);
+        frame.push(0x01);
         assert!(matches!(decode_msg(&frame), Err(WireError::BadLength(_))));
     }
 
@@ -776,7 +772,7 @@ mod tests {
         // body must be rejected before any allocation.
         let mut frame = vec![10u8];
         frame.extend_from_slice(&[0xFF; 9]);
-        frame.push(0x7F);
+        frame.push(0x01);
         assert!(matches!(decode_msg(&frame), Err(WireError::BadLength(_))));
         // Even a plausible count over the protocol cap is refused, no
         // matter how much padding backs it.
@@ -794,7 +790,7 @@ mod tests {
         for tag in [11u8, 12u8, 13u8, 14u8] {
             let mut frame = vec![tag];
             frame.extend_from_slice(&[0xFF; 9]);
-            frame.push(0x7F);
+            frame.push(0x01);
             assert!(matches!(decode_msg(&frame), Err(WireError::BadLength(_))), "tag {tag}");
             let mut frame = vec![tag];
             frame.extend_from_slice(&encode_varint((MAX_IDS_PER_DIGEST + 1) as u64));
@@ -839,7 +835,7 @@ mod tests {
 
     fn encode_varint(v: u64) -> Vec<u8> {
         let mut out = Vec::new();
-        put_varint(&mut out, v);
+        write_varint(&mut out, v);
         out
     }
 

@@ -27,7 +27,9 @@
 //! codec.
 
 use biot_core::node::SubmitError;
-use biot_tangle::codec::{decode_tx, encode_tx, CodecError};
+use biot_tangle::codec::{
+    decode_tx, encode_tx, read_varint, write_varint, CodecError, VarintError,
+};
 use biot_tangle::tx::{Transaction, TxId};
 use std::fmt;
 
@@ -45,7 +47,7 @@ pub enum ProtocolError {
     UnexpectedEnd,
     /// Unknown message tag.
     BadTag(u8),
-    /// A varint ran past 10 bytes.
+    /// A varint encodes more than 64 bits.
     BadVarint,
     /// A declared count/length exceeds the frame or a protocol cap.
     BadLength(u64),
@@ -72,6 +74,15 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<VarintError> for ProtocolError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::UnexpectedEnd => ProtocolError::UnexpectedEnd,
+            VarintError::Overlong => ProtocolError::BadVarint,
+        }
+    }
+}
 
 impl From<CodecError> for ProtocolError {
     fn from(e: CodecError) -> Self {
@@ -167,37 +178,6 @@ pub enum ClientMsg {
 pub enum ServerMsg {
     /// Results for one submission, transaction order preserved.
     Ack(Vec<AckResult>),
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, ProtocolError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    for _ in 0..10 {
-        let byte = *input.get(*pos).ok_or(ProtocolError::UnexpectedEnd)?;
-        *pos += 1;
-        let bits = u64::from(byte & 0x7f);
-        v = bits
-            .checked_shl(shift)
-            .and_then(|b| v.checked_add(b))
-            .ok_or(ProtocolError::BadVarint)?;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-    Err(ProtocolError::BadVarint)
 }
 
 fn write_tx(out: &mut Vec<u8>, tx: &Transaction) {
@@ -383,6 +363,15 @@ mod tests {
                 assert!(refused, "frame {i} truncated at {cut} must be refused");
             }
         }
+    }
+
+    #[test]
+    fn overlong_varint_is_rejected() {
+        // A SubmitTx length of `[0xFF; 9] ++ [0x7F]`: six bits past u64.
+        let mut frame = vec![TAG_SUBMIT_TX];
+        frame.extend_from_slice(&[0xFF; 9]);
+        frame.push(0x7F);
+        assert!(matches!(decode_client(&frame), Err(ProtocolError::BadVarint)));
     }
 
     #[test]

@@ -132,7 +132,8 @@ pub enum BootSource {
     /// Nothing on disk and no peers yet: empty tangle, waiting for the
     /// mesh baseline handshake.
     Cold,
-    /// Recovered tangle + credit events from the segmented store.
+    /// Recovered tangle + credit events from the store (snapshot plus
+    /// WAL replay).
     Snapshot,
 }
 
@@ -284,11 +285,9 @@ impl ArchivalNode {
     }
 
     /// Persistence handler: append newly synced transactions to the
-    /// store. Clones are collected under the tangle lock and appended
-    /// only after it is released — `append` fsyncs and compacts, and
-    /// holding the shared tangle mutex across disk I/O would stall every
-    /// concurrent reader (the HTTP read views, gossip service threads)
-    /// for the duration.
+    /// store, one `append` (one write, one `sync_data`) each. The
+    /// transactions are cloned under the tangle lock, which is released
+    /// before the disk I/O starts.
     ///
     /// # Errors
     ///

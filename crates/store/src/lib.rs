@@ -1,54 +1,46 @@
 //! # biot-store
 //!
-//! File-backed persistence for gateway replicas: a length-framed,
-//! checksummed write-ahead log plus periodic snapshot files, with crash
-//! recovery. This addresses the paper's "storage limitations" future-work
-//! note (§VIII): combined with `Tangle::snapshot` pruning, a gateway's
-//! disk footprint stays bounded while the replica survives restarts.
+//! File-backed persistence for gateway replicas: one checksummed
+//! write-ahead log plus one snapshot file, with crash recovery. This
+//! addresses the paper's "storage limitations" future-work note (§VIII):
+//! combined with `Tangle::snapshot` pruning, a gateway's disk footprint
+//! stays bounded while the replica survives restarts.
 //!
 //! ## Layout
 //!
-//! A store directory holds:
+//! A store directory holds two files:
 //!
-//! * `snapshot.biot` — the last checkpoint (all rows of a
-//!   [`TangleSnapshot`] in the wire codec, custom-framed). The
-//!   `BIOTSNP2` format additionally records a *fold watermark* (the
-//!   first WAL segment not yet folded in) and any credit events carried
-//!   out of folded segments.
-//! * `wal.biot`, `wal-000001.biot`, `wal-000002.biot`, … — the
-//!   write-ahead log, split into numbered segments (`wal.biot` is
-//!   segment 0). Appends go to the newest segment; once it exceeds
-//!   [`StoreConfig::segment_bytes`] it is *sealed* and a fresh segment is
-//!   started. Each segment carries its own magic. The `BIOTWAL2` format
-//!   tags every record: tag 0 is a transaction
-//!   (`[0][varint attach_ms][varint len][codec bytes]`), tag 1 is a
-//!   credit event (`[1][varint len][biot_credit codec bytes]`) so
-//!   behaviour evidence — including misbehaviour whose transactions never
-//!   reached the tangle — survives a crash. A file with any other magic
-//!   fails recovery with [`StoreError::CorruptSnapshot`].
+//! * `snapshot.biot` — the last checkpoint. The `BIOTSNP3` format holds
+//!   the rows of a [`TangleSnapshot`] (`[varint attach_ms][u8 confirmed]
+//!   [varint len][codec bytes]` each), the pruned ids (32 bytes each) and
+//!   a credit section (`[varint len][biot_credit codec bytes]` each), every
+//!   part behind a varint count.
+//! * `wal.biot` — the write-ahead log since that checkpoint. The
+//!   `BIOTWAL3` format tags every record: tag 0 is a transaction
+//!   (`[0][varint attach_ms][varint len][codec bytes]`), tag 1 is a credit
+//!   event (`[1][varint len][biot_credit codec bytes]`), so behaviour
+//!   evidence — including misbehaviour whose transactions never reached
+//!   the tangle — survives a crash.
 //!
-//! Recovery = restore the snapshot, then re-attach the records of every
-//! segment at or past the watermark, in segment order. A torn final
-//! record in the *newest* segment (crash mid-append) is detected by the
-//! codec checksum and dropped; sealed segments must replay completely —
-//! corruption there is an error, exactly as mid-file corruption was for
-//! the single-file WAL. [`LedgerStore::recover_full`] returns the
-//! replayed credit events alongside the tangle; feed them to
-//! `Gateway::restore` so negative credit survives the restart.
+//! A file with any other magic, the retired v1 and v2 layouts included,
+//! fails recovery with [`StoreError::CorruptSnapshot`].
 //!
-//! ## Incremental compaction
+//! Recovery restores the snapshot, then replays the WAL. A torn final
+//! record (crash mid-append) is detected by the codec checksum and
+//! dropped; corruption before it is an error. [`LedgerStore::recover_full`]
+//! returns the credit events (the snapshot's credit section, then the
+//! WAL's) alongside the tangle; feed them to `Gateway::restore` so
+//! negative credit survives the restart.
 //!
-//! [`LedgerStore::compact_step`] folds the *oldest sealed* segment into
-//! the snapshot — transactions join the snapshot rows, credit events are
-//! carried in the snapshot's credit section so replay order is preserved
-//! — and advances the watermark. The commit point is the atomic snapshot
-//! rename: a crash before the folded segment file is unlinked merely
-//! leaves a stale segment that recovery (and the next compaction) skips
-//! by watermark. Checkpointing thus becomes a continuous process:
-//! bounded, background-able steps instead of one O(n) pause.
-//! [`LedgerStore::maybe_checkpoint`] drives full checkpoints from a
-//! [`CheckpointPolicy`] (WAL bytes / segment-count thresholds) so callers
-//! stop hand-rolling `wal_size()` checks.
+//! ## Checkpoints
+//!
+//! [`LedgerStore::checkpoint_with_credit`] writes the tangle and the credit
+//! events it carries into a temporary file and renames it over
+//! `snapshot.biot`. That rename commits tangle and credit together; only
+//! then is the WAL reset to its magic. A crash between the two leaves the
+//! old WAL beside the new snapshot: its transactions replay as
+//! duplicates, which recovery skips, and its credit events, if any were
+//! appended since the previous checkpoint, replay after the snapshot's.
 //!
 //! ## Example
 //!
@@ -81,13 +73,15 @@
 #![warn(missing_docs)]
 
 use biot_credit::event::{decode_event, encode_event, CreditCodecError, CreditEvent};
-use biot_tangle::codec::{decode_tx, encode_tx, CodecError};
+use biot_tangle::codec::{
+    decode_tx, encode_tx, read_varint, write_varint, CodecError, VarintError,
+};
 use biot_tangle::graph::{Tangle, TangleError};
 use biot_tangle::snapshot::TangleSnapshot;
 use biot_tangle::tx::{Transaction, TxId};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Errors from the persistence layer.
@@ -103,7 +97,7 @@ pub enum StoreError {
     CreditCodec(CreditCodecError),
     /// Replaying the log produced an inconsistent ledger.
     Replay(TangleError),
-    /// The snapshot file is structurally invalid.
+    /// A store file is structurally invalid or carries an unknown magic.
     CorruptSnapshot(&'static str),
     /// A mutating call on a store opened with
     /// [`LedgerStore::open_read_only`].
@@ -149,142 +143,27 @@ impl From<TangleError> for StoreError {
     }
 }
 
-/// Snapshot: fold watermark + rows + pruned ids + carried credit
-/// events (see the module docs on incremental compaction).
-const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP2";
+/// Snapshot: rows + pruned ids + credit section.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP3";
 /// WAL: tagged records (transactions + credit events).
-const WAL_MAGIC: &[u8; 8] = b"BIOTWAL2";
+const WAL_MAGIC: &[u8; 8] = b"BIOTWAL3";
+
+const SNAPSHOT_FILE: &str = "snapshot.biot";
+const WAL_FILE: &str = "wal.biot";
 
 /// Tag prefixing a transaction record in the WAL.
 const WAL_TAG_TX: u8 = 0;
 /// Tag prefixing a credit-event record in the WAL.
 const WAL_TAG_CREDIT: u8 = 1;
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(input: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut value = 0u64;
-    for i in 0..10 {
-        let byte = *input.get(*pos)?;
-        *pos += 1;
-        value |= ((byte & 0x7F) as u64) << (7 * i);
-        if byte & 0x80 == 0 {
-            return Some(value);
-        }
-    }
-    None
-}
-
-/// Tuning knobs for the on-disk layout.
-#[derive(Clone, Copy, Debug)]
-pub struct StoreConfig {
-    /// Seal the active WAL segment and start a fresh one once it exceeds
-    /// this many bytes. Default 4 MiB — large enough that short-lived
-    /// stores behave exactly like the historical single-file WAL.
-    pub segment_bytes: u64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self {
-            segment_bytes: 4 * 1024 * 1024,
-        }
-    }
-}
-
-/// When [`LedgerStore::maybe_checkpoint`] should write a full checkpoint.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckpointPolicy {
-    /// Checkpoint once the WAL (all segments together) reaches this many
-    /// bytes. Default 1 MiB.
-    pub max_wal_bytes: u64,
-    /// Checkpoint once more than this many segments exist — incremental
-    /// compaction keeps up under steady load, so hitting this means the
-    /// log is outgrowing it. Default 4.
-    pub max_segments: usize,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        Self {
-            max_wal_bytes: 1024 * 1024,
-            max_segments: 4,
-        }
-    }
-}
-
-/// Path of WAL segment `n` inside `dir`: segment 0 keeps the historical
-/// name `wal.biot`, later segments are `wal-NNNNNN.biot`.
-fn segment_path(dir: &Path, n: u64) -> PathBuf {
-    if n == 0 {
-        dir.join("wal.biot")
-    } else {
-        dir.join(format!("wal-{n:06}.biot"))
-    }
-}
-
-/// Every WAL segment present in `dir`, sorted oldest first.
-fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-    let mut out = Vec::new();
-    let legacy = dir.join("wal.biot");
-    if legacy.exists() {
-        out.push((0, legacy));
-    }
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(num) = name
-            .strip_prefix("wal-")
-            .and_then(|s| s.strip_suffix(".biot"))
-        else {
-            continue;
-        };
-        if num.len() == 6 && num.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = num.parse::<u64>() {
-                if n > 0 {
-                    out.push((n, entry.path()));
-                }
-            }
-        }
-    }
-    out.sort_unstable_by_key(|(n, _)| *n);
-    Ok(out)
-}
-
-/// A directory-backed ledger store: snapshot file + segmented write-ahead
-/// log.
+/// A directory-backed ledger store: one snapshot file plus one
+/// write-ahead log.
 pub struct LedgerStore {
     dir: PathBuf,
-    /// The active WAL segment's append handle; `None` for a store opened
-    /// with [`LedgerStore::open_read_only`], which never touches the
-    /// write path.
+    /// The WAL's append handle; `None` for a store opened with
+    /// [`LedgerStore::open_read_only`], which never touches the write
+    /// path.
     wal: Option<File>,
-    /// Number of the segment `wal` appends to (always the newest).
-    active: u64,
-    config: StoreConfig,
-}
-
-/// Decoded contents of a snapshot file.
-struct SnapshotFile {
-    tangle: Tangle,
-    /// Credit events folded out of compacted WAL segments, in their
-    /// original append order (they replay before every live segment).
-    carried: Vec<CreditEvent>,
-    /// First WAL segment *not* folded into this snapshot; segments below
-    /// this number are stale leftovers of an interrupted compaction and
-    /// must be ignored.
-    next_segment: u64,
 }
 
 /// Everything [`LedgerStore::recover_full`] can replay from disk.
@@ -303,64 +182,35 @@ impl fmt::Debug for LedgerStore {
 }
 
 impl LedgerStore {
-    /// Opens (creating if needed) a store directory with default tuning.
+    /// Opens (creating if needed) a store directory. Appends resume at the
+    /// end of the existing WAL; a WAL shorter than its magic (a crash
+    /// before the magic was written) is started afresh.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_with_config(dir, StoreConfig::default())
-    }
-
-    /// Opens (creating if needed) a store directory.
-    ///
-    /// Appends resume on the newest existing WAL segment; a brand-new
-    /// directory starts at segment 0 (`wal.biot`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn open_with_config(
-        dir: impl AsRef<Path>,
-        config: StoreConfig,
-    ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let (active, wal_path, fresh) = match list_segments(&dir)?.pop() {
-            Some((n, path)) => (n, path, false),
-            None => (0, segment_path(&dir, 0), true),
-        };
         let mut wal = OpenOptions::new()
             .create(true)
             .append(true)
-            .read(true)
-            .open(&wal_path)?;
-        // An existing segment's magic is checked by recovery, not here.
-        if fresh {
-            wal.write_all(WAL_MAGIC)?;
-            wal.sync_data()?;
+            .open(dir.join(WAL_FILE))?;
+        // An existing WAL's magic is checked by recovery, not here.
+        if wal.metadata()?.len() < WAL_MAGIC.len() as u64 {
+            reset_wal(&mut wal)?;
         }
-        Ok(Self {
-            dir,
-            wal: Some(wal),
-            active,
-            config,
-        })
+        Ok(Self { dir, wal: Some(wal) })
     }
 
-    /// Opens an *existing* store directory for reading only — the mode an
-    /// archival node serves queries from: snapshot + sealed segments are
-    /// readable, but the WAL write path is never taken (no segment is
-    /// created, no magic written, no append handle held). Every mutating
-    /// call ([`append`](Self::append), [`checkpoint`](Self::checkpoint),
-    /// [`compact_step`](Self::compact_step), …) fails with
-    /// [`StoreError::ReadOnly`].
-    ///
-    /// [`recover_full`](Self::recover_full) additionally tolerates a
-    /// *concurrent* writer's incremental compaction: if a segment file
-    /// vanishes between the directory listing and its read (the
-    /// compaction's atomic snapshot rename plus segment unlink), recovery
-    /// restarts from the fresh snapshot instead of failing.
+    /// Opens an *existing* store directory for reading only: recovery
+    /// works as on a writable store, but the WAL write path is never
+    /// taken (no file is created, no magic written, no append handle
+    /// held), and every mutating call ([`append`](Self::append),
+    /// [`checkpoint`](Self::checkpoint), …) fails with
+    /// [`StoreError::ReadOnly`]. It takes no lock, so recover from a
+    /// directory no writer is appending to, such as a copied or finished
+    /// store.
     ///
     /// # Errors
     ///
@@ -374,37 +224,7 @@ impl LedgerStore {
                 format!("store directory {} does not exist", dir.display()),
             )));
         }
-        Ok(Self {
-            dir,
-            wal: None,
-            active: 0,
-            config: StoreConfig::default(),
-        })
-    }
-
-    /// Whether this handle was opened with
-    /// [`open_read_only`](Self::open_read_only).
-    pub fn is_read_only(&self) -> bool {
-        self.wal.is_none()
-    }
-
-    /// Seals the active segment and starts the next one once it has
-    /// outgrown [`StoreConfig::segment_bytes`]. Called after every append
-    /// so a segment exceeds the threshold by at most one append call's
-    /// records.
-    fn roll_if_full(&mut self) -> Result<(), StoreError> {
-        let wal = self.wal.as_ref().ok_or(StoreError::ReadOnly)?;
-        if wal.metadata()?.len() < self.config.segment_bytes {
-            return Ok(());
-        }
-        let next = self.active + 1;
-        let path = segment_path(&self.dir, next);
-        let mut f = File::create(&path)?;
-        f.write_all(WAL_MAGIC)?;
-        f.sync_data()?;
-        self.wal = Some(OpenOptions::new().append(true).read(true).open(&path)?);
-        self.active = next;
-        Ok(())
+        Ok(Self { dir, wal: None })
     }
 
     /// Appends a freshly attached transaction to the WAL: a one-record
@@ -414,12 +234,11 @@ impl LedgerStore {
     ///
     /// As [`append_batch`](Self::append_batch).
     pub fn append(&mut self, tx: &Transaction, attach_ms: u64) -> Result<(), StoreError> {
-        self.append_batch(&[(tx.clone(), attach_ms)])
+        self.write_records([(tx, attach_ms)], put_tx_record)
     }
 
     /// Appends freshly attached `(transaction, attach_ms)` records to the
-    /// WAL in order, as one group commit: one write, one sync, one segment
-    /// roll check.
+    /// WAL in order, as one group commit: one write, one sync.
     ///
     /// # Errors
     ///
@@ -427,21 +246,7 @@ impl LedgerStore {
     /// anywhere, and recovery keeps the record-aligned prefix that reached
     /// the disk (the torn tail is dropped).
     pub fn append_batch(&mut self, batch: &[(Transaction, u64)]) -> Result<(), StoreError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut record = Vec::new();
-        for (tx, attach_ms) in batch {
-            let body = encode_tx(tx);
-            record.push(WAL_TAG_TX);
-            write_varint(&mut record, *attach_ms);
-            write_varint(&mut record, body.len() as u64);
-            record.extend_from_slice(&body);
-        }
-        let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
-        wal.write_all(&record)?;
-        wal.sync_data()?;
-        self.roll_if_full()
+        self.write_records(batch.iter().map(|(tx, at)| (tx, *at)), put_tx_record)
     }
 
     /// Appends credit events to the WAL (one write, one sync), so the
@@ -452,208 +257,86 @@ impl LedgerStore {
     ///
     /// Propagates filesystem failures.
     pub fn append_credit_events(&mut self, events: &[CreditEvent]) -> Result<(), StoreError> {
-        if events.is_empty() {
-            return Ok(());
+        self.write_records(events, |out, ev| {
+            out.push(WAL_TAG_CREDIT);
+            put_body(out, &encode_event(ev));
+        })
+    }
+
+    /// The one record writer: encodes every item with `put`, then commits
+    /// them with one write and one `sync_data`. Nothing to write is a
+    /// no-op.
+    fn write_records<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut put: impl FnMut(&mut Vec<u8>, T),
+    ) -> Result<(), StoreError> {
+        let mut records = Vec::new();
+        for item in items {
+            put(&mut records, item);
         }
-        let mut record = Vec::new();
-        for ev in events {
-            let body = encode_event(ev);
-            record.push(WAL_TAG_CREDIT);
-            write_varint(&mut record, body.len() as u64);
-            record.extend_from_slice(&body);
+        if records.is_empty() {
+            return Ok(());
         }
         let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
-        wal.write_all(&record)?;
+        wal.write_all(&records)?;
         wal.sync_data()?;
-        self.roll_if_full()
+        Ok(())
     }
 
-    /// Writes a full checkpoint of `tangle` and truncates the WAL.
-    ///
-    /// When a snapshot already exists and the WAL holds no records, this
-    /// is a no-op: nothing was appended since the last checkpoint, so
-    /// rewriting the snapshot would be pure i/o churn. (Status-only
-    /// changes — confirmations on a quiet ledger — are re-derived by the
-    /// gateway's refresh after recovery, so skipping them loses nothing
-    /// durable.)
+    /// Writes a full checkpoint of `tangle` and resets the WAL:
+    /// [`checkpoint_with_credit`](Self::checkpoint_with_credit) carrying
+    /// no credit events.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures. The snapshot is written to a
-    /// temporary file and renamed, so a crash mid-checkpoint leaves the
-    /// previous checkpoint intact.
+    /// As [`checkpoint_with_credit`](Self::checkpoint_with_credit).
     pub fn checkpoint(&mut self, tangle: &Tangle) -> Result<(), StoreError> {
-        if self.wal.is_none() {
-            return Err(StoreError::ReadOnly);
-        }
-        if self.dir.join("snapshot.biot").exists() && !self.has_wal_records()? {
-            return Ok(());
-        }
-        self.write_snapshot_file(Some(tangle), &[], 0)?;
-        // Drop every WAL segment and start a fresh segment 0. A crash
-        // before the deletions finish merely leaves segments whose records
-        // replay as duplicates, which recovery tolerates.
-        for (_, path) in list_segments(&self.dir)? {
-            fs::remove_file(&path)?;
-        }
-        let wal_path = segment_path(&self.dir, 0);
-        let mut wal = File::create(&wal_path)?;
-        wal.write_all(WAL_MAGIC)?;
-        wal.sync_data()?;
-        self.wal = Some(OpenOptions::new().append(true).read(true).open(&wal_path)?);
-        self.active = 0;
-        Ok(())
+        self.checkpoint_with_credit(tangle, &[])
     }
 
-    /// Whether any WAL segment holds at least one record (i.e. is more
-    /// than a bare magic header).
-    fn has_wal_records(&self) -> Result<bool, StoreError> {
-        for (_, path) in list_segments(&self.dir)? {
-            if fs::metadata(&path)?.len() > WAL_MAGIC.len() as u64 {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Serializes `tangle` (plus carried credit events and the fold
-    /// watermark) and atomically replaces `snapshot.biot`.
-    fn write_snapshot_file(
-        &self,
-        tangle: Option<&Tangle>,
-        carried: &[CreditEvent],
-        next_segment: u64,
-    ) -> Result<(), StoreError> {
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        write_varint(&mut out, next_segment);
-        match tangle {
-            Some(tangle) => {
-                let snap = TangleSnapshot::capture(tangle);
-                write_varint(&mut out, snap.rows().len() as u64);
-                for (tx, attach_ms, confirmed) in snap.rows() {
-                    write_varint(&mut out, *attach_ms);
-                    out.push(u8::from(*confirmed));
-                    let body = encode_tx(tx);
-                    write_varint(&mut out, body.len() as u64);
-                    out.extend_from_slice(&body);
-                }
-                write_varint(&mut out, snap.pruned().len() as u64);
-                for id in snap.pruned() {
-                    out.extend_from_slice(&id.0);
-                }
-            }
-            None => {
-                // No ledger state yet (a fold of a credit-only segment):
-                // zero rows, zero pruned ids.
-                write_varint(&mut out, 0);
-                write_varint(&mut out, 0);
-            }
-        }
-        write_varint(&mut out, carried.len() as u64);
-        for ev in carried {
-            let body = encode_event(ev);
-            write_varint(&mut out, body.len() as u64);
-            out.extend_from_slice(&body);
-        }
-        let tmp = self.dir.join("snapshot.tmp");
-        let final_path = self.dir.join("snapshot.biot");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, &final_path)?;
-        Ok(())
-    }
-
-    /// Runs [`checkpoint`](Self::checkpoint) when `policy` says the WAL
-    /// has grown past its thresholds; returns whether it did. Call this
-    /// on a timer or after batches instead of hand-rolling
-    /// [`wal_size`](Self::wal_size) comparisons.
+    /// Writes a full checkpoint of `tangle` with `credit_events` in the
+    /// snapshot's credit section, then resets the WAL. Pass
+    /// `CreditLedger::snapshot_events()` so the reset never forgets
+    /// misbehaviour (§IV-B). The carried set is bounded: one ΔT window of
+    /// validations plus the misbehaviour list.
+    ///
+    /// The snapshot is written to a temporary file and renamed, so a crash
+    /// mid-checkpoint leaves the previous checkpoint intact, and the
+    /// rename commits tangle and credit together.
+    ///
+    /// When a snapshot already exists, the WAL holds no records and no
+    /// credit events are passed, this is a no-op: nothing was appended
+    /// since the last checkpoint, so rewriting the snapshot would be pure
+    /// i/o churn. (Status-only changes — confirmations on a quiet ledger —
+    /// are re-derived by the gateway's refresh after recovery, so skipping
+    /// them loses nothing durable.)
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
-    pub fn maybe_checkpoint(
-        &mut self,
-        tangle: &Tangle,
-        policy: &CheckpointPolicy,
-    ) -> Result<bool, StoreError> {
-        if !self.checkpoint_due(policy)? {
-            return Ok(false);
-        }
-        self.checkpoint(tangle)?;
-        Ok(true)
-    }
-
-    fn checkpoint_due(&self, policy: &CheckpointPolicy) -> Result<bool, StoreError> {
-        Ok(self.wal_size()? >= policy.max_wal_bytes
-            || self.segment_count()? > policy.max_segments)
-    }
-
-    /// One bounded step of incremental compaction: folds the oldest
-    /// *sealed* WAL segment into the snapshot and advances the fold
-    /// watermark. Transactions join the snapshot rows; the segment's
-    /// credit events are carried inside the snapshot so replay order is
-    /// preserved. Returns `false` when only the active segment remains
-    /// (nothing to fold).
-    ///
-    /// The atomic snapshot rename is the commit point: a crash before the
-    /// folded segment is unlinked leaves a stale file that recovery — and
-    /// the next `compact_step` — skips by watermark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures; corruption inside the folded
-    /// segment surfaces as the corresponding [`StoreError`].
-    pub fn compact_step(&mut self) -> Result<bool, StoreError> {
-        if self.wal.is_none() {
-            return Err(StoreError::ReadOnly);
-        }
-        let snap_path = self.dir.join("snapshot.biot");
-        let (mut tangle, mut carried, watermark) = if snap_path.exists() {
-            let snap = self.read_snapshot_file(&snap_path)?;
-            (Some(snap.tangle), snap.carried, snap.next_segment)
-        } else {
-            (None, Vec::new(), 0)
-        };
-        let mut live = Vec::new();
-        for (n, path) in list_segments(&self.dir)? {
-            if n < watermark {
-                // Leftover of an interrupted compaction — already folded.
-                fs::remove_file(&path)?;
-            } else {
-                live.push((n, path));
-            }
-        }
-        // Never fold the newest segment: it is still being appended to.
-        if live.len() < 2 {
-            return Ok(false);
-        }
-        let (n, path) = &live[0];
-        let data = fs::read(path)?;
-        replay_segment(&data, false, &mut tangle, &mut carried)?;
-        self.write_snapshot_file(tangle.as_ref(), &carried, n + 1)?;
-        fs::remove_file(path)?;
-        Ok(true)
-    }
-
-    /// [`checkpoint`](Self::checkpoint), then re-seeds the fresh WAL with
-    /// `credit_events` — pass `CreditLedger::snapshot_events()` so the
-    /// truncation never forgets misbehaviour (§IV-B). The carried set is
-    /// bounded: one ΔT window of validations plus the misbehaviour list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
+    /// [`StoreError::ReadOnly`] on a read-only store; otherwise propagates
+    /// filesystem failures.
     pub fn checkpoint_with_credit(
         &mut self,
         tangle: &Tangle,
         credit_events: &[CreditEvent],
     ) -> Result<(), StoreError> {
-        self.checkpoint(tangle)?;
-        self.append_credit_events(credit_events)
+        let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
+        let snapshot = self.dir.join(SNAPSHOT_FILE);
+        if credit_events.is_empty()
+            && snapshot.exists()
+            && wal.metadata()?.len() <= WAL_MAGIC.len() as u64
+        {
+            return Ok(());
+        }
+        let tmp = self.dir.join("snapshot.tmp");
+        {
+            let mut f = File::create(&tmp)?;
+            f.write_all(&encode_snapshot(tangle, credit_events))?;
+            f.sync_data()?;
+        }
+        fs::rename(&tmp, &snapshot)?;
+        reset_wal(wal)
     }
 
     /// Recovers the ledger from disk: snapshot (if any) plus WAL replay.
@@ -670,313 +353,215 @@ impl LedgerStore {
     }
 
     /// Recovers everything on disk: the tangle (snapshot + WAL replay)
-    /// *and* the credit events appended since the last checkpoint, in
-    /// order — replay them (`CreditLedger::from_events` /
-    /// `Gateway::restore`) so credit survives the restart. Torn-tail
-    /// semantics are identical to [`recover`](Self::recover).
+    /// *and* the credit events — the snapshot's credit section, then those
+    /// appended since the last checkpoint, in order. Replay them
+    /// (`CreditLedger::from_events` / `Gateway::restore`) so credit
+    /// survives the restart. Torn-tail semantics are identical to
+    /// [`recover`](Self::recover).
     ///
     /// # Errors
     ///
     /// See [`StoreError`].
     pub fn recover_full(&self) -> Result<RecoveredState, StoreError> {
-        // A concurrent writer's compact_step may commit a snapshot rename
-        // (and unlink the folded segment) between our snapshot read and
-        // our segment reads. The attempt detects both shapes of that torn
-        // read — a listed file vanishing (NotFound) or the snapshot
-        // watermark advancing mid-read (Interrupted) — and restarting it
-        // re-reads the fresh snapshot, whose advanced watermark skips the
-        // folded segment. Bounded: each retry needs another compaction to
-        // land inside the window, so a genuinely missing file still fails.
-        let mut last = None;
-        for _ in 0..32 {
-            match self.recover_attempt() {
-                Err(StoreError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::NotFound | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    last = Some(StoreError::Io(e));
-                }
-                other => return other,
-            }
+        let mut state = RecoveredState::default();
+        if let Some(data) = read_if_exists(&self.dir.join(SNAPSHOT_FILE))? {
+            let (tangle, credit_events) = decode_snapshot(&data)?;
+            state = RecoveredState { tangle: Some(tangle), credit_events };
         }
-        Err(last.expect("loop ran at least once"))
+        if let Some(data) = read_if_exists(&self.dir.join(WAL_FILE))? {
+            replay_wal(&data, &mut state)?;
+        }
+        Ok(state)
     }
 
-    fn recover_attempt(&self) -> Result<RecoveredState, StoreError> {
-        // Torn-read sandwich: if the snapshot watermark moved while we
-        // were reading, a compaction committed mid-read and whatever we
-        // assembled (or whatever error we hit) reflects a mix of old
-        // snapshot and new segment list. Discard and retry. Replay errors
-        // with a *stable* watermark are genuine corruption and surface.
-        let observed = self.snapshot_watermark()?;
-        let result = self.recover_body();
-        if self.snapshot_watermark()? != observed {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::Interrupted,
-                "snapshot advanced during recovery",
-            )));
-        }
-        result
-    }
-
-    /// Reads only the snapshot header's segment watermark — `None` when
-    /// no snapshot exists. Cheap enough to run twice per recovery as the
-    /// concurrent-compaction torn-read detector.
-    fn snapshot_watermark(&self) -> Result<Option<u64>, StoreError> {
-        let path = self.dir.join("snapshot.biot");
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        // Magic plus a maximal varint; the snapshot is always longer.
-        let mut head = Vec::with_capacity(SNAPSHOT_MAGIC.len() + 10);
-        file.take(head.capacity() as u64).read_to_end(&mut head)?;
-        if !head.starts_with(SNAPSHOT_MAGIC) {
-            return Err(StoreError::CorruptSnapshot("magic"));
-        }
-        let mut pos = SNAPSHOT_MAGIC.len();
-        read_varint(&head, &mut pos)
-            .map(Some)
-            .ok_or(StoreError::CorruptSnapshot("watermark"))
-    }
-
-    fn recover_body(&self) -> Result<RecoveredState, StoreError> {
-        let snap_path = self.dir.join("snapshot.biot");
-        let (mut tangle, mut credit_events, watermark) = if snap_path.exists() {
-            let snap = self.read_snapshot_file(&snap_path)?;
-            (Some(snap.tangle), snap.carried, snap.next_segment)
-        } else {
-            (None, Vec::new(), 0)
-        };
-        let segments: Vec<(u64, PathBuf)> = list_segments(&self.dir)?
-            .into_iter()
-            .filter(|(n, _)| *n >= watermark)
-            .collect();
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let mut data = Vec::new();
-            File::open(path)?.read_to_end(&mut data)?;
-            // Torn records are tolerated only in the newest segment — the
-            // only one a crash mid-append can tear. Sealed segments must
-            // replay completely.
-            let newest = i + 1 == segments.len();
-            if data.len() < WAL_MAGIC.len() {
-                if newest {
-                    continue; // crash before the magic finished
-                }
-                return Err(StoreError::CorruptSnapshot("sealed wal segment magic"));
-            }
-            replay_segment(&data, newest, &mut tangle, &mut credit_events)?;
-        }
-        Ok(RecoveredState {
-            tangle,
-            credit_events,
-        })
-    }
-
-    fn read_snapshot_file(&self, path: &Path) -> Result<SnapshotFile, StoreError> {
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        if !data.starts_with(SNAPSHOT_MAGIC) {
-            return Err(StoreError::CorruptSnapshot("magic"));
-        }
-        let mut pos = SNAPSHOT_MAGIC.len();
-        let next_segment =
-            read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("watermark"))?;
-        let n = read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("row count"))?;
-        let mut rows = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let attach_ms =
-                read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("attach time"))?;
-            let confirmed = *data.get(pos).ok_or(StoreError::CorruptSnapshot("flag"))? != 0;
-            pos += 1;
-            let len =
-                read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("tx length"))?;
-            let end = pos
-                .checked_add(len as usize)
-                .ok_or(StoreError::CorruptSnapshot("tx length"))?;
-            if end > data.len() {
-                return Err(StoreError::CorruptSnapshot("tx body"));
-            }
-            let tx = decode_tx(&data[pos..end])?;
-            pos = end;
-            rows.push((tx, attach_ms, confirmed));
-        }
-        let n_pruned =
-            read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("pruned count"))?;
-        let mut pruned = Vec::with_capacity(n_pruned as usize);
-        for _ in 0..n_pruned {
-            let end = pos + 32;
-            let slice = data
-                .get(pos..end)
-                .ok_or(StoreError::CorruptSnapshot("pruned id"))?;
-            let mut id = [0u8; 32];
-            id.copy_from_slice(slice);
-            pruned.push(TxId(id));
-            pos = end;
-        }
-        let n_carried =
-            read_varint(&data, &mut pos).ok_or(StoreError::CorruptSnapshot("carried count"))?;
-        let mut carried = Vec::new();
-        for _ in 0..n_carried {
-            let len = read_varint(&data, &mut pos)
-                .ok_or(StoreError::CorruptSnapshot("carried length"))?;
-            let end = pos
-                .checked_add(len as usize)
-                .ok_or(StoreError::CorruptSnapshot("carried length"))?;
-            if end > data.len() {
-                return Err(StoreError::CorruptSnapshot("carried body"));
-            }
-            carried.push(decode_event(&data[pos..end])?);
-            pos = end;
-        }
-        let snap = TangleSnapshot::from_rows(rows, pruned);
-        Ok(SnapshotFile {
-            tangle: snap.restore()?,
-            carried,
-            next_segment,
-        })
-    }
-
-    /// Total size of the WAL in bytes, summed over every segment (for
-    /// checkpoint policies).
+    /// Size of the WAL in bytes (for checkpoint decisions); 0 when there
+    /// is none.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn wal_size(&self) -> Result<u64, StoreError> {
-        let mut total = 0;
-        for (_, path) in list_segments(&self.dir)? {
-            total += fs::metadata(&path)?.len();
+        match fs::metadata(self.dir.join(WAL_FILE)) {
+            Ok(meta) => Ok(meta.len()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+            Err(e) => Err(e.into()),
         }
-        Ok(total)
-    }
-
-    /// How many WAL segments are on disk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn segment_count(&self) -> Result<usize, StoreError> {
-        Ok(list_segments(&self.dir)?.len())
-    }
-
-    /// The on-disk WAL segment paths, oldest first (the last one is
-    /// active). For introspection and tests.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn segment_paths(&self) -> Result<Vec<PathBuf>, StoreError> {
-        Ok(list_segments(&self.dir)?
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect())
     }
 }
 
-/// Replays one WAL segment's records into `tangle` / `credit_events`.
+/// Truncates the WAL behind `wal` (an append handle) to a bare magic.
+fn reset_wal(wal: &mut File) -> Result<(), StoreError> {
+    wal.set_len(0)?;
+    wal.write_all(WAL_MAGIC)?;
+    wal.sync_data()?;
+    Ok(())
+}
+
+/// The whole of `path`, or `None` when it does not exist.
+fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+    match fs::read(path) {
+        Ok(data) => Ok(Some(data)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Appends `[varint len][body]`.
+fn put_body(out: &mut Vec<u8>, body: &[u8]) {
+    write_varint(out, body.len() as u64);
+    out.extend_from_slice(body);
+}
+
+/// Appends one WAL transaction record.
+fn put_tx_record(out: &mut Vec<u8>, (tx, attach_ms): (&Transaction, u64)) {
+    out.push(WAL_TAG_TX);
+    write_varint(out, attach_ms);
+    put_body(out, &encode_tx(tx));
+}
+
+/// The one length-prefixed body reader, for `[varint len][body]` as
+/// [`put_body`] writes it. A body that runs past the end of `data` is
+/// [`VarintError::UnexpectedEnd`], like a varint that does.
+fn read_body<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8], VarintError> {
+    let len = read_varint(data, pos)?;
+    if len > (data.len() - *pos) as u64 {
+        return Err(VarintError::UnexpectedEnd);
+    }
+    let body = &data[*pos..*pos + len as usize];
+    *pos += body.len();
+    Ok(body)
+}
+
+/// Reads a count of items that each take at least `min_bytes`, refusing
+/// one the bytes left cannot hold, so a forged count never sizes an
+/// allocation.
+fn read_count(data: &[u8], pos: &mut usize, min_bytes: usize) -> Option<usize> {
+    let n = read_varint(data, pos).ok()?;
+    (n <= ((data.len() - *pos) / min_bytes) as u64).then_some(n as usize)
+}
+
+/// Serializes a `BIOTSNP3` snapshot of `tangle` carrying `credit_events`.
+fn encode_snapshot(tangle: &Tangle, credit_events: &[CreditEvent]) -> Vec<u8> {
+    let snap = TangleSnapshot::capture(tangle);
+    let mut out = SNAPSHOT_MAGIC.to_vec();
+    write_varint(&mut out, snap.rows().len() as u64);
+    for (tx, attach_ms, confirmed) in snap.rows() {
+        write_varint(&mut out, *attach_ms);
+        out.push(u8::from(*confirmed));
+        put_body(&mut out, &encode_tx(tx));
+    }
+    write_varint(&mut out, snap.pruned().len() as u64);
+    for id in snap.pruned() {
+        out.extend_from_slice(&id.0);
+    }
+    write_varint(&mut out, credit_events.len() as u64);
+    for ev in credit_events {
+        put_body(&mut out, &encode_event(ev));
+    }
+    out
+}
+
+/// Decodes a `BIOTSNP3` snapshot into its tangle and credit section.
+fn decode_snapshot(data: &[u8]) -> Result<(Tangle, Vec<CreditEvent>), StoreError> {
+    use StoreError::CorruptSnapshot as Corrupt;
+    if !data.starts_with(SNAPSHOT_MAGIC) {
+        return Err(Corrupt("magic"));
+    }
+    let mut pos = SNAPSHOT_MAGIC.len();
+    // A row is at least an attach-time byte, a flag and a length byte.
+    let n = read_count(data, &mut pos, 3).ok_or(Corrupt("row count"))?;
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let attach_ms = read_varint(data, &mut pos).map_err(|_| Corrupt("attach time"))?;
+        let confirmed = *data.get(pos).ok_or(Corrupt("flag"))? != 0;
+        pos += 1;
+        let body = read_body(data, &mut pos).map_err(|_| Corrupt("tx body"))?;
+        rows.push((decode_tx(body)?, attach_ms, confirmed));
+    }
+    let n = read_count(data, &mut pos, 32).ok_or(Corrupt("pruned count"))?;
+    let mut pruned = Vec::with_capacity(n);
+    for chunk in data[pos..pos + 32 * n].chunks_exact(32) {
+        let mut id = [0u8; 32];
+        id.copy_from_slice(chunk);
+        pruned.push(TxId(id));
+    }
+    pos += 32 * n;
+    let n = read_count(data, &mut pos, 1).ok_or(Corrupt("credit count"))?;
+    let mut credit_events = Vec::with_capacity(n);
+    for _ in 0..n {
+        let body = read_body(data, &mut pos).map_err(|_| Corrupt("credit body"))?;
+        credit_events.push(decode_event(body)?);
+    }
+    let tangle = TangleSnapshot::from_rows(rows, pruned).restore()?;
+    Ok((tangle, credit_events))
+}
+
+/// Replays the WAL's records into `state`.
 ///
-/// `tolerate_torn_tail` is true only for the newest segment: there an
-/// incomplete or undecodable *final* record is silently dropped (crash
-/// mid-append). In sealed segments every record must parse — anything
-/// torn or corrupt is an error, matching the single-file WAL's treatment
-/// of mid-log corruption.
+/// The WAL is always the newest file, so a crash mid-append can tear only
+/// its final record: a record that runs past the end of the file, or a
+/// final record that fails to decode, is dropped. Anything wrong before
+/// the final record is an error.
 ///
 /// Re-attaching a transaction the tangle already holds is a no-op rather
-/// than an error: a crash between a compaction's (or checkpoint's) atomic
-/// snapshot commit and its segment cleanup legitimately leaves the same
-/// transaction both in the snapshot and in a segment.
-fn replay_segment(
-    data: &[u8],
-    tolerate_torn_tail: bool,
-    tangle: &mut Option<Tangle>,
-    credit_events: &mut Vec<CreditEvent>,
-) -> Result<(), StoreError> {
+/// than an error: a crash between a checkpoint's snapshot rename and its
+/// WAL reset legitimately leaves the same transaction in both.
+fn replay_wal(data: &[u8], state: &mut RecoveredState) -> Result<(), StoreError> {
+    if data.len() < WAL_MAGIC.len() {
+        return Ok(()); // crash before the magic finished
+    }
     if !data.starts_with(WAL_MAGIC) {
         return Err(StoreError::CorruptSnapshot("wal magic"));
     }
     let mut pos = WAL_MAGIC.len();
-    macro_rules! torn {
-        () => {{
-            if tolerate_torn_tail {
-                return Ok(());
-            }
-            return Err(StoreError::CorruptSnapshot("torn record in sealed wal segment"));
-        }};
-    }
     while pos < data.len() {
         let tag = data[pos];
         pos += 1;
-        match tag {
-            WAL_TAG_TX => {
-                let Some(attach_ms) = read_varint(data, &mut pos) else {
-                    torn!();
-                };
-                let Some(len) = read_varint(data, &mut pos) else {
-                    torn!();
-                };
-                // Checked arithmetic: a torn or corrupt length varint can
-                // decode to any u64; it must never overflow into a bogus
-                // in-bounds `end`.
-                let Some(end) = pos.checked_add(len as usize) else {
-                    torn!();
-                };
-                if end > data.len() {
-                    torn!();
-                }
-                match decode_tx(&data[pos..end]) {
-                    Ok(tx) => {
-                        let t = tangle.get_or_insert_with(Tangle::new);
-                        if tx.is_genesis() {
-                            if t.genesis().is_none() {
-                                t.attach_genesis(tx.issuer, attach_ms);
-                            }
-                        } else {
-                            match t.attach(tx, attach_ms) {
-                                Ok(_) | Err(TangleError::Duplicate(_)) => {}
-                                Err(e) => return Err(e.into()),
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        // Only the final record may be torn/corrupt.
-                        if end == data.len() && tolerate_torn_tail {
-                            return Ok(());
-                        }
-                        return Err(e.into());
-                    }
-                }
-                pos = end;
-            }
-            WAL_TAG_CREDIT => {
-                let Some(len) = read_varint(data, &mut pos) else {
-                    torn!();
-                };
-                let Some(end) = pos.checked_add(len as usize) else {
-                    torn!();
-                };
-                if end > data.len() {
-                    torn!();
-                }
-                match decode_event(&data[pos..end]) {
-                    Ok(ev) => credit_events.push(ev),
-                    Err(e) => {
-                        // Only the final record may be torn/corrupt.
-                        if end == data.len() && tolerate_torn_tail {
-                            return Ok(());
-                        }
-                        return Err(e.into());
-                    }
-                }
-                pos = end;
-            }
+        let framed = match tag {
+            WAL_TAG_TX => read_varint(data, &mut pos).map(Some),
+            WAL_TAG_CREDIT => Ok(None),
             _ => return Err(StoreError::CorruptSnapshot("wal record tag")),
+        }
+        .and_then(|attach_ms| Ok((attach_ms, read_body(data, &mut pos)?)));
+        let (attach_ms, body) = match framed {
+            Ok(record) => record,
+            Err(VarintError::UnexpectedEnd) => return Ok(()), // torn tail
+            Err(VarintError::Overlong) => return Err(StoreError::CorruptSnapshot("wal varint")),
+        };
+        let last = pos == data.len();
+        match attach_ms {
+            Some(at) => match decode_tx(body) {
+                Ok(tx) => reattach(&mut state.tangle, tx, at)?,
+                Err(_) if last => return Ok(()), // torn tail
+                Err(e) => return Err(e.into()),
+            },
+            None => match decode_event(body) {
+                Ok(ev) => state.credit_events.push(ev),
+                Err(_) if last => return Ok(()), // torn tail
+                Err(e) => return Err(e.into()),
+            },
         }
     }
     Ok(())
+}
+
+/// Attaches one replayed WAL transaction, skipping one already held.
+fn reattach(
+    tangle: &mut Option<Tangle>,
+    tx: Transaction,
+    attach_ms: u64,
+) -> Result<(), StoreError> {
+    let t = tangle.get_or_insert_with(Tangle::new);
+    if tx.is_genesis() {
+        if t.genesis().is_none() {
+            t.attach_genesis(tx.issuer, attach_ms);
+        }
+        return Ok(());
+    }
+    match t.attach(tx, attach_ms) {
+        Ok(_) | Err(TangleError::Duplicate(_)) => Ok(()),
+        Err(e) => Err(e.into()),
+    }
 }
 
 #[cfg(test)]
@@ -1064,8 +649,8 @@ mod tests {
         store.append_batch(&rows).unwrap();
         store.append_batch(&[]).unwrap();
         assert_eq!(
-            fs::read(segment_path(&one.0, 0)).unwrap(),
-            fs::read(segment_path(&batched.0, 0)).unwrap()
+            fs::read(one.0.join(WAL_FILE)).unwrap(),
+            fs::read(batched.0.join(WAL_FILE)).unwrap()
         );
     }
 
@@ -1289,39 +874,50 @@ mod tests {
     }
 
     #[test]
-    fn retired_v1_magics_are_typed_errors() {
-        // No deployment ever wrote the v1 formats (the current magics with
-        // version digit 1); a file carrying either magic is refused like
-        // any other unknown magic — a typed error, never a panic or a
-        // partial replay.
-        let v1 = |current: &[u8; 8]| {
+    fn retired_magics_are_typed_errors() {
+        // No deployment ever wrote the v1 formats; the v2 layout (a
+        // watermarked snapshot beside a WAL that may have rolled into
+        // `wal-NNNNNN.biot` segments) is retired too. A file carrying any
+        // of these magics is refused like any other unknown magic — a
+        // typed error, never a panic, a partial replay or a silently
+        // dropped segment.
+        let retired = |current: &[u8; 8], version: u8| {
             let mut magic = *current;
-            magic[7] = b'1';
+            magic[7] = version;
             magic
         };
-        for (file, magic) in [("wal.biot", v1(WAL_MAGIC)), ("snapshot.biot", v1(SNAPSHOT_MAGIC))] {
-            let dir = TempDir::new();
-            let mut store = LedgerStore::open(&dir.0).unwrap();
-            let mut tangle = Tangle::new();
-            tangle.attach_genesis(NodeId([0; 32]), 0);
-            grow(&mut tangle, &mut store, 3, 10);
-            store.checkpoint(&tangle).unwrap();
-            grow(&mut tangle, &mut store, 2, 10);
-
-            let path = dir.0.join(file);
-            let mut data = fs::read(&path).unwrap();
-            data[..magic.len()].copy_from_slice(&magic);
-            fs::write(&path, &data).unwrap();
-            for reopened in [
-                LedgerStore::open(&dir.0).unwrap(),
-                LedgerStore::open_read_only(&dir.0).unwrap(),
+        for version in [b'1', b'2'] {
+            for (file, magic) in [
+                (WAL_FILE, retired(WAL_MAGIC, version)),
+                (SNAPSHOT_FILE, retired(SNAPSHOT_MAGIC, version)),
             ] {
-                let result = reopened.recover_full();
-                assert!(
-                    matches!(result, Err(StoreError::CorruptSnapshot(_))),
-                    "{file} with {}: {result:?}",
-                    String::from_utf8_lossy(&magic)
-                );
+                let dir = TempDir::new();
+                let mut store = LedgerStore::open(&dir.0).unwrap();
+                let mut tangle = Tangle::new();
+                tangle.attach_genesis(NodeId([0; 32]), 0);
+                grow(&mut tangle, &mut store, 3, 10);
+                store.checkpoint(&tangle).unwrap();
+                grow(&mut tangle, &mut store, 2, 10);
+
+                let path = dir.0.join(file);
+                let mut data = fs::read(&path).unwrap();
+                data[..magic.len()].copy_from_slice(&magic);
+                fs::write(&path, &data).unwrap();
+                if version == b'2' {
+                    // A rolled v2 segment beside the log.
+                    fs::write(dir.0.join("wal-000001.biot"), retired(WAL_MAGIC, b'2')).unwrap();
+                }
+                for reopened in [
+                    LedgerStore::open(&dir.0).unwrap(),
+                    LedgerStore::open_read_only(&dir.0).unwrap(),
+                ] {
+                    let result = reopened.recover_full();
+                    assert!(
+                        matches!(result, Err(StoreError::CorruptSnapshot(_))),
+                        "{file} with {}: {result:?}",
+                        String::from_utf8_lossy(&magic)
+                    );
+                }
             }
         }
     }
@@ -1338,7 +934,7 @@ mod tests {
         grow(&mut tangle, &mut store, 3, 10);
 
         // A plain checkpoint would drop the events with the WAL; the
-        // credit-aware one re-seeds them.
+        // credit-aware one carries them in the snapshot.
         store
             .checkpoint_with_credit(&tangle, &[event(1, 1, 1.0), mis(2, 2)])
             .unwrap();
@@ -1389,78 +985,6 @@ mod tests {
         }
     }
 
-    /// A config with tiny segments so a handful of appends spans several.
-    fn tiny_segments(bytes: u64) -> StoreConfig {
-        StoreConfig {
-            segment_bytes: bytes,
-        }
-    }
-
-    /// Builds a store whose WAL spans several segments: genesis + `n` txs
-    /// with a couple of credit events mixed in. Returns the live state.
-    fn segmented_world(
-        dir: &TempDir,
-        segment_bytes: u64,
-        n: usize,
-    ) -> (LedgerStore, Tangle, Vec<CreditEvent>) {
-        let mut store =
-            LedgerStore::open_with_config(&dir.0, tiny_segments(segment_bytes)).unwrap();
-        let mut tangle = Tangle::new();
-        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
-        let genesis_tx = tangle.get(&genesis).unwrap().clone();
-        store.append(&genesis_tx, 0).unwrap();
-        let mut events = Vec::new();
-        for i in 0..n {
-            grow(&mut tangle, &mut store, 1, 10 + 10 * i as u64);
-            if i % 3 == 0 {
-                let ev = event((i % 7) as u8 + 1, i as u64 + 1, (i + 1) as f64);
-                store.append_credit_events(std::slice::from_ref(&ev)).unwrap();
-                events.push(ev);
-            }
-        }
-        (store, tangle, events)
-    }
-
-    #[test]
-    fn segments_roll_and_recovery_spans_them() {
-        let dir = TempDir::new();
-        let (store, tangle, events) = segmented_world(&dir, 256, 12);
-        assert!(
-            store.segment_count().unwrap() > 2,
-            "appends must have rolled: {} segments",
-            store.segment_count().unwrap()
-        );
-        // wal_size sums every segment, so it keeps growing across rolls.
-        assert!(store.wal_size().unwrap() > 256);
-
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
-        let rt = recovered.tangle.unwrap();
-        assert_eq!(rt.len(), tangle.len());
-        assert_eq!(rt.tips(), tangle.tips());
-        for tx in tangle.iter() {
-            let id = tx.id();
-            assert_eq!(rt.cumulative_weight(&id), tangle.cumulative_weight(&id));
-        }
-        assert_eq!(recovered.credit_events, events, "order preserved across segments");
-    }
-
-    #[test]
-    fn reopen_resumes_on_newest_segment() {
-        let dir = TempDir::new();
-        let (store, mut tangle, _) = segmented_world(&dir, 256, 8);
-        let count = store.segment_count().unwrap();
-        drop(store);
-        // Reopening must append to the newest segment, never recreate an
-        // earlier one (that would reorder the log).
-        let mut store =
-            LedgerStore::open_with_config(&dir.0, tiny_segments(u64::MAX)).unwrap();
-        assert_eq!(store.segment_count().unwrap(), count);
-        grow(&mut tangle, &mut store, 2, 900);
-        let recovered = store.recover().unwrap().unwrap();
-        assert_eq!(recovered.len(), tangle.len());
-        assert_eq!(recovered.tips(), tangle.tips());
-    }
-
     #[test]
     fn checkpoint_on_empty_wal_is_a_noop() {
         let dir = TempDir::new();
@@ -1488,203 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn maybe_checkpoint_fires_on_policy_thresholds() {
-        let dir = TempDir::new();
-        let mut store = LedgerStore::open(&dir.0).unwrap();
-        let mut tangle = Tangle::new();
-        tangle.attach_genesis(NodeId([0; 32]), 0);
-        let policy = CheckpointPolicy {
-            max_wal_bytes: 200,
-            max_segments: 4,
-        };
-        assert!(
-            !store.maybe_checkpoint(&tangle, &policy).unwrap(),
-            "magic-only WAL is under every threshold"
-        );
-        grow(&mut tangle, &mut store, 4, 10);
-        assert!(store.wal_size().unwrap() >= 200);
-        assert!(store.maybe_checkpoint(&tangle, &policy).unwrap());
-        assert_eq!(store.wal_size().unwrap(), WAL_MAGIC.len() as u64);
-        assert!(
-            !store.maybe_checkpoint(&tangle, &policy).unwrap(),
-            "fresh WAL is under the thresholds again"
-        );
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
-        assert_eq!(recovered.len(), tangle.len());
-
-        // The segment-count arm, independent of byte volume.
-        let dir2 = TempDir::new();
-        let (mut store, tangle2, _) = segmented_world(&dir2, 128, 10);
-        let lax = CheckpointPolicy {
-            max_wal_bytes: u64::MAX,
-            max_segments: 2,
-        };
-        assert!(store.segment_count().unwrap() > 2);
-        assert!(store.maybe_checkpoint(&tangle2, &lax).unwrap());
-        assert_eq!(store.segment_count().unwrap(), 1);
-    }
-
-    #[test]
-    fn compact_step_folds_oldest_segment_into_snapshot() {
-        let dir = TempDir::new();
-        let (mut store, tangle, events) = segmented_world(&dir, 256, 12);
-        let before = store.segment_count().unwrap();
-        assert!(before > 2);
-
-        let mut steps = 0;
-        while store.compact_step().unwrap() {
-            steps += 1;
-            // Every step must shrink the live log by one segment.
-            assert_eq!(store.segment_count().unwrap(), before - steps);
-            // Recovery stays exact mid-compaction.
-            let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
-            assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
-            assert_eq!(recovered.credit_events, events, "order preserved after {steps} steps");
-        }
-        assert_eq!(steps, before - 1, "everything but the active segment folds");
-        assert_eq!(store.segment_count().unwrap(), 1);
-
-        // The store keeps working after compaction.
-        let mut tangle = tangle;
-        let mut store = store;
-        grow(&mut tangle, &mut store, 2, 500);
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
-        let rt = recovered.tangle.unwrap();
-        assert_eq!(rt.len(), tangle.len());
-        assert_eq!(rt.tips(), tangle.tips());
-        assert_eq!(recovered.credit_events, events);
-    }
-
-    #[test]
-    fn interrupted_compaction_leaves_no_duplicates() {
-        // Crash simulation: the snapshot rename committed but the folded
-        // segment was never unlinked. Recovery must skip it by watermark —
-        // same ledger, credit events exactly once.
-        let dir = TempDir::new();
-        let (mut store, tangle, events) = segmented_world(&dir, 256, 12);
-        let oldest = store.segment_paths().unwrap()[0].clone();
-        let folded_bytes = fs::read(&oldest).unwrap();
-        assert!(store.compact_step().unwrap());
-        assert!(!oldest.exists());
-        fs::write(&oldest, &folded_bytes).unwrap(); // resurrect: crash before unlink
-
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
-        assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
-        assert_eq!(recovered.credit_events, events, "no duplicated credit events");
-
-        // The next step clears the stale file and keeps folding.
-        assert!(store.compact_step().unwrap());
-        assert!(!oldest.exists(), "stale folded segment cleaned up");
-    }
-
-    #[test]
-    fn torn_tail_sweep_every_byte_of_newest_segment() {
-        // Segmented analogue of the single-file sweep: whatever byte the
-        // power died on, every record in sealed segments plus every
-        // complete record of the newest segment survives.
-        let dir = TempDir::new();
-        let mut store =
-            LedgerStore::open_with_config(&dir.0, tiny_segments(300)).unwrap();
-        let mut tangle = Tangle::new();
-        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
-        let genesis_tx = tangle.get(&genesis).unwrap().clone();
-        store.append(&genesis_tx, 0).unwrap();
-        let mut sealed_txs = 1; // txs fully contained in sealed segments
-        let mut segments = store.segment_count().unwrap();
-        for i in 0..10 {
-            grow(&mut tangle, &mut store, 1, 10 + 10 * i as u64);
-            let now = store.segment_count().unwrap();
-            if now > segments {
-                segments = now;
-                sealed_txs = tangle.len();
-            }
-        }
-        assert!(segments > 1, "need sealed segments for the sweep");
-        let newest = store.segment_paths().unwrap().pop().unwrap();
-        let full = fs::read(&newest).unwrap();
-        drop(store);
-
-        for cut in 0..=full.len() {
-            fs::write(&newest, &full[..cut]).unwrap();
-            let recovered = LedgerStore::open_with_config(&dir.0, tiny_segments(u64::MAX))
-                .unwrap()
-                .recover()
-                .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"))
-                .expect("sealed segments always recover");
-            assert!(recovered.len() >= sealed_txs, "cut at byte {cut}");
-            assert!(recovered.len() <= tangle.len(), "cut at byte {cut}");
-            for tx in recovered.iter() {
-                assert!(tangle.contains(&tx.id()), "cut at byte {cut}");
-            }
-        }
-        fs::write(&newest, &full).unwrap();
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
-        assert_eq!(recovered.len(), tangle.len());
-        assert_eq!(recovered.tips(), tangle.tips());
-    }
-
-    #[test]
-    fn sealed_segment_corruption_is_an_error() {
-        // Sealed segments get the *strict* treatment: the torn-tail
-        // leniency of the single-file WAL applies only to the newest
-        // segment. Bit flips inside any sealed record body — and
-        // truncation of a sealed segment — must fail recovery loudly.
-        let dir = TempDir::new();
-        let (store, _tangle, _) = segmented_world(&dir, 256, 10);
-        assert!(store.segment_count().unwrap() > 2);
-        let sealed = store.segment_paths().unwrap()[0].clone();
-        drop(store);
-        let pristine = fs::read(&sealed).unwrap();
-
-        // Walk the segment's framing to find every record-body byte (tag
-        // and length bytes can alias other valid framings; bodies are
-        // checksummed, so corruption there must always be caught).
-        let mut body_ranges = Vec::new();
-        let mut pos = WAL_MAGIC.len();
-        while pos < pristine.len() {
-            let tag = pristine[pos];
-            pos += 1;
-            if tag == WAL_TAG_TX {
-                read_varint(&pristine, &mut pos).unwrap();
-            }
-            let len = read_varint(&pristine, &mut pos).unwrap() as usize;
-            body_ranges.push(pos..pos + len);
-            pos += len;
-        }
-        assert!(!body_ranges.is_empty());
-
-        for range in body_ranges {
-            for at in range {
-                let mut data = pristine.clone();
-                data[at] ^= 0x01;
-                fs::write(&sealed, &data).unwrap();
-                let result = LedgerStore::open(&dir.0).unwrap().recover_full();
-                assert!(result.is_err(), "flip at byte {at} must not pass silently");
-            }
-        }
-
-        // Corrupt magic.
-        let mut data = pristine.clone();
-        data[0] ^= 0x01;
-        fs::write(&sealed, &data).unwrap();
-        assert!(LedgerStore::open(&dir.0).unwrap().recover_full().is_err());
-
-        // Truncation anywhere in a sealed segment is torn-middle, not
-        // torn-tail: an error.
-        for cut in [0, WAL_MAGIC.len(), pristine.len() - 1] {
-            fs::write(&sealed, &pristine[..cut]).unwrap();
-            assert!(
-                LedgerStore::open(&dir.0).unwrap().recover_full().is_err(),
-                "sealed segment truncated at {cut} must not pass"
-            );
-        }
-
-        // Restored, everything recovers again.
-        fs::write(&sealed, &pristine).unwrap();
-        assert!(LedgerStore::open(&dir.0).unwrap().recover_full().is_ok());
-    }
-
-    #[test]
     fn pruned_ids_survive_checkpoint() {
         let dir = TempDir::new();
         let mut store = LedgerStore::open(&dir.0).unwrap();
@@ -1706,13 +1033,203 @@ mod tests {
         }
     }
 
+    /// A store holding genesis + `n` txs with a credit event after every
+    /// third. Returns the live state.
+    fn world(dir: &TempDir, n: usize) -> (LedgerStore, Tangle, Vec<CreditEvent>) {
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        let mut tangle = Tangle::new();
+        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
+        let genesis_tx = tangle.get(&genesis).unwrap().clone();
+        store.append(&genesis_tx, 0).unwrap();
+        let mut events = Vec::new();
+        for i in 0..n {
+            grow(&mut tangle, &mut store, 1, 10 + 10 * i as u64);
+            if i % 3 == 0 {
+                let ev = event((i % 7) as u8 + 1, i as u64 + 1, (i + 1) as f64);
+                store.append_credit_events(std::slice::from_ref(&ev)).unwrap();
+                events.push(ev);
+            }
+        }
+        (store, tangle, events)
+    }
+
+    #[test]
+    fn reopen_appends_after_existing_records() {
+        let dir = TempDir::new();
+        let (store, mut tangle, events) = world(&dir, 8);
+        drop(store);
+        // Reopening must append behind the existing records, never
+        // restart the log (that would lose them).
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        grow(&mut tangle, &mut store, 2, 900);
+        let recovered = store.recover_full().unwrap();
+        let rt = recovered.tangle.unwrap();
+        assert_eq!(rt.len(), tangle.len());
+        assert_eq!(rt.tips(), tangle.tips());
+        assert_eq!(recovered.credit_events, events);
+    }
+
+    #[test]
+    fn corrupt_record_body_before_the_tail_is_an_error() {
+        // Torn-tail leniency covers only the final record. Bit flips
+        // inside any earlier record body must fail recovery loudly.
+        let dir = TempDir::new();
+        let (store, _tangle, _) = world(&dir, 10);
+        drop(store);
+        let wal = dir.0.join(WAL_FILE);
+        let pristine = fs::read(&wal).unwrap();
+
+        // Walk the framing to find every record-body byte (tag and length
+        // bytes can alias other valid framings; bodies are checksummed,
+        // so corruption there must always be caught).
+        let mut body_ranges = Vec::new();
+        let mut pos = WAL_MAGIC.len();
+        while pos < pristine.len() {
+            let tag = pristine[pos];
+            pos += 1;
+            if tag == WAL_TAG_TX {
+                read_varint(&pristine, &mut pos).unwrap();
+            }
+            let start = pos;
+            read_body(&pristine, &mut pos).unwrap();
+            body_ranges.push(start..pos);
+        }
+        body_ranges.pop(); // the final record may be torn
+        assert!(body_ranges.len() > 10);
+
+        for range in body_ranges {
+            for at in range {
+                let mut data = pristine.clone();
+                data[at] ^= 0x01;
+                fs::write(&wal, &data).unwrap();
+                let result = LedgerStore::open(&dir.0).unwrap().recover_full();
+                assert!(result.is_err(), "flip at byte {at} must not pass silently");
+            }
+        }
+
+        // Corrupt magic.
+        let mut data = pristine.clone();
+        data[0] ^= 0x01;
+        fs::write(&wal, &data).unwrap();
+        assert!(LedgerStore::open(&dir.0).unwrap().recover_full().is_err());
+
+        // Restored, everything recovers again.
+        fs::write(&wal, &pristine).unwrap();
+        assert!(LedgerStore::open(&dir.0).unwrap().recover_full().is_ok());
+    }
+
+    #[test]
+    fn interrupted_checkpoint_leaves_no_duplicate_transactions() {
+        // Crash simulation: the snapshot rename committed but the WAL was
+        // never reset. Its transactions are already in the snapshot and
+        // replay as no-ops.
+        let dir = TempDir::new();
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        let mut tangle = Tangle::new();
+        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
+        store.append(&tangle.get(&genesis).unwrap().clone(), 0).unwrap();
+        grow(&mut tangle, &mut store, 6, 10);
+        let wal = dir.0.join(WAL_FILE);
+        let pre_reset = fs::read(&wal).unwrap();
+        store.checkpoint(&tangle).unwrap();
+        fs::write(&wal, &pre_reset).unwrap();
+
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        assert_eq!(recovered.len(), tangle.len());
+        assert_eq!(recovered.attach_order(), tangle.attach_order());
+        assert_eq!(recovered.tips(), tangle.tips());
+    }
+
+    #[test]
+    fn checkpoint_with_credit_commits_events_with_the_snapshot() {
+        // The snapshot rename alone must commit the credit events: a
+        // store whose WAL holds only its magic after the checkpoint — the
+        // state a crash right after the WAL reset leaves — still recovers
+        // every event, so no punished device is pardoned (§IV-B).
+        let dir = TempDir::new();
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        let mut tangle = Tangle::new();
+        tangle.attach_genesis(NodeId([0; 32]), 0);
+        grow(&mut tangle, &mut store, 3, 10);
+        let carried = [mis(2, 2), event(1, 3, 1.0)];
+        store.checkpoint_with_credit(&tangle, &carried).unwrap();
+        drop(store);
+        fs::write(dir.0.join(WAL_FILE), WAL_MAGIC).unwrap();
+
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
+        assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
+        assert_eq!(recovered.credit_events, carried);
+
+        // Events appended after the checkpoint replay after the carried
+        // ones.
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        store.append_credit_events(&[mis(4, 9)]).unwrap();
+        let recovered = store.recover_full().unwrap();
+        assert_eq!(recovered.credit_events, [mis(2, 2), event(1, 3, 1.0), mis(4, 9)]);
+    }
+
+    #[test]
+    fn forged_snapshot_counts_are_corrupt_not_allocated() {
+        // A count of 2^40 rows, pruned ids or credit events behind a few
+        // bytes must be refused before it sizes an allocation.
+        let mut huge = Vec::new();
+        write_varint(&mut huge, 1 << 40);
+        let headers: [(&[u8], &str); 3] = [
+            (&[], "row count"),
+            (&[0], "pruned count"),
+            (&[0, 0], "credit count"),
+        ];
+        for (zero_counts, what) in headers {
+            let mut data = SNAPSHOT_MAGIC.to_vec();
+            data.extend_from_slice(zero_counts);
+            data.extend_from_slice(&huge);
+            let dir = TempDir::new();
+            fs::write(dir.0.join(SNAPSHOT_FILE), &data).unwrap();
+            let result = LedgerStore::open(&dir.0).unwrap().recover_full();
+            assert!(
+                matches!(result, Err(StoreError::CorruptSnapshot(w)) if w == what),
+                "{what}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn overlong_varint_is_rejected() {
+        // `[0xFF; 9] ++ [0x7F]` carries six bits past u64.
+        let mut overlong = vec![0xFF; 9];
+        overlong.push(0x7F);
+
+        // As a snapshot row count.
+        let dir = TempDir::new();
+        let mut data = SNAPSHOT_MAGIC.to_vec();
+        data.extend_from_slice(&overlong);
+        fs::write(dir.0.join(SNAPSHOT_FILE), &data).unwrap();
+        let result = LedgerStore::open(&dir.0).unwrap().recover_full();
+        assert!(matches!(result, Err(StoreError::CorruptSnapshot(_))), "{result:?}");
+
+        // As the attach time of a WAL record followed by more records: not
+        // a torn tail but corruption.
+        let dir = TempDir::new();
+        let (store, _, _) = world(&dir, 2);
+        drop(store);
+        let wal = dir.0.join(WAL_FILE);
+        let mut data = WAL_MAGIC.to_vec();
+        data.push(WAL_TAG_TX);
+        data.extend_from_slice(&overlong);
+        data.extend_from_slice(&fs::read(&wal).unwrap()[WAL_MAGIC.len()..]);
+        fs::write(&wal, &data).unwrap();
+        let result = LedgerStore::open(&dir.0).unwrap().recover_full();
+        assert!(matches!(result, Err(StoreError::CorruptSnapshot(_))), "{result:?}");
+    }
+
     #[test]
     fn read_only_recovers_but_refuses_every_write() {
         let dir = TempDir::new();
-        let (_writer, tangle, events) = segmented_world(&dir, 256, 8);
+        let (mut writer, tangle, events) = world(&dir, 8);
+        writer.checkpoint_with_credit(&tangle, &events[..1]).unwrap();
+        writer.append_credit_events(&events[1..]).unwrap();
 
         let mut ro = LedgerStore::open_read_only(&dir.0).unwrap();
-        assert!(ro.is_read_only());
 
         // Same bytes, same state as a writable open.
         let recovered = ro.recover_full().unwrap();
@@ -1722,57 +1239,29 @@ mod tests {
         assert_eq!(recovered.credit_events, events);
 
         // Every mutating entry point is refused, and refusal leaves the
-        // on-disk log untouched.
-        let before = ro.segment_paths().unwrap();
+        // files untouched.
+        let files = || [WAL_FILE, SNAPSHOT_FILE].map(|f| fs::read(dir.0.join(f)).unwrap());
+        let before = files();
         let tx = TransactionBuilder::new(NodeId([9; 32]))
             .parents(tangle.tips()[0], tangle.tips()[0])
             .payload(Payload::Data(vec![9]))
             .timestamp_ms(999)
             .build();
         assert!(matches!(ro.append(&tx, 999), Err(StoreError::ReadOnly)));
+        assert!(matches!(ro.append_batch(&[(tx, 999)]), Err(StoreError::ReadOnly)));
         assert!(matches!(
             ro.append_credit_events(&[mis(9, 9)]),
             Err(StoreError::ReadOnly)
         ));
         assert!(matches!(ro.checkpoint(&tangle), Err(StoreError::ReadOnly)));
-        assert!(matches!(ro.compact_step(), Err(StoreError::ReadOnly)));
-        assert_eq!(ro.segment_paths().unwrap(), before);
+        assert!(matches!(
+            ro.checkpoint_with_credit(&tangle, &events),
+            Err(StoreError::ReadOnly)
+        ));
+        assert_eq!(files(), before);
 
         // A read-only open never creates files either: opening a missing
         // directory is an error instead of a silent mkdir.
         assert!(LedgerStore::open_read_only(dir.0.join("nope")).is_err());
-    }
-
-    #[test]
-    fn read_only_recover_tolerates_concurrent_compaction() {
-        // A writable owner folds segments (rename + unlink) while a
-        // read-only handle recovers in a loop. The reader may list a
-        // segment the writer unlinks before it is read; `recover_full`
-        // retries from the freshly committed snapshot, so every recovery
-        // observes the complete state.
-        let dir = TempDir::new();
-        let (mut store, tangle, events) = segmented_world(&dir, 256, 12);
-        assert!(store.segment_count().unwrap() > 2);
-        let expect_len = tangle.len();
-
-        std::thread::scope(|s| {
-            let reader_dir = dir.0.clone();
-            let reader = s.spawn(move || {
-                let ro = LedgerStore::open_read_only(&reader_dir).unwrap();
-                let mut recoveries = 0usize;
-                for _ in 0..200 {
-                    let recovered = ro.recover_full().unwrap();
-                    assert_eq!(recovered.tangle.unwrap().len(), expect_len);
-                    assert_eq!(recovered.credit_events, events);
-                    recoveries += 1;
-                }
-                recoveries
-            });
-            while store.compact_step().unwrap() {
-                std::thread::yield_now();
-            }
-            assert!(reader.join().unwrap() > 0);
-        });
-        assert_eq!(store.segment_count().unwrap(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! recovers to a record-aligned prefix of it — with records appended one
 //! at a time or in group-committed batches of random size.
 
-use biot_store::{CheckpointPolicy, LedgerStore, StoreConfig};
+use biot_store::LedgerStore;
 use biot_tangle::graph::Tangle;
 use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder};
 use proptest::prelude::*;
@@ -57,8 +57,7 @@ fn flush_batch(
     *next += 1;
 }
 
-/// Batch sizes the WAL appends cycle through: single records and batches
-/// well past the smallest segment size.
+/// Batch sizes the WAL appends cycle through, from single records up.
 fn batch_sizes_strategy() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..12, 1..6)
 }
@@ -78,74 +77,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn recovery_equals_live_state(ops in ops_strategy()) {
-        let dir = TempDir::new();
-        let mut store = LedgerStore::open(&dir.0).unwrap();
-        let mut tangle = Tangle::new();
-        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
-        let genesis_tx = tangle.get(&genesis).unwrap().clone();
-        store.append(&genesis_tx, 0).unwrap();
-        let mut attached = vec![genesis];
-
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                Op::Attach(a, b, payload) => {
-                    let trunk = attached[a % attached.len()];
-                    let branch = attached[b % attached.len()];
-                    let tx = TransactionBuilder::new(NodeId([(i % 11) as u8 + 1; 32]))
-                        .parents(trunk, branch)
-                        .payload(Payload::Data(vec![*payload, i as u8]))
-                        .timestamp_ms(i as u64 + 1)
-                        .build();
-                    let at = i as u64 + 1;
-                    if let Ok(id) = tangle.attach(tx.clone(), at) {
-                        store.append(&tx, at).unwrap();
-                        attached.push(id);
-                    }
-                }
-                Op::Checkpoint => {
-                    tangle.confirm_with_threshold(2);
-                    store.checkpoint(&tangle).unwrap();
-                }
-            }
-        }
-
-        let recovered = LedgerStore::open(&dir.0)
-            .unwrap()
-            .recover()
-            .unwrap()
-            .expect("state exists");
-        prop_assert_eq!(recovered.len(), tangle.len());
-        prop_assert_eq!(recovered.tips(), tangle.tips());
-        for tx in tangle.iter() {
-            let id = tx.id();
-            prop_assert_eq!(recovered.get(&id), Some(tx));
-            prop_assert_eq!(
-                recovered.cumulative_weight(&id),
-                tangle.cumulative_weight(&id)
-            );
-        }
-    }
-
-    #[test]
-    fn segmented_recovery_equals_live_state(
+    fn recovery_equals_live_state(
         ops in ops_strategy(),
-        segment_bytes in 64u64..512,
-        compact_every in 1usize..6,
         batch_sizes in batch_sizes_strategy(),
     ) {
-        // Same interleaving property as above, but with tiny segments so
-        // the log rolls constantly, plus incremental compaction and
-        // policy-driven checkpoints sprinkled through the run. Attaches
-        // are group-committed in batches of random size, most of them
-        // larger than a segment.
+        // Attaches are group-committed in batches of random size; every
+        // checkpoint first flushes the open batch.
         let dir = TempDir::new();
-        let mut store =
-            LedgerStore::open_with_config(&dir.0, StoreConfig { segment_bytes }).unwrap();
-        let policy = CheckpointPolicy {
-            max_wal_bytes: 4 * segment_bytes,
-            max_segments: 6,
-        };
+        let mut store = LedgerStore::open(&dir.0).unwrap();
         let mut tangle = Tangle::new();
         let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
         let genesis_tx = tangle.get(&genesis).unwrap().clone();
@@ -170,14 +109,11 @@ proptest! {
                         attached.push(id);
                     }
                     flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, false);
-                    if i % compact_every == 0 {
-                        store.compact_step().unwrap();
-                    }
                 }
                 Op::Checkpoint => {
                     flush_batch(&mut store, &mut batch, &batch_sizes, &mut next_size, true);
                     tangle.confirm_with_threshold(2);
-                    store.maybe_checkpoint(&tangle, &policy).unwrap();
+                    store.checkpoint(&tangle).unwrap();
                 }
             }
         }

@@ -15,6 +15,9 @@
 //! ```
 //!
 //! Varints are LEB128 (7 bits per byte, high bit = continuation).
+//! [`write_varint`] and [`read_varint`] are the one varint codec every
+//! B-IoT format uses: this one, the gossip wire, the ingest protocol, the
+//! credit-event codec and the store files.
 
 use crate::tx::{NodeId, Payload, Transaction, TxId};
 use biot_crypto::sha256::sha256;
@@ -39,7 +42,7 @@ pub enum CodecError {
     BadVersion(u8),
     /// Unknown payload tag.
     BadTag(u8),
-    /// A varint ran past 10 bytes (not a canonical u64).
+    /// A varint encodes more than 64 bits.
     BadVarint,
     /// Checksum mismatch — corruption in transit or at rest.
     BadChecksum,
@@ -65,6 +68,62 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+impl From<VarintError> for CodecError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::UnexpectedEnd => CodecError::UnexpectedEnd,
+            VarintError::Overlong => CodecError::BadVarint,
+        }
+    }
+}
+
+// --- Varints ---------------------------------------------------------------
+
+/// Why [`read_varint`] failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VarintError {
+    /// The input ended inside the varint.
+    UnexpectedEnd,
+    /// The varint encodes more than 64 bits: a tenth byte above 1.
+    Overlong,
+}
+
+/// Appends `v` as an LEB128 varint (1–10 bytes).
+pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Reads an LEB128 varint at `*pos` and advances past it. Strict: a
+/// tenth byte above 1 would carry bits past `u64`, so it is
+/// [`VarintError::Overlong`] rather than silently truncated.
+///
+/// # Errors
+///
+/// See [`VarintError`].
+pub fn read_varint(input: &[u8], pos: &mut usize) -> Result<u64, VarintError> {
+    let mut value = 0u64;
+    for i in 0..10 {
+        let byte = *input.get(*pos).ok_or(VarintError::UnexpectedEnd)?;
+        *pos += 1;
+        if i == 9 && byte > 1 {
+            return Err(VarintError::Overlong);
+        }
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte & 0x80 == 0 {
+            return Ok(value);
+        }
+    }
+    Err(VarintError::Overlong)
+}
+
 // --- Writer ----------------------------------------------------------------
 
 /// Append-only byte writer with varint support.
@@ -82,16 +141,8 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    fn varint(&mut self, v: u64) {
+        write_varint(&mut self.buf, v);
     }
 
     fn len_prefixed(&mut self, v: &[u8]) {
@@ -140,15 +191,7 @@ impl<'a> Reader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut value = 0u64;
-        for i in 0..10 {
-            let byte = self.u8()?;
-            value |= ((byte & 0x7F) as u64) << (7 * i);
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(CodecError::BadVarint)
+        Ok(read_varint(self.input, &mut self.pos)?)
     }
 
     fn len_prefixed(&mut self) -> Result<&'a [u8], CodecError> {
@@ -503,6 +546,25 @@ mod tests {
     }
 
     #[test]
+    fn overlong_varint_is_rejected() {
+        // `[0xFF; 9] ++ [0x7F]` carries six bits past u64; `0x01` as the
+        // tenth byte is u64::MAX, the longest valid form.
+        let mut overlong = vec![0xFF; 9];
+        overlong.push(0x7F);
+        assert_eq!(read_varint(&overlong, &mut 0), Err(VarintError::Overlong));
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(read_varint(&max, &mut 0), Ok(u64::MAX));
+        assert_eq!(read_varint(&max[..9], &mut 0), Err(VarintError::UnexpectedEnd));
+
+        // Through the transaction decoder: an overlong timestamp.
+        let mut body = vec![VERSION, 0];
+        body.extend_from_slice(&[7u8; 32 * 3]);
+        body.extend_from_slice(&overlong);
+        assert_eq!(decode_tx(&with_valid_checksum(&body)), Err(CodecError::BadVarint));
+    }
+
+    #[test]
     fn forged_huge_data_length_is_capped_before_allocation() {
         // version, tag 0 (Data), headers, then a varint declaring a
         // ~u64::MAX-byte payload. The checksum is valid, so parsing
@@ -514,7 +576,7 @@ mod tests {
         body.push(0); // timestamp varint
         body.push(0); // nonce varint
         body.extend_from_slice(&[0xFF; 9]); // varint continuation bytes…
-        body.push(0x7F); // …terminated: a huge declared length
+        body.push(0x01); // …terminated: a declared length of u64::MAX
         let wire = with_valid_checksum(&body);
         match decode_tx(&wire) {
             Err(CodecError::BadLength(n)) => assert!(n > MAX_FIELD_BYTES),
@@ -532,7 +594,7 @@ mod tests {
         body.push(0);
         body.push(0);
         body.extend_from_slice(&[0xFF; 9]);
-        body.push(0x7F); // device count ≈ u64::MAX
+        body.push(0x01); // device count = u64::MAX
         let wire = with_valid_checksum(&body);
         match decode_tx(&wire) {
             Err(CodecError::BadLength(n)) => assert!(n > MAX_FIELD_BYTES),

@@ -2,7 +2,8 @@
 //!
 //! Runs a factory for a while, checkpoints the ledger to disk, appends
 //! more transactions to the write-ahead log, "crashes", and recovers —
-//! then exports the recovered tangle as Graphviz DOT.
+//! then exports the recovered tangle as Graphviz DOT. Exits with an error
+//! unless the recovered tangle has the live one's attach order and tips.
 //!
 //! Run with: `cargo run --example persistence`
 
@@ -66,8 +67,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         store.append(&tx, now.as_millis())?;
         now += 1_000;
     }
-    let live_len = gateway.tangle().len();
-    println!("live ledger: {live_len} transactions; crashing now…");
+    let live_order = gateway.tangle().attach_order().to_vec();
+    let live_tips = gateway.tangle().tips();
+    println!("live ledger: {} transactions; crashing now…", live_order.len());
     drop(gateway);
     drop(store);
 
@@ -75,12 +77,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let recovered = LedgerStore::open(&dir)?
         .recover()?
         .expect("state was persisted");
+    let identical = recovered.attach_order() == live_order && recovered.tips() == live_tips;
     println!(
-        "recovered ledger: {} transactions ({} tips) — identical to pre-crash: {}",
+        "recovered ledger: {} transactions ({} tips) — identical to pre-crash: {identical}",
         recovered.len(),
         recovered.tip_count(),
-        recovered.len() == live_len
     );
+    if !identical {
+        std::fs::remove_dir_all(&dir).ok();
+        return Err("recovered tangle differs from the live one".into());
+    }
 
     // Export for inspection.
     let dot = to_dot(&recovered);
