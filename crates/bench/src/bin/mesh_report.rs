@@ -30,7 +30,7 @@
 //! sizes) and `BIOT_MESH_TXS`.
 
 use biot_gossip::RelayMode;
-use biot_sim::mesh::{run_mesh, MeshConfig, MeshOutcome, Partition};
+use biot_sim::mesh::{run_mesh, MeshConfig, MeshOutcome, Partition, ANTI_ENTROPY_MS, DIGEST_MS};
 use std::fs;
 use std::io::Write;
 
@@ -70,7 +70,9 @@ fn fmt_outcome(o: &MeshOutcome) -> String {
          \"bytes_per_node_per_tx_raw\": {:.1}, \
          \"redundant_deliveries\": {}, \"redundancy_ratio\": {:.3}, \
          \"dup_suppressed\": {}, \"digests_sent\": {}, \"digest_ids_sent\": {}, \
-         \"peer_exchanges_sent\": {}, \"credit_events_deduped\": {}, \"handshakes\": {}}}",
+         \"peer_exchanges_sent\": {}, \"credit_events_deduped\": {}, \"handshakes\": {}, \
+         \"tx_payloads_sent\": {}, \"requests_sent\": {}, \"credit_events_sent\": {}, \
+         \"credit_keys_sent\": {}}}",
         o.nodes,
         o.txs,
         o.converged,
@@ -89,6 +91,10 @@ fn fmt_outcome(o: &MeshOutcome) -> String {
         o.peer_exchanges_sent,
         o.credit_events_deduped,
         o.handshakes,
+        o.tx_payloads_sent,
+        o.requests_sent,
+        o.credit_events_sent,
+        o.credit_keys_sent,
     )
 }
 
@@ -171,8 +177,8 @@ fn main() -> std::io::Result<()> {
     writeln!(f, "  \"payload_bytes\": {},", knobs.payload_bytes)?;
     writeln!(f, "  \"degree\": {},", knobs.degree)?;
     writeln!(f, "  \"fanout\": {},", knobs.fanout)?;
-    writeln!(f, "  \"digest_ms\": {},", knobs.digest_ms)?;
-    writeln!(f, "  \"anti_entropy_ms\": {},", knobs.anti_entropy_ms)?;
+    writeln!(f, "  \"digest_ms\": {DIGEST_MS},")?;
+    writeln!(f, "  \"anti_entropy_ms\": {ANTI_ENTROPY_MS},")?;
     writeln!(f, "  \"seed\": {},", knobs.seed)?;
     let cells: Vec<String> = digest_runs.iter().map(fmt_outcome).collect();
     writeln!(f, "  \"digest\": [\n    {}\n  ],", cells.join(",\n    "))?;

@@ -16,10 +16,12 @@
 //!   parasite-chain experiments (§VI-C).
 //! * [`loadgen`] — concurrent light-node load generation against the
 //!   `biot-ingest` reactor over real sockets.
-//! * [`mesh`] — N-node gossip fleet runner: seeded topology, oracle
-//!   workload, partition/heal, bytes-on-wire accounting.
-//! * [`roles`] — mixed-role fleet (archival / validation / light):
-//!   bit-for-bit convergence plus HTTP-vs-oracle byte equality.
+//! * [`mesh`] — N-node gossip fleet runner on one virtual-clock
+//!   `EventLoop`: seeded topology, oracle workload, partition/heal,
+//!   bytes-on-wire accounting. Its harness is the only fleet driver.
+//! * [`roles`] — the mesh fleet with an archival and a validation node
+//!   in it, fed light-client submissions: bit-for-bit convergence to an
+//!   oracle twin gateway plus HTTP-vs-oracle byte equality.
 //! * [`fleet`] — many honest nodes + attackers on one gateway (isolation).
 //! * [`throughput`] — tangle vs chain effective-TPS comparison (§II).
 //!

@@ -1,44 +1,64 @@
-//! N-node gossip mesh fleet runner.
+//! N-node gossip mesh fleet runner, and the fleet harness both fleet
+//! runners share.
 //!
-//! Stands up a whole fleet of [`GossipNode`]s on seeded in-memory links
-//! (jittered, byte-counted), wires them into a random bounded-degree
-//! topology, injects a pre-generated oracle workload — a DAG of
-//! transactions plus a credit-event schedule, each item surfacing at a
-//! seeded origin node — and then polls the fleet on a shared virtual
-//! clock until every node has converged to the oracle **bit-for-bit**:
-//! identical tip sets, identical cumulative weights for every
-//! transaction, and an identical `(CrP, CrN, Cr)` breakdown for every
-//! node the credit ledger knows.
+//! Stands up a fleet of [`GossipNode`]s as members of one [`EventLoop`]
+//! on a [`VirtualClock`], wires them over seeded jittered, byte-counted
+//! in-memory links in a random bounded-degree topology, injects a
+//! pre-generated oracle workload — a DAG of transactions plus a
+//! credit-event schedule, each item surfacing at a seeded origin node —
+//! and pumps the loop one scripted step at a time until every node has
+//! converged to the oracle **bit-for-bit**: identical tip sets,
+//! identical cumulative weights for every transaction, and an identical
+//! `(CrP, CrN, Cr)` breakdown for every node the credit ledger knows.
 //!
-//! The runner measures what ISSUE 8 cares about: rounds/virtual-time to
-//! convergence, bytes on the wire per node (via
-//! [`CountingTransport`]), and the redundant-delivery ratio — how many
-//! transaction payloads arrived at nodes that already held them. Running
-//! the same fleet under [`RelayMode::Flood`] and [`RelayMode::Digest`]
-//! quantifies the wire savings of digest-batched, duplicate-suppressed
-//! relay.
+//! The runner measures event-loop wakeups and virtual time to
+//! convergence, bytes on the wire per node (via [`CountingTransport`]),
+//! and the redundant-delivery ratio — how many transaction payloads
+//! arrived at nodes that already held them. Running the same fleet under
+//! [`RelayMode::Flood`] and [`RelayMode::Digest`] quantifies the wire
+//! savings of digest-batched, duplicate-suppressed relay.
 //!
 //! A partition/heal schedule can sever every link crossing a half/half
 //! cut for a window of virtual time; dial attempts across the active cut
 //! fail, exercising jittered reconnect backoff, and the heal exercises
 //! anti-entropy plus credit replay on the fresh handshakes.
+//!
+//! [`crate::roles`] drives the same harness — workload, wiring,
+//! injection and matcher — with an archival and a validation node in
+//! the fleet.
 
 use biot_credit::{CreditEvent, CreditLedger, CreditParams, Misbehavior};
 use biot_gossip::node::{GossipConfig, GossipNode, RelayMode};
 use biot_gossip::transport::{
-    ByteCounter, CountingTransport, FnConnector, JitterTransport, MemLink, MemTransport,
-    Transport, TransportError, VirtualClock,
+    ByteCounter, CountingTransport, FnConnector, JitterTransport, MemLink, MemTransport, Transport,
+    TransportError, VirtualClock,
 };
 use biot_net::latency::UniformLatency;
 use biot_net::time::SimTime;
+use biot_node::{EventLoop, MemberId};
 use biot_tangle::graph::Tangle;
 use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Gossip digest flush interval on every fleet member, ms.
+pub const DIGEST_MS: u64 = 25;
+/// Gossip anti-entropy interval on every fleet member, ms.
+pub const ANTI_ENTROPY_MS: u64 = 2_000;
+/// Uniform one-way link latency range `(min_ms, max_ms)`.
+pub const JITTER_MS: (u64, u64) = (5, 30);
+/// Spacing between oracle transaction injections, ms.
+pub const TX_INTERVAL_MS: u64 = 20;
+/// Virtual time between scripted injection steps, ms. Each step pumps
+/// the event loop through every deadline due by then.
+pub const STEP_MS: u64 = 25;
+/// Give-up horizon in virtual ms; also the instant credit is compared at.
+pub const MAX_MS: u64 = 600_000;
 
 /// A half/half network cut active over `[start_ms, heal_ms)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,20 +91,8 @@ pub struct MeshConfig {
     pub relay_mode: RelayMode,
     /// Relay fanout (0 = all peers) for digest mode.
     pub fanout: usize,
-    /// Digest flush interval, ms.
-    pub digest_ms: u64,
-    /// Anti-entropy interval, ms.
-    pub anti_entropy_ms: u64,
     /// Peer-exchange interval, ms (0 disables).
     pub peer_exchange_ms: u64,
-    /// Uniform one-way link latency range `(min_ms, max_ms)`.
-    pub jitter_ms: (u64, u64),
-    /// Spacing between oracle transaction injections, ms.
-    pub tx_interval_ms: u64,
-    /// Poll step, ms.
-    pub step_ms: u64,
-    /// Abort threshold: give up (unconverged) past this virtual time.
-    pub max_ms: u64,
     /// Optional partition/heal schedule.
     pub partition: Option<Partition>,
 }
@@ -100,13 +108,7 @@ impl Default for MeshConfig {
             seed: 42,
             relay_mode: RelayMode::Digest,
             fanout: 6,
-            digest_ms: 25,
-            anti_entropy_ms: 2_000,
             peer_exchange_ms: 30_000,
-            jitter_ms: (5, 30),
-            tx_interval_ms: 20,
-            step_ms: 25,
-            max_ms: 600_000,
             partition: None,
         }
     }
@@ -123,7 +125,7 @@ pub struct MeshOutcome {
     pub converged: bool,
     /// Virtual time at which convergence was first observed, ms.
     pub converged_ms: u64,
-    /// Poll rounds executed.
+    /// Event-loop wakeups: one per deadline the loop dispatched at.
     pub rounds: u64,
     /// Bytes sent fleet-wide (4-byte frame headers included).
     pub total_bytes_sent: u64,
@@ -171,25 +173,38 @@ pub struct MeshOutcome {
     pub credit_keys_sent: u64,
 }
 
-/// The single-node reference a fleet must reproduce bit-for-bit.
-struct Oracle {
-    tangle: Tangle,
-    ledger: CreditLedger,
+/// The single-node reference a fleet must reproduce bit-for-bit: a
+/// seeded DAG plus a credit-event schedule, each item surfacing at a
+/// seeded origin node.
+pub(crate) struct Workload {
+    /// Issuer of the genesis every member starts from.
+    pub(crate) genesis_issuer: NodeId,
+    pub(crate) tangle: Tangle,
+    pub(crate) ledger: CreditLedger,
     /// `(tx, attach_ms, origin node index)` in injection order.
-    txs: Vec<(Transaction, u64, usize)>,
+    pub(crate) txs: Vec<(Transaction, u64, usize)>,
     /// `(event, emit_ms, origin node index)` in injection order.
-    events: Vec<(CreditEvent, u64, usize)>,
-    events_total: u64,
+    pub(crate) events: Vec<(CreditEvent, u64, usize)>,
 }
 
-fn build_oracle(cfg: &MeshConfig) -> Oracle {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xD1A6_0000);
+/// Builds a [`Workload`] from `seed`: `txs` transactions of
+/// `payload_bytes` each and `credit_events` events, every origin drawn
+/// from `origins`.
+pub(crate) fn build_workload(
+    seed: u64,
+    txs: usize,
+    payload_bytes: usize,
+    credit_events: usize,
+    genesis_issuer: NodeId,
+    origins: Range<usize>,
+) -> Workload {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut tangle = Tangle::new();
-    let genesis = tangle.attach_genesis(NodeId([0xEE; 32]), 0);
+    let genesis = tangle.attach_genesis(genesis_issuer, 0);
     let mut ids = vec![genesis];
-    let mut txs = Vec::with_capacity(cfg.txs);
-    for k in 0..cfg.txs {
-        let attach_ms = (k as u64 + 1) * cfg.tx_interval_ms;
+    let mut scheduled = Vec::with_capacity(txs);
+    for k in 0..txs {
+        let attach_ms = (k as u64 + 1) * TX_INTERVAL_MS;
         // Parents from a sliding recency window keep the DAG tangle-like
         // (several live tips) instead of a chain.
         let window = ids.len().min(24);
@@ -199,7 +214,7 @@ fn build_oracle(cfg: &MeshConfig) -> Oracle {
         issuer[0] = (k % 249) as u8 + 1;
         issuer[1] = (k / 249) as u8;
         let mut payload = (k as u32).to_be_bytes().to_vec();
-        payload.resize(cfg.payload_bytes.max(4), (k % 251) as u8);
+        payload.resize(payload_bytes.max(4), (k % 251) as u8);
         let tx = TransactionBuilder::new(NodeId(issuer))
             .parents(trunk, branch)
             .payload(Payload::Data(payload))
@@ -209,16 +224,16 @@ fn build_oracle(cfg: &MeshConfig) -> Oracle {
             .attach(tx.clone(), attach_ms)
             .expect("oracle parents always present");
         ids.push(id);
-        let origin = rng.gen_range(0..cfg.nodes);
-        txs.push((tx, attach_ms, origin));
+        let origin = rng.gen_range(origins.clone());
+        scheduled.push((tx, attach_ms, origin));
     }
     // Credit schedule: whole-number weights and unique timestamps make
     // the ledger fold order-independent, so every replica computes the
     // same breakdown no matter how gossip reorders arrivals.
     let mut ledger = CreditLedger::new(CreditParams::default());
-    let mut events = Vec::with_capacity(cfg.credit_events);
-    let span = cfg.txs as u64 * cfg.tx_interval_ms;
-    for e in 0..cfg.credit_events {
+    let mut events = Vec::with_capacity(credit_events);
+    let span = txs as u64 * TX_INTERVAL_MS;
+    for e in 0..credit_events {
         let subject = NodeId([(e % 7) as u8 + 1; 32]);
         let weight = f64::from(rng.gen_range(1..=3u32));
         let at = SimTime::from_millis(1_000 + e as u64 * 13);
@@ -234,37 +249,21 @@ fn build_oracle(cfg: &MeshConfig) -> Oracle {
         };
         ledger.apply(&ev);
         let emit_ms = rng.gen_range(0..=span.max(1));
-        let origin = rng.gen_range(0..cfg.nodes);
+        let origin = rng.gen_range(origins.clone());
         events.push((ev, emit_ms, origin));
     }
     events.sort_by_key(|&(_, at, _)| at);
-    Oracle { tangle, ledger, txs, events, events_total: cfg.credit_events as u64 }
-}
-
-/// Far ends of freshly dialed links, grouped by accepting node.
-type AcceptQueues = Arc<Mutex<Vec<Vec<Box<dyn Transport>>>>>;
-
-/// Which side of the half/half cut a node sits on.
-fn side(i: usize, n: usize) -> bool {
-    i < n / 2
-}
-
-struct Fleet {
-    nodes: Vec<GossipNode>,
-    ledgers: Vec<CreditLedger>,
-    counters: Vec<ByteCounter>,
-    clock: VirtualClock,
-    /// Far ends of freshly dialed links, waiting to be accepted.
-    accept: AcceptQueues,
-    /// Kill switches of live links, tagged with their endpoints.
-    links: Arc<Mutex<Vec<(usize, usize, MemLink)>>>,
-    cut: Arc<AtomicBool>,
+    Workload {
+        genesis_issuer,
+        tangle,
+        ledger,
+        txs: scheduled,
+        events,
+    }
 }
 
 /// Random bounded-degree connected topology: a ring plus seeded chords.
-/// Shared with [`crate::roles`], which wires a mixed-role fleet over the
-/// same link shapes.
-pub(crate) fn seeded_edges(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize)> {
+fn seeded_edges(n: usize, degree: usize, seed: u64) -> Vec<(usize, usize)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7070_1234);
     let mut set = BTreeSet::new();
     for i in 0..n {
@@ -288,23 +287,269 @@ pub(crate) fn seeded_edges(n: usize, degree: usize, seed: u64) -> Vec<(usize, us
     set.into_iter().collect()
 }
 
-fn build_fleet(cfg: &MeshConfig, genesis_issuer: NodeId) -> Fleet {
-    let n = cfg.nodes;
-    let clock = VirtualClock::new();
-    let counters: Vec<ByteCounter> = (0..n).map(|_| ByteCounter::new()).collect();
-    let accept: AcceptQueues = Arc::new(Mutex::new((0..n).map(|_| Vec::new()).collect()));
-    let links = Arc::new(Mutex::new(Vec::new()));
-    let cut = Arc::new(AtomicBool::new(false));
+/// Which side of the half/half cut a node sits on.
+fn side(i: usize, n: usize) -> bool {
+    i < n / 2
+}
 
-    let mut nodes: Vec<GossipNode> = (0..n)
+/// Far ends of freshly dialed links, grouped by accepting node index.
+type AcceptQueues = Arc<Mutex<Vec<Vec<Box<dyn Transport>>>>>;
+
+/// Event-loop members on seeded jittered links, plus the cursor that
+/// feeds them one [`Workload`]. Node index `i` is member `ids[i]`.
+pub(crate) struct Fleet {
+    pub(crate) el: EventLoop,
+    pub(crate) ids: Vec<MemberId>,
+    clock: VirtualClock,
+    /// Bytes and frames each node sent.
+    counters: Vec<ByteCounter>,
+    accept: AcceptQueues,
+    /// Kill switches of live links, tagged with their endpoints.
+    links: Arc<Mutex<Vec<(usize, usize, MemLink)>>>,
+    /// While set, dials across the half/half cut fail.
+    cut: Arc<AtomicBool>,
+    injected: Vec<bool>,
+    next_tx: usize,
+    next_ev: usize,
+}
+
+impl Fleet {
+    /// Attaches the workload's genesis on every member of `el` (driven
+    /// by `clock`) and wires [`seeded_edges`] between them: the lower
+    /// endpoint owns the dial, the upper one finds the far end in its
+    /// accept queue.
+    pub(crate) fn wire(
+        clock: VirtualClock,
+        mut el: EventLoop,
+        ids: Vec<MemberId>,
+        workload: &Workload,
+        degree: usize,
+        seed: u64,
+    ) -> Self {
+        let n = ids.len();
+        let counters: Vec<ByteCounter> = (0..n).map(|_| ByteCounter::new()).collect();
+        let accept: AcceptQueues = Arc::new(Mutex::new((0..n).map(|_| Vec::new()).collect()));
+        let links = Arc::new(Mutex::new(Vec::new()));
+        let cut = Arc::new(AtomicBool::new(false));
+        for &id in &ids {
+            let gossip = el.gossip(id).expect("member exists");
+            let mut tangle = gossip.tangle().lock().expect("tangle lock poisoned");
+            tangle.attach_genesis(workload.genesis_issuer, 0);
+        }
+        for (i, j) in seeded_edges(n, degree, seed) {
+            let accept = Arc::clone(&accept);
+            let links = Arc::clone(&links);
+            let cut = Arc::clone(&cut);
+            let clock = clock.clone();
+            let (counter_i, counter_j) = (counters[i].clone(), counters[j].clone());
+            let model = UniformLatency::new(JITTER_MS.0, JITTER_MS.1);
+            let (seed_i, seed_j) = (
+                seed ^ (i as u64) << 20 ^ (j as u64) << 4 ^ 1,
+                seed ^ (i as u64) << 20 ^ (j as u64) << 4 ^ 2,
+            );
+            let end = move |t: MemTransport, seed: u64, counter: &ByteCounter| {
+                Box::new(CountingTransport::new(
+                    Box::new(JitterTransport::new(
+                        Box::new(t),
+                        Box::new(model),
+                        seed,
+                        clock.clone(),
+                    )),
+                    counter.clone(),
+                )) as Box<dyn Transport>
+            };
+            let gossip = el.gossip_mut(ids[i]).expect("member exists");
+            gossip.connect(Box::new(FnConnector(move || {
+                if cut.load(Ordering::SeqCst) && side(i, n) != side(j, n) {
+                    return Err(TransportError::Closed);
+                }
+                let (a, b, link) = MemTransport::pair();
+                links
+                    .lock()
+                    .expect("link list lock poisoned")
+                    .push((i, j, link));
+                accept.lock().expect("accept queue lock poisoned")[j]
+                    .push(end(b, seed_j, &counter_j));
+                Ok(end(a, seed_i, &counter_i))
+            })));
+        }
+        let injected = vec![false; workload.txs.len()];
+        Fleet {
+            el,
+            ids,
+            clock,
+            counters,
+            accept,
+            links,
+            cut,
+            injected,
+            next_tx: 0,
+            next_ev: 0,
+        }
+    }
+
+    /// Moves the clock to `now` and injects every workload item due by
+    /// then. A transaction waits until its origin holds both pre-decided
+    /// parents — a gateway issues on tips it has synced — and a credit
+    /// event is folded into its origin's own projection, since a
+    /// broadcast does not loop back.
+    pub(crate) fn inject(&mut self, workload: &Workload, now: u64) {
+        self.clock.set(now);
+        #[allow(clippy::needless_range_loop)] // `k` also indexes `injected`
+        for k in self.next_tx..workload.txs.len() {
+            let (tx, attach_ms, origin) = &workload.txs[k];
+            if *attach_ms > now {
+                break;
+            }
+            if self.injected[k] {
+                continue;
+            }
+            let gossip = self
+                .el
+                .gossip_mut(self.ids[*origin])
+                .expect("member exists");
+            let parents_known = {
+                let t = gossip.tangle().lock().expect("tangle lock poisoned");
+                tx.parents().into_iter().all(|p| t.contains(&p))
+            };
+            if parents_known {
+                gossip.submit(tx.clone(), *attach_ms, now);
+                self.injected[k] = true;
+            }
+        }
+        while self.next_tx < workload.txs.len() && self.injected[self.next_tx] {
+            self.next_tx += 1;
+        }
+        while self.next_ev < workload.events.len() && workload.events[self.next_ev].1 <= now {
+            let (ev, _, origin) = &workload.events[self.next_ev];
+            let id = self.ids[*origin];
+            self.el
+                .ledger_mut(id)
+                .expect("workload origins are bare gossip members")
+                .apply(ev);
+            self.el
+                .gossip_mut(id)
+                .expect("member exists")
+                .broadcast_credit_events(&[*ev], now);
+            self.next_ev += 1;
+        }
+    }
+
+    /// Whether every workload item has been injected.
+    pub(crate) fn injected_all(&self, workload: &Workload) -> bool {
+        self.next_tx == workload.txs.len() && self.next_ev == workload.events.len()
+    }
+
+    /// Hands freshly dialed links to their accepting members, then runs
+    /// every deadline due by `now`.
+    pub(crate) fn pump(&mut self, now: u64) {
+        for (j, inbox) in self
+            .accept
+            .lock()
+            .expect("accept queue lock poisoned")
+            .iter_mut()
+            .enumerate()
+        {
+            for t in inbox.drain(..) {
+                self.el
+                    .gossip_mut(self.ids[j])
+                    .expect("member exists")
+                    .add_transport(t, now);
+            }
+        }
+        self.el.pump(now).expect("event-loop pump");
+    }
+
+    /// Bit-for-bit check: nothing is pending anywhere; every member's
+    /// gossip tangle — and a validation node's gateway tangle — has the
+    /// oracle's length, tips and cumulative weights; and every member's
+    /// ledger has folded `events_total` events and agrees with `ledger`
+    /// on every known device's `(CrP, CrN, Cr)` at [`MAX_MS`].
+    pub(crate) fn matches(
+        &self,
+        tangle: &Tangle,
+        ledger: &CreditLedger,
+        events_total: u64,
+    ) -> bool {
+        let want_tips = tangle.tips();
+        let oracle_ids: Vec<TxId> = tangle.iter().map(|tx| tx.id()).collect();
+        let probe = SimTime::from_millis(MAX_MS);
+        let subjects: Vec<NodeId> = ledger.known_nodes().copied().collect();
+        let tangle_matches = |t: &Tangle| {
+            t.len() == tangle.len()
+                && t.tips() == want_tips
+                && oracle_ids
+                    .iter()
+                    .all(|id| t.cumulative_weight(id) == tangle.cumulative_weight(id))
+        };
+        let ledger_matches = |l: &CreditLedger| {
+            l.events_applied() == events_total
+                && subjects.iter().all(|&nid| {
+                    let (a, b) = (ledger.credit_of(nid, probe), l.credit_of(nid, probe));
+                    a.positive == b.positive && a.negative == b.negative && a.combined == b.combined
+                })
+        };
+        self.ids.iter().all(|&id| {
+            let gossip = self.el.gossip(id).expect("member exists");
+            let (member_ledger, gateway_tangle) = if let Some(a) = self.el.archival(id) {
+                (a.credits(), None)
+            } else if let Some(v) = self.el.validation(id) {
+                (v.gateway().credits(), Some(v.gateway().tangle()))
+            } else {
+                (
+                    self.el
+                        .ledger(id)
+                        .expect("bare gossip member holds a ledger"),
+                    None,
+                )
+            };
+            gossip.pending_len() == 0
+                && tangle_matches(&gossip.tangle().lock().expect("tangle lock poisoned"))
+                && ledger_matches(member_ledger)
+                && gateway_tangle.is_none_or(tangle_matches)
+        })
+    }
+
+    /// Severs every live link crossing the half/half cut and fails dials
+    /// across it until [`Fleet::heal`].
+    fn partition(&self) {
+        let n = self.ids.len();
+        self.cut.store(true, Ordering::SeqCst);
+        for (i, j, link) in self.links.lock().expect("link list lock poisoned").iter() {
+            if side(*i, n) != side(*j, n) {
+                link.kill();
+            }
+        }
+    }
+
+    /// Lets dials across the half/half cut succeed again.
+    fn heal(&self) {
+        self.cut.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Runs one seeded fleet to convergence (or [`MAX_MS`]) and reports.
+pub fn run_mesh(cfg: &MeshConfig) -> MeshOutcome {
+    assert!(cfg.nodes >= 2, "a mesh needs at least two nodes");
+    let workload = build_workload(
+        cfg.seed ^ 0xD1A6_0000,
+        cfg.txs,
+        cfg.payload_bytes,
+        cfg.credit_events,
+        NodeId([0xEE; 32]),
+        0..cfg.nodes,
+    );
+    let clock = VirtualClock::new();
+    let mut el = EventLoop::with_clock(Box::new(clock.clone())).expect("event loop boots");
+    let ids = (0..cfg.nodes)
         .map(|i| {
-            let node_cfg = GossipConfig {
+            el.add_gossip(GossipNode::with_empty_tangle(GossipConfig {
                 node_id: i as u64 + 1,
                 listen_addr: Some(format!("mesh:{}", i + 1)),
                 relay_mode: cfg.relay_mode,
                 fanout: cfg.fanout,
-                digest_ms: cfg.digest_ms,
-                anti_entropy_ms: cfg.anti_entropy_ms,
+                digest_ms: DIGEST_MS,
+                anti_entropy_ms: ANTI_ENTROPY_MS,
                 peer_exchange_ms: cfg.peer_exchange_ms,
                 max_pending: cfg.txs + 64,
                 // Partitions outlive the default failure budget; keep
@@ -314,198 +559,45 @@ fn build_fleet(cfg: &MeshConfig, genesis_issuer: NodeId) -> Fleet {
                 request_retry_ms: 200,
                 seed: cfg.seed,
                 ..GossipConfig::default()
-            };
-            let node = GossipNode::with_empty_tangle(node_cfg);
-            node.tangle().lock().unwrap().attach_genesis(genesis_issuer, 0);
-            node
+            }))
         })
         .collect();
+    let mut fleet = Fleet::wire(clock, el, ids, &workload, cfg.degree, cfg.seed);
+    let events_total = workload.events.len() as u64;
 
-    for (i, j) in seeded_edges(cfg.nodes, cfg.degree, cfg.seed) {
-        let accept = Arc::clone(&accept);
-        let links = Arc::clone(&links);
-        let cut = Arc::clone(&cut);
-        let clock_i = clock.clone();
-        let counter_i = counters[i].clone();
-        let counter_j = counters[j].clone();
-        let model = UniformLatency::new(cfg.jitter_ms.0, cfg.jitter_ms.1);
-        let (seed_i, seed_j) = (
-            cfg.seed ^ (i as u64) << 20 ^ (j as u64) << 4 ^ 1,
-            cfg.seed ^ (i as u64) << 20 ^ (j as u64) << 4 ^ 2,
-        );
-        let n_nodes = n;
-        // The lower endpoint owns the dial; the upper end shows up in the
-        // accept queue. Identified hellos keep accidental duplicates out.
-        nodes[i].connect(Box::new(FnConnector(move || {
-            if cut.load(Ordering::SeqCst) && side(i, n_nodes) != side(j, n_nodes) {
-                return Err(TransportError::Closed);
-            }
-            let (a, b, link) = MemTransport::pair();
-            links.lock().unwrap().push((i, j, link));
-            let far: Box<dyn Transport> = Box::new(CountingTransport::new(
-                Box::new(JitterTransport::new(
-                    Box::new(b),
-                    Box::new(model),
-                    seed_j,
-                    clock_i.clone(),
-                )),
-                counter_j.clone(),
-            ));
-            accept.lock().unwrap()[j].push(far);
-            Ok(Box::new(CountingTransport::new(
-                Box::new(JitterTransport::new(
-                    Box::new(a),
-                    Box::new(model),
-                    seed_i,
-                    clock_i.clone(),
-                )),
-                counter_i.clone(),
-            )) as Box<dyn Transport>)
-        })));
-    }
-
-    let ledgers = (0..n)
-        .map(|_| CreditLedger::new(CreditParams::default()))
-        .collect();
-    Fleet { nodes, ledgers, counters, clock, accept, links, cut }
-}
-
-/// Runs one seeded fleet to convergence (or `max_ms`) and reports.
-pub fn run_mesh(cfg: &MeshConfig) -> MeshOutcome {
-    assert!(cfg.nodes >= 2, "a mesh needs at least two nodes");
-    let oracle = build_oracle(cfg);
-    let mut fleet = build_fleet(cfg, NodeId([0xEE; 32]));
-
-    let mut injected = vec![false; oracle.txs.len()];
-    let mut next_tx = 0usize;
-    let mut next_ev = 0usize;
     let mut cut_applied = false;
     let mut healed = cfg.partition.is_none();
     let mut now = 0u64;
-    let mut rounds = 0u64;
-    let mut converged_ms = 0u64;
-    let mut converged = false;
-
-    while now <= cfg.max_ms {
-        fleet.clock.set(now);
-        if let Some(p) = cfg.partition {
-            if !cut_applied && now >= p.start_ms {
-                cut_applied = true;
-                fleet.cut.store(true, Ordering::SeqCst);
-                let links = fleet.links.lock().unwrap();
-                for (i, j, link) in links.iter() {
-                    if side(*i, cfg.nodes) != side(*j, cfg.nodes) {
-                        link.kill();
-                    }
-                }
-            }
-            if cut_applied && !healed && now >= p.heal_ms {
-                healed = true;
-                fleet.cut.store(false, Ordering::SeqCst);
-            }
-        }
-        // A gateway issues a transaction referencing tips it has synced;
-        // the oracle pre-decides the parents, so each injection waits
-        // until its origin actually holds them (issuance follows sync).
-        // Deterministic: scan order and tangle state are both seeded.
-        #[allow(clippy::needless_range_loop)] // `k` also indexes `injected`
-        for k in next_tx..oracle.txs.len() {
-            let (tx, attach_ms, origin) = &oracle.txs[k];
-            if *attach_ms > now {
-                break;
-            }
-            if injected[k] {
-                continue;
-            }
-            let parents_known = {
-                let t = fleet.nodes[*origin].tangle().lock().unwrap();
-                tx.parents().into_iter().all(|p| t.contains(&p))
-            };
-            if parents_known {
-                fleet.nodes[*origin].submit(tx.clone(), *attach_ms, now);
-                injected[k] = true;
-            }
-        }
-        while next_tx < oracle.txs.len() && injected[next_tx] {
-            next_tx += 1;
-        }
-        while next_ev < oracle.events.len() && oracle.events[next_ev].1 <= now {
-            let (ev, _, origin) = &oracle.events[next_ev];
-            fleet.ledgers[*origin].apply(ev);
-            fleet.nodes[*origin].broadcast_credit_events(&[*ev], now);
-            next_ev += 1;
-        }
-        {
-            let mut accept = fleet.accept.lock().unwrap();
-            for (j, inbox) in accept.iter_mut().enumerate() {
-                for t in inbox.drain(..) {
-                    fleet.nodes[j].add_transport(t, now);
-                }
-            }
-        }
-        for node in fleet.nodes.iter_mut() {
-            node.poll(now);
-        }
-        for (node, ledger) in fleet.nodes.iter_mut().zip(fleet.ledgers.iter_mut()) {
-            for ev in node.take_credit_events() {
-                ledger.apply(&ev);
-            }
-        }
-        rounds += 1;
-
-        if std::env::var("BIOT_MESH_DEBUG").is_ok() && now.is_multiple_of(1_000) {
-            let want = oracle.tangle.len();
-            let lens: Vec<usize> =
-                fleet.nodes.iter().map(|n| n.tangle().lock().unwrap().len()).collect();
-            let behind = lens.iter().filter(|&&l| l < want).count();
-            let pending: usize = fleet.nodes.iter().map(|n| n.pending_len()).sum();
-            let ev_behind = fleet
-                .ledgers
-                .iter()
-                .filter(|l| l.events_applied() < oracle.events_total)
-                .count();
-            let (mut dg, mut dg_ids, mut reqs, mut served, mut misses) =
-                (0u64, 0u64, 0u64, 0u64, 0u64);
-            for n in &fleet.nodes {
-                let s = n.stats();
-                dg += s.digests_sent;
-                dg_ids += s.digest_ids_sent;
-                reqs += s.requests_sent;
-                served += s.tx_sent;
-                misses += s.gettx_misses;
-            }
-            let (mut disc, mut inval, mut hs) = (0u64, 0u64, 0u64);
-            for n in &fleet.nodes {
-                let s = n.stats();
-                disc += s.disconnects;
-                inval += s.invalid_frames;
-                hs += s.handshakes;
-            }
-            eprint!("[disc={disc} invalid={inval} handshakes={hs}] ");
-            eprintln!(
-                "[mesh {}ms] behind={behind}/{} min_len={} want={want} pending={pending} ev_behind={ev_behind} digests={dg} ids={dg_ids} reqs={reqs} served={served} misses={misses}",
-                now,
-                fleet.nodes.len(),
-                lens.iter().min().unwrap(),
-            );
-        }
-        let workload_done = next_tx == oracle.txs.len() && next_ev == oracle.events.len();
-        if workload_done && healed && fleet_matches_oracle(&fleet, &oracle, cfg.max_ms) {
-            converged = true;
-            converged_ms = now;
-            break;
-        }
-        now += cfg.step_ms.max(1);
-    }
-
     let mut out = MeshOutcome {
         nodes: cfg.nodes,
         txs: cfg.txs,
-        converged,
-        converged_ms,
-        rounds,
         ..MeshOutcome::default()
     };
+    while now <= MAX_MS {
+        if let Some(p) = cfg.partition {
+            if !cut_applied && now >= p.start_ms {
+                cut_applied = true;
+                fleet.partition();
+            }
+            if cut_applied && !healed && now >= p.heal_ms {
+                healed = true;
+                fleet.heal();
+            }
+        }
+        fleet.inject(&workload, now);
+        fleet.pump(now);
+        if fleet.injected_all(&workload)
+            && healed
+            && fleet.matches(&workload.tangle, &workload.ledger, events_total)
+        {
+            out.converged = true;
+            out.converged_ms = now;
+            break;
+        }
+        now += STEP_MS;
+    }
+
+    out.rounds = fleet.el.wakeups();
     for c in &fleet.counters {
         out.total_bytes_sent += c.sent();
         out.total_frames_sent += c.frames_sent();
@@ -516,8 +608,8 @@ pub fn run_mesh(cfg: &MeshConfig) -> MeshOutcome {
     let delivered_per_node =
         cfg.txs.max(1) as f64 * (cfg.nodes.max(2) - 1) as f64 / cfg.nodes.max(2) as f64;
     out.bytes_per_node_per_tx = out.total_bytes_sent as f64 / cfg.nodes as f64 / delivered_per_node;
-    for node in &fleet.nodes {
-        let s = node.stats();
+    for &id in &fleet.ids {
+        let s = fleet.el.gossip(id).expect("member exists").stats();
         out.redundant_deliveries += s.duplicates;
         out.dup_suppressed += s.dup_suppressed;
         out.digests_sent += s.digests_sent;
@@ -533,40 +625,6 @@ pub fn run_mesh(cfg: &MeshConfig) -> MeshOutcome {
     out.redundancy_ratio =
         out.redundant_deliveries as f64 / (cfg.nodes as f64 * cfg.txs.max(1) as f64);
     out
-}
-
-/// Bit-for-bit convergence: every node's tips, every transaction's
-/// cumulative weight, and every known node's credit breakdown equal the
-/// oracle's.
-fn fleet_matches_oracle(fleet: &Fleet, oracle: &Oracle, probe_ms: u64) -> bool {
-    let want_len = oracle.tangle.len();
-    let want_tips = oracle.tangle.tips();
-    let oracle_ids: Vec<TxId> = oracle.tangle.iter().map(|tx| tx.id()).collect();
-    let probe = SimTime::from_millis(probe_ms);
-    let subjects: Vec<NodeId> = oracle.ledger.known_nodes().copied().collect();
-    for (node, ledger) in fleet.nodes.iter().zip(fleet.ledgers.iter()) {
-        if node.pending_len() != 0 || ledger.events_applied() != oracle.events_total {
-            return false;
-        }
-        let t = node.tangle().lock().unwrap();
-        if t.len() != want_len || t.tips() != want_tips {
-            return false;
-        }
-        if !oracle_ids
-            .iter()
-            .all(|id| t.cumulative_weight(id) == oracle.tangle.cumulative_weight(id))
-        {
-            return false;
-        }
-        if !subjects.iter().all(|&nid| {
-            let a = oracle.ledger.credit_of(nid, probe);
-            let b = ledger.credit_of(nid, probe);
-            a.positive == b.positive && a.negative == b.negative && a.combined == b.combined
-        }) {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -615,7 +673,10 @@ mod tests {
     #[test]
     fn partitioned_mesh_heals_and_converges() {
         let cfg = MeshConfig {
-            partition: Some(Partition { start_ms: 300, heal_ms: 2_000 }),
+            partition: Some(Partition {
+                start_ms: 300,
+                heal_ms: 2_000,
+            }),
             ..small(RelayMode::Digest)
         };
         let out = run_mesh(&cfg);

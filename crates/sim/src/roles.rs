@@ -1,67 +1,53 @@
-//! Mixed-role fleet runner: the tentpole proof for the role runtimes.
+//! Mixed-role fleet runner: the mesh fleet of [`crate::mesh`] with the
+//! paper's heterogeneous roles in it.
 //!
-//! Where [`crate::mesh`] stands up a fleet of identical gossip nodes,
-//! this module wires a *heterogeneous* fleet the way the paper's network
-//! actually looks:
+//! Runs the mesh harness — oracle workload, jittered links, injection,
+//! bit-for-bit matcher, one [`EventLoop`] on a virtual clock — with:
 //!
-//! * node 0 is an [`ArchivalNode`] — syncs the mesh, folds credit
-//!   events, optionally persists to a `biot-store` directory, and serves
-//!   the HTTP/1.1 query API on a real loopback socket;
-//! * node 1 is a [`ValidationNode`] — wraps a full [`Gateway`]
+//! * node 0 an [`ArchivalNode`] — syncs the mesh, folds credit events,
+//!   and serves the HTTP/1.1 query API on a real loopback socket;
+//! * node 1 a [`ValidationNode`] — wraps a full [`Gateway`]
 //!   (authorization, signatures, credit bookkeeping), admits
 //!   [`LightClient`] submissions, pushes the resulting transactions and
 //!   credit events onto the mesh, and retains the event log for the
 //!   replay cross-check;
-//! * the rest are plain relays carrying the oracle workload, exactly as
-//!   in the mesh runner.
+//! * the rest plain relays carrying the oracle workload.
 //!
-//! The run passes only if **all three role claims hold at once**:
+//! The reference is an **oracle twin**: a second gateway fed the same
+//! light submissions at the same instants before the fleet starts. Its
+//! broadcasts and credit events, on top of the relay workload, define
+//! the ledger every member must reach. The run passes only if **all
+//! three role claims hold at once**:
 //!
 //! 1. every node — relays, the archival tangle, *and* the validation
-//!    gateway's internal tangle — converges to the oracle bit-for-bit
-//!    (tips, cumulative weights, credit breakdowns);
+//!    gateway's internal tangle — converges to the twin bit-for-bit
+//!    (tips, cumulative weights, credit breakdowns), and the archival
+//!    node's [`RolesOutcome::fingerprint`] equals the twin's;
 //! 2. the validation node's from-scratch event-log replay matches its
 //!    live ledger exactly ([`ValidationNode::verify_replay`]);
 //! 3. every byte the archival node's HTTP endpoint sends over TCP is
 //!    identical to the in-process oracle rendering
 //!    ([`ArchivalNode::oracle_response`]) for the same request.
 
-use crate::mesh::seeded_edges;
+use crate::mesh::{build_workload, Fleet, ANTI_ENTROPY_MS, DIGEST_MS, MAX_MS, STEP_MS};
 use biot_core::identity::node_id_of;
 use biot_core::node::{Gateway, GatewayConfig, Manager};
 use biot_core::{Account, Difficulty, FixedPolicy};
-use biot_credit::{CreditEvent, CreditLedger, CreditParams, Misbehavior};
+use biot_credit::CreditLedger;
 use biot_gossip::node::{GossipConfig, GossipNode};
-use biot_gossip::transport::{
-    ByteCounter, CountingTransport, FnConnector, JitterTransport, MemTransport, Transport,
-    VirtualClock,
-};
-use biot_net::latency::UniformLatency;
+use biot_gossip::transport::VirtualClock;
 use biot_net::time::SimTime;
+use biot_node::api::{render_http, ApiState, HealthInfo};
 use biot_node::http::Request;
 use biot_node::role::{ArchivalNode, LightClient, Role, RoleConfig, ValidationNode};
-use biot_node::{EventLoop, MemberId};
+use biot_node::EventLoop;
 use biot_tangle::conflict::LazyTipPolicy;
 use biot_tangle::graph::Tangle;
-use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
+use biot_tangle::tx::{NodeId, Transaction, TxId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-/// Which runtime drives the fleet through virtual time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RolesDriver {
-    /// The legacy fixed-step loop: poll every node every `step_ms`.
-    /// Kept as the behavioral oracle the event loop is checked against.
-    #[default]
-    TickLoop,
-    /// The blocking reactor ([`biot_node::EventLoop`]) on a virtual
-    /// clock that jumps deadline-to-deadline instead of sleeping.
-    EventLoop,
-}
 
 /// Knobs for one mixed-role fleet run.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,22 +68,6 @@ pub struct RolesConfig {
     pub light_txs_each: usize,
     /// Seed for topology, workload, and jitter.
     pub seed: u64,
-    /// Gossip digest interval (ms).
-    pub digest_ms: u64,
-    /// Gossip anti-entropy interval (ms).
-    pub anti_entropy_ms: u64,
-    /// Link latency bounds (ms).
-    pub jitter_ms: (u64, u64),
-    /// Oracle transaction cadence (ms).
-    pub tx_interval_ms: u64,
-    /// Virtual-time step per poll round (ms).
-    pub step_ms: u64,
-    /// Give-up horizon (virtual ms).
-    pub max_ms: u64,
-    /// Archival store directory (`None` = memory only).
-    pub store_dir: Option<PathBuf>,
-    /// Which runtime drives the fleet (see [`RolesDriver`]).
-    pub driver: RolesDriver,
 }
 
 impl Default for RolesConfig {
@@ -111,14 +81,6 @@ impl Default for RolesConfig {
             light_clients: 2,
             light_txs_each: 6,
             seed: 42,
-            digest_ms: 25,
-            anti_entropy_ms: 2_000,
-            jitter_ms: (5, 30),
-            tx_interval_ms: 20,
-            step_ms: 25,
-            max_ms: 600_000,
-            store_dir: None,
-            driver: RolesDriver::default(),
         }
     }
 }
@@ -138,7 +100,7 @@ pub struct RolesOutcome {
     pub converged: bool,
     /// Virtual time of convergence (ms).
     pub converged_ms: u64,
-    /// Poll rounds executed.
+    /// Event-loop wakeups: one per deadline the loop dispatched at.
     pub rounds: u64,
     /// Devices checked by the validation replay (0 until it runs).
     pub replay_devices: usize,
@@ -148,74 +110,12 @@ pub struct RolesOutcome {
     pub http_probes: usize,
     /// Probes whose socket bytes differed from the in-process oracle.
     pub http_mismatches: usize,
-    /// Driver-invariant digest of the converged fleet — sorted tips,
-    /// cumulative weights in oracle order, per-device credit bit
-    /// patterns at a fixed probe instant, and hashes of the archival
-    /// endpoint's rendered bytes for canonical requests. Two runs of
-    /// the same config under *different* drivers must agree on every
-    /// entry (empty until convergence).
+    /// Scheduling-independent digest of the converged archival node —
+    /// sorted tips, cumulative weights in id order, per-device credit
+    /// bit patterns at a fixed probe instant, hashes of the HTTP bytes
+    /// for canonical requests, and the credit-event count. `run_roles`
+    /// asserts it equals the oracle twin's (empty until convergence).
     pub fingerprint: Vec<String>,
-}
-
-/// The relay-side oracle workload (mirrors the mesh runner's).
-struct Workload {
-    tangle: Tangle,
-    ledger: CreditLedger,
-    txs: Vec<(Transaction, u64, usize)>,
-    events: Vec<(CreditEvent, u64, usize)>,
-}
-
-/// Builds the relay workload: a seeded DAG plus a credit-event schedule,
-/// each item surfacing at a seeded relay node (indices ≥ 2).
-fn build_workload(cfg: &RolesConfig, genesis_issuer: NodeId) -> Workload {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0401_E5D0);
-    let mut tangle = Tangle::new();
-    let genesis = tangle.attach_genesis(genesis_issuer, 0);
-    let mut ids = vec![genesis];
-    let mut txs = Vec::with_capacity(cfg.txs);
-    for k in 0..cfg.txs {
-        let attach_ms = (k as u64 + 1) * cfg.tx_interval_ms;
-        let window = ids.len().min(24);
-        let trunk = ids[ids.len() - 1 - rng.gen_range(0..window)];
-        let branch = ids[ids.len() - 1 - rng.gen_range(0..window)];
-        let mut issuer = [0u8; 32];
-        issuer[0] = (k % 249) as u8 + 1;
-        issuer[1] = (k / 249) as u8;
-        let mut payload = (k as u32).to_be_bytes().to_vec();
-        payload.resize(cfg.payload_bytes.max(4), (k % 251) as u8);
-        let tx = TransactionBuilder::new(NodeId(issuer))
-            .parents(trunk, branch)
-            .payload(Payload::Data(payload))
-            .timestamp_ms(attach_ms)
-            .build();
-        let id = tangle.attach(tx.clone(), attach_ms).expect("oracle parents present");
-        ids.push(id);
-        let origin = rng.gen_range(2..cfg.nodes);
-        txs.push((tx, attach_ms, origin));
-    }
-    // Whole-number weights and unique per-subject timestamps keep the
-    // ledger fold order-independent across gossip reorderings.
-    let mut ledger = CreditLedger::new(CreditParams::default());
-    let mut events = Vec::with_capacity(cfg.credit_events);
-    let span = cfg.txs as u64 * cfg.tx_interval_ms;
-    for e in 0..cfg.credit_events {
-        let subject = NodeId([(e % 7) as u8 + 1; 32]);
-        let weight = f64::from(rng.gen_range(1..=3u32));
-        let at = SimTime::from_millis(1_000 + e as u64 * 13);
-        let ev = if rng.gen_range(0..5u32) == 0 {
-            let kind =
-                if rng.gen_bool(0.5) { Misbehavior::LazyTips } else { Misbehavior::DoubleSpend };
-            CreditEvent::misbehaved(subject, kind, at)
-        } else {
-            CreditEvent::validated(subject, weight, at)
-        };
-        ledger.apply(&ev);
-        let emit_ms = rng.gen_range(0..=span.max(1));
-        let origin = rng.gen_range(2..cfg.nodes);
-        events.push((ev, emit_ms, origin));
-    }
-    events.sort_by_key(|&(_, at, _)| at);
-    Workload { tangle, ledger, txs, events }
 }
 
 /// A gateway configured for the validation role: fixed minimum
@@ -243,220 +143,16 @@ fn gossip_config(cfg: &RolesConfig, index: usize) -> GossipConfig {
         node_id: index as u64 + 1,
         listen_addr: Some(format!("roles:{}", index + 1)),
         fanout: 6,
-        digest_ms: cfg.digest_ms,
-        anti_entropy_ms: cfg.anti_entropy_ms,
+        digest_ms: DIGEST_MS,
+        anti_entropy_ms: ANTI_ENTROPY_MS,
         max_pending: cfg.txs + cfg.light_clients * cfg.light_txs_each + 64,
         seed: cfg.seed,
         ..GossipConfig::default()
     }
 }
 
-enum FleetNode {
-    Archival(Box<ArchivalNode>),
-    Validation(Box<ValidationNode>),
-    Relay(Box<GossipNode>),
-}
-
-impl FleetNode {
-    fn gossip_mut(&mut self) -> &mut GossipNode {
-        match self {
-            FleetNode::Archival(n) => n.gossip_mut(),
-            FleetNode::Validation(n) => n.gossip_mut(),
-            FleetNode::Relay(n) => n,
-        }
-    }
-
-    fn gossip(&self) -> &GossipNode {
-        match self {
-            FleetNode::Archival(n) => n.gossip(),
-            FleetNode::Validation(n) => n.gossip(),
-            FleetNode::Relay(n) => n,
-        }
-    }
-}
-
-/// Far ends of freshly dialed links, grouped by accepting node index.
-type AcceptQueues = Arc<Mutex<Vec<Vec<Box<dyn Transport>>>>>;
-
-/// Uniform read view over one fleet member, whichever driver holds it.
-struct FleetView<'a> {
-    gossip: &'a GossipNode,
-    ledger: &'a CreditLedger,
-    /// The validation gateway's internal tangle, when the member has
-    /// one — it must match the oracle too.
-    gateway_tangle: Option<&'a Tangle>,
-}
-
-/// The fleet under whichever runtime [`RolesConfig::driver`] picked.
-/// Every scripted injection and every convergence check goes through
-/// this, so both drivers run literally the same schedule.
-enum Driven {
-    Tick { nodes: Vec<FleetNode>, ledgers: Vec<CreditLedger> },
-    Event { el: EventLoop, ids: Vec<MemberId> },
-}
-
-impl Driven {
-    fn len(&self) -> usize {
-        match self {
-            Driven::Tick { nodes, .. } => nodes.len(),
-            Driven::Event { ids, .. } => ids.len(),
-        }
-    }
-
-    fn gossip(&self, i: usize) -> &GossipNode {
-        match self {
-            Driven::Tick { nodes, .. } => nodes[i].gossip(),
-            Driven::Event { el, ids } => el.gossip(ids[i]).expect("member exists"),
-        }
-    }
-
-    fn gossip_mut(&mut self, i: usize) -> &mut GossipNode {
-        match self {
-            Driven::Tick { nodes, .. } => nodes[i].gossip_mut(),
-            Driven::Event { el, ids } => el.gossip_mut(ids[i]).expect("member exists"),
-        }
-    }
-
-    /// Folds a locally injected credit event into relay `i`'s own
-    /// projection (broadcasts do not loop back to their origin).
-    fn apply_local_event(&mut self, i: usize, ev: &CreditEvent) {
-        match self {
-            Driven::Tick { ledgers, .. } => ledgers[i].apply(ev),
-            Driven::Event { el, ids } => {
-                el.ledger_mut(ids[i]).expect("relay member holds a ledger").apply(ev);
-            }
-        }
-    }
-
-    fn validation_mut(&mut self) -> &mut ValidationNode {
-        match self {
-            Driven::Tick { nodes, .. } => match &mut nodes[1] {
-                FleetNode::Validation(v) => v,
-                _ => unreachable!("node 1 is the validation node"),
-            },
-            Driven::Event { el, ids } => {
-                el.validation_mut(ids[1]).expect("node 1 is the validation node")
-            }
-        }
-    }
-
-    fn validation(&self) -> &ValidationNode {
-        match self {
-            Driven::Tick { nodes, .. } => match &nodes[1] {
-                FleetNode::Validation(v) => v,
-                _ => unreachable!("node 1 is the validation node"),
-            },
-            Driven::Event { el, ids } => {
-                el.validation(ids[1]).expect("node 1 is the validation node")
-            }
-        }
-    }
-
-    fn archival(&self) -> &ArchivalNode {
-        match self {
-            Driven::Tick { nodes, .. } => match &nodes[0] {
-                FleetNode::Archival(a) => a,
-                _ => unreachable!("node 0 is the archival node"),
-            },
-            Driven::Event { el, ids } => {
-                el.archival(ids[0]).expect("node 0 is the archival node")
-            }
-        }
-    }
-
-    fn archival_mut(&mut self) -> &mut ArchivalNode {
-        match self {
-            Driven::Tick { nodes, .. } => match &mut nodes[0] {
-                FleetNode::Archival(a) => a,
-                _ => unreachable!("node 0 is the archival node"),
-            },
-            Driven::Event { el, ids } => {
-                el.archival_mut(ids[0]).expect("node 0 is the archival node")
-            }
-        }
-    }
-
-    /// One round of virtual time `now`: the tick driver polls every
-    /// member once; the event driver pumps every deadline due by `now`,
-    /// each wake dispatching the same handler sequence one tick would.
-    fn step(&mut self, now: u64) {
-        match self {
-            Driven::Tick { nodes, ledgers } => {
-                for (node, ledger) in nodes.iter_mut().zip(ledgers.iter_mut()) {
-                    match node {
-                        FleetNode::Archival(n) => {
-                            n.poll(now).expect("archival poll");
-                        }
-                        FleetNode::Validation(n) => {
-                            n.poll(now).expect("validation poll");
-                        }
-                        FleetNode::Relay(n) => {
-                            n.poll(now);
-                            for ev in n.take_credit_events() {
-                                ledger.apply(&ev);
-                            }
-                        }
-                    }
-                }
-            }
-            Driven::Event { el, .. } => el.pump(now).expect("event-loop pump"),
-        }
-    }
-
-    /// One iteration of the HTTP probe phase: keep the archival reactor
-    /// (tick) or the whole loop (event) serviced at frozen virtual time.
-    fn probe_step(&mut self, now: u64) {
-        match self {
-            Driven::Tick { nodes, .. } => {
-                if let FleetNode::Archival(a) = &mut nodes[0] {
-                    a.poll(now).expect("archival poll during probes");
-                }
-            }
-            Driven::Event { el, .. } => el.turn().expect("event-loop turn during probes"),
-        }
-    }
-
-    fn view(&self, i: usize) -> FleetView<'_> {
-        match self {
-            Driven::Tick { nodes, ledgers } => match &nodes[i] {
-                FleetNode::Archival(n) => FleetView {
-                    gossip: n.gossip(),
-                    ledger: n.credits(),
-                    gateway_tangle: None,
-                },
-                FleetNode::Validation(n) => FleetView {
-                    gossip: n.gossip(),
-                    ledger: n.gateway().credits(),
-                    gateway_tangle: Some(n.gateway().tangle()),
-                },
-                FleetNode::Relay(n) => {
-                    FleetView { gossip: n, ledger: &ledgers[i], gateway_tangle: None }
-                }
-            },
-            Driven::Event { el, ids } => {
-                let id = ids[i];
-                if let Some(n) = el.archival(id) {
-                    FleetView { gossip: n.gossip(), ledger: n.credits(), gateway_tangle: None }
-                } else if let Some(n) = el.validation(id) {
-                    FleetView {
-                        gossip: n.gossip(),
-                        ledger: n.gateway().credits(),
-                        gateway_tangle: Some(n.gateway().tangle()),
-                    }
-                } else {
-                    FleetView {
-                        gossip: el.gossip(id).expect("member exists"),
-                        ledger: el.ledger(id).expect("relay member holds a ledger"),
-                        gateway_tangle: None,
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Requests the HTTP probe thread replays against the archival endpoint.
-fn probe_requests(workload: &Workload, lights: &[LightClient]) -> Vec<Request> {
+fn probe_requests(tangle: &Tangle, ledger: &CreditLedger, lights: &[LightClient]) -> Vec<Request> {
     let mut paths: Vec<(String, String)> = vec![
         ("/v1/health".into(), String::new()),
         ("/v1/stats".into(), String::new()),
@@ -467,11 +163,11 @@ fn probe_requests(workload: &Workload, lights: &[LightClient]) -> Vec<Request> {
         ("/v1/tx/zz".into(), String::new()),
     ];
     let hex = |b: &[u8]| biot_crypto::sha256::to_hex(b);
-    for tx in workload.tangle.iter().take(3) {
+    for tx in tangle.iter().take(3) {
         paths.push((format!("/v1/tx/{}", hex(tx.id().as_bytes())), String::new()));
         paths.push((format!("/v1/weight/{}", hex(tx.id().as_bytes())), String::new()));
     }
-    for subject in workload.ledger.known_nodes().take(2) {
+    for subject in ledger.known_nodes().take(2) {
         paths.push((format!("/v1/credit/{}", hex(subject.as_bytes())), String::new()));
     }
     for light in lights {
@@ -485,12 +181,24 @@ fn probe_requests(workload: &Workload, lights: &[LightClient]) -> Vec<Request> {
 
 /// Runs one mixed-role fleet to convergence, then probes the archival
 /// HTTP endpoint over real TCP and cross-checks the validation replay.
+///
+/// # Panics
+///
+/// If the converged archival node's [`RolesOutcome::fingerprint`]
+/// differs from the oracle twin's.
 pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
     assert!(cfg.nodes >= 4, "need archival + validation + at least two relays");
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x4013_ABCD);
     let mut manager = Manager::new(Account::generate(&mut rng));
     let genesis_issuer = node_id_of(manager.public_key());
-    let workload = build_workload(cfg, genesis_issuer);
+    let mut workload = build_workload(
+        cfg.seed ^ 0x0401_E5D0,
+        cfg.txs,
+        cfg.payload_bytes,
+        cfg.credit_events,
+        genesis_issuer,
+        2..cfg.nodes,
+    );
 
     // Light clients and their deterministic submission schedule:
     // `(client, tx, at_ms)`, all parented on genesis, mined to MIN.
@@ -523,127 +231,57 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
         }
     }
 
-    // Oracle gateway: an identical twin fed the identical submissions at
+    // Oracle twin: an identical gateway fed the identical submissions at
     // the identical instants, run to completion up front. Its broadcasts
-    // and credit events *define* what the fleet must converge to.
-    let mut oracle_tangle = workload.tangle;
-    let mut oracle_ledger = workload.ledger;
-    let mut oracle_gateway = validation_gateway(manager.public_key().clone());
-    oracle_gateway.init_genesis(SimTime::ZERO);
+    // and credit events, on top of the relay workload, *define* what the
+    // fleet must converge to.
+    let mut twin = validation_gateway(manager.public_key().clone());
+    twin.init_genesis(SimTime::ZERO);
     for light in &lights {
-        oracle_gateway.register_pubkey(light.public_key().clone());
+        twin.register_pubkey(light.public_key().clone());
     }
-    oracle_gateway
-        .apply_auth_list(auth.tx.clone(), SimTime::ZERO)
-        .expect("auth list admits on the twin");
+    twin.apply_auth_list(auth.tx.clone(), SimTime::ZERO).expect("auth list admits on the twin");
     for (_, tx, at_ms) in &submissions {
-        oracle_gateway
-            .submit(tx.clone(), SimTime::from_millis(*at_ms))
+        twin.submit(tx.clone(), SimTime::from_millis(*at_ms))
             .expect("scheduled light submission admits on the twin");
     }
-    for tx in oracle_gateway.take_broadcasts() {
+    for tx in twin.take_broadcasts() {
         if !tx.is_genesis() {
             let at = tx.timestamp_ms;
-            oracle_tangle.attach(tx, at).expect("gateway broadcasts attach");
+            workload.tangle.attach(tx, at).expect("gateway broadcasts attach");
         }
     }
-    let gateway_events = oracle_gateway.take_credit_events();
+    let gateway_events = twin.take_credit_events();
     for ev in &gateway_events {
-        oracle_ledger.apply(ev);
+        workload.ledger.apply(ev);
     }
     let events_total = workload.events.len() as u64 + gateway_events.len() as u64;
 
     // The fleet: 0 = archival (HTTP on loopback), 1 = validation, 2.. =
-    // relays, wired over seeded jittered in-memory links.
-    let clock = VirtualClock::new();
-    let accept: AcceptQueues = Arc::new(Mutex::new((0..cfg.nodes).map(|_| Vec::new()).collect()));
-    let mut nodes: Vec<FleetNode> = Vec::with_capacity(cfg.nodes);
+    // relays, on the mesh harness's seeded jittered links.
     let archival = ArchivalNode::new(RoleConfig {
         role: Role::Archival,
         gossip: gossip_config(cfg, 0),
-        store_dir: cfg.store_dir.clone(),
         http_addr: Some("127.0.0.1:0".into()),
         ..RoleConfig::default()
     })
     .expect("archival node boots");
-    nodes.push(FleetNode::Archival(Box::new(archival)));
     let validation = ValidationNode::new(
         gateway,
         RoleConfig { role: Role::Validation, gossip: gossip_config(cfg, 1), ..RoleConfig::default() },
     )
     .expect("validation node boots");
-    nodes.push(FleetNode::Validation(Box::new(validation)));
+    let clock = VirtualClock::new();
+    let mut el = EventLoop::with_clock(Box::new(clock.clone())).expect("event loop boots");
+    let mut ids = vec![el.add_archival(archival), el.add_validation(validation)];
     for i in 2..cfg.nodes {
-        nodes.push(FleetNode::Relay(Box::new(GossipNode::with_empty_tangle(gossip_config(
-            cfg, i,
-        )))));
+        ids.push(el.add_gossip(GossipNode::with_empty_tangle(gossip_config(cfg, i))));
     }
-    for node in nodes.iter_mut() {
-        node.gossip_mut().tangle().lock().unwrap().attach_genesis(genesis_issuer, 0);
-    }
-    let ledgers: Vec<CreditLedger> =
-        (0..cfg.nodes).map(|_| CreditLedger::new(CreditParams::default())).collect();
+    let mut fleet = Fleet::wire(clock, el, ids, &workload, cfg.degree, cfg.seed);
+    let (archival_id, validation_id) = (fleet.ids[0], fleet.ids[1]);
 
-    for (i, j) in seeded_edges(cfg.nodes, cfg.degree, cfg.seed) {
-        let accept = Arc::clone(&accept);
-        let clock_i = clock.clone();
-        let model = UniformLatency::new(cfg.jitter_ms.0, cfg.jitter_ms.1);
-        let (seed_i, seed_j) = (
-            cfg.seed ^ (i as u64) << 20 ^ (j as u64) << 4 ^ 1,
-            cfg.seed ^ (i as u64) << 20 ^ (j as u64) << 4 ^ 2,
-        );
-        let counter = ByteCounter::new();
-        let counter_far = ByteCounter::new();
-        nodes[i].gossip_mut().connect(Box::new(FnConnector(move || {
-            let (a, b, _link) = MemTransport::pair();
-            let far: Box<dyn Transport> = Box::new(CountingTransport::new(
-                Box::new(JitterTransport::new(
-                    Box::new(b),
-                    Box::new(model),
-                    seed_j,
-                    clock_i.clone(),
-                )),
-                counter_far.clone(),
-            ));
-            accept.lock().unwrap()[j].push(far);
-            Ok(Box::new(CountingTransport::new(
-                Box::new(JitterTransport::new(
-                    Box::new(a),
-                    Box::new(model),
-                    seed_i,
-                    clock_i.clone(),
-                )),
-                counter.clone(),
-            )) as Box<dyn Transport>)
-        })));
-    }
-
-    // Hand the built fleet to the configured driver. Identical members,
-    // identical wiring — only the engine advancing them differs.
-    let mut driven = match cfg.driver {
-        RolesDriver::TickLoop => Driven::Tick { nodes, ledgers },
-        RolesDriver::EventLoop => {
-            let mut el = EventLoop::with_clock(Box::new(clock.clone()))
-                .expect("event loop boots");
-            let mut ids = Vec::with_capacity(nodes.len());
-            for node in nodes {
-                ids.push(match node {
-                    FleetNode::Archival(n) => el.add_archival(*n),
-                    FleetNode::Validation(n) => el.add_validation(*n),
-                    FleetNode::Relay(n) => el.add_gossip(*n),
-                });
-            }
-            drop(ledgers); // event members carry their own projections
-            Driven::Event { el, ids }
-        }
-    };
-
-    let mut injected = vec![false; workload.txs.len()];
-    let mut next_tx = 0usize;
-    let mut next_ev = 0usize;
     let mut next_sub = 0usize;
     let mut now = 0u64;
-    let mut loop_rounds = 0u64;
     let mut out = RolesOutcome {
         nodes: cfg.nodes,
         txs: cfg.txs,
@@ -651,178 +289,123 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
         events_total,
         ..RolesOutcome::default()
     };
-
-    while now <= cfg.max_ms {
-        clock.set(now);
-        // Oracle DAG transactions surface at relays once their origin has
-        // synced the pre-decided parents (issuance follows sync).
-        #[allow(clippy::needless_range_loop)] // `k` also indexes `injected`
-        for k in next_tx..workload.txs.len() {
-            let (tx, attach_ms, origin) = &workload.txs[k];
-            if *attach_ms > now {
-                break;
-            }
-            if injected[k] {
-                continue;
-            }
-            let parents_known = {
-                let t = driven.gossip(*origin).tangle().lock().unwrap();
-                tx.parents().into_iter().all(|p| t.contains(&p))
-            };
-            if parents_known {
-                driven.gossip_mut(*origin).submit(tx.clone(), *attach_ms, now);
-                injected[k] = true;
-            }
-        }
-        while next_tx < workload.txs.len() && injected[next_tx] {
-            next_tx += 1;
-        }
-        while next_ev < workload.events.len() && workload.events[next_ev].1 <= now {
-            let (ev, _, origin) = &workload.events[next_ev];
-            driven.apply_local_event(*origin, ev);
-            driven.gossip_mut(*origin).broadcast_credit_events(&[*ev], now);
-            next_ev += 1;
-        }
+    while now <= MAX_MS {
+        fleet.inject(&workload, now);
         // Light submissions reach the live gateway at their scheduled
-        // instants — the same instants the oracle twin already saw.
+        // instants — the same instants the twin already saw.
         while next_sub < submissions.len() && submissions[next_sub].2 <= now {
             let (_, tx, at_ms) = &submissions[next_sub];
-            driven
-                .validation_mut()
+            fleet
+                .el
+                .validation_mut(validation_id)
+                .expect("node 1 is the validation node")
                 .gateway_mut()
                 .submit(tx.clone(), SimTime::from_millis(*at_ms))
                 .expect("scheduled light submission admits");
             next_sub += 1;
         }
-        {
-            let mut accept = accept.lock().unwrap();
-            for (j, inbox) in accept.iter_mut().enumerate() {
-                for t in inbox.drain(..) {
-                    driven.gossip_mut(j).add_transport(t, now);
-                }
-            }
-        }
-        driven.step(now);
-        loop_rounds += 1;
-
-        let workload_done = next_tx == workload.txs.len()
-            && next_ev == workload.events.len()
-            && next_sub == submissions.len();
-        if workload_done
-            && fleet_matches_oracle(&driven, &oracle_tangle, &oracle_ledger, events_total, cfg.max_ms)
+        fleet.pump(now);
+        if fleet.injected_all(&workload)
+            && next_sub == submissions.len()
+            && fleet.matches(&workload.tangle, &workload.ledger, events_total)
         {
             out.converged = true;
             out.converged_ms = now;
             break;
         }
-        now += cfg.step_ms.max(1);
+        now += STEP_MS;
     }
-    out.rounds = match &driven {
-        Driven::Tick { .. } => loop_rounds,
-        Driven::Event { el, .. } => el.wakeups(),
-    };
-
+    out.rounds = fleet.el.wakeups();
     if !out.converged {
         return out;
     }
 
     // Role claim 2: the validation node's replay must equal its live
     // ledger device-for-device, bit-for-bit.
-    match driven.validation().verify_replay(SimTime::from_millis(cfg.max_ms)) {
-        Ok(devices) => {
-            out.replay_ok = true;
-            out.replay_devices = devices;
-        }
-        Err(_) => out.replay_ok = false,
+    let validation = fleet.el.validation(validation_id).expect("node 1 is the validation node");
+    if let Ok(devices) = validation.verify_replay(SimTime::from_millis(MAX_MS)) {
+        out.replay_ok = true;
+        out.replay_devices = devices;
     }
 
-    // The cross-driver digest, taken before the probe phase adds any
-    // more polls: same seed under tick loop and event loop must agree
-    // on every entry.
-    out.fingerprint =
-        fleet_fingerprint(driven.archival(), &oracle_tangle, &oracle_ledger, cfg.max_ms);
+    // Taken before the probe phase adds any more wakeups.
+    let archival = fleet.el.archival(archival_id).expect("node 0 is the archival node");
+    out.fingerprint = {
+        let tangle = archival.gossip().tangle().lock().expect("tangle lock poisoned");
+        fingerprint(&tangle, archival.credits())
+    };
+    assert_eq!(
+        out.fingerprint,
+        fingerprint(&workload.tangle, &workload.ledger),
+        "archival node diverged from the oracle twin"
+    );
 
     // Role claim 3: every byte over the TCP socket equals the in-process
     // oracle rendering. The probe thread does blocking one-shot requests
-    // while this thread keeps the reactor polled at frozen virtual time.
-    let probes = probe_requests(
-        &Workload { tangle: oracle_tangle, ledger: oracle_ledger, txs: vec![], events: vec![] },
-        &lights,
-    );
-    {
-        let addr =
-            driven.archival().http_addr().expect("http addr").expect("http enabled");
-        let reqs = probes.clone();
-        let worker = std::thread::spawn(move || -> Vec<Vec<u8>> {
-            reqs.iter()
-                .map(|req| {
-                    let target = if req.query.is_empty() {
-                        req.path.clone()
-                    } else {
-                        format!("{}?{}", req.path, req.query)
-                    };
-                    let mut stream = std::net::TcpStream::connect(addr).expect("probe connect");
-                    stream
-                        .write_all(
-                            format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n")
-                                .as_bytes(),
-                        )
-                        .expect("probe write");
-                    let mut body = Vec::new();
-                    stream.read_to_end(&mut body).expect("probe read");
-                    body
-                })
-                .collect()
-        });
-        while !worker.is_finished() {
-            driven.probe_step(now);
-        }
-        let answers = worker.join().expect("probe thread");
-        out.http_probes = probes.len();
-        for (req, got) in probes.iter().zip(answers.iter()) {
-            if *got != driven.archival().oracle_response(req) {
-                out.http_mismatches += 1;
-            }
-        }
+    // while this thread keeps the loop turning at frozen virtual time.
+    let probes = probe_requests(&workload.tangle, &workload.ledger, &lights);
+    let addr = archival.http_addr().expect("http addr").expect("http enabled");
+    let reqs = probes.clone();
+    let worker = std::thread::spawn(move || -> Vec<Vec<u8>> {
+        reqs.iter()
+            .map(|req| {
+                let target = if req.query.is_empty() {
+                    req.path.clone()
+                } else {
+                    format!("{}?{}", req.path, req.query)
+                };
+                let mut stream = std::net::TcpStream::connect(addr).expect("probe connect");
+                stream
+                    .write_all(
+                        format!("GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes(),
+                    )
+                    .expect("probe write");
+                let mut body = Vec::new();
+                stream.read_to_end(&mut body).expect("probe read");
+                body
+            })
+            .collect()
+    });
+    while !worker.is_finished() {
+        fleet.el.turn().expect("event-loop turn during probes");
     }
-    driven.archival_mut().checkpoint().expect("archival checkpoint");
+    let answers = worker.join().expect("probe thread");
+    let archival = fleet.el.archival(archival_id).expect("node 0 is the archival node");
+    out.http_probes = probes.len();
+    out.http_mismatches = probes
+        .iter()
+        .zip(&answers)
+        .filter(|(req, got)| **got != archival.oracle_response(req))
+        .count();
     out
 }
 
-/// Driver-invariant digest of the converged fleet, read off the archival
-/// node (every other member already matched the oracle bit-for-bit by
-/// the time this runs): sorted tips, cumulative weights in oracle order,
-/// per-device credit bit patterns at the fixed probe instant, and SHA-256
-/// hashes of the archival endpoint's rendered bytes for canonical
-/// requests. Deliberately excludes anything scheduling-dependent —
-/// attach times, `/v1/health`'s clock, gossip frame counters.
-fn fleet_fingerprint(
-    archival: &ArchivalNode,
-    oracle_tangle: &Tangle,
-    oracle_ledger: &CreditLedger,
-    probe_ms: u64,
-) -> Vec<String> {
+/// Scheduling-independent digest of one replica's state: sorted tips,
+/// cumulative weights in id order, per-device credit bit patterns at
+/// [`MAX_MS`], SHA-256 of the rendered HTTP bytes for canonical weight
+/// and credit requests, and the number of credit events folded.
+/// Deliberately excludes anything scheduling-dependent — attach times,
+/// `/v1/health`'s clock, gossip frame counters.
+///
+/// Credit is probed at [`MAX_MS`], where every validation record has
+/// left the ΔT window, so the breakdowns see only misbehaviour; the
+/// event count is what catches a missing validation event.
+fn fingerprint(tangle: &Tangle, ledger: &CreditLedger) -> Vec<String> {
     let hex = |b: &[u8]| biot_crypto::sha256::to_hex(b);
     // `Tangle::iter` walks a hash map — per-instance order. Sort so the
-    // digest depends on fleet *state*, never on iteration accidents.
-    let mut oracle_ids: Vec<TxId> = oracle_tangle.iter().map(|tx| tx.id()).collect();
-    oracle_ids.sort_unstable_by_key(|id| *id.as_bytes());
-    let mut fp = Vec::new();
-    {
-        let t = archival.gossip().tangle().lock().unwrap();
-        let mut tips: Vec<String> =
-            t.tips_iter().map(|id| hex(id.as_bytes())).collect();
-        tips.sort_unstable();
-        fp.push(format!("tips:{}", tips.join(",")));
-        for id in &oracle_ids {
-            fp.push(format!("w:{}:{}", hex(id.as_bytes()), t.cumulative_weight(id)));
-        }
+    // digest depends on state, never on iteration accidents.
+    let mut ids: Vec<TxId> = tangle.iter().map(|tx| tx.id()).collect();
+    ids.sort_unstable_by_key(|id| *id.as_bytes());
+    let mut tips: Vec<String> = tangle.tips_iter().map(|id| hex(id.as_bytes())).collect();
+    tips.sort_unstable();
+    let mut fp = vec![format!("tips:{}", tips.join(","))];
+    for id in &ids {
+        fp.push(format!("w:{}:{}", hex(id.as_bytes()), tangle.cumulative_weight(id)));
     }
-    let probe = SimTime::from_millis(probe_ms);
-    let mut subjects: Vec<NodeId> = oracle_ledger.known_nodes().copied().collect();
-    subjects.sort_unstable_by_key(|n| n.0);
+    let probe = SimTime::from_millis(MAX_MS);
+    let subjects: Vec<NodeId> = ledger.known_nodes().copied().collect();
     for nid in &subjects {
-        let c = archival.credits().credit_of(*nid, probe);
+        let c = ledger.credit_of(*nid, probe);
         fp.push(format!(
             "c:{}:{:016x}:{:016x}:{:016x}",
             hex(nid.as_bytes()),
@@ -831,78 +414,30 @@ fn fleet_fingerprint(
             c.combined.to_bits(),
         ));
     }
-    let mut http_reqs: Vec<(String, String)> = oracle_ids
+    let mut http_reqs: Vec<(String, String)> = ids
         .iter()
         .take(3)
         .map(|id| (format!("/v1/weight/{}", hex(id.as_bytes())), String::new()))
         .collect();
     for nid in &subjects {
-        http_reqs
-            .push((format!("/v1/credit/{}", hex(nid.as_bytes())), format!("at_ms={probe_ms}")));
+        http_reqs.push((format!("/v1/credit/{}", hex(nid.as_bytes())), format!("at_ms={MAX_MS}")));
     }
+    let health = HealthInfo::default();
+    let state = ApiState { tangle, credits: ledger, health: &health };
     for (path, query) in http_reqs {
         let req = Request { method: "GET".into(), path: path.clone(), query, keep_alive: false };
-        let bytes = archival.oracle_response(&req);
+        let bytes = render_http(&state, &req);
         fp.push(format!("h:{}:{}", path, hex(&biot_crypto::sha256::sha256(&bytes))));
     }
+    fp.push(format!("e:{}", ledger.events_applied()));
     fp
-}
-
-/// Bit-for-bit check across the mixed fleet: every gossip tangle (and
-/// the validation gateway's internal one) equals the oracle; every
-/// ledger knows every event and agrees on every breakdown.
-fn fleet_matches_oracle(
-    driven: &Driven,
-    oracle_tangle: &Tangle,
-    oracle_ledger: &CreditLedger,
-    events_total: u64,
-    probe_ms: u64,
-) -> bool {
-    let want_len = oracle_tangle.len();
-    let want_tips = oracle_tangle.tips();
-    let oracle_ids: Vec<TxId> = oracle_tangle.iter().map(|tx| tx.id()).collect();
-    let probe = SimTime::from_millis(probe_ms);
-    let subjects: Vec<NodeId> = oracle_ledger.known_nodes().copied().collect();
-    let ledger_matches = |ledger: &CreditLedger| {
-        ledger.events_applied() == events_total
-            && subjects.iter().all(|&nid| {
-                let a = oracle_ledger.credit_of(nid, probe);
-                let b = ledger.credit_of(nid, probe);
-                a.positive == b.positive && a.negative == b.negative && a.combined == b.combined
-            })
-    };
-    let tangle_matches = |t: &Tangle| {
-        t.len() == want_len
-            && t.tips() == want_tips
-            && oracle_ids
-                .iter()
-                .all(|id| t.cumulative_weight(id) == oracle_tangle.cumulative_weight(id))
-    };
-    for i in 0..driven.len() {
-        let view = driven.view(i);
-        if view.gossip.pending_len() != 0 {
-            return false;
-        }
-        if !tangle_matches(&view.gossip.tangle().lock().unwrap()) {
-            return false;
-        }
-        if !ledger_matches(view.ledger) {
-            return false;
-        }
-        // The validation gateway's *internal* tangle must match too —
-        // the mirror is the validation role's whole job.
-        if let Some(gateway_tangle) = view.gateway_tangle {
-            if !tangle_matches(gateway_tangle) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use biot_credit::{CreditEvent, CreditParams};
+    use biot_tangle::tx::{Payload, TransactionBuilder};
 
     fn small() -> RolesConfig {
         RolesConfig {
@@ -935,23 +470,55 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_driver_matches_tick_loop_bit_for_bit() {
-        let tick = run_roles(&small());
-        let event = run_roles(&RolesConfig { driver: RolesDriver::EventLoop, ..small() });
-        assert!(tick.converged, "tick-loop fleet must converge: {tick:?}");
-        assert!(event.converged, "event-loop fleet must converge: {event:?}");
-        assert!(event.replay_ok, "event-loop replay diverged");
-        assert_eq!(event.http_mismatches, 0, "event-loop socket bytes must equal oracle");
-        assert!(!tick.fingerprint.is_empty());
-        assert_eq!(
-            tick.fingerprint, event.fingerprint,
-            "tick loop and event loop must produce bit-identical fleets"
-        );
+    fn archival_fingerprint_matches_oracle_twin_within_wakeup_bound() {
+        // `run_roles` panics if the archival fingerprint differs from
+        // the twin's.
+        let out = run_roles(&small());
+        assert!(out.converged, "fleet must converge: {out:?}");
+        assert!(out.replay_ok, "validation replay diverged");
+        assert_eq!(out.http_mismatches, 0, "socket bytes must equal oracle");
+        assert!(!out.fingerprint.is_empty());
+        let steps = out.converged_ms / STEP_MS + 1;
         assert!(
-            event.rounds < tick.rounds * 4,
-            "deadline-hopping must not explode the wake count: {} vs {} ticks",
-            event.rounds,
-            tick.rounds
+            out.rounds < 4 * steps,
+            "deadline-hopping must not explode the wake count: {} wakeups over {steps} steps",
+            out.rounds
         );
+    }
+
+    #[test]
+    fn fingerprint_sees_one_dropped_event_and_one_extra_transaction() {
+        let w = build_workload(7, 20, 8, 12, NodeId([9; 32]), 2..8);
+        let base = fingerprint(&w.tangle, &w.ledger);
+        assert_eq!(base, fingerprint(&w.tangle.clone(), &w.ledger), "a digest of state alone");
+
+        // Drop a validation event whose subject keeps other events: at
+        // the probe instant it is outside the ΔT window and the subject
+        // stays known, so only the event count can see the gap.
+        let dropped = w
+            .events
+            .iter()
+            .position(|(ev, _, _)| {
+                matches!(ev, CreditEvent::Validated { .. })
+                    && w.events.iter().filter(|(o, _, _)| o.node() == ev.node()).count() > 1
+            })
+            .expect("some subject has a validation event and another event");
+        let mut short = CreditLedger::new(CreditParams::default());
+        for (k, (ev, _, _)) in w.events.iter().enumerate() {
+            if k != dropped {
+                short.apply(ev);
+            }
+        }
+        assert_ne!(fingerprint(&w.tangle, &short), base, "a dropped credit event must show");
+
+        let mut grown = w.tangle.clone();
+        let tip = grown.tips()[0];
+        let extra = TransactionBuilder::new(NodeId([7; 32]))
+            .parents(tip, tip)
+            .payload(Payload::Data(vec![1, 2, 3]))
+            .timestamp_ms(10_000)
+            .build();
+        grown.attach(extra, 10_000).expect("parents present");
+        assert_ne!(fingerprint(&grown, &w.ledger), base, "an extra transaction must show");
     }
 }

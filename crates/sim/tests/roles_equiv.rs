@@ -1,13 +1,16 @@
-//! Seeded equivalence suite: the blocking event-loop runtime and the
-//! legacy tick loop must produce **bit-identical** mixed-role fleets —
-//! same tips, same cumulative weights, same per-device credit bit
-//! patterns, same HTTP oracle bytes — across randomized seeds. The tick
-//! loop is kept precisely to serve as this oracle.
+//! Seeded oracle suite: across randomized seeds, one mixed-role fleet on
+//! the event loop must converge bit-for-bit to its oracle twin — the
+//! single gateway fed the same light submissions up front. Each case
+//! checks the archival fingerprint against the twin's (`run_roles`
+//! panics on a mismatch), convergence, the validation node's replay, the
+//! HTTP socket bytes, and that deadline-hopping stays within four
+//! wakeups per scripted step.
 
-use biot_sim::roles::{run_roles, RolesConfig, RolesDriver};
+use biot_sim::mesh::STEP_MS;
+use biot_sim::roles::{run_roles, RolesConfig};
 use proptest::prelude::*;
 
-fn small(seed: u64, driver: RolesDriver) -> RolesConfig {
+fn small(seed: u64) -> RolesConfig {
     RolesConfig {
         nodes: 8,
         degree: 4,
@@ -17,28 +20,22 @@ fn small(seed: u64, driver: RolesDriver) -> RolesConfig {
         light_clients: 1,
         light_txs_each: 3,
         seed,
-        driver,
-        ..RolesConfig::default()
     }
 }
 
 proptest! {
-    // Each case is two full fleet runs (TCP probes included); keep the
-    // count low — coverage comes from seed diversity across CI runs of
-    // the sibling fixed-seed test, not volume here.
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    // Each case is one full fleet run, TCP probes included.
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn event_loop_fleets_are_bit_identical_to_tick_loop(seed in 0u64..10_000) {
-        let tick = run_roles(&small(seed, RolesDriver::TickLoop));
-        let event = run_roles(&small(seed, RolesDriver::EventLoop));
-        prop_assert!(tick.converged, "tick-loop fleet must converge (seed {seed})");
-        prop_assert!(event.converged, "event-loop fleet must converge (seed {seed})");
-        prop_assert!(tick.replay_ok && event.replay_ok, "replay diverged (seed {seed})");
-        prop_assert_eq!(tick.http_mismatches, 0);
-        prop_assert_eq!(event.http_mismatches, 0);
-        prop_assert!(!tick.fingerprint.is_empty());
-        prop_assert_eq!(&tick.fingerprint, &event.fingerprint,
-            "drivers disagree on fleet state (seed {})", seed);
+    fn fleets_match_the_oracle_twin(seed in 0u64..10_000) {
+        let out = run_roles(&small(seed));
+        prop_assert!(out.converged, "fleet must converge (seed {seed})");
+        prop_assert!(!out.fingerprint.is_empty());
+        prop_assert!(out.replay_ok, "replay diverged (seed {seed})");
+        prop_assert_eq!(out.http_mismatches, 0);
+        let steps = out.converged_ms / STEP_MS + 1;
+        prop_assert!(out.rounds < 4 * steps,
+            "{} wakeups over {} steps (seed {})", out.rounds, steps, seed);
     }
 }

@@ -59,11 +59,11 @@ fn main() -> ExitCode {
 fn report(r: &MeshOutcome) {
     if r.converged {
         println!(
-            "  converged bit-for-bit at {} ms ({} poll rounds)",
+            "  converged bit-for-bit at {} ms ({} event-loop wakeups)",
             r.converged_ms, r.rounds
         );
     } else {
-        println!("  DID NOT converge within the run ({} poll rounds)", r.rounds);
+        println!("  DID NOT converge within the run ({} event-loop wakeups)", r.rounds);
     }
     println!(
         "  handshakes: {}  wire: {} B/node  redundant deliveries: {}",
