@@ -28,7 +28,8 @@
 //!   [`transport::MemTransport`] pairs, and the deterministic
 //!   [`transport::JitterTransport`] wrapper.
 //! * [`tcp`] — `std::net` non-blocking sockets with 4-byte length-prefix
-//!   framing (no async runtime).
+//!   framing (no async runtime), and the connection table the ingest and
+//!   HTTP servers share.
 //! * [`node`] — the protocol state machine.
 //!
 //! ## Example

@@ -7,10 +7,14 @@
 //! one [`crate::wire`] message. The length is validated against
 //! [`MAX_FRAME_BYTES`] before any buffering, so a garbage peer cannot
 //! make us allocate unboundedly.
+//!
+//! [`ConnTable`] is the connection lifecycle the ingest and HTTP servers
+//! share.
 
 use crate::transport::{Connector, Dialer, Transport, TransportError};
 use crate::wire::MAX_FRAME_BYTES;
-use biot_reactor::Interest;
+use biot_reactor::{build_poller, Event, Interest, Poller, PollerKind};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -23,14 +27,62 @@ use std::os::fd::{AsRawFd, RawFd};
 /// [`TransportError::Backpressure`] instead of buffering.
 pub const MAX_TX_BUFFER_BYTES: usize = 4 << 20;
 
-/// Once this many consumed bytes sit in front of the rx read cursor, the
-/// buffer is compacted (one memmove). Consuming frames merely advances
-/// the cursor, so compaction cost is amortized: each received byte is
-/// moved at most once per `RX_COMPACT_THRESHOLD` bytes consumed — O(1)
-/// amortized per byte, where the old `Vec::drain`-per-frame scheme moved
-/// the whole residual buffer on every frame (quadratic under many small
-/// frames).
+/// Once this many consumed bytes sit in front of an [`RxBuf`]'s read
+/// cursor, the buffer is compacted (one memmove).
 const RX_COMPACT_THRESHOLD: usize = 64 * 1024;
+
+/// An inbound byte buffer consumed from the front, shared by
+/// [`TcpTransport`]'s frame decoder and the HTTP request parser.
+/// Consuming advances a cursor, and the dead prefix is compacted away in
+/// amortized batches: each byte moves O(1) times, where a `Vec::drain`
+/// per message moves the whole residual buffer every time (quadratic
+/// under many small messages).
+#[derive(Debug, Default)]
+pub struct RxBuf {
+    /// `buf[pos..]` is live; `buf[..pos]` awaits compaction.
+    buf: Vec<u8>,
+    pos: usize,
+    /// Total bytes ever moved by compaction.
+    compacted: u64,
+}
+
+impl RxBuf {
+    /// The bytes not consumed yet.
+    pub fn live(&self) -> &[u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Appends received bytes.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Consumes the first `n` live bytes. The dead prefix is memmoved out
+    /// once it exceeds 64 KiB and outweighs the live bytes, so a memmove
+    /// costs at most the bytes consumed since the last.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds the live bytes.
+    pub fn consume(&mut self, n: usize) {
+        assert!(n <= self.live().len(), "consumed past the live bytes");
+        self.pos += n;
+        let live = self.buf.len() - self.pos;
+        if live == 0 {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos >= RX_COMPACT_THRESHOLD && self.pos >= live {
+            self.compacted += live as u64;
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+    }
+
+    /// Total bytes ever moved compacting (linear in bytes received).
+    pub fn compacted_bytes(&self) -> u64 {
+        self.compacted
+    }
+}
 
 fn to_transport_err(e: &io::Error) -> TransportError {
     match e.kind() {
@@ -46,16 +98,11 @@ fn to_transport_err(e: &io::Error) -> TransportError {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
-    /// Unparsed inbound bytes. `rx[rx_pos..]` is live; `rx[..rx_pos]` has
-    /// been consumed and awaits amortized compaction.
-    rx: Vec<u8>,
-    /// Read cursor into `rx` (see [`RX_COMPACT_THRESHOLD`]).
-    rx_pos: usize,
-    /// Total bytes ever moved by rx compaction — diagnostics for the
-    /// amortization proof (tests assert this stays linear in traffic).
-    rx_compacted: u64,
+    /// Unparsed inbound bytes.
+    rx: RxBuf,
     /// Outbound bytes the socket has not accepted yet (≤
-    /// [`MAX_TX_BUFFER_BYTES`]).
+    /// [`MAX_TX_BUFFER_BYTES`] of frames, plus whatever
+    /// [`TcpTransport::queue_raw`] added).
     tx: Vec<u8>,
     open: bool,
     peer: String,
@@ -92,9 +139,7 @@ impl TcpTransport {
             .unwrap_or_else(|_| "tcp:?".to_string());
         Self {
             stream,
-            rx: Vec::new(),
-            rx_pos: 0,
-            rx_compacted: 0,
+            rx: RxBuf::default(),
             tx: Vec::new(),
             open: true,
             peer,
@@ -102,7 +147,8 @@ impl TcpTransport {
     }
 
     /// Unflushed outbound bytes currently queued (diagnostics and
-    /// backpressure accounting; always ≤ [`MAX_TX_BUFFER_BYTES`]).
+    /// backpressure accounting; ≤ [`MAX_TX_BUFFER_BYTES`] unless
+    /// [`TcpTransport::queue_raw`] added them).
     pub fn pending_tx_bytes(&self) -> usize {
         self.tx.len()
     }
@@ -123,7 +169,29 @@ impl TcpTransport {
     /// Total bytes ever moved compacting the inbound buffer — stays
     /// linear in bytes received (amortization diagnostics).
     pub fn rx_compacted_bytes(&self) -> u64 {
-        self.rx_compacted
+        self.rx.compacted_bytes()
+    }
+
+    /// Reads what the socket has ready and hands every unread byte to
+    /// `sink`, for a protocol that is not length-prefixed (HTTP). After
+    /// the peer's EOF, [`Transport::is_open`] is false.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures; the transport is closed.
+    pub fn recv_raw<R>(&mut self, sink: impl FnOnce(&[u8]) -> R) -> Result<R, TransportError> {
+        if self.open {
+            self.fill_rx()?;
+        }
+        let out = sink(self.rx.live());
+        self.rx.consume(self.rx.live().len());
+        Ok(out)
+    }
+
+    /// Queues bytes for [`TcpTransport::flush`] with no length prefix and
+    /// no cap: the caller bounds them.
+    pub fn queue_raw(&mut self, bytes: &[u8]) {
+        self.tx.extend_from_slice(bytes);
     }
 
     /// Whether the rx buffer already holds a complete frame — i.e. the
@@ -133,7 +201,7 @@ impl TcpTransport {
     /// reports *kernel* readiness, so frames drained into userspace but
     /// not yet decoded must be revisited explicitly.
     pub fn has_buffered_frame(&self) -> bool {
-        let live = &self.rx[self.rx_pos..];
+        let live = self.rx.live();
         if live.len() < 4 {
             return false;
         }
@@ -181,7 +249,14 @@ impl TcpTransport {
                     self.open = false;
                     return Ok(()); // EOF; parsed frames still drain
                 }
-                Ok(n) => self.rx.extend_from_slice(&buf[..n]),
+                Ok(n) => {
+                    self.rx.extend(&buf[..n]);
+                    // A short read drained the socket: one more would
+                    // only earn a WouldBlock.
+                    if n < buf.len() {
+                        return Ok(());
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -192,15 +267,11 @@ impl TcpTransport {
         }
     }
 
-    /// Extracts one complete frame from the rx buffer, if present.
-    ///
-    /// Consumption advances `rx_pos`; the dead prefix is memmoved out
-    /// only once it exceeds [`RX_COMPACT_THRESHOLD`], so a burst of many
-    /// small frames costs O(bytes) total instead of O(frames × residual).
+    /// Extracts one complete frame from the rx buffer, if present. A
+    /// burst of many small frames costs O(bytes) total (see [`RxBuf`]).
     fn pop_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let live = &self.rx[self.rx_pos..];
+        let live = self.rx.live();
         if live.len() < 4 {
-            self.maybe_compact();
             return Ok(None);
         }
         let len = u32::from_be_bytes([live[0], live[1], live[2], live[3]]) as usize;
@@ -209,33 +280,11 @@ impl TcpTransport {
             return Err(TransportError::TooLarge(len));
         }
         if live.len() < 4 + len {
-            self.maybe_compact();
             return Ok(None);
         }
         let frame = live[4..4 + len].to_vec();
-        self.rx_pos += 4 + len;
-        self.maybe_compact();
+        self.rx.consume(4 + len);
         Ok(Some(frame))
-    }
-
-    /// Drops the consumed prefix when it is large enough to amortize, or
-    /// trivially when nothing live remains.
-    fn maybe_compact(&mut self) {
-        if self.rx_pos == 0 {
-            return;
-        }
-        let live = self.rx.len() - self.rx_pos;
-        if live == 0 {
-            self.rx.clear();
-            self.rx_pos = 0;
-        } else if self.rx_pos >= RX_COMPACT_THRESHOLD && self.rx_pos >= live {
-            // Only compact once the dead prefix outweighs the live bytes:
-            // the memmove then costs at most the bytes consumed since the
-            // last compaction, i.e. O(1) amortized per received byte.
-            self.rx_compacted += live as u64;
-            self.rx.drain(..self.rx_pos);
-            self.rx_pos = 0;
-        }
     }
 }
 
@@ -478,6 +527,312 @@ impl TcpAcceptor {
     }
 }
 
+/// Token under which a [`ConnTable`]'s listener is registered.
+const LISTENER_TOKEN: usize = usize::MAX;
+
+/// The lifecycle values of one [`ConnTable`]; each server passes its own.
+#[derive(Clone, Copy, Debug)]
+pub struct ConnLimits {
+    /// Open-connection cap (also the `listen(2)` backlog).
+    pub max_conns: usize,
+    /// Most connections accepted per wake.
+    pub accept_burst: usize,
+    /// Silence (ms) after which the sweep closes a connection; `0` never.
+    pub idle_timeout_ms: u64,
+    /// How often the idle sweep runs (ms).
+    pub sweep_every_ms: u64,
+    /// Whether the sweep stays scheduled while no connection is open.
+    pub sweep_when_empty: bool,
+}
+
+/// A [`ConnTable`]'s lifecycle counters, cumulative since bind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ConnStats {
+    /// The acceptor's drops.
+    pub accept: AcceptStats,
+    /// Connections accepted and registered.
+    pub accepted: u64,
+    /// Accepted connections the poller would not register (closed).
+    pub unregistered: u64,
+    /// Connections closed for any reason but the idle timeout.
+    pub dropped: u64,
+    /// Connections closed by the idle timeout.
+    pub timed_out: u64,
+}
+
+/// One connection of a [`ConnTable`].
+#[derive(Debug)]
+pub struct Conn<S> {
+    /// The socket and its buffers.
+    pub transport: TcpTransport,
+    /// The server's protocol state.
+    pub state: S,
+    /// Reads suspended; a hang-up reaps the connection at once.
+    pub paused: bool,
+    /// When (ms) the client last did something, for the idle sweep.
+    pub last_activity_ms: u64,
+    /// Interest currently registered with the poller.
+    interest: Interest,
+}
+
+/// A listener and the connections it accepted: the lifecycle around a
+/// server's protocol, shared by the ingest front end and the HTTP query
+/// endpoint. It owns the [`TcpAcceptor`] and a nested poller (whose own
+/// fd an outer event loop watches), the connections by token, their
+/// registered interest, the reap of a paused connection whose peer hung
+/// up (`EPOLLHUP` ignores the interest mask, so the dead socket would
+/// re-fire every wake until the idle sweep got to it), a resume list for
+/// work already buffered in userspace (which a level-triggered poller
+/// never reports), and the idle sweep. The server reads and writes the
+/// connections [`ConnTable::poll`] hands back.
+pub struct ConnTable<S> {
+    acceptor: TcpAcceptor,
+    poller: Box<dyn Poller>,
+    conns: HashMap<usize, Conn<S>>,
+    next_token: usize,
+    limits: ConnLimits,
+    events: Vec<Event>,
+    resume: Vec<usize>,
+    last_sweep_ms: u64,
+    polled_ms: u64,
+    stats: ConnStats,
+}
+
+impl<S> std::fmt::Debug for ConnTable<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConnTable").field("conns", &self.conns.len()).finish_non_exhaustive()
+    }
+}
+
+impl<S: Default> ConnTable<S> {
+    /// Binds the listener and sets up the poller.
+    ///
+    /// # Errors
+    ///
+    /// Socket or poller-creation failures.
+    pub fn bind(addr: impl ToSocketAddrs, limits: ConnLimits) -> io::Result<Self> {
+        let acceptor = TcpAcceptor::bind(addr)?;
+        // Deepen the kernel accept backlog to the connection cap: std's
+        // 128 overflows under a fleet-sized dial burst, and every dropped
+        // SYN costs that client a ~1 s retransmission stall.
+        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+        biot_reactor::sys::listen(
+            acceptor.raw_fd(),
+            i32::try_from(limits.max_conns).unwrap_or(i32::MAX),
+        )?;
+        let mut poller = build_poller(PollerKind::Epoll)?;
+        poller.register(acceptor.raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        Ok(Self {
+            acceptor,
+            poller,
+            conns: HashMap::new(),
+            next_token: 0,
+            limits,
+            events: Vec::new(),
+            resume: Vec::new(),
+            last_sweep_ms: 0,
+            polled_ms: 0,
+            stats: ConnStats::default(),
+        })
+    }
+
+    /// Waits up to `timeout_ms` for readiness, accepts, and reaps paused
+    /// connections that hung up. Returns what the server must service:
+    /// the resume list (as readable), then the other connection events.
+    ///
+    /// # Errors
+    ///
+    /// Poller failures.
+    pub fn poll(&mut self, now_ms: u64, timeout_ms: i32) -> io::Result<Vec<Event>> {
+        // The resume list produces no kernel readiness, and a parked
+        // listener re-arms on a deadline, not an event.
+        let backoff = i32::try_from(ACCEPT_BACKOFF_MS).expect("small constant");
+        let timeout_ms = if !self.resume.is_empty() {
+            0
+        } else if self.acceptor.resume_at().is_some() && !(0..=backoff).contains(&timeout_ms) {
+            // Negative means "block forever" — still wake for the re-arm.
+            backoff
+        } else {
+            timeout_ms
+        };
+        let mut events = std::mem::take(&mut self.events);
+        self.poller.poll(&mut events, timeout_ms)?;
+        self.polled_ms = now_ms;
+        if self.acceptor.resume_at().is_some_and(|at| now_ms >= at) {
+            self.accept(now_ms);
+        }
+        let mut ready: Vec<Event> = self
+            .resume
+            .drain(..)
+            .map(|token| Event { token, readable: true, writable: false, hangup: false })
+            .collect();
+        for ev in &events {
+            if ev.token == LISTENER_TOKEN {
+                self.accept(now_ms);
+            } else if ev.hangup && self.conns.get(&ev.token).is_some_and(|c| c.paused) {
+                self.close(ev.token);
+            } else {
+                ready.push(*ev);
+            }
+        }
+        self.events = events;
+        Ok(ready)
+    }
+
+    fn accept(&mut self, now_ms: u64) {
+        let listening = self.acceptor.interest();
+        let room = self.limits.max_conns.saturating_sub(self.conns.len());
+        let streams = self.acceptor.accept_burst(now_ms, self.limits.accept_burst, room);
+        if self.acceptor.interest() != listening {
+            // Parked (drop read interest so the doomed accept stops
+            // re-firing) or re-armed after the backoff.
+            let _ = self.poller.reregister(
+                self.acceptor.raw_fd(),
+                LISTENER_TOKEN,
+                self.acceptor.interest(),
+            );
+        }
+        for stream in streams {
+            let mut transport = TcpTransport::accepted(stream);
+            let token = self.next_token;
+            self.next_token += 1;
+            if self.poller.register(transport.raw_fd(), token, Interest::READ).is_err() {
+                transport.close();
+                self.stats.unregistered += 1;
+                continue;
+            }
+            self.stats.accepted += 1;
+            let conn = Conn {
+                transport,
+                state: S::default(),
+                paused: false,
+                last_activity_ms: now_ms,
+                interest: Interest::READ,
+            };
+            self.conns.insert(token, conn);
+        }
+    }
+}
+
+impl<S> ConnTable<S> {
+    /// The bound listening address.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket failures.
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.acceptor.local_addr()
+    }
+
+    /// The nested poller's own fd, when it has one (epoll).
+    pub fn poller_fd(&self) -> Option<RawFd> {
+        self.poller.raw_fd()
+    }
+
+    /// Earliest instant (absolute ms) of work that kernel readiness will
+    /// not signal: the resume list (due at the last poll's instant), a
+    /// parked listener's re-arm, or the next idle sweep.
+    pub fn next_deadline(&self) -> Option<u64> {
+        if !self.resume.is_empty() {
+            return Some(self.polled_ms);
+        }
+        let sweep = (self.limits.sweep_when_empty || !self.conns.is_empty())
+            .then_some(self.last_sweep_ms + self.limits.sweep_every_ms);
+        [self.acceptor.resume_at(), sweep].into_iter().flatten().min()
+    }
+
+    /// Cumulative lifecycle counters.
+    pub fn stats(&self) -> ConnStats {
+        ConnStats { accept: self.acceptor.stats(), ..self.stats }
+    }
+
+    /// Live connection count.
+    pub fn connections(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// The connection behind `token`, while it is open.
+    pub fn get_mut(&mut self, token: usize) -> Option<&mut Conn<S>> {
+        self.conns.get_mut(&token)
+    }
+
+    /// Every open connection with its token.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Conn<S>)> {
+        self.conns.iter_mut().map(|(&token, conn)| (token, conn))
+    }
+
+    /// Hands `token` back from the next [`ConnTable::poll`] as readable.
+    pub fn resume(&mut self, token: usize) {
+        if !self.resume.contains(&token) {
+            self.resume.push(token);
+        }
+    }
+
+    /// Flushes a connection and returns it, or closes it on a write
+    /// failure. The caller then updates its interest.
+    pub fn flush(&mut self, token: usize) -> Option<&mut Conn<S>> {
+        if self.conns.get_mut(&token)?.transport.flush().is_err() {
+            self.close(token);
+            return None;
+        }
+        self.conns.get_mut(&token)
+    }
+
+    /// Registers the interest `paused` and unflushed bytes call for, if it
+    /// changed; a poller that refuses closes the connection.
+    pub fn update_interest(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let desired = Interest {
+            readable: !conn.paused,
+            writable: conn.transport.pending_tx_bytes() > 0,
+        };
+        if desired == conn.interest {
+            return;
+        }
+        conn.interest = desired;
+        if self.poller.reregister(conn.transport.raw_fd(), token, desired).is_err() {
+            self.close(token);
+        }
+    }
+
+    /// Closes a connection, counted as dropped.
+    pub fn close(&mut self, token: usize) {
+        self.remove(token, false);
+    }
+
+    /// Runs the idle sweep if it is due. Returns whether it ran.
+    pub fn sweep(&mut self, now_ms: u64) -> bool {
+        if now_ms.saturating_sub(self.last_sweep_ms) < self.limits.sweep_every_ms {
+            return false;
+        }
+        self.last_sweep_ms = now_ms;
+        let timeout = self.limits.idle_timeout_ms;
+        if timeout != 0 {
+            let idle: Vec<usize> = self
+                .conns
+                .iter()
+                .filter(|(_, c)| now_ms.saturating_sub(c.last_activity_ms) > timeout)
+                .map(|(&token, _)| token)
+                .collect();
+            for token in idle {
+                self.remove(token, true);
+            }
+        }
+        true
+    }
+
+    fn remove(&mut self, token: usize, timed_out: bool) {
+        let Some(mut conn) = self.conns.remove(&token) else { return };
+        let _ = self.poller.deregister(conn.transport.raw_fd());
+        conn.transport.close();
+        if timed_out {
+            self.stats.timed_out += 1;
+        } else {
+            self.stats.dropped += 1;
+        }
+    }
+}
+
 /// Redials a fixed address — plug into
 /// [`crate::node::GossipNode::connect`] for reconnect-with-backoff.
 #[derive(Clone, Debug)]
@@ -659,10 +1014,10 @@ mod tests {
         // reachable) — the socket never has to cooperate, which keeps
         // the multi-frames-in-one-fill case deterministic.
         assert!(!server.has_buffered_frame(), "empty buffer");
-        server.rx.extend_from_slice(&3u32.to_be_bytes());
-        server.rx.extend_from_slice(b"one");
-        server.rx.extend_from_slice(&3u32.to_be_bytes());
-        server.rx.extend_from_slice(b"two");
+        server.rx.extend(&3u32.to_be_bytes());
+        server.rx.extend(b"one");
+        server.rx.extend(&3u32.to_be_bytes());
+        server.rx.extend(b"two");
         assert!(server.has_buffered_frame());
         assert_eq!(server.pop_frame().unwrap().unwrap(), b"one");
         assert!(
@@ -673,18 +1028,18 @@ mod tests {
         assert!(!server.has_buffered_frame(), "drained");
 
         // Partial header, then partial payload: not yet a frame.
-        server.rx.extend_from_slice(&10u32.to_be_bytes()[..2]);
+        server.rx.extend(&10u32.to_be_bytes()[..2]);
         assert!(!server.has_buffered_frame());
-        server.rx.extend_from_slice(&10u32.to_be_bytes()[2..]);
-        server.rx.extend_from_slice(&[0u8; 9]);
+        server.rx.extend(&10u32.to_be_bytes()[2..]);
+        server.rx.extend(&[0u8; 9]);
         assert!(!server.has_buffered_frame());
-        server.rx.extend_from_slice(&[0u8; 1]);
+        server.rx.extend(&[0u8; 1]);
         assert!(server.has_buffered_frame());
         assert_eq!(server.pop_frame().unwrap().unwrap(), vec![0u8; 10]);
 
         // An oversized length prefix is "buffered": the pending error
         // must be revisited, not parked forever.
-        server.rx.extend_from_slice(&u32::MAX.to_be_bytes());
+        server.rx.extend(&u32::MAX.to_be_bytes());
         assert!(server.has_buffered_frame());
         assert!(matches!(server.pop_frame(), Err(TransportError::TooLarge(_))));
     }

@@ -16,25 +16,20 @@
 //!
 //! ## Layering
 //!
-//! * [`biot_reactor`] (a dependency, shared with `biot-node`'s HTTP
-//!   query endpoint) — the [`biot_reactor::Poller`] abstraction:
-//!   [`biot_reactor::EpollPoller`] (readiness from the kernel, O(ready)
-//!   per tick), with a level-triggered [`biot_reactor::ScanPoller`]
-//!   compiled in only where epoll is not; and its wall
-//!   [`biot_reactor::WallClock`], whose milliseconds become the virtual
-//!   [`biot_net::time::SimTime`] instants the rate limiter and credit
-//!   ledger run on, so production sockets and deterministic tests share
-//!   every code path.
-//! * [`biot_gossip::tcp::TcpAcceptor`] — the accept path (bounded
-//!   bursts, per-connection failures skipped, fd exhaustion parks the
-//!   listener), shared with the gossip acceptors and the HTTP endpoint.
+//! * [`biot_gossip::tcp::ConnTable`] — the connection lifecycle, shared
+//!   with `biot-node`'s HTTP query endpoint: the listener and its bounded
+//!   accept bursts, a nested epoll poller (O(ready) per tick), interest
+//!   diffing, the hang-up reap, the resume list and the idle sweep.
+//!   Callers pass the instant as a [`biot_net::time::SimTime`] — a
+//!   wall clock's milliseconds in production, virtual time in tests — so
+//!   both share every code path.
 //! * [`protocol`] — the minimal length-prefixed client protocol:
 //!   `SubmitTx` / `SubmitBatch` in, `Ack` with per-transaction result
 //!   codes out.
-//! * [`server`] — the [`server::IngestServer`]: accept bursts, bounded
-//!   per-connection and global inflight queues, per-connection token
-//!   buckets ([`biot_core::ratelimit`]), explicit `Busy` backpressure
-//!   with deferred read interest, idle timeouts, and lifecycle counters.
+//! * [`server`] — the [`server::IngestServer`]: bounded per-connection
+//!   and global inflight queues, per-connection token buckets
+//!   ([`biot_core::ratelimit`]), explicit `Busy` backpressure with
+//!   deferred read interest, and admission counters.
 //!
 //! Admission results are **bit-identical** to calling
 //! [`biot_core::node::Gateway::submit_batch`] directly on the same

@@ -1,16 +1,17 @@
 //! The ingestion server: reactor-driven admission front end.
 //!
-//! One [`IngestServer`] owns a listening socket, N client connections,
-//! and a [`Poller`]; each call to [`IngestServer::poll`] runs one tick of
-//! the event loop against the caller's [`Gateway`]:
+//! One [`IngestServer`] owns a [`ConnTable`] — the listener, the client
+//! connections and their poller — and keeps only the protocol; each call
+//! to [`IngestServer::poll`] runs one tick of the event loop against the
+//! caller's [`Gateway`]:
 //!
-//! 1. ask the poller which sockets have news (O(ready) under epoll);
-//! 2. drain the accept backlog in bounded bursts;
-//! 3. read and decode frames from ready connections, under a per-tick
+//! 1. let the table ask the poller which sockets have news (O(ready)
+//!    under epoll) and drain the accept backlog in bounded bursts;
+//! 2. read and decode frames from ready connections, under a per-tick
 //!    budget, a per-connection token bucket, and two inflight caps;
-//! 4. feed everything admitted into [`Gateway::submit_batch`] in arrival
+//! 3. feed everything admitted into [`Gateway::submit_batch`] in arrival
 //!    order;
-//! 5. ack every submission with per-transaction result codes.
+//! 4. ack every submission with per-transaction result codes.
 //!
 //! ## Backpressure policy (provably bounded memory)
 //!
@@ -39,8 +40,8 @@
 //!   tokens are never reused, so the idle sweep also compacts the
 //!   [`RateLimiter`] with a cutoff trailing the idle timeout; bucket
 //!   count tracks *live* connections, not total arrivals;
-//! * **frames parked past the tick budget** — the transport drains the
-//!   whole kernel buffer into userspace, so frames beyond
+//! * **frames parked past the tick budget** — the transport reads what
+//!   the kernel holds into userspace, so frames beyond
 //!   [`IngestConfig::frames_per_tick`] would never re-trigger a
 //!   level-triggered poller; connections still holding a complete
 //!   buffered frame go on the resume list and are serviced next tick.
@@ -48,19 +49,15 @@
 use crate::protocol::{
     decode_client, encode_server, AckCode, AckResult, ClientMsg, ServerMsg,
 };
-use biot_reactor::{build_poller, Event, Interest, Poller, PollerKind};
 use biot_core::node::{Gateway, SubmitError};
 use biot_core::ratelimit::{RateLimitConfig, RateLimiter};
-use biot_gossip::tcp::{TcpAcceptor, TcpTransport, ACCEPT_BACKOFF_MS};
+use biot_gossip::tcp::{ConnLimits, ConnTable};
 use biot_gossip::transport::Transport;
 use biot_net::time::SimTime;
 use biot_tangle::tx::{NodeId, Transaction, TxId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-
-/// Token under which the listening socket is registered.
-const ACCEPTOR_TOKEN: usize = usize::MAX;
 
 /// Connection cap; accepts past it are immediately closed. Also the
 /// `listen(2)` backlog.
@@ -69,6 +66,9 @@ const MAX_CONNECTIONS: usize = 4096;
 /// Most connections accepted per tick (one listener readiness event
 /// drains a whole dial burst, but boundedly).
 const ACCEPT_BURST: usize = 256;
+
+/// Limiter compaction horizon when idle disconnects are off.
+const NO_IDLE_HORIZON_MS: u64 = 60_000;
 
 /// Tuning knobs for the ingest front end. Defaults serve thousands of
 /// connections on one core; every knob exists to keep some buffer finite.
@@ -150,8 +150,6 @@ pub struct IngestStats {
 /// What one [`IngestServer::poll`] tick did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PollProgress {
-    /// Readiness events dispatched.
-    pub events: usize,
     /// Frames decoded.
     pub frames: usize,
     /// Transactions run through the gateway (any outcome).
@@ -183,50 +181,24 @@ impl Submission {
     }
 }
 
-#[derive(Debug)]
-struct Conn {
-    transport: TcpTransport,
-    fd: std::os::fd::RawFd,
-    /// Transactions of this connection inside the pending queue.
-    inflight: usize,
-    /// Read interest deferred until acks drain (backpressure).
-    paused: bool,
-    last_activity: SimTime,
-    interest: Interest,
-}
-
 /// An admission record for the equivalence oracle (see
 /// [`IngestConfig::record_admissions`]).
 pub type AdmissionRecord = (Transaction, SimTime, Result<TxId, SubmitError>);
 
 /// The reactor-driven ingestion front end. See the module docs.
+#[derive(Debug)]
 pub struct IngestServer {
-    acceptor: TcpAcceptor,
-    poller: Box<dyn Poller>,
-    conns: HashMap<usize, Conn>,
-    next_token: usize,
+    /// Each connection's state is how many of its transactions sit in
+    /// `pending`.
+    table: ConnTable<usize>,
     pending: VecDeque<Submission>,
     /// Total queued transactions across `pending` (≤ global_inflight).
     inflight: usize,
     limiter: Option<RateLimiter>,
     config: IngestConfig,
+    /// Protocol counters; the lifecycle ones come from `table`.
     stats: IngestStats,
-    events: Vec<Event>,
-    /// Connections whose buffered frames must be serviced next tick
-    /// even without a fresh readiness event: unpaused this tick, or
-    /// still holding complete frames after the per-tick budget.
-    resume: Vec<usize>,
-    last_sweep: SimTime,
     admission_log: Vec<AdmissionRecord>,
-}
-
-impl std::fmt::Debug for IngestServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IngestServer")
-            .field("conns", &self.conns.len())
-            .field("inflight", &self.inflight)
-            .finish()
-    }
 }
 
 impl IngestServer {
@@ -236,30 +208,20 @@ impl IngestServer {
     ///
     /// Socket or poller-creation failures.
     pub fn bind(addr: impl ToSocketAddrs, config: IngestConfig) -> io::Result<Self> {
-        let acceptor = TcpAcceptor::bind(addr)?;
-        // Deepen the kernel accept backlog to the connection cap: std's
-        // 128 overflows under a fleet-sized dial burst, and every dropped
-        // SYN costs that client a ~1 s retransmission stall.
-        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        biot_reactor::sys::listen(
-            acceptor.raw_fd(),
-            i32::try_from(MAX_CONNECTIONS).unwrap_or(i32::MAX),
-        )?;
-        let mut poller = build_poller(PollerKind::Epoll)?;
-        poller.register(acceptor.raw_fd(), ACCEPTOR_TOKEN, Interest::READ)?;
+        let limits = ConnLimits {
+            max_conns: MAX_CONNECTIONS,
+            accept_burst: ACCEPT_BURST,
+            idle_timeout_ms: config.idle_timeout_ms,
+            sweep_every_ms: sweep_horizon_ms(config.idle_timeout_ms) / 4 + 1,
+            sweep_when_empty: config.idle_timeout_ms != 0,
+        };
         Ok(Self {
-            acceptor,
-            poller,
-            conns: HashMap::new(),
-            next_token: 0,
+            table: ConnTable::bind(addr, limits)?,
             pending: VecDeque::new(),
             inflight: 0,
             limiter: config.rate_limit.map(RateLimiter::new),
             config,
             stats: IngestStats::default(),
-            events: Vec::new(),
-            resume: Vec::new(),
-            last_sweep: SimTime::ZERO,
             admission_log: Vec::new(),
         })
     }
@@ -270,7 +232,7 @@ impl IngestServer {
     ///
     /// Propagates socket failures.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.acceptor.local_addr()
+        self.table.local_addr()
     }
 
     /// The poller's own pollable descriptor, when it has one (epoll).
@@ -280,42 +242,36 @@ impl IngestServer {
     /// level-readable while their ready-list is non-empty — instead of
     /// calling [`IngestServer::poll`] on a timer.
     pub fn poller_fd(&self) -> Option<std::os::fd::RawFd> {
-        self.poller.raw_fd()
+        self.table.poller_fd()
     }
 
     /// Earliest instant (absolute ms) at which this server has internal
     /// work that kernel readiness will *not* signal: buffered frames on
-    /// the resume list (due immediately), a parked listener waiting out
-    /// its accept backoff, or the next idle sweep. `None` when only
-    /// socket readiness can create work.
-    pub fn next_deadline(&self, now: SimTime) -> Option<u64> {
-        if !self.resume.is_empty() {
-            return Some(now.as_millis());
-        }
-        let mut next = self.acceptor.resume_at();
-        let timeout = self.config.idle_timeout_ms;
-        if !self.conns.is_empty() || timeout != 0 {
-            let horizon = if timeout == 0 { 60_000 } else { timeout };
-            let sweep_at = self.last_sweep.as_millis() + horizon / 4 + 1;
-            next = Some(next.map_or(sweep_at, |n| n.min(sweep_at)));
-        }
-        next
+    /// the resume list (already due), a parked listener waiting out its
+    /// accept backoff, or the next idle sweep. `None` when only socket
+    /// readiness can create work. `_now` is unused: the resume list is
+    /// due at the last poll's instant.
+    pub fn next_deadline(&self, _now: SimTime) -> Option<u64> {
+        self.table.next_deadline()
     }
 
     /// Lifecycle and admission counters.
     pub fn stats(&self) -> IngestStats {
-        let accept = self.acceptor.stats();
+        let conns = self.table.stats();
         IngestStats {
-            conns_refused_capacity: accept.refused,
-            accept_errors: accept.listener_errors,
-            accept_conn_errors: accept.conn_errors,
+            conns_accepted: conns.accepted,
+            conns_refused_capacity: conns.accept.refused,
+            conns_dropped: conns.dropped + conns.unregistered,
+            conns_timed_out: conns.timed_out,
+            accept_errors: conns.accept.listener_errors,
+            accept_conn_errors: conns.accept.conn_errors,
             ..self.stats
         }
     }
 
     /// Live connection count.
     pub fn connections(&self) -> usize {
-        self.conns.len()
+        self.table.connections()
     }
 
     /// Transactions currently queued for admission.
@@ -351,117 +307,36 @@ impl IngestServer {
         timeout_ms: i32,
     ) -> io::Result<PollProgress> {
         let mut progress = PollProgress::default();
-        // Pending local work must not wait out the poll timeout: frames
-        // parked in userspace produce no kernel readiness, and a parked
-        // listener re-arms on a deadline, not an event.
-        let backoff = i32::try_from(ACCEPT_BACKOFF_MS).expect("small constant");
-        let timeout_ms = if !self.resume.is_empty() {
-            0
-        } else if self.acceptor.resume_at().is_some() && !(0..=backoff).contains(&timeout_ms) {
-            // Negative means "block forever" — still wake for the re-arm.
-            backoff
-        } else {
-            timeout_ms
-        };
-        let mut events = std::mem::take(&mut self.events);
-        self.poller.poll(&mut events, timeout_ms)?;
-        progress.events = events.len();
-
-        // A parked listener produces no event; once its backoff is over,
-        // drain whatever queued in the backlog meanwhile.
-        if self.acceptor.resume_at().is_some_and(|at| now.as_millis() >= at) {
-            self.accept(now);
-        }
-
-        // Connections with frames already buffered in userspace (unpaused
-        // last tick, or past the frame budget) produce no kernel event.
-        let resume = std::mem::take(&mut self.resume);
-        for token in resume {
-            self.read_conn(token, now, &mut progress);
-        }
-
-        for ev in &events {
-            if ev.token == ACCEPTOR_TOKEN {
-                self.accept(now);
-                continue;
-            }
-            // EPOLLHUP/EPOLLERR ignore the interest mask, so a dead
-            // *paused* socket re-fires every tick while read_conn bails
-            // on `paused` — reap it now instead of busy-looping until
-            // the idle sweep gets there.
-            if ev.hangup && self.conns.get(&ev.token).is_some_and(|c| c.paused) {
-                self.close_conn(ev.token, false);
-                continue;
-            }
-            if ev.writable {
-                self.flush_conn(ev.token);
+        for ev in self.table.poll(now.as_millis(), timeout_ms)? {
+            if ev.writable && self.table.flush(ev.token).is_some() {
+                self.table.update_interest(ev.token);
             }
             if ev.readable {
                 self.read_conn(ev.token, now, &mut progress);
             }
         }
-        self.events = events;
-
         self.drain(gateway, now, &mut progress);
         self.unpause_ready();
-        self.sweep_idle(now);
-        Ok(progress)
-    }
-
-    // --- Accept -----------------------------------------------------------
-
-    fn accept(&mut self, now: SimTime) {
-        let listening = self.acceptor.interest();
-        let room = MAX_CONNECTIONS.saturating_sub(self.conns.len());
-        let streams = self.acceptor.accept_burst(now.as_millis(), ACCEPT_BURST, room);
-        if self.acceptor.interest() != listening {
-            // Parked (drop read interest so the doomed accept stops
-            // re-firing) or re-armed after the backoff.
-            let _ = self.poller.reregister(
-                self.acceptor.raw_fd(),
-                ACCEPTOR_TOKEN,
-                self.acceptor.interest(),
-            );
-        }
-        for stream in streams {
-            let mut transport = TcpTransport::accepted(stream);
-            let token = self.next_token;
-            self.next_token += 1;
-            let fd = transport.raw_fd();
-            if self.poller.register(fd, token, Interest::READ).is_err() {
-                transport.close();
-                self.stats.conns_dropped += 1;
-                continue;
+        if self.table.sweep(now.as_millis()) {
+            // Limiter buckets are keyed by connection token and tokens
+            // are never reused, so under churn they must be compacted
+            // even when idle disconnects are disabled. The cutoff trails
+            // the idle timeout: any bucket older than that belongs to a
+            // connection that is closed or about to be swept, so dropping
+            // it never changes a live connection's decisions.
+            let horizon = sweep_horizon_ms(self.config.idle_timeout_ms);
+            if let Some(limiter) = self.limiter.as_mut() {
+                limiter.compact(SimTime::from_millis(now.as_millis().saturating_sub(horizon)));
             }
-            self.conns.insert(
-                token,
-                Conn {
-                    transport,
-                    fd,
-                    inflight: 0,
-                    paused: false,
-                    last_activity: now,
-                    interest: Interest::READ,
-                },
-            );
-            self.stats.conns_accepted += 1;
         }
+        Ok(progress)
     }
 
     // --- Per-connection I/O ----------------------------------------------
 
-    fn flush_conn(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        if conn.transport.flush().is_err() {
-            self.close_conn(token, false);
-            return;
-        }
-        self.update_interest(token);
-    }
-
     fn read_conn(&mut self, token: usize, now: SimTime, progress: &mut PollProgress) {
         for _ in 0..self.config.frames_per_tick {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
+            let Some(conn) = self.table.get_mut(token) else { return };
             if conn.paused {
                 return;
             }
@@ -469,39 +344,32 @@ impl IngestServer {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(_) => {
-                    self.close_conn(token, false);
+                    self.table.close(token);
                     return;
                 }
             };
-            conn.last_activity = now;
-            let msg = match decode_client(&frame) {
-                Ok(msg) => msg,
-                Err(_) => {
-                    // Protocol violation: this peer cannot be reasoned
-                    // with (framing may be desynchronized) — drop it.
-                    self.stats.frames_malformed += 1;
-                    self.close_conn(token, false);
-                    return;
-                }
+            conn.last_activity_ms = now.as_millis();
+            let Ok(msg) = decode_client(&frame) else {
+                // Protocol violation: this peer cannot be reasoned with
+                // (framing may be desynchronized) — drop it.
+                self.stats.frames_malformed += 1;
+                self.table.close(token);
+                return;
             };
             self.stats.frames_in += 1;
             progress.frames += 1;
             self.enqueue_submission(token, msg, now);
         }
-        // Budget exhausted, but the transport drained the whole kernel
-        // buffer into userspace: a level-triggered poller sees nothing
-        // left to report, so any complete frame still parked there must
-        // be revisited explicitly or the client deadlocks awaiting acks
-        // it pipelined past the budget.
-        if let Some(conn) = self.conns.get(&token) {
-            if !conn.paused
-                && conn.transport.has_buffered_frame()
-                && !self.resume.contains(&token)
-            {
-                self.resume.push(token);
-            }
+        // Budget exhausted, but the transport read the kernel buffer into
+        // userspace: a level-triggered poller sees nothing left to
+        // report, so any complete frame still parked there must be
+        // revisited explicitly or the client deadlocks awaiting acks it
+        // pipelined past the budget.
+        let conn = self.table.get_mut(token);
+        if conn.is_some_and(|c| !c.paused && c.transport.has_buffered_frame()) {
+            self.table.resume(token);
         }
-        self.update_interest(token);
+        self.table.update_interest(token);
     }
 
     /// Applies the front-end gates (token bucket, inflight caps) to one
@@ -518,7 +386,7 @@ impl IngestServer {
         let mut queued = 0usize;
         let mut hit_cap = false;
         {
-            let conn = self.conns.get_mut(&token).expect("caller verified conn");
+            let conn = self.table.get_mut(token).expect("caller verified conn");
             for tx in txs {
                 if let Some(limiter) = self.limiter.as_mut() {
                     if !limiter.allow(bucket_key, now) {
@@ -527,7 +395,7 @@ impl IngestServer {
                         continue;
                     }
                 }
-                if conn.inflight + queued >= self.config.per_conn_inflight
+                if conn.state + queued >= self.config.per_conn_inflight
                     || self.inflight + queued >= self.config.global_inflight
                 {
                     self.stats.txs_busy += 1;
@@ -538,9 +406,9 @@ impl IngestServer {
                 queued += 1;
                 entries.push(Entry::Queued(tx));
             }
-            conn.inflight += queued;
+            conn.state += queued;
             self.stats.high_water_conn_inflight =
-                self.stats.high_water_conn_inflight.max(conn.inflight);
+                self.stats.high_water_conn_inflight.max(conn.state);
             if hit_cap {
                 // Defer read interest: stop pulling from this socket and
                 // let TCP flow control push back to the device. The acks
@@ -557,7 +425,7 @@ impl IngestServer {
         // can pair ack N with frame N without sequence numbers.
         self.pending.push_back(Submission { token, entries });
         if hit_cap {
-            self.update_interest(token);
+            self.table.update_interest(token);
         }
     }
 
@@ -624,8 +492,8 @@ impl IngestServer {
                         }
                     }
                 }
-                if let Some(conn) = self.conns.get_mut(&sub.token) {
-                    conn.inflight -= queued;
+                if let Some(conn) = self.table.get_mut(sub.token) {
+                    conn.state -= queued;
                 }
                 self.send_ack(sub.token, acks);
             }
@@ -635,19 +503,19 @@ impl IngestServer {
     // --- Backpressure + lifecycle ----------------------------------------
 
     fn send_ack(&mut self, token: usize, results: Vec<AckResult>) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.table.get_mut(token) else { return };
         let frame = encode_server(&ServerMsg::Ack(results));
         if conn.transport.send(&frame).is_err() {
             // Closed, I/O failure, or 4 MiB of unread acks: either way
             // this peer is not consuming its side of the protocol.
-            self.close_conn(token, false);
+            self.table.close(token);
             return;
         }
         self.stats.high_water_tx_buffer = self
             .stats
             .high_water_tx_buffer
             .max(conn.transport.pending_tx_bytes());
-        self.update_interest(token);
+        self.table.update_interest(token);
     }
 
     /// Re-arms read interest on paused connections whose queues drained.
@@ -658,82 +526,26 @@ impl IngestServer {
             return;
         }
         let mut unpaused: Vec<usize> = Vec::new();
-        for (&token, conn) in &mut self.conns {
-            if conn.paused && conn.inflight * 2 <= self.config.per_conn_inflight {
+        for (token, conn) in self.table.iter_mut() {
+            if conn.paused && conn.state * 2 <= self.config.per_conn_inflight {
                 conn.paused = false;
                 unpaused.push(token);
             }
         }
         for token in unpaused {
-            self.update_interest(token);
+            self.table.update_interest(token);
             // Frames may already sit decoded-but-unread in the rx buffer;
             // a level-triggered poller re-reports the socket, but bytes
             // parked in our buffer need an explicit revisit.
-            self.resume.push(token);
+            self.table.resume(token);
         }
     }
+}
 
-    fn sweep_idle(&mut self, now: SimTime) {
-        let timeout = self.config.idle_timeout_ms;
-        // Limiter buckets are keyed by connection token and tokens are
-        // never reused, so under churn they must be compacted even when
-        // idle disconnects are disabled — fall back to a fixed horizon.
-        let horizon = if timeout == 0 { 60_000 } else { timeout };
-        if now.millis_since(self.last_sweep) < horizon / 4 + 1 {
-            return;
-        }
-        self.last_sweep = now;
-        // The cutoff trails the idle timeout: any bucket older than that
-        // belongs to a connection that is closed or about to be swept,
-        // so dropping it never changes a live connection's decisions.
-        if let Some(limiter) = self.limiter.as_mut() {
-            limiter.compact(SimTime::from_millis(
-                now.as_millis().saturating_sub(horizon),
-            ));
-        }
-        if timeout == 0 {
-            return;
-        }
-        let dead: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| now.millis_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in dead {
-            self.close_conn(token, true);
-        }
-    }
-
-    fn update_interest(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let desired = Interest {
-            readable: !conn.paused,
-            writable: conn.transport.pending_tx_bytes() > 0,
-        };
-        if desired == conn.interest {
-            return;
-        }
-        conn.interest = desired;
-        let fd = conn.fd;
-        if self.poller.reregister(fd, token, desired).is_err() {
-            self.close_conn(token, false);
-        }
-    }
-
-    fn close_conn(&mut self, token: usize, timed_out: bool) {
-        let Some(mut conn) = self.conns.remove(&token) else { return };
-        let _ = self.poller.deregister(conn.fd);
-        conn.transport.close();
-        if timed_out {
-            self.stats.conns_timed_out += 1;
-        } else {
-            self.stats.conns_dropped += 1;
-        }
-        // Its queued transactions stay in `pending` (the gateway decision
-        // is still made — admission never silently vanishes), but the ack
-        // will find the connection gone and be skipped.
-    }
+/// The idle timeout, or a fixed horizon when idle disconnects are off:
+/// it sets the sweep cadence and how far back the limiter keeps buckets.
+fn sweep_horizon_ms(idle_timeout_ms: u64) -> u64 {
+    if idle_timeout_ms == 0 { NO_IDLE_HORIZON_MS } else { idle_timeout_ms }
 }
 
 /// The synthetic per-connection identity fed to the token bucket. Not a

@@ -13,12 +13,11 @@
 //! the HTTP query endpoint at once.
 //!
 //! Dispatch is deliberately coarse: every wake runs **every** member's
-//! full handler sequence, exactly as one tick of the legacy loop would
-//! at that instant. That makes a wake and a tick semantically
-//! interchangeable — the property the seeded equivalence suite in
-//! `biot-sim` checks bit-for-bit — and costs only a few no-op handler
-//! calls per wake, which is nothing next to the thousand sleeps it
-//! replaces.
+//! full handler sequence at the wake instant, so a fleet's state depends
+//! only on the instants it wakes at — what the roles oracle suite in
+//! `biot-sim` (`tests/roles_equiv.rs`) compares against a single-gateway
+//! oracle twin. It costs only a few no-op handler calls per wake, which
+//! is nothing next to the thousand sleeps of a 1 ms poll loop.
 //!
 //! Time comes from a [`Clock`]. The wall build blocks for real in the
 //! poller; a [`VirtualClock`](biot_reactor::VirtualClock) build (used by
@@ -189,9 +188,9 @@ impl EventLoop {
         self.clock.now_ms()
     }
 
-    /// How many times the loop has woken and dispatched — the number
-    /// the idle-wakeup benchmark compares against the tick loop's
-    /// iteration count.
+    /// How many times the loop has woken and dispatched: `runtime_report`
+    /// measures it per idle second, and the roles oracle suite bounds it
+    /// per scripted step.
     pub fn wakeups(&self) -> u64 {
         self.wakeups
     }
@@ -340,7 +339,7 @@ impl EventLoop {
     /// next (no blocking, no wall time), and leave the clock at
     /// `until_ms`. Between calls the simulator injects scripted work —
     /// submissions, membership changes — and each wake dispatches every
-    /// member, exactly like one legacy tick at that instant.
+    /// member at that instant.
     ///
     /// # Errors
     ///

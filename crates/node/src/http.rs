@@ -10,6 +10,7 @@
 //! a response's bytes are a pure function of the request and the ledger
 //! state — the oracle tests compare them byte-for-byte.
 
+use biot_gossip::tcp::RxBuf;
 use std::fmt;
 
 /// Upper bound on the request line (`GET /path?query HTTP/1.1`).
@@ -102,10 +103,12 @@ impl Request {
 
 /// Incremental parser: a byte buffer plus the caps above. One instance
 /// per connection; completed requests are drained in arrival order
-/// (pipelining), partial tails wait for more bytes.
+/// (pipelining), partial tails wait for more bytes. Draining a request
+/// advances a cursor, so N pipelined requests cost O(bytes), not
+/// O(N × buffer).
 #[derive(Debug, Default)]
 pub struct RequestParser {
-    buf: Vec<u8>,
+    buf: RxBuf,
 }
 
 impl RequestParser {
@@ -116,7 +119,7 @@ impl RequestParser {
 
     /// Bytes currently buffered (complete or partial).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.live().len()
     }
 
     /// Appends freshly read socket bytes.
@@ -127,8 +130,9 @@ impl RequestParser {
     /// [`MAX_HEAD_BYTES`] without containing a complete head — the caller
     /// must answer `431` and close.
     pub fn push(&mut self, bytes: &[u8]) -> Result<(), HttpError> {
-        self.buf.extend_from_slice(bytes);
-        if self.buf.len() > MAX_HEAD_BYTES && find_head_end(&self.buf).is_none() {
+        self.buf.extend(bytes);
+        let live = self.buf.live();
+        if live.len() > MAX_HEAD_BYTES && find_head_end(live).is_none() {
             return Err(HttpError::HeadTooLarge);
         }
         Ok(())
@@ -143,17 +147,17 @@ impl RequestParser {
     /// respond once and close (no resynchronization with a peer that
     /// sent garbage).
     pub fn next_request(&mut self) -> Result<Option<Request>, HttpError> {
-        let Some(head_end) = find_head_end(&self.buf) else {
+        let live = self.buf.live();
+        let Some(head_end) = find_head_end(live) else {
             // No blank line yet; cheap incremental cap checks so a slow
             // trickle of an oversized line fails early, not at 16 KiB.
-            if first_line_len(&self.buf).is_none() && self.buf.len() > MAX_REQUEST_LINE {
+            if first_line_len(live).is_none() && live.len() > MAX_REQUEST_LINE {
                 return Err(HttpError::TooLong);
             }
             return Ok(None);
         };
-        let head = &self.buf[..head_end];
-        let request = parse_head(head)?;
-        self.buf.drain(..head_end + 4);
+        let request = parse_head(&live[..head_end])?;
+        self.buf.consume(head_end + 4);
         Ok(Some(request))
     }
 }
@@ -450,6 +454,30 @@ mod tests {
         }
         raw.extend_from_slice(b"\r\n");
         assert_eq!(parse_all(&raw), Err(HttpError::TooManyHeaders));
+    }
+
+    #[test]
+    fn many_pipelined_requests_compact_amortized_not_quadratic() {
+        // 80k pipelined 26-byte requests in one buffer, drained one at a
+        // time. A drain per request memmoves the whole residual buffer
+        // each time — O(n²), ~80 GB here; the cursor moves each byte at
+        // most once per compaction threshold consumed.
+        const REQUESTS: usize = 80_000;
+        let stream = b"GET /v1/stats HTTP/1.1\r\n\r\n".repeat(REQUESTS);
+        let mut p = RequestParser::new();
+        p.push(&stream).unwrap();
+        let mut parsed = 0;
+        while p.next_request().unwrap().is_some() {
+            parsed += 1;
+        }
+        assert_eq!(parsed, REQUESTS);
+        assert_eq!(p.buffered(), 0);
+        let moved = p.buf.compacted_bytes();
+        assert!(
+            moved <= 2 * stream.len() as u64,
+            "compaction moved {moved} bytes for {} pushed — not amortized",
+            stream.len()
+        );
     }
 
     #[test]

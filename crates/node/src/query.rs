@@ -1,36 +1,26 @@
-//! The live HTTP query endpoint: a [`TcpAcceptor`] plus a
-//! [`biot_reactor::Poller`] driving per-connection [`RequestParser`]s.
+//! The live HTTP query endpoint: a [`ConnTable`] of connections, each
+//! with a [`RequestParser`].
 //!
-//! Same event-loop discipline as `biot-ingest`'s admission front end —
-//! the kernel says which sockets are ready and only those are touched —
-//! but the workload is inverted: tiny requests in, rendered JSON out.
-//! The server owns no ledger state; every [`QueryServer::poll`] call
-//! borrows an [`ApiState`] from the runtime, renders whatever requests
-//! completed this tick, and queues the bytes for write-readiness.
+//! The table owns the connection lifecycle (accept, interest, hang-up
+//! reap, resume list, idle sweep) it shares with `biot-ingest`'s
+//! admission front end; this server keeps the protocol, for tiny
+//! requests in and rendered JSON out. It owns no ledger state: every
+//! [`QueryServer::poll`] call borrows an [`ApiState`] from the runtime,
+//! renders whatever requests completed, and queues the bytes.
 //!
-//! Connection lifecycle:
-//!
-//! * accept → up to `MAX_CONNECTIONS` open, the rest closed at once;
-//!   fd exhaustion parks the listener (see [`TcpAcceptor::accept_burst`]);
 //! * parse error → one `400`/`431` response, then close (no resync);
 //! * `Connection: close` (or HTTP/1.0 without keep-alive) → respond,
 //!   flush, close;
-//! * pipelined requests → answered in order within one tick;
-//! * response backlog over `MAX_BUFFERED` bytes → the client stops
-//!   being read until its backlog drains (write backpressure);
-//! * idle longer than `IDLE_TIMEOUT_MS` → reaped by a sweep every
-//!   `SWEEP_EVERY_MS`.
+//! * pipelined requests → answered in order, until the unsent backlog
+//!   passes `MAX_BUFFERED` bytes; the client is then not read, and the
+//!   requests held back are answered once the backlog drains.
 
 use crate::api::{render_http, ApiState};
 use crate::http::{write_response, HttpError, RequestParser};
-use biot_gossip::tcp::TcpAcceptor;
-use biot_reactor::{build_poller, Event, Interest, Poller, PollerKind};
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
-
-const LISTENER_TOKEN: usize = usize::MAX;
+use biot_gossip::tcp::{Conn, ConnLimits, ConnTable};
+use biot_gossip::transport::Transport;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 
 /// Connection cap; accepts beyond it are closed immediately.
 const MAX_CONNECTIONS: usize = 1_024;
@@ -38,11 +28,8 @@ const MAX_CONNECTIONS: usize = 1_024;
 /// Accepts drained per readiness event.
 const ACCEPT_BURST: usize = 64;
 
-/// Read size per `read(2)` call.
-const READ_CHUNK: usize = 4 * 1_024;
-
-/// Pending response bytes above which a connection stops being read
-/// until the backlog flushes.
+/// Pending response bytes above which a connection gets no more answers
+/// and is not read until the backlog flushes.
 const MAX_BUFFERED: usize = 256 * 1_024;
 
 /// Connections silent for this long are closed.
@@ -73,49 +60,34 @@ pub struct QueryStats {
     /// an interrupted accept, a socket option that would not set, or a
     /// failed poller registration.
     pub accept_conn_errors: u64,
+    /// Highest per-connection unsent response byte count observed (at
+    /// most `MAX_BUFFERED` plus one response).
+    pub high_water_out_bytes: usize,
 }
 
 /// What one poll tick did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryProgress {
-    /// Readiness events dispatched.
-    pub events: usize,
     /// Requests answered this tick.
     pub answered: usize,
 }
 
-struct Conn {
-    stream: TcpStream,
+/// The protocol state of one connection.
+#[derive(Debug, Default)]
+struct HttpConn {
     parser: RequestParser,
-    /// Rendered-but-unsent response bytes.
-    out: Vec<u8>,
-    /// Close once `out` drains (parse error or `Connection: close`).
+    /// Close once the responses drain (parse error or
+    /// `Connection: close`); reads stay paused meanwhile.
     close_after_flush: bool,
-    /// Reads suspended: fatal parse error seen, or backpressure.
-    paused: bool,
-    /// Interest currently registered with the poller.
-    interest: Interest,
-    last_activity_ms: u64,
 }
 
 /// The HTTP query server. Drive it with [`QueryServer::poll`] from the
 /// owning runtime's event loop.
+#[derive(Debug)]
 pub struct QueryServer {
-    acceptor: TcpAcceptor,
-    poller: Box<dyn Poller>,
-    conns: HashMap<usize, Conn>,
-    next_token: usize,
+    table: ConnTable<HttpConn>,
+    /// Protocol counters; the lifecycle ones come from `table`.
     stats: QueryStats,
-    events: Vec<Event>,
-    last_sweep_ms: u64,
-}
-
-impl std::fmt::Debug for QueryServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryServer")
-            .field("conns", &self.conns.len())
-            .finish()
-    }
 }
 
 impl QueryServer {
@@ -126,18 +98,14 @@ impl QueryServer {
     ///
     /// Socket or poller-creation failures.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let acceptor = TcpAcceptor::bind(addr)?;
-        let mut poller = build_poller(PollerKind::Epoll)?;
-        poller.register(acceptor.raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        Ok(Self {
-            acceptor,
-            poller,
-            conns: HashMap::new(),
-            next_token: 0,
-            stats: QueryStats::default(),
-            events: Vec::new(),
-            last_sweep_ms: 0,
-        })
+        let limits = ConnLimits {
+            max_conns: MAX_CONNECTIONS,
+            accept_burst: ACCEPT_BURST,
+            idle_timeout_ms: IDLE_TIMEOUT_MS,
+            sweep_every_ms: SWEEP_EVERY_MS,
+            sweep_when_empty: false,
+        };
+        Ok(Self { table: ConnTable::bind(addr, limits)?, stats: QueryStats::default() })
     }
 
     /// The bound address.
@@ -146,41 +114,41 @@ impl QueryServer {
     ///
     /// Propagates socket failures.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.acceptor.local_addr()
+        self.table.local_addr()
     }
 
     /// The poller's own pollable descriptor, when it has one (epoll).
     /// Lets an outer event loop wake on query-socket readiness by
     /// registering this fd for READ rather than polling on a timer.
     pub fn poller_fd(&self) -> Option<std::os::fd::RawFd> {
-        self.poller.raw_fd()
+        self.table.poller_fd()
     }
 
-    /// Earliest instant (absolute ms) of internal timed work: a parked
+    /// Earliest instant (absolute ms) of internal timed work: requests
+    /// held back until a backlog drained (already due), a parked
     /// listener's re-arm, or the next idle-connection sweep while
     /// connections are open. `None` when only socket readiness matters.
     pub fn next_deadline(&self) -> Option<u64> {
-        let sweep = (!self.conns.is_empty()).then_some(self.last_sweep_ms + SWEEP_EVERY_MS);
-        match (self.acceptor.resume_at(), sweep) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.table.next_deadline()
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> QueryStats {
-        let accept = self.acceptor.stats();
+        let conns = self.table.stats();
         QueryStats {
-            refused: accept.refused,
-            accept_errors: accept.listener_errors,
-            accept_conn_errors: self.stats.accept_conn_errors + accept.conn_errors,
+            accepted: conns.accepted,
+            refused: conns.accept.refused,
+            closed: conns.dropped + conns.timed_out,
+            idle_reaped: conns.timed_out,
+            accept_errors: conns.accept.listener_errors,
+            accept_conn_errors: conns.accept.conn_errors + conns.unregistered,
             ..self.stats
         }
     }
 
     /// Live connection count.
     pub fn connections(&self) -> usize {
-        self.conns.len()
+        self.table.connections()
     }
 
     /// Runs one event-loop tick: accept, read, render against `state`,
@@ -197,26 +165,7 @@ impl QueryServer {
         timeout_ms: i32,
     ) -> io::Result<QueryProgress> {
         let mut progress = QueryProgress::default();
-        let mut events = std::mem::take(&mut self.events);
-        self.poller.poll(&mut events, timeout_ms)?;
-        progress.events = events.len();
-
-        // A parked listener produces no event; once its backoff is over,
-        // drain whatever queued in the backlog meanwhile.
-        if self.acceptor.resume_at().is_some_and(|at| now_ms >= at) {
-            self.accept(now_ms);
-        }
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
-                self.accept(now_ms);
-                continue;
-            }
-            if ev.hangup && self.conns.get(&ev.token).is_some_and(|c| c.paused) {
-                // A dead paused socket re-fires HUP forever (the interest
-                // mask doesn't gate it); reap it now.
-                self.close_conn(ev.token);
-                continue;
-            }
+        for ev in self.table.poll(now_ms, timeout_ms)? {
             if ev.writable {
                 self.flush_conn(ev.token);
             }
@@ -224,45 +173,8 @@ impl QueryServer {
                 self.read_conn(ev.token, state, now_ms, &mut progress);
             }
         }
-        self.events = events;
-        self.sweep_idle(now_ms);
+        self.table.sweep(now_ms);
         Ok(progress)
-    }
-
-    fn accept(&mut self, now_ms: u64) {
-        let listening = self.acceptor.interest();
-        let room = MAX_CONNECTIONS.saturating_sub(self.conns.len());
-        let streams = self.acceptor.accept_burst(now_ms, ACCEPT_BURST, room);
-        if self.acceptor.interest() != listening {
-            // Parked (drop read interest so the doomed accept stops
-            // re-firing) or re-armed after the backoff.
-            let _ = self.poller.reregister(
-                self.acceptor.raw_fd(),
-                LISTENER_TOKEN,
-                self.acceptor.interest(),
-            );
-        }
-        for stream in streams {
-            let token = self.next_token;
-            self.next_token += 1;
-            if self.poller.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
-                self.stats.accept_conn_errors += 1;
-                continue;
-            }
-            self.stats.accepted += 1;
-            self.conns.insert(
-                token,
-                Conn {
-                    stream,
-                    parser: RequestParser::new(),
-                    out: Vec::new(),
-                    close_after_flush: false,
-                    paused: false,
-                    interest: Interest::READ,
-                    last_activity_ms: now_ms,
-                },
-            );
-        }
     }
 
     fn read_conn(
@@ -272,183 +184,82 @@ impl QueryServer {
         now_ms: u64,
         progress: &mut QueryProgress,
     ) {
-        let mut dead = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.paused {
+        let Some(conn) = self.table.get_mut(token) else { return };
+        if conn.paused {
+            return;
+        }
+        conn.last_activity_ms = now_ms;
+        let pushed = conn.transport.recv_raw(|bytes| conn.state.parser.push(bytes));
+        // A half-received request on a dying socket is unanswerable, so a
+        // dead connection skips straight to the close.
+        let pushed = match pushed {
+            Ok(pushed) if conn.transport.is_open() => pushed,
+            _ => {
+                self.table.close(token);
                 return;
             }
-            conn.last_activity_ms = now_ms;
-            let mut chunk = vec![0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
+        };
+        if let Err(e) = pushed {
+            Self::queue_parse_error(conn, &mut self.stats, e);
+        }
+        // Answer what completed, in order (pipelining), until the backlog
+        // passes its cap; the rest wait in the parser until it drains.
+        while !conn.paused && conn.transport.pending_tx_bytes() <= MAX_BUFFERED {
+            match conn.state.parser.next_request() {
+                Ok(Some(req)) => {
+                    let response = render_http(state, &req);
+                    if response.starts_with(b"HTTP/1.1 2") {
+                        self.stats.ok += 1;
+                    } else {
+                        self.stats.errors += 1;
                     }
-                    Ok(n) => {
-                        if let Err(e) = conn.parser.push(&chunk[..n]) {
-                            Self::queue_parse_error(conn, &mut self.stats, e);
-                            break;
-                        }
-                        // Short read: the socket buffer is drained; more
-                        // reading would just earn a WouldBlock.
-                        if n < chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
+                    progress.answered += 1;
+                    conn.transport.queue_raw(&response);
+                    if !req.keep_alive {
+                        conn.state.close_after_flush = true;
+                        conn.paused = true;
                     }
                 }
-            }
-            // Answer everything that completed, in order (pipelining).
-            // A half-received request on a dying socket is unanswerable,
-            // so a dead connection skips straight to the close.
-            while !dead && !conn.paused {
-                match conn.parser.next_request() {
-                    Ok(Some(req)) => {
-                        let response = render_http(state, &req);
-                        if response.starts_with(b"HTTP/1.1 2") {
-                            self.stats.ok += 1;
-                        } else {
-                            self.stats.errors += 1;
-                        }
-                        progress.answered += 1;
-                        conn.out.extend_from_slice(&response);
-                        if !req.keep_alive {
-                            conn.close_after_flush = true;
-                            conn.paused = true;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        Self::queue_parse_error(conn, &mut self.stats, e);
-                        progress.answered += 1;
-                    }
+                Ok(None) => break,
+                Err(e) => {
+                    Self::queue_parse_error(conn, &mut self.stats, e);
+                    progress.answered += 1;
                 }
             }
-            if conn.out.len() > MAX_BUFFERED {
-                conn.paused = true;
-            }
         }
-        if dead {
-            self.close_conn(token);
-        } else {
-            self.flush_conn(token);
+        let backlog = conn.transport.pending_tx_bytes();
+        self.stats.high_water_out_bytes = self.stats.high_water_out_bytes.max(backlog);
+        if backlog > MAX_BUFFERED {
+            conn.paused = true;
         }
+        self.flush_conn(token);
     }
 
     /// One error response, then never read this peer again.
-    fn queue_parse_error(conn: &mut Conn, stats: &mut QueryStats, e: HttpError) {
+    fn queue_parse_error(conn: &mut Conn<HttpConn>, stats: &mut QueryStats, e: HttpError) {
         let (status, reason) = e.status();
         let body = format!("{{\"error\":\"{e}\"}}");
-        write_response(
-            &mut conn.out,
-            status,
-            reason,
-            "application/json",
-            body.as_bytes(),
-            false,
-        );
-        conn.close_after_flush = true;
+        let mut response = Vec::new();
+        write_response(&mut response, status, reason, "application/json", body.as_bytes(), false);
+        conn.transport.queue_raw(&response);
+        conn.state.close_after_flush = true;
         conn.paused = true;
         stats.errors += 1;
     }
 
     fn flush_conn(&mut self, token: usize) {
-        let mut close = false;
-        let mut want = None;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(conn) = self.table.flush(token) else { return };
+        if conn.transport.pending_tx_bytes() == 0 {
+            if conn.state.close_after_flush {
+                self.table.close(token);
                 return;
-            };
-            while !conn.out.is_empty() {
-                match conn.stream.write(&conn.out) {
-                    Ok(0) => {
-                        close = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.out.drain(..n);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
             }
-            if !close {
-                if conn.out.is_empty() {
-                    if conn.close_after_flush {
-                        close = true;
-                    } else {
-                        // Backlog drained: resume reading.
-                        conn.paused = false;
-                        want = Some(Interest::READ);
-                    }
-                } else {
-                    want = Some(if conn.paused {
-                        Interest::WRITE
-                    } else {
-                        Interest::READ_WRITE
-                    });
-                }
+            // Backlog drained: read again, and answer what was held back.
+            if std::mem::take(&mut conn.paused) && conn.state.parser.buffered() > 0 {
+                self.table.resume(token);
             }
         }
-        if close {
-            self.close_conn(token);
-        } else if let Some(want) = want {
-            self.set_interest(token, want);
-        }
-    }
-
-    fn set_interest(&mut self, token: usize, want: Interest) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.interest == want {
-            return;
-        }
-        if self
-            .poller
-            .reregister(conn.stream.as_raw_fd(), token, want)
-            .is_ok()
-        {
-            conn.interest = want;
-        }
-    }
-
-    fn close_conn(&mut self, token: usize) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            self.stats.closed += 1;
-        }
-    }
-
-    fn sweep_idle(&mut self, now_ms: u64) {
-        if now_ms < self.last_sweep_ms + SWEEP_EVERY_MS {
-            return;
-        }
-        self.last_sweep_ms = now_ms;
-        let cutoff = now_ms.saturating_sub(IDLE_TIMEOUT_MS);
-        let stale: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.last_activity_ms < cutoff)
-            .map(|(t, _)| *t)
-            .collect();
-        for token in stale {
-            self.stats.idle_reaped += 1;
-            self.close_conn(token);
-        }
+        self.table.update_interest(token);
     }
 }
 
@@ -460,6 +271,8 @@ mod tests {
     use biot_net::time::SimTime;
     use biot_tangle::graph::Tangle;
     use biot_tangle::tx::{NodeId, Payload, TransactionBuilder};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn world() -> (Tangle, CreditLedger, HealthInfo) {
         let mut tangle = Tangle::new();
@@ -591,6 +404,77 @@ mod tests {
         assert_eq!(text.matches("HTTP/1.1").count(), 1);
         assert_eq!(server.stats().errors, 1);
         assert_eq!(server.stats().ok, 0);
+    }
+
+    /// A client pipelines far more answers than `MAX_BUFFERED` holds and
+    /// reads none: the server answers until the backlog passes the cap,
+    /// stops reading, and holds the rest back; once the client reads,
+    /// every response arrives, in order.
+    #[test]
+    fn pipelined_backlog_stays_under_the_cap_then_drains_in_order() {
+        const REQUESTS: usize = 12_000;
+        let (tangle, credits, health) = world();
+        let state = ApiState { tangle: &tangle, credits: &credits, health: &health };
+        let mut server = QueryServer::bind("127.0.0.1:0").unwrap();
+        let requests: Vec<String> =
+            (0..REQUESTS).map(|i| format!("GET /v1/credit?at_ms={i} HTTP/1.1\r\n\r\n")).collect();
+        let responses: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| {
+                let mut parser = RequestParser::new();
+                parser.push(r.as_bytes()).unwrap();
+                render_http(&state, &parser.next_request().unwrap().unwrap())
+            })
+            .collect();
+        let one_response = responses.iter().map(Vec::len).max().unwrap();
+        let expected = responses.concat();
+
+        // Written from a thread, since the kernel buffers need not hold it
+        // all; the server first polls once the writes are done or stuck.
+        let client = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        let mut writer_end = client.try_clone().unwrap();
+        let bytes = requests.concat();
+        let writer = std::thread::spawn(move || writer_end.write_all(bytes.as_bytes()).unwrap());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let settle = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while !writer.is_finished() && std::time::Instant::now() < settle {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+
+        // Serve until the server stops answering.
+        let mut now_ms = 0;
+        let (mut answered, mut quiet) = (0, 0);
+        while quiet < 100 {
+            assert!(std::time::Instant::now() < deadline, "serving timed out");
+            now_ms += 1;
+            server.poll(&state, now_ms, 1).unwrap();
+            let ok = server.stats().ok;
+            quiet = if ok == answered { quiet + 1 } else { 0 };
+            answered = ok;
+        }
+        let high_water = server.stats().high_water_out_bytes;
+        assert!(high_water > MAX_BUFFERED, "the backlog reached the cap: {high_water}");
+        assert!(
+            high_water <= MAX_BUFFERED + one_response,
+            "backlog {high_water} B passed the {MAX_BUFFERED} B cap by more than one response"
+        );
+
+        let mut reader_end = client;
+        let want = expected.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; want];
+            reader_end.read_exact(&mut got).unwrap();
+            got
+        });
+        while !reader.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "draining timed out");
+            now_ms += 1;
+            server.poll(&state, now_ms, 1).unwrap();
+        }
+        writer.join().unwrap();
+        assert!(reader.join().unwrap() == expected, "responses arrived out of order or altered");
+        assert_eq!(server.stats().ok, REQUESTS as u64);
+        assert!(server.stats().high_water_out_bytes <= MAX_BUFFERED + one_response);
     }
 
     #[test]

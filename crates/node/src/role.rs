@@ -80,7 +80,7 @@ pub struct RoleConfig {
     pub role: Role,
     /// Mesh settings (archival, validation).
     pub gossip: GossipConfig,
-    /// Segmented WAL directory (archival; `None` = memory only).
+    /// Snapshot + WAL directory (archival; `None` = memory only).
     pub store_dir: Option<PathBuf>,
     /// HTTP bind address, e.g. `"127.0.0.1:0"` (archival; `None`
     /// disables the endpoint).
