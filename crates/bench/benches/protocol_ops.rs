@@ -41,19 +41,13 @@ fn bench_keydist_handshake(c: &mut Criterion) {
 fn bench_gateway_submit(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
+    let device = LightNode::new(Account::generate(&mut rng));
+    let (mut gateway, _) = Gateway::bootstrap(
+        &mut manager,
         Box::new(InverseProportionalPolicy::default()),
         GatewayConfig::default(),
+        [device.public_key()],
     );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let device = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(device.public_key().clone());
-    manager.authorize(id);
-    gateway.register_pubkey(device.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
 
     let mut group = c.benchmark_group("gateway");
     group.sample_size(30);

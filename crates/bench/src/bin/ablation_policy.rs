@@ -1,6 +1,7 @@
 //! A2 — difficulty-policy ablation: the paper's inverse-proportional
-//! `Cr ∝ 1/D` mapping vs a linear mapping vs fixed difficulty, under the
-//! Fig 9 workload (normal / one attack / two attacks).
+//! `Cr ∝ 1/D` mapping vs a linear mapping vs fixed difficulty, under
+//! normal behaviour, one attack and two attacks (A2's own schedule, at
+//! 30 s and 55 s; see `biot_sim::experiments::a2`).
 //!
 //! What to look for: the inverse policy punishes hard immediately after
 //! an attack (clamps to D=14) yet recovers as CrN decays; the linear
@@ -8,58 +9,25 @@
 //! difficulty neither rewards nor punishes.
 
 use biot_bench::{header, row, secs};
-use biot_core::difficulty::{InverseProportionalPolicy, LinearPolicy};
-use biot_net::time::SimTime;
-use biot_sim::runner::{run_single_node, NodeRunConfig, PolicyChoice};
+use biot_sim::experiments::a2::{policies, SCENARIOS, SEEDS};
+use biot_sim::experiments::averaged;
 
 fn main() {
     header(
         "A2: difficulty-policy ablation",
         "DESIGN.md §4.1 (the paper fixes Cr ∝ 1/D but not the exact map)",
     );
-    let policies: [(&str, PolicyChoice); 3] = [
-        (
-            "inverse (paper)",
-            PolicyChoice::Inverse(InverseProportionalPolicy::default()),
-        ),
-        ("linear", PolicyChoice::Linear(LinearPolicy::default())),
-        ("fixed D11", PolicyChoice::original_pow()),
-    ];
-    let scenarios: [(&str, Vec<u64>); 3] = [
-        ("normal", vec![]),
-        ("1 attack", vec![30]),
-        ("2 attacks", vec![30, 55]),
-    ];
 
     println!();
-    for (pname, policy) in &policies {
-        for (sname, attacks) in &scenarios {
-            let mut avg = 0.0;
-            let mut accepted = 0usize;
-            let mut gap: f64 = 0.0;
-            const SEEDS: [u64; 3] = [5, 6, 7];
-            for &seed in &SEEDS {
-                let cfg = NodeRunConfig {
-                    duration: SimTime::from_secs(90),
-                    policy: *policy,
-                    attack_times: attacks.iter().map(|&s| SimTime::from_secs(s)).collect(),
-                    seed,
-                    ..NodeRunConfig::default()
-                };
-                let r = run_single_node(&cfg);
-                avg += r.avg_pow_secs();
-                accepted += r.accepted_count();
-                gap = gap.max(r.longest_gap_secs());
-            }
+    for (pname, policy) in policies() {
+        for (sname, attacks) in SCENARIOS {
+            let c = averaged(policy, attacks, &SEEDS);
             row(&[
                 ("policy", format!("{pname:<16}")),
                 ("scenario", format!("{sname:<10}")),
-                ("avg_pow", secs(avg / SEEDS.len() as f64)),
-                (
-                    "txs/run",
-                    format!("{:>5.1}", accepted as f64 / SEEDS.len() as f64),
-                ),
-                ("max_gap", format!("{gap:>6.1}s")),
+                ("avg_pow", secs(c.avg_pow_secs)),
+                ("txs/run", format!("{:>5.1}", c.accepted_per_run)),
+                ("max_gap", format!("{:>6.1}s", c.max_gap_secs)),
             ]);
         }
         println!();

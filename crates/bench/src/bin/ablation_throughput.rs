@@ -5,20 +5,19 @@
 //! compared across offered loads. Expected shape: the chain saturates at
 //! `block_capacity / block_interval` and suffers fork waste; the tangle
 //! tracks the offered load until gateway validation capacity.
+//!
+//! Runs `biot_sim::experiments::a1` (300 s per load) and writes
+//! `results/throughput.csv`.
 
-use biot_bench::{header, row};
-use biot_net::time::SimTime;
-use biot_sim::throughput::{sweep, ThroughputConfig};
+use biot_bench::{header, row, write_csv};
+use biot_sim::experiments::a1;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "A1: tangle vs chain effective throughput",
         "Huang et al., ICDCS'19, §II (DAG motivation)",
     );
-    let base = ThroughputConfig {
-        duration: SimTime::from_secs(300),
-        ..ThroughputConfig::default()
-    };
+    let base = a1::base();
     println!(
         "\n  chain cap = {:.0} tx/s (block {} txs / {}s interval); \
          tangle cap = {:.0} tx/s (1 / {} ms validation)\n",
@@ -29,9 +28,8 @@ fn main() {
         base.tangle_validate_ms
     );
 
-    let loads = [1.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0];
-    let rows = sweep(&loads, &base);
-    for r in rows {
+    let rows = a1::run();
+    for r in &rows {
         row(&[
             ("offered_tps", format!("{:>6.0}", r.offered_tps)),
             ("tangle_tps", format!("{:>7.1}", r.tangle.effective_tps)),
@@ -55,4 +53,20 @@ fn main() {
         "\n  crossover: below the chain's block cap both keep up (latency still\n  \
          favours the tangle); past it the DAG advantage grows with offered load."
     );
+
+    write_csv(
+        "throughput",
+        "offered_tps,tangle_tps,chain_tps,tangle_latency_s,chain_latency_s,chain_fork_waste",
+        rows.iter().map(|r| {
+            format!(
+                "{},{:.2},{:.2},{:.4},{:.2},{}",
+                r.offered_tps,
+                r.tangle.effective_tps,
+                r.chain.effective_tps,
+                r.tangle.mean_latency_s,
+                r.chain.mean_latency_s,
+                r.chain.wasted
+            )
+        }),
+    )
 }

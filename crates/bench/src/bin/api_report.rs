@@ -24,14 +24,14 @@
 //! CI shrinks the scale via `BIOT_API_CONNS`, `BIOT_API_SECS`,
 //! `BIOT_API_LOAD`, `BIOT_API_BOOT_TXS`.
 
-use biot_core::node::{Gateway, GatewayConfig, Manager};
-use biot_core::{Account, Difficulty, FixedPolicy};
+use biot_core::node::Manager;
+use biot_core::{Account, Difficulty};
 use biot_credit::CreditEvent;
 use biot_gossip::node::GossipConfig;
 use biot_gossip::tcp::{TcpAcceptor, TcpConnector, TcpTransport};
 use biot_net::time::SimTime;
 use biot_node::role::{ArchivalNode, BootSource, LightClient, Role, RoleConfig, ValidationNode};
-use biot_tangle::conflict::LazyTipPolicy;
+use biot_sim::roles::validation_gateway;
 use biot_tangle::tips::{TipSelector, UniformRandomSelector};
 use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder};
 use biot_tangle::Tangle;
@@ -142,30 +142,7 @@ fn run_query_load(conns: usize, secs: u64, load: usize) -> LoadReport {
     let lights: Vec<LightClient> =
         (0..2).map(|_| LightClient::new(Account::generate(&mut rng))).collect();
 
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(FixedPolicy(Difficulty::MIN)),
-        GatewayConfig {
-            lazy_policy: LazyTipPolicy {
-                max_parent_age_ms: u64::MAX,
-                max_parent_approvers: usize::MAX,
-            },
-            record_broadcasts: true,
-            record_credit_events: true,
-            ..GatewayConfig::default()
-        },
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    for light in &lights {
-        let device = manager.register_device(light.public_key().clone());
-        manager.authorize(device);
-        gateway.register_pubkey(light.public_key().clone());
-    }
-    let d0 = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let auth = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d0);
-    gateway
-        .apply_auth_list(auth.tx, SimTime::ZERO)
-        .expect("auth list applies");
+    let (gateway, genesis) = validation_gateway(&mut manager, &lights);
 
     let mut validation = ValidationNode::new(
         gateway,

@@ -10,55 +10,32 @@
 //!    averaged over several preimages, demonstrating the exponential
 //!    *shape* with real hashing. Absolute values differ (this is not a
 //!    Pi); the per-bit growth factor is the comparable quantity.
+//!
+//! Runs `biot_sim::experiments::fig7` and writes `results/fig7.csv`
+//! (difficulty, pi_model_secs, host_secs, host_avg_trials).
 
-use biot_bench::{header, row, secs, sparkline};
-use biot_core::pow::{solve, Difficulty};
-use biot_sim::PiCalibration;
-use std::time::Instant;
+use biot_bench::{header, row, secs, sparkline, write_csv};
+use biot_sim::experiments::fig7::{self, DIFFICULTIES, PAPER_ANCHORS};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Fig 7: PoW running time vs difficulty",
         "Huang et al., ICDCS'19, Fig. 7",
     );
-    let cal = PiCalibration::fig7();
+    let anchors: Vec<String> = PAPER_ANCHORS.iter().map(|(d, t)| format!("D{d}={t}s")).collect();
+    println!("\n  paper anchors: {}\n", anchors.join("  "));
 
-    println!("\n  paper anchors: D1=0.162s  D12=10.98s  D14=245.3s\n");
-    let mut virtual_series = Vec::new();
-    let mut measured_series = Vec::new();
-    for d in 1..=14u32 {
-        let difficulty = Difficulty::new(d);
-        let virt = cal.expected_pow_secs(difficulty);
-        virtual_series.push(virt);
-
-        // Real nonce search, averaged over distinct preimages. Higher
-        // difficulties get fewer repetitions to keep the run short.
-        let reps = match d {
-            1..=8 => 64,
-            9..=11 => 16,
-            12 => 8,
-            _ => 4,
-        };
-        let start = Instant::now();
-        let mut total_trials = 0u64;
-        for i in 0..reps {
-            let preimage = [d as u8, i as u8, 0xF7];
-            total_trials += solve(&preimage, difficulty, 0).trials;
-        }
-        let elapsed = start.elapsed().as_secs_f64() / reps as f64;
-        measured_series.push(elapsed);
-
+    let rows: Vec<fig7::Row> = DIFFICULTIES.map(fig7::row).collect();
+    for r in &rows {
         row(&[
-            ("D", format!("{d:>2}")),
-            ("pi_virtual", secs(virt)),
-            ("host_measured", secs(elapsed)),
-            (
-                "host_avg_trials",
-                format!("{:>8.0}", total_trials as f64 / reps as f64),
-            ),
+            ("D", format!("{:>2}", r.difficulty)),
+            ("pi_virtual", secs(r.pi_model_secs)),
+            ("host_measured", secs(r.host_secs)),
+            ("host_avg_trials", format!("{:>8.0}", r.host_avg_trials)),
         ]);
     }
-
+    let virtual_series: Vec<f64> = rows.iter().map(|r| r.pi_model_secs).collect();
+    let measured_series: Vec<f64> = rows.iter().map(|r| r.host_secs).collect();
     println!("\n  shape (pi virtual):    {}", sparkline(&virtual_series));
     println!("  shape (host measured): {}", sparkline(&measured_series));
 
@@ -68,9 +45,21 @@ fn main() {
         "\n  host growth D10→D14: {tail_growth:.0}x (ideal 2^4 = 16x; \
          paper's tail grows even faster in its own difficulty unit)"
     );
+    let [_, (_, d12), (_, d14)] = PAPER_ANCHORS;
     println!(
         "  paper-anchor check: D14/D12 = {:.1}x (paper: {:.1}x)",
-        cal.expected_pow_secs(Difficulty::new(14)) / cal.expected_pow_secs(Difficulty::new(12)),
-        245.3 / 10.98
+        rows[13].pi_model_secs / rows[11].pi_model_secs,
+        d14 / d12
     );
+
+    write_csv(
+        "fig7",
+        "difficulty,pi_model_secs,host_secs,host_avg_trials",
+        rows.iter().map(|r| {
+            format!(
+                "{},{:.6},{:.9},{:.1}",
+                r.difficulty, r.pi_model_secs, r.host_secs, r.host_avg_trials
+            )
+        }),
+    )
 }

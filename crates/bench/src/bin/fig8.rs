@@ -4,25 +4,17 @@
 //! collapsing, a ~37 s transaction gap, and gradual recovery.
 //! Panel (b): two attacks (≈24 s and ≈50 s) with a longer recovery.
 //!
-//! The run uses the Fig 8 Pi calibration (D14 ≈ 40 s per PoW) so the
-//! recovery gap lands in the paper's range.
+//! Runs `biot_sim::experiments::fig8::PANELS`, prints each panel and
+//! writes `results/fig8a.csv` / `fig8b.csv` (t_secs, cr, crp, crn,
+//! difficulty, tx_mark).
 
-use biot_bench::{header, row, sparkline};
-use biot_net::time::SimTime;
-use biot_sim::runner::{run_single_node, NodeRunConfig};
-use biot_sim::PiCalibration;
+use biot_bench::{header, row, sparkline, write_csv};
+use biot_sim::experiments::fig8::{Panel, PANELS};
+use biot_sim::RunResult;
 
-fn print_panel(label: &str, attacks: &[u64]) {
-    let cfg = NodeRunConfig {
-        duration: SimTime::from_secs(90),
-        attack_times: attacks.iter().map(|&s| SimTime::from_secs(s)).collect(),
-        calibration: PiCalibration::fig8(),
-        seed: 24,
-        ..NodeRunConfig::default()
-    };
-    let result = run_single_node(&cfg);
-
-    println!("\n--- Fig 8({label}): attacks at {attacks:?} s ---");
+fn print_panel(panel: &Panel, result: &RunResult) {
+    let attacks = panel.attacks_s;
+    println!("\n--- Fig 8({}): attacks at {attacks:?} s ---", panel.label);
     println!("  t(s)   Cr        CrP      CrN        D   txs");
     let mut cr_series = Vec::new();
     for s in result.samples.iter().step_by(3) {
@@ -42,10 +34,7 @@ fn print_panel(label: &str, attacks: &[u64]) {
     let gap = result.longest_gap_secs();
     row(&[
         ("longest_tx_gap", format!("{gap:.1}s")),
-        (
-            "paper_gap",
-            if attacks.len() == 1 { "37s".into() } else { ">37s".into() },
-        ),
+        ("paper_gap", panel.paper_gap.into()),
         ("accepted_txs", result.accepted_count().to_string()),
         (
             "attacks_cancelled",
@@ -59,11 +48,43 @@ fn print_panel(label: &str, attacks: &[u64]) {
     ]);
 }
 
-fn main() {
+/// One CSV row per credit sample. `tx_mark` is the final weight of the
+/// first transaction submitted in that second, −1 for an attack, 0 for
+/// none.
+fn csv_rows(result: &RunResult) -> Vec<String> {
+    result
+        .samples
+        .iter()
+        .map(|s| {
+            let mark = result
+                .outcomes
+                .iter()
+                .find(|o| o.submitted_at_secs >= s.t_secs && o.submitted_at_secs < s.t_secs + 1.0)
+                .map(|o| if o.was_attack { -1.0 } else { o.final_weight as f64 })
+                .unwrap_or(0.0);
+            format!(
+                "{:.0},{:.4},{:.4},{:.4},{},{mark}",
+                s.t_secs, s.cr, s.crp, s.crn, s.difficulty
+            )
+        })
+        .collect()
+}
+
+fn main() -> std::io::Result<()> {
     header(
         "Fig 8: credit value vs node behaviour",
         "Huang et al., ICDCS'19, Fig. 8(a)/(b)",
     );
-    print_panel("a", &[24]);
-    print_panel("b", &[24, 50]);
+    let results: Vec<RunResult> = PANELS.iter().map(Panel::run).collect();
+    for (panel, result) in PANELS.iter().zip(&results) {
+        print_panel(panel, result);
+    }
+    for (panel, result) in PANELS.iter().zip(&results) {
+        write_csv(
+            &format!("fig8{}", panel.label),
+            "t_secs,cr,crp,crn,difficulty,tx_mark",
+            csv_rows(result),
+        )?;
+    }
+    Ok(())
 }

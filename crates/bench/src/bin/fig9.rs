@@ -9,77 +9,33 @@
 //! | credit-based, normal behaviour      | 0.118 s |
 //! | credit-based, one malicious attack  | 1.667 s |
 //! | credit-based, two malicious attacks | 3.750 s |
+//!
+//! Runs `biot_sim::experiments::fig9`, each control averaged over its
+//! seeds, and writes `results/fig9.csv` (control, paper_secs,
+//! measured_secs).
 
-use biot_bench::{header, row, secs};
-use biot_net::time::SimTime;
-use biot_sim::runner::{run_single_node, NodeRunConfig, PolicyChoice};
+use biot_bench::{header, row, secs, write_csv};
+use biot_sim::experiments::averaged;
+use biot_sim::experiments::fig9::{controls, SEEDS};
 
-struct Control {
-    name: &'static str,
-    paper_secs: f64,
-    policy: PolicyChoice,
-    attacks: Vec<u64>,
-}
-
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Fig 9: credit-based PoW — four control experiments",
         "Huang et al., ICDCS'19, Fig. 9",
     );
-    let controls = [
-        Control {
-            name: "1 original PoW",
-            paper_secs: 0.700,
-            policy: PolicyChoice::original_pow(),
-            attacks: vec![],
-        },
-        Control {
-            name: "2 credit-based, normal",
-            paper_secs: 0.118,
-            policy: PolicyChoice::credit_based(),
-            attacks: vec![],
-        },
-        Control {
-            name: "3 credit-based, 1 attack",
-            paper_secs: 1.667,
-            policy: PolicyChoice::credit_based(),
-            attacks: vec![30],
-        },
-        Control {
-            name: "4 credit-based, 2 attacks",
-            paper_secs: 3.750,
-            policy: PolicyChoice::credit_based(),
-            attacks: vec![20, 40],
-        },
-    ];
+    let controls = controls();
 
     println!();
     let mut measured = Vec::new();
-    // Average each control over several seeds to stabilize the estimate.
-    const SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
     for c in &controls {
-        let mut total = 0.0;
-        let mut txs = 0usize;
-        for &seed in &SEEDS {
-            let cfg = NodeRunConfig {
-                duration: SimTime::from_secs(90),
-                policy: c.policy,
-                attack_times: c.attacks.iter().map(|&s| SimTime::from_secs(s)).collect(),
-                seed,
-                ..NodeRunConfig::default()
-            };
-            let r = run_single_node(&cfg);
-            total += r.avg_pow_secs();
-            txs += r.outcomes.len();
-        }
-        let avg = total / SEEDS.len() as f64;
-        measured.push(avg);
+        let m = averaged(c.policy, c.attacks_s, &SEEDS);
+        measured.push(m.avg_pow_secs);
         row(&[
             ("control", format!("{:<28}", c.name)),
             ("paper", secs(c.paper_secs)),
-            ("measured", secs(avg)),
-            ("ratio_vs_paper", format!("{:.2}", avg / c.paper_secs)),
-            ("txs/run", format!("{:.0}", txs as f64 / SEEDS.len() as f64)),
+            ("measured", secs(m.avg_pow_secs)),
+            ("ratio_vs_paper", format!("{:.2}", m.avg_pow_secs / c.paper_secs)),
+            ("txs/run", format!("{:.0}", m.attempts_per_run)),
         ]);
     }
 
@@ -99,6 +55,15 @@ fn main() {
     println!(
         "    speedup normal vs orig:   {:.1}x (paper: {:.1}x)",
         measured[0] / measured[1],
-        0.700 / 0.118
+        controls[0].paper_secs / controls[1].paper_secs
     );
+
+    write_csv(
+        "fig9",
+        "control,paper_secs,measured_secs",
+        controls
+            .iter()
+            .zip(&measured)
+            .map(|(c, m)| format!("{},{},{m:.4}", c.key, c.paper_secs)),
+    )
 }

@@ -1,24 +1,43 @@
 //! # biot-bench
 //!
-//! Benchmark harness for the B-IoT reproduction. Each paper figure has a
-//! binary that regenerates it (`cargo run -p biot-bench --release --bin
-//! fig7` etc.); criterion benches cover the wall-clock-sensitive pieces.
+//! Benchmark harness for the B-IoT reproduction. Each paper experiment
+//! has one binary, its only front end (`cargo run -p biot-bench --release
+//! --bin fig7` etc.): it runs the experiment's one definition (in
+//! `biot_sim::experiments` for Figs 7–10 and A1–A2, in the binary for
+//! the rest), prints its table and writes its CSV under `results/`.
+//! Criterion benches cover the wall-clock-sensitive pieces.
 //!
-//! | Binary | Paper artifact |
-//! |--------|----------------|
-//! | `fig7` | Fig 7 — PoW running time vs difficulty |
-//! | `fig8` | Fig 8 — credit traces under attacks |
-//! | `fig9` | Fig 9 — four control experiments |
-//! | `fig10` | Fig 10 — AES time vs message length |
-//! | `keydist` | §VI-B key-distribution cost |
-//! | `ablation_throughput` | A1 — tangle vs chain |
-//! | `ablation_policy` | A2 — difficulty-policy choice |
-//! | `security_analysis` | A3 — §VI-C measured |
+//! | Binary | Paper artifact | CSV |
+//! |--------|----------------|-----|
+//! | `fig7` | Fig 7 — PoW running time vs difficulty | `fig7.csv` |
+//! | `fig8` | Fig 8 — credit traces under attacks | `fig8a.csv`, `fig8b.csv` |
+//! | `fig9` | Fig 9 — four control experiments | `fig9.csv` |
+//! | `fig10` | Fig 10 — AES time vs message length | `fig10.csv` |
+//! | `keydist` | §VI-B key-distribution cost | — |
+//! | `ablation_throughput` | A1 — tangle vs chain | `throughput.csv` |
+//! | `ablation_policy` | A2 — difficulty-policy choice | — |
+//! | `security_analysis` | A3 — §VI-C measured | — |
+//! | `fleet` | A4 — fleet isolation | — |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod scale;
+
+/// Writes `results/{name}.csv` under the working directory (one header
+/// line, then `rows`) and says so on stdout.
+pub fn write_csv(
+    name: &str,
+    header: &str,
+    rows: impl IntoIterator<Item = String>,
+) -> std::io::Result<()> {
+    std::fs::create_dir_all("results")?;
+    let path = format!("results/{name}.csv");
+    let lines = std::iter::once(header.to_string()).chain(rows);
+    std::fs::write(&path, lines.map(|l| l + "\n").collect::<String>())?;
+    println!("wrote {path}");
+    Ok(())
+}
 
 /// Prints a report header with a title and paper reference.
 pub fn header(title: &str, paper_ref: &str) {

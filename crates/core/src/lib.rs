@@ -28,28 +28,19 @@
 //! use biot_core::difficulty::InverseProportionalPolicy;
 //! use biot_core::identity::Account;
 //! use biot_core::node::{Gateway, GatewayConfig, LightNode, Manager};
-//! use biot_core::pow::Difficulty;
 //! use biot_net::time::SimTime;
 //!
 //! let mut rng = rand::thread_rng();
-//! // 1. Manager initializes the gateway and the tangle.
-//! let manager = Manager::new(Account::generate(&mut rng));
-//! let mut gateway = Gateway::new(
-//!     manager.public_key().clone(),
+//! // 1–3. The manager initializes the gateway and the tangle, and
+//! // authorizes an IoT device on-ledger.
+//! let mut manager = Manager::new(Account::generate(&mut rng));
+//! let device = LightNode::new(Account::generate(&mut rng));
+//! let (mut gateway, _genesis) = Gateway::bootstrap(
+//!     &mut manager,
 //!     Box::new(InverseProportionalPolicy::default()),
 //!     GatewayConfig::default(),
+//!     [device.public_key()],
 //! );
-//! let genesis = gateway.init_genesis(SimTime::ZERO);
-//!
-//! // 2. Manager authorizes an IoT device on-ledger.
-//! let mut manager = manager;
-//! let device = LightNode::new(Account::generate(&mut rng));
-//! let id = manager.register_device(device.public_key().clone());
-//! manager.authorize(id);
-//! gateway.register_pubkey(device.public_key().clone());
-//! let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-//! let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-//! gateway.apply_auth_list(list.tx, SimTime::ZERO)?;
 //!
 //! // 4–5. Device fetches tips, mines at its credit-based difficulty, submits.
 //! let now = SimTime::from_secs(1);

@@ -289,6 +289,38 @@ impl Gateway {
         id
     }
 
+    /// Fig 6 steps 1–3 in one call: a gateway trusting `manager`, its
+    /// genesis, each of `devices` registered with both and authorized,
+    /// and the manager's authorization list mined at the manager's own
+    /// difficulty and applied, all at [`SimTime::ZERO`]. Draws no
+    /// randomness, so callers keep their seeded RNG order. Returns the
+    /// gateway and the genesis id.
+    ///
+    /// # Panics
+    ///
+    /// If the gateway refuses the list it was just handed, which would
+    /// be a bug in admission.
+    pub fn bootstrap<'a>(
+        manager: &mut Manager,
+        policy: Box<dyn DifficultyPolicy + Send + Sync>,
+        config: GatewayConfig,
+        devices: impl IntoIterator<Item = &'a RsaPublicKey>,
+    ) -> (Self, TxId) {
+        let mut gateway = Self::new(manager.public_key().clone(), policy, config);
+        let genesis = gateway.init_genesis(SimTime::ZERO);
+        for pk in devices {
+            let id = manager.register_device(pk.clone());
+            manager.authorize(id);
+            gateway.register_pubkey(pk.clone());
+        }
+        let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
+        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
+        gateway
+            .apply_auth_list(list.tx, SimTime::ZERO)
+            .expect("a freshly mined auth list applies at boot");
+        (gateway, genesis)
+    }
+
     /// Drains the broadcast outbox: every transaction this gateway
     /// accepted since the last call, in attach order. A gossip layer
     /// (see `biot-gossip`) calls this periodically and announces the
@@ -890,38 +922,29 @@ mod tests {
         rng: StdRng,
     }
 
-    fn world(seed: u64) -> World {
+    /// A booted world: the device is registered, authorized and on the
+    /// applied list. Returns it with the genesis id.
+    fn world(seed: u64) -> (World, TxId) {
         world_with(seed, GatewayConfig::default())
     }
 
-    fn world_with(seed: u64, config: GatewayConfig) -> World {
+    fn world_with(seed: u64, config: GatewayConfig) -> (World, TxId) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let manager = Manager::new(Account::generate(&mut rng));
+        let mut manager = Manager::new(Account::generate(&mut rng));
         let device = LightNode::new(Account::generate(&mut rng));
-        let gateway = Gateway::new(
-            manager.public_key().clone(),
+        let (gateway, genesis) = Gateway::bootstrap(
+            &mut manager,
             Box::new(InverseProportionalPolicy::default()),
             config,
+            [device.public_key()],
         );
-        World {
+        let w = World {
             manager,
             gateway,
             device,
             rng,
-        }
-    }
-
-    /// Boots genesis, registers + authorizes the device, publishes the list.
-    fn boot(w: &mut World) -> TxId {
-        let t0 = SimTime::ZERO;
-        let genesis = w.gateway.init_genesis(t0);
-        let dev_id = w.manager.register_device(w.device.public_key().clone());
-        w.manager.authorize(dev_id);
-        w.gateway.register_pubkey(w.device.public_key().clone());
-        let d = w.gateway.difficulty_for(w.manager.id(), t0);
-        let prepared = w.manager.prepare_auth_list((genesis, genesis), t0, d);
-        w.gateway.apply_auth_list(prepared.tx, t0).unwrap();
-        genesis
+        };
+        (w, genesis)
     }
 
     fn t(secs: u64) -> SimTime {
@@ -930,8 +953,7 @@ mod tests {
 
     #[test]
     fn end_to_end_reading_submission() {
-        let mut w = world(1);
-        boot(&mut w);
+        let (mut w, _) = world(1);
         let now = t(1);
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
         let d = w.gateway.difficulty_for(w.device.id(), now);
@@ -945,26 +967,27 @@ mod tests {
 
     #[test]
     fn unauthorized_device_rejected() {
-        let mut w = world(2);
-        let genesis = w.gateway.init_genesis(SimTime::ZERO);
-        // No auth list published.
-        let prepared = w.device.prepare_reading(
-            b"x",
-            (genesis, genesis),
-            t(1),
-            Difficulty::INITIAL,
-            &mut w.rng,
+        let mut rng = StdRng::seed_from_u64(2);
+        let manager = Manager::new(Account::generate(&mut rng));
+        let device = LightNode::new(Account::generate(&mut rng));
+        let mut gateway = Gateway::new(
+            manager.public_key().clone(),
+            Box::new(InverseProportionalPolicy::default()),
+            GatewayConfig::default(),
         );
+        let genesis = gateway.init_genesis(SimTime::ZERO);
+        // No auth list published.
+        let prepared =
+            device.prepare_reading(b"x", (genesis, genesis), t(1), Difficulty::INITIAL, &mut rng);
         assert_eq!(
-            w.gateway.submit(prepared.tx, t(1)),
-            Err(SubmitError::Unauthorized(w.device.id()))
+            gateway.submit(prepared.tx, t(1)),
+            Err(SubmitError::Unauthorized(device.id()))
         );
     }
 
     #[test]
     fn deauthorized_device_rejected_after_new_list() {
-        let mut w = world(3);
-        let genesis = boot(&mut w);
+        let (mut w, genesis) = world(3);
         // Revoke and publish an empty list.
         w.manager.deauthorize(w.device.id());
         let d = w.gateway.difficulty_for(w.manager.id(), t(1));
@@ -982,8 +1005,7 @@ mod tests {
 
     #[test]
     fn insufficient_pow_rejected() {
-        let mut w = world(4);
-        boot(&mut w);
+        let (mut w, _) = world(4);
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
         // Mine at difficulty 1 while the gateway demands 11.
         let p = w
@@ -1004,8 +1026,7 @@ mod tests {
 
     #[test]
     fn forged_signature_rejected() {
-        let mut w = world(5);
-        boot(&mut w);
+        let (mut w, _) = world(5);
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
         let mut p = w
             .device
@@ -1019,8 +1040,7 @@ mod tests {
 
     #[test]
     fn activity_lowers_difficulty() {
-        let mut w = world(6);
-        boot(&mut w);
+        let (mut w, _) = world(6);
         let mut now = t(1);
         for i in 0..5 {
             let tips = w.gateway.random_tips(&mut w.rng).unwrap();
@@ -1044,8 +1064,7 @@ mod tests {
 
     #[test]
     fn double_spend_rejected_and_punished() {
-        let mut w = world(7);
-        boot(&mut w);
+        let (mut w, _) = world(7);
         let token = [0xAA; 32];
         let now = t(1);
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
@@ -1076,20 +1095,16 @@ mod tests {
     /// punishes exactly as g0 does, and g1 does not re-queue the evidence.
     #[test]
     fn punishment_propagates_across_gateways() {
-        let mut w = world(12);
-        let recording = |w: &World| {
-            Gateway::new(
-                w.manager.public_key().clone(),
-                Box::new(InverseProportionalPolicy::default()),
-                GatewayConfig {
-                    record_credit_events: true,
-                    ..GatewayConfig::default()
-                },
-            )
+        let recording = || GatewayConfig {
+            record_credit_events: true,
+            ..GatewayConfig::default()
         };
-        w.gateway = recording(&w);
-        let mut g1 = recording(&w);
-        boot(&mut w);
+        let (mut w, _) = world_with(12, recording());
+        let mut g1 = Gateway::new(
+            w.manager.public_key().clone(),
+            Box::new(InverseProportionalPolicy::default()),
+            recording(),
+        );
         let dev_id = w.device.id();
 
         // Double-spend at g0.
@@ -1127,8 +1142,7 @@ mod tests {
 
     #[test]
     fn lazy_tips_accepted_but_punished() {
-        let mut w = world(8);
-        let genesis = boot(&mut w);
+        let (mut w, genesis) = world(8);
         // Advance well past the genesis so approving it is lazy.
         let now = t(60);
         let d = w.gateway.difficulty_for(w.device.id(), now);
@@ -1145,8 +1159,7 @@ mod tests {
 
     #[test]
     fn refresh_confirms_and_rewards() {
-        let mut w = world(9);
-        boot(&mut w);
+        let (mut w, _) = world(9);
         let mut now = t(1);
         let mut first = None;
         for i in 0..6 {
@@ -1169,8 +1182,7 @@ mod tests {
 
     #[test]
     fn gossip_receipt_is_idempotent() {
-        let mut w = world(10);
-        boot(&mut w);
+        let (mut w, _) = world(10);
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
         let d = w.gateway.difficulty_for(w.device.id(), t(1));
         let p = w
@@ -1183,12 +1195,9 @@ mod tests {
 
     #[test]
     fn rate_limit_blocks_authorized_flooder() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let manager = Manager::new(Account::generate(&mut rng));
-        let device = LightNode::new(Account::generate(&mut rng));
-        let mut gateway = Gateway::new(
-            manager.public_key().clone(),
-            Box::new(InverseProportionalPolicy::default()),
+        // The boot's auth list passes: the manager is never rate limited.
+        let (World { mut gateway, device, mut rng, .. }, _) = world_with(
+            20,
             GatewayConfig {
                 rate_limit: Some(crate::ratelimit::RateLimitConfig {
                     burst: 3.0,
@@ -1197,15 +1206,7 @@ mod tests {
                 ..GatewayConfig::default()
             },
         );
-        let genesis = gateway.init_genesis(SimTime::ZERO);
-        let mut manager = manager;
-        let dev_id = manager.register_device(device.public_key().clone());
-        manager.authorize(dev_id);
-        gateway.register_pubkey(device.public_key().clone());
-        let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-        // The manager itself is never rate limited.
-        gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+        let dev_id = device.id();
 
         // Flood: only the burst gets through at one instant.
         let now = t(1);
@@ -1236,8 +1237,7 @@ mod tests {
 
     #[test]
     fn tip_transactions_rpc_supports_validation() {
-        let mut w = world(33);
-        boot(&mut w);
+        let (mut w, _) = world(33);
         let (ta, tb) = w.gateway.random_tip_transactions(&mut w.rng).unwrap();
         assert!(LightNode::validate_tip(&ta, Difficulty::MIN));
         assert!(LightNode::validate_tip(&tb, Difficulty::MIN));
@@ -1251,8 +1251,7 @@ mod tests {
 
     #[test]
     fn light_node_tip_validation() {
-        let mut w = world(32);
-        boot(&mut w);
+        let (mut w, _) = world(32);
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
         let d = w.gateway.difficulty_for(w.device.id(), t(1));
         let p = w.device.prepare_reading(b"tip", tips, t(1), d, &mut w.rng);
@@ -1276,8 +1275,7 @@ mod tests {
 
     #[test]
     fn token_ownership_prevents_spend_racing() {
-        let mut w = world(34);
-        boot(&mut w);
+        let (mut w, _) = world(34);
         // Enable ownership mode; grant a token to a second device while
         // the first (w.device) tries to steal it.
         let owner = LightNode::new(Account::generate(&mut w.rng));
@@ -1323,8 +1321,7 @@ mod tests {
 
     #[test]
     fn second_manager_can_publish_lists() {
-        let mut w = world(30);
-        let genesis = boot(&mut w);
+        let (mut w, genesis) = world(30);
         // A second manager appears; the gateway operator trusts it.
         let manager2 = Manager::new(Account::generate(&mut w.rng));
         w.gateway.trust_manager(manager2.public_key().clone());
@@ -1348,8 +1345,7 @@ mod tests {
 
     #[test]
     fn stats_count_outcomes() {
-        let mut w = world(31);
-        boot(&mut w);
+        let (mut w, _) = world(31);
         assert_eq!(w.gateway.stats().accepted, 1, "the auth list itself");
         // Accepted reading.
         let tips = w.gateway.random_tips(&mut w.rng).unwrap();
@@ -1376,7 +1372,7 @@ mod tests {
     /// device's key stays in the gateway's directory. Worlds built from
     /// the same seed are bit-identical (seeded rng).
     fn policed_world(seed: u64) -> (World, LightNode) {
-        let mut w = world_with(
+        let (mut w, _) = world_with(
             seed,
             GatewayConfig {
                 rate_limit: Some(crate::ratelimit::RateLimitConfig {
@@ -1386,7 +1382,6 @@ mod tests {
                 ..GatewayConfig::default()
             },
         );
-        boot(&mut w);
         let revoked = LightNode::new(Account::generate(&mut w.rng));
         let revoked_id = w.manager.register_device(revoked.public_key().clone());
         w.gateway.register_pubkey(revoked.public_key().clone());
@@ -1489,8 +1484,7 @@ mod tests {
 
     #[test]
     fn batch_submit_empty_is_noop() {
-        let mut w = world(42);
-        boot(&mut w);
+        let (mut w, _) = world(42);
         let before = w.gateway.stats();
         assert!(w.gateway.submit_batch(Vec::new(), t(1)).is_empty());
         assert_eq!(w.gateway.stats(), before);
@@ -1498,25 +1492,14 @@ mod tests {
 
     #[test]
     fn broadcast_outbox_records_accepted_only() {
-        let mut rng = StdRng::seed_from_u64(50);
-        let manager = Manager::new(Account::generate(&mut rng));
-        let device = LightNode::new(Account::generate(&mut rng));
-        let mut gateway = Gateway::new(
-            manager.public_key().clone(),
-            Box::new(InverseProportionalPolicy::default()),
+        let (World { mut gateway, device, mut rng, .. }, genesis) = world_with(
+            50,
             GatewayConfig {
                 record_broadcasts: true,
                 ..GatewayConfig::default()
             },
         );
-        let genesis = gateway.init_genesis(SimTime::ZERO);
-        let mut manager = manager;
-        let dev_id = manager.register_device(device.public_key().clone());
-        manager.authorize(dev_id);
-        gateway.register_pubkey(device.public_key().clone());
-        let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-        gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+        let dev_id = device.id();
 
         // Genesis + auth list so far, in attach order.
         let drained = gateway.take_broadcasts();
@@ -1542,8 +1525,7 @@ mod tests {
 
     #[test]
     fn key_distribution_through_roles() {
-        let mut w = world(11);
-        boot(&mut w);
+        let (mut w, _) = world(11);
         let dev_id = w.device.id();
         let m1 = w.manager.start_key_distribution(dev_id, t(1), &mut w.rng);
         let cfg = *w.manager.keydist_config();

@@ -49,6 +49,20 @@ impl GossipNode {
         self.relay_credit(&fresh, None, now_ms);
     }
 
+    /// Marks credit events the owner applied before this node started
+    /// (recovered from its store) as processed, so a peer's replay of
+    /// them is deduped. They are never relayed, replayed or served: a
+    /// snapshot's merged events have keys peers lack, so peers would
+    /// apply them as new.
+    pub fn mark_credit_recovered(&mut self, events: &[CreditEvent]) {
+        self.credit_recovered.extend(events.iter().map(credit_key));
+    }
+
+    /// Whether the event with `key` was processed: held, or recovered.
+    fn credit_processed(&self, key: &[u8; 32]) -> bool {
+        self.credit_events_held.contains_key(key) || self.credit_recovered.contains(key)
+    }
+
     /// Relays fresh credit events: full payloads immediately in flood
     /// mode (the naive baseline); in digest mode only their 32-byte
     /// *keys* are queued, to a bounded fanout of peers, and ride the
@@ -147,7 +161,7 @@ impl GossipNode {
             let key = credit_key(&ev);
             self.credit_requested.remove(&key);
             self.seen.note(key, Some(i));
-            if self.credit_events_held.contains_key(&key) {
+            if self.credit_processed(&key) {
                 self.stats.credit_events_deduped += 1;
             } else {
                 fresh.push((ev, key));
@@ -172,7 +186,7 @@ impl GossipNode {
         let mut want: Vec<[u8; 32]> = Vec::new();
         for key in keys {
             self.seen.note(key, Some(i));
-            if self.credit_events_held.contains_key(&key)
+            if self.credit_processed(&key)
                 || !self.retry_due(self.credit_requested.get(&key).copied(), now_ms)
             {
                 continue;
@@ -228,7 +242,7 @@ impl GossipNode {
             .credit_requested
             .iter()
             .filter(|(key, &at)| {
-                !self.credit_events_held.contains_key(*key) && self.retry_due(Some(at), now_ms)
+                !self.credit_processed(key) && self.retry_due(Some(at), now_ms)
             })
             .map(|(key, _)| *key)
             .collect();

@@ -50,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relay::SeenCache;
 use solidify::{PendingTx, Requested};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -292,6 +292,11 @@ pub struct GossipNode {
     /// handshake replay and for serving `GetCreditEvents` pulls.
     /// Holding a key here means "processed, can serve".
     credit_events_held: HashMap<[u8; 32], CreditEvent>,
+    /// Keys of credit events the owner processed before this node
+    /// started (recovered from its store): deduped like held events, but
+    /// never replayed, relayed or served. Unbounded, like the ledger that
+    /// already holds those events.
+    credit_recovered: HashSet<[u8; 32]>,
     /// Outstanding `GetCreditEvents` pulls: key → last request time, so
     /// a lost answer is retried (from a different holder) after
     /// [`GossipConfig::request_retry_ms`].
@@ -345,6 +350,7 @@ impl GossipNode {
             dialer: None,
             credit_replay: VecDeque::new(),
             credit_events_held: HashMap::new(),
+            credit_recovered: HashSet::new(),
             credit_requested: BTreeMap::new(),
             rng,
             rr: 0,
@@ -648,7 +654,7 @@ impl GossipNode {
             return;
         }
         match msg {
-            Message::Hello { version, node_id, genesis, baseline: _, listen_addr } => {
+            Message::Hello { version, node_id, genesis, listen_addr } => {
                 self.handle_hello(i, version, node_id, genesis, listen_addr, now_ms);
             }
             Message::GetTx(id) => self.serve_txs(i, &[id], now_ms),

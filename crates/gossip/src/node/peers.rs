@@ -4,7 +4,7 @@
 
 use super::GossipNode;
 use crate::transport::{Connector, Transport};
-use crate::wire::{baseline_hash, Message, PROTOCOL_VERSION};
+use crate::wire::{Message, PROTOCOL_VERSION};
 use biot_tangle::tx::TxId;
 use rand::Rng;
 
@@ -190,15 +190,10 @@ impl GossipNode {
     }
 
     pub(super) fn build_hello(&self) -> Message {
-        let (genesis, pruned) = {
-            let t = self.lock_tangle();
-            (t.genesis(), t.pruned_ids())
-        };
         Message::Hello {
             version: PROTOCOL_VERSION,
             node_id: self.cfg.node_id,
-            genesis,
-            baseline: baseline_hash(genesis, &pruned),
+            genesis: self.lock_tangle().genesis(),
             listen_addr: self.cfg.listen_addr.clone(),
         }
     }

@@ -1,7 +1,7 @@
 use super::credit::{credit_key, CREDIT_EVENTS_PER_FRAME, CREDIT_REPLAY, MAX_CREDIT_INBOX};
 use super::*;
 use crate::transport::MemTransport;
-use crate::wire::{baseline_hash, PeerEntry, PROTOCOL_VERSION};
+use crate::wire::{PeerEntry, PROTOCOL_VERSION};
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder};
 
 fn data_tx(n: u8, trunk: TxId, branch: TxId, ts: u64) -> Transaction {
@@ -37,7 +37,6 @@ impl FakePeer {
             version: PROTOCOL_VERSION,
             node_id: 0,
             genesis,
-            baseline: baseline_hash(genesis, &[]),
             listen_addr: None,
         }
     }
@@ -47,7 +46,6 @@ impl FakePeer {
             version: PROTOCOL_VERSION,
             node_id,
             genesis,
-            baseline: baseline_hash(genesis, &[]),
             listen_addr: Some(addr.to_string()),
         }
     }
@@ -73,7 +71,6 @@ fn version_mismatch_demotes_peer() {
         version: PROTOCOL_VERSION + 1,
         node_id: 0,
         genesis: Some(g),
-        baseline: [0; 32],
         listen_addr: None,
     });
     node.poll(0);

@@ -9,7 +9,7 @@
 //! ```text
 //! tag 0  Hello      u16-BE protocol version, u64-BE node id,
 //!                   u8 has-genesis flag, [32-byte genesis id],
-//!                   32-byte baseline hash, u8 has-addr flag,
+//!                   u8 has-addr flag,
 //!                   [varint len, UTF-8 listen address]
 //! tag 1  (retired: v1/v2 per-tx Announce; now an unknown tag)
 //! tag 2  GetTx      32-byte tx id
@@ -54,8 +54,9 @@ use std::fmt;
 /// version are refused. v2 added node identity + listen address to the
 /// handshake and the mesh frames (tags 10–14); v3 retired the per-tx
 /// `Announce` frame (tag 1), so a v2 peer is refused at the handshake
-/// rather than dropped mid-stream on its first announce.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// rather than dropped mid-stream on its first announce; v4 dropped the
+/// never-read 32-byte baseline hash from `Hello`.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Hard cap on one frame. Anything larger is a protocol violation — the
 /// TCP transport refuses to even buffer it.
@@ -142,10 +143,6 @@ pub enum Message {
         /// Speaker's genesis id, if it has one. Two peers with different
         /// genesis ids are on different ledgers — incompatible.
         genesis: Option<TxId>,
-        /// Hash of the speaker's baseline (genesis + pruned set); see
-        /// [`baseline_hash`]. Purely diagnostic — peers with matching
-        /// genesis but different pruning depth still sync.
-        baseline: [u8; 32],
         /// Where the speaker accepts inbound connections, if anywhere —
         /// gossiped onward in [`Message::PeerExchange`] frames so the
         /// fleet discovers it.
@@ -252,17 +249,6 @@ fn keys_checksum(keys: &[[u8; 32]]) -> [u8; 4] {
     [h[0], h[1], h[2], h[3]]
 }
 
-/// Hash identifying a replica's baseline: SHA-256 over the genesis id (or
-/// 32 zero bytes) followed by the sorted pruned ids.
-pub fn baseline_hash(genesis: Option<TxId>, pruned_sorted: &[TxId]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(32 * (pruned_sorted.len() + 1));
-    buf.extend_from_slice(&genesis.unwrap_or(TxId([0; 32])).0);
-    for id in pruned_sorted {
-        buf.extend_from_slice(&id.0);
-    }
-    sha256(&buf)
-}
-
 struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
@@ -333,7 +319,7 @@ fn put_tx(out: &mut Vec<u8>, tx: &Transaction) {
 pub fn encode_msg(msg: &Message) -> Vec<u8> {
     let mut out = Vec::new();
     match msg {
-        Message::Hello { version, node_id, genesis, baseline, listen_addr } => {
+        Message::Hello { version, node_id, genesis, listen_addr } => {
             out.push(0);
             out.extend_from_slice(&version.to_be_bytes());
             out.extend_from_slice(&node_id.to_be_bytes());
@@ -344,7 +330,6 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
                 }
                 None => out.push(0),
             }
-            out.extend_from_slice(baseline);
             match listen_addr {
                 Some(addr) => {
                     out.push(1);
@@ -460,8 +445,6 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             id_bytes.copy_from_slice(r.bytes(8)?);
             let node_id = u64::from_be_bytes(id_bytes);
             let genesis = if r.u8()? != 0 { Some(r.id()?) } else { None };
-            let mut baseline = [0u8; 32];
-            baseline.copy_from_slice(r.bytes(32)?);
             let listen_addr = if r.u8()? != 0 {
                 let len = r.varint()?;
                 if len > MAX_ADDR_BYTES as u64 || len > r.remaining() as u64 {
@@ -472,7 +455,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             } else {
                 None
             };
-            Message::Hello { version, node_id, genesis, baseline, listen_addr }
+            Message::Hello { version, node_id, genesis, listen_addr }
         }
         2 => Message::GetTx(r.id()?),
         3 => {
@@ -627,14 +610,12 @@ mod tests {
                 version: PROTOCOL_VERSION,
                 node_id: 0,
                 genesis: None,
-                baseline: [3; 32],
                 listen_addr: None,
             },
             Message::Hello {
                 version: 7,
                 node_id: 0xDEAD_BEEF_0042,
                 genesis: Some(TxId([0xAA; 32])),
-                baseline: baseline_hash(Some(TxId([0xAA; 32])), &[TxId([1; 32])]),
                 listen_addr: Some("127.0.0.1:9000".to_string()),
             },
             Message::GetTx(TxId([6; 32])),
@@ -814,7 +795,6 @@ mod tests {
             version: PROTOCOL_VERSION,
             node_id: 1,
             genesis: None,
-            baseline: [0; 32],
             listen_addr: Some("y".repeat(MAX_ADDR_BYTES + 1)),
         };
         assert_eq!(decode_msg(&encode_msg(&hello)), Err(WireError::BadAddr));
@@ -837,16 +817,6 @@ mod tests {
         let mut out = Vec::new();
         write_varint(&mut out, v);
         out
-    }
-
-    #[test]
-    fn baseline_hash_orders_and_distinguishes() {
-        let a = baseline_hash(Some(TxId([1; 32])), &[TxId([2; 32])]);
-        let b = baseline_hash(Some(TxId([1; 32])), &[TxId([3; 32])]);
-        let c = baseline_hash(None, &[TxId([2; 32])]);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, baseline_hash(Some(TxId([1; 32])), &[TxId([2; 32])]));
     }
 
     proptest! {

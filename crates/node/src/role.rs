@@ -171,32 +171,34 @@ impl ArchivalNode {
     ///
     /// See [`ArchivalBootError`].
     pub fn new(cfg: RoleConfig) -> Result<Self, ArchivalBootError> {
-        let mut credits = CreditLedger::new(biot_credit::CreditParams::default());
         let mut boot = BootSource::Cold;
-        let mut recovered_tangle = None;
+        let mut recovered = RecoveredState { tangle: None, credit_events: Vec::new() };
         let store = match cfg.store_dir {
             Some(dir) => {
                 let store = LedgerStore::open(&dir).map_err(ArchivalBootError::Store)?;
-                let RecoveredState { tangle, credit_events } =
-                    store.recover_full().map_err(ArchivalBootError::Store)?;
-                if let Some(tangle) = tangle {
+                recovered = store.recover_full().map_err(ArchivalBootError::Store)?;
+                if recovered.tangle.is_some() {
                     boot = BootSource::Snapshot;
-                    recovered_tangle = Some(tangle);
-                }
-                for ev in &credit_events {
-                    credits.apply(ev);
                 }
                 Some(store)
             }
             None => None,
         };
-        let gossip = match recovered_tangle {
+        let credits = CreditLedger::from_events(
+            biot_credit::CreditParams::default(),
+            &recovered.credit_events,
+        );
+        let mut gossip = match recovered.tangle {
             Some(tangle) => GossipNode::new(
                 std::sync::Arc::new(std::sync::Mutex::new(tangle)),
                 cfg.gossip,
             ),
             None => GossipNode::with_empty_tangle(cfg.gossip),
         };
+        // Mark the recovered events processed before any peer connects,
+        // so a peer's handshake replay of them is recognised, not
+        // re-applied.
+        gossip.mark_credit_recovered(&recovered.credit_events);
         let persisted = gossip.tangle().lock().unwrap().attach_order().len();
         let http = match cfg.http_addr {
             Some(addr) => {
@@ -713,8 +715,10 @@ mod tests {
     fn test_gateway(seed: u64) -> (Gateway, Manager, Vec<LightClient>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut manager = Manager::new(Account::generate(&mut rng));
-        let mut gateway = Gateway::new(
-            manager.public_key().clone(),
+        let clients: Vec<LightClient> =
+            (0..2).map(|_| LightClient::new(Account::generate(&mut rng))).collect();
+        let (gateway, _) = Gateway::bootstrap(
+            &mut manager,
             Box::new(FixedPolicy(Difficulty::MIN)),
             GatewayConfig {
                 lazy_policy: LazyTipPolicy {
@@ -725,18 +729,8 @@ mod tests {
                 record_credit_events: true,
                 ..GatewayConfig::default()
             },
+            clients.iter().map(LightClient::public_key),
         );
-        let genesis = gateway.init_genesis(SimTime::ZERO);
-        let clients: Vec<LightClient> =
-            (0..2).map(|_| LightClient::new(Account::generate(&mut rng))).collect();
-        for c in &clients {
-            let id = manager.register_device(c.public_key().clone());
-            manager.authorize(id);
-            gateway.register_pubkey(c.public_key().clone());
-        }
-        let d0 = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d0);
-        gateway.apply_auth_list(list.tx, SimTime::ZERO).expect("auth list applies");
         (gateway, manager, clients)
     }
 

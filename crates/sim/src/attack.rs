@@ -12,6 +12,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// Fig 6 steps 1–3 for the §VI-C experiments: a manager, a
+/// credit-policed gateway with default settings, and `N` authorized
+/// devices, their accounts drawn from `rng` after the manager's.
+fn boot<const N: usize>(rng: &mut StdRng) -> (Manager, Gateway, [LightNode; N]) {
+    let mut manager = Manager::new(Account::generate(rng));
+    let devices: [LightNode; N] = std::array::from_fn(|_| LightNode::new(Account::generate(rng)));
+    let (gateway, _) = Gateway::bootstrap(
+        &mut manager,
+        Box::new(InverseProportionalPolicy::default()),
+        GatewayConfig::default(),
+        devices.iter().map(LightNode::public_key),
+    );
+    (manager, gateway, devices)
+}
+
 /// Outcome of the Sybil / DDoS admission experiment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionReport {
@@ -33,20 +48,7 @@ pub struct AdmissionReport {
 /// unauthorized IoT devices", measured.
 pub fn sybil_admission_experiment(n_sybil: usize, seed: u64) -> AdmissionReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let legit = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(legit.public_key().clone());
-    manager.authorize(id);
-    gateway.register_pubkey(legit.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (_, mut gateway, [legit]) = boot(&mut rng);
 
     let mut report = AdmissionReport::default();
     let now = SimTime::from_secs(1);
@@ -96,23 +98,7 @@ pub struct LazyTipsReport {
 /// difficulty.
 pub fn lazy_tips_experiment(rounds: usize, seed: u64) -> LazyTipsReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let honest = LightNode::new(Account::generate(&mut rng));
-    let lazy = LightNode::new(Account::generate(&mut rng));
-    for node in [&honest, &lazy] {
-        let id = manager.register_device(node.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(node.public_key().clone());
-    }
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (_, mut gateway, [honest, lazy]) = boot(&mut rng);
 
     // Seed two early transactions that the lazy node will keep approving.
     let mut now = SimTime::from_secs(1);
@@ -172,20 +158,7 @@ pub struct DoubleSpendReport {
 /// to re-spend each of them.
 pub fn double_spend_experiment(n_tokens: usize, seed: u64) -> DoubleSpendReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let attacker = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(attacker.public_key().clone());
-    manager.authorize(id);
-    gateway.register_pubkey(attacker.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (manager, mut gateway, [attacker]) = boot(&mut rng);
 
     let mut report = DoubleSpendReport::default();
     let mut now = SimTime::from_secs(1);
@@ -241,31 +214,15 @@ pub struct FailoverReport {
 /// failure").
 pub fn failover_experiment(seed: u64) -> FailoverReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut manager = Manager::new(Account::generate(&mut rng));
-    let mk_gateway = |pk: &biot_crypto::rsa::RsaPublicKey| {
-        Gateway::new(
-            pk.clone(),
-            Box::new(InverseProportionalPolicy::default()),
-            GatewayConfig::default(),
-        )
-    };
-    let mut primary = mk_gateway(manager.public_key());
-    let mut replica = mk_gateway(manager.public_key());
-    // Both replicas bootstrap the same genesis state.
-    let genesis = primary.init_genesis(SimTime::ZERO);
-    replica.init_genesis(SimTime::ZERO);
-    let device = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(device.public_key().clone());
-    manager.authorize(id);
-    for g in [&mut primary, &mut replica] {
-        g.register_pubkey(device.public_key().clone());
-    }
-    let d = primary.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    primary
-        .apply_auth_list(list.tx.clone(), SimTime::ZERO)
-        .unwrap();
-    replica.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (mut manager, mut primary, [device]) = boot(&mut rng);
+    // The replica boots the same genesis state: the list is mined and
+    // signed deterministically, so both hold the identical transaction.
+    let (mut replica, _) = Gateway::bootstrap(
+        &mut manager,
+        Box::new(InverseProportionalPolicy::default()),
+        GatewayConfig::default(),
+        [device.public_key()],
+    );
 
     let mut report = FailoverReport::default();
     let mut now = SimTime::from_secs(1);

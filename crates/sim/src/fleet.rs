@@ -80,27 +80,19 @@ pub struct FleetResult {
 pub fn run_fleet(config: &FleetConfig) -> FleetResult {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
+    let n_total = config.n_honest + config.n_malicious;
+    let nodes: Vec<LightNode> = (0..n_total)
+        .map(|_| LightNode::new(Account::generate(&mut rng)))
+        .collect();
+    let (mut gateway, _) = Gateway::bootstrap(
+        &mut manager,
         Box::new(InverseProportionalPolicy::default()),
         GatewayConfig {
             tip_selector: config.selector,
             ..GatewayConfig::default()
         },
+        nodes.iter().map(LightNode::public_key),
     );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let n_total = config.n_honest + config.n_malicious;
-    let nodes: Vec<LightNode> = (0..n_total)
-        .map(|_| LightNode::new(Account::generate(&mut rng)))
-        .collect();
-    for n in &nodes {
-        let id = manager.register_device(n.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(n.public_key().clone());
-    }
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
 
     // Seed one spendable token per attacker.
     let mut tokens = Vec::new();

@@ -24,25 +24,26 @@
 //!   oracle twin gateway plus HTTP-vs-oracle byte equality.
 //! * [`fleet`] — many honest nodes + attackers on one gateway (isolation).
 //! * [`throughput`] — tangle vs chain effective-TPS comparison (§II).
+//! * [`experiments`] — the one definition of Figs 7–10 and A1–A2 that
+//!   their `biot-bench` binaries and the integration tests run.
 //!
 //! ## Example: reproduce the headline Fig 9 contrast in one call
 //!
 //! ```
-//! use biot_net::time::SimTime;
-//! use biot_sim::runner::{run_single_node, NodeRunConfig, PolicyChoice};
+//! use biot_sim::experiments::{averaged, fig9};
 //!
-//! let mut cfg = NodeRunConfig::default();
-//! cfg.duration = SimTime::from_secs(30);
-//! let credit = run_single_node(&cfg);
-//! cfg.policy = PolicyChoice::original_pow();
-//! let original = run_single_node(&cfg);
-//! assert!(credit.avg_pow_secs() < original.avg_pow_secs());
+//! let [original, normal, ..] = fig9::controls();
+//! let seeds = &fig9::SEEDS[..1];
+//! let honest = averaged(normal.policy, normal.attacks_s, seeds).avg_pow_secs;
+//! let fixed = averaged(original.policy, original.attacks_s, seeds).avg_pow_secs;
+//! assert!(honest < fixed);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attack;
+pub mod experiments;
 pub mod factory;
 pub mod fleet;
 pub mod loadgen;

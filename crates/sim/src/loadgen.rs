@@ -57,8 +57,11 @@ pub fn build_world(seed: u64, devices: usize, pool_size: usize) -> IngestWorld {
     assert!(devices > 0, "need at least one device");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
+    let nodes: Vec<LightNode> = (0..devices)
+        .map(|_| LightNode::new(Account::generate(&mut rng)))
+        .collect();
+    let (gateway, genesis) = Gateway::bootstrap(
+        &mut manager,
         Box::new(FixedPolicy(Difficulty::MIN)),
         GatewayConfig {
             // Parents stay (genesis, genesis) for the whole run; don't
@@ -70,22 +73,8 @@ pub fn build_world(seed: u64, devices: usize, pool_size: usize) -> IngestWorld {
             },
             ..GatewayConfig::default()
         },
+        nodes.iter().map(LightNode::public_key),
     );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-
-    let nodes: Vec<LightNode> = (0..devices)
-        .map(|_| LightNode::new(Account::generate(&mut rng)))
-        .collect();
-    for node in &nodes {
-        let id = manager.register_device(node.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(node.public_key().clone());
-    }
-    let d0 = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d0);
-    gateway
-        .apply_auth_list(list.tx, SimTime::ZERO)
-        .expect("auth list applies at boot");
 
     // Unique payload per transaction → unique id; MIN difficulty makes
     // the nonce search a handful of hashes.

@@ -50,7 +50,7 @@ impl PiCalibration {
     /// The Fig 7 calibration: the paper's measured anchors
     /// `(1, 0.162 s)`, `(12, 10.98 s)`, `(14, 245.3 s)`.
     pub fn fig7() -> Self {
-        Self::from_anchors(vec![(1, 0.162), (12, 10.98), (14, 245.3)])
+        Self::from_anchors(crate::experiments::fig7::PAPER_ANCHORS.to_vec())
     }
 
     /// A pure exponential law `t(D) = t_base · 2^(D − d_base)`.

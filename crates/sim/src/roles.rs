@@ -118,13 +118,16 @@ pub struct RolesOutcome {
     pub fingerprint: Vec<String>,
 }
 
-/// A gateway configured for the validation role: fixed minimum
-/// difficulty (light clients mine `Difficulty::MIN`), lazy-tip policing
-/// off (light clients legitimately build on old tips here), and both
-/// record switches on so admissions reach the mesh.
-fn validation_gateway(manager_pk: biot_crypto::rsa::RsaPublicKey) -> Gateway {
-    Gateway::new(
-        manager_pk,
+/// A gateway configured for the validation role, booted with every light
+/// client authorized: fixed minimum difficulty (light clients mine
+/// `Difficulty::MIN`), lazy-tip policing off (light clients legitimately
+/// build on old tips here), and both record switches on so admissions
+/// reach the mesh. The auth list is mined and signed deterministically,
+/// so two calls with the same manager and clients build identical
+/// ledgers.
+pub fn validation_gateway(manager: &mut Manager, lights: &[LightClient]) -> (Gateway, TxId) {
+    Gateway::bootstrap(
+        manager,
         Box::new(FixedPolicy(Difficulty::MIN)),
         GatewayConfig {
             lazy_policy: LazyTipPolicy {
@@ -135,6 +138,7 @@ fn validation_gateway(manager_pk: biot_crypto::rsa::RsaPublicKey) -> Gateway {
             record_credit_events: true,
             ..GatewayConfig::default()
         },
+        lights.iter().map(LightClient::public_key),
     )
 }
 
@@ -204,16 +208,7 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
     // `(client, tx, at_ms)`, all parented on genesis, mined to MIN.
     let lights: Vec<LightClient> =
         (0..cfg.light_clients).map(|_| LightClient::new(Account::generate(&mut rng))).collect();
-    let mut gateway = validation_gateway(manager.public_key().clone());
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    for light in &lights {
-        let device = manager.register_device(light.public_key().clone());
-        manager.authorize(device);
-        gateway.register_pubkey(light.public_key().clone());
-    }
-    let d0 = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let auth = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d0);
-    gateway.apply_auth_list(auth.tx.clone(), SimTime::ZERO).expect("auth list admits");
+    let (gateway, genesis) = validation_gateway(&mut manager, &lights);
 
     let mut submissions: Vec<(usize, Transaction, u64)> = Vec::new();
     for k in 0..cfg.light_txs_each {
@@ -235,12 +230,7 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
     // the identical instants, run to completion up front. Its broadcasts
     // and credit events, on top of the relay workload, *define* what the
     // fleet must converge to.
-    let mut twin = validation_gateway(manager.public_key().clone());
-    twin.init_genesis(SimTime::ZERO);
-    for light in &lights {
-        twin.register_pubkey(light.public_key().clone());
-    }
-    twin.apply_auth_list(auth.tx.clone(), SimTime::ZERO).expect("auth list admits on the twin");
+    let (mut twin, _) = validation_gateway(&mut manager, &lights);
     for (_, tx, at_ms) in &submissions {
         twin.submit(tx.clone(), SimTime::from_millis(*at_ms))
             .expect("scheduled light submission admits on the twin");

@@ -188,8 +188,10 @@ pub fn run_single_node(config: &NodeRunConfig) -> RunResult {
 
     // --- World setup (Fig 6 steps 1–3) -----------------------------------
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
+    let device = LightNode::new(Account::generate(&mut rng));
+    let dev_id = device.id();
+    let (mut gateway, _) = Gateway::bootstrap(
+        &mut manager,
         config.policy.to_boxed(),
         GatewayConfig {
             tip_selector: config.selector,
@@ -198,18 +200,9 @@ pub fn run_single_node(config: &NodeRunConfig) -> RunResult {
             seal_lag: config.seal_lag,
             ..GatewayConfig::default()
         },
+        [device.public_key()],
     );
     let mut event_log: Vec<CreditEvent> = Vec::new();
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let device = LightNode::new(Account::generate(&mut rng));
-    let dev_id = manager.register_device(device.public_key().clone());
-    manager.authorize(dev_id);
-    gateway.register_pubkey(device.public_key().clone());
-    let d0 = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d0);
-    gateway
-        .apply_auth_list(list.tx, SimTime::ZERO)
-        .expect("auth list applies at boot");
 
     // Pre-spend a token so later double-spends have something to conflict
     // with. (Virtual cost not counted — setup happens before t = 0.)

@@ -21,22 +21,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Boot a small factory.
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
     let device = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(device.public_key().clone());
-    manager.authorize(id);
-    gateway.register_pubkey(device.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    let list_tx = list.tx.clone();
-    gateway.apply_auth_list(list.tx, SimTime::ZERO)?;
-    store.append(gateway.tangle().get(&genesis).unwrap(), 0)?;
-    store.append(&list_tx, 0)?;
+    let (mut gateway, _) = Gateway::bootstrap(
+        &mut manager,
+        Box::new(InverseProportionalPolicy::default()),
+        GatewayConfig { record_broadcasts: true, ..GatewayConfig::default() },
+        [device.public_key()],
+    );
+    // The genesis and the auth list, in attach order.
+    for tx in gateway.take_broadcasts() {
+        store.append(&tx, 0)?;
+    }
 
     // Phase 1: some readings, then a checkpoint.
     let mut now = SimTime::from_secs(1);

@@ -1,10 +1,11 @@
 //! Quickstart: the complete Fig 6 workflow in one file.
 //!
-//! 1. The manager initializes a gateway (and the tangle genesis).
-//! 2. The manager authorizes an IoT device via a signed on-ledger list.
-//! 3. The device fetches two tips, mines at its credit-based difficulty,
+//! 1. The manager initializes a gateway (and the tangle genesis) and
+//!    authorizes an IoT device via a signed on-ledger list
+//!    (`Gateway::bootstrap`).
+//! 2. The device fetches two tips, mines at its credit-based difficulty,
 //!    and submits a sensor reading.
-//! 4. Activity lowers the device's difficulty; readings get cheaper.
+//! 3. Activity lowers the device's difficulty; readings get cheaper.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -16,26 +17,17 @@ use biot::net::time::SimTime;
 fn main() {
     let mut rng = rand::thread_rng();
 
-    // --- Step 1: manager boots the gateway and the tangle ---------------
+    // --- Steps 1–3: manager boots the gateway and authorizes a device --
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
+    let device = LightNode::new(Account::generate(&mut rng));
+    let dev_id = device.id();
+    let (mut gateway, genesis) = Gateway::bootstrap(
+        &mut manager,
         Box::new(InverseProportionalPolicy::default()),
         GatewayConfig::default(),
+        [device.public_key()],
     );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
     println!("genesis attached: {genesis:?}");
-
-    // --- Step 2: authorize a device on-ledger ---------------------------
-    let device = LightNode::new(Account::generate(&mut rng));
-    let dev_id = manager.register_device(device.public_key().clone());
-    manager.authorize(dev_id);
-    gateway.register_pubkey(device.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway
-        .apply_auth_list(list.tx, SimTime::ZERO)
-        .expect("authorization list accepted");
     println!("device {dev_id} authorized (list v{})", gateway.authz().version());
 
     // --- Steps 4–5: submit readings, watch difficulty adapt -------------

@@ -18,8 +18,8 @@
 //!
 //! Run with: `cargo run --example roles`
 
-use biot::core::node::{Gateway, GatewayConfig, Manager};
-use biot::core::{Account, Difficulty, FixedPolicy};
+use biot::core::node::Manager;
+use biot::core::{Account, Difficulty};
 use biot::credit::{CreditLedger, CreditParams};
 use biot::crypto::sha256::to_hex;
 use biot::gossip::node::GossipConfig;
@@ -27,7 +27,7 @@ use biot::gossip::tcp::{TcpAcceptor, TcpConnector};
 use biot::net::time::SimTime;
 use biot::node::role::{ArchivalNode, LightClient, Role, RoleConfig, ValidationNode};
 use biot::node::EventLoop;
-use biot::tangle::conflict::LazyTipPolicy;
+use biot::sim::roles::validation_gateway;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -57,28 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lights: Vec<LightClient> =
         (0..LIGHTS).map(|_| LightClient::new(Account::generate(&mut rng))).collect();
 
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(FixedPolicy(Difficulty::MIN)),
-        GatewayConfig {
-            lazy_policy: LazyTipPolicy {
-                max_parent_age_ms: u64::MAX,
-                max_parent_approvers: usize::MAX,
-            },
-            record_broadcasts: true,
-            record_credit_events: true,
-            ..GatewayConfig::default()
-        },
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    for light in &lights {
-        let device = manager.register_device(light.public_key().clone());
-        manager.authorize(device);
-        gateway.register_pubkey(light.public_key().clone());
-    }
-    let d0 = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let auth = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d0);
-    gateway.apply_auth_list(auth.tx, SimTime::ZERO)?;
+    let (gateway, genesis) = validation_gateway(&mut manager, &lights);
 
     // --- Validation node: ingest TCP for clients, gossip TCP for peers.
     let validation = ValidationNode::new(

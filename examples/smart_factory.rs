@@ -23,26 +23,18 @@ fn main() {
 
     // Boot the factory.
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
 
     // Build a fleet of 5 sensors (one of each kind) as light nodes.
     let specs = default_fleet(5);
     let mut nodes: Vec<LightNode> = (0..specs.len())
         .map(|_| LightNode::new(Account::generate(&mut rng)))
         .collect();
-    for node in &nodes {
-        let id = manager.register_device(node.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(node.public_key().clone());
-    }
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (mut gateway, _) = Gateway::bootstrap(
+        &mut manager,
+        Box::new(InverseProportionalPolicy::default()),
+        GatewayConfig::default(),
+        nodes.iter().map(LightNode::public_key),
+    );
     println!("factory booted: {} sensors authorized", nodes.len());
 
     // Sensitive sensors run the Fig 4 key-distribution handshake.

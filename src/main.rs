@@ -1,22 +1,16 @@
-//! The `biot` command-line tool: run demos, experiments, and utilities
-//! from one binary.
+//! The `biot` command-line tool: small utilities around the ledger. The
+//! Fig 6 workflow is `examples/quickstart.rs`; each paper experiment is
+//! its `biot-bench` binary (`cargo run -p biot-bench --release --bin
+//! fig9`, ...).
 //!
 //! ```text
-//! biot demo                 run the quickstart workflow
-//! biot experiment <id>      fig8|fig9|security|throughput
 //! biot keygen [bits]        generate an RSA account, print its identity
 //! biot dot [n]              build a small random tangle, print DOT
 //! biot stats [n]            build a small random tangle, print analytics
 //! biot help                 this text
 //! ```
 
-use biot::core::difficulty::InverseProportionalPolicy;
 use biot::core::identity::Account;
-use biot::core::node::{Gateway, GatewayConfig, LightNode, Manager};
-use biot::net::time::SimTime;
-use biot::sim::runner::{run_single_node, NodeRunConfig, PolicyChoice};
-use biot::sim::throughput::{run_chain, run_tangle, ThroughputConfig};
-use biot::sim::PiCalibration;
 use biot::tangle::viz::to_dot;
 use std::process::ExitCode;
 
@@ -27,30 +21,19 @@ USAGE:
     biot <command> [args]
 
 COMMANDS:
-    demo                Run the quickstart workflow (Fig 6)
-    experiment <id>     One of: fig8, fig9, security, throughput
-                        (fig7/fig10 live in `cargo run -p biot-bench`)
     keygen [bits]       Generate an RSA account (default 512 bits)
     dot [n]             Print a random n-transaction tangle as Graphviz DOT
     stats [n]           Build a random n-transaction tangle, print analytics
     help                Show this text
+
+The Fig 6 workflow:  cargo run --example quickstart
+Paper experiments:   cargo run -p biot-bench --release --bin <fig7|fig8|fig9|fig10|...>
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
-        "demo" => demo(),
-        "experiment" => match args.get(1).map(String::as_str) {
-            Some("fig8") => experiment_fig8(),
-            Some("fig9") => experiment_fig9(),
-            Some("security") => experiment_security(),
-            Some("throughput") => experiment_throughput(),
-            other => {
-                eprintln!("unknown experiment {other:?}\n\n{HELP}");
-                return ExitCode::FAILURE;
-            }
-        },
         "keygen" => {
             let bits = args
                 .get(1)
@@ -75,103 +58,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn demo() {
-    let mut rng = rand::thread_rng();
-    let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let device = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(device.public_key().clone());
-    manager.authorize(id);
-    gateway.register_pubkey(device.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).expect("boot");
-    println!("factory booted; device {id} authorized");
-    let mut now = SimTime::from_secs(1);
-    for i in 0..5 {
-        let tips = gateway.random_tips(&mut rng).unwrap();
-        let diff = gateway.difficulty_for(id, now);
-        let p = device.prepare_reading(format!("r{i}").as_bytes(), tips, now, diff, &mut rng);
-        let txid = gateway.submit(p.tx, now).expect("accepted");
-        println!("t={now} {diff} -> {txid:?}");
-        now += 2_000;
-    }
-    println!(
-        "ledger: {} txs, device difficulty now {}",
-        gateway.tangle().len(),
-        gateway.difficulty_for(id, now)
-    );
-}
-
-fn experiment_fig8() {
-    let r = run_single_node(&NodeRunConfig {
-        attack_times: vec![SimTime::from_secs(24)],
-        calibration: PiCalibration::fig8(),
-        seed: 24,
-        ..NodeRunConfig::default()
-    });
-    println!("t(s)  credit    difficulty");
-    for s in r.samples.iter().step_by(5) {
-        println!("{:>4.0}  {:>8.2}  D{}", s.t_secs, s.cr, s.difficulty);
-    }
-    println!("longest gap: {:.1}s (paper: ~37s)", r.longest_gap_secs());
-}
-
-fn experiment_fig9() {
-    for (name, policy, attacks) in [
-        ("original PoW", PolicyChoice::original_pow(), vec![]),
-        ("credit normal", PolicyChoice::credit_based(), vec![]),
-        ("credit 1 attack", PolicyChoice::credit_based(), vec![30u64]),
-        ("credit 2 attacks", PolicyChoice::credit_based(), vec![20, 40]),
-    ] {
-        let r = run_single_node(&NodeRunConfig {
-            policy,
-            attack_times: attacks.into_iter().map(SimTime::from_secs).collect(),
-            ..NodeRunConfig::default()
-        });
-        println!("{name:<18} avg PoW/tx = {:.3}s", r.avg_pow_secs());
-    }
-}
-
-fn experiment_security() {
-    use biot::sim::attack::*;
-    let s = sybil_admission_experiment(20, 1);
-    println!("sybil: blocked {}/20", s.sybil_blocked);
-    let d = double_spend_experiment(3, 2);
-    println!("double-spend: cancelled {}/3", d.double_spends_cancelled);
-    let l = lazy_tips_experiment(8, 3);
-    println!(
-        "lazy tips: punished {} times, final D{}",
-        l.lazy_punished, l.lazy_final_difficulty
-    );
-    let f = failover_experiment(4);
-    println!(
-        "failover: {} accepted after primary death",
-        f.after_failure
-    );
-}
-
-fn experiment_throughput() {
-    for offered in [10.0, 50.0, 200.0] {
-        let cfg = ThroughputConfig {
-            offered_tps: offered,
-            duration: SimTime::from_secs(120),
-            ..ThroughputConfig::default()
-        };
-        let t = run_tangle(&cfg);
-        let c = run_chain(&cfg);
-        println!(
-            "offered {offered:>5.0} tps | tangle {:>6.1} tps | chain {:>5.1} tps",
-            t.effective_tps, c.effective_tps
-        );
-    }
 }
 
 fn keygen(bits: usize) {

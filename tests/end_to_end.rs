@@ -23,23 +23,10 @@ struct Factory {
 fn boot_factory(n: usize, seed: u64) -> Factory {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
     let devices: Vec<LightNode> = (0..n)
         .map(|_| LightNode::new(Account::generate(&mut rng)))
         .collect();
-    for d in &devices {
-        let id = manager.register_device(d.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(d.public_key().clone());
-    }
-    let diff = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, diff);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (gateway, genesis) = boot_gateway(&mut manager, &devices);
     Factory {
         manager,
         gateway,
@@ -47,6 +34,16 @@ fn boot_factory(n: usize, seed: u64) -> Factory {
         rng,
         genesis,
     }
+}
+
+/// A credit-policed gateway with `devices` authorized.
+fn boot_gateway(manager: &mut Manager, devices: &[LightNode]) -> (Gateway, TxId) {
+    Gateway::bootstrap(
+        manager,
+        Box::new(InverseProportionalPolicy::default()),
+        GatewayConfig::default(),
+        devices.iter().map(LightNode::public_key),
+    )
 }
 
 #[test]
@@ -82,20 +79,8 @@ fn full_workflow_three_devices() {
 fn replicated_gateways_converge() {
     let mut f = boot_factory(2, 2);
     // Second gateway bootstrapped from the same genesis configuration.
-    let mut replica = Gateway::new(
-        f.manager.public_key().clone(),
-        Box::new(InverseProportionalPolicy::default()),
-        GatewayConfig::default(),
-    );
-    replica.init_genesis(SimTime::ZERO);
-    for d in &f.devices {
-        replica.register_pubkey(d.public_key().clone());
-    }
-    let diff = replica.difficulty_for(f.manager.id(), SimTime::ZERO);
-    let list = f
-        .manager
-        .prepare_auth_list((f.genesis, f.genesis), SimTime::ZERO, diff);
-    replica.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
+    let (mut replica, genesis) = boot_gateway(&mut f.manager, &f.devices);
+    assert_eq!(genesis, f.genesis);
 
     let mut now = SimTime::from_secs(1);
     for i in 0..6 {

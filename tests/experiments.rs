@@ -1,10 +1,11 @@
 //! Integration tests asserting the *qualitative claims* of every paper
 //! figure — the same checks the bench harness prints, locked in as tests
-//! so regressions in the reproduction are caught by `cargo test`.
+//! so regressions in the reproduction are caught by `cargo test`. Each
+//! runs its experiment's one definition in `biot::sim::experiments`,
+//! sometimes on fewer seeds than the figure binary.
 
-use biot::core::pow::{solve, Difficulty};
-use biot::net::time::SimTime;
-use biot::sim::runner::{run_single_node, NodeRunConfig, PolicyChoice};
+use biot::core::pow::Difficulty;
+use biot::sim::experiments::{a1, averaged, fig7, fig8, fig9};
 use biot::sim::throughput::{run_chain, run_tangle, ThroughputConfig};
 use biot::sim::{AesTiming, PiCalibration};
 
@@ -25,12 +26,7 @@ fn fig7_pow_time_exponential_shape() {
 
     // Real hashing: average trials at D=12 dwarf D=6 (expected ratio 64×;
     // allow generous slack for small-sample noise).
-    let avg = |d: u32| -> f64 {
-        (0..12)
-            .map(|i| solve(&[d as u8, i as u8], Difficulty::new(d), 0).trials)
-            .sum::<u64>() as f64
-            / 12.0
-    };
+    let avg = |d: u32| fig7::row(d).host_avg_trials;
     assert!(avg(12) > avg(6) * 8.0);
 }
 
@@ -38,13 +34,9 @@ fn fig7_pow_time_exponential_shape() {
 /// opens a transaction gap, and decays back.
 #[test]
 fn fig8a_attack_trace_shape() {
-    let cfg = NodeRunConfig {
-        attack_times: vec![SimTime::from_secs(24)],
-        calibration: PiCalibration::fig8(),
-        seed: 24,
-        ..NodeRunConfig::default()
-    };
-    let r = run_single_node(&cfg);
+    let [panel_a, _] = fig8::PANELS;
+    assert_eq!(panel_a.attacks_s, [24]);
+    let r = panel_a.run();
     // Pre-attack credit is non-negative; post-attack trough is deep.
     let pre = r.samples.iter().find(|s| s.t_secs == 20.0).unwrap();
     assert!(pre.cr >= 0.0);
@@ -61,16 +53,7 @@ fn fig8a_attack_trace_shape() {
 /// Fig 8(b): two attacks dig a deeper, longer-lasting hole than one.
 #[test]
 fn fig8b_two_attacks_worse_than_one() {
-    let mk = |attacks: Vec<u64>| {
-        run_single_node(&NodeRunConfig {
-            attack_times: attacks.into_iter().map(SimTime::from_secs).collect(),
-            calibration: PiCalibration::fig8(),
-            seed: 24,
-            ..NodeRunConfig::default()
-        })
-    };
-    let one = mk(vec![24]);
-    let two = mk(vec![24, 50]);
+    let [one, two] = fig8::PANELS.map(|p| p.run());
     let trough = |r: &biot::sim::RunResult| {
         r.samples.iter().fold(f64::INFINITY, |a, s| a.min(s.cr))
     };
@@ -84,19 +67,9 @@ fn fig8b_two_attacks_worse_than_one() {
 /// original PoW in between, attacked nodes slowest, two attacks worst.
 #[test]
 fn fig9_control_ordering() {
-    let run = |policy: PolicyChoice, attacks: Vec<u64>| {
-        run_single_node(&NodeRunConfig {
-            policy,
-            attack_times: attacks.into_iter().map(SimTime::from_secs).collect(),
-            seed: 11,
-            ..NodeRunConfig::default()
-        })
-        .avg_pow_secs()
-    };
-    let original = run(PolicyChoice::original_pow(), vec![]);
-    let normal = run(PolicyChoice::credit_based(), vec![]);
-    let one_attack = run(PolicyChoice::credit_based(), vec![30]);
-    let two_attacks = run(PolicyChoice::credit_based(), vec![20, 40]);
+    // One of the figure's seeds keeps the test quick.
+    let [original, normal, one_attack, two_attacks] =
+        fig9::controls().map(|c| averaged(c.policy, c.attacks_s, &fig9::SEEDS[..1]).avg_pow_secs);
 
     assert!(normal < original, "normal {normal} vs original {original}");
     assert!(one_attack > original, "one {one_attack} vs original {original}");
@@ -124,11 +97,7 @@ fn fig10_aes_linear_and_cheap() {
 /// A1: the tangle sustains an offered load that saturates the chain.
 #[test]
 fn a1_tangle_outscales_chain() {
-    let cfg = ThroughputConfig {
-        offered_tps: 50.0,
-        duration: SimTime::from_secs(120),
-        ..ThroughputConfig::default()
-    };
+    let cfg = ThroughputConfig { offered_tps: 50.0, ..a1::base() };
     let t = run_tangle(&cfg);
     let c = run_chain(&cfg);
     assert!(t.effective_tps > 45.0, "tangle tps {}", t.effective_tps);

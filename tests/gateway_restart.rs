@@ -29,6 +29,29 @@ impl Drop for TempDir {
     }
 }
 
+/// Boots a credit-recording gateway with `devices` authorized and
+/// persists its genesis and auth list.
+fn boot<const N: usize>(
+    manager: &mut Manager,
+    devices: [&LightNode; N],
+    store: &mut LedgerStore,
+) -> Gateway {
+    let (mut gateway, _) = Gateway::bootstrap(
+        manager,
+        Box::new(InverseProportionalPolicy::default()),
+        GatewayConfig {
+            record_broadcasts: true,
+            record_credit_events: true,
+            ..GatewayConfig::default()
+        },
+        devices.map(LightNode::public_key),
+    );
+    for tx in gateway.take_broadcasts() {
+        store.append(&tx, 0).unwrap();
+    }
+    gateway
+}
+
 #[test]
 fn gateway_survives_restart_with_admission_state() {
     let dir = TempDir::new("full");
@@ -40,25 +63,7 @@ fn gateway_survives_restart_with_admission_state() {
     // --- Life before the crash -------------------------------------------
     let mut store = LedgerStore::open(&dir.0).unwrap();
     {
-        let mut gateway = Gateway::new(
-            manager.public_key().clone(),
-            Box::new(InverseProportionalPolicy::default()),
-            GatewayConfig { record_credit_events: true, ..GatewayConfig::default() },
-        );
-        let genesis = gateway.init_genesis(SimTime::ZERO);
-        store
-            .append(gateway.tangle().get(&genesis).unwrap(), 0)
-            .unwrap();
-        for dev in [&authorized, &revoked] {
-            let id = manager.register_device(dev.public_key().clone());
-            manager.authorize(id);
-            gateway.register_pubkey(dev.public_key().clone());
-        }
-        let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-        let list_tx = list.tx.clone();
-        gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
-        store.append(&list_tx, 0).unwrap();
+        let mut gateway = boot(&mut manager, [&authorized, &revoked], &mut store);
 
         // Both devices post; then the manager revokes one on-ledger.
         let mut now = SimTime::from_secs(1);
@@ -142,21 +147,7 @@ fn double_spender_stays_punished_across_restart() {
     // --- Attack, punishment, crash -----------------------------------------
     let mut store = LedgerStore::open(&dir.0).unwrap();
     let before = {
-        let mut gateway = Gateway::new(
-            manager.public_key().clone(),
-            Box::new(InverseProportionalPolicy::default()),
-            GatewayConfig { record_credit_events: true, ..GatewayConfig::default() },
-        );
-        let genesis = gateway.init_genesis(SimTime::ZERO);
-        store.append(gateway.tangle().get(&genesis).unwrap(), 0).unwrap();
-        let id = manager.register_device(attacker.public_key().clone());
-        manager.authorize(id);
-        gateway.register_pubkey(attacker.public_key().clone());
-        let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-        let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-        let list_tx = list.tx.clone();
-        gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
-        store.append(&list_tx, 0).unwrap();
+        let mut gateway = boot(&mut manager, [&attacker], &mut store);
 
         // Spend a token, then try to spend it again: the double-spend is
         // cancelled and the attacker's credit collapses.

@@ -20,19 +20,13 @@ struct World {
 fn boot(seed: u64) -> World {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut manager = Manager::new(Account::generate(&mut rng));
-    let mut gateway = Gateway::new(
-        manager.public_key().clone(),
+    let device = LightNode::new(Account::generate(&mut rng));
+    let (gateway, _) = Gateway::bootstrap(
+        &mut manager,
         Box::new(InverseProportionalPolicy::default()),
         GatewayConfig::default(),
+        [device.public_key()],
     );
-    let genesis = gateway.init_genesis(SimTime::ZERO);
-    let device = LightNode::new(Account::generate(&mut rng));
-    let id = manager.register_device(device.public_key().clone());
-    manager.authorize(id);
-    gateway.register_pubkey(device.public_key().clone());
-    let d = gateway.difficulty_for(manager.id(), SimTime::ZERO);
-    let list = manager.prepare_auth_list((genesis, genesis), SimTime::ZERO, d);
-    gateway.apply_auth_list(list.tx, SimTime::ZERO).unwrap();
     World {
         gateway,
         device,
