@@ -29,6 +29,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a gateway refused a submission.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,8 +165,9 @@ pub struct Gateway {
     selector: Box<dyn TipSelector + Send + Sync>,
     stats: GatewayStats,
     /// Accepted transactions awaiting pickup by a gossip layer (filled
-    /// only when [`GatewayConfig::record_broadcasts`] is on).
-    outbox: Vec<Transaction>,
+    /// only when [`GatewayConfig::record_broadcasts`] is on), as handles
+    /// on the bodies the tangle stores.
+    outbox: Vec<Arc<Transaction>>,
     /// Applied credit events awaiting pickup by the persistence or
     /// gossip layer (filled only when
     /// [`GatewayConfig::record_credit_events`] is on).
@@ -282,9 +284,7 @@ impl Gateway {
         let primary = crate::identity::node_id_of(self.authz.manager_pk());
         let id = self.tangle.attach_genesis(primary, now.as_millis());
         if self.config.record_broadcasts {
-            if let Some(tx) = self.tangle.get(&id) {
-                self.outbox.push(tx.clone());
-            }
+            self.outbox.extend(self.tangle.get_shared(&id));
         }
         id
     }
@@ -325,8 +325,10 @@ impl Gateway {
     /// accepted since the last call, in attach order. A gossip layer
     /// (see `biot-gossip`) calls this periodically and announces the
     /// drained transactions to peers. Empty unless
-    /// [`GatewayConfig::record_broadcasts`] is set.
-    pub fn take_broadcasts(&mut self) -> Vec<Transaction> {
+    /// [`GatewayConfig::record_broadcasts`] is set. Each is a handle on
+    /// the body this gateway's tangle stores, so a gossip tangle that
+    /// attaches it shares that body.
+    pub fn take_broadcasts(&mut self) -> Vec<Arc<Transaction>> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -473,12 +475,12 @@ impl Gateway {
         match self.tangle.attach(tx, now.as_millis()) {
             Ok(id) => {
                 self.stats.accepted += 1;
-                if let Some(accepted) = self.tangle.get(&id) {
+                if let Some(accepted) = self.tangle.get_shared(&id) {
                     if let Some(tokens) = &mut self.tokens {
-                        tokens.apply(accepted);
+                        tokens.apply(&accepted);
                     }
                     if self.config.record_broadcasts {
-                        self.outbox.push(accepted.clone());
+                        self.outbox.push(accepted);
                     }
                 }
                 if let LazyVerdict::Lazy(_) = verdict {
@@ -541,8 +543,14 @@ impl Gateway {
     /// Gossip receipt from a peer gateway: attach without credit effects
     /// (the originating gateway already did the bookkeeping).
     ///
-    /// Returns `Ok` for duplicates (idempotent sync).
-    pub fn receive_broadcast(&mut self, tx: Transaction, now: SimTime) -> Result<(), TangleError> {
+    /// Returns `Ok` for duplicates (idempotent sync). Pass an `Arc` (from
+    /// [`Tangle::get_shared`]) to share the body with its other holder.
+    pub fn receive_broadcast(
+        &mut self,
+        tx: impl Into<Arc<Transaction>>,
+        now: SimTime,
+    ) -> Result<(), TangleError> {
+        let tx = tx.into();
         if let Payload::AuthList { .. } = &tx.payload {
             // Keep admission state in sync on replicas too.
             let _ = self.authz.apply(&tx.payload);

@@ -469,9 +469,11 @@ impl GossipNode {
     /// (e.g. a simulated client submitting at this node). Unlike
     /// [`attach_local`](Self::attach_local) it tolerates missing parents:
     /// the transaction takes the same solidification path as one received
-    /// from a peer, and is relayed onward once attached.
-    pub fn submit(&mut self, tx: Transaction, attach_ms: u64, now_ms: u64) {
-        self.ingest(None, tx, attach_ms, now_ms);
+    /// from a peer, and is relayed onward once attached. Pass an `Arc`
+    /// (say, from the submitting gateway's own tangle) and the gossip
+    /// tangle shares that body instead of storing a second copy.
+    pub fn submit(&mut self, tx: impl Into<Arc<Transaction>>, attach_ms: u64, now_ms: u64) {
+        self.ingest(None, tx.into(), attach_ms, now_ms);
     }
 
     /// Drains credit events received from peers. The owner applies them
@@ -659,7 +661,9 @@ impl GossipNode {
             }
             Message::GetTx(id) => self.serve_txs(i, &[id], now_ms),
             Message::GetTxs(ids) => self.serve_txs(i, &ids, now_ms),
-            Message::TxPayload { attach_ms, tx } => self.ingest(Some(i), tx, attach_ms, now_ms),
+            Message::TxPayload { attach_ms, tx } => {
+                self.ingest(Some(i), Arc::new(tx), attach_ms, now_ms)
+            }
             Message::GetTips => {
                 let tips = self.tips();
                 self.send_to(i, &tips, now_ms);

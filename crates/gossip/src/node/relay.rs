@@ -14,24 +14,39 @@ const SEEN_CACHE: usize = 65_536;
 /// Fixed-memory recently-seen cache: 32-byte keys (tx ids and
 /// credit-event checksums) → the peer indices known to hold the item.
 /// FIFO eviction keeps it bounded no matter how hostile the fleet.
+///
+/// Most keys have at most one holder (the peer that sent the item), so
+/// the first holder is stored inline and only further holders go to a
+/// side map. Eviction drops a key from both maps.
 pub(super) struct SeenCache {
-    map: HashMap<[u8; 32], Vec<u32>>,
+    /// Key → first known holder, or [`NO_HOLDER`].
+    map: HashMap<[u8; 32], u32>,
+    /// Holders after the first, for the keys that have any.
+    more: HashMap<[u8; 32], Vec<u32>>,
     order: VecDeque<[u8; 32]>,
 }
 
+/// A seen key no peer is known to hold yet.
+const NO_HOLDER: u32 = u32::MAX;
+
 impl SeenCache {
     pub(super) fn new() -> Self {
-        Self { map: HashMap::new(), order: VecDeque::new() }
+        Self { map: HashMap::new(), more: HashMap::new(), order: VecDeque::new() }
     }
 
     /// Marks `key` seen, optionally recording `holder` as a peer that
     /// has the item. Returns true when the key is new.
     pub(super) fn note(&mut self, key: [u8; 32], holder: Option<usize>) -> bool {
-        if let Some(holders) = self.map.get_mut(&key) {
-            if let Some(h) = holder {
-                let h = h as u32;
-                if !holders.contains(&h) {
-                    holders.push(h);
+        let h = holder.map_or(NO_HOLDER, |h| h as u32);
+        if let Some(first) = self.map.get_mut(&key) {
+            if h != NO_HOLDER && *first != h {
+                if *first == NO_HOLDER {
+                    *first = h;
+                } else {
+                    let more = self.more.entry(key).or_default();
+                    if !more.contains(&h) {
+                        more.push(h);
+                    }
                 }
             }
             return false;
@@ -40,19 +55,23 @@ impl SeenCache {
             match self.order.pop_front() {
                 Some(old) => {
                     self.map.remove(&old);
+                    self.more.remove(&old);
                 }
                 None => break,
             }
         }
-        self.map.insert(key, holder.map(|h| vec![h as u32]).unwrap_or_default());
+        self.map.insert(key, h);
         self.order.push_back(key);
         true
     }
 
     pub(super) fn is_holder(&self, key: &[u8; 32], peer: usize) -> bool {
-        self.map
-            .get(key)
-            .is_some_and(|holders| holders.contains(&(peer as u32)))
+        let peer = peer as u32;
+        match self.map.get(key) {
+            Some(&first) if first == peer => true,
+            Some(_) => self.more.get(key).is_some_and(|more| more.contains(&peer)),
+            None => false,
+        }
     }
 }
 
@@ -253,5 +272,75 @@ impl GossipNode {
         for chunk in want.chunks(MAX_IDS_PER_DIGEST) {
             self.send_to(i, &Message::GetTxs(chunk.to_vec()), now_ms);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(n: u32) -> [u8; 32] {
+        let mut k = [0u8; 32];
+        k[..4].copy_from_slice(&n.to_be_bytes());
+        k
+    }
+
+    #[test]
+    fn further_holders_are_recorded() {
+        let mut seen = SeenCache::new();
+        assert!(seen.note(key(1), Some(4)), "first sight is new");
+        assert!(!seen.note(key(1), Some(7)));
+        assert!(!seen.note(key(1), Some(2)));
+        for peer in [4, 7, 2] {
+            assert!(seen.is_holder(&key(1), peer), "peer {peer}");
+        }
+        assert!(!seen.is_holder(&key(1), 3));
+        assert!(!seen.is_holder(&key(2), 4), "unknown key has no holders");
+
+        // Seen with no holder first: the first holder noted later counts.
+        assert!(seen.note(key(2), None));
+        assert!(!seen.is_holder(&key(2), 0));
+        assert!(!seen.note(key(2), Some(0)));
+        assert!(seen.is_holder(&key(2), 0));
+        assert!(!seen.more.contains_key(&key(2)), "one holder needs no side entry");
+    }
+
+    #[test]
+    fn noting_a_known_holder_adds_nothing() {
+        let mut seen = SeenCache::new();
+        seen.note(key(1), Some(4));
+        assert!(!seen.note(key(1), Some(4)));
+        assert!(!seen.note(key(1), None));
+        assert!(seen.more.is_empty(), "the inline holder is not repeated");
+        seen.note(key(1), Some(5));
+        assert!(!seen.note(key(1), Some(5)));
+        assert!(!seen.note(key(1), Some(4)));
+        assert_eq!(seen.more[&key(1)], vec![5]);
+        assert_eq!((seen.map.len(), seen.more.len()), (1, 1));
+    }
+
+    #[test]
+    fn eviction_drops_the_side_entry_too() {
+        let mut seen = SeenCache::new();
+        let cap = SEEN_CACHE as u32;
+        for n in 0..cap {
+            seen.note(key(n), Some(0));
+            seen.note(key(n), Some(1));
+        }
+        assert_eq!((seen.map.len(), seen.more.len()), (SEEN_CACHE, SEEN_CACHE));
+        // Each new key evicts the oldest, from both maps.
+        for n in cap..cap + 100 {
+            assert!(seen.note(key(n), Some(2)));
+            assert!(seen.more.len() <= seen.map.len());
+        }
+        assert_eq!((seen.map.len(), seen.order.len()), (SEEN_CACHE, SEEN_CACHE));
+        assert_eq!(seen.more.len(), SEEN_CACHE - 100);
+        assert!(!seen.is_holder(&key(0), 1), "evicted key forgot its holders");
+        assert!(!seen.more.contains_key(&key(99)));
+        assert!(seen.is_holder(&key(100), 1), "survivor keeps its second holder");
+        // An evicted key comes back as new, with only its new holder.
+        assert!(seen.note(key(0), Some(3)));
+        assert!(!seen.is_holder(&key(0), 1));
+        assert!(seen.is_holder(&key(0), 3));
     }
 }

@@ -7,6 +7,7 @@ use crate::wire::Message;
 use biot_tangle::graph::TangleError;
 use biot_tangle::tx::{Transaction, TxId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Cap on ids in one `Tips` frame (stays well under the frame limit).
 const MAX_IDS_PER_TIPS: usize = 4_096;
@@ -20,7 +21,7 @@ pub(super) struct Requested {
 
 /// A transaction waiting for its parents.
 pub(super) struct PendingTx {
-    tx: Transaction,
+    tx: Arc<Transaction>,
     attach_ms: u64,
     missing: BTreeSet<TxId>,
     /// Arrival order, for oldest-first eviction.
@@ -62,7 +63,7 @@ impl GossipNode {
         }
         self.lock_tangle().adopt_pruned(pruned.iter().copied());
         if let Some((_attach_ms, gtx)) = genesis {
-            self.ingest(Some(i), gtx, 0, now_ms);
+            self.ingest(Some(i), Arc::new(gtx), 0, now_ms);
         }
         // Anything buffered that was waiting on now-pruned ancestors is
         // attachable.
@@ -132,11 +133,17 @@ impl GossipNode {
     /// A transaction arrived — from peer `from`, or from outside the
     /// gossip layer (`None`, see [`submit`](Self::submit)): attach it, or
     /// buffer it until its parents arrive.
-    pub(super) fn ingest(&mut self, from: Option<usize>, tx: Transaction, attach_ms: u64, now_ms: u64) {
+    pub(super) fn ingest(
+        &mut self,
+        from: Option<usize>,
+        tx: Arc<Transaction>,
+        attach_ms: u64,
+        now_ms: u64,
+    ) {
         let id = tx.id();
         self.seen.note(id.0, from);
         if tx.is_genesis() {
-            self.ingest_genesis(from, tx, now_ms);
+            self.ingest_genesis(from, &tx, now_ms);
             return;
         }
         let missing: Option<BTreeSet<TxId>> = {
@@ -185,7 +192,7 @@ impl GossipNode {
         }
     }
 
-    fn ingest_genesis(&mut self, from: Option<usize>, tx: Transaction, now_ms: u64) {
+    fn ingest_genesis(&mut self, from: Option<usize>, tx: &Transaction, now_ms: u64) {
         let claimed = tx.id();
         let rebuilt = {
             let mut t = self.lock_tangle();
@@ -213,7 +220,7 @@ impl GossipNode {
     fn try_attach_resolved(
         &mut self,
         from: Option<usize>,
-        tx: Transaction,
+        tx: Arc<Transaction>,
         attach_ms: u64,
         now_ms: u64,
     ) {

@@ -40,6 +40,7 @@ use biot_store::{LedgerStore, RecoveredState, StoreError};
 use biot_tangle::tx::{NodeId, Payload, Transaction, TxId};
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Minimum of two optional deadlines (absolute ms) — `None` means "no
 /// timed work", so it never wins.
@@ -150,6 +151,10 @@ pub struct ArchivalNode {
     /// Transactions already appended to the store, as a cursor into the
     /// shared tangle's attach order.
     persisted: usize,
+    /// Credit events applied since the last store commit, waiting to be
+    /// written with the wake's transactions (always empty without a
+    /// store).
+    unpersisted_credit: Vec<CreditEvent>,
     now_ms: u64,
 }
 
@@ -206,7 +211,16 @@ impl ArchivalNode {
             }
             None => None,
         };
-        Ok(Self { gossip, credits, store, http, boot, persisted, now_ms: 0 })
+        Ok(Self {
+            gossip,
+            credits,
+            store,
+            http,
+            boot,
+            persisted,
+            unpersisted_credit: Vec::new(),
+            now_ms: 0,
+        })
     }
 
     /// How this node came up (snapshot vs cold) — the boot-time
@@ -228,6 +242,11 @@ impl ArchivalNode {
     /// The credit projection folded from gossiped events.
     pub fn credits(&self) -> &CreditLedger {
         &self.credits
+    }
+
+    /// The durable store, when the node has one.
+    pub fn store(&self) -> Option<&LedgerStore> {
+        self.store.as_ref()
     }
 
     /// The HTTP endpoint's bound address, when one is serving.
@@ -263,12 +282,14 @@ impl ArchivalNode {
         self.on_http(now_ms)
     }
 
-    /// Gossip handler: drive the mesh, fold fresh credit events into the
-    /// ledger, and append them to the store's event log.
+    /// Gossip handler: drive the mesh and fold fresh credit events into
+    /// the ledger. The events wait for [`ArchivalNode::on_persist`], which
+    /// makes them durable in the same commit as the wake's transactions.
     ///
     /// # Errors
     ///
-    /// Store append failures.
+    /// None today: the store is written by [`ArchivalNode::on_persist`].
+    /// The `Result` keeps every handler's signature alike.
     pub fn on_gossip(&mut self, now_ms: u64) -> Result<(), ArchivalBootError> {
         self.now_ms = now_ms;
         self.gossip.poll(now_ms);
@@ -276,43 +297,39 @@ impl ArchivalNode {
         for ev in &fresh {
             self.credits.apply(ev);
         }
-        if !fresh.is_empty() {
-            if let Some(store) = &mut self.store {
-                store
-                    .append_credit_events(&fresh)
-                    .map_err(ArchivalBootError::Store)?;
-            }
+        if self.store.is_some() {
+            self.unpersisted_credit.extend(fresh);
         }
         Ok(())
     }
 
-    /// Persistence handler: append newly synced transactions to the
-    /// store, one `append` (one write, one `sync_data`) each. The
-    /// transactions are cloned under the tangle lock, which is released
-    /// before the disk I/O starts.
+    /// Persistence handler: the wake's group commit. Writes the credit
+    /// events [`ArchivalNode::on_gossip`] folded since the last commit,
+    /// then every transaction attached since then, in attach order, with
+    /// one [`LedgerStore::write_records`]: one `sync_data` for the wake.
+    /// The records are encoded straight from the tangle under its lock,
+    /// which is held across the write; the node is single-threaded, so
+    /// nothing waits on it. On error nothing is marked persisted, and the
+    /// next wake writes the same records again.
     ///
     /// # Errors
     ///
-    /// Store append failures (disk full and kin).
+    /// Store write failures (disk full and kin).
     pub fn on_persist(&mut self) -> Result<(), ArchivalBootError> {
+        self.commit().map_err(ArchivalBootError::Store)
+    }
+
+    /// The body of [`ArchivalNode::on_persist`].
+    fn commit(&mut self) -> Result<(), StoreError> {
         let Some(store) = &mut self.store else { return Ok(()) };
-        let (pending, order_len) = {
-            let tangle = self.gossip.tangle().lock().unwrap();
-            let order = tangle.attach_order();
-            let pending: Vec<(Transaction, u64)> = order
-                [self.persisted.min(order.len())..]
-                .iter()
-                .filter_map(|id| match (tangle.get(id), tangle.attach_time_ms(id)) {
-                    (Some(tx), Some(at)) => Some((tx.clone(), at)),
-                    _ => None,
-                })
-                .collect();
-            (pending, order.len())
-        };
-        for (tx, at) in &pending {
-            store.append(tx, *at).map_err(ArchivalBootError::Store)?;
-        }
-        self.persisted = order_len;
+        let tangle = self.gossip.tangle().lock().unwrap();
+        let order = tangle.attach_order();
+        let fresh = order[self.persisted.min(order.len())..].iter().filter_map(|id| {
+            Some((tangle.get(id)?, tangle.attach_time_ms(id)?))
+        });
+        store.write_records(&self.unpersisted_credit, fresh)?;
+        self.persisted = order.len();
+        self.unpersisted_credit.clear();
         Ok(())
     }
 
@@ -368,6 +385,10 @@ impl ArchivalNode {
     ///
     /// Store failures.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
+        // Commit what the wake left first, so nothing the snapshot holds
+        // is written to the reset WAL again (its credit events would
+        // replay twice).
+        self.commit()?;
         if let Some(store) = &mut self.store {
             let tangle = self.gossip.tangle().lock().unwrap();
             store.checkpoint_with_credit(&tangle, &self.credits.snapshot_events())?;
@@ -549,21 +570,22 @@ impl ValidationNode {
         self.gossip.poll(now_ms);
         // Mesh → gateway. The shared tangle's attach order is
         // parent-before-child, so mirroring in order always solidifies.
+        // Own broadcasts come back around and are skipped by id; the rest
+        // go over as handles, so both tangles share one body.
         let (new_txs, order_len) = {
             let tangle = self.gossip.tangle().lock().unwrap();
             let order = tangle.attach_order();
-            let new: Vec<Transaction> = order[self.mirrored.min(order.len())..]
+            let new: Vec<Arc<Transaction>> = order[self.mirrored.min(order.len())..]
                 .iter()
-                .filter_map(|id| tangle.get(id).cloned())
+                .filter(|id| !self.gateway.tangle().contains(id))
+                .filter_map(|id| tangle.get_shared(id))
                 .collect();
             (new, order.len())
         };
         for tx in new_txs {
-            if !self.gateway.tangle().contains(&tx.id()) {
-                // Own broadcasts come back around; receive_broadcast
-                // rejects duplicates and we ignore exactly that.
-                let _ = self.gateway.receive_broadcast(tx, now);
-            }
+            // A mesh transaction the gateway's ledger refuses (a double
+            // spend it saw first) stays out of it, as on any replica.
+            let _ = self.gateway.receive_broadcast(tx, now);
         }
         self.mirrored = order_len;
         let remote = self.gossip.take_credit_events();
@@ -792,6 +814,44 @@ mod tests {
         let err = node.verify_replay(SimTime::from_millis(20)).unwrap_err();
         assert_eq!(err.node, clients[0].id());
         assert_ne!(err.live, err.replayed);
+    }
+
+    #[test]
+    fn mirror_skips_own_broadcasts_and_shares_mesh_bodies() {
+        let (gateway, _manager, clients) = test_gateway(5);
+        let mut node = ValidationNode::new(gateway, RoleConfig::default()).unwrap();
+        let genesis = node.gateway().tangle().genesis().unwrap();
+        let at = SimTime::from_millis(10);
+        let own = clients[0].prepare(vec![1], (genesis, genesis), at, Difficulty::MIN);
+        let own = node.gateway_mut().submit(own.tx, at).unwrap();
+        node.poll(10).unwrap();
+        let mesh_len = node.gossip().tangle().lock().unwrap().len();
+        assert_eq!(mesh_len, node.gateway().tangle().len(), "own broadcasts reached the mesh");
+        assert_eq!(node.gateway().stats().gossip_received, 0, "own broadcasts are not mirrored");
+
+        let mesh_tx = biot_tangle::tx::TransactionBuilder::new(NodeId([9; 32]))
+            .parents(genesis, own)
+            .payload(Payload::Data(vec![2]))
+            .timestamp_ms(20)
+            .build();
+        let mesh = mesh_tx.id();
+        node.gossip_mut().submit(mesh_tx, 20, 20);
+        node.poll(20).unwrap();
+        assert_eq!(node.gateway().stats().gossip_received, 1, "a mesh transaction is mirrored");
+        assert!(node.gateway().tangle().contains(&mesh));
+        node.poll(30).unwrap();
+        assert_eq!(node.gateway().stats().gossip_received, 1, "and mirrored once");
+
+        // Both tangles hold one body per transaction, whichever side
+        // attached it first.
+        let gossip = node.gossip().tangle().lock().unwrap();
+        for id in [own, mesh] {
+            let shared = Arc::ptr_eq(
+                &gossip.get_shared(&id).unwrap(),
+                &node.gateway().tangle().get_shared(&id).unwrap(),
+            );
+            assert!(shared, "{id:?} is stored twice");
+        }
     }
 
     #[test]

@@ -164,6 +164,8 @@ pub struct LedgerStore {
     /// [`LedgerStore::open_read_only`], which never touches the write
     /// path.
     wal: Option<File>,
+    /// `sync_data` calls issued through this handle.
+    syncs: u64,
 }
 
 /// Everything [`LedgerStore::recover_full`] can replay from disk.
@@ -200,7 +202,7 @@ impl LedgerStore {
         if wal.metadata()?.len() < WAL_MAGIC.len() as u64 {
             reset_wal(&mut wal)?;
         }
-        Ok(Self { dir, wal: Some(wal) })
+        Ok(Self { dir, wal: Some(wal), syncs: 0 })
     }
 
     /// Opens an *existing* store directory for reading only: recovery
@@ -224,56 +226,56 @@ impl LedgerStore {
                 format!("store directory {} does not exist", dir.display()),
             )));
         }
-        Ok(Self { dir, wal: None })
+        Ok(Self { dir, wal: None, syncs: 0 })
     }
 
     /// Appends a freshly attached transaction to the WAL: a one-record
-    /// [`append_batch`](Self::append_batch).
+    /// [`write_records`](Self::write_records).
     ///
     /// # Errors
     ///
-    /// As [`append_batch`](Self::append_batch).
+    /// As [`write_records`](Self::write_records).
     pub fn append(&mut self, tx: &Transaction, attach_ms: u64) -> Result<(), StoreError> {
-        self.write_records([(tx, attach_ms)], put_tx_record)
+        self.write_records(&[], [(tx, attach_ms)])
     }
 
-    /// Appends freshly attached `(transaction, attach_ms)` records to the
-    /// WAL in order, as one group commit: one write, one sync.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures; on error the batch may be torn
-    /// anywhere, and recovery keeps the record-aligned prefix that reached
-    /// the disk (the torn tail is dropped).
-    pub fn append_batch(&mut self, batch: &[(Transaction, u64)]) -> Result<(), StoreError> {
-        self.write_records(batch.iter().map(|(tx, at)| (tx, *at)), put_tx_record)
-    }
-
-    /// Appends credit events to the WAL (one write, one sync), so the
+    /// Appends credit events to the WAL with one sync, so the
     /// behaviour evidence behind every credit value is as durable as the
-    /// transactions themselves.
+    /// transactions themselves: a [`write_records`](Self::write_records)
+    /// without transactions.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures.
+    /// As [`write_records`](Self::write_records).
     pub fn append_credit_events(&mut self, events: &[CreditEvent]) -> Result<(), StoreError> {
-        self.write_records(events, |out, ev| {
-            out.push(WAL_TAG_CREDIT);
-            put_body(out, &encode_event(ev));
-        })
+        self.write_records(events, [])
     }
 
-    /// The one record writer: encodes every item with `put`, then commits
-    /// them with one write and one `sync_data`. Nothing to write is a
-    /// no-op.
-    fn write_records<T>(
+    /// The one record writer, and the group commit of an archival node's
+    /// wake: encodes `credit_events`, then the freshly attached
+    /// `(transaction, attach_ms)` records, in that order, and commits them
+    /// with one write and one `sync_data`. Nothing to write is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::ReadOnly`] on a read-only store; otherwise propagates
+    /// filesystem failures. On error the commit may be torn anywhere, and
+    /// recovery keeps the record-aligned prefix that reached the disk (the
+    /// torn tail is dropped).
+    pub fn write_records<'a>(
         &mut self,
-        items: impl IntoIterator<Item = T>,
-        mut put: impl FnMut(&mut Vec<u8>, T),
+        credit_events: &[CreditEvent],
+        txs: impl IntoIterator<Item = (&'a Transaction, u64)>,
     ) -> Result<(), StoreError> {
         let mut records = Vec::new();
-        for item in items {
-            put(&mut records, item);
+        for ev in credit_events {
+            records.push(WAL_TAG_CREDIT);
+            put_body(&mut records, &encode_event(ev));
+        }
+        for (tx, attach_ms) in txs {
+            records.push(WAL_TAG_TX);
+            write_varint(&mut records, attach_ms);
+            put_body(&mut records, &encode_tx(tx));
         }
         if records.is_empty() {
             return Ok(());
@@ -281,7 +283,16 @@ impl LedgerStore {
         let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
         wal.write_all(&records)?;
         wal.sync_data()?;
+        self.syncs += 1;
         Ok(())
+    }
+
+    /// How many `sync_data` calls this handle has issued since it was
+    /// opened: one per non-empty [`write_records`](Self::write_records),
+    /// two per checkpoint that writes a snapshot (the snapshot file, then
+    /// the WAL reset).
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Writes a full checkpoint of `tangle` and resets the WAL:
@@ -334,9 +345,12 @@ impl LedgerStore {
             let mut f = File::create(&tmp)?;
             f.write_all(&encode_snapshot(tangle, credit_events))?;
             f.sync_data()?;
+            self.syncs += 1;
         }
         fs::rename(&tmp, &snapshot)?;
-        reset_wal(wal)
+        reset_wal(wal)?;
+        self.syncs += 1;
+        Ok(())
     }
 
     /// Recovers the ledger from disk: snapshot (if any) plus WAL replay.
@@ -410,13 +424,6 @@ fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
 fn put_body(out: &mut Vec<u8>, body: &[u8]) {
     write_varint(out, body.len() as u64);
     out.extend_from_slice(body);
-}
-
-/// Appends one WAL transaction record.
-fn put_tx_record(out: &mut Vec<u8>, (tx, attach_ms): (&Transaction, u64)) {
-    out.push(WAL_TAG_TX);
-    write_varint(out, attach_ms);
-    put_body(out, &encode_tx(tx));
 }
 
 /// The one length-prefixed body reader, for `[varint len][body]` as
@@ -632,22 +639,20 @@ mod tests {
     #[test]
     fn batch_append_writes_the_same_records_as_single_appends() {
         let (one, batched) = (TempDir::new(), TempDir::new());
+        let events = [event(1, 1, 1.0), mis(2, 1)];
         let mut tangle = Tangle::new();
         tangle.attach_genesis(NodeId([0; 32]), 0);
         let mut store = LedgerStore::open(&one.0).unwrap();
+        store.append_credit_events(&events).unwrap();
         grow(&mut tangle, &mut store, 6, 10);
-        let rows: Vec<(Transaction, u64)> = tangle.attach_order()[1..]
-            .iter()
-            .map(|id| {
-                (
-                    tangle.get(id).unwrap().clone(),
-                    tangle.attach_time_ms(id).unwrap(),
-                )
-            })
-            .collect();
+        assert_eq!(store.syncs(), 7, "one sync per append");
         let mut store = LedgerStore::open(&batched.0).unwrap();
-        store.append_batch(&rows).unwrap();
-        store.append_batch(&[]).unwrap();
+        let rows = tangle.attach_order()[1..]
+            .iter()
+            .map(|id| (tangle.get(id).unwrap(), tangle.attach_time_ms(id).unwrap()));
+        store.write_records(&events, rows).unwrap();
+        store.write_records(&[], []).unwrap();
+        assert_eq!(store.syncs(), 1, "one sync for the group, none for nothing");
         assert_eq!(
             fs::read(one.0.join(WAL_FILE)).unwrap(),
             fs::read(batched.0.join(WAL_FILE)).unwrap()
@@ -1248,7 +1253,7 @@ mod tests {
             .timestamp_ms(999)
             .build();
         assert!(matches!(ro.append(&tx, 999), Err(StoreError::ReadOnly)));
-        assert!(matches!(ro.append_batch(&[(tx, 999)]), Err(StoreError::ReadOnly)));
+        assert!(matches!(ro.write_records(&[], [(&tx, 999)]), Err(StoreError::ReadOnly)));
         assert!(matches!(
             ro.append_credit_events(&[mis(9, 9)]),
             Err(StoreError::ReadOnly)

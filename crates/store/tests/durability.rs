@@ -52,7 +52,7 @@ fn flush_batch(
     if batch.is_empty() || (!force && batch.len() < sizes[*next % sizes.len()]) {
         return;
     }
-    store.append_batch(batch).unwrap();
+    store.write_records(&[], batch.iter().map(|(tx, at)| (tx, *at))).unwrap();
     batch.clear();
     *next += 1;
 }

@@ -65,7 +65,12 @@ impl std::error::Error for TangleError {}
 /// A stored transaction with its graph metadata.
 #[derive(Clone, Debug)]
 pub(crate) struct Entry {
-    pub(crate) tx: Transaction,
+    /// The body, shared with every other holder of the same transaction
+    /// (a second tangle on the same node, an outbox, a solidification
+    /// queue) instead of copied.
+    pub(crate) tx: Arc<Transaction>,
+    /// Direct approvers, in attach order. Most transactions end with one
+    /// or two, so the first push reserves exactly two.
     pub(crate) approvers: Vec<TxId>,
     pub(crate) attach_time_ms: u64,
     /// Monotone attach sequence number (true arrival order).
@@ -85,6 +90,14 @@ pub(crate) struct Entry {
     /// Value of the tangle's pass counter when this entry was sealed
     /// (0 while the entry is in the frontier).
     pub(crate) pass_base: u64,
+}
+
+/// Records `child` as the newest direct approver of `parent`.
+fn push_approver(parent: &mut Entry, child: TxId) {
+    if parent.approvers.capacity() == 0 {
+        parent.approvers.reserve_exact(2);
+    }
+    parent.approvers.push(child);
 }
 
 /// The immutable-by-default sealed region of the tangle: the confirmed
@@ -188,8 +201,7 @@ pub struct SealStats {
 pub struct Tangle {
     /// Mutable unsealed entries (the frontier). Hot path: every attach
     /// inserts here. Entries are boxed in both maps: an inline `Entry` is
-    /// hundreds of bytes, and a hash table keeps up to half its buckets
-    /// empty.
+    /// 72 bytes, and a hash table keeps up to half its buckets empty.
     pub(crate) frontier: HashMap<TxId, Box<Entry>>,
     /// The sealed confirmed cone, shared copy-on-write with clones.
     pub(crate) sealed: Option<std::sync::Arc<SealedEpoch>>,
@@ -212,9 +224,11 @@ pub struct Tangle {
     /// [`Tangle::recent_non_tips`]: selecting a depth-constrained walk
     /// start costs O(window) instead of collect-and-sort O(n log n).
     pub(crate) recency: Vec<TxId>,
-    /// Pending (unconfirmed) ids, sorted. Keeps
-    /// [`Tangle::confirm_with_threshold`] O(pending) instead of O(stored).
-    pending: BTreeSet<TxId>,
+    /// Slots of the pending (unconfirmed) entries, in no particular order.
+    /// Keeps [`Tangle::confirm_with_threshold`] O(pending) instead of
+    /// O(stored) at 4 bytes an entry. A pending entry is never sealed or
+    /// pruned, so its slot stays its own while it is listed here.
+    pending: Vec<u32>,
     /// Monotone seal/pass/stray counters for [`Tangle::seal_stats`].
     seals_total: u64,
     passes_total: u64,
@@ -246,7 +260,7 @@ impl Tangle {
         self.frontier.insert(
             id,
             Box::new(Entry {
-                tx,
+                tx: Arc::new(tx),
                 approvers: Vec::new(),
                 attach_time_ms: now_ms,
                 seq: self.total_attached,
@@ -285,7 +299,8 @@ impl Tangle {
     /// Validates and attaches `tx`, returning its id.
     ///
     /// On success the transaction becomes a tip and its parents stop being
-    /// tips.
+    /// tips. Pass an `Arc` to share a body another holder already keeps
+    /// (see [`Tangle::get_shared`]); a plain `Transaction` is moved in.
     ///
     /// # Errors
     ///
@@ -298,7 +313,12 @@ impl Tangle {
     ///   transaction is **not** stored, matching the paper's "detected and
     ///   canceled" semantics. The caller can feed the error into the credit
     ///   punisher.
-    pub fn attach(&mut self, tx: Transaction, now_ms: u64) -> Result<TxId, TangleError> {
+    pub fn attach(
+        &mut self,
+        tx: impl Into<Arc<Transaction>>,
+        now_ms: u64,
+    ) -> Result<TxId, TangleError> {
+        let tx = tx.into();
         let id = tx.id();
         if self.entry(&id).is_some() || self.pruned.contains(&id) {
             return Err(TangleError::Duplicate(id));
@@ -330,12 +350,12 @@ impl Tangle {
                 continue; // same parent twice counts once
             }
             if let Some(entry) = self.frontier.get_mut(parent) {
-                entry.approvers.push(id);
+                push_approver(entry, id);
                 parent_slots[i] = entry.slot;
             } else if self.is_sealed_id(parent) {
                 let ep = Arc::make_mut(self.sealed.as_mut().expect("sealed id implies epoch"));
                 if let Some(entry) = ep.entries.get_mut(parent) {
-                    entry.approvers.push(id);
+                    push_approver(entry, id);
                     parent_slots[i] = entry.slot;
                 }
             }
@@ -355,7 +375,7 @@ impl Tangle {
                 pass_base: 0,
             }),
         );
-        self.pending.insert(id);
+        self.pending.push(slot);
         self.bump_ancestor_weights(parent_slots);
         self.tips.insert(id);
         self.total_attached += 1;
@@ -434,7 +454,14 @@ impl Tangle {
 
     /// Looks up a transaction.
     pub fn get(&self, id: &TxId) -> Option<&Transaction> {
-        self.entry(id).map(|e| &e.tx)
+        self.entry(id).map(|e| &*e.tx)
+    }
+
+    /// Looks up a transaction as a shared handle on the stored body: hand
+    /// it to another tangle's [`Tangle::attach`] (or any other holder) and
+    /// both keep one copy.
+    pub fn get_shared(&self, id: &TxId) -> Option<Arc<Transaction>> {
+        self.entry(id).map(|e| Arc::clone(&e.tx))
     }
 
     /// Returns true if `id` is attached (pruned ids return false).
@@ -512,11 +539,11 @@ impl Tangle {
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
         self.frontier
             .values()
-            .map(|e| &e.tx)
+            .map(|e| &*e.tx)
             .chain(
                 self.sealed
                     .iter()
-                    .flat_map(|ep| ep.entries.values().map(|e| &e.tx)),
+                    .flat_map(|ep| ep.entries.values().map(|e| &*e.tx)),
             )
     }
 
@@ -574,22 +601,23 @@ impl Tangle {
     /// paper mentions: weight accumulates as later transactions approve.
     /// A single scan over the **pending index** — O(pending), not
     /// O(stored), and sealed entries (always confirmed) are never touched.
+    /// The ids come back in ascending id order.
     pub fn confirm_with_threshold(&mut self, threshold: u64) -> Vec<TxId> {
         let mut confirmed = Vec::new();
-        // `pending` is a sorted set, so the output stays id-ordered.
-        for id in &self.pending {
-            if let Some(entry) = self.frontier.get(id) {
-                if self.slots.weight(entry.slot) >= threshold {
-                    confirmed.push(*id);
-                }
+        let slots = &self.slots;
+        self.pending.retain(|&slot| {
+            let reached = slots.weight(slot) >= threshold;
+            if reached {
+                confirmed.push(*slots.id(slot));
             }
-        }
+            !reached
+        });
         for id in &confirmed {
-            self.pending.remove(id);
             if let Some(entry) = self.frontier.get_mut(id) {
                 entry.status = TxStatus::Confirmed;
             }
         }
+        confirmed.sort_unstable();
         confirmed
     }
 
@@ -761,8 +789,13 @@ impl Tangle {
     pub(crate) fn force_confirm(&mut self, ids: impl IntoIterator<Item = TxId>) {
         for id in ids {
             if let Some(e) = self.frontier.get_mut(&id) {
-                e.status = TxStatus::Confirmed;
-                self.pending.remove(&id);
+                if e.status == TxStatus::Pending {
+                    e.status = TxStatus::Confirmed;
+                    // Restore confirms each row right after attaching it,
+                    // so its slot is found at the end of the list.
+                    let at = self.pending.iter().rposition(|&s| s == e.slot);
+                    self.pending.swap_remove(at.expect("a pending entry is listed"));
+                }
             }
         }
     }
@@ -1007,6 +1040,7 @@ mod tests {
         let id = t.attach(data_tx(1, g, g, 10), 10).unwrap();
         assert_eq!(t.tips(), vec![id]);
         assert_eq!(t.approvers(&g), &[id]);
+        assert_eq!(t.entry(&g).unwrap().approvers.capacity(), 2, "room for two, no more");
         assert_eq!(t.status(&id), Some(TxStatus::Pending));
         assert_eq!(t.total_attached(), 2);
     }
@@ -1099,6 +1133,71 @@ mod tests {
         assert_eq!(confirmed, vec![a]);
         assert_eq!(t.status(&a), Some(TxStatus::Confirmed));
         assert_eq!(t.status(&b), Some(TxStatus::Pending));
+    }
+
+    /// Attaches `n` transactions, each approving the one before (`prev`
+    /// first), at instants `from_ms + 1 ..`; returns their ids in attach
+    /// order.
+    fn chain(t: &mut Tangle, mut prev: TxId, n: u8, from_ms: u64) -> Vec<TxId> {
+        (1..=n)
+            .map(|k| {
+                let at = from_ms + u64::from(k);
+                prev = t.attach(data_tx(k, prev, prev, at), at).unwrap();
+                prev
+            })
+            .collect()
+    }
+
+    fn sorted(ids: &[TxId]) -> Vec<TxId> {
+        let mut ids = ids.to_vec();
+        ids.sort();
+        ids
+    }
+
+    #[test]
+    fn confirmations_come_back_in_ascending_id_order() {
+        // Attach order differs from id order.
+        let (mut t, g) = with_genesis();
+        let first = chain(&mut t, g, 12, 0);
+        assert_ne!(first, sorted(&first), "attach order must differ from id order");
+        // Weights fall 12..1 along the chain: all but the last reach 2.
+        assert_eq!(t.confirm_with_threshold(2), sorted(&first[..11]));
+
+        // A snapshot frees the slots of the genesis and the first six; the
+        // next attaches take them over.
+        let freed: Vec<u32> =
+            [g].iter().chain(&first[..6]).map(|id| t.entry(id).unwrap().slot).collect();
+        assert_eq!(t.snapshot(7), 7);
+        let second = chain(&mut t, first[11], 6, 100);
+        for id in &second {
+            assert!(freed.contains(&t.entry(id).unwrap().slot), "freed slot reused");
+        }
+        let mut expect = second[..5].to_vec();
+        expect.push(first[11]);
+        assert_eq!(t.confirm_with_threshold(2), sorted(&expect));
+
+        // A restore confirms rows one at a time as it re-attaches them; the
+        // rows still pending confirm afterwards, again in id order.
+        let third = chain(&mut t, second[5], 4, 200);
+        let mut t = crate::snapshot::TangleSnapshot::capture(&t).restore().unwrap();
+        let mut expect = third[..3].to_vec();
+        expect.push(second[5]);
+        assert_eq!(t.confirm_with_threshold(2), sorted(&expect));
+        assert_eq!(t.status(&third[3]), Some(TxStatus::Pending));
+        assert_eq!(t.confirm_with_threshold(1), vec![third[3]]);
+        assert!(t.confirm_with_threshold(1).is_empty(), "the pending list is drained");
+    }
+
+    #[test]
+    fn get_shared_hands_out_the_stored_body() {
+        let (mut t, g) = with_genesis();
+        let a = t.attach(data_tx(1, g, g, 1), 1).unwrap();
+        let body = t.get_shared(&a).unwrap();
+        let mut replica = Tangle::new();
+        replica.attach_genesis(node(0), 0);
+        replica.attach(Arc::clone(&body), 1).unwrap();
+        assert!(Arc::ptr_eq(&replica.get_shared(&a).unwrap(), &body), "one body, two tangles");
+        assert!(t.get_shared(&TxId([9; 32])).is_none());
     }
 
     #[test]

@@ -41,7 +41,8 @@ struct Slot {
 pub(crate) struct SlotIndex {
     slots: Vec<Slot>,
     /// Id of the entry in each slot (only the sealed continuation of a
-    /// walk needs it, so it is kept out of the hot `slots` array).
+    /// walk and the pending list's confirmation scan need it, so it is
+    /// kept out of the hot `slots` array).
     ids: Vec<TxId>,
     free: Vec<u32>,
     /// Mark of the current (or last) walk.
@@ -91,6 +92,11 @@ impl SlotIndex {
                 *p = NO_SLOT;
             }
         }
+    }
+
+    /// Id of the entry in a slot.
+    pub(crate) fn id(&self, slot: u32) -> &TxId {
+        &self.ids[slot as usize]
     }
 
     /// Live weight of a frontier slot.

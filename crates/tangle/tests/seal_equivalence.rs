@@ -138,6 +138,13 @@ proptest! {
                 Op::Confirm(threshold) => {
                     let a = sealed.confirm_with_threshold(*threshold);
                     let b = plain.confirm_with_threshold(*threshold);
+                    // Attach order is random against id order, prunes free
+                    // slots that later attaches reuse, and restores confirm
+                    // row by row: none of it may reorder the output.
+                    prop_assert!(
+                        a.windows(2).all(|w| w[0] < w[1]),
+                        "op {}: confirmations not in ascending id order", i
+                    );
                     prop_assert_eq!(a, b, "op {}: confirmation sets differ", i);
                 }
                 Op::Seal(lag) => {
@@ -222,4 +229,47 @@ fn slot_index_does_not_grow_across_prune_cycles() {
         "index of {peak} slots is not bounded by what is stored ({} attached)",
         t.total_attached()
     );
+}
+
+/// `confirm_with_threshold` answers in ascending id order through the
+/// three things that reorder its pending list: attaches in an order
+/// unrelated to id order, a prune whose freed slots later attaches
+/// reuse, and a restore that confirms rows as it re-attaches them. A
+/// never-sealed mirror built by plain attaches must agree at each step.
+#[test]
+fn confirmations_stay_in_id_order_across_slot_reuse_and_restore() {
+    let mut rng = StdRng::seed_from_u64(0xC0F1);
+    let mut t = Tangle::new();
+    let mut mirror = Tangle::new();
+    t.attach_genesis(NodeId([0; 32]), 0);
+    mirror.attach_genesis(NodeId([0; 32]), 0);
+    let mut clock = 0u64;
+    for round in 0..12 {
+        for _ in 0..20 {
+            clock += 1;
+            let pool = wide_pool(&t);
+            let tx = TransactionBuilder::new(NodeId([(clock % 7) as u8 + 1; 32]))
+                .parents(pool[rng.gen_range(0..pool.len())], pool[rng.gen_range(0..pool.len())])
+                .payload(Payload::Data(clock.to_be_bytes().to_vec()))
+                .timestamp_ms(clock)
+                .build();
+            t.attach(tx.clone(), clock).expect("parents stored");
+            mirror.attach(tx, clock).expect("parents stored");
+        }
+        let a = t.confirm_with_threshold(3);
+        let b = mirror.confirm_with_threshold(3);
+        assert!(a.windows(2).all(|w| w[0] < w[1]), "round {round}: not ascending");
+        assert_eq!(a, b, "round {round}: confirmation sets differ");
+        match round % 3 {
+            // Free slots for the next round's attaches to reuse.
+            0 => {
+                let cutoff = clock.saturating_sub(10);
+                assert_eq!(t.snapshot(cutoff), mirror.snapshot(cutoff));
+            }
+            // Restore confirms row by row, then the next round confirms
+            // what was still pending.
+            1 => t = TangleSnapshot::capture(&t).restore().expect("captured state restores"),
+            _ => {}
+        }
+    }
 }
