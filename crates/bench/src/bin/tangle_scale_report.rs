@@ -7,7 +7,7 @@
 //!   steady-state confirm/seal cadence, recording per-attach pause
 //!   percentiles, a log2 pause histogram, per-window throughput (flat
 //!   windows = per-attach cost bounded by the frontier, not ledger
-//!   depth), resident sealed-epoch vs mutable-frontier sizes, and
+//!   depth), resident sealed vs frontier sizes, and
 //!   sampled recount-oracle checks (the run aborts on any mismatch).
 //! * **probe at depth** — a fresh attach batch against the finished
 //!   1M-tx tangle, once with the seal in place and once on an unsealed

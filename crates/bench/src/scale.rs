@@ -80,9 +80,11 @@ pub struct ScaleReport {
     pub window_tx_per_sec: Vec<f64>,
     /// p99 per-attach nanoseconds per tenth-of-run window.
     pub window_p99_ns: Vec<u64>,
-    /// Mutable frontier entries at the end of the run.
+    /// Frontier entries at the end of the run, counted entry by entry
+    /// rather than derived from the tangle's sealed-entry counter, so
+    /// `sealed_len + frontier_len == txs + 1` checks that counter.
     pub frontier_len: usize,
-    /// Immutable sealed-epoch entries at the end of the run.
+    /// Sealed entries at the end of the run (the tangle's counter).
     pub sealed_len: usize,
     /// Seals performed / boundary passes / stray walks (see `SealStats`).
     pub seals: u64,
@@ -214,7 +216,7 @@ pub fn run_sealed_ingest(cfg: &ScaleConfig) -> (Tangle, ScaleReport) {
         histogram,
         window_tx_per_sec,
         window_p99_ns,
-        frontier_len: tangle.frontier_len(),
+        frontier_len: tangle.attach_order().iter().filter(|id| !tangle.is_sealed(id)).count(),
         sealed_len: tangle.sealed_len(),
         seals: stats.seals,
         passes: stats.passes,
@@ -288,6 +290,7 @@ mod tests {
         assert_eq!(report.oracle_failures, 0);
         assert!(report.oracle_checks > 5);
         assert!(report.seals > 0, "sealing must have engaged");
+        assert_eq!(report.sealed_len + report.frontier_len, cfg.txs + 1, "every entry counted once");
         assert!(
             report.sealed_len > report.frontier_len,
             "most of the ledger should be sealed: {} sealed vs {} frontier",

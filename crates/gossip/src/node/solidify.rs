@@ -143,7 +143,7 @@ impl GossipNode {
         let id = tx.id();
         self.seen.note(id.0, from);
         if tx.is_genesis() {
-            self.ingest_genesis(from, &tx, now_ms);
+            self.ingest_genesis(from, id, &tx, now_ms);
             return;
         }
         let missing: Option<BTreeSet<TxId>> = {
@@ -165,7 +165,7 @@ impl GossipNode {
             return;
         }
         if missing.is_empty() {
-            self.try_attach_resolved(from, tx, attach_ms, now_ms);
+            self.try_attach_resolved(from, id, tx, attach_ms, now_ms);
             return;
         }
         // Buffer and chase the missing ancestors.
@@ -192,8 +192,14 @@ impl GossipNode {
         }
     }
 
-    fn ingest_genesis(&mut self, from: Option<usize>, tx: &Transaction, now_ms: u64) {
-        let claimed = tx.id();
+    /// `claimed` is `tx.id()`, already computed by the caller.
+    fn ingest_genesis(
+        &mut self,
+        from: Option<usize>,
+        claimed: TxId,
+        tx: &Transaction,
+        now_ms: u64,
+    ) {
         let rebuilt = {
             let mut t = self.lock_tangle();
             // A genesis is fully determined by (issuer, timestamp); rebuild
@@ -216,15 +222,16 @@ impl GossipNode {
     }
 
     /// Attaches a transaction whose parents are all present, then
-    /// cascades through everything that was waiting on it.
+    /// cascades through everything that was waiting on it. `id` is
+    /// `tx.id()`, already computed by the caller.
     fn try_attach_resolved(
         &mut self,
         from: Option<usize>,
+        id: TxId,
         tx: Arc<Transaction>,
         attach_ms: u64,
         now_ms: u64,
     ) {
-        let id = tx.id();
         self.requested.remove(&id);
         let result = self.lock_tangle().attach(tx, attach_ms);
         match result {

@@ -27,7 +27,9 @@
 //!
 //! Recovery restores the snapshot, then replays the WAL. A torn final
 //! record (crash mid-append) is detected by the codec checksum and
-//! dropped; corruption before it is an error. [`LedgerStore::recover_full`]
+//! dropped; corruption before it is an error. So that a torn record always
+//! stays final, [`LedgerStore::open`] cuts one off before appending, and
+//! a failed commit cuts its own partial bytes. [`LedgerStore::recover_full`]
 //! returns the credit events (the snapshot's credit section, then the
 //! WAL's) alongside the tangle; feed them to `Gateway::restore` so
 //! negative credit survives the restart.
@@ -185,8 +187,10 @@ impl fmt::Debug for LedgerStore {
 
 impl LedgerStore {
     /// Opens (creating if needed) a store directory. Appends resume at the
-    /// end of the existing WAL; a WAL shorter than its magic (a crash
-    /// before the magic was written) is started afresh.
+    /// end of the existing WAL's last whole record: a torn final record (a
+    /// crash mid-commit) is cut off first, so no append lands behind it.
+    /// A WAL shorter than its magic (a crash before the magic was written)
+    /// is started afresh.
     ///
     /// # Errors
     ///
@@ -194,13 +198,19 @@ impl LedgerStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let mut wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(WAL_FILE))?;
-        // An existing WAL's magic is checked by recovery, not here.
+        let path = dir.join(WAL_FILE);
+        let mut wal = OpenOptions::new().create(true).append(true).open(&path)?;
+        // An existing WAL's magic and its records before the tail are
+        // checked by recovery, not here.
         if wal.metadata()?.len() < WAL_MAGIC.len() as u64 {
             reset_wal(&mut wal)?;
+        } else {
+            let data = fs::read(&path)?;
+            let whole = whole_records_len(&data);
+            if whole < data.len() {
+                wal.set_len(whole as u64)?;
+                wal.sync_data()?;
+            }
         }
         Ok(Self { dir, wal: Some(wal), syncs: 0 })
     }
@@ -259,9 +269,10 @@ impl LedgerStore {
     /// # Errors
     ///
     /// [`StoreError::ReadOnly`] on a read-only store; otherwise propagates
-    /// filesystem failures. On error the commit may be torn anywhere, and
-    /// recovery keeps the record-aligned prefix that reached the disk (the
-    /// torn tail is dropped).
+    /// filesystem failures. A failed write or sync cuts the WAL back to its
+    /// length before the commit, so later commits never follow torn bytes.
+    /// Should the process die first, or the cut fail too, the next
+    /// [`open`](Self::open) cuts the torn tail instead.
     pub fn write_records<'a>(
         &mut self,
         credit_events: &[CreditEvent],
@@ -281,8 +292,11 @@ impl LedgerStore {
             return Ok(());
         }
         let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
-        wal.write_all(&records)?;
-        wal.sync_data()?;
+        let before = wal.metadata()?.len();
+        if let Err(e) = wal.write_all(&records).and_then(|()| wal.sync_data()) {
+            let _ = wal.set_len(before);
+            return Err(e.into());
+        }
         self.syncs += 1;
         Ok(())
     }
@@ -503,6 +517,52 @@ fn decode_snapshot(data: &[u8]) -> Result<(Tangle, Vec<CreditEvent>), StoreError
     Ok((tangle, credit_events))
 }
 
+/// One framed WAL record: `Some(attach_ms)` for a transaction, `None`
+/// for a credit event, and the record's body.
+type Record<'a> = (Option<u64>, &'a [u8]);
+
+/// Reads the framing of the record at `*pos` (which must be before the
+/// end of `data`) and moves `*pos` past it. `Ok(None)` means the framing
+/// runs past the end of `data`: a torn tail.
+fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<Record<'a>>, StoreError> {
+    let tag = data[*pos];
+    *pos += 1;
+    let framed = match tag {
+        WAL_TAG_TX => read_varint(data, pos).map(Some),
+        WAL_TAG_CREDIT => Ok(None),
+        _ => return Err(StoreError::CorruptSnapshot("wal record tag")),
+    }
+    .and_then(|attach_ms| Ok((attach_ms, read_body(data, pos)?)));
+    match framed {
+        Ok(record) => Ok(Some(record)),
+        Err(VarintError::UnexpectedEnd) => Ok(None),
+        Err(VarintError::Overlong) => Err(StoreError::CorruptSnapshot("wal varint")),
+    }
+}
+
+/// Length of the WAL `data` up to the end of its last whole record: the
+/// whole length unless the final record is torn (its framing runs past
+/// the end, or its body fails to decode). A WAL whose magic or earlier
+/// records are corrupt is left whole for recovery to report.
+fn whole_records_len(data: &[u8]) -> usize {
+    let mut pos = WAL_MAGIC.len();
+    while data.starts_with(WAL_MAGIC) && pos < data.len() {
+        let start = pos;
+        match frame_record(data, &mut pos) {
+            Ok(None) => return start,
+            Ok(Some((Some(_), body))) if pos == data.len() && decode_tx(body).is_err() => {
+                return start
+            }
+            Ok(Some((None, body))) if pos == data.len() && decode_event(body).is_err() => {
+                return start
+            }
+            Ok(Some(_)) => {}
+            Err(_) => break,
+        }
+    }
+    data.len()
+}
+
 /// Replays the WAL's records into `state`.
 ///
 /// The WAL is always the newest file, so a crash mid-append can tear only
@@ -522,18 +582,8 @@ fn replay_wal(data: &[u8], state: &mut RecoveredState) -> Result<(), StoreError>
     }
     let mut pos = WAL_MAGIC.len();
     while pos < data.len() {
-        let tag = data[pos];
-        pos += 1;
-        let framed = match tag {
-            WAL_TAG_TX => read_varint(data, &mut pos).map(Some),
-            WAL_TAG_CREDIT => Ok(None),
-            _ => return Err(StoreError::CorruptSnapshot("wal record tag")),
-        }
-        .and_then(|attach_ms| Ok((attach_ms, read_body(data, &mut pos)?)));
-        let (attach_ms, body) = match framed {
-            Ok(record) => record,
-            Err(VarintError::UnexpectedEnd) => return Ok(()), // torn tail
-            Err(VarintError::Overlong) => return Err(StoreError::CorruptSnapshot("wal varint")),
+        let Some((attach_ms, body)) = frame_record(data, &mut pos)? else {
+            return Ok(()); // torn tail
         };
         let last = pos == data.len();
         match attach_ms {
@@ -741,6 +791,47 @@ mod tests {
         let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         assert_eq!(recovered.tips(), tangle.tips());
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_recover_behind_the_whole_prefix() {
+        // A crash tears the last record; the reopened store appends two
+        // more. Recovery must return the prefix plus both, wherever the
+        // tear fell inside that record, and when the record is whole but
+        // fails its checksum.
+        let dir = TempDir::new();
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        let mut tangle = Tangle::new();
+        let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
+        store.append(&tangle.get(&genesis).unwrap().clone(), 0).unwrap();
+        grow(&mut tangle, &mut store, 3, 10);
+        let wal_path = dir.0.join(WAL_FILE);
+        let before_last = fs::metadata(&wal_path).unwrap().len() as usize;
+        grow(&mut tangle.clone(), &mut store, 1, 50);
+        drop(store);
+        let full = fs::read(&wal_path).unwrap();
+        let mut bad_checksum = full.clone();
+        *bad_checksum.last_mut().unwrap() ^= 1;
+        let mid_body = full.len() - 5;
+        let torn = std::iter::once(mid_body).chain(before_last + 1..full.len());
+        let damaged = torn.map(|cut| full[..cut].to_vec()).chain([bad_checksum]);
+        for (case, wal) in damaged.enumerate() {
+            fs::write(&wal_path, &wal).unwrap();
+            // A read-only open recovers the prefix and writes nothing.
+            let ro = LedgerStore::open_read_only(&dir.0).unwrap();
+            assert_eq!(ro.recover().unwrap().unwrap().len(), tangle.len(), "case {case}");
+            assert_eq!(fs::read(&wal_path).unwrap(), wal, "case {case}: read-only wrote");
+
+            let mut live = tangle.clone();
+            let mut store = LedgerStore::open(&dir.0).unwrap();
+            grow(&mut live, &mut store, 2, 100);
+            let recovered = store
+                .recover_full()
+                .unwrap_or_else(|e| panic!("case {case}, {} bytes: {e:?}", wal.len()))
+                .tangle
+                .unwrap();
+            assert_eq!(recovered.attach_order(), live.attach_order(), "case {case}");
+        }
     }
 
     #[test]
@@ -1036,6 +1127,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn snapshot_rows_of_a_sealed_pruned_tangle_keep_their_order() {
+        // Capture walks the attach order. Its rows, and so the snapshot
+        // bytes, must equal those of a sort of all stored entries by
+        // attach sequence, with the sealed region and pruning in play.
+        let dir = TempDir::new();
+        let mut store = LedgerStore::open(&dir.0).unwrap();
+        let mut tangle = Tangle::new();
+        tangle.attach_genesis(NodeId([0; 32]), 0);
+        for round in 0..4u64 {
+            grow(&mut tangle, &mut store, 12, 10 + 100 * round);
+            tangle.confirm_with_threshold(2);
+            tangle.seal_frontier(3);
+        }
+        assert!(tangle.sealed_len() > 0, "part of the ledger is sealed");
+        assert!(tangle.snapshot(150) > 0, "part of the ledger is pruned");
+        assert!(tangle.sealed_len() > 0, "the anchor survives the prune");
+
+        let mut by_seq: Vec<(Transaction, u64, bool)> = tangle
+            .iter()
+            .map(|tx| {
+                let id = tx.id();
+                let confirmed = tangle.status(&id) == Some(biot_tangle::graph::TxStatus::Confirmed);
+                (tx.clone(), tangle.attach_time_ms(&id).unwrap(), confirmed)
+            })
+            .collect();
+        by_seq.sort_by_key(|(tx, _, _)| tangle.attach_seq(&tx.id()).unwrap());
+        let snap = TangleSnapshot::capture(&tangle);
+        assert_eq!(snap.rows(), by_seq.as_slice());
+        assert_eq!(snap.pruned(), tangle.pruned_ids().as_slice());
+        let bytes = encode_snapshot(&tangle, &[]);
+        let (restored, _) = decode_snapshot(&bytes).unwrap();
+        assert_eq!(restored.attach_order(), tangle.attach_order());
     }
 
     /// A store holding genesis + `n` txs with a credit event after every

@@ -76,20 +76,9 @@ pub(crate) struct Entry {
     /// Monotone attach sequence number (true arrival order).
     pub(crate) seq: u64,
     pub(crate) status: TxStatus,
-    /// The entry's slot in the tangle's [`SlotIndex`].
+    /// The entry's slot in the tangle's [`SlotIndex`], which holds its
+    /// parent links, its cumulative weight and whether it is sealed.
     pub(crate) slot: u32,
-    /// Cumulative weight as of the last move out of the frontier: 1 (own)
-    /// plus the distinct stored transactions that directly or indirectly
-    /// approve this one.
-    ///
-    /// A live frontier entry's weight is kept in its slot (the attach walk
-    /// bumps it there) and this field is stale until the entry is sealed.
-    /// For sealed entries this is only the *base*: the effective weight is
-    /// `weight + (seal_pass - pass_base)` — see [`SealedEpoch`].
-    pub(crate) weight: u64,
-    /// Value of the tangle's pass counter when this entry was sealed
-    /// (0 while the entry is in the frontier).
-    pub(crate) pass_base: u64,
 }
 
 /// Records `child` as the newest direct approver of `parent`.
@@ -98,28 +87,6 @@ fn push_approver(parent: &mut Entry, child: TxId) {
         parent.approvers.reserve_exact(2);
     }
     parent.approvers.push(child);
-}
-
-/// The immutable-by-default sealed region of the tangle: the confirmed
-/// ancestor cone of `anchor`, plus the anchor itself.
-///
-/// Sealing exploits a monotonicity fact: once a cone is confirmed its
-/// weights only ever grow by *pass-through* — a new transaction that
-/// approves the anchor approves the anchor's entire cone, so one global
-/// counter (`Tangle::seal_pass`) absorbs the increment for every sealed
-/// entry at once and the per-attach ancestor walk can stop at the sealed
-/// boundary. Transactions that reach into the cone *without* approving
-/// the anchor ("strays") fall back to an exact per-entry walk inside the
-/// sealed region.
-///
-/// The epoch lives behind an `Arc` so a cloned [`Tangle`] shares it
-/// without copying; each copy mutates it copy-on-write via
-/// [`std::sync::Arc::make_mut`] (approver pushes, stray bumps, pruning),
-/// so the first write after a clone pays for the copy, once.
-#[derive(Clone, Debug)]
-pub(crate) struct SealedEpoch {
-    pub(crate) entries: HashMap<TxId, Box<Entry>>,
-    pub(crate) anchor: TxId,
 }
 
 /// Errors returned by [`Tangle::seal_to`].
@@ -199,23 +166,34 @@ pub struct SealStats {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Tangle {
-    /// Mutable unsealed entries (the frontier). Hot path: every attach
-    /// inserts here. Entries are boxed in both maps: an inline `Entry` is
-    /// 72 bytes, and a hash table keeps up to half its buckets empty.
-    pub(crate) frontier: HashMap<TxId, Box<Entry>>,
-    /// The sealed confirmed cone, shared copy-on-write with clones.
-    pub(crate) sealed: Option<std::sync::Arc<SealedEpoch>>,
-    /// Pass-through counter: how many attaches approved the current anchor
-    /// since its cone was sealed. Effective sealed weight =
-    /// `entry.weight + (seal_pass - entry.pass_base)`.
-    pub(crate) seal_pass: u64,
+    /// Every stored entry, sealed or not. Entries are boxed: an inline
+    /// `Entry` is 56 bytes, and a hash table keeps up to half its buckets
+    /// empty.
+    entries: HashMap<TxId, Box<Entry>>,
+    /// Slot of the seal anchor while a sealed region exists: the anchor
+    /// and its confirmed ancestor cone are sealed.
+    ///
+    /// Sealing exploits a monotonicity fact: once a cone is confirmed its
+    /// weights only ever grow by *pass-through*. A new transaction that
+    /// approves the anchor approves the anchor's entire cone, so one
+    /// counter (`seal_pass`) absorbs the increment for every sealed entry
+    /// at once and the per-attach ancestor walk stops at the sealed
+    /// boundary. Transactions that reach into the cone *without* approving
+    /// the anchor ("strays") fall back to an exact per-entry walk inside
+    /// the sealed region.
+    anchor_slot: Option<u32>,
+    /// Number of sealed entries.
+    sealed_count: usize,
+    /// Pass-through counter: how many attaches approved the anchor since
+    /// the sealed region formed (reset when it is folded back). A sealed
+    /// slot stores its weight minus this.
+    seal_pass: u64,
     /// Current tips (attached, not yet approved), ordered for determinism.
     pub(crate) tips: BTreeSet<TxId>,
     /// First-seen valid spend per token.
     spends: HashMap<[u8; 32], TxId>,
     /// Ids removed by snapshotting; treated as known-confirmed ancestors.
-    /// Behind an `Arc` so clones share it without copying.
-    pub(crate) pruned: std::sync::Arc<HashSet<TxId>>,
+    pruned: HashSet<TxId>,
     pub(crate) genesis: Option<TxId>,
     /// Monotone count of everything ever attached (survives pruning).
     pub(crate) total_attached: u64,
@@ -233,7 +211,8 @@ pub struct Tangle {
     seals_total: u64,
     passes_total: u64,
     strays_total: u64,
-    /// Parent links and frontier weights of every stored entry, by slot.
+    /// Parent links, weights and sealed flags of every stored entry, by
+    /// slot.
     pub(crate) slots: SlotIndex,
 }
 
@@ -257,7 +236,7 @@ impl Tangle {
             .build();
         let id = tx.id();
         let slot = self.slots.alloc(id, [NO_SLOT; 2], 1);
-        self.frontier.insert(
+        self.entries.insert(
             id,
             Box::new(Entry {
                 tx: Arc::new(tx),
@@ -266,8 +245,6 @@ impl Tangle {
                 seq: self.total_attached,
                 status: TxStatus::Confirmed,
                 slot,
-                weight: 1,
-                pass_base: 0,
             }),
         );
         self.tips.insert(id);
@@ -277,18 +254,9 @@ impl Tangle {
         id
     }
 
-    /// Looks up a stored entry in the frontier or the sealed epoch.
+    /// Looks up a stored entry.
     pub(crate) fn entry(&self, id: &TxId) -> Option<&Entry> {
-        self.frontier
-            .get(id)
-            .or_else(|| self.sealed.as_ref().and_then(|ep| ep.entries.get(id)))
-            .map(|e| &**e)
-    }
-
-    fn is_sealed_id(&self, id: &TxId) -> bool {
-        self.sealed
-            .as_ref()
-            .is_some_and(|ep| ep.entries.contains_key(id))
+        self.entries.get(id).map(|e| &**e)
     }
 
     /// The genesis id, if one was attached.
@@ -349,20 +317,14 @@ impl Tangle {
             if i == 1 && parents[1] == parents[0] {
                 continue; // same parent twice counts once
             }
-            if let Some(entry) = self.frontier.get_mut(parent) {
+            if let Some(entry) = self.entries.get_mut(parent) {
                 push_approver(entry, id);
                 parent_slots[i] = entry.slot;
-            } else if self.is_sealed_id(parent) {
-                let ep = Arc::make_mut(self.sealed.as_mut().expect("sealed id implies epoch"));
-                if let Some(entry) = ep.entries.get_mut(parent) {
-                    push_approver(entry, id);
-                    parent_slots[i] = entry.slot;
-                }
             }
             self.tips.remove(parent);
         }
         let slot = self.slots.alloc(id, parent_slots, 1);
-        self.frontier.insert(
+        self.entries.insert(
             id,
             Box::new(Entry {
                 tx,
@@ -371,8 +333,6 @@ impl Tangle {
                 seq: self.total_attached,
                 status: TxStatus::Pending,
                 slot,
-                weight: 1,
-                pass_base: 0,
             }),
         );
         self.pending.push(slot);
@@ -403,12 +363,8 @@ impl Tangle {
         if boundary.is_empty() {
             return;
         }
-        let ep = self
-            .sealed
-            .as_ref()
-            .expect("non-empty boundary implies a sealed epoch");
-        let anchor_slot = ep.entries[&ep.anchor].slot;
-        if boundary.contains(&anchor_slot) {
+        let anchor = self.anchor_slot.expect("non-empty boundary implies a sealed region");
+        if boundary.contains(&anchor) {
             // Pass-through: the new tx approves the anchor, hence every
             // sealed entry. One counter bump covers the whole cone.
             self.seal_pass += 1;
@@ -417,13 +373,7 @@ impl Tangle {
             // Stray: bump exactly the sealed ancestors reachable from the
             // boundary.
             self.strays_total += 1;
-            let ep = Arc::make_mut(self.sealed.as_mut().expect("checked above"));
-            self.slots.for_each_sealed_ancestor(|id| {
-                ep.entries
-                    .get_mut(id)
-                    .expect("sealed slots hold sealed entries")
-                    .weight += 1;
-            });
+            self.slots.bump_sealed_cone();
         }
     }
 
@@ -522,7 +472,7 @@ impl Tangle {
 
     /// Number of transactions currently stored (excludes pruned).
     pub fn len(&self) -> usize {
-        self.frontier.len() + self.sealed.as_ref().map_or(0, |ep| ep.entries.len())
+        self.entries.len()
     }
 
     /// Returns true when nothing is stored.
@@ -537,14 +487,7 @@ impl Tangle {
 
     /// Iterates over all stored transactions in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = &Transaction> {
-        self.frontier
-            .values()
-            .map(|e| &*e.tx)
-            .chain(
-                self.sealed
-                    .iter()
-                    .flat_map(|ep| ep.entries.values().map(|e| &*e.tx)),
-            )
+        self.entries.values().map(|e| &*e.tx)
     }
 
     /// The cumulative weight of `id`: 1 (own weight) plus the number of
@@ -558,13 +501,7 @@ impl Tangle {
     ///
     /// Returns 0 for unknown ids.
     pub fn cumulative_weight(&self, id: &TxId) -> u64 {
-        if let Some(e) = self.frontier.get(id) {
-            return self.slots.weight(e.slot);
-        }
-        if let Some(e) = self.sealed.as_ref().and_then(|ep| ep.entries.get(id)) {
-            return e.weight + (self.seal_pass - e.pass_base);
-        }
-        0
+        self.entry(id).map_or(0, |e| self.slots.weight(e.slot, self.seal_pass))
     }
 
     /// Recounts the cumulative weight of `id` by breadth-first traversal of
@@ -604,16 +541,16 @@ impl Tangle {
     /// The ids come back in ascending id order.
     pub fn confirm_with_threshold(&mut self, threshold: u64) -> Vec<TxId> {
         let mut confirmed = Vec::new();
-        let slots = &self.slots;
+        let (slots, pass) = (&self.slots, self.seal_pass);
         self.pending.retain(|&slot| {
-            let reached = slots.weight(slot) >= threshold;
+            let reached = slots.weight(slot, pass) >= threshold;
             if reached {
                 confirmed.push(*slots.id(slot));
             }
             !reached
         });
         for id in &confirmed {
-            if let Some(entry) = self.frontier.get_mut(id) {
+            if let Some(entry) = self.entries.get_mut(id) {
                 entry.status = TxStatus::Confirmed;
             }
         }
@@ -676,8 +613,9 @@ impl Tangle {
     /// later parent references remain valid. Tips and pending transactions
     /// are never pruned. Returns the number of transactions removed.
     pub fn snapshot(&mut self, before_ms: u64) -> usize {
-        let mut victims: Vec<TxId> = self
-            .frontier
+        // Sealed entries are confirmed by construction.
+        let victims: Vec<TxId> = self
+            .entries
             .iter()
             .filter(|(id, e)| {
                 e.status == TxStatus::Confirmed
@@ -686,15 +624,6 @@ impl Tangle {
             })
             .map(|(id, _)| *id)
             .collect();
-        if let Some(ep) = &self.sealed {
-            // Sealed entries are confirmed by construction.
-            victims.extend(
-                ep.entries
-                    .iter()
-                    .filter(|(id, e)| e.attach_time_ms < before_ms && !self.tips.contains(id))
-                    .map(|(id, _)| *id),
-            );
-        }
         if victims.is_empty() {
             return 0;
         }
@@ -703,29 +632,22 @@ impl Tangle {
         let mut parent_fixups: Vec<TxId> = Vec::with_capacity(victims.len() * 2);
         // (surviving child, freed parent slot) links to clear.
         let mut child_fixups: Vec<(TxId, u32)> = Vec::new();
-        {
-            let pruned = Arc::make_mut(&mut self.pruned);
-            for id in &victims {
-                let entry = if let Some(e) = self.frontier.remove(id) {
-                    e
-                } else {
-                    let ep = Arc::make_mut(self.sealed.as_mut().expect("victim is stored"));
-                    if *id == ep.anchor {
-                        anchor_pruned = true;
-                    }
-                    ep.entries.remove(id).expect("victim is stored")
-                };
-                pruned.insert(*id);
-                parent_fixups.extend(entry.tx.parents());
-                child_fixups.extend(
-                    entry
-                        .approvers
-                        .iter()
-                        .filter(|a| !victim_set.contains(a))
-                        .map(|a| (*a, entry.slot)),
-                );
-                self.slots.release(entry.slot);
+        for id in &victims {
+            let entry = self.entries.remove(id).expect("victim is stored");
+            if self.slots.is_sealed(entry.slot) {
+                self.sealed_count -= 1;
+                anchor_pruned |= self.anchor_slot == Some(entry.slot);
             }
+            self.pruned.insert(*id);
+            parent_fixups.extend(entry.tx.parents());
+            child_fixups.extend(
+                entry
+                    .approvers
+                    .iter()
+                    .filter(|a| !victim_set.contains(a))
+                    .map(|a| (*a, entry.slot)),
+            );
+            self.slots.release(entry.slot);
         }
         // A freed slot is reused by the next attach, so surviving children
         // must stop linking to it: the pruned parent ends their walks.
@@ -740,20 +662,15 @@ impl Tangle {
         parent_fixups.sort();
         parent_fixups.dedup();
         for p in parent_fixups {
-            if let Some(entry) = self.frontier.get_mut(&p) {
+            if let Some(entry) = self.entries.get_mut(&p) {
                 entry.approvers.retain(|a| !victim_set.contains(a));
-            } else if self.is_sealed_id(&p) {
-                let ep = Arc::make_mut(self.sealed.as_mut().expect("sealed id implies epoch"));
-                if let Some(entry) = ep.entries.get_mut(&p) {
-                    entry.approvers.retain(|a| !victim_set.contains(a));
-                }
             }
         }
         self.recency.retain(|id| !victim_set.contains(id));
-        if anchor_pruned || self.sealed.as_ref().is_some_and(|ep| ep.entries.is_empty()) {
+        if anchor_pruned {
             // Without its anchor the pass counter has no meaning: fold the
             // surviving sealed entries back into the frontier.
-            self.unseal_fold();
+            self.unseal_all();
         }
         victims.len()
     }
@@ -777,18 +694,13 @@ impl Tangle {
     /// attach normally, exactly as they would on the peer that pruned
     /// them.
     pub fn adopt_pruned(&mut self, ids: impl IntoIterator<Item = TxId>) {
-        Arc::make_mut(&mut self.pruned).extend(ids);
-    }
-
-    /// Marks ids as pruned-known ancestors (snapshot restore only).
-    pub(crate) fn mark_pruned(&mut self, ids: impl IntoIterator<Item = TxId>) {
-        self.adopt_pruned(ids);
+        self.pruned.extend(ids);
     }
 
     /// Restores confirmation flags (snapshot restore only).
     pub(crate) fn force_confirm(&mut self, ids: impl IntoIterator<Item = TxId>) {
         for id in ids {
-            if let Some(e) = self.frontier.get_mut(&id) {
+            if let Some(e) = self.entries.get_mut(&id) {
                 if e.status == TxStatus::Pending {
                     e.status = TxStatus::Confirmed;
                     // Restore confirms each row right after attaching it,
@@ -802,15 +714,16 @@ impl Tangle {
 
     // ----- sealed-cone weight index ------------------------------------
 
-    /// Seals the confirmed cone of `anchor`: moves the anchor and every
-    /// stored ancestor of it out of the frontier into the sealed epoch.
-    /// Subsequent attaches that approve the anchor bump one pass counter
-    /// instead of walking the cone, so the per-attach ancestor walk is
-    /// bounded by the frontier size. Returns how many entries were sealed.
+    /// Seals the confirmed cone of `anchor`: marks the anchor and every
+    /// stored ancestor of it sealed, turning each one's weight into an
+    /// offset against the pass counter. Subsequent attaches that approve
+    /// the anchor bump that one counter instead of walking the cone, so the
+    /// per-attach ancestor walk is bounded by the frontier size. Returns
+    /// how many entries were sealed.
     ///
     /// Requirements (checked): the anchor and its whole stored cone are
-    /// confirmed, and — when an epoch already exists — the new anchor
-    /// approves the current one (otherwise the pass counter would
+    /// confirmed, and — when a sealed region already exists — the new
+    /// anchor approves the current one (otherwise the pass counter would
     /// under-count the old cone). Sealing to the current anchor is a no-op
     /// returning `Ok(0)`.
     ///
@@ -818,16 +731,15 @@ impl Tangle {
     ///
     /// See [`SealError`].
     pub fn seal_to(&mut self, anchor: TxId) -> Result<usize, SealError> {
-        if let Some(ep) = &self.sealed {
-            if ep.anchor == anchor {
-                return Ok(0);
-            }
-            if ep.entries.contains_key(&anchor) {
-                return Err(SealError::AlreadySealed(anchor));
-            }
+        let old_anchor = self.seal_anchor();
+        if old_anchor == Some(anchor) {
+            return Ok(0);
         }
-        match self.frontier.get(&anchor) {
+        match self.entry(&anchor) {
             None => return Err(SealError::UnknownAnchor(anchor)),
+            Some(e) if self.slots.is_sealed(e.slot) => {
+                return Err(SealError::AlreadySealed(anchor))
+            }
             Some(e) if e.status != TxStatus::Confirmed => {
                 return Err(SealError::NotConfirmed(anchor))
             }
@@ -839,64 +751,44 @@ impl Tangle {
         // watching for the old anchor among the boundary hits (any path
         // from the new anchor to the old one travels through frontier
         // entries only, so the walk cannot miss it).
-        let old_anchor = self.sealed.as_ref().map(|ep| ep.anchor);
         let mut saw_old_anchor = old_anchor.is_none();
-        let mut cone: HashSet<TxId> = HashSet::new();
+        let mut cone: Vec<u32> = Vec::new();
+        let mut seen: HashSet<TxId> = HashSet::new();
         let mut queue: VecDeque<TxId> = VecDeque::new();
-        cone.insert(anchor);
+        seen.insert(anchor);
         queue.push_back(anchor);
         while let Some(cur) = queue.pop_front() {
-            let entry = self.frontier.get(&cur).expect("cone walk stays in frontier");
+            let entry = self.entry(&cur).expect("cone walk stays in frontier");
             if entry.status != TxStatus::Confirmed {
                 return Err(SealError::UnconfirmedCone(cur));
             }
+            cone.push(entry.slot);
             for p in entry.tx.parents() {
-                if p == TxId::GENESIS_PARENT || !cone.insert(p) {
+                if p == TxId::GENESIS_PARENT || !seen.insert(p) {
                     continue;
                 }
-                if self.frontier.contains_key(&p) {
-                    queue.push_back(p);
-                } else {
+                match self.entry(&p) {
+                    Some(e) if !self.slots.is_sealed(e.slot) => queue.push_back(p),
                     // Sealed or pruned parent: boundary of the walk.
-                    cone.remove(&p);
-                    if old_anchor == Some(p) {
-                        saw_old_anchor = true;
-                    }
+                    _ => saw_old_anchor |= old_anchor == Some(p),
                 }
             }
         }
         if !saw_old_anchor {
             return Err(SealError::DoesNotApproveAnchor {
                 candidate: anchor,
-                anchor: old_anchor.expect("saw_old_anchor starts true without an epoch"),
+                anchor: old_anchor.expect("saw_old_anchor starts true without a sealed region"),
             });
         }
-        // Commit: move the cone into the epoch, stamping the current pass
-        // counter so effective weights are continuous across the seal.
-        let pass_base = self.seal_pass;
-        let mut moved: Vec<(TxId, Box<Entry>)> = Vec::with_capacity(cone.len());
-        for id in cone {
-            let mut e = self.frontier.remove(&id).expect("cone ids are frontier");
-            e.weight = self.slots.seal(e.slot);
-            e.pass_base = pass_base;
-            moved.push((id, e));
+        // Commit: offset each cone weight by the current pass counter so
+        // effective weights are continuous across the seal.
+        for &slot in &cone {
+            self.slots.seal(slot, self.seal_pass);
         }
-        let sealed_count = moved.len();
-        match &mut self.sealed {
-            Some(arc) => {
-                let ep = Arc::make_mut(arc);
-                ep.anchor = anchor;
-                ep.entries.extend(moved);
-            }
-            None => {
-                self.sealed = Some(Arc::new(SealedEpoch {
-                    entries: moved.into_iter().collect(),
-                    anchor,
-                }));
-            }
-        }
+        self.anchor_slot = Some(cone[0]);
+        self.sealed_count += cone.len();
         self.seals_total += 1;
-        Ok(sealed_count)
+        Ok(cone.len())
     }
 
     /// Picks a seal anchor automatically: the entry `lag` positions back in
@@ -917,11 +809,9 @@ impl Tangle {
             }
             let idx = len - depth - 1;
             let candidate = self.recency[idx];
-            let viable = self
-                .frontier
-                .get(&candidate)
-                .is_some_and(|e| e.status == TxStatus::Confirmed)
-                && !self.tips.contains(&candidate);
+            let viable = self.entry(&candidate).is_some_and(|e| {
+                e.status == TxStatus::Confirmed && !self.slots.is_sealed(e.slot)
+            }) && !self.tips.contains(&candidate);
             if viable && self.seal_to(candidate).is_ok() {
                 return Some(candidate);
             }
@@ -933,45 +823,36 @@ impl Tangle {
     }
 
     /// Folds every sealed entry back into the frontier, materialising its
-    /// effective weight, and clears the epoch. After this the tangle
+    /// effective weight, and drops the anchor. After this the tangle
     /// behaves exactly like the never-sealed index (useful as a baseline
     /// in benchmarks; also invoked internally when a snapshot prunes the
     /// anchor).
     pub fn unseal_all(&mut self) {
-        self.unseal_fold();
-    }
-
-    fn unseal_fold(&mut self) {
-        if let Some(arc) = self.sealed.take() {
-            let ep = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-            for (id, mut e) in ep.entries {
-                self.slots
-                    .unseal(e.slot, e.weight + (self.seal_pass - e.pass_base));
-                e.pass_base = 0;
-                self.frontier.insert(id, e);
-            }
+        if self.anchor_slot.take().is_some() {
+            self.slots.unseal_all(self.seal_pass);
         }
+        self.sealed_count = 0;
         self.seal_pass = 0;
     }
 
     /// Number of sealed entries.
     pub fn sealed_len(&self) -> usize {
-        self.sealed.as_ref().map_or(0, |ep| ep.entries.len())
+        self.sealed_count
     }
 
     /// Number of frontier (unsealed) entries.
     pub fn frontier_len(&self) -> usize {
-        self.frontier.len()
+        self.entries.len() - self.sealed_count
     }
 
-    /// The current seal anchor, if an epoch exists.
+    /// The current seal anchor, if a sealed region exists.
     pub fn seal_anchor(&self) -> Option<TxId> {
-        self.sealed.as_ref().map(|ep| ep.anchor)
+        self.anchor_slot.map(|slot| *self.slots.id(slot))
     }
 
-    /// Returns true if `id` is inside the sealed epoch.
+    /// Returns true if `id` is inside the sealed region.
     pub fn is_sealed(&self, id: &TxId) -> bool {
-        self.is_sealed_id(id)
+        self.entry(id).is_some_and(|e| self.slots.is_sealed(e.slot))
     }
 
     /// Number of slots the weight walk's index holds, free ones included.
@@ -1581,7 +1462,7 @@ mod tests {
         // Prune everything confirmed and old — including the anchor.
         let removed = t.snapshot(21);
         assert!(removed > 0);
-        assert_eq!(t.sealed_len(), 0, "anchor pruned => epoch folded");
+        assert_eq!(t.sealed_len(), 0, "anchor pruned => sealed region folded");
         assert_index_matches_oracle(&t);
         // Attaching against the pruned anchor still works.
         let tip = *t.tips().last().unwrap();
@@ -1596,7 +1477,7 @@ mod tests {
         t.confirm_with_threshold(2);
         t.seal_to(ids[25]).unwrap();
         // Prune only the oldest half of the sealed cone; the anchor (at
-        // ts 26) survives, so the epoch stays live.
+        // ts 26) survives, so the sealed region stays live.
         let removed = t.snapshot(12);
         assert!(removed > 0);
         assert!(t.sealed_len() > 0);
@@ -1607,15 +1488,15 @@ mod tests {
     }
 
     #[test]
-    fn sealed_clone_is_copy_on_write_independent() {
+    fn sealed_clone_is_independent() {
         let (mut t, g) = with_genesis();
         let ids = grow_chain(&mut t, g, 15, 0);
         t.confirm_with_threshold(3);
         t.seal_to(ids[10]).unwrap();
         let frozen = t.clone();
         let w_before: Vec<u64> = ids.iter().map(|id| frozen.cumulative_weight(id)).collect();
-        // Mutate the original: passes and a stray, which rewrites the
-        // shared epoch copy-on-write.
+        // Mutate the original: passes and a stray, which bumps sealed
+        // slots of the original only.
         grow_chain(&mut t, ids[14], 5, 100);
         t.attach(data_tx(9, ids[2], ids[3], 200), 200).unwrap();
         assert_index_matches_oracle(&t);

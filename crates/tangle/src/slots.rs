@@ -1,12 +1,18 @@
 //! The dense slot index behind the per-attach weight walk.
 //!
 //! Every stored entry owns a `u32` slot. The slot records the entry's two
-//! parent slots (resolved once, at attach), its frontier weight, a
+//! parent slots (resolved once, at attach), its weight, a
 //! frontier/sealed/free state byte and a generation-stamped visit mark.
 //! The ancestor walk of [`crate::graph::Tangle::attach`] is then a
 //! depth-first search over plain arrays: no hashing of 32-byte ids, no
 //! seen-set (a slot is visited when its mark equals the walk's
 //! generation), and a stack reused across attaches.
+//!
+//! The slot is the only place an entry's weight lives. A frontier slot
+//! holds the live weight. A sealed slot holds it as an offset against the
+//! tangle's pass counter (`weight - pass`, wrapping), so one increment of
+//! the counter raises every sealed weight at once; see
+//! [`crate::graph::Tangle::seal_to`].
 //!
 //! Slots of entries pruned by [`crate::graph::Tangle::snapshot`] go on a
 //! free list and are handed out again, so the index is sized by the peak
@@ -24,7 +30,8 @@ enum SlotState {
     Free,
     /// A frontier entry: the slot's `weight` is its live weight.
     Frontier,
-    /// A sealed entry: its weight lives in the sealed epoch.
+    /// A sealed entry: the slot's `weight` is its weight minus the pass
+    /// counter (wrapping).
     Sealed,
 }
 
@@ -36,13 +43,13 @@ struct Slot {
     state: SlotState,
 }
 
-/// Slot-indexed parent links and frontier weights of one tangle.
+/// Slot-indexed parent links and weights of one tangle.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotIndex {
     slots: Vec<Slot>,
-    /// Id of the entry in each slot (only the sealed continuation of a
-    /// walk and the pending list's confirmation scan need it, so it is
-    /// kept out of the hot `slots` array).
+    /// Id of the entry in each slot (only the pending list's confirmation
+    /// scan and the seal anchor need it, so it is kept out of the hot
+    /// `slots` array).
     ids: Vec<TxId>,
     free: Vec<u32>,
     /// Mark of the current (or last) walk.
@@ -99,24 +106,37 @@ impl SlotIndex {
         &self.ids[slot as usize]
     }
 
-    /// Live weight of a frontier slot.
-    pub(crate) fn weight(&self, slot: u32) -> u64 {
-        self.slots[slot as usize].weight
+    /// Weight of a stored entry, given the tangle's pass counter.
+    pub(crate) fn weight(&self, slot: u32, pass: u64) -> u64 {
+        let s = &self.slots[slot as usize];
+        match s.state {
+            SlotState::Sealed => s.weight.wrapping_add(pass),
+            _ => s.weight,
+        }
     }
 
-    /// Moves a frontier slot into the sealed region, returning its weight
-    /// (the sealed entry's base weight from now on).
-    pub(crate) fn seal(&mut self, slot: u32) -> u64 {
+    /// Returns true if the slot holds a sealed entry.
+    pub(crate) fn is_sealed(&self, slot: u32) -> bool {
+        self.slots[slot as usize].state == SlotState::Sealed
+    }
+
+    /// Moves a frontier slot into the sealed region at pass counter `pass`:
+    /// its weight becomes an offset against the counter.
+    pub(crate) fn seal(&mut self, slot: u32, pass: u64) {
         let s = &mut self.slots[slot as usize];
         s.state = SlotState::Sealed;
-        s.weight
+        s.weight = s.weight.wrapping_sub(pass);
     }
 
-    /// Moves a sealed slot back into the frontier with its effective weight.
-    pub(crate) fn unseal(&mut self, slot: u32, weight: u64) {
-        let s = &mut self.slots[slot as usize];
-        s.state = SlotState::Frontier;
-        s.weight = weight;
+    /// Moves every sealed slot back into the frontier, writing back its
+    /// weight at pass counter `pass`.
+    pub(crate) fn unseal_all(&mut self, pass: u64) {
+        for s in &mut self.slots {
+            if s.state == SlotState::Sealed {
+                s.state = SlotState::Frontier;
+                s.weight = s.weight.wrapping_add(pass);
+            }
+        }
     }
 
     /// Slots allocated, free ones included: the index's size.
@@ -179,14 +199,13 @@ impl SlotIndex {
     }
 
     /// Continues the last [`SlotIndex::bump_frontier_cone`] walk into the
-    /// sealed region: calls `bump` once with the id of every distinct
-    /// sealed entry reachable from its boundary. Parents of sealed entries
-    /// are sealed or pruned, so this never re-enters the frontier.
-    pub(crate) fn for_each_sealed_ancestor(&mut self, mut bump: impl FnMut(&TxId)) {
+    /// sealed region: adds one to the weight of every distinct sealed
+    /// entry reachable from its boundary. Parents of sealed entries are
+    /// sealed or pruned, so this never re-enters the frontier.
+    pub(crate) fn bump_sealed_cone(&mut self) {
         let mark = self.generation;
         let Self {
             slots,
-            ids,
             stack,
             boundary,
             ..
@@ -194,8 +213,9 @@ impl SlotIndex {
         stack.clear();
         stack.extend_from_slice(boundary);
         while let Some(cur) = stack.pop() {
-            bump(&ids[cur as usize]);
-            for p in slots[cur as usize].parents {
+            let s = &mut slots[cur as usize];
+            s.weight = s.weight.wrapping_add(1);
+            for p in s.parents {
                 if p == NO_SLOT {
                     continue;
                 }

@@ -23,20 +23,16 @@ pub struct TangleSnapshot {
 impl TangleSnapshot {
     /// Captures the current state of `tangle`.
     pub fn capture(tangle: &Tangle) -> Self {
-        let mut rows: Vec<(Transaction, u64, bool)> = tangle
+        // The recency index is the true attach order, so parents always
+        // precede children even within one attach instant.
+        let rows = tangle
+            .attach_order()
             .iter()
-            .map(|tx| {
-                let id = tx.id();
-                (
-                    tx.clone(),
-                    tangle.attach_time_ms(&id).unwrap_or(0),
-                    tangle.status(&id) == Some(TxStatus::Confirmed),
-                )
+            .map(|id| {
+                let e = tangle.entry(id).expect("attach order lists stored ids");
+                ((*e.tx).clone(), e.attach_time_ms, e.status == TxStatus::Confirmed)
             })
             .collect();
-        // True attach order: the ledger's monotone sequence number, so
-        // parents always precede children even within one attach instant.
-        rows.sort_by_key(|(tx, _, _)| tangle.attach_seq(&tx.id()).unwrap_or(0));
         Self {
             rows,
             pruned: tangle.pruned_ids(),
@@ -89,7 +85,7 @@ impl TangleSnapshot {
         const SEAL_EVERY: usize = 1_024;
         const SEAL_LAG: usize = 128;
         let mut tangle = Tangle::new();
-        tangle.mark_pruned(self.pruned.iter().copied());
+        tangle.adopt_pruned(self.pruned.iter().copied());
         let mut confirmed_since_seal = 0usize;
         for (tx, at, was_confirmed) in &self.rows {
             let id = if tx.is_genesis() {

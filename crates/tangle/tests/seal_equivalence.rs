@@ -6,7 +6,9 @@
 //! weights (checked against the `cumulative_weight_recount` oracle),
 //! tips, statuses, lengths — no matter where seals land in the
 //! interleaving. The slot index behind the weight walk stays sized by
-//! the peak number of stored entries.
+//! the peak number of stored entries, the sealed entries are exactly the
+//! anchor's stored cone, and a clone taken mid-schedule is a deep copy
+//! the original's later mutations never reach.
 
 use biot_tangle::graph::Tangle;
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder, TxId};
@@ -14,6 +16,7 @@ use biot_tangle::TangleSnapshot;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// One step of the randomized life cycle.
 #[derive(Clone, Debug)]
@@ -36,8 +39,11 @@ enum Op {
     /// Round-trip the sealed tangle through capture/restore (which
     /// deliberately drops seal state — restore replays attaches).
     Restore,
-    /// Fold the sealed tangle's epoch back into its frontier.
+    /// Fold the sealed tangle's sealed region back into its frontier.
     Unseal,
+    /// Clone both tangles; later ops mutate only the originals, and the
+    /// sealed clone must keep matching its own unsealed mirror.
+    Clone,
 }
 
 /// How many recent transactions the wide pool draws from.
@@ -67,6 +73,7 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
             1 => (1u64..120).prop_map(Op::Prune),
             1 => Just(Op::Restore),
             1 => Just(Op::Unseal),
+            1 => Just(Op::Clone),
         ],
         1..90,
     )
@@ -92,6 +99,23 @@ fn assert_equivalent(sealed: &Tangle, plain: &Tangle, at: &str) {
         );
         assert_eq!(sealed.status(&id), plain.status(&id), "{at}: status of {id:?}");
     }
+    assert_sealed_set(sealed, at);
+}
+
+/// The sealed and frontier counts partition the stored entries, and the
+/// entries `is_sealed` reports are exactly the seal anchor and its stored
+/// ancestors (none without an anchor).
+fn assert_sealed_set(t: &Tangle, at: &str) {
+    assert_eq!(t.sealed_len() + t.frontier_len(), t.len(), "{at}: sealed + frontier");
+    let expect: HashSet<TxId> = t
+        .seal_anchor()
+        .map(|a| t.ancestors(&a).into_iter().chain([a]).collect())
+        .unwrap_or_default();
+    assert_eq!(t.sealed_len(), expect.len(), "{at}: sealed_len");
+    for tx in t.iter() {
+        let id = tx.id();
+        assert_eq!(t.is_sealed(&id), expect.contains(&id), "{at}: is_sealed({id:?})");
+    }
 }
 
 proptest! {
@@ -108,6 +132,8 @@ proptest! {
         // slots are reused, so the index never holds more slots than this.
         let mut sealed_peak = sealed.len();
         let mut plain_peak = plain.len();
+        // The last `Op::Clone`'s copies of (sealed, plain).
+        let mut frozen: Option<(Tangle, Tangle)> = None;
 
         for (i, op) in ops.iter().enumerate() {
             let clock = i as u64 + 1;
@@ -164,9 +190,13 @@ proptest! {
                     sealed_peak = sealed.len();
                 }
                 Op::Unseal => sealed.unseal_all(),
+                Op::Clone => frozen = Some((sealed.clone(), plain.clone())),
             }
             let at = format!("after op {i} ({op:?})");
             assert_equivalent(&sealed, &plain, &at);
+            if let Some((sealed_clone, plain_clone)) = &frozen {
+                assert_equivalent(sealed_clone, plain_clone, &format!("clone, {at}"));
+            }
             sealed_peak = sealed_peak.max(sealed.len());
             plain_peak = plain_peak.max(plain.len());
             prop_assert_eq!(sealed.weight_index_slots(), sealed_peak, "{}: sealed slots", at);

@@ -19,7 +19,13 @@ def tangle_scale(r):
     assert acc['per_attach_bounded'], f"p99 grew {acc['window_p99_growth']}x with depth"
     assert acc['speedup_at_least_5x'], f"speedup {r['probe_at_depth']['speedup']}x < 5x"
     assert r['sealed_ingest']['oracle_failures'] == 0
-    assert r['sealed_ingest']['sealed_len'] > r['sealed_ingest']['frontier_len']
+    ingest = r['sealed_ingest']
+    assert ingest['sealed_len'] > ingest['frontier_len']
+    # The run never prunes: every attach plus the genesis is stored, and
+    # the sealed counter plus the frontier recount must account for each.
+    assert ingest['sealed_len'] + ingest['frontier_len'] == ingest['txs'] + 1, \
+        f"sealed {ingest['sealed_len']} + frontier {ingest['frontier_len']} " \
+        f"!= {ingest['txs']} txs + genesis"
     print('tangle scale acceptance ok:',
           f"{r['sealed_ingest']['tx_per_sec']:.0f} tx/s,",
           f"speedup {r['probe_at_depth']['speedup']}x")
