@@ -26,7 +26,7 @@
 
 use biot_core::node::Manager;
 use biot_core::{Account, Difficulty};
-use biot_credit::CreditEvent;
+use biot_credit::{CreditEvent, CreditId, CreditLedger, CreditParams};
 use biot_gossip::node::GossipConfig;
 use biot_gossip::tcp::{TcpAcceptor, TcpConnector, TcpTransport};
 use biot_net::time::SimTime;
@@ -358,14 +358,14 @@ fn run_boot_comparison(n: usize) -> BootReport {
                 .build();
             store.append(&tx, ts).expect("append");
             tangle.attach(tx, ts).expect("parents are tips");
-            events.push(CreditEvent::validated(
-                NodeId([(i % 251) as u8; 32]),
-                1.0,
-                SimTime::from_millis(ts),
+            let id = CreditId { origin: 1, seq: i as u64 };
+            events.push((
+                id,
+                CreditEvent::validated(NodeId([(i % 251) as u8; 32]), 1.0, SimTime::from_millis(ts)),
             ));
             if events.len() % 64 == 0 {
                 store
-                    .append_credit_events(&events[events.len() - 64..])
+                    .write_records(&events[events.len() - 64..], [])
                     .expect("append events");
             }
             if i % 256 == 255 {
@@ -376,7 +376,7 @@ fn run_boot_comparison(n: usize) -> BootReport {
             }
         }
         store
-            .append_credit_events(&events[events.len() - events.len() % 64..])
+            .write_records(&events[events.len() - events.len() % 64..], [])
             .expect("append events");
         tangle
     };
@@ -399,9 +399,12 @@ fn run_boot_comparison(n: usize) -> BootReport {
     // does on a running node: its confirmation state reaches the snapshot.
     {
         let mut store = biot_store::LedgerStore::open(&dir).expect("store reopens");
-        store
-            .checkpoint_with_credit(&tangle, &events)
-            .expect("checkpoint");
+        let ledger = CreditLedger::from_events(
+            CreditParams::default(),
+            events.iter().map(|(_, ev)| ev),
+        );
+        let marks = std::collections::BTreeMap::from([(1, events.len() as u64)]);
+        store.checkpoint_with_credit(&tangle, &ledger, &marks).expect("checkpoint");
     }
 
     let t0 = Instant::now();

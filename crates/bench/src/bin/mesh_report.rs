@@ -63,6 +63,11 @@ fn base_cfg(nodes: usize, txs: usize, relay_mode: RelayMode) -> MeshConfig {
 }
 
 fn fmt_outcome(o: &MeshOutcome) -> String {
+    let kinds: Vec<String> = o
+        .frames_by_kind
+        .iter()
+        .map(|(kind, c)| format!("\"{kind}\": {{\"frames\": {}, \"bytes\": {}}}", c.frames, c.bytes))
+        .collect();
     format!(
         "{{\"nodes\": {}, \"txs\": {}, \"converged\": {}, \"converged_ms\": {}, \
          \"rounds\": {}, \"total_bytes_sent\": {}, \"total_frames_sent\": {}, \
@@ -72,7 +77,7 @@ fn fmt_outcome(o: &MeshOutcome) -> String {
          \"dup_suppressed\": {}, \"digests_sent\": {}, \"digest_ids_sent\": {}, \
          \"peer_exchanges_sent\": {}, \"credit_events_deduped\": {}, \"handshakes\": {}, \
          \"tx_payloads_sent\": {}, \"requests_sent\": {}, \"credit_events_sent\": {}, \
-         \"credit_keys_sent\": {}}}",
+         \"credit_versions_sent\": {}, \"frames_by_kind\": {{{}}}}}",
         o.nodes,
         o.txs,
         o.converged,
@@ -94,7 +99,8 @@ fn fmt_outcome(o: &MeshOutcome) -> String {
         o.tx_payloads_sent,
         o.requests_sent,
         o.credit_events_sent,
-        o.credit_keys_sent,
+        o.credit_versions_sent,
+        kinds.join(", "),
     )
 }
 

@@ -217,21 +217,6 @@ impl Gateway {
     fn apply_credit_event(&mut self, ev: CreditEvent) {
         self.credits.apply(&ev);
         if self.config.record_credit_events {
-            // Same-instant grants merge in the ledger (one record of the
-            // summed weight), so the recorded evidence must merge the same
-            // way: two bit-identical events would be collapsed into one by
-            // any dedup layer downstream (gossip keys events by content),
-            // and replicas folding the outbox would undercount.
-            if let (
-                Some(CreditEvent::Validated { node: ln, weight: lw, at: la }),
-                CreditEvent::Validated { node, weight, at },
-            ) = (self.credit_outbox.last_mut(), &ev)
-            {
-                if ln == node && la == at {
-                    *lw += weight;
-                    return;
-                }
-            }
             self.credit_outbox.push(ev);
         }
     }

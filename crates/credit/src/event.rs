@@ -89,6 +89,17 @@ impl CreditEvent {
     }
 }
 
+/// A relayed credit event's identity: the node that first broadcast it
+/// and its place in that node's sequence. It travels beside the event,
+/// so the ledger's projection never sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CreditId {
+    /// The originating node (`biot_gossip::GossipNode::credit_origin`).
+    pub origin: u64,
+    /// Position in the origin's sequence, from 0.
+    pub seq: u64,
+}
+
 /// Why a byte slice failed to decode as a [`CreditEvent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CreditCodecError {

@@ -165,6 +165,14 @@ impl CreditLedger {
         ledger
     }
 
+    /// Rebuilds a ledger from [`CreditLedger::snapshot_events`]'s merged
+    /// events, which stand for `applied` events in all.
+    pub fn from_merged_events(params: CreditParams, events: &[CreditEvent], applied: u64) -> Self {
+        let mut ledger = Self::from_events(params, events);
+        ledger.events_applied = applied;
+        ledger
+    }
+
     /// The parameters in force.
     pub fn params(&self) -> &CreditParams {
         &self.params

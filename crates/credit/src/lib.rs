@@ -68,6 +68,6 @@ pub mod event;
 pub mod ledger;
 pub mod params;
 
-pub use event::{decode_event, encode_event, CreditCodecError, CreditEvent};
+pub use event::{decode_event, encode_event, CreditCodecError, CreditEvent, CreditId};
 pub use ledger::CreditLedger;
 pub use params::{CreditBreakdown, CreditParams, Misbehavior};

@@ -1,9 +1,5 @@
-//! Parameters and value types of the credit model (Eqns 2 and 5).
-//!
-//! These types used to live in `biot-core::credit`; they moved here with
-//! the event-sourcing refactor so every layer (core, store, gossip, sim,
-//! bench) shares one definition. `biot-core::credit` re-exports them for
-//! API compatibility.
+//! Parameters and value types of the credit model (Eqns 2 and 5), one
+//! definition for every layer.
 
 use serde::{Deserialize, Serialize};
 

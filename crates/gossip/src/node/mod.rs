@@ -14,7 +14,11 @@
 //!   balloon memory with orphans.
 //! * **Anti-entropy** — a periodic `GetTips` exchange; any tip we do not
 //!   hold is pulled, and its ancestor cone follows via solidification, so
-//!   a cold-started node converges to an established peer's DAG.
+//!   a cold-started node converges to an established peer's DAG. The
+//!   same rotated peer gets this node's credit watermarks, and pulls
+//!   whatever credit it lacks.
+//! * **Credit relay** — credit events carry an `(origin, seq)` identity
+//!   and travel by watermark advert and pull (see the `credit` module).
 //! * **Reconnect** — outbound peers created with a [`Connector`] are
 //!   redialed after a connection dies, with capped exponential backoff;
 //!   after too many consecutive failures the peer is demoted to dead and
@@ -28,7 +32,7 @@
 //! This file holds the node's state, public API, timers and frame pump;
 //! the protocol halves live beside it: `peers` (peer table, handshake,
 //! redial), `pex` (peer exchange), `relay` (transaction relay and the
-//! seen cache), `credit` (credit-event relay and replay store) and
+//! seen cache), `credit` (per-origin credit logs and their relay) and
 //! `solidify` (pending queue, baseline adoption, anti-entropy).
 
 mod credit;
@@ -39,18 +43,19 @@ mod solidify;
 #[cfg(test)]
 mod tests;
 
-use crate::transport::{Connector, Dialer, Transport};
+use crate::transport::{Connector, Dialer, Transport, TransportError};
 use crate::wire::{decode_msg, encode_msg, Message};
-use biot_credit::CreditEvent;
+use biot_credit::{CreditEvent, CreditId};
 use biot_reactor::DeadlineQueue;
 use biot_tangle::graph::{Tangle, TangleError};
 use biot_tangle::tx::{Transaction, TxId};
+use credit::OriginLog;
 use peers::{Conn, PeerSlot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use relay::SeenCache;
 use solidify::{PendingTx, Requested};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -110,8 +115,9 @@ pub struct GossipConfig {
     /// Max peers each transaction is digest-announced to (`0` = all
     /// eligible). Only used in [`RelayMode::Digest`].
     pub fanout: usize,
-    /// How long buffered digest ids and credit keys wait before the
-    /// flush, ms (counted from the first enqueue into empty buffers).
+    /// How long buffered digest ids and credit watermark changes wait
+    /// before the flush, ms (counted from the first enqueue into empty
+    /// buffers).
     pub digest_ms: u64,
     /// How often a window of the known-peer list is gossiped to every
     /// ready peer, ms (`0` disables peer exchange entirely).
@@ -121,7 +127,9 @@ pub struct GossipConfig {
     /// heal spreads redials instead of thundering in lockstep — while
     /// two runs with the same seed still agree bit-for-bit.
     pub backoff_jitter_pct: u64,
-    /// Seed for the node's deterministic RNG (jitter, fanout rotation).
+    /// Seed for the node's deterministic RNG (jitter, fanout rotation);
+    /// with `node_id` it also derives the node's credit origin id (see
+    /// [`GossipNode::credit_origin`]).
     pub seed: u64,
 }
 
@@ -163,8 +171,8 @@ pub struct GossipStats {
     pub rejected: u64,
     /// Solidification-queue entries dropped because the queue was full.
     pub evicted: u64,
-    /// Items pulled from peers: tx ids asked for in `GetTx`/`GetTxs`
-    /// and credit-event keys asked for in `GetCreditEvents`.
+    /// Items pulled from peers: tx ids asked for in `GetTxs` and origin
+    /// ranges asked for in `GetCredit`.
     pub requests_sent: u64,
     /// Transaction payloads served to peers.
     pub tx_sent: u64,
@@ -174,16 +182,27 @@ pub struct GossipStats {
     pub disconnects: u64,
     /// Frames that failed to decode (connection dropped on each).
     pub invalid_frames: u64,
+    /// Frames skipped because the peer's send queue was full
+    /// (backpressure); the link stays up and the repair paths — request
+    /// retries, the tips exchange, credit watermarks — resend what
+    /// matters.
+    pub frames_shed: u64,
     /// Peers refused for version/genesis mismatch.
     pub incompatible: u64,
-    /// Credit events broadcast to peers.
+    /// Credit events served to peers in `CreditEvents` frames.
     pub credit_events_sent: u64,
     /// Credit events received from peers (before any inbox-cap drops).
     pub credit_events_received: u64,
-    /// Credit events dropped because the inbox was full.
+    /// Credit events not applied — the inbox was full, or an unasked
+    /// frame started past the watermark; the watermark stays put, so
+    /// they are pulled again.
     pub credit_events_dropped: u64,
-    /// Credit events discarded as already seen.
+    /// Credit events discarded as already applied (seq below the
+    /// origin's watermark).
     pub credit_events_deduped: u64,
+    /// Credit events skipped because no peer that was asked still held
+    /// them (a peer behind by more than an origin's log).
+    pub credit_gaps: u64,
     /// `Digest` frames sent.
     pub digests_sent: u64,
     /// Transaction ids carried in sent digests.
@@ -198,14 +217,14 @@ pub struct GossipStats {
     pub gettx_misses: u64,
     /// Payloads eagerly pushed to one fresh peer on attach (digest mode).
     pub eager_pushes: u64,
-    /// Credit-event keys advertised in `CreditKeys` digest frames.
-    pub credit_keys_sent: u64,
+    /// `(origin, next)` watermarks advertised in `CreditVersions` frames.
+    pub credit_versions_sent: u64,
     /// Frames discarded because a link that has not finished its
     /// handshake already buffered 256 of them.
     pub prehello_dropped: u64,
-    /// Advertised credit-event keys not pulled because 65,536 pulls
-    /// were already outstanding (a hostile key flood).
-    pub credit_pulls_refused: u64,
+    /// Credit events or adverts of new origins refused because 1,024
+    /// origins were already tracked (a hostile origin flood).
+    pub credit_origins_refused: u64,
 }
 
 /// Where a peer slot currently stands.
@@ -246,13 +265,14 @@ pub struct PeerInfo {
 /// one poll, so seeded runs stay bit-for-bit reproducible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum GossipTimer {
-    /// Tips exchange with one rotated peer + stale re-requests
-    /// ([`GossipConfig::anti_entropy_ms`]).
+    /// Tips exchange and credit watermarks with one rotated peer + stale
+    /// re-requests ([`GossipConfig::anti_entropy_ms`]).
     AntiEntropy,
     /// Liveness heartbeats to every ready peer
     /// ([`GossipConfig::heartbeat_ms`]; unscheduled when 0).
     Heartbeat,
-    /// Digest-mode flush of buffered tx ids and credit keys. Armed
+    /// Digest-mode flush of buffered tx ids and of the credit
+    /// watermarks that moved. Armed
     /// [`GossipConfig::digest_ms`] out by the first enqueue into empty
     /// buffers and left unscheduled once it fires, so an idle node
     /// never wakes for it.
@@ -275,32 +295,25 @@ pub struct GossipNode {
     pending: BTreeMap<TxId, PendingTx>,
     /// parent id → pending children waiting on it.
     waiters: BTreeMap<TxId, Vec<TxId>>,
-    /// In-flight `GetTx` requests: last send time + which peer was asked.
+    /// In-flight tx pulls: last send time + which peer was asked.
     requested: BTreeMap<TxId, Requested>,
-    /// Credit events received from peers, waiting for the owner to
-    /// drain them into its ledger via [`take_credit_events`](Self::take_credit_events).
-    credit_inbox: Vec<CreditEvent>,
-    /// Recently-seen tx ids and credit-event checksums, with holders.
+    /// Credit events received from peers, with their identities,
+    /// waiting for the owner to drain them into its ledger via
+    /// [`take_credit_events`](Self::take_credit_events).
+    credit_inbox: Vec<(CreditId, CreditEvent)>,
+    /// Recently-seen tx ids, with holders.
     seen: SeenCache,
     /// node id → dial address, learned from handshakes + peer exchange.
     known_addrs: BTreeMap<u64, String>,
     /// Turns discovered addresses into live transports.
     dialer: Option<Box<dyn Dialer>>,
-    /// Eviction order for the bounded credit-event store below.
-    credit_replay: VecDeque<[u8; 32]>,
-    /// Credit events this node holds, keyed by checksum: the source for
-    /// handshake replay and for serving `GetCreditEvents` pulls.
-    /// Holding a key here means "processed, can serve".
-    credit_events_held: HashMap<[u8; 32], CreditEvent>,
-    /// Keys of credit events the owner processed before this node
-    /// started (recovered from its store): deduped like held events, but
-    /// never replayed, relayed or served. Unbounded, like the ledger that
-    /// already holds those events.
-    credit_recovered: HashSet<[u8; 32]>,
-    /// Outstanding `GetCreditEvents` pulls: key → last request time, so
-    /// a lost answer is retried (from a different holder) after
-    /// [`GossipConfig::request_retry_ms`].
-    credit_requested: BTreeMap<[u8; 32], u64>,
+    /// This node's credit origin id (see [`GossipNode::credit_origin`]).
+    origin: u64,
+    /// One seq-ordered log per credit origin: the record of what this
+    /// node has applied and can serve.
+    credit: BTreeMap<u64, OriginLog>,
+    /// Origins whose watermark moved since the last digest flush.
+    credit_changed: BTreeSet<u64>,
     /// Deterministic stream for backoff jitter and fanout rotation.
     rng: StdRng,
     /// Rotating offset so digest fanout spreads over eligible peers.
@@ -327,6 +340,9 @@ impl GossipNode {
         let rng = StdRng::seed_from_u64(
             cfg.seed ^ cfg.node_id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
+        // Distinct for distinct (node id, seed) pairs below 2^32, and small
+        // enough to stay a short varint in every WAL record.
+        let origin = cfg.seed.rotate_left(32) ^ cfg.node_id;
         // Every enabled timer starts due at 0 so the first poll runs it
         // immediately.
         let mut timers = DeadlineQueue::new();
@@ -348,10 +364,9 @@ impl GossipNode {
             seen: SeenCache::new(),
             known_addrs: BTreeMap::new(),
             dialer: None,
-            credit_replay: VecDeque::new(),
-            credit_events_held: HashMap::new(),
-            credit_recovered: HashSet::new(),
-            credit_requested: BTreeMap::new(),
+            origin,
+            credit: BTreeMap::new(),
+            credit_changed: BTreeSet::new(),
             rng,
             rr: 0,
             timers,
@@ -476,10 +491,12 @@ impl GossipNode {
         self.ingest(None, tx.into(), attach_ms, now_ms);
     }
 
-    /// Drains credit events received from peers. The owner applies them
-    /// to its ledger (e.g. `Gateway::absorb_credit_events`); events are
-    /// in arrival order, which the ledger accepts out-of-order anyway.
-    pub fn take_credit_events(&mut self) -> Vec<CreditEvent> {
+    /// Drains credit events received from peers, with their identities.
+    /// The owner applies them to its ledger (e.g.
+    /// `Gateway::absorb_credit_events`) and persists the identities with
+    /// them; each origin's events come in seq order, and every event
+    /// comes exactly once.
+    pub fn take_credit_events(&mut self) -> Vec<(CreditId, CreditEvent)> {
         std::mem::take(&mut self.credit_inbox)
     }
 
@@ -510,7 +527,6 @@ impl GossipNode {
         if due(&self.timers, GossipTimer::AntiEntropy) {
             self.timers.schedule(GossipTimer::AntiEntropy, now_ms + self.cfg.anti_entropy_ms);
             self.run_anti_entropy(now_ms);
-            self.retry_credit_pulls(now_ms);
         }
         if due(&self.timers, GossipTimer::Heartbeat) {
             self.timers.schedule(GossipTimer::Heartbeat, now_ms + self.cfg.heartbeat_ms);
@@ -522,6 +538,7 @@ impl GossipNode {
         }
         if due(&self.timers, GossipTimer::DigestFlush) {
             self.timers.cancel(&GossipTimer::DigestFlush);
+            self.flush_credit(now_ms);
             self.flush_digests(now_ms);
         }
         if due(&self.timers, GossipTimer::PeerExchange) {
@@ -628,6 +645,9 @@ impl GossipNode {
         }
     }
 
+    /// Sends one frame to peer `i`. A full send queue sheds the frame
+    /// and keeps the link (every frame kind has a repair path); any other
+    /// error drops the link. Returns whether the frame went out.
     fn send_to(&mut self, i: usize, msg: &Message, now_ms: u64) -> bool {
         let frame = encode_msg(msg);
         let Some(c) = self.peers[i].conn.as_mut() else { return false };
@@ -635,6 +655,10 @@ impl GossipNode {
             Ok(()) => {
                 self.stats.frames_out += 1;
                 true
+            }
+            Err(TransportError::Backpressure { .. }) => {
+                self.stats.frames_shed += 1;
+                false
             }
             Err(_) => {
                 self.conn_lost(i, now_ms);
@@ -659,7 +683,6 @@ impl GossipNode {
             Message::Hello { version, node_id, genesis, listen_addr } => {
                 self.handle_hello(i, version, node_id, genesis, listen_addr, now_ms);
             }
-            Message::GetTx(id) => self.serve_txs(i, &[id], now_ms),
             Message::GetTxs(ids) => self.serve_txs(i, &ids, now_ms),
             Message::TxPayload { attach_ms, tx } => {
                 self.ingest(Some(i), Arc::new(tx), attach_ms, now_ms)
@@ -682,11 +705,13 @@ impl GossipNode {
             Message::Baseline { genesis, pruned } => {
                 self.handle_baseline(i, genesis, pruned, now_ms);
             }
-            Message::CreditEvents(events) => self.handle_credit_events(i, events, now_ms),
+            Message::CreditEvents { origin, first, events } => {
+                self.handle_credit_events(i, origin, first, events, now_ms)
+            }
             Message::PeerExchange(entries) => self.handle_peer_exchange(entries, now_ms),
             Message::Digest(ids) => self.handle_digest(i, ids, now_ms),
-            Message::CreditKeys(keys) => self.handle_credit_keys(i, keys, now_ms),
-            Message::GetCreditEvents(keys) => self.serve_credit_events(i, keys, now_ms),
+            Message::CreditVersions(entries) => self.handle_credit_versions(i, entries, now_ms),
+            Message::GetCredit(entries) => self.serve_credit(i, entries, now_ms),
         }
     }
 }

@@ -7,6 +7,7 @@ use crate::transport::{Connector, Transport};
 use crate::wire::{Message, PROTOCOL_VERSION};
 use biot_tangle::tx::TxId;
 use rand::Rng;
+use std::collections::BTreeMap;
 
 pub(super) struct Conn {
     pub(super) transport: Box<dyn Transport>,
@@ -49,12 +50,8 @@ pub(super) struct PeerSlot {
     /// [`GossipConfig::digest_ms`](super::GossipConfig::digest_ms) after
     /// the first enqueue.
     pub(super) digest_buf: Vec<TxId>,
-    /// Credit-event keys queued for this peer (digest relay mode),
-    /// flushed on the same tick as [`Self::digest_buf`]. Holding them
-    /// briefly lets the flush drop keys for events the peer turned out
-    /// to hold already — the credit analogue of digest crossing
-    /// suppression.
-    pub(super) credit_buf: Vec<[u8; 32]>,
+    /// Origin → next seq this peer has shown it holds since the handshake.
+    pub(super) credit_known: BTreeMap<u64, u64>,
     pub(super) failures: u32,
     pub(super) backoff_ms: u64,
     pub(super) next_retry_ms: u64,
@@ -78,7 +75,7 @@ impl PeerSlot {
             addr,
             node_id: 0,
             digest_buf: Vec::new(),
-            credit_buf: Vec::new(),
+            credit_known: BTreeMap::new(),
             failures: 0,
             backoff_ms: 0,
             next_retry_ms: 0,
@@ -233,6 +230,7 @@ impl GossipNode {
             }
         }
         self.peers[i].node_id = their_id;
+        self.peers[i].credit_known.clear();
         let buffered = match self.peers[i].conn.as_mut() {
             Some(c) => {
                 c.ready = true;
@@ -246,7 +244,7 @@ impl GossipNode {
         if self.cfg.peer_exchange_ms > 0 {
             self.send_peer_exchange_to(i, now_ms);
         }
-        self.replay_credit_to(i, now_ms);
+        self.advertise_credit(i, None, now_ms);
         // Kick off synchronization immediately rather than waiting for
         // the first anti-entropy tick.
         if self.is_cold() {

@@ -7,12 +7,12 @@ use crate::wire::{Message, MAX_IDS_PER_DIGEST};
 use biot_tangle::tx::TxId;
 use std::collections::{HashMap, VecDeque};
 
-/// Entries in the fixed-memory recently-seen cache (tx ids + credit-event
-/// checksums, with per-peer holder sets).
+/// Entries in the fixed-memory recently-seen cache (tx ids with per-peer
+/// holder sets).
 const SEEN_CACHE: usize = 65_536;
 
-/// Fixed-memory recently-seen cache: 32-byte keys (tx ids and
-/// credit-event checksums) → the peer indices known to hold the item.
+/// Fixed-memory recently-seen cache: 32-byte tx ids → the peer indices
+/// known to hold the transaction.
 /// FIFO eviction keeps it bounded no matter how hostile the fleet.
 ///
 /// Most keys have at most one holder (the peer that sent the item), so
@@ -201,56 +201,33 @@ impl GossipNode {
         }
     }
 
-    /// Sends every peer's buffered credit-event keys as `CreditKeys`
-    /// frames, then every peer's buffered tx ids as `Digest` frames.
+    /// Sends every peer its buffered tx ids as `Digest` frames under the
+    /// id cap, first dropping any id the peer is now known to hold —
+    /// holder knowledge often improves inside the flush window, when the
+    /// peer's own digest of the same id crosses ours mid-wave. A buffer
+    /// for an unready peer is discarded: the handshake's tips exchange
+    /// covers whatever it missed.
     pub(super) fn flush_digests(&mut self, now_ms: u64) {
         for i in 0..self.peers.len() {
-            let keys = std::mem::take(&mut self.peers[i].credit_buf);
-            let (_, sent) = self.flush_buf(i, keys, |key| *key, Message::CreditKeys, now_ms);
-            self.stats.credit_keys_sent += sent;
-        }
-        for i in 0..self.peers.len() {
-            let ids = std::mem::take(&mut self.peers[i].digest_buf);
-            let (frames, sent) = self.flush_buf(i, ids, |id| id.0, Message::Digest, now_ms);
-            self.stats.digests_sent += frames;
-            self.stats.digest_ids_sent += sent;
-        }
-    }
-
-    /// Sends peer `i` one flushed buffer as `frame`s under the id cap,
-    /// first dropping anything the peer is now known to hold — holder
-    /// knowledge often improves inside the flush window, when the peer's
-    /// own digest of the same item crosses ours mid-wave. A buffer for
-    /// an unready peer is discarded: the handshake's tips exchange and
-    /// credit replay cover whatever it missed. Returns the frames and
-    /// items sent.
-    fn flush_buf<K: Copy>(
-        &mut self,
-        i: usize,
-        mut buf: Vec<K>,
-        key: fn(&K) -> [u8; 32],
-        frame: fn(Vec<K>) -> Message,
-        now_ms: u64,
-    ) -> (u64, u64) {
-        if buf.is_empty() || !self.peer_ready(i) {
-            return (0, 0);
-        }
-        buf.retain(|k| {
-            let held = self.seen.is_holder(&key(k), i);
-            if held {
-                self.stats.dup_suppressed += 1;
+            let mut ids = std::mem::take(&mut self.peers[i].digest_buf);
+            if ids.is_empty() || !self.peer_ready(i) {
+                continue;
             }
-            !held
-        });
-        let (mut frames, mut sent) = (0, 0);
-        for chunk in buf.chunks(MAX_IDS_PER_DIGEST) {
-            if !self.send_to(i, &frame(chunk.to_vec()), now_ms) {
-                break;
+            ids.retain(|id| {
+                let held = self.seen.is_holder(&id.0, i);
+                if held {
+                    self.stats.dup_suppressed += 1;
+                }
+                !held
+            });
+            for chunk in ids.chunks(MAX_IDS_PER_DIGEST) {
+                if !self.send_to(i, &Message::Digest(chunk.to_vec()), now_ms) {
+                    break;
+                }
+                self.stats.digests_sent += 1;
+                self.stats.digest_ids_sent += chunk.len() as u64;
             }
-            frames += 1;
-            sent += chunk.len() as u64;
         }
-        (frames, sent)
     }
 
     /// A digest of ids the sender holds: record it as a holder of each,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// Cap on ids in one `Tips` frame (stays well under the frame limit).
 const MAX_IDS_PER_TIPS: usize = 4_096;
 
-/// One in-flight `GetTx`/`GetTxs` request: when it was (last) sent and
+/// One in-flight `GetTxs` request: when it was (last) sent and
 /// which peer was asked, so a stale retry can rotate to a different peer.
 pub(super) struct Requested {
     pub(super) at_ms: u64,
@@ -117,11 +117,11 @@ impl GossipNode {
         Some(candidates[self.rr % candidates.len()])
     }
 
-    /// Asks peer `i` for `id` with one `GetTx`, recording the request.
+    /// Asks peer `i` for `id` with a one-id `GetTxs`, recording the request.
     fn request_tx(&mut self, i: usize, id: TxId, now_ms: u64) {
         self.requested.insert(id, Requested { at_ms: now_ms, peer: i });
         self.stats.requests_sent += 1;
-        self.send_to(i, &Message::GetTx(id), now_ms);
+        self.send_to(i, &Message::GetTxs(vec![id]), now_ms);
     }
 
     pub(super) fn request_if_unknown(&mut self, i: usize, id: TxId, now_ms: u64) {
@@ -301,29 +301,29 @@ impl GossipNode {
         }
     }
 
-    /// The transaction half of an anti-entropy round; the credit half is
-    /// `retry_credit_pulls`.
+    /// One anti-entropy round: the baseline or tips exchange, this
+    /// node's credit watermarks to one rotated peer, and stale
+    /// re-requests.
     pub(super) fn run_anti_entropy(&mut self, now_ms: u64) {
+        let ready: Vec<usize> = (0..self.peers.len()).filter(|&i| self.peer_ready(i)).collect();
         if self.is_cold() {
             // Cold bootstrap: ask everyone — the first answer wins.
-            for i in 0..self.peers.len() {
-                if self.peer_ready(i) {
-                    self.send_to(i, &Message::GetBaseline, now_ms);
-                }
+            for &i in &ready {
+                self.send_to(i, &Message::GetBaseline, now_ms);
             }
-        } else {
+        } else if !ready.is_empty() {
             // Warm steady state: classic pairwise anti-entropy — ONE
             // rotated peer per round. Tips exchange with every peer
             // every round costs O(degree) frames per tick for a repair
             // path that rarely fires (handshakes already swap tips, and
             // digest relay covers live spread); rotation keeps the same
             // eventual coverage at a fraction of the wire cost.
-            let ready: Vec<usize> = (0..self.peers.len()).filter(|&i| self.peer_ready(i)).collect();
-            if !ready.is_empty() {
-                self.rr = self.rr.wrapping_add(1);
-                let i = ready[self.rr % ready.len()];
-                self.send_to(i, &Message::GetTips, now_ms);
-            }
+            self.rr = self.rr.wrapping_add(1);
+            let i = ready[self.rr % ready.len()];
+            self.send_to(i, &Message::GetTips, now_ms);
+        }
+        if let Some(&i) = ready.get(self.rr % ready.len().max(1)) {
+            self.advertise_credit(i, None, now_ms);
         }
         // Re-request parents still missing whose last request went stale
         // (e.g. the peer we asked died — or simply never answered).

@@ -1,4 +1,4 @@
-use super::credit::{credit_key, CREDIT_EVENTS_PER_FRAME, CREDIT_REPLAY, MAX_CREDIT_INBOX};
+use super::credit::{CREDIT_EVENTS_PER_FRAME, CREDIT_LOG, MAX_CREDIT_INBOX};
 use super::*;
 use crate::transport::MemTransport;
 use crate::wire::{PeerEntry, PROTOCOL_VERSION};
@@ -104,7 +104,7 @@ fn out_of_order_arrival_solidifies_in_cascade() {
     assert_eq!(node.pending_len(), 1, "grandchild buffered");
     let asks = peer.drain();
     assert!(
-        asks.contains(&Message::GetTx(child.id())),
+        asks.contains(&Message::GetTxs(vec![child.id()])),
         "missing parent must be requested, got {asks:?}"
     );
 
@@ -152,13 +152,13 @@ fn serves_gettx_and_tips() {
     node.poll(0);
     peer.drain();
 
-    // `GetTx` and `GetTxs` share one serve path: each request gets its
-    // own copy of a held payload, and every unheld id is a miss.
+    // Each pull gets its own copy of a held payload, and every unheld
+    // id is a miss.
     let unknown = TxId([0xEE; 32]);
-    peer.send(&Message::GetTx(id));
+    peer.send(&Message::GetTxs(vec![id]));
     peer.send(&Message::GetTips);
     peer.send(&Message::GetTxs(vec![id, unknown]));
-    peer.send(&Message::GetTx(unknown));
+    peer.send(&Message::GetTxs(vec![unknown]));
     node.poll(10);
     let msgs = peer.drain();
     let served = msgs
@@ -188,7 +188,7 @@ fn frames_before_hello_are_buffered_not_lost() {
     assert!(node.tangle().lock().unwrap().contains(&child.id()));
     let msgs = peer.drain();
     assert!(msgs.contains(&Message::GetTxs(vec![digested])), "got {msgs:?}");
-    assert!(msgs.contains(&Message::GetTx(tipped)), "got {msgs:?}");
+    assert!(msgs.contains(&Message::GetTxs(vec![tipped])), "got {msgs:?}");
 }
 
 /// Undecodable frames drop the connection — including tag 1, the
@@ -211,9 +211,9 @@ fn garbage_frame_drops_connection() {
     }
 }
 
-/// A local broadcast reaches ready peers as a key advert at the next
-/// flush, served on pull; a peer still awaiting its handshake gets
-/// nothing on the wire (the handshake replay covers it).
+/// A local broadcast reaches ready peers as a watermark advert at the
+/// next flush, served on pull; a peer still awaiting its handshake gets
+/// nothing on the wire (its handshake advert covers it).
 #[test]
 fn credit_events_broadcast_to_ready_peers_only() {
     use biot_credit::Misbehavior;
@@ -230,17 +230,20 @@ fn credit_events_broadcast_to_ready_peers_only() {
         CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_secs(1)),
         CreditEvent::misbehaved(NodeId([2; 32]), Misbehavior::DoubleSpend, SimTime::from_secs(2)),
     ];
-    let keys: Vec<[u8; 32]> = events.iter().map(credit_key).collect();
+    let origin = node.credit_origin();
     node.broadcast_credit_events(&events, 10);
     node.poll(10 + GossipConfig::default().digest_ms);
     let msgs = ready.drain();
     assert!(
-        msgs.contains(&Message::CreditKeys(keys.clone())),
-        "ready peer gets the keys, got {msgs:?}"
+        msgs.contains(&Message::CreditVersions(vec![(origin, 2)])),
+        "ready peer gets the watermark, got {msgs:?}"
     );
-    ready.send(&Message::GetCreditEvents(keys));
+    ready.send(&Message::GetCredit(vec![(origin, 0)]));
     node.poll(200);
-    assert!(ready.drain().contains(&Message::CreditEvents(events)), "pull is served");
+    assert!(
+        ready.drain().contains(&Message::CreditEvents { origin, first: 0, events }),
+        "pull is served"
+    );
     assert_eq!(node.stats().credit_events_sent, 2);
     assert!(silent.drain().is_empty(), "unhandshaken peer gets nothing");
 }
@@ -256,43 +259,50 @@ fn received_credit_events_land_in_the_inbox() {
     peer.drain();
 
     let ev = CreditEvent::misbehaved(NodeId([9; 32]), Misbehavior::LazyTips, SimTime::from_secs(3));
-    peer.send(&Message::CreditEvents(vec![ev]));
+    peer.send(&Message::CreditEvents { origin: 77, first: 0, events: vec![ev] });
     node.poll(10);
     assert_eq!(node.credit_inbox_len(), 1);
     assert_eq!(node.stats().credit_events_received, 1);
-    assert_eq!(node.take_credit_events(), vec![ev]);
+    assert_eq!(node.take_credit_events(), vec![(CreditId { origin: 77, seq: 0 }, ev)]);
     assert_eq!(node.credit_inbox_len(), 0, "take drains the inbox");
+    assert_eq!(node.credit_watermarks(), BTreeMap::from([(77, 1)]));
+}
+
+/// `(first seq, event count)` of every `CreditEvents` frame in `msgs`.
+fn credit_frames(msgs: Vec<Message>) -> Vec<(u64, usize)> {
+    msgs.into_iter()
+        .filter_map(|m| match m {
+            Message::CreditEvents { first, events, .. } => Some((first, events.len())),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
 fn large_credit_batches_are_chunked_and_the_inbox_is_capped() {
     use biot_net::time::SimTime;
-    let credit_frames = |msgs: Vec<Message>| -> Vec<usize> {
-        msgs.into_iter()
-            .filter_map(|m| match m {
-                Message::CreditEvents(evs) => Some(evs.len()),
-                _ => None,
-            })
-            .collect()
-    };
     let (mut a, g) = node_with_genesis();
+    let origin = a.credit_origin();
     let events: Vec<CreditEvent> = (0..1_500u64)
         .map(|i| CreditEvent::validated(NodeId([(i % 7) as u8; 32]), 1.0, SimTime::from_millis(i)))
         .collect();
     a.broadcast_credit_events(&events, 0);
-    let keys: Vec<[u8; 32]> = events.iter().map(credit_key).collect();
 
-    // Handshake replay and a served pull both chunk under the frame cap.
+    // The handshake advertises the watermark, and each pull is answered
+    // with one frame under the cap.
     let mut peer = wire_fake_peer(&mut a);
     peer.send(&FakePeer::hello(Some(g)));
     a.poll(10);
-    assert_eq!(credit_frames(peer.drain()), vec![512, 512, 476], "replay chunked");
-    peer.send(&Message::GetCreditEvents(keys));
-    a.poll(20);
-    assert_eq!(credit_frames(peer.drain()), vec![512, 512, 476], "pull chunked");
+    assert!(peer.drain().contains(&Message::CreditVersions(vec![(origin, 1_500)])));
+    for (k, (from, len)) in [(0u64, 512usize), (512, 512), (1_024, 476)].into_iter().enumerate() {
+        peer.send(&Message::GetCredit(vec![(origin, from)]));
+        a.poll(20 + k as u64);
+        assert_eq!(credit_frames(peer.drain()), vec![(from, len)], "pull from {from}");
+    }
 
-    // A peer pushing far more novel events than the inbox cap: the
-    // overflow is counted, not kept.
+    // A peer sending far more events than the inbox cap: the overflow is
+    // counted, not kept, and the watermark stops where the inbox filled,
+    // so the rest is pulled again later.
     let (mut b, g2) = node_with_genesis();
     let mut flooder = wire_fake_peer(&mut b);
     flooder.send(&FakePeer::hello(Some(g2)));
@@ -302,12 +312,14 @@ fn large_credit_batches_are_chunked_and_the_inbox_is_capped() {
     let flood: Vec<CreditEvent> = (0..total)
         .map(|i| CreditEvent::validated(NodeId([3; 32]), 1.0, SimTime::from_millis(i)))
         .collect();
-    for burst in flood.chunks(CREDIT_EVENTS_PER_FRAME) {
-        flooder.send(&Message::CreditEvents(burst.to_vec()));
+    for (k, burst) in flood.chunks(CREDIT_EVENTS_PER_FRAME).enumerate() {
+        let first = (k * CREDIT_EVENTS_PER_FRAME) as u64;
+        flooder.send(&Message::CreditEvents { origin: 77, first, events: burst.to_vec() });
     }
     b.poll(10);
     assert_eq!(b.credit_inbox_len(), MAX_CREDIT_INBOX, "inbox bounded");
     assert_eq!(b.stats().credit_events_dropped, 1_000, "overflow accounted");
+    assert_eq!(b.credit_watermarks()[&77], MAX_CREDIT_INBOX as u64);
 }
 
 #[test]
@@ -409,7 +421,7 @@ fn stale_rerequest_rotates_to_a_different_peer() {
     healthy.drain();
 
     // A child referencing an unknown parent arrives from the stalled
-    // peer; the first GetTx goes back to it (it claimed to hold the
+    // peer; the first pull goes back to it (it claimed to hold the
     // cone) — and then it never answers.
     let parent = data_tx(1, g, g, 10);
     let child = data_tx(2, parent.id(), parent.id(), 20);
@@ -417,11 +429,11 @@ fn stale_rerequest_rotates_to_a_different_peer() {
     node.poll(10);
     let first: Vec<Message> = stalled.drain();
     assert!(
-        first.contains(&Message::GetTx(parent.id())),
+        first.contains(&Message::GetTxs(vec![parent.id()])),
         "initial request goes to the source, got {first:?}"
     );
     assert!(
-        !healthy.drain().contains(&Message::GetTx(parent.id())),
+        !healthy.drain().contains(&Message::GetTxs(vec![parent.id()])),
         "no shotgun to every peer on first request"
     );
 
@@ -430,11 +442,11 @@ fn stale_rerequest_rotates_to_a_different_peer() {
     node.poll(250);
     let retried = healthy.drain();
     assert!(
-        retried.contains(&Message::GetTx(parent.id())),
+        retried.contains(&Message::GetTxs(vec![parent.id()])),
         "stale request rotates to the other peer, got {retried:?}"
     );
     assert!(
-        !stalled.drain().contains(&Message::GetTx(parent.id())),
+        !stalled.drain().contains(&Message::GetTxs(vec![parent.id()])),
         "the stalled peer is not asked again while an alternative exists"
     );
 }
@@ -634,141 +646,122 @@ fn peer_exchange_discovers_and_dials_new_peers() {
     assert_eq!(node.stats().peers_discovered, 1, "own id never dialed");
 }
 
-/// Mesh credit relay: the same event arriving twice (two peers) lands
-/// in the inbox exactly once — the ledger would otherwise
-/// double-count it — and is relayed onward to non-holders only.
-#[test]
-fn mesh_credit_events_are_deduped_and_relayed_once() {
-    use biot_net::time::SimTime;
-    let cfg = GossipConfig {
-        relay_mode: RelayMode::Flood,
-        heartbeat_ms: 0,
-        anti_entropy_ms: 1_000_000,
-        peer_exchange_ms: 0,
-        ..GossipConfig::default()
-    };
-    let mut node = GossipNode::with_empty_tangle(cfg);
-    let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
-    let mut a = wire_fake_peer(&mut node);
-    let mut b = wire_fake_peer(&mut node);
-    let mut c = wire_fake_peer(&mut node);
-    a.send(&FakePeer::hello(Some(g)));
-    b.send(&FakePeer::hello(Some(g)));
-    c.send(&FakePeer::hello(Some(g)));
-    node.poll(0);
-    a.drain();
-    b.drain();
-    c.drain();
-
-    let ev = CreditEvent::validated(NodeId([7; 32]), 2.0, SimTime::from_secs(9));
-    a.send(&Message::CreditEvents(vec![ev]));
-    node.poll(10);
-    assert_eq!(node.credit_inbox_len(), 1);
-    // Relayed onward to b and c, never echoed back to the source.
-    assert!(b.drain().contains(&Message::CreditEvents(vec![ev])));
-    assert!(c.drain().contains(&Message::CreditEvents(vec![ev])));
-    assert!(!a.drain().contains(&Message::CreditEvents(vec![ev])));
-
-    // A redundant copy from b is deduped: inbox unchanged, nothing
-    // re-relayed to anyone (all three are known holders now).
-    b.send(&Message::CreditEvents(vec![ev]));
-    node.poll(20);
-    assert_eq!(node.credit_inbox_len(), 1, "second copy deduped");
-    assert_eq!(node.stats().credit_events_deduped, 1);
-    assert!(!a.drain().contains(&Message::CreditEvents(vec![ev])));
-    assert!(!b.drain().contains(&Message::CreditEvents(vec![ev])));
-    assert!(!c.drain().contains(&Message::CreditEvents(vec![ev])));
-}
-
-/// Digest-mode credit relay: a received event spreads as a 32-byte
-/// key in a `CreditKeys` frame; a peer that lacks it pulls the full
-/// event with `GetCreditEvents`, and a peer that already advertised
-/// the key is never sent anything.
-#[test]
-fn mesh_credit_spreads_by_key_and_pull() {
-    use biot_net::time::SimTime;
-    let cfg = GossipConfig {
+fn quiet_cfg() -> GossipConfig {
+    GossipConfig {
         digest_ms: 25,
         heartbeat_ms: 0,
         anti_entropy_ms: 1_000_000,
         peer_exchange_ms: 0,
-        fanout: 0,
         ..GossipConfig::default()
-    };
-    let mut node = GossipNode::with_empty_tangle(cfg);
-    let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
-    let mut src = wire_fake_peer(&mut node);
-    let mut lacking = wire_fake_peer(&mut node);
-    let mut holding = wire_fake_peer(&mut node);
-    src.send(&FakePeer::hello(Some(g)));
-    lacking.send(&FakePeer::hello(Some(g)));
-    holding.send(&FakePeer::hello(Some(g)));
-    node.poll(0);
-    src.drain();
-    lacking.drain();
-    holding.drain();
+    }
+}
 
+/// A node with three handshaken fake peers.
+fn node_with_three_peers() -> (GossipNode, [FakePeer; 3]) {
+    let mut node = GossipNode::with_empty_tangle(quiet_cfg());
+    let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
+    let mut peers = [0, 1, 2].map(|_| wire_fake_peer(&mut node));
+    for p in &mut peers {
+        p.send(&FakePeer::hello(Some(g)));
+    }
+    node.poll(0);
+    for p in &mut peers {
+        p.drain();
+    }
+    (node, peers)
+}
+
+fn is_credit(m: &Message) -> bool {
+    matches!(m, Message::CreditVersions(_) | Message::CreditEvents { .. } | Message::GetCredit(_))
+}
+
+/// Mesh credit relay: the same event arriving twice (two peers) lands
+/// in the inbox exactly once — the ledger would otherwise double-count
+/// it — by its seq alone, and its watermark is advertised onward to the
+/// peer that lacks it only.
+#[test]
+fn mesh_credit_events_are_deduped_and_relayed_once() {
+    use biot_net::time::SimTime;
+    let (mut node, [mut a, mut b, mut c]) = node_with_three_peers();
     let ev = CreditEvent::validated(NodeId([7; 32]), 2.0, SimTime::from_secs(9));
-    let key = credit_key(&ev);
-    // `holding` advertises the key first: the node learns it holds
-    // the event, and pulls it (the node itself lacks it).
-    holding.send(&Message::CreditKeys(vec![key]));
+    a.send(&Message::CreditVersions(vec![(77, 1)]));
+    b.send(&Message::CreditVersions(vec![(77, 1)]));
     node.poll(10);
-    assert!(
-        holding.drain().contains(&Message::GetCreditEvents(vec![key])),
-        "node pulls an advertised event it lacks"
-    );
-    // The event arrives from `src` instead (races are normal).
-    src.send(&Message::CreditEvents(vec![ev]));
+    // One pull, to the first advertiser; the second advert rides it.
+    assert!(a.drain().contains(&Message::GetCredit(vec![(77, 0)])));
+    assert!(!b.drain().iter().any(is_credit), "one pull in flight per origin");
+    a.send(&Message::CreditEvents { origin: 77, first: 0, events: vec![ev] });
     node.poll(20);
     assert_eq!(node.credit_inbox_len(), 1);
-    // The digest flush advertises the key onward — to `lacking`
-    // only: `src` sent it, `holding` advertised it.
-    node.poll(50);
-    assert!(
-        lacking.drain().contains(&Message::CreditKeys(vec![key])),
-        "key digested to the peer that lacks it"
-    );
-    assert!(!src.drain().iter().any(|m| matches!(
-        m,
-        Message::CreditKeys(_) | Message::CreditEvents(_)
-    )));
-    assert!(!holding.drain().iter().any(|m| matches!(
-        m,
-        Message::CreditKeys(_) | Message::CreditEvents(_)
-    )));
-    // `lacking` pulls; the node serves the full event exactly once.
-    lacking.send(&Message::GetCreditEvents(vec![key]));
+
+    // A redundant copy is deduped.
+    b.send(&Message::CreditEvents { origin: 77, first: 0, events: vec![ev] });
+    node.poll(30);
+    assert_eq!(node.credit_inbox_len(), 1, "second copy deduped");
+    assert_eq!(node.stats().credit_events_deduped, 1);
+
+    // The flush advertises the new watermark to `c` only.
     node.poll(60);
+    assert_eq!(c.drain(), vec![Message::CreditVersions(vec![(77, 1)])]);
+    assert!(!a.drain().iter().chain(b.drain().iter()).any(is_credit));
+}
+
+/// A pull continues where the log still falls short of the highest
+/// advertised watermark, at the peer that advertised it, and a pull is
+/// served from the log; pulls for unknown origins are skipped.
+#[test]
+fn mesh_credit_spreads_by_watermark_and_pull() {
+    use biot_net::time::SimTime;
+    let (mut node, [mut src, mut lacking, mut holding]) = node_with_three_peers();
+    let evs: Vec<CreditEvent> = (0..3)
+        .map(|k| CreditEvent::validated(NodeId([7; 32]), 2.0, SimTime::from_secs(9 + k)))
+        .collect();
+    holding.send(&Message::CreditVersions(vec![(77, 2)]));
+    node.poll(10);
     assert!(
-        lacking.drain().contains(&Message::CreditEvents(vec![ev])),
-        "pull served from the replay store"
+        holding.drain().contains(&Message::GetCredit(vec![(77, 0)])),
+        "node pulls what it lacks from the advertiser"
     );
-    lacking.send(&Message::GetCreditEvents(vec![key]));
-    node.poll(90);
-    // A re-pull is still served (the peer may have lost the frame),
-    // but an unknown key is silently skipped.
-    lacking.send(&Message::GetCreditEvents(vec![[0xEE; 32]]));
-    node.poll(120);
-    let msgs = lacking.drain();
-    assert!(!msgs.iter().any(|m| matches!(m, Message::CreditEvents(evs) if evs.len() != 1)));
+    src.send(&Message::CreditVersions(vec![(77, 3)]));
+    node.poll(15);
+    assert!(!src.drain().iter().any(is_credit), "one pull in flight per origin");
+    holding.send(&Message::CreditEvents { origin: 77, first: 0, events: evs[..2].to_vec() });
+    node.poll(20);
+    assert!(
+        src.drain().contains(&Message::GetCredit(vec![(77, 2)])),
+        "the pull continues at the peer that advertised more"
+    );
+    src.send(&Message::CreditEvents { origin: 77, first: 2, events: evs[2..].to_vec() });
+    node.poll(25);
+    let got: Vec<(u64, CreditEvent)> =
+        node.take_credit_events().into_iter().map(|(id, ev)| (id.seq, ev)).collect();
+    assert_eq!(got, (0..).zip(evs.iter().copied()).collect::<Vec<_>>());
+
+    // The flush advertises to the peers that lack seq 2.
+    node.poll(60);
+    assert!(lacking.drain().contains(&Message::CreditVersions(vec![(77, 3)])));
+    assert!(holding.drain().contains(&Message::CreditVersions(vec![(77, 3)])));
+    assert!(!src.drain().iter().any(is_credit));
+    lacking.send(&Message::GetCredit(vec![(77, 0), (0xEE, 0)]));
+    node.poll(70);
+    assert_eq!(lacking.drain(), vec![Message::CreditEvents { origin: 77, first: 0, events: evs }]);
 }
 
 /// Credit events a peer receives, flattened across frames.
 fn credit_events_in(msgs: Vec<Message>) -> Vec<CreditEvent> {
     msgs.into_iter()
         .filter_map(|m| match m {
-            Message::CreditEvents(evs) => Some(evs),
+            Message::CreditEvents { events, .. } => Some(events),
             _ => None,
         })
         .flatten()
         .collect()
 }
 
-/// The handshake replays held credit events to late joiners exactly
-/// once: to a peer with no slot at broadcast time, and to one whose
-/// transport was attached but whose Hello had not landed — neither
-/// gets a second copy at the next flush.
+/// The handshake advertises held credit to late joiners: to a peer with
+/// no slot at broadcast time, and to one whose transport was attached
+/// but whose Hello had not landed. Nothing is pushed: a peer gets the
+/// events only by pulling them.
 #[test]
 fn credit_replay_covers_late_handshakes() {
     use biot_net::time::SimTime;
@@ -779,17 +772,18 @@ fn credit_replay_covers_late_handshakes() {
         ..GossipConfig::default()
     };
     let mut node = GossipNode::with_empty_tangle(cfg);
+    let origin = node.credit_origin();
     let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
     let ev = CreditEvent::validated(NodeId([5; 32]), 1.5, SimTime::from_secs(4));
-    node.broadcast_credit_events(&[ev], 0); // no peers yet: replay-buffered
+    node.broadcast_credit_events(&[ev], 0); // no peers yet
 
     let mut late = wire_fake_peer(&mut node);
     late.send(&FakePeer::hello(Some(g)));
     node.poll(10);
     let msgs = late.drain();
     assert!(
-        msgs.contains(&Message::CreditEvents(vec![ev])),
-        "late joiner gets the replay, got {msgs:?}"
+        msgs.contains(&Message::CreditVersions(vec![(origin, 1)])),
+        "late joiner gets the watermark, got {msgs:?}"
     );
 
     // Attached but not yet handshaken when the next event goes out.
@@ -797,26 +791,27 @@ fn credit_replay_covers_late_handshakes() {
     node.poll(20);
     let ev2 = CreditEvent::validated(NodeId([6; 32]), 2.5, SimTime::from_secs(5));
     node.broadcast_credit_events(&[ev2], 20);
-    assert!(credit_events_in(midway.drain()).is_empty(), "nothing before Hello");
+    assert!(!midway.drain().iter().any(is_credit), "nothing before Hello");
     midway.send(&FakePeer::hello(Some(g)));
     node.poll(30);
-    assert_eq!(credit_events_in(midway.drain()), vec![ev, ev2], "replayed after Hello");
+    assert!(midway.drain().contains(&Message::CreditVersions(vec![(origin, 2)])));
+    midway.send(&Message::GetCredit(vec![(origin, 0)]));
+    node.poll(40);
+    assert_eq!(credit_events_in(midway.drain()), vec![ev, ev2], "served after Hello");
     node.poll(200); // past the flush armed by the broadcast
     let after = midway.drain();
     assert!(credit_events_in(after.clone()).is_empty(), "no second copy, got {after:?}");
-    assert!(
-        !after.iter().any(|m| matches!(m, Message::CreditKeys(_))),
-        "no key advert for events it holds, got {after:?}"
-    );
 }
 
-/// The replay store keeps the newest `CREDIT_REPLAY` events: past the
-/// cap the oldest go first, from the handshake replay and from pulls.
+/// An origin's log keeps the newest `CREDIT_LOG` events: a pull from
+/// before them starts at the oldest held, and a replica behind by more
+/// than the log counts the gap, then applies the rest exactly once.
 #[test]
 fn credit_replay_cap_evicts_oldest_first() {
     use biot_net::time::SimTime;
     let (mut node, g) = node_with_genesis();
-    let events: Vec<CreditEvent> = (0..CREDIT_REPLAY as u64 + 3)
+    let origin = node.credit_origin();
+    let events: Vec<CreditEvent> = (0..CREDIT_LOG as u64 + 3)
         .map(|i| CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_millis(i)))
         .collect();
     for ev in &events {
@@ -825,12 +820,24 @@ fn credit_replay_cap_evicts_oldest_first() {
     let mut late = wire_fake_peer(&mut node);
     late.send(&FakePeer::hello(Some(g)));
     node.poll(10);
-    assert_eq!(credit_events_in(late.drain()), events[3..].to_vec());
-    // A pull for the three evicted events and the oldest survivor is
-    // answered with the survivor alone.
-    late.send(&Message::GetCreditEvents(events[..4].iter().map(credit_key).collect()));
+    late.drain();
+    late.send(&Message::GetCredit(vec![(origin, 0)]));
     node.poll(20);
-    assert_eq!(credit_events_in(late.drain()), vec![events[3]]);
+    assert_eq!(credit_frames(late.drain()), vec![(3, CREDIT_EVENTS_PER_FRAME)]);
+
+    let mut replica =
+        GossipNode::with_empty_tangle(GossipConfig { node_id: 2, ..GossipConfig::default() });
+    let (x, y, _link) = MemTransport::pair();
+    node.add_transport(Box::new(x), 20);
+    replica.add_transport(Box::new(y), 20);
+    for t in 3..100 {
+        node.poll(t * 10);
+        replica.poll(t * 10);
+    }
+    assert_eq!(replica.stats().credit_gaps, 3);
+    let got = replica.take_credit_events();
+    assert_eq!(got.iter().map(|(_, ev)| *ev).collect::<Vec<_>>(), events[3..].to_vec());
+    assert!(got.iter().zip(3..).all(|((id, _), seq)| *id == CreditId { origin, seq }));
 }
 
 /// The digest flush timer runs only while a buffer holds work: an
@@ -926,40 +933,34 @@ fn prehello_overflow_is_counted() {
     assert_eq!(node.stats().prehello_dropped, excess as u64);
     peer.send(&FakePeer::hello(Some(g)));
     node.poll(10);
-    let asked = peer.drain().iter().filter(|m| matches!(m, Message::GetTx(_))).count();
+    let asked = peer.drain().iter().filter(|m| matches!(m, Message::GetTxs(_))).count();
     assert_eq!(asked, MAX_PREHELLO, "every buffered tip is pulled");
     assert_eq!(node.stats().prehello_dropped, excess as u64);
 }
 
-/// A `CreditKeys` flood past the outstanding-pull cap is refused key by
-/// key, and counted.
+/// Adverts of more origins than a node tracks are refused origin by
+/// origin, and counted.
 #[test]
-fn credit_key_flood_past_the_pull_cap_is_counted() {
-    use crate::wire::MAX_IDS_PER_DIGEST;
+fn credit_origin_flood_past_the_origin_cap_is_counted() {
+    use crate::wire::MAX_CREDIT_ORIGINS;
     let (mut node, g) = node_with_genesis();
     let mut peer = wire_fake_peer(&mut node);
     peer.send(&FakePeer::hello(Some(g)));
     node.poll(0);
     peer.drain();
     let excess = 5;
-    let keys: Vec<[u8; 32]> = (0..(MAX_CREDIT_INBOX + excess) as u64)
-        .map(|n| {
-            let mut key = [0u8; 32];
-            key[..8].copy_from_slice(&n.to_be_bytes());
-            key
-        })
-        .collect();
-    for chunk in keys.chunks(MAX_IDS_PER_DIGEST) {
-        peer.send(&Message::CreditKeys(chunk.to_vec()));
+    let adverts: Vec<(u64, u64)> =
+        (1..=(MAX_CREDIT_ORIGINS + excess) as u64).map(|o| (o, 1)).collect();
+    for chunk in adverts.chunks(MAX_CREDIT_ORIGINS) {
+        peer.send(&Message::CreditVersions(chunk.to_vec()));
     }
     node.poll(10);
-    assert_eq!(node.stats().credit_pulls_refused, excess as u64);
-    assert_eq!(node.stats().requests_sent, MAX_CREDIT_INBOX as u64);
+    assert_eq!(node.stats().credit_origins_refused, excess as u64);
+    assert_eq!(node.stats().requests_sent, MAX_CREDIT_ORIGINS as u64);
 }
 
-/// A credit pull whose answer dies with the link does not make the
-/// requester a holder: the handshake replay on the redialed link still
-/// carries the event.
+/// A credit pull whose answer dies with the link is served again on the
+/// redialed link: the new handshake advertises the watermark afresh.
 #[test]
 fn failed_credit_serve_is_replayed_after_redial() {
     use crate::transport::{FnConnector, MemLink};
@@ -973,6 +974,7 @@ fn failed_credit_serve_is_replayed_after_redial() {
         ..GossipConfig::default()
     };
     let mut node = GossipNode::with_empty_tangle(cfg);
+    let origin = node.credit_origin();
     let g = node.tangle().lock().unwrap().attach_genesis(NodeId([0; 32]), 0);
     let (far_tx, far_rx) = mpsc::channel::<(MemTransport, MemLink)>();
     let i = node.connect(Box::new(FnConnector(move || {
@@ -990,7 +992,7 @@ fn failed_credit_serve_is_replayed_after_redial() {
 
     let ev = CreditEvent::validated(NodeId([4; 32]), 1.0, SimTime::from_secs(2));
     node.broadcast_credit_events(&[ev], 20);
-    peer.send(&Message::GetCreditEvents(vec![credit_key(&ev)]));
+    peer.send(&Message::GetCredit(vec![(origin, 0)]));
     link.kill();
     node.poll(30); // reads the pull, then fails to answer it
     assert_eq!(node.peer_info(i).state, PeerState::Backoff);
@@ -1002,5 +1004,8 @@ fn failed_credit_serve_is_replayed_after_redial() {
     let mut peer = FakePeer { transport: theirs };
     peer.send(&FakePeer::hello(Some(g)));
     node.poll(redial_at + 10);
-    assert_eq!(credit_events_in(peer.drain()), vec![ev], "the handshake replay carries it");
+    assert!(peer.drain().contains(&Message::CreditVersions(vec![(origin, 1)])));
+    peer.send(&Message::GetCredit(vec![(origin, 0)]));
+    node.poll(redial_at + 20);
+    assert_eq!(credit_events_in(peer.drain()), vec![ev], "served on the new link");
 }

@@ -164,12 +164,12 @@ where
 /// Shared bytes-on-wire counters for one node, incremented by every
 /// [`CountingTransport`] wrapped around its links. Each frame is costed
 /// at `4 + len` — the TCP framing overhead — so in-memory mesh runs
-/// report the same wire bytes a socket deployment would.
+/// report the same wire bytes a socket deployment would. Sent frames
+/// are also counted per message tag (the frame's first byte).
 #[derive(Clone, Debug, Default)]
 pub struct ByteCounter {
-    sent: Arc<AtomicU64>,
     received: Arc<AtomicU64>,
-    frames_sent: Arc<AtomicU64>,
+    sent_by_tag: Arc<Mutex<BTreeMap<u8, (u64, u64)>>>,
 }
 
 impl ByteCounter {
@@ -180,7 +180,7 @@ impl ByteCounter {
 
     /// Total bytes sent (including per-frame length prefixes).
     pub fn sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
+        self.sent_by_tag().values().map(|&(_, bytes)| bytes).sum()
     }
 
     /// Total bytes received.
@@ -190,7 +190,12 @@ impl ByteCounter {
 
     /// Total frames sent.
     pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Relaxed)
+        self.sent_by_tag().values().map(|&(frames, _)| frames).sum()
+    }
+
+    /// Frames and bytes sent, by message tag: tag → (frames, bytes).
+    pub fn sent_by_tag(&self) -> BTreeMap<u8, (u64, u64)> {
+        self.sent_by_tag.lock().expect("counter lock poisoned").clone()
     }
 }
 
@@ -210,8 +215,9 @@ impl CountingTransport {
 impl Transport for CountingTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         self.inner.send(frame)?;
-        self.counter.sent.fetch_add(4 + frame.len() as u64, Ordering::Relaxed);
-        self.counter.frames_sent.fetch_add(1, Ordering::Relaxed);
+        let mut by_tag = self.counter.sent_by_tag.lock().expect("counter lock poisoned");
+        let tag = by_tag.entry(frame.first().copied().unwrap_or(u8::MAX)).or_default();
+        *tag = (tag.0 + 1, tag.1 + 4 + frame.len() as u64);
         Ok(())
     }
 

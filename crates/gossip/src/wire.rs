@@ -12,7 +12,7 @@
 //!                   u8 has-addr flag,
 //!                   [varint len, UTF-8 listen address]
 //! tag 1  (retired: v1/v2 per-tx Announce; now an unknown tag)
-//! tag 2  GetTx      32-byte tx id
+//! tag 2  (retired: v4 single-id pull; `GetTxs` carries one id too)
 //! tag 3  TxPayload  varint attach_ms, varint len, codec-encoded tx
 //! tag 4  GetTips    (empty)
 //! tag 5  Tips       varint count, count × 32-byte tx ids
@@ -21,26 +21,27 @@
 //! tag 8  Baseline   u8 has-genesis flag,
 //!                   [varint attach_ms, varint len, codec-encoded genesis],
 //!                   varint pruned count, count × 32-byte tx ids
-//! tag 9  CreditEvents varint count, count × (varint len,
+//! tag 9  CreditEvents u64-BE origin, varint first seq, 4-byte checksum
+//!                   over both, varint count, count × (varint len,
 //!                   checksummed biot_credit event bytes)
 //! tag 10 PeerExchange varint count, count × (u64-BE node id,
 //!                   varint addr len, UTF-8 address, 4-byte checksum)
 //! tag 11 Digest     varint count, count × 32-byte tx ids,
 //!                   4-byte checksum over the ids
 //! tag 12 GetTxs     varint count, count × 32-byte tx ids
-//! tag 13 CreditKeys varint count, count × 32-byte credit-event
-//!                   checksums, 4-byte checksum over the keys
-//! tag 14 GetCreditEvents varint count, count × 32-byte credit-event
-//!                   checksums
+//! tag 13, 14 (retired: v4 credit-event keys and their pulls)
+//! tag 15 CreditVersions varint count, count × (u64-BE origin,
+//!                   varint next seq), 4-byte checksum over the entries
+//! tag 16 GetCredit  as tag 15, each seq the first one wanted
 //! ```
 //!
 //! Varints are LEB128, identical to the tangle codec. Every declared
 //! count is validated against the remaining frame length **before** any
 //! allocation, mirroring the hardening in `tangle::codec`. `PeerExchange`
-//! entries and `Digest` id lists carry truncated-SHA-256 checksums (like
-//! the per-event checksums of tag 9), so a single flipped bit anywhere in
-//! an entry or an id list is rejected rather than silently becoming a
-//! different address or transaction id.
+//! entries, `Digest` id lists, credit version lists and credit-event
+//! identities carry truncated-SHA-256 checksums (like the per-event
+//! checksums of tag 9), so a single flipped bit in them is rejected
+//! rather than silently becoming a different address, id or sequence.
 
 use biot_credit::event::{decode_event, encode_event, CreditCodecError, CreditEvent};
 use biot_crypto::sha256::sha256;
@@ -55,8 +56,10 @@ use std::fmt;
 /// handshake and the mesh frames (tags 10–14); v3 retired the per-tx
 /// `Announce` frame (tag 1), so a v2 peer is refused at the handshake
 /// rather than dropped mid-stream on its first announce; v4 dropped the
-/// never-read 32-byte baseline hash from `Hello`.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// never-read 32-byte baseline hash from `Hello`; v5 gave every credit
+/// event an `(origin, seq)` identity and replaced the credit-key digests
+/// (tags 13/14) with version vectors (tags 15/16).
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on one frame. Anything larger is a protocol violation — the
 /// TCP transport refuses to even buffer it.
@@ -68,9 +71,13 @@ pub const MAX_PEER_ENTRIES: usize = 64;
 /// Cap on one peer address string, bytes.
 pub const MAX_ADDR_BYTES: usize = 256;
 
-/// Cap on 32-byte items in one [`Message::Digest`], [`Message::GetTxs`],
-/// [`Message::CreditKeys`], or [`Message::GetCreditEvents`] frame.
+/// Cap on 32-byte items in one [`Message::Digest`] or [`Message::GetTxs`]
+/// frame.
 pub const MAX_IDS_PER_DIGEST: usize = 4_096;
+
+/// Cap on credit origins a node tracks, and on the entries of one
+/// [`Message::CreditVersions`] or [`Message::GetCredit`] frame.
+pub const MAX_CREDIT_ORIGINS: usize = 1_024;
 
 /// Smallest possible encoded [`PeerEntry`]: 8-byte id, 1-byte length,
 /// empty address, 4-byte checksum.
@@ -148,8 +155,6 @@ pub enum Message {
         /// fleet discovers it.
         listen_addr: Option<String>,
     },
-    /// "Send me this transaction."
-    GetTx(TxId),
     /// A full transaction plus the sender's attach time.
     TxPayload {
         /// Attach time on the sending replica (kept cluster-consistent so
@@ -178,12 +183,19 @@ pub enum Message {
         pruned: Vec<TxId>,
     },
     /// Credit-ledger events (validations and misbehaviour evidence)
-    /// observed by the sender, so replicas converge on the same
-    /// credit — and therefore the same difficulty — for every node.
-    /// Each event carries its own version byte and checksum (the
-    /// [`biot_credit::event`] codec), so corruption is caught per
-    /// event, not just per frame.
-    CreditEvents(Vec<CreditEvent>),
+    /// `first..` of one origin's sequence, answering a
+    /// [`Message::GetCredit`], so replicas converge on the same credit —
+    /// and therefore the same difficulty — for every node. Each event
+    /// carries its own version byte and checksum (the
+    /// [`biot_credit::event`] codec), so corruption is caught per event.
+    CreditEvents {
+        /// The node that first broadcast these events.
+        origin: u64,
+        /// Sequence number of `events[0]`.
+        first: u64,
+        /// Consecutive events of the origin.
+        events: Vec<CreditEvent>,
+    },
     /// "Here are peers I know about" — each entry is `(node id, dial
     /// address)` with its own checksum, capped at [`MAX_PEER_ENTRIES`].
     /// A node joining with one seed address discovers the fleet through
@@ -198,16 +210,11 @@ pub enum Message {
     /// Batch fetch: "send me these transactions" (the pull half of the
     /// digest exchange).
     GetTxs(Vec<TxId>),
-    /// Digest-batched credit announce: "I hold credit events with these
-    /// checksums" — the credit analogue of [`Message::Digest`]. A
-    /// 32-byte key is ~3× cheaper on the wire than the event it names,
-    /// so fleets gossip keys and pull only unknown events instead of
-    /// flooding full event bodies.
-    CreditKeys(Vec<[u8; 32]>),
-    /// Batch fetch: "send me the credit events with these checksums"
-    /// (the pull half of the credit-key exchange; served from the
-    /// sender's replay buffer).
-    GetCreditEvents(Vec<[u8; 32]>),
+    /// Credit watermarks: `(origin, next seq)`, the sender has applied
+    /// that origin's events below `next`.
+    CreditVersions(Vec<(u64, u64)>),
+    /// Credit pull: `(origin, first seq wanted)`.
+    GetCredit(Vec<(u64, u64)>),
 }
 
 /// One known peer, as gossiped in [`Message::PeerExchange`].
@@ -220,33 +227,22 @@ pub struct PeerEntry {
     pub addr: String,
 }
 
-/// Truncated SHA-256 over a peer entry (id + address bytes).
-fn peer_entry_checksum(node_id: u64, addr: &[u8]) -> [u8; 4] {
-    let mut buf = Vec::with_capacity(8 + addr.len());
-    buf.extend_from_slice(&node_id.to_be_bytes());
-    buf.extend_from_slice(addr);
-    let h = sha256(&buf);
+/// Truncated SHA-256, the checksum of every checksummed frame part.
+fn checksum(bytes: &[u8]) -> [u8; 4] {
+    let h = sha256(bytes);
     [h[0], h[1], h[2], h[3]]
 }
 
-/// Truncated SHA-256 over a digest's id list.
-fn digest_checksum(ids: &[TxId]) -> [u8; 4] {
-    let mut buf = Vec::with_capacity(32 * ids.len());
-    for id in ids {
-        buf.extend_from_slice(&id.0);
+/// Appends a checksummed `(origin, seq)` list (tags 15 and 16).
+fn put_versions(out: &mut Vec<u8>, entries: &[(u64, u64)]) {
+    write_varint(out, entries.len() as u64);
+    let start = out.len();
+    for &(origin, seq) in entries {
+        out.extend_from_slice(&origin.to_be_bytes());
+        write_varint(out, seq);
     }
-    let h = sha256(&buf);
-    [h[0], h[1], h[2], h[3]]
-}
-
-/// Truncated SHA-256 over a credit-key list.
-fn keys_checksum(keys: &[[u8; 32]]) -> [u8; 4] {
-    let mut buf = Vec::with_capacity(32 * keys.len());
-    for key in keys {
-        buf.extend_from_slice(key);
-    }
-    let h = sha256(&buf);
-    [h[0], h[1], h[2], h[3]]
+    let sum = checksum(&out[start..]);
+    out.extend_from_slice(&sum);
 }
 
 struct Reader<'a> {
@@ -285,11 +281,11 @@ impl<'a> Reader<'a> {
         self.input.len() - self.pos
     }
 
-    /// A declared 32-byte-id count, bounds-checked against the remaining
-    /// frame before any allocation.
-    fn id_vec(&mut self) -> Result<Vec<TxId>, WireError> {
+    /// A declared 32-byte-id count, bounds-checked against `cap` and the
+    /// remaining frame before any allocation.
+    fn id_vec(&mut self, cap: usize) -> Result<Vec<TxId>, WireError> {
         let n = self.varint()?;
-        if n > (self.remaining() / 32) as u64 {
+        if n > cap as u64 || n > (self.remaining() / 32) as u64 {
             return Err(WireError::BadLength(n));
         }
         let mut ids = Vec::with_capacity(n as usize);
@@ -297,6 +293,39 @@ impl<'a> Reader<'a> {
             ids.push(self.id()?);
         }
         Ok(ids)
+    }
+
+    fn u64_be(&mut self) -> Result<u64, WireError> {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(self.bytes(8)?);
+        Ok(u64::from_be_bytes(b))
+    }
+
+    /// Reads a 4-byte checksum over the bytes from `start` and checks it.
+    fn check_sum(&mut self, start: usize) -> Result<(), WireError> {
+        let covered = checksum(&self.input[start..self.pos]);
+        if self.bytes(4)? != covered {
+            return Err(WireError::ChecksumMismatch);
+        }
+        Ok(())
+    }
+
+    /// A checksummed `(origin, seq)` list, its count checked before any
+    /// allocation.
+    fn versions(&mut self) -> Result<Vec<(u64, u64)>, WireError> {
+        let n = self.varint()?;
+        // An entry is at least an 8-byte origin and a 1-byte varint.
+        if n > MAX_CREDIT_ORIGINS as u64 || n > (self.remaining() / 9) as u64 {
+            return Err(WireError::BadLength(n));
+        }
+        let start = self.pos;
+        let mut entries = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let origin = self.u64_be()?;
+            entries.push((origin, self.varint()?));
+        }
+        self.check_sum(start)?;
+        Ok(entries)
     }
 
     /// A varint-length-prefixed, codec-encoded transaction.
@@ -339,10 +368,6 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
                 None => out.push(0),
             }
         }
-        Message::GetTx(id) => {
-            out.push(2);
-            out.extend_from_slice(&id.0);
-        }
         Message::TxPayload { attach_ms, tx } => {
             out.push(3);
             write_varint(&mut out, *attach_ms);
@@ -376,8 +401,12 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
                 out.extend_from_slice(&id.0);
             }
         }
-        Message::CreditEvents(events) => {
+        Message::CreditEvents { origin, first, events } => {
             out.push(9);
+            out.extend_from_slice(&origin.to_be_bytes());
+            write_varint(&mut out, *first);
+            let sum = checksum(&out[1..]);
+            out.extend_from_slice(&sum);
             write_varint(&mut out, events.len() as u64);
             for ev in events {
                 let body = encode_event(ev);
@@ -389,19 +418,23 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
             out.push(10);
             write_varint(&mut out, entries.len() as u64);
             for e in entries {
+                let start = out.len();
                 out.extend_from_slice(&e.node_id.to_be_bytes());
                 write_varint(&mut out, e.addr.len() as u64);
                 out.extend_from_slice(e.addr.as_bytes());
-                out.extend_from_slice(&peer_entry_checksum(e.node_id, e.addr.as_bytes()));
+                let sum = checksum(&out[start..]);
+                out.extend_from_slice(&sum);
             }
         }
         Message::Digest(ids) => {
             out.push(11);
             write_varint(&mut out, ids.len() as u64);
+            let start = out.len();
             for id in ids {
                 out.extend_from_slice(&id.0);
             }
-            out.extend_from_slice(&digest_checksum(ids));
+            let sum = checksum(&out[start..]);
+            out.extend_from_slice(&sum);
         }
         Message::GetTxs(ids) => {
             out.push(12);
@@ -410,20 +443,13 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
                 out.extend_from_slice(&id.0);
             }
         }
-        Message::CreditKeys(keys) => {
-            out.push(13);
-            write_varint(&mut out, keys.len() as u64);
-            for key in keys {
-                out.extend_from_slice(key);
-            }
-            out.extend_from_slice(&keys_checksum(keys));
+        Message::CreditVersions(entries) => {
+            out.push(15);
+            put_versions(&mut out, entries);
         }
-        Message::GetCreditEvents(keys) => {
-            out.push(14);
-            write_varint(&mut out, keys.len() as u64);
-            for key in keys {
-                out.extend_from_slice(key);
-            }
+        Message::GetCredit(entries) => {
+            out.push(16);
+            put_versions(&mut out, entries);
         }
     }
     out
@@ -441,9 +467,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             let hi = r.u8()?;
             let lo = r.u8()?;
             let version = u16::from_be_bytes([hi, lo]);
-            let mut id_bytes = [0u8; 8];
-            id_bytes.copy_from_slice(r.bytes(8)?);
-            let node_id = u64::from_be_bytes(id_bytes);
+            let node_id = r.u64_be()?;
             let genesis = if r.u8()? != 0 { Some(r.id()?) } else { None };
             let listen_addr = if r.u8()? != 0 {
                 let len = r.varint()?;
@@ -457,13 +481,12 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             };
             Message::Hello { version, node_id, genesis, listen_addr }
         }
-        2 => Message::GetTx(r.id()?),
         3 => {
             let attach_ms = r.varint()?;
             Message::TxPayload { attach_ms, tx: r.tx()? }
         }
         4 => Message::GetTips,
-        5 => Message::Tips(r.id_vec()?),
+        5 => Message::Tips(r.id_vec(usize::MAX)?),
         6 => Message::Heartbeat(r.varint()?),
         7 => Message::GetBaseline,
         8 => {
@@ -473,9 +496,12 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             } else {
                 None
             };
-            Message::Baseline { genesis, pruned: r.id_vec()? }
+            Message::Baseline { genesis, pruned: r.id_vec(usize::MAX)? }
         }
         9 => {
+            let origin = r.u64_be()?;
+            let first = r.varint()?;
+            r.check_sum(1)?;
             let n = r.varint()?;
             // Every credit event record costs at least its 1-byte length
             // prefix plus MIN_ENCODED_LEN bytes of body, so a declared
@@ -492,7 +518,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
                 }
                 events.push(decode_event(r.bytes(len as usize)?)?);
             }
-            Message::CreditEvents(events)
+            Message::CreditEvents { origin, first, events }
         }
         10 => {
             let n = r.varint()?;
@@ -503,82 +529,27 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
             }
             let mut entries = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                let mut id_bytes = [0u8; 8];
-                id_bytes.copy_from_slice(r.bytes(8)?);
-                let node_id = u64::from_be_bytes(id_bytes);
+                let start = r.pos;
+                let node_id = r.u64_be()?;
                 let len = r.varint()?;
                 if len > MAX_ADDR_BYTES as u64 || len > r.remaining() as u64 {
                     return Err(WireError::BadAddr);
                 }
                 let addr_bytes = r.bytes(len as usize)?.to_vec();
-                let mut sum = [0u8; 4];
-                sum.copy_from_slice(r.bytes(4)?);
-                if sum != peer_entry_checksum(node_id, &addr_bytes) {
-                    return Err(WireError::ChecksumMismatch);
-                }
+                r.check_sum(start)?;
                 let addr = String::from_utf8(addr_bytes).map_err(|_| WireError::BadAddr)?;
                 entries.push(PeerEntry { node_id, addr });
             }
             Message::PeerExchange(entries)
         }
         11 => {
-            let n = r.varint()?;
-            if n > MAX_IDS_PER_DIGEST as u64
-                || n.saturating_mul(32).saturating_add(4) > r.remaining() as u64
-            {
-                return Err(WireError::BadLength(n));
-            }
-            let mut ids = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                ids.push(r.id()?);
-            }
-            let mut sum = [0u8; 4];
-            sum.copy_from_slice(r.bytes(4)?);
-            if sum != digest_checksum(&ids) {
-                return Err(WireError::ChecksumMismatch);
-            }
+            let ids = r.id_vec(MAX_IDS_PER_DIGEST)?;
+            r.check_sum(r.pos - 32 * ids.len())?;
             Message::Digest(ids)
         }
-        12 => {
-            let n = r.varint()?;
-            if n > MAX_IDS_PER_DIGEST as u64 || n > (r.remaining() / 32) as u64 {
-                return Err(WireError::BadLength(n));
-            }
-            let mut ids = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                ids.push(r.id()?);
-            }
-            Message::GetTxs(ids)
-        }
-        13 => {
-            let n = r.varint()?;
-            if n > MAX_IDS_PER_DIGEST as u64
-                || n.saturating_mul(32).saturating_add(4) > r.remaining() as u64
-            {
-                return Err(WireError::BadLength(n));
-            }
-            let mut keys = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                keys.push(r.id()?.0);
-            }
-            let mut sum = [0u8; 4];
-            sum.copy_from_slice(r.bytes(4)?);
-            if sum != keys_checksum(&keys) {
-                return Err(WireError::ChecksumMismatch);
-            }
-            Message::CreditKeys(keys)
-        }
-        14 => {
-            let n = r.varint()?;
-            if n > MAX_IDS_PER_DIGEST as u64 || n > (r.remaining() / 32) as u64 {
-                return Err(WireError::BadLength(n));
-            }
-            let mut keys = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                keys.push(r.id()?.0);
-            }
-            Message::GetCreditEvents(keys)
-        }
+        12 => Message::GetTxs(r.id_vec(MAX_IDS_PER_DIGEST)?),
+        15 => Message::CreditVersions(r.versions()?),
+        16 => Message::GetCredit(r.versions()?),
         t => return Err(WireError::BadTag(t)),
     };
     if r.remaining() != 0 {
@@ -604,6 +575,14 @@ mod tests {
             .build()
     }
 
+    fn sample_events() -> Vec<CreditEvent> {
+        vec![
+            CreditEvent::validated(NodeId([0x11; 32]), 3.0, SimTime::from_millis(1_234)),
+            CreditEvent::misbehaved(NodeId([0x22; 32]), Misbehavior::DoubleSpend, SimTime::from_secs(60)),
+            CreditEvent::misbehaved(NodeId([0x33; 32]), Misbehavior::LazyTips, SimTime::ZERO),
+        ]
+    }
+
     fn samples() -> Vec<Message> {
         vec![
             Message::Hello {
@@ -618,7 +597,6 @@ mod tests {
                 genesis: Some(TxId([0xAA; 32])),
                 listen_addr: Some("127.0.0.1:9000".to_string()),
             },
-            Message::GetTx(TxId([6; 32])),
             Message::TxPayload { attach_ms: 12_345, tx: sample_tx(b"reading".to_vec()) },
             Message::GetTips,
             Message::Tips(vec![]),
@@ -630,20 +608,8 @@ mod tests {
                 genesis: Some((9, sample_tx(Vec::new()))),
                 pruned: (0..40u8).map(|i| TxId([i; 32])).collect(),
             },
-            Message::CreditEvents(vec![]),
-            Message::CreditEvents(vec![
-                CreditEvent::validated(NodeId([0x11; 32]), 3.0, SimTime::from_millis(1_234)),
-                CreditEvent::misbehaved(
-                    NodeId([0x22; 32]),
-                    Misbehavior::DoubleSpend,
-                    SimTime::from_secs(60),
-                ),
-                CreditEvent::misbehaved(
-                    NodeId([0x33; 32]),
-                    Misbehavior::LazyTips,
-                    SimTime::ZERO,
-                ),
-            ]),
+            Message::CreditEvents { origin: 0, first: 0, events: vec![] },
+            Message::CreditEvents { origin: u64::MAX, first: 9_000, events: sample_events() },
             Message::PeerExchange(vec![]),
             Message::PeerExchange(vec![
                 PeerEntry { node_id: 1, addr: "mem:1".to_string() },
@@ -653,10 +619,10 @@ mod tests {
             Message::Digest(vec![TxId([8; 32]), TxId([9; 32])]),
             Message::GetTxs(vec![]),
             Message::GetTxs(vec![TxId([0xCC; 32])]),
-            Message::CreditKeys(vec![]),
-            Message::CreditKeys(vec![[0xAB; 32], [0xCD; 32]]),
-            Message::GetCreditEvents(vec![]),
-            Message::GetCreditEvents(vec![[0xEF; 32]]),
+            Message::CreditVersions(vec![]),
+            Message::CreditVersions(vec![(1, 0), (u64::MAX, 12_345)]),
+            Message::GetCredit(vec![]),
+            Message::GetCredit(vec![(0x9E37_79B9, 3)]),
         ]
     }
 
@@ -689,8 +655,16 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert_eq!(decode_msg(&[200]), Err(WireError::BadTag(200)));
-        // Tag 1 (the retired per-tx Announce) is unknown, id or not.
+        // Tag 1 (the retired per-tx Announce) is unknown, id or not, as
+        // are tag 2 (the retired single-id pull) and tags 13 and 14 (the
+        // retired v4 credit keys and their pulls).
         assert_eq!(decode_msg(&[1; 33]), Err(WireError::BadTag(1)));
+        assert_eq!(decode_msg(&[2; 33]), Err(WireError::BadTag(2)));
+        for tag in [13u8, 14] {
+            let mut frame = vec![tag, 1];
+            frame.extend_from_slice(&[0xAB; 36]);
+            assert_eq!(decode_msg(&frame), Err(WireError::BadTag(tag)));
+        }
         assert_eq!(decode_msg(&[]), Err(WireError::UnexpectedEnd));
     }
 
@@ -717,9 +691,11 @@ mod tests {
 
     #[test]
     fn forged_credit_event_count_is_capped() {
-        // A CreditEvents frame declaring u64::MAX events with an empty
-        // body: rejected before any allocation, same as forged tip counts.
-        let mut frame = vec![9u8];
+        // A CreditEvents frame with an honest identity header declaring
+        // u64::MAX events and an empty body: rejected before any
+        // allocation, same as forged tip counts.
+        let header = encode_msg(&Message::CreditEvents { origin: 7, first: 3, events: vec![] });
+        let mut frame = header[..header.len() - 1].to_vec();
         frame.extend_from_slice(&[0xFF; 9]);
         frame.push(0x01);
         assert!(matches!(decode_msg(&frame), Err(WireError::BadLength(_))));
@@ -727,15 +703,19 @@ mod tests {
 
     #[test]
     fn corrupt_embedded_credit_event_is_a_credit_codec_error() {
-        let msg = Message::CreditEvents(vec![CreditEvent::validated(
-            NodeId([1; 32]),
-            1.0,
-            SimTime::from_secs(5),
-        )]);
+        let msg = Message::CreditEvents {
+            origin: 1,
+            first: 0,
+            events: vec![CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_secs(5))],
+        };
         let mut frame = encode_msg(&msg);
         let last = frame.len() - 1;
         frame[last] ^= 0xFF; // inside the event's own checksum
         assert!(matches!(decode_msg(&frame), Err(WireError::CreditCodec(_))));
+        // A flipped sequence number is caught by the header checksum.
+        let mut frame = encode_msg(&msg);
+        frame[9] ^= 1;
+        assert_eq!(decode_msg(&frame), Err(WireError::ChecksumMismatch));
     }
 
     #[test]
@@ -768,7 +748,7 @@ mod tests {
 
     #[test]
     fn forged_digest_count_is_capped() {
-        for tag in [11u8, 12u8, 13u8, 14u8] {
+        for tag in [11u8, 12u8] {
             let mut frame = vec![tag];
             frame.extend_from_slice(&[0xFF; 9]);
             frame.push(0x01);
@@ -781,6 +761,23 @@ mod tests {
                 Err(WireError::BadLength((MAX_IDS_PER_DIGEST + 1) as u64)),
                 "tag {tag}"
             );
+        }
+    }
+
+    #[test]
+    fn forged_credit_version_count_is_capped() {
+        for tag in [15u8, 16u8] {
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&[0xFF; 9]);
+            frame.push(0x01);
+            assert!(matches!(decode_msg(&frame), Err(WireError::BadLength(_))), "tag {tag}");
+            // A count over the origin cap is refused however much
+            // padding backs it.
+            let over = MAX_CREDIT_ORIGINS + 1;
+            let mut frame = vec![tag];
+            frame.extend_from_slice(&encode_varint(over as u64));
+            frame.extend_from_slice(&vec![0u8; over * 9 + 4]);
+            assert_eq!(decode_msg(&frame), Err(WireError::BadLength(over as u64)), "tag {tag}");
         }
     }
 
@@ -809,7 +806,8 @@ mod tests {
         frame.extend_from_slice(&7u64.to_be_bytes());
         frame.push(bad.len() as u8);
         frame.extend_from_slice(&bad);
-        frame.extend_from_slice(&peer_entry_checksum(7, &bad));
+        let sum = checksum(&frame[2..]);
+        frame.extend_from_slice(&sum);
         assert_eq!(decode_msg(&frame), Err(WireError::BadAddr));
     }
 
@@ -865,18 +863,26 @@ mod tests {
         }
 
         #[test]
-        fn prop_credit_keys_bit_flip_rejected(
-            seeds in proptest::collection::vec(any::<u8>(), 1..20),
+        fn prop_credit_versions_bit_flip_rejected(
+            entries in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..20),
+            first in any::<u64>(),
             byte_frac in 0u32..1000,
             bit in 0u8..8,
         ) {
-            // Same guarantee for the credit-key digest: a flipped bit
-            // cannot silently become a pull for a phantom credit event.
-            let keys: Vec<[u8; 32]> = seeds.iter().map(|&b| [b; 32]).collect();
-            let mut frame = encode_msg(&Message::CreditKeys(keys));
-            let idx = (byte_frac as usize * frame.len()) / 1000;
-            frame[idx] ^= 1 << bit;
-            prop_assert!(decode_msg(&frame).is_err());
+            // Version lists, pulls and the credit-event identity header
+            // are checksummed: a flipped bit cannot silently become a
+            // different origin or sequence number.
+            let events = sample_events();
+            for msg in [
+                Message::CreditVersions(entries.clone()),
+                Message::GetCredit(entries.clone()),
+                Message::CreditEvents { origin: entries[0].0, first, events },
+            ] {
+                let mut frame = encode_msg(&msg);
+                let idx = (byte_frac as usize * frame.len()) / 1000;
+                frame[idx] ^= 1 << bit;
+                prop_assert!(decode_msg(&frame).is_err(), "{msg:?}");
+            }
         }
 
         #[test]
@@ -890,8 +896,9 @@ mod tests {
                 ]),
                 Message::Digest(vec![TxId([1; 32]), TxId([2; 32])]),
                 Message::GetTxs(vec![TxId([3; 32])]),
-                Message::CreditKeys(vec![[5; 32], [6; 32]]),
-                Message::GetCreditEvents(vec![[7; 32]]),
+                Message::CreditVersions(vec![(5, 6), (7, 8)]),
+                Message::GetCredit(vec![(9, 10)]),
+                Message::CreditEvents { origin: 11, first: 12, events: sample_events() },
             ];
             for msg in msgs {
                 let frame = encode_msg(&msg);

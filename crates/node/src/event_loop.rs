@@ -449,7 +449,7 @@ impl EventLoop {
                 }
                 Member::Gossip { node, ledger } => {
                     node.poll(now_ms);
-                    for ev in node.take_credit_events() {
+                    for (_, ev) in node.take_credit_events() {
                         ledger.apply(&ev);
                     }
                 }

@@ -30,7 +30,7 @@ use crate::query::{QueryServer, QueryStats};
 use biot_core::identity::Account;
 use biot_core::node::{Gateway, LightNode, PreparedTx};
 use biot_core::pow::Difficulty;
-use biot_credit::{CreditEvent, CreditLedger};
+use biot_credit::{CreditEvent, CreditId, CreditLedger};
 use biot_crypto::sha256::to_hex;
 use biot_gossip::node::{GossipConfig, GossipNode};
 use biot_ingest::protocol::{decode_server, encode_client, ClientMsg, ServerMsg};
@@ -151,10 +151,9 @@ pub struct ArchivalNode {
     /// Transactions already appended to the store, as a cursor into the
     /// shared tangle's attach order.
     persisted: usize,
-    /// Credit events applied since the last store commit, waiting to be
-    /// written with the wake's transactions (always empty without a
-    /// store).
-    unpersisted_credit: Vec<CreditEvent>,
+    /// Credit events (with their ids) applied since the last store
+    /// commit, to be written with the wake's transactions.
+    unpersisted_credit: Vec<(CreditId, CreditEvent)>,
     now_ms: u64,
 }
 
@@ -177,7 +176,7 @@ impl ArchivalNode {
     /// See [`ArchivalBootError`].
     pub fn new(cfg: RoleConfig) -> Result<Self, ArchivalBootError> {
         let mut boot = BootSource::Cold;
-        let mut recovered = RecoveredState { tangle: None, credit_events: Vec::new() };
+        let mut recovered = RecoveredState::default();
         let store = match cfg.store_dir {
             Some(dir) => {
                 let store = LedgerStore::open(&dir).map_err(ArchivalBootError::Store)?;
@@ -189,9 +188,10 @@ impl ArchivalNode {
             }
             None => None,
         };
-        let credits = CreditLedger::from_events(
+        let credits = CreditLedger::from_merged_events(
             biot_credit::CreditParams::default(),
             &recovered.credit_events,
+            recovered.credit_applied,
         );
         let mut gossip = match recovered.tangle {
             Some(tangle) => GossipNode::new(
@@ -200,10 +200,8 @@ impl ArchivalNode {
             ),
             None => GossipNode::with_empty_tangle(cfg.gossip),
         };
-        // Mark the recovered events processed before any peer connects,
-        // so a peer's handshake replay of them is recognised, not
-        // re-applied.
-        gossip.mark_credit_recovered(&recovered.credit_events);
+        // Before any peer connects: nothing recovered is pulled again.
+        gossip.seed_credit_watermarks(&recovered.credit_watermarks);
         let persisted = gossip.tangle().lock().unwrap().attach_order().len();
         let http = match cfg.http_addr {
             Some(addr) => {
@@ -293,14 +291,19 @@ impl ArchivalNode {
     pub fn on_gossip(&mut self, now_ms: u64) -> Result<(), ArchivalBootError> {
         self.now_ms = now_ms;
         self.gossip.poll(now_ms);
+        self.fold_credit();
+        Ok(())
+    }
+
+    /// Applies the gossiped credit events, keeping them for the next commit.
+    fn fold_credit(&mut self) {
         let fresh = self.gossip.take_credit_events();
-        for ev in &fresh {
+        for (_, ev) in &fresh {
             self.credits.apply(ev);
         }
         if self.store.is_some() {
             self.unpersisted_credit.extend(fresh);
         }
-        Ok(())
     }
 
     /// Persistence handler: the wake's group commit. Writes the credit
@@ -385,13 +388,16 @@ impl ArchivalNode {
     ///
     /// Store failures.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        // Commit what the wake left first, so nothing the snapshot holds
-        // is written to the reset WAL again (its credit events would
-        // replay twice).
+        // First fold and commit: the watermarks must cover exactly the ledger.
+        self.fold_credit();
         self.commit()?;
         if let Some(store) = &mut self.store {
             let tangle = self.gossip.tangle().lock().unwrap();
-            store.checkpoint_with_credit(&tangle, &self.credits.snapshot_events())?;
+            store.checkpoint_with_credit(
+                &tangle,
+                &self.credits,
+                &self.gossip.credit_watermarks(),
+            )?;
         }
         Ok(())
     }
@@ -588,7 +594,8 @@ impl ValidationNode {
             let _ = self.gateway.receive_broadcast(tx, now);
         }
         self.mirrored = order_len;
-        let remote = self.gossip.take_credit_events();
+        let remote: Vec<CreditEvent> =
+            self.gossip.take_credit_events().into_iter().map(|(_, ev)| ev).collect();
         if !remote.is_empty() {
             self.gateway.absorb_credit_events(&remote);
             self.credit_log.extend(remote);

@@ -59,8 +59,22 @@ fn one_wake_is_one_commit_that_recovers_whole_or_as_a_prefix() {
         assert!(now < 60_000, "the archival node adopts the origin's genesis");
     }
 
-    // One origin step: three chained transactions and two credit events.
+    // One origin step: two credit events and three chained transactions.
+    // Credit travels by pull, so the archival node first takes the
+    // origin's watermark advert and asks for the events (a wake with
+    // nothing to commit); the origin then serves them beside the flooded
+    // payloads.
     now += 10;
+    let events = [
+        CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_millis(now)),
+        CreditEvent::validated(NodeId([2; 32]), 1.0, SimTime::from_millis(now)),
+    ];
+    origin.broadcast_credit_events(&events, now);
+    now += GossipConfig::default().digest_ms;
+    origin.poll(now);
+    let syncs = node.store().expect("store").syncs();
+    node.poll(now).expect("archival wake");
+    assert_eq!(node.store().unwrap().syncs(), syncs, "nothing to commit yet");
     let mut parent = genesis;
     for k in 0..3u8 {
         let tx = TransactionBuilder::new(NodeId([k + 1; 32]))
@@ -70,11 +84,6 @@ fn one_wake_is_one_commit_that_recovers_whole_or_as_a_prefix() {
             .build();
         parent = origin.attach_local(tx, now).expect("parents stored");
     }
-    let events = [
-        CreditEvent::validated(NodeId([1; 32]), 1.0, SimTime::from_millis(now)),
-        CreditEvent::validated(NodeId([2; 32]), 1.0, SimTime::from_millis(now)),
-    ];
-    origin.broadcast_credit_events(&events, now);
     origin.poll(now);
 
     // The archival node's one wake.

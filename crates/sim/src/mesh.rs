@@ -21,7 +21,7 @@
 //! A partition/heal schedule can sever every link crossing a half/half
 //! cut for a window of virtual time; dial attempts across the active cut
 //! fail, exercising jittered reconnect backoff, and the heal exercises
-//! anti-entropy plus credit replay on the fresh handshakes.
+//! anti-entropy plus the credit watermark adverts of the fresh handshakes.
 //!
 //! [`crate::roles`] drives the same harness — workload, wiring,
 //! injection and matcher — with an archival and a validation node in
@@ -41,7 +41,7 @@ use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -165,12 +165,47 @@ pub struct MeshOutcome {
     pub handshakes: u64,
     /// Transaction payloads served/pushed fleet-wide.
     pub tx_payloads_sent: u64,
-    /// `GetTx` requests sent fleet-wide (parent chases + stale retries).
+    /// Items pulled fleet-wide: tx ids (parent chases, digests, stale
+    /// retries) and credit ranges.
     pub requests_sent: u64,
-    /// Credit events broadcast fleet-wide (dedup-suppressed relay).
+    /// Credit events served fleet-wide in answer to pulls.
     pub credit_events_sent: u64,
-    /// Credit-event keys advertised in `CreditKeys` digests fleet-wide.
-    pub credit_keys_sent: u64,
+    /// Credit watermarks advertised in `CreditVersions` frames fleet-wide.
+    pub credit_versions_sent: u64,
+    /// Frames and bytes sent fleet-wide, by message kind (named from the
+    /// frame's tag byte by [`frame_kind`]): the bytes sum to
+    /// `total_bytes_sent`.
+    pub frames_by_kind: BTreeMap<String, KindCount>,
+}
+
+/// Frames and bytes of one message kind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct KindCount {
+    /// Frames sent.
+    pub frames: u64,
+    /// Bytes sent, 4-byte frame headers included.
+    pub bytes: u64,
+}
+
+/// The gossip message kind a frame's tag byte names (see
+/// `biot_gossip::wire`).
+pub fn frame_kind(tag: u8) -> &'static str {
+    match tag {
+        0 => "hello",
+        3 => "tx_payload",
+        4 => "get_tips",
+        5 => "tips",
+        6 => "heartbeat",
+        7 => "get_baseline",
+        8 => "baseline",
+        9 => "credit_events",
+        10 => "peer_exchange",
+        11 => "digest",
+        12 => "get_txs",
+        15 => "credit_versions",
+        16 => "get_credit",
+        _ => "unknown",
+    }
 }
 
 /// The single-node reference a fleet must reproduce bit-for-bit: a
@@ -601,6 +636,11 @@ pub fn run_mesh(cfg: &MeshConfig) -> MeshOutcome {
     for c in &fleet.counters {
         out.total_bytes_sent += c.sent();
         out.total_frames_sent += c.frames_sent();
+        for (tag, (frames, bytes)) in c.sent_by_tag() {
+            let k = out.frames_by_kind.entry(frame_kind(tag).to_string()).or_default();
+            k.frames += frames;
+            k.bytes += bytes;
+        }
     }
     out.bytes_per_node = out.total_bytes_sent / cfg.nodes as u64;
     out.bytes_per_node_per_tx_raw =
@@ -620,7 +660,7 @@ pub fn run_mesh(cfg: &MeshConfig) -> MeshOutcome {
         out.tx_payloads_sent += s.tx_sent;
         out.requests_sent += s.requests_sent;
         out.credit_events_sent += s.credit_events_sent;
-        out.credit_keys_sent += s.credit_keys_sent;
+        out.credit_versions_sent += s.credit_versions_sent;
     }
     out.redundancy_ratio =
         out.redundant_deliveries as f64 / (cfg.nodes as f64 * cfg.txs.max(1) as f64);

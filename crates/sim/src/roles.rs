@@ -66,6 +66,12 @@ pub struct RolesConfig {
     pub light_clients: usize,
     /// Signed transactions each light client submits.
     pub light_txs_each: usize,
+    /// Submissions per light client per instant. At 1 every submission
+    /// has an instant of its own, 37 ms apart; above 1 every client
+    /// submits this many at each instant, interleaved client by client,
+    /// so one device gets several same-instant grants that are not
+    /// adjacent in the gateway's credit log.
+    pub light_batch: usize,
     /// Seed for topology, workload, and jitter.
     pub seed: u64,
 }
@@ -80,6 +86,7 @@ impl Default for RolesConfig {
             credit_events: 32,
             light_clients: 2,
             light_txs_each: 6,
+            light_batch: 1,
             seed: 42,
         }
     }
@@ -205,7 +212,8 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
     );
 
     // Light clients and their deterministic submission schedule:
-    // `(client, tx, at_ms)`, all parented on genesis, mined to MIN.
+    // `(client, tx, at_ms)`, all parented on genesis, mined to MIN, in
+    // submission order.
     let lights: Vec<LightClient> =
         (0..cfg.light_clients).map(|_| LightClient::new(Account::generate(&mut rng))).collect();
     let (gateway, genesis) = validation_gateway(&mut manager, &lights);
@@ -213,7 +221,11 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
     let mut submissions: Vec<(usize, Transaction, u64)> = Vec::new();
     for k in 0..cfg.light_txs_each {
         for (c, light) in lights.iter().enumerate() {
-            let at_ms = 500 + (k * cfg.light_clients + c) as u64 * 37;
+            let slot = match cfg.light_batch {
+                0 | 1 => k * cfg.light_clients + c,
+                b => k / b,
+            };
+            let at_ms = 500 + slot as u64 * 37;
             let tx = light
                 .prepare(
                     vec![c as u8, k as u8],
@@ -370,16 +382,22 @@ pub fn run_roles(cfg: &RolesConfig) -> RolesOutcome {
     out
 }
 
+/// A credit probe instant inside the 30 s ΔT window of every scheduled
+/// grant (light submissions and relay events all fall before 3 s).
+const IN_WINDOW_MS: u64 = 5_000;
+
 /// Scheduling-independent digest of one replica's state: sorted tips,
 /// cumulative weights in id order, per-device credit bit patterns at
-/// [`MAX_MS`], SHA-256 of the rendered HTTP bytes for canonical weight
+/// [`IN_WINDOW_MS`] and [`MAX_MS`], SHA-256 of the rendered HTTP bytes for canonical weight
 /// and credit requests, and the number of credit events folded.
 /// Deliberately excludes anything scheduling-dependent — attach times,
 /// `/v1/health`'s clock, gossip frame counters.
 ///
-/// Credit is probed at [`MAX_MS`], where every validation record has
-/// left the ΔT window, so the breakdowns see only misbehaviour; the
-/// event count is what catches a missing validation event.
+/// Credit is probed at [`IN_WINDOW_MS`], inside the ΔT window of every
+/// scheduled grant, where a missing or merged validation event changes
+/// CrP, and at [`MAX_MS`], where every validation record has left the
+/// window and the breakdowns see only misbehaviour; the event count
+/// catches a missing event either way.
 fn fingerprint(tangle: &Tangle, ledger: &CreditLedger) -> Vec<String> {
     let hex = |b: &[u8]| biot_crypto::sha256::to_hex(b);
     // `Tangle::iter` walks a hash map — per-instance order. Sort so the
@@ -392,17 +410,18 @@ fn fingerprint(tangle: &Tangle, ledger: &CreditLedger) -> Vec<String> {
     for id in &ids {
         fp.push(format!("w:{}:{}", hex(id.as_bytes()), tangle.cumulative_weight(id)));
     }
-    let probe = SimTime::from_millis(MAX_MS);
     let subjects: Vec<NodeId> = ledger.known_nodes().copied().collect();
-    for nid in &subjects {
-        let c = ledger.credit_of(*nid, probe);
-        fp.push(format!(
-            "c:{}:{:016x}:{:016x}:{:016x}",
-            hex(nid.as_bytes()),
-            c.positive.to_bits(),
-            c.negative.to_bits(),
-            c.combined.to_bits(),
-        ));
+    for at in [IN_WINDOW_MS, MAX_MS] {
+        for nid in &subjects {
+            let c = ledger.credit_of(*nid, SimTime::from_millis(at));
+            fp.push(format!(
+                "c:{at}:{}:{:016x}:{:016x}:{:016x}",
+                hex(nid.as_bytes()),
+                c.positive.to_bits(),
+                c.negative.to_bits(),
+                c.combined.to_bits(),
+            ));
+        }
     }
     let mut http_reqs: Vec<(String, String)> = ids
         .iter()
@@ -452,6 +471,27 @@ mod tests {
         assert_eq!(out.http_mismatches, 0, "socket bytes must equal oracle: {out:?}");
     }
 
+    /// Several same-instant submissions per device, devices interleaved:
+    /// every grant is its own event, relayed once by its `(origin, seq)`,
+    /// so the archival replica holds the twin's credit bit for bit inside
+    /// the ΔT window too.
+    #[test]
+    fn batched_same_instant_light_credit_matches_the_twin() {
+        let out = run_roles(&RolesConfig {
+            nodes: 8,
+            degree: 4,
+            txs: 30,
+            credit_events: 10,
+            light_clients: 3,
+            light_txs_each: 6,
+            light_batch: 3,
+            ..RolesConfig::default()
+        });
+        assert!(out.converged, "batched fleet must converge: {out:?}");
+        assert!(out.replay_ok, "validation replay diverged: {out:?}");
+        assert_eq!(out.http_mismatches, 0);
+    }
+
     #[test]
     fn seeded_mixed_role_runs_are_identical() {
         let a = run_roles(&small());
@@ -482,9 +522,9 @@ mod tests {
         let base = fingerprint(&w.tangle, &w.ledger);
         assert_eq!(base, fingerprint(&w.tangle.clone(), &w.ledger), "a digest of state alone");
 
-        // Drop a validation event whose subject keeps other events: at
-        // the probe instant it is outside the ΔT window and the subject
-        // stays known, so only the event count can see the gap.
+        // Drop a validation event whose subject keeps other events, so
+        // the subject stays known: CrP at the in-window probe and the
+        // event count both see the gap.
         let dropped = w
             .events
             .iter()

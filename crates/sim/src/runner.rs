@@ -511,8 +511,11 @@ mod tests {
             ))
         };
         let (end_a, end_b, _link) = MemTransport::pair();
-        let mut primary = GossipNode::with_empty_tangle(GossipConfig::default());
-        let mut replica = GossipNode::with_empty_tangle(GossipConfig::default());
+        // Distinct ids: each node's credit origin derives from its own.
+        let mut primary =
+            GossipNode::with_empty_tangle(GossipConfig { node_id: 1, ..GossipConfig::default() });
+        let mut replica =
+            GossipNode::with_empty_tangle(GossipConfig { node_id: 2, ..GossipConfig::default() });
         primary.add_transport(jittered(end_a, jitter_seed), 0);
         replica.add_transport(jittered(end_b, jitter_seed + 1), 0);
         primary.broadcast_credit_events(events, 0);
@@ -524,7 +527,7 @@ mod tests {
             clock.set(now_ms);
             primary.poll(now_ms);
             replica.poll(now_ms);
-            for ev in replica.take_credit_events() {
+            for (_, ev) in replica.take_credit_events() {
                 ledger.apply(&ev);
             }
         }

@@ -18,7 +18,7 @@ fn probe() {
             let per = |v: u64| v as f64 / nodes as f64 / out.txs as f64;
             println!(
                 "fanout={fanout} nodes={nodes}: {:.0} B/node/tx conv={}@{}ms | \
-                 payloads/ntx={:.2} ids/ntx={:.2} digests/ntx={:.2} reqs/ntx={:.2} credit/ntx={:.2} ckeys/ntx={:.2}",
+                 payloads/ntx={:.2} ids/ntx={:.2} digests/ntx={:.2} reqs/ntx={:.2} credit/ntx={:.2} cvers/ntx={:.2}",
                 out.bytes_per_node_per_tx,
                 out.converged,
                 out.converged_ms,
@@ -27,7 +27,7 @@ fn probe() {
                 per(out.digests_sent),
                 per(out.requests_sent),
                 per(out.credit_events_sent),
-                per(out.credit_keys_sent),
+                per(out.credit_versions_sent),
             );
         }
     }

@@ -19,6 +19,7 @@ fn small(seed: u64) -> RolesConfig {
         credit_events: 10,
         light_clients: 1,
         light_txs_each: 3,
+        light_batch: 1,
         seed,
     }
 }

@@ -10,19 +10,22 @@
 //!
 //! A store directory holds two files:
 //!
-//! * `snapshot.biot` — the last checkpoint. The `BIOTSNP3` format holds
+//! * `snapshot.biot` — the last checkpoint. The `BIOTSNP4` format holds
 //!   the rows of a [`TangleSnapshot`] (`[varint attach_ms][u8 confirmed]
 //!   [varint len][codec bytes]` each), the pruned ids (32 bytes each) and
-//!   a credit section (`[varint len][biot_credit codec bytes]` each), every
-//!   part behind a varint count.
+//!   a credit section: the number of events the ledger had applied, the
+//!   per-origin watermarks (`[varint origin][varint next seq]` each) and
+//!   the ledger's merged events (`[varint len][biot_credit codec bytes]`
+//!   each), every list behind a varint count.
 //! * `wal.biot` — the write-ahead log since that checkpoint. The
-//!   `BIOTWAL3` format tags every record: tag 0 is a transaction
+//!   `BIOTWAL4` format tags every record: tag 0 is a transaction
 //!   (`[0][varint attach_ms][varint len][codec bytes]`), tag 1 is a credit
-//!   event (`[1][varint len][biot_credit codec bytes]`), so behaviour
-//!   evidence — including misbehaviour whose transactions never reached
-//!   the tangle — survives a crash.
+//!   event with its identity (`[1][varint origin][varint seq][varint len]
+//!   [biot_credit codec bytes]`), so behaviour evidence — including
+//!   misbehaviour whose transactions never reached the tangle — survives
+//!   a crash.
 //!
-//! A file with any other magic, the retired v1 and v2 layouts included,
+//! A file with any other magic, the retired v1–v3 layouts included,
 //! fails recovery with [`StoreError::CorruptSnapshot`].
 //!
 //! Recovery restores the snapshot, then replays the WAL. A torn final
@@ -31,18 +34,19 @@
 //! stays final, [`LedgerStore::open`] cuts one off before appending, and
 //! a failed commit cuts its own partial bytes. [`LedgerStore::recover_full`]
 //! returns the credit events (the snapshot's credit section, then the
-//! WAL's) alongside the tangle; feed them to `Gateway::restore` so
-//! negative credit survives the restart.
+//! WAL's records past its watermarks) alongside the tangle; feed them to
+//! `Gateway::restore` so negative credit survives the restart.
 //!
 //! ## Checkpoints
 //!
 //! [`LedgerStore::checkpoint_with_credit`] writes the tangle and the credit
-//! events it carries into a temporary file and renames it over
+//! ledger it carries into a temporary file and renames it over
 //! `snapshot.biot`. That rename commits tangle and credit together; only
 //! then is the WAL reset to its magic. A crash between the two leaves the
 //! old WAL beside the new snapshot: its transactions replay as
-//! duplicates, which recovery skips, and its credit events, if any were
-//! appended since the previous checkpoint, replay after the snapshot's.
+//! duplicates, which recovery skips, and so do its credit events — each
+//! record's `(origin, seq)` lies below the snapshot's watermark for its
+//! origin.
 //!
 //! ## Example
 //!
@@ -65,7 +69,7 @@
 //! tangle.attach(tx.clone(), 5)?;
 //! store.append(&tx, 5)?;
 //!
-//! let recovered = LedgerStore::open(&dir)?.recover()?.expect("state on disk");
+//! let recovered = LedgerStore::open(&dir)?.recover_full()?.tangle.expect("state on disk");
 //! assert_eq!(recovered.len(), tangle.len());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -74,13 +78,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use biot_credit::event::{decode_event, encode_event, CreditCodecError, CreditEvent};
+use biot_credit::event::{decode_event, encode_event, CreditCodecError, CreditEvent, CreditId};
+use biot_credit::CreditLedger;
 use biot_tangle::codec::{
     decode_tx, encode_tx, read_varint, write_varint, CodecError, VarintError,
 };
 use biot_tangle::graph::{Tangle, TangleError};
 use biot_tangle::snapshot::TangleSnapshot;
 use biot_tangle::tx::{Transaction, TxId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -145,10 +151,10 @@ impl From<TangleError> for StoreError {
     }
 }
 
-/// Snapshot: rows + pruned ids + credit section.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP3";
-/// WAL: tagged records (transactions + credit events).
-const WAL_MAGIC: &[u8; 8] = b"BIOTWAL3";
+/// Snapshot: rows + pruned ids + credit section with watermarks.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP4";
+/// WAL: tagged records (transactions + identified credit events).
+const WAL_MAGIC: &[u8; 8] = b"BIOTWAL4";
 
 const SNAPSHOT_FILE: &str = "snapshot.biot";
 const WAL_FILE: &str = "wal.biot";
@@ -175,8 +181,13 @@ pub struct LedgerStore {
 pub struct RecoveredState {
     /// The tangle, when any transaction state was on disk.
     pub tangle: Option<Tangle>,
-    /// Credit events in append order.
+    /// Credit events: the snapshot's merged ones, then the WAL's.
     pub credit_events: Vec<CreditEvent>,
+    /// How many applied events `credit_events` stand for (see
+    /// `CreditLedger::from_merged_events`).
+    pub credit_applied: u64,
+    /// Origin → next seq of the relayed events in `credit_events`.
+    pub credit_watermarks: BTreeMap<u64, u64>,
 }
 
 impl fmt::Debug for LedgerStore {
@@ -249,21 +260,9 @@ impl LedgerStore {
         self.write_records(&[], [(tx, attach_ms)])
     }
 
-    /// Appends credit events to the WAL with one sync, so the
-    /// behaviour evidence behind every credit value is as durable as the
-    /// transactions themselves: a [`write_records`](Self::write_records)
-    /// without transactions.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_records`](Self::write_records).
-    pub fn append_credit_events(&mut self, events: &[CreditEvent]) -> Result<(), StoreError> {
-        self.write_records(events, [])
-    }
-
     /// The one record writer, and the group commit of an archival node's
-    /// wake: encodes `credit_events`, then the freshly attached
-    /// `(transaction, attach_ms)` records, in that order, and commits them
+    /// wake: encodes `credit_events` with their identities, then the
+    /// freshly attached `(transaction, attach_ms)` records, and commits them
     /// with one write and one `sync_data`. Nothing to write is a no-op.
     ///
     /// # Errors
@@ -275,12 +274,14 @@ impl LedgerStore {
     /// [`open`](Self::open) cuts the torn tail instead.
     pub fn write_records<'a>(
         &mut self,
-        credit_events: &[CreditEvent],
+        credit_events: &[(CreditId, CreditEvent)],
         txs: impl IntoIterator<Item = (&'a Transaction, u64)>,
     ) -> Result<(), StoreError> {
         let mut records = Vec::new();
-        for ev in credit_events {
+        for (id, ev) in credit_events {
             records.push(WAL_TAG_CREDIT);
+            write_varint(&mut records, id.origin);
+            write_varint(&mut records, id.seq);
             put_body(&mut records, &encode_event(ev));
         }
         for (tx, attach_ms) in txs {
@@ -311,27 +312,28 @@ impl LedgerStore {
 
     /// Writes a full checkpoint of `tangle` and resets the WAL:
     /// [`checkpoint_with_credit`](Self::checkpoint_with_credit) carrying
-    /// no credit events.
+    /// no credit.
     ///
     /// # Errors
     ///
     /// As [`checkpoint_with_credit`](Self::checkpoint_with_credit).
     pub fn checkpoint(&mut self, tangle: &Tangle) -> Result<(), StoreError> {
-        self.checkpoint_with_credit(tangle, &[])
+        self.checkpoint_with_credit(tangle, &CreditLedger::default(), &BTreeMap::new())
     }
 
-    /// Writes a full checkpoint of `tangle` with `credit_events` in the
-    /// snapshot's credit section, then resets the WAL. Pass
-    /// `CreditLedger::snapshot_events()` so the reset never forgets
-    /// misbehaviour (§IV-B). The carried set is bounded: one ΔT window of
-    /// validations plus the misbehaviour list.
+    /// Writes a full checkpoint of `tangle`, with the merged
+    /// [`CreditLedger::snapshot_events`] of `credits` (so the reset never
+    /// forgets misbehaviour, §IV-B), its applied count and `watermarks`
+    /// (origin → next seq of the relayed events it holds), then resets
+    /// the WAL. The carried set is bounded: one ΔT window of validations
+    /// plus the misbehaviour list.
     ///
     /// The snapshot is written to a temporary file and renamed, so a crash
     /// mid-checkpoint leaves the previous checkpoint intact, and the
     /// rename commits tangle and credit together.
     ///
-    /// When a snapshot already exists, the WAL holds no records and no
-    /// credit events are passed, this is a no-op: nothing was appended
+    /// When a snapshot already exists, the WAL holds no records and the
+    /// ledger holds no events, this is a no-op: nothing was appended
     /// since the last checkpoint, so rewriting the snapshot would be pure
     /// i/o churn. (Status-only changes — confirmations on a quiet ledger —
     /// are re-derived by the gateway's refresh after recovery, so skipping
@@ -344,11 +346,13 @@ impl LedgerStore {
     pub fn checkpoint_with_credit(
         &mut self,
         tangle: &Tangle,
-        credit_events: &[CreditEvent],
+        credits: &CreditLedger,
+        watermarks: &BTreeMap<u64, u64>,
     ) -> Result<(), StoreError> {
         let wal = self.wal.as_mut().ok_or(StoreError::ReadOnly)?;
         let snapshot = self.dir.join(SNAPSHOT_FILE);
-        if credit_events.is_empty()
+        if credits.events_applied() == 0
+            && watermarks.is_empty()
             && snapshot.exists()
             && wal.metadata()?.len() <= WAL_MAGIC.len() as u64
         {
@@ -357,7 +361,7 @@ impl LedgerStore {
         let tmp = self.dir.join("snapshot.tmp");
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&encode_snapshot(tangle, credit_events))?;
+            f.write_all(&encode_snapshot(tangle, credits, watermarks))?;
             f.sync_data()?;
             self.syncs += 1;
         }
@@ -367,25 +371,14 @@ impl LedgerStore {
         Ok(())
     }
 
-    /// Recovers the ledger from disk: snapshot (if any) plus WAL replay.
-    ///
-    /// Returns `Ok(None)` when the directory holds no state yet. A torn
-    /// final WAL record is silently dropped; corruption anywhere else is
-    /// an error.
-    ///
-    /// # Errors
-    ///
-    /// See [`StoreError`].
-    pub fn recover(&self) -> Result<Option<Tangle>, StoreError> {
-        Ok(self.recover_full()?.tangle)
-    }
-
-    /// Recovers everything on disk: the tangle (snapshot + WAL replay)
-    /// *and* the credit events — the snapshot's credit section, then those
-    /// appended since the last checkpoint, in order. Replay them
-    /// (`CreditLedger::from_events` / `Gateway::restore`) so credit
-    /// survives the restart. Torn-tail semantics are identical to
-    /// [`recover`](Self::recover).
+    /// Recovers the tangle (snapshot + WAL replay; `None` when the
+    /// directory holds no state yet) and the credit: the snapshot's
+    /// credit section, then the events appended since, minus any below
+    /// their origin's watermark (a crash between a checkpoint's rename and
+    /// its WAL reset leaves them in both). Replay them
+    /// (`CreditLedger::from_merged_events` / `Gateway::restore`) so credit
+    /// survives the restart. A torn final WAL record is dropped;
+    /// corruption anywhere else is an error.
     ///
     /// # Errors
     ///
@@ -393,8 +386,7 @@ impl LedgerStore {
     pub fn recover_full(&self) -> Result<RecoveredState, StoreError> {
         let mut state = RecoveredState::default();
         if let Some(data) = read_if_exists(&self.dir.join(SNAPSHOT_FILE))? {
-            let (tangle, credit_events) = decode_snapshot(&data)?;
-            state = RecoveredState { tangle: Some(tangle), credit_events };
+            state = decode_snapshot(&data)?;
         }
         if let Some(data) = read_if_exists(&self.dir.join(WAL_FILE))? {
             replay_wal(&data, &mut state)?;
@@ -461,8 +453,8 @@ fn read_count(data: &[u8], pos: &mut usize, min_bytes: usize) -> Option<usize> {
     (n <= ((data.len() - *pos) / min_bytes) as u64).then_some(n as usize)
 }
 
-/// Serializes a `BIOTSNP3` snapshot of `tangle` carrying `credit_events`.
-fn encode_snapshot(tangle: &Tangle, credit_events: &[CreditEvent]) -> Vec<u8> {
+/// Serializes a `BIOTSNP4` snapshot of `tangle`, `credits` and `marks`.
+fn encode_snapshot(tangle: &Tangle, credits: &CreditLedger, marks: &BTreeMap<u64, u64>) -> Vec<u8> {
     let snap = TangleSnapshot::capture(tangle);
     let mut out = SNAPSHOT_MAGIC.to_vec();
     write_varint(&mut out, snap.rows().len() as u64);
@@ -475,15 +467,22 @@ fn encode_snapshot(tangle: &Tangle, credit_events: &[CreditEvent]) -> Vec<u8> {
     for id in snap.pruned() {
         out.extend_from_slice(&id.0);
     }
-    write_varint(&mut out, credit_events.len() as u64);
-    for ev in credit_events {
+    write_varint(&mut out, credits.events_applied());
+    write_varint(&mut out, marks.len() as u64);
+    for (&origin, &next) in marks {
+        write_varint(&mut out, origin);
+        write_varint(&mut out, next);
+    }
+    let events = credits.snapshot_events();
+    write_varint(&mut out, events.len() as u64);
+    for ev in &events {
         put_body(&mut out, &encode_event(ev));
     }
     out
 }
 
-/// Decodes a `BIOTSNP3` snapshot into its tangle and credit section.
-fn decode_snapshot(data: &[u8]) -> Result<(Tangle, Vec<CreditEvent>), StoreError> {
+/// Decodes a `BIOTSNP4` snapshot into its tangle and credit section.
+fn decode_snapshot(data: &[u8]) -> Result<RecoveredState, StoreError> {
     use StoreError::CorruptSnapshot as Corrupt;
     if !data.starts_with(SNAPSHOT_MAGIC) {
         return Err(Corrupt("magic"));
@@ -507,6 +506,13 @@ fn decode_snapshot(data: &[u8]) -> Result<(Tangle, Vec<CreditEvent>), StoreError
         pruned.push(TxId(id));
     }
     pos += 32 * n;
+    let credit_applied = read_varint(data, &mut pos).map_err(|_| Corrupt("credit applied"))?;
+    let n = read_count(data, &mut pos, 2).ok_or(Corrupt("watermark count"))?;
+    let mut credit_watermarks = BTreeMap::new();
+    for _ in 0..n {
+        let mut mark = || read_varint(data, &mut pos).map_err(|_| Corrupt("watermark"));
+        credit_watermarks.insert(mark()?, mark()?);
+    }
     let n = read_count(data, &mut pos, 1).ok_or(Corrupt("credit count"))?;
     let mut credit_events = Vec::with_capacity(n);
     for _ in 0..n {
@@ -514,25 +520,29 @@ fn decode_snapshot(data: &[u8]) -> Result<(Tangle, Vec<CreditEvent>), StoreError
         credit_events.push(decode_event(body)?);
     }
     let tangle = TangleSnapshot::from_rows(rows, pruned).restore()?;
-    Ok((tangle, credit_events))
+    Ok(RecoveredState { tangle: Some(tangle), credit_events, credit_applied, credit_watermarks })
 }
 
-/// One framed WAL record: `Some(attach_ms)` for a transaction, `None`
-/// for a credit event, and the record's body.
-type Record<'a> = (Option<u64>, &'a [u8]);
+/// A WAL record's framing: a transaction's attach time or a credit id.
+enum Head {
+    Tx(u64),
+    Credit(CreditId),
+}
 
 /// Reads the framing of the record at `*pos` (which must be before the
 /// end of `data`) and moves `*pos` past it. `Ok(None)` means the framing
 /// runs past the end of `data`: a torn tail.
-fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<Record<'a>>, StoreError> {
+fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<(Head, &'a [u8])>, StoreError> {
     let tag = data[*pos];
     *pos += 1;
     let framed = match tag {
-        WAL_TAG_TX => read_varint(data, pos).map(Some),
-        WAL_TAG_CREDIT => Ok(None),
+        WAL_TAG_TX => read_varint(data, pos).map(Head::Tx),
+        WAL_TAG_CREDIT => read_varint(data, pos).and_then(|origin| {
+            Ok(Head::Credit(CreditId { origin, seq: read_varint(data, pos)? }))
+        }),
         _ => return Err(StoreError::CorruptSnapshot("wal record tag")),
     }
-    .and_then(|attach_ms| Ok((attach_ms, read_body(data, pos)?)));
+    .and_then(|head| Ok((head, read_body(data, pos)?)));
     match framed {
         Ok(record) => Ok(Some(record)),
         Err(VarintError::UnexpectedEnd) => Ok(None),
@@ -550,10 +560,12 @@ fn whole_records_len(data: &[u8]) -> usize {
         let start = pos;
         match frame_record(data, &mut pos) {
             Ok(None) => return start,
-            Ok(Some((Some(_), body))) if pos == data.len() && decode_tx(body).is_err() => {
+            Ok(Some((Head::Tx(_), body))) if pos == data.len() && decode_tx(body).is_err() => {
                 return start
             }
-            Ok(Some((None, body))) if pos == data.len() && decode_event(body).is_err() => {
+            Ok(Some((Head::Credit(_), body)))
+                if pos == data.len() && decode_event(body).is_err() =>
+            {
                 return start
             }
             Ok(Some(_)) => {}
@@ -571,8 +583,9 @@ fn whole_records_len(data: &[u8]) -> usize {
 /// the final record is an error.
 ///
 /// Re-attaching a transaction the tangle already holds is a no-op rather
-/// than an error: a crash between a checkpoint's snapshot rename and its
-/// WAL reset legitimately leaves the same transaction in both.
+/// than an error, and a credit event below its origin's watermark is
+/// skipped: a crash between a checkpoint's snapshot rename and its WAL
+/// reset legitimately leaves the same records in both.
 fn replay_wal(data: &[u8], state: &mut RecoveredState) -> Result<(), StoreError> {
     if data.len() < WAL_MAGIC.len() {
         return Ok(()); // crash before the magic finished
@@ -582,18 +595,25 @@ fn replay_wal(data: &[u8], state: &mut RecoveredState) -> Result<(), StoreError>
     }
     let mut pos = WAL_MAGIC.len();
     while pos < data.len() {
-        let Some((attach_ms, body)) = frame_record(data, &mut pos)? else {
+        let Some((head, body)) = frame_record(data, &mut pos)? else {
             return Ok(()); // torn tail
         };
         let last = pos == data.len();
-        match attach_ms {
-            Some(at) => match decode_tx(body) {
+        match head {
+            Head::Tx(at) => match decode_tx(body) {
                 Ok(tx) => reattach(&mut state.tangle, tx, at)?,
                 Err(_) if last => return Ok(()), // torn tail
                 Err(e) => return Err(e.into()),
             },
-            None => match decode_event(body) {
-                Ok(ev) => state.credit_events.push(ev),
+            Head::Credit(id) => match decode_event(body) {
+                Ok(ev) => {
+                    let next = state.credit_watermarks.entry(id.origin).or_insert(0);
+                    if id.seq >= *next {
+                        *next = id.seq.saturating_add(1);
+                        state.credit_events.push(ev);
+                        state.credit_applied += 1;
+                    }
+                }
                 Err(_) if last => return Ok(()), // torn tail
                 Err(e) => return Err(e.into()),
             },
@@ -666,7 +686,7 @@ mod tests {
     fn fresh_store_recovers_nothing() {
         let dir = TempDir::new();
         let store = LedgerStore::open(&dir.0).unwrap();
-        assert!(store.recover().unwrap().is_none());
+        assert!(store.recover_full().map(|s| s.tangle).unwrap().is_none());
     }
 
     #[test]
@@ -681,7 +701,7 @@ mod tests {
         store.append(&genesis_tx, 0).unwrap();
         grow(&mut tangle, &mut store, 5, 10);
 
-        let recovered = store.recover().unwrap().unwrap();
+        let recovered = store.recover_full().map(|s| s.tangle).unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         assert_eq!(recovered.tips(), tangle.tips());
     }
@@ -693,14 +713,14 @@ mod tests {
         let mut tangle = Tangle::new();
         tangle.attach_genesis(NodeId([0; 32]), 0);
         let mut store = LedgerStore::open(&one.0).unwrap();
-        store.append_credit_events(&events).unwrap();
+        store.write_records(&stamped(0, &events), []).unwrap();
         grow(&mut tangle, &mut store, 6, 10);
         assert_eq!(store.syncs(), 7, "one sync per append");
         let mut store = LedgerStore::open(&batched.0).unwrap();
         let rows = tangle.attach_order()[1..]
             .iter()
             .map(|id| (tangle.get(id).unwrap(), tangle.attach_time_ms(id).unwrap()));
-        store.write_records(&events, rows).unwrap();
+        store.write_records(&stamped(0, &events), rows).unwrap();
         store.write_records(&[], []).unwrap();
         assert_eq!(store.syncs(), 1, "one sync for the group, none for nothing");
         assert_eq!(
@@ -722,7 +742,7 @@ mod tests {
         assert_eq!(store.wal_size().unwrap(), WAL_MAGIC.len() as u64);
         grow(&mut tangle, &mut store, 4, 100);
 
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         assert_eq!(recovered.tips(), tangle.tips());
         // Confirmation flags survive the checkpoint.
@@ -751,7 +771,7 @@ mod tests {
         let data = fs::read(&wal_path).unwrap();
         fs::write(&wal_path, &data[..data.len() - 5]).unwrap();
 
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
         // One transaction lost (the torn one), everything earlier intact.
         assert_eq!(recovered.len(), tangle.len() - 1);
     }
@@ -779,7 +799,7 @@ mod tests {
             fs::write(&wal_path, &full[..cut]).unwrap();
             let recovered = LedgerStore::open(&dir.0)
                 .unwrap()
-                .recover()
+                .recover_full().map(|s| s.tangle)
                 .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"))
                 .expect("prefix state survives");
             // Everything before the last record is intact; the torn
@@ -788,7 +808,7 @@ mod tests {
         }
         // And the untruncated log still recovers everything.
         fs::write(&wal_path, &full).unwrap();
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         assert_eq!(recovered.tips(), tangle.tips());
     }
@@ -819,7 +839,7 @@ mod tests {
             fs::write(&wal_path, &wal).unwrap();
             // A read-only open recovers the prefix and writes nothing.
             let ro = LedgerStore::open_read_only(&dir.0).unwrap();
-            assert_eq!(ro.recover().unwrap().unwrap().len(), tangle.len(), "case {case}");
+            assert_eq!(ro.recover_full().map(|s| s.tangle).unwrap().unwrap().len(), tangle.len(), "case {case}");
             assert_eq!(fs::read(&wal_path).unwrap(), wal, "case {case}: read-only wrote");
 
             let mut live = tangle.clone();
@@ -852,7 +872,7 @@ mod tests {
         data[mid] ^= 0xFF;
         fs::write(&wal_path, &data).unwrap();
 
-        let result = LedgerStore::open(&dir.0).unwrap().recover();
+        let result = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle);
         assert!(result.is_err(), "corruption in the middle must not pass silently");
     }
 
@@ -866,8 +886,8 @@ mod tests {
         store.checkpoint(&tangle).unwrap();
         drop(store);
         // Reopen twice; state identical both times.
-        let a = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
-        let b = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        let a = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
+        let b = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
         assert_eq!(a.len(), b.len());
         assert_eq!(a.tips(), b.tips());
     }
@@ -886,6 +906,17 @@ mod tests {
 
     use biot_net::time::SimTime;
 
+    /// `events` as origin 1's seqs `first..`.
+    fn stamped(first: u64, events: &[CreditEvent]) -> Vec<(CreditId, CreditEvent)> {
+        (first..).zip(events).map(|(seq, ev)| (CreditId { origin: 1, seq }, *ev)).collect()
+    }
+
+    /// A ledger of `events` and origin 1's watermark past them.
+    fn ledger_of(events: &[CreditEvent]) -> (CreditLedger, BTreeMap<u64, u64>) {
+        let ledger = CreditLedger::from_events(biot_credit::CreditParams::default(), events);
+        (ledger, BTreeMap::from([(1, events.len() as u64)]))
+    }
+
     #[test]
     fn credit_events_roundtrip_interleaved_with_txs() {
         let dir = TempDir::new();
@@ -894,10 +925,10 @@ mod tests {
         let genesis = tangle.attach_genesis(NodeId([0; 32]), 0);
         let genesis_tx = tangle.get(&genesis).unwrap().clone();
         store.append(&genesis_tx, 0).unwrap();
-        store.append_credit_events(&[event(1, 1, 1.0)]).unwrap();
+        store.write_records(&stamped(0, &[event(1, 1, 1.0)]), []).unwrap();
         grow(&mut tangle, &mut store, 3, 10);
         store
-            .append_credit_events(&[mis(2, 12), event(1, 13, 4.0)])
+            .write_records(&stamped(1, &[mis(2, 12), event(1, 13, 4.0)]), [])
             .unwrap();
         grow(&mut tangle, &mut store, 2, 40);
 
@@ -908,6 +939,8 @@ mod tests {
             vec![event(1, 1, 1.0), mis(2, 12), event(1, 13, 4.0)],
             "events replay losslessly, in append order"
         );
+        assert_eq!(recovered.credit_applied, 3);
+        assert_eq!(recovered.credit_watermarks, BTreeMap::from([(1, 3)]));
     }
 
     #[test]
@@ -921,11 +954,11 @@ mod tests {
         let genesis_tx = tangle.get(&genesis).unwrap().clone();
         store.append(&genesis_tx, 0).unwrap();
         grow(&mut tangle, &mut store, 2, 10);
-        store.append_credit_events(&[mis(3, 11)]).unwrap();
+        store.write_records(&stamped(0, &[mis(3, 11)]), []).unwrap();
 
         let wal_path = dir.0.join("wal.biot");
         let before_last = fs::metadata(&wal_path).unwrap().len() as usize;
-        store.append_credit_events(&[event(4, 12, 2.0)]).unwrap();
+        store.write_records(&stamped(1, &[event(4, 12, 2.0)]), []).unwrap();
         let full = fs::read(&wal_path).unwrap();
         assert!(full.len() > before_last);
 
@@ -956,7 +989,7 @@ mod tests {
         let genesis_tx = tangle.get(&genesis).unwrap().clone();
         store.append(&genesis_tx, 0).unwrap();
         let wal_clean = fs::metadata(dir.0.join("wal.biot")).unwrap().len() as usize;
-        store.append_credit_events(&[mis(1, 5)]).unwrap();
+        store.write_records(&stamped(0, &[mis(1, 5)]), []).unwrap();
         grow(&mut tangle, &mut store, 2, 10);
 
         // Flip a bit inside the credit event's body (not the last record,
@@ -973,16 +1006,17 @@ mod tests {
     fn retired_magics_are_typed_errors() {
         // No deployment ever wrote the v1 formats; the v2 layout (a
         // watermarked snapshot beside a WAL that may have rolled into
-        // `wal-NNNNNN.biot` segments) is retired too. A file carrying any
-        // of these magics is refused like any other unknown magic — a
-        // typed error, never a panic, a partial replay or a silently
-        // dropped segment.
+        // `wal-NNNNNN.biot` segments) is retired too, and so is v3 (credit
+        // records without their `(origin, seq)` identity, a snapshot
+        // without watermarks). A file carrying any of these magics is
+        // refused like any other unknown magic — a typed error, never a
+        // panic, a partial replay or a silently dropped segment.
         let retired = |current: &[u8; 8], version: u8| {
             let mut magic = *current;
             magic[7] = version;
             magic
         };
-        for version in [b'1', b'2'] {
+        for version in [b'1', b'2', b'3'] {
             for (file, magic) in [
                 (WAL_FILE, retired(WAL_MAGIC, version)),
                 (SNAPSHOT_FILE, retired(SNAPSHOT_MAGIC, version)),
@@ -1024,19 +1058,18 @@ mod tests {
         let mut store = LedgerStore::open(&dir.0).unwrap();
         let mut tangle = Tangle::new();
         tangle.attach_genesis(NodeId([0; 32]), 0);
-        store
-            .append_credit_events(&[event(1, 1, 1.0), mis(2, 2)])
-            .unwrap();
+        let events = [event(1, 1, 1.0), mis(2, 2)];
+        store.write_records(&stamped(0, &events), []).unwrap();
         grow(&mut tangle, &mut store, 3, 10);
 
         // A plain checkpoint would drop the events with the WAL; the
         // credit-aware one carries them in the snapshot.
-        store
-            .checkpoint_with_credit(&tangle, &[event(1, 1, 1.0), mis(2, 2)])
-            .unwrap();
+        let (ledger, marks) = ledger_of(&events);
+        store.checkpoint_with_credit(&tangle, &ledger, &marks).unwrap();
         let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
         assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
-        assert_eq!(recovered.credit_events, vec![event(1, 1, 1.0), mis(2, 2)]);
+        assert_eq!(recovered.credit_events, events);
+        assert_eq!((recovered.credit_applied, recovered.credit_watermarks), (2, marks));
     }
 
     // WAL round-trip fuzz: any event stream appended in any batching must
@@ -1073,10 +1106,11 @@ mod tests {
                     }
                 })
                 .collect();
-            for chunk in events.chunks(batch) {
-                store.append_credit_events(chunk).unwrap();
+            for (k, chunk) in events.chunks(batch).enumerate() {
+                store.write_records(&stamped((k * batch) as u64, chunk), []).unwrap();
             }
             let recovered = store.recover_full().unwrap();
+            prop_assert_eq!(recovered.credit_applied, events.len() as u64);
             prop_assert_eq!(recovered.credit_events, events);
         }
     }
@@ -1118,7 +1152,7 @@ mod tests {
         let pruned_count = tangle.snapshot(14);
         assert!(pruned_count > 0);
         store.checkpoint(&tangle).unwrap();
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         for tx in tangle.iter() {
             for p in tx.parents() {
@@ -1159,8 +1193,8 @@ mod tests {
         let snap = TangleSnapshot::capture(&tangle);
         assert_eq!(snap.rows(), by_seq.as_slice());
         assert_eq!(snap.pruned(), tangle.pruned_ids().as_slice());
-        let bytes = encode_snapshot(&tangle, &[]);
-        let (restored, _) = decode_snapshot(&bytes).unwrap();
+        let bytes = encode_snapshot(&tangle, &CreditLedger::default(), &BTreeMap::new());
+        let restored = decode_snapshot(&bytes).unwrap().tangle.unwrap();
         assert_eq!(restored.attach_order(), tangle.attach_order());
     }
 
@@ -1177,7 +1211,7 @@ mod tests {
             grow(&mut tangle, &mut store, 1, 10 + 10 * i as u64);
             if i % 3 == 0 {
                 let ev = event((i % 7) as u8 + 1, i as u64 + 1, (i + 1) as f64);
-                store.append_credit_events(std::slice::from_ref(&ev)).unwrap();
+                store.write_records(&stamped(events.len() as u64, &[ev]), []).unwrap();
                 events.push(ev);
             }
         }
@@ -1216,14 +1250,8 @@ mod tests {
         let mut body_ranges = Vec::new();
         let mut pos = WAL_MAGIC.len();
         while pos < pristine.len() {
-            let tag = pristine[pos];
-            pos += 1;
-            if tag == WAL_TAG_TX {
-                read_varint(&pristine, &mut pos).unwrap();
-            }
-            let start = pos;
-            read_body(&pristine, &mut pos).unwrap();
-            body_ranges.push(start..pos);
+            let (_, body) = frame_record(&pristine, &mut pos).unwrap().unwrap();
+            body_ranges.push(pos - body.len()..pos);
         }
         body_ranges.pop(); // the final record may be torn
         assert!(body_ranges.len() > 10);
@@ -1265,7 +1293,7 @@ mod tests {
         store.checkpoint(&tangle).unwrap();
         fs::write(&wal, &pre_reset).unwrap();
 
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover().unwrap().unwrap();
+        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
         assert_eq!(recovered.len(), tangle.len());
         assert_eq!(recovered.attach_order(), tangle.attach_order());
         assert_eq!(recovered.tips(), tangle.tips());
@@ -1282,21 +1310,25 @@ mod tests {
         let mut tangle = Tangle::new();
         tangle.attach_genesis(NodeId([0; 32]), 0);
         grow(&mut tangle, &mut store, 3, 10);
-        let carried = [mis(2, 2), event(1, 3, 1.0)];
-        store.checkpoint_with_credit(&tangle, &carried).unwrap();
+        let (ledger, marks) = ledger_of(&[mis(2, 2), event(1, 3, 1.0)]);
+        store.checkpoint_with_credit(&tangle, &ledger, &marks).unwrap();
         drop(store);
         fs::write(dir.0.join(WAL_FILE), WAL_MAGIC).unwrap();
 
         let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().unwrap();
         assert_eq!(recovered.tangle.unwrap().len(), tangle.len());
+        let carried = ledger.snapshot_events();
         assert_eq!(recovered.credit_events, carried);
 
         // Events appended after the checkpoint replay after the carried
-        // ones.
+        // ones; a record at or below the snapshot's watermark — the old
+        // WAL a crash before the reset leaves behind — is skipped.
         let mut store = LedgerStore::open(&dir.0).unwrap();
-        store.append_credit_events(&[mis(4, 9)]).unwrap();
+        store.write_records(&stamped(1, &[event(1, 3, 1.0), mis(4, 9)]), []).unwrap();
         let recovered = store.recover_full().unwrap();
-        assert_eq!(recovered.credit_events, [mis(2, 2), event(1, 3, 1.0), mis(4, 9)]);
+        assert_eq!(recovered.credit_events, [carried, vec![mis(4, 9)]].concat());
+        assert_eq!(recovered.credit_applied, 3);
+        assert_eq!(recovered.credit_watermarks, BTreeMap::from([(1, 3)]));
     }
 
     #[test]
@@ -1305,10 +1337,11 @@ mod tests {
         // bytes must be refused before it sizes an allocation.
         let mut huge = Vec::new();
         write_varint(&mut huge, 1 << 40);
-        let headers: [(&[u8], &str); 3] = [
+        let headers: [(&[u8], &str); 4] = [
             (&[], "row count"),
             (&[0], "pruned count"),
-            (&[0, 0], "credit count"),
+            (&[0, 0, 0], "watermark count"),
+            (&[0, 0, 0, 0], "credit count"),
         ];
         for (zero_counts, what) in headers {
             let mut data = SNAPSHOT_MAGIC.to_vec();
@@ -1357,8 +1390,9 @@ mod tests {
     fn read_only_recovers_but_refuses_every_write() {
         let dir = TempDir::new();
         let (mut writer, tangle, events) = world(&dir, 8);
-        writer.checkpoint_with_credit(&tangle, &events[..1]).unwrap();
-        writer.append_credit_events(&events[1..]).unwrap();
+        let (ledger, marks) = ledger_of(&events[..1]);
+        writer.checkpoint_with_credit(&tangle, &ledger, &marks).unwrap();
+        writer.write_records(&stamped(1, &events[1..]), []).unwrap();
 
         let mut ro = LedgerStore::open_read_only(&dir.0).unwrap();
 
@@ -1381,12 +1415,12 @@ mod tests {
         assert!(matches!(ro.append(&tx, 999), Err(StoreError::ReadOnly)));
         assert!(matches!(ro.write_records(&[], [(&tx, 999)]), Err(StoreError::ReadOnly)));
         assert!(matches!(
-            ro.append_credit_events(&[mis(9, 9)]),
+            ro.write_records(&stamped(9, &[mis(9, 9)]), []),
             Err(StoreError::ReadOnly)
         ));
         assert!(matches!(ro.checkpoint(&tangle), Err(StoreError::ReadOnly)));
         assert!(matches!(
-            ro.checkpoint_with_credit(&tangle, &events),
+            ro.checkpoint_with_credit(&tangle, &ledger, &marks),
             Err(StoreError::ReadOnly)
         ));
         assert_eq!(files(), before);

@@ -121,7 +121,7 @@ proptest! {
 
         let recovered = LedgerStore::open(&dir.0)
             .unwrap()
-            .recover()
+            .recover_full().map(|s| s.tangle)
             .unwrap()
             .expect("state exists");
         prop_assert_eq!(recovered.len(), tangle.len());
@@ -173,7 +173,7 @@ proptest! {
 
         // Recovery must not panic; whatever it returns is a prefix of the
         // original ledger in append order, however the cut split a batch.
-        if let Ok(Some(recovered)) = LedgerStore::open(&dir.0).unwrap().recover() {
+        if let Ok(Some(recovered)) = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle) {
             prop_assert!(recovered.len() <= tangle.len());
             prop_assert_eq!(
                 recovered.attach_order(),

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 3: recovery.
     let recovered = LedgerStore::open(&dir)?
-        .recover()?
+        .recover_full().map(|s| s.tangle)?
         .expect("state was persisted");
     let identical = recovered.attach_order() == live_order && recovered.tips() == live_tips;
     println!(

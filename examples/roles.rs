@@ -38,9 +38,9 @@ const TXS_EACH: usize = 5;
 // the compared credit values are live, not decayed-to-zero.
 const PROBE_MS: u64 = 10_000;
 
-// Default digest relay: payloads spread digest-and-pull and the mesh
-// keeps a credit replay store, so a role whose handshake lands after a
-// credit event still gets it.
+// Default digest relay: payloads spread digest-and-pull, and each node
+// keeps a per-origin credit log it advertises in every handshake, so a
+// role whose handshake lands after a credit event still pulls it.
 fn gossip_cfg(node_id: u64) -> GossipConfig {
     GossipConfig {
         node_id,

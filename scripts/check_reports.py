@@ -41,6 +41,12 @@ def mesh(r):
         f"{acc['bytes_per_node_per_tx_last']}"
     assert acc['partition_heals'], 'partitioned fleet failed to re-converge'
     assert acc['deterministic'], 'seeded re-run diverged'
+    runs = r['digest'] + r['flood'] + [r['partitioned']]
+    for run in runs:
+        kinds = run['frames_by_kind']
+        for field, total in (('bytes', 'total_bytes_sent'), ('frames', 'total_frames_sent')):
+            assert sum(k[field] for k in kinds.values()) == run[total], \
+                f"N={run['nodes']}: per-kind {field} do not sum to {total}"
     print('mesh acceptance ok:',
           f"flood/digest {acc['flood_over_digest_bytes_per_node']}x,",
           f"{acc['bytes_per_node_per_tx_last']} B/node/tx")

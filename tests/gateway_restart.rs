@@ -8,9 +8,16 @@ use biot::core::identity::Account;
 use biot::core::node::{Gateway, GatewayConfig, LightNode, Manager, SubmitError};
 use biot::net::time::SimTime;
 use biot::store::LedgerStore;
+use biot::credit::{CreditEvent, CreditId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+
+/// The gateway's outbox as one origin's sequence from 0 (each test
+/// persists it in one append).
+fn stamped(events: Vec<CreditEvent>) -> Vec<(CreditId, CreditEvent)> {
+    (0..).zip(events).map(|(seq, ev)| (CreditId { origin: 0, seq }, ev)).collect()
+}
 
 struct TempDir(PathBuf);
 
@@ -83,7 +90,7 @@ fn gateway_survives_restart_with_admission_state() {
         let list2_tx = list2.tx.clone();
         gateway.apply_auth_list(list2.tx, now).unwrap();
         store.append(&list2_tx, now.as_millis()).unwrap();
-        store.append_credit_events(&gateway.take_credit_events()).unwrap();
+        store.write_records(&stamped(gateway.take_credit_events()), []).unwrap();
         // gateway dropped here: the crash.
     }
 
@@ -166,7 +173,7 @@ fn double_spender_stays_punished_across_restart() {
         let double = attacker.prepare_spend(token, attacker.id(), tips, now, d);
         assert!(gateway.submit(double.tx, now).is_err(), "double-spend must be cancelled");
 
-        store.append_credit_events(&gateway.take_credit_events()).unwrap();
+        store.write_records(&stamped(gateway.take_credit_events()), []).unwrap();
         let before = gateway.credit_of(attacker.id(), probe);
         assert!(before.combined < -1.0, "punished pre-crash: {}", before.combined);
         assert_eq!(gateway.difficulty_for(attacker.id(), probe), biot::core::Difficulty::MAX);
