@@ -5,10 +5,12 @@
 //!
 //! Run with: `cargo run -p biot-bench --release --bin tips_report`
 //!
-//! The 50k tangle is grown with the realistic confirm + snapshot cadence
-//! (the weight index's attach cost is O(stored ancestor cone), so an
-//! unpruned 50k build would be quadratic in the full history); both
-//! `total_attached` and the surviving `stored` count are recorded.
+//! Every tangle is grown with a gateway's confirm + seal cadence (the
+//! weight index's attach cost is O(unsealed ancestor cone), so an
+//! unsealed 50k build would be quadratic in the full history). The tangle
+//! is append-only: `stored` is `attached` plus the genesis.
+//! `scripts/check_reports.py tips` checks that, and that depth-constrained
+//! selection stays O(walk) as the tangle grows.
 
 use biot_tangle::graph::Tangle;
 use biot_tangle::tips::{
@@ -21,10 +23,16 @@ use std::fs;
 use std::io::Write;
 use std::time::Instant;
 
-/// Grows an `n`-transaction tangle; when `prune_every > 0`, runs the
-/// confirm + snapshot cycle on that cadence so the stored working set
-/// (and thus attach cost) stays bounded, as a long-lived gateway would.
-fn build_tangle(n: usize, prune_every: usize) -> Tangle {
+/// Confirm and seal every this many attaches, as a gateway's refresh does.
+const REFRESH_EVERY: usize = 256;
+/// Recency lag handed to `seal_frontier`.
+const SEAL_LAG: usize = 128;
+
+/// Grows an `n`-transaction tangle, confirming at the gateway's default
+/// threshold and sealing on the [`REFRESH_EVERY`] cadence so the unsealed
+/// frontier (and thus attach cost) stays bounded, as on a long-lived
+/// gateway.
+fn build_tangle(n: usize) -> Tangle {
     let mut rng = StdRng::seed_from_u64(11);
     let mut tangle = Tangle::new();
     tangle.attach_genesis(NodeId([0; 32]), 0);
@@ -38,10 +46,9 @@ fn build_tangle(n: usize, prune_every: usize) -> Tangle {
             .timestamp_ms(i as u64 + 1)
             .build();
         tangle.attach(tx, i as u64 + 1).unwrap();
-        if prune_every > 0 && i > 0 && i % prune_every == 0 {
-            tangle.confirm_with_threshold(2);
-            // Keep roughly the last prune_every attaches stored.
-            tangle.snapshot((i - prune_every / 2) as u64);
+        if i % REFRESH_EVERY == REFRESH_EVERY - 1 {
+            tangle.confirm_with_threshold(3);
+            tangle.seal_frontier(SEAL_LAG);
         }
     }
     tangle
@@ -60,7 +67,7 @@ fn selections_per_sec(mut select: impl FnMut(), budget_s: f64) -> f64 {
 }
 
 struct Row {
-    total_attached: usize,
+    attached: usize,
     stored: usize,
     dc_new: f64,
     dc_old: f64,
@@ -75,8 +82,8 @@ fn main() -> std::io::Result<()> {
     println!("host cores: {cores}");
 
     let mut rows = Vec::new();
-    for (n, prune_every) in [(1_000usize, 0usize), (10_000, 0), (50_000, 10_000)] {
-        let tangle = build_tangle(n, prune_every);
+    for n in [1_000usize, 10_000, 50_000] {
+        let tangle = build_tangle(n);
         let stored = tangle.len();
         let dc = DepthConstrainedSelector::new(0.3, 100);
         let weighted = WeightedMcmcSelector::new(0.3);
@@ -121,7 +128,7 @@ fn main() -> std::io::Result<()> {
             w_new / w_old.max(1e-9),
         );
         rows.push(Row {
-            total_attached: n,
+            attached: n,
             stored,
             dc_new,
             dc_old,
@@ -140,12 +147,12 @@ fn main() -> std::io::Result<()> {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"total_attached\": {}, \"stored\": {}, \
+                "    {{\"attached\": {}, \"stored\": {}, \
                  \"depth_constrained\": {{\"recount_per_sec\": {:.1}, \"indexed_per_sec\": {:.1}, \
                  \"speedup\": {:.1}}}, \
                  \"weighted\": {{\"recount_per_sec\": {:.1}, \"indexed_per_sec\": {:.1}, \
                  \"speedup\": {:.1}}}}}",
-                r.total_attached,
+                r.attached,
                 r.stored,
                 r.dc_old,
                 r.dc_new,

@@ -248,7 +248,7 @@ pub struct ProbeStats {
 pub fn probe_attach(base: &Tangle, probes: usize, seed: u64) -> ProbeStats {
     let mut tangle = base.clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let base_ts = tangle.total_attached() + 1_000_000;
+    let base_ts = tangle.len() as u64 + 1_000_000;
     let mut ns: Vec<u64> = Vec::with_capacity(probes);
     for i in 0..probes {
         let (a, b) = UniformRandomSelector

@@ -18,7 +18,6 @@
 //! * [`access`] — sealing/opening sensor data per sensitivity class,
 //!   plus HKDF-based epoch key rotation.
 //! * [`ratelimit`] — per-device token buckets metering request rates.
-//! * [`tokens`] — token-ownership enforcement for spends.
 //! * [`node`] — the LightNode / Gateway / Manager state machines and the
 //!   Fig 6 workflow.
 //!
@@ -62,11 +61,9 @@ pub mod keydist;
 pub mod node;
 pub mod pow;
 pub mod ratelimit;
-pub mod tokens;
 
 pub use difficulty::{DifficultyPolicy, FixedPolicy, InverseProportionalPolicy, LinearPolicy};
 pub use identity::Account;
 pub use node::{Gateway, GatewayConfig, LightNode, Manager, PreparedTx, SubmitError};
 pub use pow::Difficulty;
 pub use ratelimit::{RateLimitConfig, RateLimiter};
-pub use tokens::{TokenError, TokenLedger};

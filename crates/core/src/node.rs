@@ -18,7 +18,6 @@ use crate::identity::Account;
 use crate::keydist::{KeyDistConfig, ManagerSession, Message1, Message2, Message3};
 use crate::pow::{solve, verify, Difficulty};
 use crate::ratelimit::{RateLimitConfig, RateLimiter};
-use crate::tokens::{TokenError, TokenLedger};
 use biot_crypto::rsa::RsaPublicKey;
 use biot_net::time::SimTime;
 use biot_tangle::conflict::{LazyTipPolicy, LazyVerdict};
@@ -45,8 +44,6 @@ pub enum SubmitError {
     },
     /// The issuer exceeded the gateway's per-device request rate.
     RateLimited(NodeId),
-    /// The spend violates token ownership (ownership mode only).
-    Token(TokenError),
     /// The tangle rejected the transaction (double-spend, unknown parents…).
     Tangle(TangleError),
 }
@@ -60,7 +57,6 @@ impl fmt::Display for SubmitError {
                 write!(f, "proof-of-work below required difficulty {required}")
             }
             SubmitError::RateLimited(n) => write!(f, "device {n} exceeded the request rate"),
-            SubmitError::Token(e) => write!(f, "token ownership violation: {e}"),
             SubmitError::Tangle(e) => write!(f, "ledger rejected transaction: {e}"),
         }
     }
@@ -158,8 +154,6 @@ pub struct Gateway {
     /// manager lookup is a hash probe instead of re-hashing every key.
     manager_keys: HashMap<NodeId, RsaPublicKey>,
     limiter: Option<RateLimiter>,
-    /// Optional token-ownership enforcement (off unless enabled).
-    tokens: Option<TokenLedger>,
     /// Strategy behind [`Gateway::random_tips`], built from
     /// [`GatewayConfig::tip_selector`].
     selector: Box<dyn TipSelector + Send + Sync>,
@@ -203,7 +197,6 @@ impl Gateway {
             directory: HashMap::new(),
             manager_keys: HashMap::from([(manager_id, manager_pk)]),
             limiter,
-            tokens: None,
             selector,
             stats: GatewayStats::default(),
             outbox: Vec::new(),
@@ -224,31 +217,6 @@ impl Gateway {
     /// The configured tip-selection strategy.
     pub fn tip_selector(&self) -> SelectorConfig {
         self.config.tip_selector
-    }
-
-    /// Turns on token-ownership enforcement: spends are refused unless the
-    /// issuer currently owns the token (see [`crate::tokens`]).
-    pub fn enable_token_ledger(&mut self) -> &mut Self {
-        self.tokens.get_or_insert_with(TokenLedger::new);
-        self
-    }
-
-    /// Grants a token to a device (operator action; requires
-    /// [`enable_token_ledger`](Self::enable_token_ledger) first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token ledger is not enabled.
-    pub fn grant_token(&mut self, token: [u8; 32], owner: NodeId) {
-        self.tokens
-            .as_mut()
-            .expect("token ledger not enabled")
-            .grant(token, owner);
-    }
-
-    /// The token ledger, when enabled.
-    pub fn token_ledger(&self) -> Option<&TokenLedger> {
-        self.tokens.as_ref()
     }
 
     /// Trusts an additional manager (the paper permits several per
@@ -446,25 +414,14 @@ impl Gateway {
             self.stats.rejected_insufficient_pow += 1;
             return Err(SubmitError::InsufficientPow { required });
         }
-        // 3b. Token ownership (optional): a spend must come from the
-        //     current owner — otherwise any peer could race the owner.
-        if let Some(tokens) = &self.tokens {
-            if let Err(e) = tokens.validate(&tx) {
-                self.stats.rejected_ledger += 1;
-                return Err(SubmitError::Token(e));
-            }
-        }
         // 4. Lazy-tip judgement (before attach — see LazyTipPolicy docs).
         let verdict = self.config.lazy_policy.judge(&self.tangle, &tx, now.as_millis());
         // 5. Attach; a double-spend is both rejected and punished.
         match self.tangle.attach(tx, now.as_millis()) {
             Ok(id) => {
                 self.stats.accepted += 1;
-                if let Some(accepted) = self.tangle.get_shared(&id) {
-                    if let Some(tokens) = &mut self.tokens {
-                        tokens.apply(&accepted);
-                    }
-                    if self.config.record_broadcasts {
+                if self.config.record_broadcasts {
+                    if let Some(accepted) = self.tangle.get_shared(&id) {
                         self.outbox.push(accepted);
                     }
                 }
@@ -1264,52 +1221,6 @@ mod tests {
         let mut fake = p.tx;
         fake.trunk = TxId::GENESIS_PARENT;
         assert!(!LightNode::validate_tip(&fake, min));
-    }
-
-    #[test]
-    fn token_ownership_prevents_spend_racing() {
-        let (mut w, _) = world(34);
-        // Enable ownership mode; grant a token to a second device while
-        // the first (w.device) tries to steal it.
-        let owner = LightNode::new(Account::generate(&mut w.rng));
-        let owner_id = w.manager.register_device(owner.public_key().clone());
-        w.manager.authorize(owner_id);
-        w.gateway.register_pubkey(owner.public_key().clone());
-        let genesis = w.gateway.tangle().genesis().unwrap();
-        let d = w.gateway.difficulty_for(w.manager.id(), t(1));
-        let list = w.manager.prepare_auth_list((genesis, genesis), t(1), d);
-        w.gateway.apply_auth_list(list.tx, t(1)).unwrap();
-
-        w.gateway.enable_token_ledger();
-        let token = [0x70u8; 32];
-        w.gateway.grant_token(token, owner_id);
-
-        // The thief is authorized and does honest PoW — but does not own
-        // the token.
-        let now = t(2);
-        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
-        let d = w.gateway.difficulty_for(w.device.id(), now);
-        let theft = w.device.prepare_spend(token, w.device.id(), tips, now, d);
-        assert!(matches!(
-            w.gateway.submit(theft.tx, now),
-            Err(SubmitError::Token(crate::tokens::TokenError::NotOwner { .. }))
-        ));
-
-        // The owner spends it fine; ownership moves to the recipient.
-        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
-        let d = w.gateway.difficulty_for(owner_id, now);
-        let spend = owner.prepare_spend(token, w.device.id(), tips, now, d);
-        w.gateway.submit(spend.tx, now).unwrap();
-        assert_eq!(
-            w.gateway.token_ledger().unwrap().owner_of(&token),
-            Some(w.device.id())
-        );
-        // A second spend by the old owner is refused on ownership grounds
-        // (and would be a tangle double-spend besides).
-        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
-        let d = w.gateway.difficulty_for(owner_id, t(3));
-        let again = owner.prepare_spend(token, owner_id, tips, t(3), d);
-        assert!(w.gateway.submit(again.tx, t(3)).is_err());
     }
 
     #[test]

@@ -147,13 +147,16 @@ impl From<VarintError> for CreditCodecError {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The 4-byte checksum that ends every encoded event: the low 32 bits of
+/// FNV-1a 64 over `bytes`, big-endian. Any single corrupted byte changes
+/// it. The `biot-store` WAL reuses it for its record heads.
+pub fn checksum(bytes: &[u8]) -> [u8; 4] {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    hash
+    (hash as u32).to_be_bytes()
 }
 
 /// Encodes an event in the canonical versioned format.
@@ -177,7 +180,7 @@ pub fn encode_event(ev: &CreditEvent) -> Vec<u8> {
             });
         }
     }
-    let sum = (fnv1a64(&out) as u32).to_be_bytes();
+    let sum = checksum(&out);
     out.extend_from_slice(&sum);
     out
 }
@@ -236,7 +239,7 @@ pub fn decode_event(buf: &[u8]) -> Result<CreditEvent, CreditCodecError> {
         .get(pos..pos + 4)
         .ok_or(CreditCodecError::UnexpectedEnd)?;
     pos += 4;
-    if sum != (fnv1a64(body) as u32).to_be_bytes() {
+    if sum != checksum(body) {
         return Err(CreditCodecError::BadChecksum);
     }
     if pos != buf.len() {
@@ -311,7 +314,7 @@ mod tests {
         buf.extend_from_slice(&[0xFF; 9]);
         buf.push(0x7F);
         buf.push(0);
-        let sum = (fnv1a64(&buf) as u32).to_be_bytes();
+        let sum = checksum(&buf);
         buf.extend_from_slice(&sum);
         assert_eq!(decode_event(&buf), Err(CreditCodecError::BadVarint));
     }
@@ -342,7 +345,7 @@ mod tests {
         out.extend_from_slice(&[2u8; 32]);
         out.push(5); // at_ms = 5
         out.extend_from_slice(&f64::NAN.to_bits().to_be_bytes());
-        let sum = (super::fnv1a64(&out) as u32).to_be_bytes();
+        let sum = super::checksum(&out);
         out.extend_from_slice(&sum);
         assert_eq!(decode_event(&out), Err(CreditCodecError::NonFiniteWeight));
     }

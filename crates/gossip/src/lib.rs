@@ -9,9 +9,9 @@
 //! The paper's architecture (§III) has gateways maintain a common tangle;
 //! this crate supplies the missing distribution layer: digest/pull
 //! broadcast of new transactions, a solidification queue for out-of-order
-//! arrival, periodic anti-entropy tip exchange, cold-start bootstrap (a
-//! peer's genesis + pruned-snapshot baseline), and reconnect with capped,
-//! jittered exponential backoff.
+//! arrival, periodic anti-entropy tip exchange (which also brings a
+//! cold-started replica the whole ledger, down to the genesis), and
+//! reconnect with capped, jittered exponential backoff.
 //!
 //! [`node::GossipNode`] runs N-node meshes: identified peers (a
 //! `node_id` and an advertised listen address), peer-exchange discovery

@@ -13,8 +13,9 @@
 //!   queue evicts its oldest entry when full, so a hostile peer cannot
 //!   balloon memory with orphans.
 //! * **Anti-entropy** — a periodic `GetTips` exchange; any tip we do not
-//!   hold is pulled, and its ancestor cone follows via solidification, so
-//!   a cold-started node converges to an established peer's DAG. The
+//!   hold is pulled, and its ancestor cone follows via solidification
+//!   down to the genesis, so a cold-started node converges to an
+//!   established peer's DAG. The
 //!   same rotated peer gets this node's credit watermarks, and pulls
 //!   whatever credit it lacks.
 //! * **Credit relay** — credit events carry an `(origin, seq)` identity
@@ -33,7 +34,7 @@
 //! the protocol halves live beside it: `peers` (peer table, handshake,
 //! redial), `pex` (peer exchange), `relay` (transaction relay and the
 //! seen cache), `credit` (per-origin credit logs and their relay) and
-//! `solidify` (pending queue, baseline adoption, anti-entropy).
+//! `solidify` (pending queue, parent pulls, anti-entropy).
 
 mod credit;
 mod peers;
@@ -83,8 +84,7 @@ pub enum RelayMode {
 #[derive(Clone, Debug)]
 pub struct GossipConfig {
     /// How often to run anti-entropy, ms: a tips exchange with one
-    /// rotated ready peer (a baseline request to every ready peer while
-    /// the replica is cold), plus retries of stale requests.
+    /// rotated ready peer, plus retries of stale requests.
     pub anti_entropy_ms: u64,
     /// How often to send heartbeats, ms (`0` disables; a ready peer
     /// silent for 4× this interval is treated as dead).
@@ -698,13 +698,6 @@ impl GossipNode {
                 }
             }
             Message::Heartbeat(_) => {} // last_seen already refreshed
-            Message::GetBaseline => {
-                let baseline = self.baseline();
-                self.send_to(i, &baseline, now_ms);
-            }
-            Message::Baseline { genesis, pruned } => {
-                self.handle_baseline(i, genesis, pruned, now_ms);
-            }
             Message::CreditEvents { origin, first, events } => {
                 self.handle_credit_events(i, origin, first, events, now_ms)
             }

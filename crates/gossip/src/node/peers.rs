@@ -247,13 +247,9 @@ impl GossipNode {
         self.advertise_credit(i, None, now_ms);
         // Kick off synchronization immediately rather than waiting for
         // the first anti-entropy tick.
-        if self.is_cold() {
-            self.send_to(i, &Message::GetBaseline, now_ms);
-        } else {
-            self.send_to(i, &Message::GetTips, now_ms);
-            let tips = self.tips();
-            self.send_to(i, &tips, now_ms);
-        }
+        self.send_to(i, &Message::GetTips, now_ms);
+        let tips = self.tips();
+        self.send_to(i, &tips, now_ms);
         for msg in buffered {
             self.handle_message(i, msg, now_ms);
         }

@@ -1,6 +1,6 @@
 //! Solidification and the transaction half of anti-entropy (DESIGN §8.3,
 //! §8.4, §12.5): the pending queue and its waiters, parent requests and
-//! their retries, baseline adoption, and the tips exchange.
+//! their retries, and the tips exchange.
 
 use super::GossipNode;
 use crate::wire::Message;
@@ -29,48 +29,9 @@ pub(super) struct PendingTx {
 }
 
 impl GossipNode {
-    /// True while this replica has nothing at all — it then bootstraps
-    /// from a peer's baseline instead of a tip exchange.
-    pub(super) fn is_cold(&self) -> bool {
-        let t = self.lock_tangle();
-        t.genesis().is_none() && t.is_empty()
-    }
-
     /// Our current tips, as a `Tips` frame.
     pub(super) fn tips(&self) -> Message {
         Message::Tips(self.lock_tangle().tips_iter().take(MAX_IDS_PER_TIPS).collect())
-    }
-
-    /// Our genesis (if still stored) and pruned set, as a `Baseline`
-    /// frame for a cold peer.
-    pub(super) fn baseline(&self) -> Message {
-        let t = self.lock_tangle();
-        let genesis = t
-            .genesis()
-            .and_then(|g| t.get(&g).map(|tx| (t.attach_time_ms(&g).unwrap_or(0), tx.clone())));
-        Message::Baseline { genesis, pruned: t.pruned_ids() }
-    }
-
-    pub(super) fn handle_baseline(
-        &mut self,
-        i: usize,
-        genesis: Option<(u64, Transaction)>,
-        pruned: Vec<TxId>,
-        now_ms: u64,
-    ) {
-        if !self.is_cold() {
-            return; // unsolicited or late; we already have a baseline
-        }
-        self.lock_tangle().adopt_pruned(pruned.iter().copied());
-        if let Some((_attach_ms, gtx)) = genesis {
-            self.ingest(Some(i), Arc::new(gtx), 0, now_ms);
-        }
-        // Anything buffered that was waiting on now-pruned ancestors is
-        // attachable.
-        for id in pruned {
-            self.resolve_waiters(id, now_ms);
-        }
-        self.send_to(i, &Message::GetTips, now_ms);
     }
 
     /// True when a request last sent at `last_ms` (`None`: never) may be
@@ -83,13 +44,10 @@ impl GossipNode {
         self.retry_due(self.requested.get(id).map(|r| r.at_ms), now_ms)
     }
 
-    /// True when `id` is unknown here — neither stored, pruned nor
-    /// pending — and no request for it is still fresh.
+    /// True when `id` is unknown here — neither stored nor pending — and
+    /// no request for it is still fresh.
     pub(super) fn wants(&self, id: &TxId, now_ms: u64) -> bool {
-        let known = {
-            let t = self.lock_tangle();
-            t.contains(id) || t.is_pruned(id)
-        };
+        let known = self.lock_tangle().contains(id);
         !known && !self.pending.contains_key(id) && self.request_due(id, now_ms)
     }
 
@@ -148,10 +106,10 @@ impl GossipNode {
         }
         let missing: Option<BTreeSet<TxId>> = {
             let t = self.lock_tangle();
-            (!t.contains(&id) && !t.is_pruned(&id)).then(|| {
+            (!t.contains(&id)).then(|| {
                 tx.parents()
                     .into_iter()
-                    .filter(|p| *p != TxId::GENESIS_PARENT && !t.contains(p) && !t.is_pruned(p))
+                    .filter(|p| *p != TxId::GENESIS_PARENT && !t.contains(p))
                     .collect()
             })
         };
@@ -204,8 +162,7 @@ impl GossipNode {
             let mut t = self.lock_tangle();
             // A genesis is fully determined by (issuer, timestamp); rebuild
             // it locally so the id provably matches the peer's ledger.
-            (t.genesis().is_none() && !t.is_pruned(&claimed))
-                .then(|| t.attach_genesis(tx.issuer, tx.timestamp_ms))
+            t.genesis().is_none().then(|| t.attach_genesis(tx.issuer, tx.timestamp_ms))
         };
         self.requested.remove(&claimed);
         let Some(rebuilt) = rebuilt else {
@@ -245,9 +202,8 @@ impl GossipNode {
         }
     }
 
-    /// `satisfied` just became available (attached or adopted as pruned):
-    /// attach every pending descendant whose last missing parent it was,
-    /// cascading breadth-first.
+    /// `satisfied` was just attached: attach every pending descendant
+    /// whose last missing parent it was, cascading breadth-first.
     pub(super) fn resolve_waiters(&mut self, satisfied: TxId, now_ms: u64) {
         let mut queue = vec![satisfied];
         while let Some(done) = queue.pop() {
@@ -301,23 +257,17 @@ impl GossipNode {
         }
     }
 
-    /// One anti-entropy round: the baseline or tips exchange, this
-    /// node's credit watermarks to one rotated peer, and stale
-    /// re-requests.
+    /// One anti-entropy round: the tips exchange and this node's credit
+    /// watermarks with one rotated peer, and stale re-requests.
     pub(super) fn run_anti_entropy(&mut self, now_ms: u64) {
         let ready: Vec<usize> = (0..self.peers.len()).filter(|&i| self.peer_ready(i)).collect();
-        if self.is_cold() {
-            // Cold bootstrap: ask everyone — the first answer wins.
-            for &i in &ready {
-                self.send_to(i, &Message::GetBaseline, now_ms);
-            }
-        } else if !ready.is_empty() {
-            // Warm steady state: classic pairwise anti-entropy — ONE
-            // rotated peer per round. Tips exchange with every peer
-            // every round costs O(degree) frames per tick for a repair
-            // path that rarely fires (handshakes already swap tips, and
-            // digest relay covers live spread); rotation keeps the same
-            // eventual coverage at a fraction of the wire cost.
+        if !ready.is_empty() {
+            // Classic pairwise anti-entropy — ONE rotated peer per round,
+            // cold or warm. Tips exchange with every peer every round
+            // costs O(degree) frames per tick for a repair path that
+            // rarely fires (handshakes already swap tips, and digest relay
+            // covers live spread); rotation keeps the same eventual
+            // coverage at a fraction of the wire cost.
             self.rr = self.rr.wrapping_add(1);
             let i = ready[self.rr % ready.len()];
             self.send_to(i, &Message::GetTips, now_ms);

@@ -117,6 +117,54 @@ fn out_of_order_arrival_solidifies_in_cascade() {
     assert_eq!(t.tips(), vec![grand_id]);
 }
 
+/// A cold node (no genesis, nothing stored) syncs like a warm one: the
+/// tips exchange names what it lacks, parent pulls chase the cone, and
+/// the genesis itself arrives through `GetTxs` and is rebuilt locally.
+/// No retired frame (the v5 baseline tags 7 and 8) ever goes out.
+#[test]
+fn cold_node_pulls_the_genesis_through_gettxs() {
+    use crate::transport::Transport;
+    let mut source = Tangle::new();
+    let g = source.attach_genesis(NodeId([0; 32]), 0);
+    let genesis = source.get(&g).unwrap().clone();
+    let child = data_tx(1, g, g, 10);
+    let mut node = GossipNode::with_empty_tangle(GossipConfig::default());
+    let mut peer = wire_fake_peer(&mut node);
+    let mut sent = Vec::new();
+    let mut exchange = |node: &mut GossipNode, peer: &mut FakePeer, msg: Message, now: u64| {
+        peer.send(&msg);
+        node.poll(now);
+        let mut out = Vec::new();
+        while let Ok(Some(frame)) = peer.transport.try_recv() {
+            assert!(!matches!(frame[0], 7 | 8), "retired tag {} sent", frame[0]);
+            out.push(decode_msg(&frame).unwrap());
+        }
+        sent.extend(out.iter().cloned());
+        out
+    };
+
+    let out = exchange(&mut node, &mut peer, FakePeer::hello(Some(g)), 0);
+    assert!(out.contains(&Message::GetTips), "a cold node asks for tips: {out:?}");
+    let out = exchange(&mut node, &mut peer, Message::Tips(vec![child.id()]), 10);
+    assert!(out.contains(&Message::GetTxs(vec![child.id()])), "{out:?}");
+    let child_payload = Message::TxPayload { attach_ms: 10, tx: child.clone() };
+    let out = exchange(&mut node, &mut peer, child_payload, 20);
+    assert!(out.contains(&Message::GetTxs(vec![g])), "the genesis is pulled: {out:?}");
+    assert_eq!(node.pending_len(), 1);
+    exchange(&mut node, &mut peer, Message::TxPayload { attach_ms: 0, tx: genesis }, 30);
+    // Anti-entropy rounds after the sync send nothing retired either.
+    node.poll(5_000);
+    exchange(&mut node, &mut peer, Message::Heartbeat(5_000), 10_000);
+
+    let t = node.tangle().lock().unwrap();
+    assert_eq!(t.genesis(), Some(g), "the genesis was rebuilt with the peer's id");
+    assert!(t.contains(&child.id()));
+    assert_eq!(t.tips(), vec![child.id()]);
+    assert_eq!(node.pending_len(), 0);
+    assert_eq!(node.stats().rejected, 0);
+    assert!(sent.iter().any(|m| matches!(m, Message::GetTips)));
+}
+
 #[test]
 fn solidification_queue_evicts_oldest_when_full() {
     let cfg = GossipConfig { max_pending: 3, ..GossipConfig::default() };

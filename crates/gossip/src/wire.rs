@@ -17,10 +17,7 @@
 //! tag 4  GetTips    (empty)
 //! tag 5  Tips       varint count, count × 32-byte tx ids
 //! tag 6  Heartbeat  varint sender clock (ms)
-//! tag 7  GetBaseline (empty)
-//! tag 8  Baseline   u8 has-genesis flag,
-//!                   [varint attach_ms, varint len, codec-encoded genesis],
-//!                   varint pruned count, count × 32-byte tx ids
+//! tag 7, 8 (retired: v5 cold-start baseline and its request)
 //! tag 9  CreditEvents u64-BE origin, varint first seq, 4-byte checksum
 //!                   over both, varint count, count × (varint len,
 //!                   checksummed biot_credit event bytes)
@@ -58,8 +55,10 @@ use std::fmt;
 /// rather than dropped mid-stream on its first announce; v4 dropped the
 /// never-read 32-byte baseline hash from `Hello`; v5 gave every credit
 /// event an `(origin, seq)` identity and replaced the credit-key digests
-/// (tags 13/14) with version vectors (tags 15/16).
-pub const PROTOCOL_VERSION: u16 = 5;
+/// (tags 13/14) with version vectors (tags 15/16); v6 retired the
+/// cold-start baseline (tags 7/8): the tangle keeps every transaction, so
+/// a cold replica syncs by the tips exchange and parent pulls alone.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Hard cap on one frame. Anything larger is a protocol violation — the
 /// TCP transport refuses to even buffer it.
@@ -157,8 +156,7 @@ pub enum Message {
     },
     /// A full transaction plus the sender's attach time.
     TxPayload {
-        /// Attach time on the sending replica (kept cluster-consistent so
-        /// snapshot pruning cutoffs agree).
+        /// Attach time on the sending replica.
         attach_ms: u64,
         /// The transaction itself.
         tx: Transaction,
@@ -169,19 +167,6 @@ pub enum Message {
     Tips(Vec<TxId>),
     /// Liveness signal carrying the sender's clock.
     Heartbeat(u64),
-    /// Cold-start request: "send me your genesis and pruned baseline."
-    GetBaseline,
-    /// Baseline for a cold-started peer: the genesis transaction (if
-    /// still stored) and the pruned-id set, which together make every
-    /// stored transaction's parents resolvable.
-    Baseline {
-        /// `(attach_ms, genesis transaction)` when the genesis is still
-        /// stored; `None` when it was itself pruned (its id is then in
-        /// `pruned`).
-        genesis: Option<(u64, Transaction)>,
-        /// Ids pruned by snapshots — known-confirmed ancestors.
-        pruned: Vec<TxId>,
-    },
     /// Credit-ledger events (validations and misbehaviour evidence)
     /// `first..` of one origin's sequence, answering a
     /// [`Message::GetCredit`], so replicas converge on the same credit —
@@ -385,22 +370,6 @@ pub fn encode_msg(msg: &Message) -> Vec<u8> {
             out.push(6);
             write_varint(&mut out, *now_ms);
         }
-        Message::GetBaseline => out.push(7),
-        Message::Baseline { genesis, pruned } => {
-            out.push(8);
-            match genesis {
-                Some((attach_ms, tx)) => {
-                    out.push(1);
-                    write_varint(&mut out, *attach_ms);
-                    put_tx(&mut out, tx);
-                }
-                None => out.push(0),
-            }
-            write_varint(&mut out, pruned.len() as u64);
-            for id in pruned {
-                out.extend_from_slice(&id.0);
-            }
-        }
         Message::CreditEvents { origin, first, events } => {
             out.push(9);
             out.extend_from_slice(&origin.to_be_bytes());
@@ -488,16 +457,6 @@ pub fn decode_msg(frame: &[u8]) -> Result<Message, WireError> {
         4 => Message::GetTips,
         5 => Message::Tips(r.id_vec(usize::MAX)?),
         6 => Message::Heartbeat(r.varint()?),
-        7 => Message::GetBaseline,
-        8 => {
-            let genesis = if r.u8()? != 0 {
-                let attach_ms = r.varint()?;
-                Some((attach_ms, r.tx()?))
-            } else {
-                None
-            };
-            Message::Baseline { genesis, pruned: r.id_vec(usize::MAX)? }
-        }
         9 => {
             let origin = r.u64_be()?;
             let first = r.varint()?;
@@ -602,12 +561,6 @@ mod tests {
             Message::Tips(vec![]),
             Message::Tips(vec![TxId([1; 32]), TxId([2; 32]), TxId([3; 32])]),
             Message::Heartbeat(u64::MAX),
-            Message::GetBaseline,
-            Message::Baseline { genesis: None, pruned: vec![TxId([4; 32])] },
-            Message::Baseline {
-                genesis: Some((9, sample_tx(Vec::new()))),
-                pruned: (0..40u8).map(|i| TxId([i; 32])).collect(),
-            },
             Message::CreditEvents { origin: 0, first: 0, events: vec![] },
             Message::CreditEvents { origin: u64::MAX, first: 9_000, events: sample_events() },
             Message::PeerExchange(vec![]),
@@ -656,10 +609,13 @@ mod tests {
     fn bad_tag_rejected() {
         assert_eq!(decode_msg(&[200]), Err(WireError::BadTag(200)));
         // Tag 1 (the retired per-tx Announce) is unknown, id or not, as
-        // are tag 2 (the retired single-id pull) and tags 13 and 14 (the
-        // retired v4 credit keys and their pulls).
+        // are tag 2 (the retired single-id pull), tags 7 and 8 (the
+        // retired v5 baseline request and baseline) and tags 13 and 14
+        // (the retired v4 credit keys and their pulls).
         assert_eq!(decode_msg(&[1; 33]), Err(WireError::BadTag(1)));
         assert_eq!(decode_msg(&[2; 33]), Err(WireError::BadTag(2)));
+        assert_eq!(decode_msg(&[7]), Err(WireError::BadTag(7)));
+        assert_eq!(decode_msg(&[8, 0, 0]), Err(WireError::BadTag(8)));
         for tag in [13u8, 14] {
             let mut frame = vec![tag, 1];
             frame.extend_from_slice(&[0xAB; 36]);

@@ -12,10 +12,11 @@ use std::sync::{Arc, Mutex};
 pub const CONFIRM_THRESHOLD: u64 = 8;
 
 /// Grows a tangle the way a live gateway would: genesis, `grow` data
-/// transactions on seeded-random tip pairs, periodic confirmation, and a
-/// mid-life snapshot that prunes the old confirmed cone. The pruning
-/// matters: it forces a syncing replica to bootstrap from the baseline
-/// (pruned-id set) instead of fetching full history.
+/// transactions on seeded-random tip pairs, and a mid-life confirmation
+/// that seals the confirmed cone. The sealing matters: the replica's
+/// weights must match an established ledger whose weight index changed
+/// shape halfway, while it pulls the whole history, genesis included,
+/// through the tips exchange and parent requests.
 pub fn build_established_tangle(seed: u64, grow: u32) -> SharedTangle {
     let tangle = Arc::new(Mutex::new(Tangle::new()));
     {
@@ -38,8 +39,7 @@ pub fn build_established_tangle(seed: u64, grow: u32) -> SharedTangle {
             t.attach(tx, now).unwrap();
             if n == grow / 2 {
                 t.confirm_with_threshold(CONFIRM_THRESHOLD);
-                let pruned = t.snapshot(now.saturating_sub(1_000));
-                assert!(pruned > 0, "scenario must exercise pruning");
+                assert!(t.seal_frontier(16).is_some(), "scenario must exercise sealing");
             }
         }
         t.confirm_with_threshold(CONFIRM_THRESHOLD);

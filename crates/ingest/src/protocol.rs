@@ -105,8 +105,9 @@ pub enum AckCode {
     /// Refused by a token bucket — the gateway's per-device limiter or
     /// the front end's per-connection one.
     RateLimited = 4,
-    /// Token-ownership violation.
-    TokenViolation = 5,
+    // Code 5 (a token-ownership violation) is retired and decodes as
+    // `BadCode(5)`. Codes are never renumbered: clients and recorded
+    // corpora keep them as bytes.
     /// The tangle refused it (double-spend, unknown parents, duplicate).
     LedgerRejected = 6,
     /// The front end's inflight queues are full — backpressure, retry
@@ -122,7 +123,6 @@ impl AckCode {
             SubmitError::BadSignature(_) => AckCode::BadSignature,
             SubmitError::InsufficientPow { .. } => AckCode::InsufficientPow,
             SubmitError::RateLimited(_) => AckCode::RateLimited,
-            SubmitError::Token(_) => AckCode::TokenViolation,
             SubmitError::Tangle(_) => AckCode::LedgerRejected,
         }
     }
@@ -134,7 +134,6 @@ impl AckCode {
             2 => AckCode::BadSignature,
             3 => AckCode::InsufficientPow,
             4 => AckCode::RateLimited,
-            5 => AckCode::TokenViolation,
             6 => AckCode::LedgerRejected,
             7 => AckCode::Busy,
             other => return Err(ProtocolError::BadCode(other)),
@@ -404,15 +403,16 @@ mod tests {
     fn bad_tags_and_codes_refused() {
         assert!(matches!(decode_client(&[0x55]), Err(ProtocolError::BadTag(0x55))));
         assert!(matches!(decode_server(&[0x01]), Err(ProtocolError::BadTag(0x01))));
-        // Ack with an out-of-range result code.
-        let frame = vec![TAG_ACK, 1, 99];
-        assert!(matches!(decode_server(&frame), Err(ProtocolError::BadCode(99))));
+        // Ack with an out-of-range result code, or the retired code 5.
+        for code in [99, 5] {
+            let frame = vec![TAG_ACK, 1, code];
+            assert!(matches!(decode_server(&frame), Err(ProtocolError::BadCode(c)) if c == code));
+        }
     }
 
     #[test]
     fn submit_error_mapping_is_total() {
         use biot_core::pow::Difficulty;
-        use biot_core::tokens::TokenError;
         use biot_tangle::graph::TangleError;
         let n = NodeId([1; 32]);
         let cases = [
@@ -423,10 +423,6 @@ mod tests {
                 AckCode::InsufficientPow,
             ),
             (SubmitError::RateLimited(n), AckCode::RateLimited),
-            (
-                SubmitError::Token(TokenError::UnknownToken([0; 32])),
-                AckCode::TokenViolation,
-            ),
             (
                 SubmitError::Tangle(TangleError::Duplicate(TxId([2; 32]))),
                 AckCode::LedgerRejected,

@@ -12,7 +12,7 @@
 //! | Endpoint | Answer |
 //! |---|---|
 //! | `GET /v1/health` | role, ledger size, peer count, event count |
-//! | `GET /v1/stats` | tangle totals: len, tips, attached, sealed/frontier split |
+//! | `GET /v1/stats` | tangle totals: len, tips, sealed/frontier split |
 //! | `GET /v1/tips` | current tip ids, lexicographic |
 //! | `GET /v1/tx/{id}` | one transaction: parents, issuer, payload kind, status, weight |
 //! | `GET /v1/weight/{id}` | cumulative weight + confirmation flag only |
@@ -148,11 +148,9 @@ fn render_health(state: &ApiState<'_>) -> String {
 fn render_stats(tangle: &Tangle) -> String {
     let seal = tangle.seal_stats();
     format!(
-        "{{\"len\":{},\"tips\":{},\"total_attached\":{},\"pruned\":{},\"sealed_len\":{},\"frontier_len\":{}}}",
+        "{{\"len\":{},\"tips\":{},\"sealed_len\":{},\"frontier_len\":{}}}",
         tangle.len(),
         tangle.tip_count(),
-        tangle.total_attached(),
-        tangle.pruned_ids().len(),
         seal.sealed_len,
         seal.frontier_len,
     )
@@ -177,12 +175,7 @@ fn payload_kind(payload: &Payload) -> &'static str {
 
 fn render_tx(tangle: &Tangle, id: &TxId) -> Rendered {
     let Some(tx) = tangle.get(id) else {
-        let body = if tangle.is_pruned(id) {
-            err_body("transaction pruned into snapshot baseline")
-        } else {
-            err_body("unknown transaction")
-        };
-        return (404, "Not Found", body);
+        return (404, "Not Found", err_body("unknown transaction"));
     };
     let status = match tangle.status(id) {
         Some(TxStatus::Confirmed) => "confirmed",

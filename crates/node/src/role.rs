@@ -8,12 +8,12 @@
 //!
 //! | Role | gossip | admission (gateway+ingest) | credit replay check | store | HTTP API |
 //! |---|---|---|---|---|---|
-//! | [`ArchivalNode`] | sync + baseline boot | — | — | yes (snapshot boot) | yes |
+//! | [`ArchivalNode`] | sync (cold or warm) | — | — | yes (snapshot boot) | yes |
 //! | [`ValidationNode`] | sync + originate | yes | yes (hard error) | — | — |
 //! | [`LightClient`] | — | submits to one | — | — | — |
 //!
-//! An **archival** node joins the mesh cold, adopts a pruned baseline
-//! from a peer (or snapshot-boots from its own `biot-store` directory,
+//! An **archival** node joins the mesh cold and pulls the whole ledger
+//! from its peers (or snapshot-boots from its own `biot-store` directory,
 //! which is faster — measured in `BENCH_api.json`), keeps syncing, and
 //! serves the read-only [`crate::api`] endpoint. A **validation** node
 //! wraps a [`Gateway`]: it admits light-client transactions through the
@@ -131,7 +131,7 @@ impl std::error::Error for ArchivalBootError {}
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BootSource {
     /// Nothing on disk and no peers yet: empty tangle, waiting for the
-    /// mesh baseline handshake.
+    /// mesh's tips exchange to fill it.
     Cold,
     /// Recovered tangle + credit events from the store (snapshot plus
     /// WAL replay).
@@ -168,8 +168,8 @@ impl std::fmt::Debug for ArchivalNode {
 
 impl ArchivalNode {
     /// Boots from the store when `cfg.store_dir` holds state (snapshot
-    /// boot), else cold with an empty tangle that the mesh baseline
-    /// handshake will fill.
+    /// boot), else cold with an empty tangle that the mesh's tips
+    /// exchange and parent pulls will fill.
     ///
     /// # Errors
     ///

@@ -1,31 +1,33 @@
 //! # biot-store
 //!
 //! File-backed persistence for gateway replicas: one checksummed
-//! write-ahead log plus one snapshot file, with crash recovery. This
-//! addresses the paper's "storage limitations" future-work note (§VIII):
-//! combined with `Tangle::snapshot` pruning, a gateway's disk footprint
-//! stays bounded while the replica survives restarts.
+//! write-ahead log plus one snapshot file, with crash recovery, so a
+//! replica survives restarts. The tangle is append-only, so the store
+//! holds the whole ledger: a checkpoint bounds the WAL, not the disk
+//! footprint.
 //!
 //! ## Layout
 //!
 //! A store directory holds two files:
 //!
-//! * `snapshot.biot` — the last checkpoint. The `BIOTSNP4` format holds
+//! * `snapshot.biot` — the last checkpoint. The `BIOTSNP5` format holds
 //!   the rows of a [`TangleSnapshot`] (`[varint attach_ms][u8 confirmed]
-//!   [varint len][codec bytes]` each), the pruned ids (32 bytes each) and
-//!   a credit section: the number of events the ledger had applied, the
-//!   per-origin watermarks (`[varint origin][varint next seq]` each) and
-//!   the ledger's merged events (`[varint len][biot_credit codec bytes]`
-//!   each), every list behind a varint count.
+//!   [varint len][codec bytes]` each) and a credit section: the number of
+//!   events the ledger had applied, the per-origin watermarks
+//!   (`[varint origin][varint next seq]` each) and the ledger's merged
+//!   events (`[varint len][biot_credit codec bytes]` each), every list
+//!   behind a varint count.
 //! * `wal.biot` — the write-ahead log since that checkpoint. The
-//!   `BIOTWAL4` format tags every record: tag 0 is a transaction
-//!   (`[0][varint attach_ms][varint len][codec bytes]`), tag 1 is a credit
-//!   event with its identity (`[1][varint origin][varint seq][varint len]
-//!   [biot_credit codec bytes]`), so behaviour evidence — including
-//!   misbehaviour whose transactions never reached the tangle — survives
-//!   a crash.
+//!   `BIOTWAL5` format tags every record and follows its head with a
+//!   4-byte checksum over tag and head: tag 0 is a transaction
+//!   (`[0][varint attach_ms][sum][varint len][codec bytes]`), tag 1 is a
+//!   credit event with its identity (`[1][varint origin][varint seq][sum]
+//!   [varint len][biot_credit codec bytes]`), so behaviour evidence —
+//!   including misbehaviour whose transactions never reached the tangle —
+//!   survives a crash. Head and body each carry a checksum, so a flipped
+//!   attach time or credit identity fails recovery like a flipped body.
 //!
-//! A file with any other magic, the retired v1–v3 layouts included,
+//! A file with any other magic, the retired v1–v4 layouts included,
 //! fails recovery with [`StoreError::CorruptSnapshot`].
 //!
 //! Recovery restores the snapshot, then replays the WAL. A torn final
@@ -78,14 +80,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use biot_credit::event::{decode_event, encode_event, CreditCodecError, CreditEvent, CreditId};
+use biot_credit::event::{
+    checksum, decode_event, encode_event, CreditCodecError, CreditEvent, CreditId,
+};
 use biot_credit::CreditLedger;
 use biot_tangle::codec::{
     decode_tx, encode_tx, read_varint, write_varint, CodecError, VarintError,
 };
 use biot_tangle::graph::{Tangle, TangleError};
 use biot_tangle::snapshot::TangleSnapshot;
-use biot_tangle::tx::{Transaction, TxId};
+use biot_tangle::tx::Transaction;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -151,10 +155,11 @@ impl From<TangleError> for StoreError {
     }
 }
 
-/// Snapshot: rows + pruned ids + credit section with watermarks.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP4";
-/// WAL: tagged records (transactions + identified credit events).
-const WAL_MAGIC: &[u8; 8] = b"BIOTWAL4";
+/// Snapshot: rows + credit section with watermarks.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"BIOTSNP5";
+/// WAL: tagged records (transactions + identified credit events) with
+/// checksummed heads.
+const WAL_MAGIC: &[u8; 8] = b"BIOTWAL5";
 
 const SNAPSHOT_FILE: &str = "snapshot.biot";
 const WAL_FILE: &str = "wal.biot";
@@ -279,14 +284,18 @@ impl LedgerStore {
     ) -> Result<(), StoreError> {
         let mut records = Vec::new();
         for (id, ev) in credit_events {
+            let start = records.len();
             records.push(WAL_TAG_CREDIT);
             write_varint(&mut records, id.origin);
             write_varint(&mut records, id.seq);
+            seal_head(&mut records, start);
             put_body(&mut records, &encode_event(ev));
         }
         for (tx, attach_ms) in txs {
+            let start = records.len();
             records.push(WAL_TAG_TX);
             write_varint(&mut records, attach_ms);
+            seal_head(&mut records, start);
             put_body(&mut records, &encode_tx(tx));
         }
         if records.is_empty() {
@@ -426,6 +435,13 @@ fn read_if_exists(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
     }
 }
 
+/// Appends the checksum of the record head `out[start..]` (its tag and
+/// head varints).
+fn seal_head(out: &mut Vec<u8>, start: usize) {
+    let sum = checksum(&out[start..]);
+    out.extend_from_slice(&sum);
+}
+
 /// Appends `[varint len][body]`.
 fn put_body(out: &mut Vec<u8>, body: &[u8]) {
     write_varint(out, body.len() as u64);
@@ -453,7 +469,7 @@ fn read_count(data: &[u8], pos: &mut usize, min_bytes: usize) -> Option<usize> {
     (n <= ((data.len() - *pos) / min_bytes) as u64).then_some(n as usize)
 }
 
-/// Serializes a `BIOTSNP4` snapshot of `tangle`, `credits` and `marks`.
+/// Serializes a `BIOTSNP5` snapshot of `tangle`, `credits` and `marks`.
 fn encode_snapshot(tangle: &Tangle, credits: &CreditLedger, marks: &BTreeMap<u64, u64>) -> Vec<u8> {
     let snap = TangleSnapshot::capture(tangle);
     let mut out = SNAPSHOT_MAGIC.to_vec();
@@ -462,10 +478,6 @@ fn encode_snapshot(tangle: &Tangle, credits: &CreditLedger, marks: &BTreeMap<u64
         write_varint(&mut out, *attach_ms);
         out.push(u8::from(*confirmed));
         put_body(&mut out, &encode_tx(tx));
-    }
-    write_varint(&mut out, snap.pruned().len() as u64);
-    for id in snap.pruned() {
-        out.extend_from_slice(&id.0);
     }
     write_varint(&mut out, credits.events_applied());
     write_varint(&mut out, marks.len() as u64);
@@ -481,7 +493,7 @@ fn encode_snapshot(tangle: &Tangle, credits: &CreditLedger, marks: &BTreeMap<u64
     out
 }
 
-/// Decodes a `BIOTSNP4` snapshot into its tangle and credit section.
+/// Decodes a `BIOTSNP5` snapshot into its tangle and credit section.
 fn decode_snapshot(data: &[u8]) -> Result<RecoveredState, StoreError> {
     use StoreError::CorruptSnapshot as Corrupt;
     if !data.starts_with(SNAPSHOT_MAGIC) {
@@ -498,14 +510,6 @@ fn decode_snapshot(data: &[u8]) -> Result<RecoveredState, StoreError> {
         let body = read_body(data, &mut pos).map_err(|_| Corrupt("tx body"))?;
         rows.push((decode_tx(body)?, attach_ms, confirmed));
     }
-    let n = read_count(data, &mut pos, 32).ok_or(Corrupt("pruned count"))?;
-    let mut pruned = Vec::with_capacity(n);
-    for chunk in data[pos..pos + 32 * n].chunks_exact(32) {
-        let mut id = [0u8; 32];
-        id.copy_from_slice(chunk);
-        pruned.push(TxId(id));
-    }
-    pos += 32 * n;
     let credit_applied = read_varint(data, &mut pos).map_err(|_| Corrupt("credit applied"))?;
     let n = read_count(data, &mut pos, 2).ok_or(Corrupt("watermark count"))?;
     let mut credit_watermarks = BTreeMap::new();
@@ -519,20 +523,36 @@ fn decode_snapshot(data: &[u8]) -> Result<RecoveredState, StoreError> {
         let body = read_body(data, &mut pos).map_err(|_| Corrupt("credit body"))?;
         credit_events.push(decode_event(body)?);
     }
-    let tangle = TangleSnapshot::from_rows(rows, pruned).restore()?;
+    let tangle = TangleSnapshot::from_rows(rows).restore()?;
     Ok(RecoveredState { tangle: Some(tangle), credit_events, credit_applied, credit_watermarks })
 }
 
-/// A WAL record's framing: a transaction's attach time or a credit id.
+/// A WAL record's head: a transaction's attach time or a credit id.
+#[derive(Clone, Copy)]
 enum Head {
     Tx(u64),
     Credit(CreditId),
 }
 
+/// One framed WAL record, not yet checked beyond its framing.
+struct Record<'a> {
+    head: Head,
+    /// Whether the head matches its checksum.
+    head_ok: bool,
+    body: &'a [u8],
+}
+
+/// A WAL record whose head checksum held and whose body decoded.
+enum Decoded {
+    Tx(Transaction, u64),
+    Credit(CreditId, CreditEvent),
+}
+
 /// Reads the framing of the record at `*pos` (which must be before the
 /// end of `data`) and moves `*pos` past it. `Ok(None)` means the framing
 /// runs past the end of `data`: a torn tail.
-fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<(Head, &'a [u8])>, StoreError> {
+fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<Record<'a>>, StoreError> {
+    let start = *pos;
     let tag = data[*pos];
     *pos += 1;
     let framed = match tag {
@@ -542,7 +562,13 @@ fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<(Head, &'a
         }),
         _ => return Err(StoreError::CorruptSnapshot("wal record tag")),
     }
-    .and_then(|head| Ok((head, read_body(data, pos)?)));
+    .and_then(|head| {
+        let head_end = *pos;
+        let sum = data.get(head_end..head_end + 4).ok_or(VarintError::UnexpectedEnd)?;
+        *pos += sum.len();
+        let head_ok = sum == checksum(&data[start..head_end]);
+        Ok(Record { head, head_ok, body: read_body(data, pos)? })
+    });
     match framed {
         Ok(record) => Ok(Some(record)),
         Err(VarintError::UnexpectedEnd) => Ok(None),
@@ -550,22 +576,29 @@ fn frame_record<'a>(data: &'a [u8], pos: &mut usize) -> Result<Option<(Head, &'a
     }
 }
 
+/// Checks a framed record's head checksum and decodes its body.
+fn decode_record(record: &Record<'_>) -> Result<Decoded, StoreError> {
+    if !record.head_ok {
+        return Err(StoreError::CorruptSnapshot("wal record head"));
+    }
+    Ok(match record.head {
+        Head::Tx(at) => Decoded::Tx(decode_tx(record.body)?, at),
+        Head::Credit(id) => Decoded::Credit(id, decode_event(record.body)?),
+    })
+}
+
 /// Length of the WAL `data` up to the end of its last whole record: the
 /// whole length unless the final record is torn (its framing runs past
-/// the end, or its body fails to decode). A WAL whose magic or earlier
-/// records are corrupt is left whole for recovery to report.
+/// the end, its head checksum fails, or its body does not decode). A
+/// WAL whose magic or earlier records are corrupt is left whole for
+/// recovery to report.
 fn whole_records_len(data: &[u8]) -> usize {
     let mut pos = WAL_MAGIC.len();
     while data.starts_with(WAL_MAGIC) && pos < data.len() {
         let start = pos;
         match frame_record(data, &mut pos) {
             Ok(None) => return start,
-            Ok(Some((Head::Tx(_), body))) if pos == data.len() && decode_tx(body).is_err() => {
-                return start
-            }
-            Ok(Some((Head::Credit(_), body)))
-                if pos == data.len() && decode_event(body).is_err() =>
-            {
+            Ok(Some(record)) if pos == data.len() && decode_record(&record).is_err() => {
                 return start
             }
             Ok(Some(_)) => {}
@@ -579,8 +612,8 @@ fn whole_records_len(data: &[u8]) -> usize {
 ///
 /// The WAL is always the newest file, so a crash mid-append can tear only
 /// its final record: a record that runs past the end of the file, or a
-/// final record that fails to decode, is dropped. Anything wrong before
-/// the final record is an error.
+/// final record whose head checksum fails or whose body does not decode,
+/// is dropped. Anything wrong before the final record is an error.
 ///
 /// Re-attaching a transaction the tangle already holds is a no-op rather
 /// than an error, and a credit event below its origin's watermark is
@@ -595,28 +628,21 @@ fn replay_wal(data: &[u8], state: &mut RecoveredState) -> Result<(), StoreError>
     }
     let mut pos = WAL_MAGIC.len();
     while pos < data.len() {
-        let Some((head, body)) = frame_record(data, &mut pos)? else {
+        let Some(record) = frame_record(data, &mut pos)? else {
             return Ok(()); // torn tail
         };
-        let last = pos == data.len();
-        match head {
-            Head::Tx(at) => match decode_tx(body) {
-                Ok(tx) => reattach(&mut state.tangle, tx, at)?,
-                Err(_) if last => return Ok(()), // torn tail
-                Err(e) => return Err(e.into()),
-            },
-            Head::Credit(id) => match decode_event(body) {
-                Ok(ev) => {
-                    let next = state.credit_watermarks.entry(id.origin).or_insert(0);
-                    if id.seq >= *next {
-                        *next = id.seq.saturating_add(1);
-                        state.credit_events.push(ev);
-                        state.credit_applied += 1;
-                    }
+        match decode_record(&record) {
+            Ok(Decoded::Tx(tx, at)) => reattach(&mut state.tangle, tx, at)?,
+            Ok(Decoded::Credit(id, ev)) => {
+                let next = state.credit_watermarks.entry(id.origin).or_insert(0);
+                if id.seq >= *next {
+                    *next = id.seq.saturating_add(1);
+                    state.credit_events.push(ev);
+                    state.credit_applied += 1;
                 }
-                Err(_) if last => return Ok(()), // torn tail
-                Err(e) => return Err(e.into()),
-            },
+            }
+            Err(_) if pos == data.len() => return Ok(()), // torn tail
+            Err(e) => return Err(e),
         }
     }
     Ok(())
@@ -1006,17 +1032,19 @@ mod tests {
     fn retired_magics_are_typed_errors() {
         // No deployment ever wrote the v1 formats; the v2 layout (a
         // watermarked snapshot beside a WAL that may have rolled into
-        // `wal-NNNNNN.biot` segments) is retired too, and so is v3 (credit
+        // `wal-NNNNNN.biot` segments) is retired too, and so are v3 (credit
         // records without their `(origin, seq)` identity, a snapshot
-        // without watermarks). A file carrying any of these magics is
-        // refused like any other unknown magic — a typed error, never a
-        // panic, a partial replay or a silently dropped segment.
+        // without watermarks) and v4 (record heads outside every checksum,
+        // a snapshot with a pruned-id section). A file carrying any of
+        // these magics is refused like any other unknown magic — a typed
+        // error, never a panic, a partial replay or a silently dropped
+        // segment.
         let retired = |current: &[u8; 8], version: u8| {
             let mut magic = *current;
             magic[7] = version;
             magic
         };
-        for version in [b'1', b'2', b'3'] {
+        for version in [b'1', b'2', b'3', b'4'] {
             for (file, magic) in [
                 (WAL_FILE, retired(WAL_MAGIC, version)),
                 (SNAPSHOT_FILE, retired(SNAPSHOT_MAGIC, version)),
@@ -1142,32 +1170,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_ids_survive_checkpoint() {
-        let dir = TempDir::new();
-        let mut store = LedgerStore::open(&dir.0).unwrap();
-        let mut tangle = Tangle::new();
-        tangle.attach_genesis(NodeId([0; 32]), 0);
-        grow(&mut tangle, &mut store, 6, 10);
-        tangle.confirm_with_threshold(2);
-        let pruned_count = tangle.snapshot(14);
-        assert!(pruned_count > 0);
-        store.checkpoint(&tangle).unwrap();
-        let recovered = LedgerStore::open(&dir.0).unwrap().recover_full().map(|s| s.tangle).unwrap().unwrap();
-        assert_eq!(recovered.len(), tangle.len());
-        for tx in tangle.iter() {
-            for p in tx.parents() {
-                if tangle.is_pruned(&p) {
-                    assert!(recovered.is_pruned(&p));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_rows_of_a_sealed_pruned_tangle_keep_their_order() {
+    fn snapshot_rows_of_a_sealed_tangle_keep_their_order() {
         // Capture walks the attach order. Its rows, and so the snapshot
         // bytes, must equal those of a sort of all stored entries by
-        // attach sequence, with the sealed region and pruning in play.
+        // attach sequence, with the sealed region in play.
         let dir = TempDir::new();
         let mut store = LedgerStore::open(&dir.0).unwrap();
         let mut tangle = Tangle::new();
@@ -1178,8 +1184,6 @@ mod tests {
             tangle.seal_frontier(3);
         }
         assert!(tangle.sealed_len() > 0, "part of the ledger is sealed");
-        assert!(tangle.snapshot(150) > 0, "part of the ledger is pruned");
-        assert!(tangle.sealed_len() > 0, "the anchor survives the prune");
 
         let mut by_seq: Vec<(Transaction, u64, bool)> = tangle
             .iter()
@@ -1192,7 +1196,6 @@ mod tests {
         by_seq.sort_by_key(|(tx, _, _)| tangle.attach_seq(&tx.id()).unwrap());
         let snap = TangleSnapshot::capture(&tangle);
         assert_eq!(snap.rows(), by_seq.as_slice());
-        assert_eq!(snap.pruned(), tangle.pruned_ids().as_slice());
         let bytes = encode_snapshot(&tangle, &CreditLedger::default(), &BTreeMap::new());
         let restored = decode_snapshot(&bytes).unwrap().tangle.unwrap();
         assert_eq!(restored.attach_order(), tangle.attach_order());
@@ -1237,27 +1240,35 @@ mod tests {
     #[test]
     fn corrupt_record_body_before_the_tail_is_an_error() {
         // Torn-tail leniency covers only the final record. Bit flips
-        // inside any earlier record body must fail recovery loudly.
+        // inside any earlier record's head (a transaction's attach time,
+        // a credit event's origin and seq, the head checksum) or body must
+        // fail recovery loudly.
         let dir = TempDir::new();
         let (store, _tangle, _) = world(&dir, 10);
         drop(store);
         let wal = dir.0.join(WAL_FILE);
         let pristine = fs::read(&wal).unwrap();
 
-        // Walk the framing to find every record-body byte (tag and length
-        // bytes can alias other valid framings; bodies are checksummed,
-        // so corruption there must always be caught).
-        let mut body_ranges = Vec::new();
+        // Walk the framing to find every head and body byte (tag and
+        // length bytes can alias other valid framings; heads and bodies
+        // are checksummed, so corruption there must always be caught).
+        let mut ranges = Vec::new();
         let mut pos = WAL_MAGIC.len();
         while pos < pristine.len() {
-            let (_, body) = frame_record(&pristine, &mut pos).unwrap().unwrap();
-            body_ranges.push(pos - body.len()..pos);
+            let start = pos;
+            let record = frame_record(&pristine, &mut pos).unwrap().unwrap();
+            let body_start = pos - record.body.len();
+            let mut len = Vec::new();
+            write_varint(&mut len, record.body.len() as u64);
+            // Head varints and their checksum, then the body.
+            ranges.push((start + 1..body_start - len.len(), body_start..pos));
         }
-        body_ranges.pop(); // the final record may be torn
-        assert!(body_ranges.len() > 10);
+        ranges.pop(); // the final record may be torn
+        assert!(ranges.len() > 10);
 
-        for range in body_ranges {
-            for at in range {
+        for (head, body) in ranges {
+            assert!(head.len() > 4, "a head varint precedes the checksum");
+            for at in head.chain(body) {
                 let mut data = pristine.clone();
                 data[at] ^= 0x01;
                 fs::write(&wal, &data).unwrap();
@@ -1333,15 +1344,14 @@ mod tests {
 
     #[test]
     fn forged_snapshot_counts_are_corrupt_not_allocated() {
-        // A count of 2^40 rows, pruned ids or credit events behind a few
+        // A count of 2^40 rows, watermarks or credit events behind a few
         // bytes must be refused before it sizes an allocation.
         let mut huge = Vec::new();
         write_varint(&mut huge, 1 << 40);
-        let headers: [(&[u8], &str); 4] = [
+        let headers: [(&[u8], &str); 3] = [
             (&[], "row count"),
-            (&[0], "pruned count"),
-            (&[0, 0, 0], "watermark count"),
-            (&[0, 0, 0, 0], "credit count"),
+            (&[0, 0], "watermark count"),
+            (&[0, 0, 0], "credit count"),
         ];
         for (zero_counts, what) in headers {
             let mut data = SNAPSHOT_MAGIC.to_vec();

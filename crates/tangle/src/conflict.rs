@@ -45,8 +45,8 @@ impl LazyTipPolicy {
     /// `now_ms`. Call **before** attaching `tx` (afterwards the tx itself
     /// counts among its parents' approvers).
     ///
-    /// Unknown (e.g. pruned) parents are treated as stale: an honest node
-    /// never needs to approve something old enough to have been pruned.
+    /// Unknown parents are treated as stale: the attach that follows
+    /// refuses them anyway.
     pub fn judge(&self, tangle: &Tangle, tx: &Transaction, now_ms: u64) -> LazyVerdict {
         let stale = tx
             .parents()
@@ -62,7 +62,7 @@ impl LazyTipPolicy {
 
     fn is_stale(&self, tangle: &Tangle, parent: &TxId, now_ms: u64) -> bool {
         match tangle.attach_time_ms(parent) {
-            None => true, // unknown or pruned
+            None => true, // unknown
             Some(attached) => {
                 let age = now_ms.saturating_sub(attached);
                 age > self.max_parent_age_ms

@@ -1,5 +1,5 @@
-//! The tangle itself: a DAG of transactions with tip tracking, weights,
-//! confirmation, conflict (double-spend) detection, and snapshotting.
+//! The tangle itself: an append-only DAG of transactions with tip
+//! tracking, weights, confirmation and conflict (double-spend) detection.
 
 use crate::slots::{SlotIndex, NO_SLOT};
 use crate::tx::{Payload, Transaction, TxId};
@@ -73,11 +73,11 @@ pub(crate) struct Entry {
     /// or two, so the first push reserves exactly two.
     pub(crate) approvers: Vec<TxId>,
     pub(crate) attach_time_ms: u64,
-    /// Monotone attach sequence number (true arrival order).
-    pub(crate) seq: u64,
     pub(crate) status: TxStatus,
     /// The entry's slot in the tangle's [`SlotIndex`], which holds its
-    /// parent links, its cumulative weight and whether it is sealed.
+    /// parent links, its cumulative weight and whether it is sealed. Slots
+    /// are handed out in attach order, so the slot is also the entry's
+    /// attach sequence number.
     pub(crate) slot: u32,
 }
 
@@ -145,7 +145,9 @@ pub struct SealStats {
     pub frontier_len: usize,
 }
 
-/// A DAG-structured ledger (the tangle of paper §II-B).
+/// A DAG-structured ledger (the tangle of paper §II-B). It is
+/// append-only, as in the paper: an attached transaction is never
+/// removed, so every stored entry's parents are stored too.
 ///
 /// # Examples
 ///
@@ -167,7 +169,7 @@ pub struct SealStats {
 #[derive(Clone, Debug, Default)]
 pub struct Tangle {
     /// Every stored entry, sealed or not. Entries are boxed: an inline
-    /// `Entry` is 56 bytes, and a hash table keeps up to half its buckets
+    /// `Entry` is 48 bytes, and a hash table keeps up to half its buckets
     /// empty.
     entries: HashMap<TxId, Box<Entry>>,
     /// Slot of the seal anchor while a sealed region exists: the anchor
@@ -192,27 +194,17 @@ pub struct Tangle {
     pub(crate) tips: BTreeSet<TxId>,
     /// First-seen valid spend per token.
     spends: HashMap<[u8; 32], TxId>,
-    /// Ids removed by snapshotting; treated as known-confirmed ancestors.
-    pruned: HashSet<TxId>,
     pub(crate) genesis: Option<TxId>,
-    /// Monotone count of everything ever attached (survives pruning).
-    pub(crate) total_attached: u64,
-    /// Stored ids in attach order (oldest first); pruned ids are dropped
-    /// by [`Tangle::snapshot`]. This is the recency index behind
-    /// [`Tangle::recent_non_tips`]: selecting a depth-constrained walk
-    /// start costs O(window) instead of collect-and-sort O(n log n).
-    pub(crate) recency: Vec<TxId>,
     /// Slots of the pending (unconfirmed) entries, in no particular order.
     /// Keeps [`Tangle::confirm_with_threshold`] O(pending) instead of
-    /// O(stored) at 4 bytes an entry. A pending entry is never sealed or
-    /// pruned, so its slot stays its own while it is listed here.
+    /// O(stored) at 4 bytes an entry. A pending entry is never sealed.
     pending: Vec<u32>,
     /// Monotone seal/pass/stray counters for [`Tangle::seal_stats`].
     seals_total: u64,
     passes_total: u64,
     strays_total: u64,
     /// Parent links, weights and sealed flags of every stored entry, by
-    /// slot.
+    /// slot; its id column is the attach order.
     pub(crate) slots: SlotIndex,
 }
 
@@ -242,15 +234,12 @@ impl Tangle {
                 tx: Arc::new(tx),
                 approvers: Vec::new(),
                 attach_time_ms: now_ms,
-                seq: self.total_attached,
                 status: TxStatus::Confirmed,
                 slot,
             }),
         );
         self.tips.insert(id);
         self.genesis = Some(id);
-        self.total_attached += 1;
-        self.recency.push(id);
         id
     }
 
@@ -273,8 +262,7 @@ impl Tangle {
     /// # Errors
     ///
     /// * [`TangleError::Duplicate`] — id already attached.
-    /// * [`TangleError::UnknownParent`] — a parent is neither attached nor
-    ///   pruned-confirmed.
+    /// * [`TangleError::UnknownParent`] — a parent is not attached.
     /// * [`TangleError::InvalidGenesisReference`] — parents are the zero id
     ///   but a genesis already exists.
     /// * [`TangleError::DoubleSpend`] — payload re-spends a token; the
@@ -288,14 +276,14 @@ impl Tangle {
     ) -> Result<TxId, TangleError> {
         let tx = tx.into();
         let id = tx.id();
-        if self.entry(&id).is_some() || self.pruned.contains(&id) {
+        if self.entry(&id).is_some() {
             return Err(TangleError::Duplicate(id));
         }
         for parent in tx.parents() {
             if parent == TxId::GENESIS_PARENT {
                 return Err(TangleError::InvalidGenesisReference(id));
             }
-            if self.entry(&parent).is_none() && !self.pruned.contains(&parent) {
+            if self.entry(&parent).is_none() {
                 return Err(TangleError::UnknownParent { tx: id, parent });
             }
         }
@@ -310,17 +298,16 @@ impl Tangle {
             self.spends.insert(*token, id);
         }
         let parents = tx.parents();
-        // Stored parents' slots; pruned parents (and a repeated parent,
-        // which counts once) stay NO_SLOT.
+        // The parents' slots; a repeated parent counts once, so its second
+        // link stays NO_SLOT.
         let mut parent_slots = [NO_SLOT; 2];
         for (i, parent) in parents.iter().enumerate() {
             if i == 1 && parents[1] == parents[0] {
-                continue; // same parent twice counts once
+                continue;
             }
-            if let Some(entry) = self.entries.get_mut(parent) {
-                push_approver(entry, id);
-                parent_slots[i] = entry.slot;
-            }
+            let entry = self.entries.get_mut(parent).expect("parents checked above");
+            push_approver(entry, id);
+            parent_slots[i] = entry.slot;
             self.tips.remove(parent);
         }
         let slot = self.slots.alloc(id, parent_slots, 1);
@@ -330,7 +317,6 @@ impl Tangle {
                 tx,
                 approvers: Vec::new(),
                 attach_time_ms: now_ms,
-                seq: self.total_attached,
                 status: TxStatus::Pending,
                 slot,
             }),
@@ -338,8 +324,6 @@ impl Tangle {
         self.pending.push(slot);
         self.bump_ancestor_weights(parent_slots);
         self.tips.insert(id);
-        self.total_attached += 1;
-        self.recency.push(id);
         Ok(id)
     }
 
@@ -347,9 +331,6 @@ impl Tangle {
     /// stored ancestor (distinct approver semantics: a diamond-shaped cone
     /// still counts the new approver exactly once per ancestor). The walk
     /// runs over the [`SlotIndex`] from the new transaction's parent slots.
-    /// Pruned parents terminate it — all stored ancestors of a pruned
-    /// transaction are pruned in the same [`Tangle::snapshot`] call, so
-    /// nothing stored hides behind them.
     ///
     /// The walk also terminates at the **sealed boundary**: sealed parents
     /// are collected instead of followed. If the anchor itself is on the
@@ -414,7 +395,7 @@ impl Tangle {
         self.entry(id).map(|e| Arc::clone(&e.tx))
     }
 
-    /// Returns true if `id` is attached (pruned ids return false).
+    /// Returns true if `id` is attached.
     pub fn contains(&self, id: &TxId) -> bool {
         self.entry(id).is_some()
     }
@@ -429,18 +410,17 @@ impl Tangle {
         self.entry(id).map(|e| e.attach_time_ms)
     }
 
-    /// Monotone attach sequence number of `id` (true arrival order, even
-    /// among transactions sharing an attach instant).
+    /// Attach sequence number of `id`: its position in
+    /// [`Tangle::attach_order`] (true arrival order, even among
+    /// transactions sharing an attach instant).
     pub fn attach_seq(&self, id: &TxId) -> Option<u64> {
-        self.entry(id).map(|e| e.seq)
+        self.entry(id).map(|e| u64::from(e.slot))
     }
 
-    /// Stored ids in attach order, oldest first (the recency index).
-    ///
-    /// Pruned ids are absent; the slice is rebuilt-free — it is maintained
-    /// by [`Tangle::attach`] and compacted by [`Tangle::snapshot`].
+    /// Every stored id in attach order, oldest first: the slot index's id
+    /// column, which [`Tangle::attach`] appends to.
     pub fn attach_order(&self) -> &[TxId] {
-        &self.recency
+        self.slots.ids()
     }
 
     /// The `window` most recently attached transactions that already have
@@ -449,12 +429,12 @@ impl Tangle {
     ///
     /// This is the candidate pool for depth-constrained walk starts (tips
     /// cannot start a walk — it would terminate immediately). Costs
-    /// O(window + skipped tips): the recency index is scanned from its
+    /// O(window + skipped tips): the attach order is scanned from its
     /// newest end, so the full collect-and-sort over the tangle that this
     /// replaces never happens.
     pub fn recent_non_tips(&self, window: usize) -> Vec<TxId> {
         let mut picked: Vec<TxId> = self
-            .recency
+            .attach_order()
             .iter()
             .rev()
             .filter(|id| !self.approvers(id).is_empty())
@@ -470,7 +450,7 @@ impl Tangle {
         self.entry(id).map(|e| e.approvers.as_slice()).unwrap_or(&[])
     }
 
-    /// Number of transactions currently stored (excludes pruned).
+    /// Number of transactions attached, the genesis included.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -478,11 +458,6 @@ impl Tangle {
     /// Returns true when nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Monotone count of every transaction ever attached.
-    pub fn total_attached(&self) -> u64 {
-        self.total_attached
     }
 
     /// Iterates over all stored transactions in arbitrary order.
@@ -592,11 +567,10 @@ impl Tangle {
         while let Some(cur) = queue.pop_front() {
             if let Some(entry) = self.entry(&cur) {
                 for p in entry.tx.parents() {
-                    if p != TxId::GENESIS_PARENT && seen.insert(p)
-                        && self.contains(&p) {
-                            out.push(p);
-                            queue.push_back(p);
-                        }
+                    if p != TxId::GENESIS_PARENT && seen.insert(p) {
+                        out.push(p);
+                        queue.push_back(p);
+                    }
                 }
             }
         }
@@ -606,95 +580,6 @@ impl Tangle {
     /// Who spent `token`, if anyone.
     pub fn spender_of(&self, token: &[u8; 32]) -> Option<TxId> {
         self.spends.get(token).copied()
-    }
-
-    /// Snapshots the tangle: removes every **confirmed** transaction
-    /// attached strictly before `before_ms`, remembering the removed ids so
-    /// later parent references remain valid. Tips and pending transactions
-    /// are never pruned. Returns the number of transactions removed.
-    pub fn snapshot(&mut self, before_ms: u64) -> usize {
-        // Sealed entries are confirmed by construction.
-        let victims: Vec<TxId> = self
-            .entries
-            .iter()
-            .filter(|(id, e)| {
-                e.status == TxStatus::Confirmed
-                    && e.attach_time_ms < before_ms
-                    && !self.tips.contains(id)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        if victims.is_empty() {
-            return 0;
-        }
-        let victim_set: HashSet<TxId> = victims.iter().copied().collect();
-        let mut anchor_pruned = false;
-        let mut parent_fixups: Vec<TxId> = Vec::with_capacity(victims.len() * 2);
-        // (surviving child, freed parent slot) links to clear.
-        let mut child_fixups: Vec<(TxId, u32)> = Vec::new();
-        for id in &victims {
-            let entry = self.entries.remove(id).expect("victim is stored");
-            if self.slots.is_sealed(entry.slot) {
-                self.sealed_count -= 1;
-                anchor_pruned |= self.anchor_slot == Some(entry.slot);
-            }
-            self.pruned.insert(*id);
-            parent_fixups.extend(entry.tx.parents());
-            child_fixups.extend(
-                entry
-                    .approvers
-                    .iter()
-                    .filter(|a| !victim_set.contains(a))
-                    .map(|a| (*a, entry.slot)),
-            );
-            self.slots.release(entry.slot);
-        }
-        // A freed slot is reused by the next attach, so surviving children
-        // must stop linking to it: the pruned parent ends their walks.
-        for (child, parent_slot) in child_fixups {
-            let child_slot = self.entry(&child).expect("surviving child is stored").slot;
-            self.slots.unlink_parent(child_slot, parent_slot);
-        }
-        // Drop approver references held by surviving entries. Only the
-        // victims' direct parents can hold such references, so this is
-        // O(victims) — the full-ledger approver sweep this replaces never
-        // found anything elsewhere.
-        parent_fixups.sort();
-        parent_fixups.dedup();
-        for p in parent_fixups {
-            if let Some(entry) = self.entries.get_mut(&p) {
-                entry.approvers.retain(|a| !victim_set.contains(a));
-            }
-        }
-        self.recency.retain(|id| !victim_set.contains(id));
-        if anchor_pruned {
-            // Without its anchor the pass counter has no meaning: fold the
-            // surviving sealed entries back into the frontier.
-            self.unseal_all();
-        }
-        victims.len()
-    }
-
-    /// Returns true if the id was removed by a snapshot.
-    pub fn is_pruned(&self, id: &TxId) -> bool {
-        self.pruned.contains(id)
-    }
-
-    /// All pruned ids, sorted (for snapshot capture and peer baseline
-    /// exchange).
-    pub fn pruned_ids(&self) -> Vec<TxId> {
-        let mut v: Vec<TxId> = self.pruned.iter().copied().collect();
-        v.sort();
-        v
-    }
-
-    /// Adopts ids as pruned-known ancestors. Used when restoring a
-    /// snapshot and when a cold-started replica receives an established
-    /// peer's baseline: transactions referencing these ids as parents
-    /// attach normally, exactly as they would on the peer that pruned
-    /// them.
-    pub fn adopt_pruned(&mut self, ids: impl IntoIterator<Item = TxId>) {
-        self.pruned.extend(ids);
     }
 
     /// Restores confirmation flags (snapshot restore only).
@@ -767,10 +652,12 @@ impl Tangle {
                 if p == TxId::GENESIS_PARENT || !seen.insert(p) {
                     continue;
                 }
-                match self.entry(&p) {
-                    Some(e) if !self.slots.is_sealed(e.slot) => queue.push_back(p),
-                    // Sealed or pruned parent: boundary of the walk.
-                    _ => saw_old_anchor |= old_anchor == Some(p),
+                let parent = self.entry(&p).expect("parents are stored");
+                if self.slots.is_sealed(parent.slot) {
+                    // Sealed parent: boundary of the walk.
+                    saw_old_anchor |= old_anchor == Some(p);
+                } else {
+                    queue.push_back(p);
                 }
             }
         }
@@ -792,7 +679,7 @@ impl Tangle {
     }
 
     /// Picks a seal anchor automatically: the entry `lag` positions back in
-    /// the recency index, backing off exponentially deeper while the
+    /// the attach order, backing off exponentially deeper while the
     /// candidate is unsealable (a tip, unconfirmed, has unconfirmed cone
     /// members, or does not approve the current anchor). Returns the new
     /// anchor if a seal happened.
@@ -801,14 +688,14 @@ impl Tangle {
     /// `refresh`): each successful seal re-bounds the attach walk to the
     /// entries attached since the previous anchor.
     pub fn seal_frontier(&mut self, lag: usize) -> Option<TxId> {
-        let len = self.recency.len();
+        let len = self.len();
         let mut depth = lag.max(1);
         loop {
             if depth + 1 > len {
                 return None;
             }
             let idx = len - depth - 1;
-            let candidate = self.recency[idx];
+            let candidate = self.attach_order()[idx];
             let viable = self.entry(&candidate).is_some_and(|e| {
                 e.status == TxStatus::Confirmed && !self.slots.is_sealed(e.slot)
             }) && !self.tips.contains(&candidate);
@@ -824,9 +711,8 @@ impl Tangle {
 
     /// Folds every sealed entry back into the frontier, materialising its
     /// effective weight, and drops the anchor. After this the tangle
-    /// behaves exactly like the never-sealed index (useful as a baseline
-    /// in benchmarks; also invoked internally when a snapshot prunes the
-    /// anchor).
+    /// behaves exactly like the never-sealed index (the baseline that
+    /// benchmarks and equivalence tests compare sealing against).
     pub fn unseal_all(&mut self) {
         if self.anchor_slot.take().is_some() {
             self.slots.unseal_all(self.seal_pass);
@@ -853,14 +739,6 @@ impl Tangle {
     /// Returns true if `id` is inside the sealed region.
     pub fn is_sealed(&self, id: &TxId) -> bool {
         self.entry(id).is_some_and(|e| self.slots.is_sealed(e.slot))
-    }
-
-    /// Number of slots the weight walk's index holds, free ones included.
-    /// Bounded by the peak number of stored entries: slots of pruned
-    /// entries are reused. Exposed for tests.
-    #[doc(hidden)]
-    pub fn weight_index_slots(&self) -> usize {
-        self.slots.capacity()
     }
 
     /// Monotone counters describing the sealed index's behaviour.
@@ -923,7 +801,8 @@ mod tests {
         assert_eq!(t.approvers(&g), &[id]);
         assert_eq!(t.entry(&g).unwrap().approvers.capacity(), 2, "room for two, no more");
         assert_eq!(t.status(&id), Some(TxStatus::Pending));
-        assert_eq!(t.total_attached(), 2);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.attach_seq(&id), Some(1));
     }
 
     #[test]
@@ -1044,15 +923,9 @@ mod tests {
         // Weights fall 12..1 along the chain: all but the last reach 2.
         assert_eq!(t.confirm_with_threshold(2), sorted(&first[..11]));
 
-        // A snapshot frees the slots of the genesis and the first six; the
-        // next attaches take them over.
-        let freed: Vec<u32> =
-            [g].iter().chain(&first[..6]).map(|id| t.entry(id).unwrap().slot).collect();
-        assert_eq!(t.snapshot(7), 7);
+        // A second round confirms its own entries plus the last of the
+        // first, still in id order.
         let second = chain(&mut t, first[11], 6, 100);
-        for id in &second {
-            assert!(freed.contains(&t.entry(id).unwrap().slot), "freed slot reused");
-        }
         let mut expect = second[..5].to_vec();
         expect.push(first[11]);
         assert_eq!(t.confirm_with_threshold(2), sorted(&expect));
@@ -1101,29 +974,6 @@ mod tests {
         assert!(anc.contains(&a));
         assert!(anc.contains(&g));
         assert_eq!(anc.len(), 2);
-    }
-
-    #[test]
-    fn snapshot_prunes_old_confirmed() {
-        let (mut t, g) = with_genesis();
-        let a = t.attach(data_tx(1, g, g, 1), 1).unwrap();
-        let b = t.attach(data_tx(2, a, a, 2), 2).unwrap();
-        let c = t.attach(data_tx(3, b, b, 3), 3).unwrap();
-        t.confirm_with_threshold(2); // confirms a and b
-        let removed = t.snapshot(3);
-        // genesis and a,b are confirmed and older than 3ms; c is a tip.
-        assert_eq!(removed, 3);
-        assert!(t.is_pruned(&a));
-        assert!(!t.contains(&a));
-        assert!(t.contains(&c));
-        // New transactions can still reference the pruned b as parent.
-        let d = t.attach(data_tx(4, b, c, 4), 4).unwrap();
-        assert!(t.contains(&d));
-        // But a duplicate of a pruned tx is still a duplicate.
-        assert!(matches!(
-            t.attach(data_tx(1, g, g, 1), 9),
-            Err(TangleError::Duplicate(_))
-        ));
     }
 
     #[test]
@@ -1182,16 +1032,20 @@ mod tests {
 
     #[test]
     fn recency_index_survives_snapshot() {
+        // A snapshot restore re-attaches rows in attach order, so the
+        // attach order, and every attach sequence number, comes back.
         let (mut t, g) = with_genesis();
         let a = t.attach(data_tx(1, g, g, 1), 1).unwrap();
         let b = t.attach(data_tx(2, a, a, 2), 2).unwrap();
         let c = t.attach(data_tx(3, b, b, 3), 3).unwrap();
         t.confirm_with_threshold(2); // confirms a and b
-        t.snapshot(3); // prunes g, a, b
-        assert_eq!(t.attach_order(), &[c]);
+        let mut t = crate::snapshot::TangleSnapshot::capture(&t).restore().unwrap();
+        assert_eq!(t.attach_order(), &[g, a, b, c]);
+        assert_eq!(t.attach_seq(&c), Some(3));
         let d = t.attach(data_tx(4, b, c, 4), 4).unwrap();
-        assert_eq!(t.attach_order(), &[c, d]);
-        assert_eq!(t.recent_non_tips(8), vec![c]);
+        assert_eq!(t.attach_order(), &[g, a, b, c, d]);
+        assert_eq!(t.attach_seq(&d), Some(4));
+        assert_eq!(t.recent_non_tips(2), vec![b, c]);
     }
 
     #[test]
@@ -1213,7 +1067,7 @@ mod tests {
                 }
                 t.confirm_with_threshold(4);
                 if round % 2 == 1 {
-                    t.snapshot(clock.saturating_sub(40));
+                    t.seal_frontier(8);
                     assert_eq!(t.recent_non_tips(16), recent_non_tips_recount(&t, 16));
                 }
             }
@@ -1283,30 +1137,12 @@ mod tests {
                 t.confirm_with_threshold(4);
                 assert_index_matches_oracle(&t);
                 if round % 2 == 1 {
-                    t.snapshot(clock.saturating_sub(30));
-                    // Pruning removes whole confirmed cones, so surviving
-                    // weights still equal their stored-descendant counts.
+                    // A restored tangle rebuilds the index row by row.
+                    t = crate::snapshot::TangleSnapshot::capture(&t).restore().unwrap();
                     assert_index_matches_oracle(&t);
                 }
             }
         }
-    }
-
-    #[test]
-    fn weight_index_handles_attach_to_pruned_parent() {
-        let (mut t, g) = with_genesis();
-        let a = t.attach(data_tx(1, g, g, 1), 1).unwrap();
-        let b = t.attach(data_tx(2, a, a, 2), 2).unwrap();
-        let c = t.attach(data_tx(3, b, b, 3), 3).unwrap();
-        t.confirm_with_threshold(2); // confirms a and b
-        t.snapshot(3); // prunes g, a, b; c survives as a tip
-        assert!(t.is_pruned(&b));
-        // New child referencing the pruned b: the cone walk stops at b and
-        // must still bump the surviving parent c exactly once.
-        let d = t.attach(data_tx(4, b, c, 4), 4).unwrap();
-        assert_eq!(t.cumulative_weight(&c), 2);
-        assert_eq!(t.cumulative_weight(&d), 1);
-        assert_index_matches_oracle(&t);
     }
 
     #[test]
@@ -1453,41 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_pruning_anchor_folds_the_epoch() {
-        let (mut t, g) = with_genesis();
-        let ids = grow_chain(&mut t, g, 20, 0);
-        t.confirm_with_threshold(2);
-        t.seal_to(ids[10]).unwrap();
-        grow_chain(&mut t, ids[19], 4, 100);
-        // Prune everything confirmed and old — including the anchor.
-        let removed = t.snapshot(21);
-        assert!(removed > 0);
-        assert_eq!(t.sealed_len(), 0, "anchor pruned => sealed region folded");
-        assert_index_matches_oracle(&t);
-        // Attaching against the pruned anchor still works.
-        let tip = *t.tips().last().unwrap();
-        t.attach(data_tx(5, ids[10], tip, 200), 200).unwrap();
-        assert_index_matches_oracle(&t);
-    }
-
-    #[test]
-    fn snapshot_prunes_inside_sealed_epoch() {
-        let (mut t, g) = with_genesis();
-        let ids = grow_chain(&mut t, g, 30, 0);
-        t.confirm_with_threshold(2);
-        t.seal_to(ids[25]).unwrap();
-        // Prune only the oldest half of the sealed cone; the anchor (at
-        // ts 26) survives, so the sealed region stays live.
-        let removed = t.snapshot(12);
-        assert!(removed > 0);
-        assert!(t.sealed_len() > 0);
-        assert_eq!(t.seal_anchor(), Some(ids[25]));
-        assert_index_matches_oracle(&t);
-        grow_chain(&mut t, ids[29], 5, 100);
-        assert_index_matches_oracle(&t);
-    }
-
-    #[test]
     fn sealed_clone_is_independent() {
         let (mut t, g) = with_genesis();
         let ids = grow_chain(&mut t, g, 15, 0);
@@ -1520,7 +1321,7 @@ mod tests {
                 t.seal_frontier(8);
                 assert_index_matches_oracle(&t);
                 if round % 2 == 1 {
-                    t.snapshot(clock.saturating_sub(30));
+                    t = crate::snapshot::TangleSnapshot::capture(&t).restore().unwrap();
                     assert_index_matches_oracle(&t);
                 }
             }

@@ -1,8 +1,10 @@
 //! The dense slot index behind the per-attach weight walk.
 //!
-//! Every stored entry owns a `u32` slot. The slot records the entry's two
+//! Every stored entry owns a `u32` slot, handed out in attach order: the
+//! tangle is append-only, so a slot is never freed and the slot number
+//! is the entry's attach sequence. The slot records the entry's two
 //! parent slots (resolved once, at attach), its weight, a
-//! frontier/sealed/free state byte and a generation-stamped visit mark.
+//! frontier/sealed state byte and a generation-stamped visit mark.
 //! The ancestor walk of [`crate::graph::Tangle::attach`] is then a
 //! depth-first search over plain arrays: no hashing of 32-byte ids, no
 //! seen-set (a slot is visited when its mark equals the walk's
@@ -13,21 +15,15 @@
 //! tangle's pass counter (`weight - pass`, wrapping), so one increment of
 //! the counter raises every sealed weight at once; see
 //! [`crate::graph::Tangle::seal_to`].
-//!
-//! Slots of entries pruned by [`crate::graph::Tangle::snapshot`] go on a
-//! free list and are handed out again, so the index is sized by the peak
-//! number of stored entries, never by everything ever attached.
 
 use crate::tx::TxId;
 
-/// Parent link meaning "no stored parent": the parent is pruned, or it is
-/// the second link of a transaction that names the same parent twice.
+/// Parent link meaning "no parent": the genesis's links, and the second
+/// link of a transaction that names the same parent twice.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SlotState {
-    /// On the free list (its entry was pruned).
-    Free,
     /// A frontier entry: the slot's `weight` is its live weight.
     Frontier,
     /// A sealed entry: the slot's `weight` is its weight minus the pass
@@ -47,11 +43,9 @@ struct Slot {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotIndex {
     slots: Vec<Slot>,
-    /// Id of the entry in each slot (only the pending list's confirmation
-    /// scan and the seal anchor need it, so it is kept out of the hot
-    /// `slots` array).
+    /// Id of the entry in each slot: the tangle's attach order (kept out
+    /// of the hot `slots` array, which the weight walk scans).
     ids: Vec<TxId>,
-    free: Vec<u32>,
     /// Mark of the current (or last) walk.
     generation: u32,
     stack: Vec<u32>,
@@ -62,43 +56,18 @@ pub(crate) struct SlotIndex {
 impl SlotIndex {
     /// Gives `id` a frontier slot with the given parent links and weight.
     pub(crate) fn alloc(&mut self, id: TxId, parents: [u32; 2], weight: u64) -> u32 {
-        let slot = Slot {
+        let s = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&s| s != NO_SLOT)
+            .expect("fewer than u32::MAX entries attached");
+        self.slots.push(Slot {
             parents,
             weight,
             mark: 0,
             state: SlotState::Frontier,
-        };
-        if let Some(s) = self.free.pop() {
-            self.slots[s as usize] = slot;
-            self.ids[s as usize] = id;
-            return s;
-        }
-        let s = u32::try_from(self.slots.len())
-            .ok()
-            .filter(|&s| s != NO_SLOT)
-            .expect("fewer than u32::MAX entries stored at once");
-        self.slots.push(slot);
+        });
         self.ids.push(id);
         s
-    }
-
-    /// Returns a pruned entry's slot to the free list. Its children's links
-    /// to it must be cleared with [`SlotIndex::unlink_parent`] before the
-    /// next [`SlotIndex::alloc`].
-    pub(crate) fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.state = SlotState::Free;
-        s.parents = [NO_SLOT; 2];
-        self.free.push(slot);
-    }
-
-    /// Clears `child`'s links to `parent` (the parent was pruned).
-    pub(crate) fn unlink_parent(&mut self, child: u32, parent: u32) {
-        for p in &mut self.slots[child as usize].parents {
-            if *p == parent {
-                *p = NO_SLOT;
-            }
-        }
     }
 
     /// Id of the entry in a slot.
@@ -106,12 +75,17 @@ impl SlotIndex {
         &self.ids[slot as usize]
     }
 
+    /// Every entry's id, by slot: the attach order.
+    pub(crate) fn ids(&self) -> &[TxId] {
+        &self.ids
+    }
+
     /// Weight of a stored entry, given the tangle's pass counter.
     pub(crate) fn weight(&self, slot: u32, pass: u64) -> u64 {
         let s = &self.slots[slot as usize];
         match s.state {
             SlotState::Sealed => s.weight.wrapping_add(pass),
-            _ => s.weight,
+            SlotState::Frontier => s.weight,
         }
     }
 
@@ -139,11 +113,6 @@ impl SlotIndex {
         }
     }
 
-    /// Slots allocated, free ones included: the index's size.
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     fn next_generation(&mut self) -> u32 {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -158,7 +127,7 @@ impl SlotIndex {
 
     /// Adds one to the weight of every distinct frontier entry reachable
     /// from `parents` through frontier entries, and returns the distinct
-    /// sealed slots where the walk stopped. Free (pruned) links end it.
+    /// sealed slots where the walk stopped.
     pub(crate) fn bump_frontier_cone(&mut self, parents: [u32; 2]) -> &[u32] {
         let mark = self.next_generation();
         let Self {
@@ -181,7 +150,6 @@ impl SlotIndex {
             match s.state {
                 SlotState::Frontier => stack.push(p),
                 SlotState::Sealed => boundary.push(p),
-                SlotState::Free => {}
             }
         };
         for p in parents {
@@ -201,7 +169,7 @@ impl SlotIndex {
     /// Continues the last [`SlotIndex::bump_frontier_cone`] walk into the
     /// sealed region: adds one to the weight of every distinct sealed
     /// entry reachable from its boundary. Parents of sealed entries are
-    /// sealed or pruned, so this never re-enters the frontier.
+    /// sealed, so this never re-enters the frontier.
     pub(crate) fn bump_sealed_cone(&mut self) {
         let mark = self.generation;
         let Self {

@@ -1,11 +1,11 @@
 //! Ledger persistence: serializable snapshots of a [`Tangle`].
 //!
 //! Gateways checkpoint their replica to disk and restore it after a
-//! restart — the practical answer to the paper's "storage limitations"
-//! future-work note, combined with [`Tangle::snapshot`] pruning.
+//! restart, so a replica survives restarts without replaying its whole
+//! history from peers.
 
 use crate::graph::{Tangle, TangleError, TxStatus};
-use crate::tx::{Transaction, TxId};
+use crate::tx::Transaction;
 use serde::{Deserialize, Serialize};
 
 /// A portable, serializable image of a tangle.
@@ -16,14 +16,12 @@ use serde::{Deserialize, Serialize};
 pub struct TangleSnapshot {
     /// `(transaction, attach_time_ms, confirmed)` rows in attach order.
     rows: Vec<(Transaction, u64, bool)>,
-    /// Ids pruned before the snapshot was taken.
-    pruned: Vec<TxId>,
 }
 
 impl TangleSnapshot {
     /// Captures the current state of `tangle`.
     pub fn capture(tangle: &Tangle) -> Self {
-        // The recency index is the true attach order, so parents always
+        // The attach order is the true arrival order, so parents always
         // precede children even within one attach instant.
         let rows = tangle
             .attach_order()
@@ -33,27 +31,19 @@ impl TangleSnapshot {
                 ((*e.tx).clone(), e.attach_time_ms, e.status == TxStatus::Confirmed)
             })
             .collect();
-        Self {
-            rows,
-            pruned: tangle.pruned_ids(),
-        }
+        Self { rows }
     }
 
     /// Builds a snapshot directly from rows (used by persistence layers
     /// that store rows in their own format). Rows must be in attach order
     /// with parents preceding children.
-    pub fn from_rows(rows: Vec<(Transaction, u64, bool)>, pruned: Vec<TxId>) -> Self {
-        Self { rows, pruned }
+    pub fn from_rows(rows: Vec<(Transaction, u64, bool)>) -> Self {
+        Self { rows }
     }
 
     /// The `(transaction, attach_time_ms, confirmed)` rows in attach order.
     pub fn rows(&self) -> &[(Transaction, u64, bool)] {
         &self.rows
-    }
-
-    /// Ids pruned before the snapshot was taken.
-    pub fn pruned(&self) -> &[TxId] {
-        &self.pruned
     }
 
     /// Number of transactions in the snapshot.
@@ -85,7 +75,6 @@ impl TangleSnapshot {
         const SEAL_EVERY: usize = 1_024;
         const SEAL_LAG: usize = 128;
         let mut tangle = Tangle::new();
-        tangle.adopt_pruned(self.pruned.iter().copied());
         let mut confirmed_since_seal = 0usize;
         for (tx, at, was_confirmed) in &self.rows {
             let id = if tx.is_genesis() {
@@ -154,21 +143,18 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_after_pruning() {
-        let mut original = build_sample(30, 2);
-        let removed = original.snapshot(20);
-        assert!(removed > 0);
-        let snap = TangleSnapshot::capture(&original);
-        let restored = snap.restore().unwrap();
-        assert_eq!(restored.len(), original.len());
+    fn roundtrip_of_a_sealed_tangle() {
+        // The restore seals as it goes; the weights, statuses and attach
+        // order it rebuilds match a tangle sealed at other anchors.
+        let mut original = build_sample(3_000, 2);
+        original.seal_frontier(64).expect("a confirmed cone to seal");
+        let restored = TangleSnapshot::capture(&original).restore().unwrap();
+        assert!(restored.sealed_len() > 0, "the restore sealed part of the ledger");
+        assert_eq!(restored.attach_order(), original.attach_order());
         assert_eq!(restored.tips(), original.tips());
-        // Pruned ids are still recognized as known ancestors.
-        for tx in original.iter() {
-            for parent in tx.parents() {
-                if original.is_pruned(&parent) {
-                    assert!(restored.is_pruned(&parent));
-                }
-            }
+        for id in original.attach_order() {
+            assert_eq!(restored.cumulative_weight(id), original.cumulative_weight(id));
+            assert_eq!(restored.status(id), original.status(id));
         }
     }
 

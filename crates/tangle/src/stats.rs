@@ -13,10 +13,8 @@ use serde::{Deserialize, Serialize};
 /// A summary of ledger health at one instant.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LedgerStats {
-    /// Transactions currently stored.
+    /// Transactions attached, the genesis included.
     pub total: usize,
-    /// Transactions ever attached (survives pruning).
-    pub total_ever: u64,
     /// Confirmed transactions.
     pub confirmed: usize,
     /// Current tips.
@@ -29,7 +27,7 @@ pub struct LedgerStats {
     pub weight_min: u64,
     /// Mean cumulative weight.
     pub weight_mean: f64,
-    /// Maximum cumulative weight (the genesis, unless pruned).
+    /// Maximum cumulative weight (the genesis's).
     pub weight_max: u64,
     /// Payload mix: plain data transactions.
     pub data_txs: usize,
@@ -82,7 +80,6 @@ impl LedgerStats {
 pub fn ledger_stats(tangle: &Tangle, now_ms: u64) -> LedgerStats {
     let mut stats = LedgerStats {
         total: tangle.len(),
-        total_ever: tangle.total_attached(),
         ..LedgerStats::default()
     };
     if tangle.is_empty() {
@@ -173,7 +170,6 @@ mod tests {
         tangle.confirm_with_threshold(3);
         let s = ledger_stats(&tangle, 2_000);
         assert_eq!(s.total, 10);
-        assert_eq!(s.total_ever, 10);
         // 3 of each payload kind plus the genesis data tx.
         assert_eq!(s.data_txs, 4);
         assert_eq!(s.encrypted_txs, 3);

@@ -13,7 +13,7 @@
 //! step by step, transition sampling reuses one scratch buffer with
 //! log-sum-exp normalization (no per-step allocation, no `exp` underflow
 //! at large `alpha`), and depth-constrained starts come from the tangle's
-//! attach-order recency index in O(window). The legacy path — rebuild a
+//! attach order in O(window). The legacy path — rebuild a
 //! full weight map and sort every attach time per selection, O(n log n) —
 //! survives as `select_tips_recount` on each selector: it is the oracle
 //! randomized tests compare against (same seed ⇒ identical tip pair) and
@@ -161,22 +161,6 @@ fn weighted_walk(
     }
 }
 
-/// Walk start for genesis-anchored walks: the genesis if it survives,
-/// otherwise the heaviest remaining transaction, ties broken toward the
-/// smallest [`TxId`] so post-snapshot starts never depend on hash-map
-/// iteration order.
-fn genesis_walk_start(tangle: &Tangle) -> Option<TxId> {
-    if let Some(g) = tangle.genesis() {
-        if tangle.contains(&g) {
-            return Some(g);
-        }
-    }
-    tangle
-        .iter()
-        .map(|tx| tx.id())
-        .max_by_key(|id| (tangle.cumulative_weight(id), std::cmp::Reverse(*id)))
-}
-
 /// Materializes the full weight map — the legacy per-selection O(n)
 /// rebuild kept for the `select_tips_recount` oracles.
 fn weight_map(tangle: &Tangle) -> HashMap<TxId, u64> {
@@ -191,8 +175,7 @@ fn weight_map(tangle: &Tangle) -> HashMap<TxId, u64> {
 
 /// Weighted Markov-chain Monte Carlo walk (IOTA's tip selection).
 ///
-/// Two independent walkers start at the genesis (or the heaviest remaining
-/// transaction after a snapshot) and step from a transaction to one of its
+/// Two independent walkers start at the genesis and step from a transaction to one of its
 /// approvers with probability proportional to `exp(-alpha * (W(v) - W(u)))`
 /// where `W` is cumulative weight. A walker stops at a tip.
 ///
@@ -218,14 +201,6 @@ impl WeightedMcmcSelector {
         Self { alpha }
     }
 
-    /// Where this selector's walkers start: the genesis if it survives,
-    /// otherwise the heaviest remaining transaction, ties broken toward
-    /// the smallest [`TxId`]. Exposed so tests can pin the post-snapshot
-    /// tie-break.
-    pub fn walk_start(&self, tangle: &Tangle) -> Option<TxId> {
-        genesis_walk_start(tangle)
-    }
-
     /// The legacy selection path: rebuilds the full weight map (O(n)) and
     /// walks against it. Bit-for-bit identical to
     /// [`select_tips`](TipSelector::select_tips) under the same RNG
@@ -237,7 +212,7 @@ impl WeightedMcmcSelector {
         tangle: &Tangle,
         rng: &mut dyn RngCore,
     ) -> Option<(TxId, TxId)> {
-        let start = genesis_walk_start(tangle)?;
+        let start = tangle.genesis()?;
         let weights = weight_map(tangle);
         let weight_of = move |id: &TxId| *weights.get(id).unwrap_or(&1);
         let mut scratch = Vec::new();
@@ -249,7 +224,7 @@ impl WeightedMcmcSelector {
 
 impl TipSelector for WeightedMcmcSelector {
     fn select_tips(&self, tangle: &Tangle, rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
-        let start = genesis_walk_start(tangle)?;
+        let start = tangle.genesis()?;
         let weight_of = |id: &TxId| tangle.cumulative_weight(id);
         let mut scratch = Vec::new();
         let a = weighted_walk(tangle, &weight_of, self.alpha, start, rng, &mut scratch);
@@ -265,7 +240,7 @@ impl TipSelector for WeightedMcmcSelector {
 /// The start is drawn uniformly from the `window` most recently attached
 /// non-tip transactions; each walker then climbs toward the tips with the
 /// same weighted transition rule. Candidates come from the tangle's
-/// attach-order recency index, so picking the start is O(window) — the
+/// attach order, so picking the start is O(window) — the
 /// collect-and-sort over every attach time that used to happen per
 /// selection is gone (it survives in `select_tips_recount`).
 #[derive(Debug, Clone, Copy)]
@@ -393,12 +368,8 @@ pub struct FixedPairSelector {
 
 impl TipSelector for FixedPairSelector {
     fn select_tips(&self, tangle: &Tangle, _rng: &mut dyn RngCore) -> Option<(TxId, TxId)> {
-        // Only return the pair while it is still attached (or pruned-known).
-        if tangle.contains(&self.pair.0) || tangle.is_pruned(&self.pair.0) {
-            Some(self.pair)
-        } else {
-            None
-        }
+        // Only return the pair once it is attached.
+        tangle.contains(&self.pair.0).then_some(self.pair)
     }
 }
 
@@ -587,54 +558,6 @@ mod tests {
     #[should_panic]
     fn mcmc_negative_alpha_panics() {
         WeightedMcmcSelector::new(-1.0);
-    }
-
-    #[test]
-    fn post_snapshot_walk_start_breaks_weight_ties_by_id() {
-        // After a snapshot the genesis is gone and the walk starts at the
-        // heaviest survivor; equal weights must resolve to the smallest
-        // TxId, not whatever the entry map iterates first.
-        let mut tangle = Tangle::new();
-        let g = tangle.attach_genesis(NodeId([0; 32]), 0);
-        // Two independent chains off the genesis with equal length.
-        let mut forks = Vec::new();
-        for tag in 1..=3u8 {
-            let root = TransactionBuilder::new(NodeId([tag; 32]))
-                .parents(g, g)
-                .payload(Payload::Data(vec![tag]))
-                .timestamp_ms(1)
-                .build();
-            let root_id = tangle.attach(root, 1).unwrap();
-            let tip = TransactionBuilder::new(NodeId([tag; 32]))
-                .parents(root_id, root_id)
-                .payload(Payload::Data(vec![tag, tag]))
-                .timestamp_ms(2)
-                .build();
-            tangle.attach(tip, 2).unwrap();
-            forks.push(root_id);
-        }
-        tangle.confirm_with_threshold(2); // confirms genesis + the roots
-        tangle.snapshot(2); // prunes genesis and the three roots
-        assert!(tangle.genesis().map(|g| !tangle.contains(&g)).unwrap());
-        // Survivors: three equal-weight (W = 1) tips... all tips, so walk
-        // start = smallest id among them.
-        let sel = WeightedMcmcSelector::new(0.5);
-        let expected = tangle
-            .iter()
-            .map(|tx| tx.id())
-            .filter(|id| {
-                tangle.cumulative_weight(id)
-                    == tangle
-                        .iter()
-                        .map(|t| tangle.cumulative_weight(&t.id()))
-                        .max()
-                        .unwrap()
-            })
-            .min()
-            .unwrap();
-        for _ in 0..5 {
-            assert_eq!(sel.walk_start(&tangle), Some(expected));
-        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Property suite for the sealed-cone weight index.
 //!
 //! **Sealing is invisible.** Driving a sealed tangle and a never-sealed
-//! mirror through identical attach/confirm/prune/restore cycles must
-//! leave them bit-for-bit identical on every observable — cumulative
-//! weights (checked against the `cumulative_weight_recount` oracle),
-//! tips, statuses, lengths — no matter where seals land in the
-//! interleaving. The slot index behind the weight walk stays sized by
-//! the peak number of stored entries, the sealed entries are exactly the
-//! anchor's stored cone, and a clone taken mid-schedule is a deep copy
-//! the original's later mutations never reach.
+//! mirror through identical attach/confirm/restore cycles must leave
+//! them bit-for-bit identical on every observable — cumulative weights
+//! (checked against the `cumulative_weight_recount` oracle), tips,
+//! statuses, lengths, attach order — no matter where seals land in the
+//! interleaving. The sealed entries are exactly the anchor's stored cone,
+//! and a clone taken mid-schedule is a deep copy the original's later
+//! mutations never reach.
 
 use biot_tangle::graph::Tangle;
 use biot_tangle::tx::{NodeId, Payload, TransactionBuilder, TxId};
@@ -34,8 +33,6 @@ enum Op {
     /// Seal the confirmed cone behind a recency lag (sealed tangle only —
     /// the mirror never seals; that is the point).
     Seal(usize),
-    /// Prune old confirmed non-tips via `Tangle::snapshot`.
-    Prune(u64),
     /// Round-trip the sealed tangle through capture/restore (which
     /// deliberately drops seal state — restore replays attaches).
     Restore,
@@ -70,7 +67,6 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
                 .prop_map(|(a, b, p)| Op::AttachWide(a, b, p)),
             2 => (2u64..6).prop_map(Op::Confirm),
             3 => (0usize..24).prop_map(Op::Seal),
-            1 => (1u64..120).prop_map(Op::Prune),
             1 => Just(Op::Restore),
             1 => Just(Op::Unseal),
             1 => Just(Op::Clone),
@@ -83,6 +79,7 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
 /// maintained weight index equals the recount oracle on both.
 fn assert_equivalent(sealed: &Tangle, plain: &Tangle, at: &str) {
     assert_eq!(sealed.len(), plain.len(), "{at}: len");
+    assert_eq!(sealed.attach_order(), plain.attach_order(), "{at}: attach order");
     assert_eq!(sealed.tips(), plain.tips(), "{at}: tips");
     for tx in plain.iter() {
         let id = tx.id();
@@ -128,10 +125,6 @@ proptest! {
         let genesis = sealed.attach_genesis(NodeId([0; 32]), 0);
         plain.attach_genesis(NodeId([0; 32]), 0);
         let mut attached = vec![genesis];
-        // Peak stored count of each tangle since its index was built: freed
-        // slots are reused, so the index never holds more slots than this.
-        let mut sealed_peak = sealed.len();
-        let mut plain_peak = plain.len();
         // The last `Op::Clone`'s copies of (sealed, plain).
         let mut frozen: Option<(Tangle, Tangle)> = None;
 
@@ -164,9 +157,8 @@ proptest! {
                 Op::Confirm(threshold) => {
                     let a = sealed.confirm_with_threshold(*threshold);
                     let b = plain.confirm_with_threshold(*threshold);
-                    // Attach order is random against id order, prunes free
-                    // slots that later attaches reuse, and restores confirm
-                    // row by row: none of it may reorder the output.
+                    // Attach order is random against id order, and restores
+                    // confirm row by row: neither may reorder the output.
                     prop_assert!(
                         a.windows(2).all(|w| w[0] < w[1]),
                         "op {}: confirmations not in ascending id order", i
@@ -176,18 +168,10 @@ proptest! {
                 Op::Seal(lag) => {
                     sealed.seal_frontier(*lag);
                 }
-                Op::Prune(age) => {
-                    let cutoff = clock.saturating_sub(*age);
-                    let a = sealed.snapshot(cutoff);
-                    let b = plain.snapshot(cutoff);
-                    prop_assert_eq!(a, b, "op {}: prune victim counts differ", i);
-                }
                 Op::Restore => {
-                    let restored = TangleSnapshot::capture(&sealed)
+                    sealed = TangleSnapshot::capture(&sealed)
                         .restore()
                         .expect("captured state restores");
-                    sealed = restored;
-                    sealed_peak = sealed.len();
                 }
                 Op::Unseal => sealed.unseal_all(),
                 Op::Clone => frozen = Some((sealed.clone(), plain.clone())),
@@ -197,10 +181,6 @@ proptest! {
             if let Some((sealed_clone, plain_clone)) = &frozen {
                 assert_equivalent(sealed_clone, plain_clone, &format!("clone, {at}"));
             }
-            sealed_peak = sealed_peak.max(sealed.len());
-            plain_peak = plain_peak.max(plain.len());
-            prop_assert_eq!(sealed.weight_index_slots(), sealed_peak, "{}: sealed slots", at);
-            prop_assert_eq!(plain.weight_index_slots(), plain_peak, "{}: plain slots", at);
         }
         // Ending with a full seal of whatever is confirmed, then a final
         // audit, catches drift that only a trailing seal would expose.
@@ -209,65 +189,13 @@ proptest! {
     }
 }
 
-/// Many attach/confirm/seal/prune cycles on the wide-pool shape: the slot
-/// index is reused, so its size tracks the entries stored at once and not
-/// everything ever attached, and the weights stay exact throughout.
-#[test]
-fn slot_index_does_not_grow_across_prune_cycles() {
-    let mut rng = StdRng::seed_from_u64(0x5107);
-    let mut t = Tangle::new();
-    t.attach_genesis(NodeId([0; 32]), 0);
-    let mut clock = 0u64;
-    let mut peak = t.len();
-    for cycle in 0..40 {
-        for _ in 0..50 {
-            clock += 1;
-            // The oldest tip as trunk keeps stranded tips from piling up;
-            // the branch comes from the wide pool.
-            let trunk = *t
-                .attach_order()
-                .iter()
-                .find(|id| t.tips_set().contains(id))
-                .expect("a tangle always has a tip");
-            let pool = wide_pool(&t);
-            let branch = pool[rng.gen_range(0..pool.len())];
-            let tx = TransactionBuilder::new(NodeId([(clock % 31) as u8 + 1; 32]))
-                .parents(trunk, branch)
-                .payload(Payload::Data(clock.to_be_bytes().to_vec()))
-                .timestamp_ms(clock)
-                .build();
-            t.attach(tx, clock).expect("parents stored");
-            peak = peak.max(t.len());
-        }
-        t.confirm_with_threshold(3);
-        t.seal_frontier(8);
-        t.snapshot(clock.saturating_sub(20));
-        assert_eq!(
-            t.weight_index_slots(),
-            peak,
-            "cycle {cycle}: slots track the peak"
-        );
-        if cycle % 8 == 7 {
-            for tx in t.iter() {
-                let id = tx.id();
-                assert_eq!(t.cumulative_weight(&id), t.cumulative_weight_recount(&id));
-            }
-        }
-    }
-    assert!(
-        (peak as u64) * 4 < t.total_attached(),
-        "index of {peak} slots is not bounded by what is stored ({} attached)",
-        t.total_attached()
-    );
-}
-
 /// `confirm_with_threshold` answers in ascending id order through the
-/// three things that reorder its pending list: attaches in an order
-/// unrelated to id order, a prune whose freed slots later attaches
-/// reuse, and a restore that confirms rows as it re-attaches them. A
-/// never-sealed mirror built by plain attaches must agree at each step.
+/// two things that reorder its pending list: attaches in an order
+/// unrelated to id order, and a restore that confirms rows as it
+/// re-attaches them. A never-sealed mirror built by plain attaches must
+/// agree at each step.
 #[test]
-fn confirmations_stay_in_id_order_across_slot_reuse_and_restore() {
+fn confirmations_stay_in_id_order_across_restore() {
     let mut rng = StdRng::seed_from_u64(0xC0F1);
     let mut t = Tangle::new();
     let mut mirror = Tangle::new();
@@ -290,16 +218,10 @@ fn confirmations_stay_in_id_order_across_slot_reuse_and_restore() {
         let b = mirror.confirm_with_threshold(3);
         assert!(a.windows(2).all(|w| w[0] < w[1]), "round {round}: not ascending");
         assert_eq!(a, b, "round {round}: confirmation sets differ");
-        match round % 3 {
-            // Free slots for the next round's attaches to reuse.
-            0 => {
-                let cutoff = clock.saturating_sub(10);
-                assert_eq!(t.snapshot(cutoff), mirror.snapshot(cutoff));
-            }
+        if round % 3 == 1 {
             // Restore confirms row by row, then the next round confirms
             // what was still pending.
-            1 => t = TangleSnapshot::capture(&t).restore().expect("captured state restores"),
-            _ => {}
+            t = TangleSnapshot::capture(&t).restore().expect("captured state restores");
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Randomized-DAG equivalence suite for the O(walk)-cost tip selection.
 //!
 //! The indexed fast paths (weights from [`Tangle::cumulative_weight`],
-//! starts from the recency index) must be **bit-for-bit** identical to the
+//! starts from the attach order) must be **bit-for-bit** identical to the
 //! legacy `select_tips_recount` oracles (full weight-map rebuild plus
 //! collect-and-sort per selection): both run the same walk code and
 //! consume the caller's RNG identically, so with equal seeds they must
-//! return the exact same tip pair — across attach, confirm, and snapshot
+//! return the exact same tip pair — across attach, confirm and seal
 //! cycles. A divergence means the maintained indices drifted from the
 //! ground truth.
 
@@ -42,7 +42,7 @@ fn grow_random(tangle: &mut Tangle, rng: &mut StdRng, n: usize, t0: u64) {
 }
 
 /// Runs `checkpoint` against a tangle at several points of an
-/// attach → confirm → snapshot life cycle.
+/// attach → confirm → seal life cycle.
 fn with_lifecycle_checkpoints(seed: u64, mut checkpoint: impl FnMut(&Tangle, u64)) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut tangle = Tangle::new();
@@ -53,7 +53,7 @@ fn with_lifecycle_checkpoints(seed: u64, mut checkpoint: impl FnMut(&Tangle, u64
         clock += 41;
         checkpoint(&tangle, seed * 100 + round);
         tangle.confirm_with_threshold(3);
-        tangle.snapshot(clock.saturating_sub(30));
+        tangle.seal_frontier(8);
         checkpoint(&tangle, seed * 100 + round + 50);
     }
 }

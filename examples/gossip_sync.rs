@@ -1,11 +1,11 @@
 //! Two-node tangle synchronization over real TCP loopback sockets.
 //!
 //! Node A plays an established gateway: it grows a DAG of sensor
-//! readings, confirms, and prunes a snapshot — exactly what a long-lived
-//! B-IoT gateway looks like. Node B boots cold, dials A over TCP,
-//! bootstraps the pruned baseline, fetches the live DAG out of order,
-//! solidifies it, and converges to the identical tip set and cumulative
-//! weights. Both nodes then keep exchanging live traffic.
+//! readings, confirms, and seals the confirmed cone — exactly what a
+//! long-lived B-IoT gateway looks like. Node B boots cold, dials A over
+//! TCP, pulls the whole DAG out of order from the tips down to the
+//! genesis, solidifies it, and converges to the identical tip set and
+//! cumulative weights. Both nodes then keep exchanging live traffic.
 //!
 //! Run with: `cargo run --example gossip_sync`
 
@@ -22,7 +22,7 @@ const GROW: u32 = 300;
 const CONFIRM_THRESHOLD: u64 = 8;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- Node A: an established gateway with a pruned history. --------
+    // --- Node A: an established gateway with a sealed history. --------
     let established = Arc::new(Mutex::new(Tangle::new()));
     {
         let mut t = established.lock().unwrap();
@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t.attach(tx, now)?;
             if n == GROW / 2 {
                 t.confirm_with_threshold(CONFIRM_THRESHOLD);
-                let pruned = t.snapshot(now.saturating_sub(1_000));
-                println!("node A: snapshot pruned {pruned} confirmed transactions");
+                t.seal_frontier(16);
+                println!("node A: sealed {} confirmed transactions", t.sealed_len());
             }
         }
         t.confirm_with_threshold(CONFIRM_THRESHOLD);

@@ -2,7 +2,7 @@
 """Acceptance checks for the benchmark reports written under results/.
 
 Usage:
-    python3 scripts/check_reports.py {tangle_scale|mesh|api|runtime} [REPORT]
+    python3 scripts/check_reports.py {tangle_scale|tips|mesh|api|runtime} [REPORT]
 
 Loads REPORT (default: results/BENCH_<name>.json), asserts the report's
 acceptance flags and bounds, and prints one summary line. A failed check
@@ -21,14 +21,33 @@ def tangle_scale(r):
     assert r['sealed_ingest']['oracle_failures'] == 0
     ingest = r['sealed_ingest']
     assert ingest['sealed_len'] > ingest['frontier_len']
-    # The run never prunes: every attach plus the genesis is stored, and
-    # the sealed counter plus the frontier recount must account for each.
+    # The tangle is append-only: every attach plus the genesis is stored,
+    # and the sealed counter plus the frontier recount must account for
+    # each.
     assert ingest['sealed_len'] + ingest['frontier_len'] == ingest['txs'] + 1, \
         f"sealed {ingest['sealed_len']} + frontier {ingest['frontier_len']} " \
         f"!= {ingest['txs']} txs + genesis"
     print('tangle scale acceptance ok:',
           f"{r['sealed_ingest']['tx_per_sec']:.0f} tx/s,",
           f"speedup {r['probe_at_depth']['speedup']}x")
+
+
+def tips(r):
+    rows = r['tangles']
+    for row in rows:
+        # The tangle is append-only: it stores every attach and the genesis.
+        assert row['stored'] == row['attached'] + 1, \
+            f"{row['attached']} attached but {row['stored']} stored"
+    # Depth-constrained selection costs O(walk), not O(ledger): the largest
+    # tangle keeps at least a third of the smallest one's rate.
+    small = rows[0]['depth_constrained']['indexed_per_sec']
+    large = rows[-1]['depth_constrained']['indexed_per_sec']
+    assert large * 3 >= small, \
+        f"depth-constrained {small:.0f}/s at {rows[0]['attached']} txs fell to " \
+        f"{large:.0f}/s at {rows[-1]['attached']}"
+    print('tips acceptance ok:',
+          f"depth-constrained {small:.0f}/s -> {large:.0f}/s",
+          f"from {rows[0]['attached']} to {rows[-1]['attached']} txs")
 
 
 def mesh(r):
@@ -83,7 +102,8 @@ def runtime(r):
           f"first byte p99 {r['first_byte']['event_p99_ms']} ms")
 
 
-CHECKS = {'tangle_scale': tangle_scale, 'mesh': mesh, 'api': api, 'runtime': runtime}
+CHECKS = {'tangle_scale': tangle_scale, 'tips': tips, 'mesh': mesh, 'api': api,
+          'runtime': runtime}
 
 
 def main(argv):

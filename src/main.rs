@@ -76,7 +76,7 @@ fn stats(n: usize) {
     use biot::tangle::stats::ledger_stats;
     let tangle = build_random_tangle(n);
     let s = ledger_stats(&tangle, (n as u64 + 1) * 1000);
-    println!("transactions : {} ({} ever attached)", s.total, s.total_ever);
+    println!("transactions : {}", s.total);
     println!("confirmed    : {} ({:.0}%)", s.confirmed, s.confirmation_ratio() * 100.0);
     println!("tips         : {} (oldest {} ms, mean {:.0} ms)", s.tips, s.oldest_tip_age_ms, s.mean_tip_age_ms);
     println!("weights      : min {} / mean {:.1} / max {}", s.weight_min, s.weight_mean, s.weight_max);
