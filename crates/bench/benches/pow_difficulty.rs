@@ -3,7 +3,7 @@
 //! Expect roughly 2× time per added bit — the exponential shape of the
 //! paper's Fig 7 with our zero-bits difficulty unit.
 
-use biot_core::pow::{solve, verify, Difficulty};
+use biot_core::pow::{meets, pow_hash, solve, Difficulty};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_solve(c: &mut Criterion) {
@@ -27,7 +27,7 @@ fn bench_solve(c: &mut Criterion) {
 fn bench_verify(c: &mut Criterion) {
     let sol = solve(b"verify-target", Difficulty::new(12), 0);
     c.bench_function("pow_verify", |b| {
-        b.iter(|| verify(b"verify-target", sol.nonce, Difficulty::new(12)))
+        b.iter(|| meets(&pow_hash(b"verify-target", sol.nonce), Difficulty::new(12)))
     });
 }
 

@@ -1,11 +1,14 @@
 //! Emits `results/BENCH_rsa.json`: measured naive vs Montgomery modular
-//! exponentiation on 512-bit RSA private-key operations, in a
-//! machine-readable form for tracking across commits.
+//! exponentiation on 512-bit RSA private-key operations, and the cost of
+//! one SHA-256 compression (for reference only: it prices the hashing a
+//! node does per transaction), in a machine-readable form for tracking
+//! across commits.
 //!
 //! Run with: `cargo run -p biot-bench --release --bin crypto_report`
 
 use biot_crypto::bignum::{BigUint, MontgomeryCtx};
 use biot_crypto::rsa::RsaPrivateKey;
+use biot_crypto::sha256::{sha256, BLOCK_LEN};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
@@ -134,6 +137,15 @@ fn main() -> std::io::Result<()> {
         verify_secs * 1e3
     );
 
+    // SHA-256 over a 64 KiB buffer: the per-block cost, the padding
+    // block amortized away.
+    let buf = vec![0x5Au8; 1 << 16];
+    let sha_secs = time_it(200, || {
+        black_box(sha256(black_box(&buf)));
+    });
+    let sha_ns_per_block = sha_secs * 1e9 / (buf.len() / BLOCK_LEN) as f64;
+    println!("sha256           {sha_ns_per_block:.0} ns per 64-byte block");
+
     fs::create_dir_all("results")?;
     let mut f = fs::File::create("results/BENCH_rsa.json")?;
     writeln!(f, "{{")?;
@@ -152,6 +164,9 @@ fn main() -> std::io::Result<()> {
     writeln!(f, "  \"library_ops\": {{")?;
     writeln!(f, "    \"sign_secs\": {sign_secs:.9},")?;
     writeln!(f, "    \"verify_secs\": {verify_secs:.9}")?;
+    writeln!(f, "  }},")?;
+    writeln!(f, "  \"sha256\": {{")?;
+    writeln!(f, "    \"ns_per_block\": {sha_ns_per_block:.1}")?;
     writeln!(f, "  }}")?;
     writeln!(f, "}}")?;
     println!("wrote results/BENCH_rsa.json");

@@ -16,19 +16,18 @@ use biot_credit::{CreditBreakdown, CreditEvent, CreditLedger, CreditParams, Misb
 use crate::difficulty::DifficultyPolicy;
 use crate::identity::Account;
 use crate::keydist::{KeyDistConfig, ManagerSession, Message1, Message2, Message3};
-use crate::pow::{solve, verify, Difficulty};
+use crate::pow::{meets, solve, Difficulty};
 use crate::ratelimit::{RateLimitConfig, RateLimiter};
 use biot_crypto::rsa::RsaPublicKey;
 use biot_net::time::SimTime;
 use biot_tangle::conflict::{LazyTipPolicy, LazyVerdict};
 use biot_tangle::graph::{Tangle, TangleError};
 use biot_tangle::tips::{SelectorConfig, TipSelector};
-use biot_tangle::tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
+use biot_tangle::tx::{IdentifiedTx, NodeId, Payload, Transaction, TransactionBuilder, TxId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Why a gateway refused a submission.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -160,8 +159,8 @@ pub struct Gateway {
     stats: GatewayStats,
     /// Accepted transactions awaiting pickup by a gossip layer (filled
     /// only when [`GatewayConfig::record_broadcasts`] is on), as handles
-    /// on the bodies the tangle stores.
-    outbox: Vec<Arc<Transaction>>,
+    /// on the bodies the tangle stores, with their ids.
+    outbox: Vec<IdentifiedTx>,
     /// Applied credit events awaiting pickup by the persistence or
     /// gossip layer (filled only when
     /// [`GatewayConfig::record_credit_events`] is on).
@@ -237,7 +236,7 @@ impl Gateway {
         let primary = crate::identity::node_id_of(self.authz.manager_pk());
         let id = self.tangle.attach_genesis(primary, now.as_millis());
         if self.config.record_broadcasts {
-            self.outbox.extend(self.tangle.get_shared(&id));
+            self.outbox.extend(self.tangle.get_identified(&id));
         }
         id
     }
@@ -279,9 +278,9 @@ impl Gateway {
     /// (see `biot-gossip`) calls this periodically and announces the
     /// drained transactions to peers. Empty unless
     /// [`GatewayConfig::record_broadcasts`] is set. Each is a handle on
-    /// the body this gateway's tangle stores, so a gossip tangle that
-    /// attaches it shares that body.
-    pub fn take_broadcasts(&mut self) -> Vec<Arc<Transaction>> {
+    /// the body this gateway's tangle stores, with its id, so a gossip
+    /// tangle that attaches it shares that body and hashes nothing.
+    pub fn take_broadcasts(&mut self) -> Vec<IdentifiedTx> {
         std::mem::take(&mut self.outbox)
     }
 
@@ -394,6 +393,11 @@ impl Gateway {
                 }
             }
         }
+        // The id is the digest the issuer signed and the Eqn 6 PoW hash
+        // (DESIGN §7.6). Hashed once, here, after the cheap gates; the
+        // signature check, the PoW check and the attach all read it.
+        let tx = IdentifiedTx::from(tx);
+        let digest = tx.id().0;
         // 2. Signature, when the issuer's key is known — after the cheap
         //    gates, so rate-limited floods never cost a signature
         //    verification. Managers and devices live in separate maps, so
@@ -403,28 +407,25 @@ impl Gateway {
         } else {
             self.directory.get(&issuer)
         };
-        if key.is_some_and(|pk| !pk.verify(&tx.signing_bytes(), &tx.signature)) {
+        if key.is_some_and(|pk| !pk.verify_digest(&digest, &tx.signature)) {
             self.stats.rejected_bad_signature += 1;
             return Err(SubmitError::BadSignature(issuer));
         }
         // 3. Credit-based PoW check, against the difficulty the issuer's
         //    credit demands *right now*.
         let required = self.difficulty_for(issuer, now);
-        if !verify(&tx.pow_preimage(), tx.nonce, required) {
+        if !meets(&digest, required) {
             self.stats.rejected_insufficient_pow += 1;
             return Err(SubmitError::InsufficientPow { required });
         }
         // 4. Lazy-tip judgement (before attach — see LazyTipPolicy docs).
         let verdict = self.config.lazy_policy.judge(&self.tangle, &tx, now.as_millis());
         // 5. Attach; a double-spend is both rejected and punished.
+        let accepted = self.config.record_broadcasts.then(|| tx.clone());
         match self.tangle.attach(tx, now.as_millis()) {
             Ok(id) => {
                 self.stats.accepted += 1;
-                if self.config.record_broadcasts {
-                    if let Some(accepted) = self.tangle.get_shared(&id) {
-                        self.outbox.push(accepted);
-                    }
-                }
+                self.outbox.extend(accepted);
                 if let LazyVerdict::Lazy(_) = verdict {
                     self.stats.lazy_punished += 1;
                     self.apply_credit_event(CreditEvent::misbehaved(
@@ -485,11 +486,12 @@ impl Gateway {
     /// Gossip receipt from a peer gateway: attach without credit effects
     /// (the originating gateway already did the bookkeeping).
     ///
-    /// Returns `Ok` for duplicates (idempotent sync). Pass an `Arc` (from
-    /// [`Tangle::get_shared`]) to share the body with its other holder.
+    /// Returns `Ok` for duplicates (idempotent sync). Pass an
+    /// [`IdentifiedTx`] (from [`Tangle::get_identified`]) to share the
+    /// body with its other holder and reuse its id.
     pub fn receive_broadcast(
         &mut self,
-        tx: impl Into<Arc<Transaction>>,
+        tx: impl Into<IdentifiedTx>,
         now: SimTime,
     ) -> Result<(), TangleError> {
         let tx = tx.into();
@@ -647,7 +649,7 @@ impl LightNode {
         if tx.trunk == TxId::GENESIS_PARENT || tx.branch == TxId::GENESIS_PARENT {
             return false;
         }
-        verify(&tx.pow_preimage(), tx.nonce, min_difficulty)
+        meets(&tx.id().0, min_difficulty)
     }
 
     /// Builds, mines, and signs a sensor-data transaction on the given
@@ -972,6 +974,38 @@ mod tests {
             }
             Err(e) => panic!("unexpected error {e}"),
         }
+    }
+
+    /// The PoW gate reads the id: exactly `required` leading zero bits
+    /// pass, one fewer is `InsufficientPow`.
+    #[test]
+    fn pow_gate_boundary_is_exact() {
+        let (mut w, _) = world(4);
+        let tips = w.gateway.random_tips(&mut w.rng).unwrap();
+        let required = w.gateway.difficulty_for(w.device.id(), t(1));
+        let draft = TransactionBuilder::new(w.device.id())
+            .parents(tips.0, tips.1)
+            .payload(Payload::Data(b"boundary".to_vec()))
+            .timestamp_ms(t(1).as_millis())
+            .build();
+        let hasher = crate::pow::PowHasher::new(&draft.pow_preimage());
+        let mined_at = |bits: u32| {
+            let nonce = (0u64..)
+                .find(|&n| biot_crypto::sha256::leading_zero_bits(&hasher.hash(n)) == bits)
+                .expect("some nonce has exactly that many leading zero bits");
+            let mut tx = draft.clone();
+            tx.nonce = nonce;
+            tx.signature = w.device.account().sign(&tx.signing_bytes());
+            tx
+        };
+        let short = mined_at(required.bits() - 1);
+        let exact = mined_at(required.bits());
+        assert_eq!(
+            w.gateway.submit(short, t(1)),
+            Err(SubmitError::InsufficientPow { required })
+        );
+        let id = exact.id();
+        assert_eq!(w.gateway.submit(exact, t(1)), Ok(id));
     }
 
     #[test]

@@ -90,11 +90,11 @@ pub struct PowSolution {
 /// # Examples
 ///
 /// ```
-/// use biot_core::pow::{solve, verify, Difficulty};
+/// use biot_core::pow::{meets, pow_hash, solve, Difficulty};
 ///
 /// let d = Difficulty::new(8);
 /// let solution = solve(b"tx-bundle", d, 0);
-/// assert!(verify(b"tx-bundle", solution.nonce, d));
+/// assert!(meets(&pow_hash(b"tx-bundle", solution.nonce), d));
 /// ```
 pub fn solve(preimage: &[u8], difficulty: Difficulty, start_nonce: u64) -> PowSolution {
     let hasher = PowHasher::new(preimage);
@@ -103,16 +103,18 @@ pub fn solve(preimage: &[u8], difficulty: Difficulty, start_nonce: u64) -> PowSo
     loop {
         let hash = hasher.hash(nonce);
         trials += 1;
-        if leading_zero_bits(&hash) >= difficulty.bits() {
+        if meets(&hash, difficulty) {
             return PowSolution { nonce, hash, trials };
         }
         nonce = nonce.wrapping_add(1);
     }
 }
 
-/// Verifies that `nonce` satisfies `difficulty` for `preimage`.
-pub fn verify(preimage: &[u8], nonce: u64, difficulty: Difficulty) -> bool {
-    leading_zero_bits(&pow_hash(preimage, nonce)) >= difficulty.bits()
+/// True when the PoW digest `hash` (see [`pow_hash`]) has the leading
+/// zero bits `difficulty` demands. A transaction's id is its PoW digest,
+/// so a holder of the id checks its PoW without hashing again.
+pub fn meets(hash: &[u8; 32], difficulty: Difficulty) -> bool {
+    leading_zero_bits(hash) >= difficulty.bits()
 }
 
 /// A reusable PoW hasher that compresses `preimage` once and replays
@@ -195,7 +197,7 @@ mod tests {
         for d in [1u32, 4, 8, 12] {
             let diff = Difficulty::new(d);
             let sol = solve(b"test preimage", diff, 0);
-            assert!(verify(b"test preimage", sol.nonce, diff), "D={d}");
+            assert!(meets(&sol.hash, diff), "D={d}");
             assert!(sol.trials >= 1);
             assert_eq!(sol.hash, pow_hash(b"test preimage", sol.nonce));
         }
@@ -204,7 +206,7 @@ mod tests {
     #[test]
     fn harder_difficulty_also_satisfies_easier() {
         let sol = solve(b"x", Difficulty::new(10), 0);
-        assert!(verify(b"x", sol.nonce, Difficulty::new(5)));
+        assert!(meets(&sol.hash, Difficulty::new(5)));
     }
 
     #[test]
@@ -215,9 +217,9 @@ mod tests {
         // solution (solve scans upward from 0 and returns the first hit),
         // unless the solution was nonce 0 itself.
         if sol.nonce > 0 {
-            assert!(!verify(b"y", sol.nonce - 1, diff));
+            assert!(!meets(&pow_hash(b"y", sol.nonce - 1), diff));
         }
-        assert!(!verify(b"different preimage", sol.nonce, diff));
+        assert!(!meets(&pow_hash(b"different preimage", sol.nonce), diff));
     }
 
     #[test]

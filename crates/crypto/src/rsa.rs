@@ -201,6 +201,16 @@ impl RsaPublicKey {
     /// Returns `false` for any malformed or mismatching signature; never
     /// panics on attacker-controlled input.
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
+        self.verify_digest(&sha256(message), signature)
+    }
+
+    /// Verifies a signature over the message whose SHA-256 is `digest`,
+    /// for a caller that already holds that digest (a transaction id is
+    /// the digest of the bytes its issuer signs).
+    ///
+    /// Returns `false` for any malformed or mismatching signature; never
+    /// panics on attacker-controlled input.
+    pub fn verify_digest(&self, digest: &[u8; 32], signature: &[u8]) -> bool {
         let k = self.modulus_len();
         if signature.len() != k {
             return false;
@@ -210,7 +220,7 @@ impl RsaPublicKey {
             return false;
         }
         let em = self.public_op(&s).to_bytes_be_padded(k);
-        let expected = signature_payload(message, k);
+        let expected = signature_payload(digest, k);
         crate::sha256::ct_eq(&em, &expected)
     }
 }
@@ -298,7 +308,7 @@ impl RsaPrivateKey {
     /// exponentiation). Output length equals the modulus length.
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
         let k = self.public.modulus_len();
-        let em = signature_payload(message, k);
+        let em = signature_payload(&sha256(message), k);
         let m = BigUint::from_bytes_be(&em);
         debug_assert!(m < self.public.n);
         let s = self.private_op(&m);
@@ -385,9 +395,9 @@ impl RsaPrivateKey {
 }
 
 /// Builds the deterministic signature block:
-/// `0x00 || 0x01 || 0xFF.. || 0x00 || "SHA256::" || H(message)`.
-fn signature_payload(message: &[u8], k: usize) -> Vec<u8> {
-    let digest = sha256(message);
+/// `0x00 || 0x01 || 0xFF.. || 0x00 || "SHA256::" || digest`, where
+/// `digest` is the message's SHA-256.
+fn signature_payload(digest: &[u8; 32], k: usize) -> Vec<u8> {
     let t_len = DIGEST_INFO_SHA256.len() + digest.len();
     let mut em = Vec::with_capacity(k);
     em.push(0x00);
@@ -396,7 +406,7 @@ fn signature_payload(message: &[u8], k: usize) -> Vec<u8> {
     em.extend(std::iter::repeat_n(0xFF, ps_len));
     em.push(0x00);
     em.extend_from_slice(DIGEST_INFO_SHA256);
-    em.extend_from_slice(&digest);
+    em.extend_from_slice(digest);
     em
 }
 

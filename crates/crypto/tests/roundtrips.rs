@@ -81,6 +81,36 @@ proptest! {
         prop_assert!(!sk.public().verify(&msg, &bad));
     }
 
+    /// `verify_digest` on a message's SHA-256 decides exactly as `verify`
+    /// on the message: valid, forged and truncated signatures alike.
+    #[test]
+    fn rsa_verify_digest_agrees_with_verify(
+        msg in proptest::collection::vec(any::<u8>(), 0..256),
+        cut in 1usize..64,
+    ) {
+        let sk = shared_key();
+        let pk = sk.public();
+        let digest = sha256(&msg);
+        let valid = sk.sign(&msg);
+        prop_assert!(pk.verify_digest(&digest, &valid));
+        let mut flipped = valid.clone();
+        flipped[msg.len() % valid.len()] ^= 0x80;
+        let mut other = msg.clone();
+        other.push(0x01);
+        let bad = [
+            flipped,
+            sk.sign(&other),
+            vec![0xFF; valid.len()],
+            valid[..valid.len() - cut].to_vec(),
+            valid[cut..].to_vec(),
+            Vec::new(),
+        ];
+        for sig in &bad {
+            prop_assert!(!pk.verify_digest(&digest, sig));
+            prop_assert!(!pk.verify(&msg, sig));
+        }
+    }
+
     #[test]
     fn sha256_is_deterministic_and_sensitive(
         data in proptest::collection::vec(any::<u8>(), 1..256),

@@ -49,7 +49,7 @@ use crate::wire::{decode_msg, encode_msg, Message};
 use biot_credit::{CreditEvent, CreditId};
 use biot_reactor::DeadlineQueue;
 use biot_tangle::graph::{Tangle, TangleError};
-use biot_tangle::tx::{Transaction, TxId};
+use biot_tangle::tx::{IdentifiedTx, Transaction, TxId};
 use credit::OriginLog;
 use peers::{Conn, PeerSlot};
 use rand::rngs::StdRng;
@@ -484,10 +484,11 @@ impl GossipNode {
     /// (e.g. a simulated client submitting at this node). Unlike
     /// [`attach_local`](Self::attach_local) it tolerates missing parents:
     /// the transaction takes the same solidification path as one received
-    /// from a peer, and is relayed onward once attached. Pass an `Arc`
-    /// (say, from the submitting gateway's own tangle) and the gossip
-    /// tangle shares that body instead of storing a second copy.
-    pub fn submit(&mut self, tx: impl Into<Arc<Transaction>>, attach_ms: u64, now_ms: u64) {
+    /// from a peer, and is relayed onward once attached. Pass an
+    /// [`IdentifiedTx`] (say, from the submitting gateway's outbox) and the
+    /// gossip tangle shares that body and its id instead of storing a
+    /// second copy and hashing it again.
+    pub fn submit(&mut self, tx: impl Into<IdentifiedTx>, attach_ms: u64, now_ms: u64) {
         self.ingest(None, tx.into(), attach_ms, now_ms);
     }
 
@@ -685,7 +686,7 @@ impl GossipNode {
             }
             Message::GetTxs(ids) => self.serve_txs(i, &ids, now_ms),
             Message::TxPayload { attach_ms, tx } => {
-                self.ingest(Some(i), Arc::new(tx), attach_ms, now_ms)
+                self.ingest(Some(i), tx.into(), attach_ms, now_ms)
             }
             Message::GetTips => {
                 let tips = self.tips();

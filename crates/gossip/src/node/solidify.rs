@@ -5,9 +5,8 @@
 use super::GossipNode;
 use crate::wire::Message;
 use biot_tangle::graph::TangleError;
-use biot_tangle::tx::{Transaction, TxId};
+use biot_tangle::tx::{IdentifiedTx, TxId};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Cap on ids in one `Tips` frame (stays well under the frame limit).
 const MAX_IDS_PER_TIPS: usize = 4_096;
@@ -21,7 +20,7 @@ pub(super) struct Requested {
 
 /// A transaction waiting for its parents.
 pub(super) struct PendingTx {
-    tx: Arc<Transaction>,
+    tx: IdentifiedTx,
     attach_ms: u64,
     missing: BTreeSet<TxId>,
     /// Arrival order, for oldest-first eviction.
@@ -90,18 +89,19 @@ impl GossipNode {
 
     /// A transaction arrived — from peer `from`, or from outside the
     /// gossip layer (`None`, see [`submit`](Self::submit)): attach it, or
-    /// buffer it until its parents arrive.
+    /// buffer it until its parents arrive. Its id was derived once, where
+    /// it was decoded or admitted, and every step here reuses it.
     pub(super) fn ingest(
         &mut self,
         from: Option<usize>,
-        tx: Arc<Transaction>,
+        tx: IdentifiedTx,
         attach_ms: u64,
         now_ms: u64,
     ) {
         let id = tx.id();
         self.seen.note(id.0, from);
         if tx.is_genesis() {
-            self.ingest_genesis(from, id, &tx, now_ms);
+            self.ingest_genesis(from, &tx, now_ms);
             return;
         }
         let missing: Option<BTreeSet<TxId>> = {
@@ -123,7 +123,7 @@ impl GossipNode {
             return;
         }
         if missing.is_empty() {
-            self.try_attach_resolved(from, id, tx, attach_ms, now_ms);
+            self.try_attach_resolved(from, tx, attach_ms, now_ms);
             return;
         }
         // Buffer and chase the missing ancestors.
@@ -150,19 +150,15 @@ impl GossipNode {
         }
     }
 
-    /// `claimed` is `tx.id()`, already computed by the caller.
-    fn ingest_genesis(
-        &mut self,
-        from: Option<usize>,
-        claimed: TxId,
-        tx: &Transaction,
-        now_ms: u64,
-    ) {
+    fn ingest_genesis(&mut self, from: Option<usize>, tx: &IdentifiedTx, now_ms: u64) {
+        let claimed = tx.id();
         let rebuilt = {
             let mut t = self.lock_tangle();
             // A genesis is fully determined by (issuer, timestamp); rebuild
             // it locally so the id provably matches the peer's ledger.
-            t.genesis().is_none().then(|| t.attach_genesis(tx.issuer, tx.timestamp_ms))
+            t.genesis()
+                .is_none()
+                .then(|| t.attach_genesis(tx.issuer, tx.timestamp_ms))
         };
         self.requested.remove(&claimed);
         let Some(rebuilt) = rebuilt else {
@@ -179,16 +175,15 @@ impl GossipNode {
     }
 
     /// Attaches a transaction whose parents are all present, then
-    /// cascades through everything that was waiting on it. `id` is
-    /// `tx.id()`, already computed by the caller.
+    /// cascades through everything that was waiting on it.
     fn try_attach_resolved(
         &mut self,
         from: Option<usize>,
-        id: TxId,
-        tx: Arc<Transaction>,
+        tx: IdentifiedTx,
         attach_ms: u64,
         now_ms: u64,
     ) {
+        let id = tx.id();
         self.requested.remove(&id);
         let result = self.lock_tangle().attach(tx, attach_ms);
         match result {

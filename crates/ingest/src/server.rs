@@ -163,6 +163,22 @@ pub struct PollProgress {
 enum Entry {
     Queued(Transaction),
     Immediate(AckResult),
+    /// A queued transaction whose body moved into the gateway batch: it
+    /// marks where the batch's result goes in the ack.
+    Submitted,
+}
+
+impl Entry {
+    /// Moves a queued body out, leaving [`Entry::Submitted`] in its place.
+    fn take_queued(&mut self) -> Option<Transaction> {
+        match std::mem::replace(self, Entry::Submitted) {
+            Entry::Queued(tx) => Some(tx),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
 }
 
 /// One client submission (`SubmitTx` or `SubmitBatch`), acked as a unit.
@@ -443,12 +459,8 @@ impl IngestServer {
                 if !txs.is_empty() && txs.len() + n > self.config.batch_max {
                     break;
                 }
-                let sub = self.pending.pop_front().expect("front exists");
-                for e in &sub.entries {
-                    if let Entry::Queued(tx) = e {
-                        txs.push(tx.clone());
-                    }
-                }
+                let mut sub = self.pending.pop_front().expect("front exists");
+                txs.extend(sub.entries.iter_mut().filter_map(Entry::take_queued));
                 subs.push(sub);
                 if txs.len() >= self.config.batch_max {
                     break;
@@ -477,7 +489,8 @@ impl IngestServer {
                 for entry in sub.entries {
                     match entry {
                         Entry::Immediate(r) => acks.push(r),
-                        Entry::Queued(_) => {
+                        Entry::Queued(_) => unreachable!("drain moved every queued body"),
+                        Entry::Submitted => {
                             queued += 1;
                             match results.next().expect("one result per queued tx") {
                                 Ok(id) => {

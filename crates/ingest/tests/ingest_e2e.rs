@@ -199,6 +199,64 @@ fn server_admissions_bit_identical_to_direct_submit_batch() {
     assert_eq!(acked_ids, logged_ids);
 }
 
+/// One batch frame whose entries are decided in two places: the front
+/// end's token bucket refuses the tail at once, and the gateway judges
+/// the rest, one of them a forged signature. The ack carries every
+/// verdict at its transaction's position in the frame, and the accepted
+/// ids are the transactions' own.
+#[test]
+fn mixed_front_end_and_gateway_verdicts_ack_in_frame_order() {
+    let world = build_world(0xAC_0DE5, 2, 6);
+    let mut gateway = world.gateway;
+    let mut txs = world.pool;
+    txs[1].signature[0] ^= 0xFF;
+    let ids: Vec<_> = txs.iter().map(Transaction::id).collect();
+    let mut server = IngestServer::bind(
+        "127.0.0.1:0",
+        IngestConfig {
+            // The first three entries reach the gateway, the rest bounce.
+            rate_limit: Some(RateLimitConfig {
+                burst: 3.0,
+                per_second: 0.001,
+            }),
+            ..IngestConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+
+    let done = Arc::new(AtomicUsize::new(0));
+    let client_done = Arc::clone(&done);
+    let client = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let last = txs.pop().expect("six transactions");
+        write_frame(&mut stream, &encode_client(&ClientMsg::SubmitBatch(txs)));
+        write_frame(&mut stream, &encode_client(&ClientMsg::SubmitTx(last)));
+        let acks = (read_ack(&mut stream), read_ack(&mut stream));
+        client_done.fetch_add(1, Ordering::Release);
+        acks
+    });
+    serve_until_done(&mut server, &mut gateway, &done, 1);
+    let (batch, single) = client.join().expect("client");
+
+    assert_eq!(
+        batch,
+        vec![
+            AckResult::accepted(ids[0]),
+            AckResult::rejected(AckCode::BadSignature),
+            AckResult::accepted(ids[2]),
+            AckResult::rejected(AckCode::RateLimited),
+            AckResult::rejected(AckCode::RateLimited),
+        ]
+    );
+    assert_eq!(single, vec![AckResult::rejected(AckCode::RateLimited)]);
+    assert!(gateway.tangle().contains(&ids[0]) && gateway.tangle().contains(&ids[2]));
+    assert_eq!(server.inflight(), 0, "every queued entry was answered");
+}
+
 /// A client that pipelines far more frames than `frames_per_tick` and
 /// only then starts reading acks. The transport drains the whole kernel
 /// buffer into userspace on first contact, so every frame past the

@@ -37,10 +37,9 @@ use biot_ingest::protocol::{decode_server, encode_client, ClientMsg, ServerMsg};
 use biot_ingest::{IngestConfig, IngestServer};
 use biot_net::time::SimTime;
 use biot_store::{LedgerStore, RecoveredState, StoreError};
-use biot_tangle::tx::{NodeId, Payload, Transaction, TxId};
+use biot_tangle::tx::{IdentifiedTx, NodeId, Payload, Transaction, TxId};
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Minimum of two optional deadlines (absolute ms) — `None` means "no
 /// timed work", so it never wins.
@@ -577,14 +576,15 @@ impl ValidationNode {
         // Mesh → gateway. The shared tangle's attach order is
         // parent-before-child, so mirroring in order always solidifies.
         // Own broadcasts come back around and are skipped by id; the rest
-        // go over as handles, so both tangles share one body.
+        // go over as handles with their ids, so both tangles share one
+        // body and the gateway's attach hashes nothing.
         let (new_txs, order_len) = {
             let tangle = self.gossip.tangle().lock().unwrap();
             let order = tangle.attach_order();
-            let new: Vec<Arc<Transaction>> = order[self.mirrored.min(order.len())..]
+            let new: Vec<IdentifiedTx> = order[self.mirrored.min(order.len())..]
                 .iter()
                 .filter(|id| !self.gateway.tangle().contains(id))
-                .filter_map(|id| tangle.get_shared(id))
+                .filter_map(|id| tangle.get_identified(id))
                 .collect();
             (new, order.len())
         };
@@ -740,6 +740,7 @@ mod tests {
     use biot_tangle::conflict::LazyTipPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn test_gateway(seed: u64) -> (Gateway, Manager, Vec<LightClient>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -853,10 +854,9 @@ mod tests {
         // attached it first.
         let gossip = node.gossip().tangle().lock().unwrap();
         for id in [own, mesh] {
-            let shared = Arc::ptr_eq(
-                &gossip.get_shared(&id).unwrap(),
-                &node.gateway().tangle().get_shared(&id).unwrap(),
-            );
+            let (_, mesh_body) = gossip.get_identified(&id).unwrap().into_parts();
+            let own = node.gateway().tangle().get_identified(&id).unwrap();
+            let shared = Arc::ptr_eq(&mesh_body, &own.into_parts().1);
             assert!(shared, "{id:?} is stored twice");
         }
     }

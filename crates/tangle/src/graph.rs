@@ -2,7 +2,7 @@
 //! tracking, weights, confirmation and conflict (double-spend) detection.
 
 use crate::slots::{SlotIndex, NO_SLOT};
-use crate::tx::{Payload, Transaction, TxId};
+use crate::tx::{IdentifiedTx, Payload, Transaction, TxId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -256,8 +256,9 @@ impl Tangle {
     /// Validates and attaches `tx`, returning its id.
     ///
     /// On success the transaction becomes a tip and its parents stop being
-    /// tips. Pass an `Arc` to share a body another holder already keeps
-    /// (see [`Tangle::get_shared`]); a plain `Transaction` is moved in.
+    /// tips. Pass an [`IdentifiedTx`] to reuse the id its holder already
+    /// derived and share its body (see [`Tangle::get_identified`]); a plain
+    /// `Transaction` or `Arc<Transaction>` is hashed here.
     ///
     /// # Errors
     ///
@@ -271,11 +272,10 @@ impl Tangle {
     ///   punisher.
     pub fn attach(
         &mut self,
-        tx: impl Into<Arc<Transaction>>,
+        tx: impl Into<IdentifiedTx>,
         now_ms: u64,
     ) -> Result<TxId, TangleError> {
-        let tx = tx.into();
-        let id = tx.id();
+        let (id, tx) = tx.into().into_parts();
         if self.entry(&id).is_some() {
             return Err(TangleError::Duplicate(id));
         }
@@ -388,11 +388,12 @@ impl Tangle {
         self.entry(id).map(|e| &*e.tx)
     }
 
-    /// Looks up a transaction as a shared handle on the stored body: hand
-    /// it to another tangle's [`Tangle::attach`] (or any other holder) and
-    /// both keep one copy.
-    pub fn get_shared(&self, id: &TxId) -> Option<Arc<Transaction>> {
-        self.entry(id).map(|e| Arc::clone(&e.tx))
+    /// Looks up a transaction as a shared handle on the stored body,
+    /// paired with its id: hand it to another tangle's [`Tangle::attach`]
+    /// (or any other holder) and both keep one copy, hashed once.
+    pub fn get_identified(&self, id: &TxId) -> Option<IdentifiedTx> {
+        self.entry(id)
+            .map(|e| IdentifiedTx::stored(*id, Arc::clone(&e.tx)))
     }
 
     /// Returns true if `id` is attached.
@@ -943,15 +944,18 @@ mod tests {
     }
 
     #[test]
-    fn get_shared_hands_out_the_stored_body() {
+    fn get_identified_hands_out_the_stored_body() {
         let (mut t, g) = with_genesis();
         let a = t.attach(data_tx(1, g, g, 1), 1).unwrap();
-        let body = t.get_shared(&a).unwrap();
+        let stored = t.get_identified(&a).unwrap();
+        assert_eq!(stored.id(), a);
+        let (_, body) = stored.clone().into_parts();
         let mut replica = Tangle::new();
         replica.attach_genesis(node(0), 0);
-        replica.attach(Arc::clone(&body), 1).unwrap();
-        assert!(Arc::ptr_eq(&replica.get_shared(&a).unwrap(), &body), "one body, two tangles");
-        assert!(t.get_shared(&TxId([9; 32])).is_none());
+        assert_eq!(replica.attach(stored, 1), Ok(a));
+        let (_, copy) = replica.get_identified(&a).unwrap().into_parts();
+        assert!(Arc::ptr_eq(&copy, &body), "one body, two tangles");
+        assert!(t.get_identified(&TxId([9; 32])).is_none());
     }
 
     #[test]

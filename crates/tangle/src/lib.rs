@@ -8,7 +8,8 @@
 //!
 //! ## Modules
 //!
-//! * [`tx`] — transactions, ids, payloads, builder.
+//! * [`tx`] — transactions, ids, payloads, builder, and
+//!   [`tx::IdentifiedTx`], a body paired with the id derived from it.
 //! * [`graph`] — the [`graph::Tangle`] store: attach, tips, cumulative
 //!   weight, confirmation, double-spend rejection, snapshots.
 //! * [`tips`] — tip-selection strategies (uniform, weighted MCMC,
@@ -55,4 +56,4 @@ pub mod tx;
 
 pub use graph::{SealError, SealStats, Tangle, TangleError, TxStatus};
 pub use snapshot::TangleSnapshot;
-pub use tx::{NodeId, Payload, Transaction, TransactionBuilder, TxId};
+pub use tx::{IdentifiedTx, NodeId, Payload, Transaction, TransactionBuilder, TxId};

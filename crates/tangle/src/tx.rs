@@ -7,9 +7,10 @@
 //! and detaches it from its approvers — the tamper-evidence the paper
 //! relies on.
 
-use biot_crypto::sha256::{sha256, to_hex};
+use biot_crypto::sha256::{to_hex, Sha256};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A 32-byte transaction identifier (SHA-256 of the canonical encoding).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -105,39 +106,58 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Canonical bytes hashed into the transaction id.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Hands the canonical bytes to `sink` piece by piece, without
+    /// joining them: the one definition of the encoding that
+    /// [`canonical_bytes`](Self::canonical_bytes), [`len`](Self::len) and
+    /// the transaction id all read.
+    fn canonical_pieces(&self, mut sink: impl FnMut(&[u8])) {
         match self {
             Payload::Data(d) => {
-                out.push(0);
-                out.extend_from_slice(d);
+                sink(&[0]);
+                sink(d);
             }
             Payload::EncryptedData { iv, ciphertext } => {
-                out.push(1);
-                out.extend_from_slice(iv);
-                out.extend_from_slice(ciphertext);
+                sink(&[1]);
+                sink(iv);
+                sink(ciphertext);
             }
             Payload::Spend { token, to } => {
-                out.push(2);
-                out.extend_from_slice(token);
-                out.extend_from_slice(&to.0);
+                sink(&[2]);
+                sink(token);
+                sink(&to.0);
             }
             Payload::AuthList { devices, signature } => {
-                out.push(3);
+                sink(&[3]);
                 for d in devices {
-                    out.extend_from_slice(&d.0);
+                    sink(&d.0);
                 }
-                out.push(0xFF);
-                out.extend_from_slice(signature);
+                sink(&[0xFF]);
+                sink(signature);
             }
         }
+    }
+
+    /// Canonical bytes hashed into the transaction id.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        self.canonical_pieces(|piece| out.extend_from_slice(piece));
         out
+    }
+
+    /// SHA-256 of [`canonical_bytes`](Self::canonical_bytes), streamed.
+    fn digest(&self) -> [u8; 32] {
+        let mut h = Sha256::new();
+        self.canonical_pieces(|piece| {
+            h.update(piece);
+        });
+        h.finalize()
     }
 
     /// Approximate serialized size in bytes (for throughput accounting).
     pub fn len(&self) -> usize {
-        self.canonical_bytes().len()
+        let mut n = 0;
+        self.canonical_pieces(|piece| n += piece.len());
+        n
     }
 
     /// Returns true for zero-length data payloads.
@@ -167,30 +187,49 @@ pub struct Transaction {
     pub signature: Vec<u8>,
 }
 
+/// Length of [`Transaction::pow_preimage`]: issuer, trunk, branch, payload
+/// digest and the 8-byte timestamp.
+const POW_PREIMAGE_LEN: usize = 4 * 32 + 8;
+
 impl Transaction {
+    /// Hands the PoW pre-image to `sink` piece by piece: the one
+    /// definition of the encoding that [`pow_preimage`](Self::pow_preimage),
+    /// [`signing_bytes`](Self::signing_bytes) and [`id`](Self::id) read.
+    fn preimage_pieces(&self, mut sink: impl FnMut(&[u8])) {
+        sink(&self.issuer.0);
+        sink(&self.trunk.0);
+        sink(&self.branch.0);
+        sink(&self.payload.digest());
+        sink(&self.timestamp_ms.to_be_bytes());
+    }
+
     /// Canonical encoding of everything except the nonce and signature —
     /// the PoW pre-image per Eqn 6 hashes this together with the nonce.
     pub fn pow_preimage(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.issuer.0);
-        out.extend_from_slice(&self.trunk.0);
-        out.extend_from_slice(&self.branch.0);
-        out.extend_from_slice(&sha256(&self.payload.canonical_bytes()));
-        out.extend_from_slice(&self.timestamp_ms.to_be_bytes());
+        let mut out = Vec::with_capacity(POW_PREIMAGE_LEN);
+        self.preimage_pieces(|piece| out.extend_from_slice(piece));
         out
     }
 
     /// Bytes covered by the issuer's signature (everything except the
     /// signature itself).
     pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut out = self.pow_preimage();
+        let mut out = Vec::with_capacity(POW_PREIMAGE_LEN + 8);
+        self.preimage_pieces(|piece| out.extend_from_slice(piece));
         out.extend_from_slice(&self.nonce.to_be_bytes());
         out
     }
 
-    /// Computes the transaction id: SHA-256 over the signed encoding.
+    /// Computes the transaction id: SHA-256 over the signed encoding, fed
+    /// to the hasher field by field. The same digest is the Eqn 6 PoW
+    /// hash and the digest the issuer signs.
     pub fn id(&self) -> TxId {
-        TxId(sha256(&self.signing_bytes()))
+        let mut h = Sha256::new();
+        self.preimage_pieces(|piece| {
+            h.update(piece);
+        });
+        h.update(&self.nonce.to_be_bytes());
+        TxId(h.finalize())
     }
 
     /// The two parents as an array `[trunk, branch]`.
@@ -201,6 +240,57 @@ impl Transaction {
     /// True when this transaction is its own genesis (both parents zero).
     pub fn is_genesis(&self) -> bool {
         self.trunk == TxId::GENESIS_PARENT && self.branch == TxId::GENESIS_PARENT
+    }
+}
+
+/// A shared transaction body together with its id.
+///
+/// The id is the SHA-256 that admission checks the PoW and the signature
+/// against and every attach stores the body under, so a node derives it
+/// once, when the transaction reaches it, and hands this value along.
+/// Only two things build one: hashing the body (`From<Transaction>`,
+/// `From<Arc<Transaction>>`) and a tangle pairing a stored body with the
+/// id it is stored under. No caller can supply a stale or forged id.
+#[derive(Clone, Debug)]
+pub struct IdentifiedTx {
+    id: TxId,
+    tx: Arc<Transaction>,
+}
+
+impl IdentifiedTx {
+    /// Pairs a body with the id a tangle stores it under.
+    pub(crate) fn stored(id: TxId, tx: Arc<Transaction>) -> Self {
+        Self { id, tx }
+    }
+
+    /// The transaction id.
+    pub fn id(&self) -> TxId {
+        self.id
+    }
+
+    /// Splits into the id and the shared body.
+    pub fn into_parts(self) -> (TxId, Arc<Transaction>) {
+        (self.id, self.tx)
+    }
+}
+
+impl std::ops::Deref for IdentifiedTx {
+    type Target = Transaction;
+
+    fn deref(&self) -> &Transaction {
+        &self.tx
+    }
+}
+
+impl From<Arc<Transaction>> for IdentifiedTx {
+    fn from(tx: Arc<Transaction>) -> Self {
+        Self { id: tx.id(), tx }
+    }
+}
+
+impl From<Transaction> for IdentifiedTx {
+    fn from(tx: Transaction) -> Self {
+        Arc::new(tx).into()
     }
 }
 
@@ -375,6 +465,53 @@ mod tests {
         assert!(format!("{id:?}").starts_with("TxId("));
         let n = NodeId([0xAB; 32]);
         assert_eq!(n.short_hex(), "abababababababab");
+    }
+
+    /// One fixed transaction of each payload kind and the id it has
+    /// always had: the id is the ledger's key, the PoW hash and the signed
+    /// digest, so its input bytes may never change.
+    #[test]
+    fn ids_of_each_payload_kind_are_pinned() {
+        let base = TransactionBuilder::new(NodeId([0x11; 32]))
+            .parents(TxId([0x22; 32]), TxId([0x33; 32]))
+            .timestamp_ms(1_700_000_000_123)
+            .nonce(0x0102_0304_0506_0708)
+            .signature(vec![0xEE; 64]);
+        let cases = [
+            (
+                Payload::Data(b"temperature=21.5".to_vec()),
+                "1035ffd6cf92baae1661df39b018cee1e1bf4bdbccd812703502b0288113e7b6",
+            ),
+            (
+                Payload::Data(Vec::new()),
+                "4fa8207fd1e4ddc2b589abe120d30808bcfee33b92a64e7444a0f6f88426a61f",
+            ),
+            (
+                Payload::EncryptedData {
+                    iv: [0x44; 16],
+                    ciphertext: vec![0x55; 48],
+                },
+                "d6fdb97c7ecc1adbb8f88f39ae97ef5e908b73804f8fa4bb142255687bb38e17",
+            ),
+            (
+                Payload::Spend {
+                    token: [0x66; 32],
+                    to: NodeId([0x77; 32]),
+                },
+                "8f88978d69c1f21edfc8c3c7a904300799b7078efd86e7030ab8a82a55e07681",
+            ),
+            (
+                Payload::AuthList {
+                    devices: vec![NodeId([0x88; 32]), NodeId([0x99; 32])],
+                    signature: vec![0xAA; 64],
+                },
+                "926a68ae69c1c63f11aa21af5927a005b87d182a9b0c9d00b3de18cce978e2fa",
+            ),
+        ];
+        for (payload, want) in cases {
+            let tx = base.clone().payload(payload.clone()).build();
+            assert_eq!(tx.id().to_string(), want, "{payload:?}");
+        }
     }
 
     #[test]

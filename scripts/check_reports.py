@@ -2,7 +2,7 @@
 """Acceptance checks for the benchmark reports written under results/.
 
 Usage:
-    python3 scripts/check_reports.py {tangle_scale|tips|mesh|api|runtime} [REPORT]
+    python3 scripts/check_reports.py {tangle_scale|tips|mesh|api|runtime|pow|rsa} [REPORT]
 
 Loads REPORT (default: results/BENCH_<name>.json), asserts the report's
 acceptance flags and bounds, and prints one summary line. A failed check
@@ -102,8 +102,28 @@ def runtime(r):
           f"first byte p99 {r['first_byte']['event_p99_ms']} ms")
 
 
+def pow_report(r):
+    # Ratios only: absolute timings swing with the runner, ratios do not.
+    speedup = r['weight_index']['speedup']
+    assert speedup >= 100, f"weight index only {speedup}x faster than the BFS recount"
+    print('pow acceptance ok:', f"weight index {speedup}x faster than the BFS recount")
+
+
+def rsa_report(r):
+    full = r['full_modpow']['speedup']
+    crt = r['crt_private_op']['speedup']
+    assert full >= 2, f"Montgomery full modpow only {full}x faster than naive"
+    assert crt >= 2, f"Montgomery CRT private op only {crt}x faster than naive"
+    ops = r['library_ops']
+    assert ops['verify_secs'] < ops['sign_secs'], \
+        f"verify {ops['verify_secs']} s not below sign {ops['sign_secs']} s"
+    print('rsa acceptance ok:',
+          f"Montgomery {full}x (full) and {crt}x (CRT),",
+          f"sign/verify {ops['sign_secs'] / ops['verify_secs']:.1f}x")
+
+
 CHECKS = {'tangle_scale': tangle_scale, 'tips': tips, 'mesh': mesh, 'api': api,
-          'runtime': runtime}
+          'runtime': runtime, 'pow': pow_report, 'rsa': rsa_report}
 
 
 def main(argv):
